@@ -30,9 +30,11 @@ from .qcalculus import (
     EPS_POLE,
     QBase,
     SeriesEval,
+    SeriesEvalBatch,
     ThetaPair,
     phi21_continued,
     phi21_direct,
+    phi21_direct_batch,
     phi21_heine,
     qpoch_finite,
     qpoch_infinite,
@@ -86,6 +88,7 @@ __all__ = [
     "EPS_POLE",
     "QBase",
     "SeriesEval",
+    "SeriesEvalBatch",
     "ThetaPair",
     "qpoch_finite",
     "qpoch_signed",
@@ -93,6 +96,7 @@ __all__ = [
     "qpoch_multi",
     "theta_pair",
     "phi21_direct",
+    "phi21_direct_batch",
     "phi21_continued",
     "phi21_heine",
     "IqPoint",

@@ -57,4 +57,9 @@ class PathOutsideDomainError(QSU11Error):
 
 
 class QuadratureUnderResolvedError(QSU11Error):
-    """Node doubling changed the quadrature value by more than the budget."""
+    """A quadrature cannot certify its value within the budget.
+
+    Raised when the truncated Gaussian tail or the node-doubling change
+    exceeds the budget, or when the integrand's series at a node comes
+    back uncertified.
+    """

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from ._kernels import phi21_kernel, qpoch_finite_kernel, qpoch_infinite_kernel
 from .errors import (
     DivergentSeriesError,
@@ -33,6 +35,7 @@ __all__ = [
     "EPS_POLE",
     "QBase",
     "SeriesEval",
+    "SeriesEvalBatch",
     "ThetaPair",
     "qpoch_finite",
     "qpoch_signed",
@@ -40,6 +43,7 @@ __all__ = [
     "qpoch_multi",
     "theta_pair",
     "phi21_direct",
+    "phi21_direct_batch",
     "phi21_continued",
     "phi21_heine",
 ]
@@ -127,6 +131,20 @@ class SeriesEval:
     terms_used: int
     tail_bound: float
     degenerate: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class SeriesEvalBatch:
+    """Element-wise :class:`SeriesEval` fields of a batched evaluation.
+
+    ``value`` (complex128), ``terms_used`` (int64) and ``tail_bound``
+    (float64, ``math.inf`` where the term budget ran out) have one entry
+    per input element.
+    """
+
+    value: np.ndarray
+    terms_used: np.ndarray
+    tail_bound: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -285,6 +303,20 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     return ThetaPair(lhs.value, rhs, diff / scale)
 
 
+def _direct_guards(c: complex, base: BaseLike, tol: float,
+                   max_terms: int) -> float:
+    """Argument checks shared by the direct sums; returns the base value."""
+    bb = _base_value(base)
+    if tol <= 0:
+        raise InvalidArgumentError("tol must be positive")
+    if max_terms < 1:
+        raise InvalidArgumentError("max_terms must be >= 1")
+    jc = _near_inv_power(c, bb)
+    if jc is not None:
+        raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")
+    return bb
+
+
 def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
                  tol: float = 1e-12, max_terms: int = 200) -> SeriesEval:
     """Direct summation of ``2phi1(a, b; c; base, z)``.
@@ -304,14 +336,7 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       ``max_terms`` is exhausted first, the partial sum is returned with
       ``tail_bound = math.inf`` rather than raising.
     """
-    bb = _base_value(base)
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
-    if max_terms < 1:
-        raise InvalidArgumentError("max_terms must be >= 1")
-    jc = _near_inv_power(c, bb)
-    if jc is not None:
-        raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")
+    bb = _direct_guards(c, base, tol, max_terms)
     na = _near_inv_power(a, bb)
     nb = _near_inv_power(b, bb)
     if na is not None and nb is not None:
@@ -331,6 +356,170 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
         n_exact, tol, int(max_terms),
     )
     return SeriesEval(value, used, tail if status == 0 else math.inf)
+
+
+# Batched arithmetic works on float64 real/imaginary arrays and repeats
+# CPython's complex formulas operation for operation, so every element
+# rounds exactly as the scalar path does; numpy's own complex ``*`` and
+# ``/`` round differently in the last bit.
+
+def _c_prod(ar, ai, br, bi):
+    """Real and imaginary parts of ``a * b`` as CPython's ``_Py_c_prod``."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _c_quot(ar, ai, br, bi):
+    """Real and imaginary parts of ``a / b`` as CPython's ``_Py_c_quot``.
+
+    Both branches of Smith's method are formed and the one CPython takes
+    is kept per element.  ``b`` must be finite and nonzero.
+    """
+    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = bi / br
+        denom = br + bi * ratio
+        re_r, im_r = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
+        ratio = br / bi
+        denom = br * ratio + bi
+        re_i, im_i = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
+    by_real = np.abs(br) >= np.abs(bi)
+    return np.where(by_real, re_r, re_i), np.where(by_real, im_r, im_i)
+
+
+def _complex_array(re, im) -> np.ndarray:
+    """complex128 array with exactly these real and imaginary parts."""
+    out = np.empty(np.shape(re), dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _near_inv_power_mask(x: np.ndarray, base: float,
+                         eps: float = EPS_POLE) -> np.ndarray:
+    """Elements that may lie within eps of some base**(-n), n >= 0.
+
+    A superset of the elements :func:`_near_inv_power` snaps: the band
+    is doubled and the nearest exponent and its neighbours are tried, so
+    a last-bit difference between numpy's and libm's ``log`` or ``pow``
+    cannot hide a hit.  Non-finite elements are flagged too.
+    """
+    with np.errstate(all="ignore"):
+        r = np.abs(x)
+        j0 = np.rint(np.log(r) / math.log(base))
+        hit = ~np.isfinite(x)
+        for j in (j0 - 1.0, j0, j0 + 1.0):
+            p = np.power(base, j)
+            hit |= (j <= 0) & (np.abs(x - p) <= 2.0 * eps * p)
+    return hit
+
+
+def _phi21_kernel_batch(ar, ai, br, bi, c: complex, base: float, z: complex,
+                        rel_tol: float, max_terms: int):
+    """``phi21_kernel`` over arrays of non-terminating ``a``, ``b``.
+
+    Each element runs the scalar recurrence and stopping rule with its
+    own convergence mask; finished elements leave the working arrays.
+    The parameters shared by all elements (``c``, the base power, ``z``)
+    stay Python scalars and are updated by the scalar operations.
+    Returns ``(value, terms_used, tail_abs)`` arrays, with ``tail_abs``
+    infinite where ``max_terms`` ran out.
+    """
+    n = ar.size
+    val_re, val_im = np.empty(n), np.empty(n)
+    used = np.full(n, max_terms + 1, dtype=np.int64)
+    tail = np.full(n, math.inf)
+    live = np.arange(n)
+    s_re, s_im = np.ones(n), np.zeros(n)
+    t_re, t_im = np.ones(n), np.zeros(n)
+    fa_re, fa_im, fb_re, fb_im = ar, ai, br, bi
+    fc = c
+    fq = base
+    abs_z = abs(z)
+    k = 0
+    while k < max_terms and live.size:
+        den = (1.0 - fc) * (1.0 - fq)
+        t_re, t_im = _c_prod(t_re, t_im, 1.0 - fa_re, 0.0 - fa_im)
+        t_re, t_im = _c_prod(t_re, t_im, 1.0 - fb_re, 0.0 - fb_im)
+        t_re, t_im = _c_quot(t_re, t_im, den.real, den.imag)
+        t_re, t_im = _c_prod(t_re, t_im, z.real, z.imag)
+        k += 1
+        s_re = s_re + t_re
+        s_im = s_im + t_im
+        stop = (t_re == 0.0) & (t_im == 0.0)
+        stop_tail = np.zeros(live.size)
+        fa_re, fa_im = _c_prod(fa_re, fa_im, base, 0.0)
+        fb_re, fb_im = _c_prod(fb_re, fb_im, base, 0.0)
+        fc *= base
+        fq *= base
+        bc = abs(fc)
+        if bc < 1.0:
+            r = abs_z * (1.0 + np.hypot(fa_re, fa_im)) \
+                * (1.0 + np.hypot(fb_re, fb_im)) / ((1.0 - bc) * (1.0 - fq))
+            est = np.hypot(t_re, t_im) * r / (1.0 - r)
+            ok = ~stop & (r < 1.0) \
+                & (est <= rel_tol * np.maximum(np.hypot(s_re, s_im), 1e-300))
+            stop_tail = np.where(ok, est, stop_tail)
+            stop |= ok
+        if stop.any():
+            done = live[stop]
+            val_re[done] = s_re[stop]
+            val_im[done] = s_im[stop]
+            used[done] = k + 1
+            tail[done] = stop_tail[stop]
+            keep = ~stop
+            live = live[keep]
+            s_re, s_im, t_re, t_im = s_re[keep], s_im[keep], t_re[keep], t_im[keep]
+            fa_re, fa_im = fa_re[keep], fa_im[keep]
+            fb_re, fb_im = fb_re[keep], fb_im[keep]
+    val_re[live] = s_re
+    val_im[live] = s_im
+    return _complex_array(val_re, val_im), used, tail
+
+
+def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
+                       base: BaseLike, z: complex, tol: float = 1e-12,
+                       max_terms: int = 200) -> SeriesEvalBatch:
+    """:func:`phi21_direct` over arrays of ``a`` and ``b`` (same shape).
+
+    Element ``i`` of the result equals
+    ``phi21_direct(a[i], b[i], c, base, z, tol, max_terms)`` bit for bit:
+    value, ``terms_used`` and ``tail_bound``.  Elements that may snap to
+    a terminating sum (``a`` or ``b`` near ``base**(-n)``) or are not
+    finite go through :func:`phi21_direct` itself; the rest are summed
+    together by a batched copy of the scalar kernel.
+
+    Raises the errors :func:`phi21_direct` raises (a pole in ``c``, or
+    ``|z| >= 1`` with some element not terminating), without saying
+    which element failed.
+    """
+    bb = _direct_guards(c, base, tol, max_terms)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if a.ndim != 1 or a.shape != b.shape:
+        raise InvalidArgumentError("a and b must be 1-d arrays of one length")
+    scalar = _near_inv_power_mask(a, bb) | _near_inv_power_mask(b, bb)
+    if not scalar.all() and abs(z) >= 1.0:
+        raise DivergentSeriesError(
+            f"non-terminating series at |z| = {abs(z)!r} >= 1"
+        )
+    batch = ~scalar
+    value = np.empty(a.shape, dtype=np.complex128)
+    used = np.empty(a.shape, dtype=np.int64)
+    tail = np.empty(a.shape)
+    a_sum, b_sum = a[batch], b[batch]
+    with np.errstate(all="ignore"):
+        value[batch], used[batch], tail[batch] = _phi21_kernel_batch(
+            a_sum.real, a_sum.imag, b_sum.real, b_sum.imag, complex(c), bb,
+            complex(z), tol, int(max_terms),
+        )
+    # Where the scalar kernel could raise (overflow, division by zero)
+    # the batched sum is not finite; the scalar call decides those too.
+    scalar |= ~np.isfinite(value)
+    for i in np.flatnonzero(scalar):
+        ev = phi21_direct(complex(a[i]), complex(b[i]), c, bb, z,
+                          tol=tol, max_terms=max_terms)
+        value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
+    return SeriesEvalBatch(value, used, tail)
 
 
 def _series_rel(ev: SeriesEval) -> float:

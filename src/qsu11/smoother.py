@@ -31,8 +31,8 @@ from .errors import (
     QSU11Error,
     QuadratureUnderResolvedError,
 )
-from .qcalculus import QBase
-from .su11core import IqPoint, SpectralParam, spherical_az
+from .qcalculus import QBase, SeriesEval
+from .su11core import IqPoint, SpectralParam, _case1_batch, _lam_batch, spherical_az
 
 __all__ = [
     "ContourPath",
@@ -131,13 +131,79 @@ class SmoothedValue:
     mass: float
 
 
+def _fine_nodes(path: ContourPath, span: float,
+                nodes_per_unit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parameters s, points z(s) and derivatives z'(s) of the fine grid.
+
+    The fine grid has twice the coarse grid's (even) number of intervals,
+    so the coarse grid is its even-indexed nodes.
+    """
+    m_coarse = int(math.ceil(2.0 * span * nodes_per_unit))
+    if m_coarse % 2:
+        m_coarse += 1
+    s = np.linspace(-span, span, 2 * m_coarse + 1)
+    zz = path.anchor + path.wiggle_amplitude * np.sin(s) + 1j * s
+    dz = path.wiggle_amplitude * np.cos(s) + 1j
+    return s, zz, dz
+
+
 def _default_integrand(base: QBase, p0: IqPoint,
-                       tol: float) -> Callable[[complex], complex]:
-    def f(z: complex) -> complex:
-        return spherical_az(base, SpectralParam.from_z(z, base), p0,
-                            tol=tol).value
+                       tol: float) -> Callable[[complex], SeriesEval]:
+    def f(z: complex) -> SeriesEval:
+        return spherical_az(base, SpectralParam.from_z(z, base), p0, tol=tol)
 
     return f
+
+
+def _uncertified(s: float, terms: int) -> QuadratureUnderResolvedError:
+    return QuadratureUnderResolvedError(
+        f"integrand series at node s={s!r} is uncertified after {terms} "
+        f"terms (tail_bound = inf)"
+    )
+
+
+def _node_values(f: Callable, s: np.ndarray, zz: np.ndarray,
+                 certified: bool) -> np.ndarray:
+    """Integrand at every node, one call per node.
+
+    With ``certified`` set, ``f`` returns a :class:`SeriesEval` whose
+    tail bound must be finite.
+    """
+    fv = np.empty(len(zz), dtype=np.complex128)
+    for i in range(len(zz)):
+        try:
+            r = f(complex(zz[i]))
+        except QSU11Error as err:
+            raise PathOutsideDomainError(
+                f"integrand failed at node s={float(s[i])!r}: {err}"
+            ) from err
+        if certified:
+            if r.tail_bound == math.inf:
+                raise _uncertified(float(s[i]), r.terms_used)
+            r = r.value
+        fv[i] = r
+    return fv
+
+
+def _case1_values(base: QBase, p0: IqPoint, tol: float, s: np.ndarray,
+                  zz: np.ndarray) -> np.ndarray | None:
+    """Default integrand at every node in one batched pass.
+
+    Bit-identical to the per-node loop.  Returns None when the loop has
+    to decide instead: a node where lam is zero or not finite, or an
+    evaluation error, which the loop attributes to its node.
+    """
+    lam = _lam_batch(zz, base)
+    if not np.all(np.isfinite(lam) & (lam != 0)):
+        return None
+    try:
+        ev = _case1_batch(base, lam, p0.exponent, tol)
+    except QSU11Error:
+        return None
+    bad = np.flatnonzero(np.isinf(ev.tail_bound))
+    if bad.size:
+        raise _uncertified(float(s[bad[0]]), int(ev.terms_used[bad[0]]))
+    return ev.value
 
 
 def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
@@ -158,13 +224,20 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         Replaces the default ``z -> a_z(p0)``; used by tests to check
         the quadrature against synthetic functions with known means.
 
+    The default integrand at ``p0 = +q^k, k <= 0`` is evaluated at all
+    nodes in one batched pass, bit-identical to calling
+    :func:`spherical_az` node by node; the other cases and supplied
+    integrands are called once per node.
+
     Raises
     ------
     PathOutsideDomainError
         If the integrand is singular (pole-guarded) at some node.
     QuadratureUnderResolvedError
-        If the Gaussian truncation tail exceeds ``tol_quad/2`` or the
-        node-doubling discrepancy exceeds ``tol_quad``.
+        If the Gaussian truncation tail exceeds ``tol_quad/2``, the
+        node-doubling discrepancy exceeds ``tol_quad``, or the default
+        integrand's series at some node is uncertified
+        (``tail_bound = inf``).
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
@@ -177,25 +250,20 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
             f"of the width-{n} kernel"
         )
     center = 1.0 - 1.0 / k
-    f = integrand if integrand is not None else _default_integrand(base, p0, tol)
 
-    m_coarse = int(math.ceil(2.0 * span * quad.nodes_per_unit))
-    if m_coarse % 2:
-        m_coarse += 1
-    m_fine = 2 * m_coarse
-    s = np.linspace(-span, span, m_fine + 1)
-    zz = path.anchor + path.wiggle_amplitude * np.sin(s) + 1j * s
-    dz = path.wiggle_amplitude * np.cos(s) + 1j
+    s, zz, dz = _fine_nodes(path, span, quad.nodes_per_unit)
+    m_fine = len(s) - 1
     w = math.sqrt(n / math.pi) * np.exp(n * (zz - center) ** 2) * dz / 1j
 
-    fv = np.empty(m_fine + 1, dtype=np.complex128)
-    for i in range(m_fine + 1):
-        try:
-            fv[i] = f(complex(zz[i]))
-        except QSU11Error as err:
-            raise PathOutsideDomainError(
-                f"integrand failed at node s={float(s[i])!r}: {err}"
-            ) from err
+    if integrand is not None:
+        fv = _node_values(integrand, s, zz, certified=False)
+    else:
+        fv = None
+        if p0.sign > 0 and p0.exponent <= 0:
+            fv = _case1_values(base, p0, tol, s, zz)
+        if fv is None:
+            fv = _node_values(_default_integrand(base, p0, tol), s, zz,
+                              certified=True)
 
     def trapezoid(values: np.ndarray, h: float) -> complex:
         tw = np.ones(len(values))

@@ -13,14 +13,22 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidArgumentError, PoleGuardError
 from .qcalculus import (
     EPS_POLE,
     QBase,
     SeriesEval,
+    SeriesEvalBatch,
+    _c_prod,
+    _c_quot,
+    _complex_array,
     _near_power,
+    _series_rel,
     phi21_continued,
     phi21_direct,
+    phi21_direct_batch,
     phi21_heine,
     qpoch_multi,
     qpoch_signed,
@@ -124,10 +132,35 @@ class SpectralParam:
         return cls(zc, lam, (lam + 1.0 / lam) / 2.0)
 
 
-def _series_rel(ev: SeriesEval) -> float:
-    if ev.value == 0:
-        return 0.0
-    return ev.tail_bound / abs(ev.value) if math.isfinite(ev.tail_bound) else math.inf
+def _remainder(x: np.ndarray, y: float) -> np.ndarray:
+    """``math.remainder(x, y)`` element-wise, for finite x and y > 0.
+
+    Follows CPython's ``m_remainder`` step for step; every step is
+    exact, so the result matches bit for bit.
+    """
+    absx = np.abs(x)
+    m = np.fmod(absx, y)
+    c = y - m
+    tie = m - 2.0 * np.fmod(0.5 * (absx - m), y)
+    r = np.where(m < c, m, np.where(m > c, -c, tie))
+    return np.copysign(1.0, x) * r
+
+
+def _lam_batch(z: np.ndarray, base: QBase) -> np.ndarray:
+    """``SpectralParam.from_z(z[i], base).lam`` for a 1-d array z, bit for bit.
+
+    ``|lam|`` comes from ``math.exp`` (numpy's ``exp`` rounds differently
+    on some inputs), once when every node shares its real part, as on a
+    vertical path, and per node otherwise.
+    """
+    zr = z.real
+    arg = zr * base.log_q
+    if zr.size and np.all(zr == zr[0]):
+        mag = math.exp(float(arg[0]))
+    else:
+        mag = np.array([math.exp(x) for x in arg.tolist()])
+    theta = _remainder(z.imag, base.period) * base.log_q
+    return _complex_array(mag * np.cos(theta), mag * np.sin(theta))
 
 
 def _case3(base: QBase, lam: complex, k: int, tol: float,
@@ -232,6 +265,23 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
         return phi21_continued(lam, q ** (2 * k), base,
                                tol=tol, max_terms=max_terms)
     return _case3(base, lam, k, tol, max_terms)
+
+
+def _case1_batch(base: QBase, lam: np.ndarray, k: int, tol: float = 1e-12,
+                 max_terms: int = 200) -> SeriesEvalBatch:
+    """:func:`spherical_az` at ``p0 = +q^k, k <= 0`` over a 1-d array of lam.
+
+    Element ``i`` equals ``spherical_az(base, zp, IqPoint.positive(k))``
+    for ``zp.lam == lam[i]`` bit for bit (value, ``terms_used``,
+    ``tail_bound``).  Every ``lam`` must be finite and nonzero.
+    """
+    if k > 0:
+        raise InvalidArgumentError("the convergent case needs k <= 0")
+    q = base.q
+    a = _complex_array(*_c_quot(q, 0.0, lam.real, lam.imag))
+    b = _complex_array(*_c_prod(lam.real, lam.imag, q, 0.0))
+    return phi21_direct_batch(a, b, q * q, q * q, -q ** (2 - 2 * k),
+                              tol=tol, max_terms=max_terms)
 
 
 def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,

@@ -1,7 +1,9 @@
 """Unit tests for contour paths, quadrature specs, and Gaussian smoothing."""
 
 import math
+import random
 
+import numpy as np
 import pytest
 
 from qsu11 import (
@@ -17,6 +19,8 @@ from qsu11 import (
     path_independence,
     spherical_az,
 )
+from qsu11.smoother import _default_integrand, _fine_nodes, _node_values
+from qsu11.su11core import _case1_batch, _lam_batch
 
 B = QBase(0.5)
 
@@ -169,3 +173,107 @@ class TestPathIndependence:
         pb = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
         d = path_independence(B, IqPoint.positive(0), 2, 16.0, pa, pb, quad)
         assert d < 1e-6
+
+
+def _bits(values) -> list[int]:
+    """Bit patterns of the real (and imaginary) parts, signed zeros kept."""
+    a = np.asarray(values)
+    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
+    return [int(v) for p in parts
+            for v in np.ascontiguousarray(p, dtype=np.float64).view(np.int64)]
+
+
+def _assert_case1_parity(zs: np.ndarray, p0_k: int) -> None:
+    """Batched node lam and case-1 series equal the scalar path bit for bit."""
+    p0 = IqPoint.positive(p0_k)
+    lam = _lam_batch(zs, B)
+    zps = [SpectralParam.from_z(complex(z), B) for z in zs]
+    assert _bits(lam) == _bits([zp.lam for zp in zps])
+    ev = _case1_batch(B, lam, p0_k)
+    ref = [spherical_az(B, zp, p0) for zp in zps]
+    assert _bits(ev.value) == _bits([r.value for r in ref])
+    assert ev.terms_used.tolist() == [r.terms_used for r in ref]
+    assert _bits(ev.tail_bound) == _bits([r.tail_bound for r in ref])
+
+
+class TestBatchedParity:
+    """The batched case-1 route against per-node ``spherical_az``."""
+
+    @pytest.mark.parametrize("k", (2, 5))
+    @pytest.mark.parametrize("n", (4.0, 16.0, 64.0, 256.0))
+    def test_smoothing_suite_cells(self, k, n):
+        quad = QuadratureSpec.for_width(n, B)
+        path = ContourPath("vertical_line", 1.0 - 1.0 / k)
+        _, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
+        for p0_k in (0, -1, -2, -4):
+            _assert_case1_parity(zz, p0_k)
+
+    def test_perturbed_path(self):
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
+        _, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
+        assert len(set(zz.real.tolist())) > 1  # per-node |lam|
+        for p0_k in (0, -2):
+            _assert_case1_parity(zz, p0_k)
+
+    def test_strip(self):
+        # Re z in [-1.5, 1.5], |Im z| <= period / 2
+        rng = random.Random(7)
+        zs = np.array([complex(rng.uniform(-1.5, 1.5),
+                               rng.uniform(-B.period / 2, B.period / 2))
+                       for _ in range(2000)])
+        for p0_k in (0, -1, -3):
+            _assert_case1_parity(zs, p0_k)
+
+    def test_terminating_snap(self):
+        # lam = q^(2j+1) makes q/lam = (q^2)^(-j) and lam = q^-(2j+1)
+        # makes lam q = (q^2)^(-j): the series terminates.  Offsets put
+        # lam inside, near and outside the snap band.
+        zs = []
+        for j in range(6):
+            for sign in (1, -1):
+                for d in (0.0, 5e-10, 1.5e-9, 2.5e-9, 1e-6):
+                    zs.append(complex(sign * (2 * j + 1) + d / B.log_q, 0.0))
+                zs.append(complex(sign * (2 * j + 1), 0.3))
+        zs = np.array(zs)
+        for p0_k in (0, -2):
+            _assert_case1_parity(zs, p0_k)
+        ev = _case1_batch(B, _lam_batch(zs[:1], B), 0)
+        assert ev.terms_used[0] == 1 and ev.tail_bound[0] == 0.0
+
+    def test_gaussian_smooth_matches_node_loop(self):
+        quad = QuadratureSpec.for_width(16.0, B)
+        for path in (ContourPath("vertical_line", 0.5),
+                     ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)):
+            p0 = IqPoint.positive(-1)
+            sm = gaussian_smooth(B, p0, 2, 16.0, path, quad)
+            f = _default_integrand(B, p0, 1e-12)
+            looped = gaussian_smooth(B, p0, 2, 16.0, path, quad,
+                                     integrand=lambda z: f(z).value)
+            assert _bits(sm.value) == _bits(looped.value)
+
+
+class TestUncertifiedNodes:
+    """A node whose series exhausts its term budget refuses the smoothing."""
+
+    @pytest.mark.parametrize("p0", (IqPoint.positive(0), IqPoint.positive(2),
+                                    IqPoint.negative(1)))
+    def test_raises_naming_the_node(self, p0):
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 0.5)
+        with pytest.raises(QuadratureUnderResolvedError, match="node s="):
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=1e-300)
+
+    def test_both_routes_name_the_same_node(self):
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 0.5)
+        p0 = IqPoint.positive(0)
+        s, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
+        with pytest.raises(QuadratureUnderResolvedError) as batched:
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=1e-300)
+        with pytest.raises(QuadratureUnderResolvedError) as looped:
+            _node_values(_default_integrand(B, p0, 1e-300), s, zz,
+                         certified=True)
+        assert str(batched.value) == str(looped.value)
+        assert f"s={float(s[0])!r}" in str(batched.value)
+        assert "after 201 terms" in str(batched.value)
