@@ -6,17 +6,13 @@ lattice coefficient families built from them, limit sweeps and gap
 experiments over those families, and Gaussian contour smoothing of the
 coefficients; :mod:`qsu11.harness` packages fixed check suites over
 all of it with reproducible CSV/JSON reports.
-
-Hot series kernels are numba-compiled when numba is available; set
-``QSU11_NO_NUMBA=1`` before import to force the pure-Python fallback
-(`qsu11.backend()` reports which one is active).
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from ._kernels import HAS_NUMBA, backend
+from ._kernels import backend
 from .errors import (
     DivergentSeriesError,
     InvalidArgumentError,
@@ -76,7 +72,6 @@ from .harness import RunConfig, run_suite
 
 __all__ = [
     "__version__",
-    "HAS_NUMBA",
     "backend",
     "QSU11Error",
     "InvalidArgumentError",

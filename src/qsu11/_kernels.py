@@ -1,53 +1,25 @@
-"""Scalar summation kernels.
-
-The three loops below dominate every workload in this package, so they
-are compiled with numba when it is importable.  Setting the environment
-variable ``QSU11_NO_NUMBA=1`` (before first import) forces the plain
-Python fallback; the two paths execute the same source and agree
-bit-for-bit on the supported inputs.
+"""Scalar summation kernels: the q-Pochhammer and 2phi1 loops, in plain
+Python (:func:`qsu11.qcalculus.phi21_direct_batch` is the numpy form of
+``phi21_kernel``, bit for bit).
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 __all__ = [
-    "HAS_NUMBA",
     "backend",
     "qpoch_finite_kernel",
     "qpoch_infinite_kernel",
     "phi21_kernel",
 ]
 
-_DISABLED = os.environ.get("QSU11_NO_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by QSU11_NO_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # identity decorator, tolerant of both @njit and @njit(...)
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
 
 def backend() -> str:
-    """Return the active kernel backend, ``"numba"`` or ``"python"``."""
-    return "numba" if HAS_NUMBA else "python"
+    """Name of the kernel implementation; always ``"python"``."""
+    return "python"
 
 
-@njit(cache=True)
 def qpoch_finite_kernel(a: complex, base: float, k: int) -> complex:
     """Product of (1 - a*base**i) for i in range(k)."""
     p = 1.0 + 0.0j
@@ -58,7 +30,6 @@ def qpoch_finite_kernel(a: complex, base: float, k: int) -> complex:
     return p
 
 
-@njit(cache=True)
 def qpoch_infinite_kernel(a: complex, base: float, cutoff: float, max_factors: int):
     """Infinite product of (1 - a*base**i), truncated by the cutoff rule.
 
@@ -85,7 +56,6 @@ def qpoch_infinite_kernel(a: complex, base: float, cutoff: float, max_factors: i
     return p, n, tail_rel, 0
 
 
-@njit(cache=True)
 def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                  n_exact: int, rel_tol: float, max_terms: int):
     """Sum the 2phi1 term recurrence.

@@ -1,7 +1,8 @@
 """Verification harness: fixed check suites with CSV/JSON reports.
 
-Every suite is a deterministic list of checks over published parameter
-grids; reports carry no timestamps, hostnames, or random state, so two
+Every suite yields a deterministic sequence of checks (:class:`Check`)
+over published parameter grids, and one runner turns each into a report
+row; reports carry no timestamps, hostnames, or random state, so two
 runs with the same configuration produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
@@ -19,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from ._kernels import backend
@@ -28,12 +29,14 @@ from .grids import OVERLAP_GRID, RATIO_LAMBDA_GRID, THETA_BASES, THETA_GRID
 from .limitlab import (
     MONO_SLACK,
     SweepReport,
+    SweepRow,
     approx_identity_gap,
     limit_sweep,
     pochhammer_ratio,
     pochhammer_ratio_naive,
     symbol_clip_abs,
     symbol_constant,
+    sweep_report,
     uniform_sup_gap,
 )
 from .qcalculus import (
@@ -129,464 +132,355 @@ class CheckRow:
         return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
 
 
-def _row(suite: str, check_id: str, anchor: str, params: dict, value: complex,
-         deviation: float, threshold: float, ok: bool | None = None) -> CheckRow:
-    passed = (deviation <= threshold) if ok is None else ok
-    return CheckRow(suite, check_id, anchor, params, complex(value),
-                    float(deviation), float(threshold),
-                    "pass" if passed else "fail")
+@dataclass(frozen=True)
+class Check:
+    """One report row, written once; ``run`` returns ``(value, deviation,
+    threshold)`` or a :class:`SweepReport` (see :func:`_run_check`)."""
+
+    check_id: str
+    anchor: str
+    params: dict
+    run: Callable[[], tuple[complex, float, float] | SweepReport]
 
 
-def _guarded(build: Callable[[], CheckRow], suite: str, check_id: str,
-             anchor: str, params: dict) -> CheckRow:
+def _run_check(suite: str, check: Check) -> CheckRow:
+    params = dict(check.params)
     try:
-        return build()
-    except QSU11Error as err:
-        p = dict(params)
-        p["error"] = str(err)
-        return CheckRow(suite, check_id, anchor, p, complex("nan"),
-                        math.inf, 0.0, "fail")
-
-
-def _chain_row(suite: str, check_id: str, anchor: str, params: dict,
-               values: list[complex], devs: list[float], threshold: float,
-               monotone_required: bool = True) -> CheckRow:
-    mono = all(devs[i + 1] <= devs[i] + MONO_SLACK for i in range(len(devs) - 1))
-    ok = devs[-1] <= threshold and (mono or not monotone_required)
-    p = dict(params)
-    p["deviations"] = [float(d) for d in devs]
-    p["monotone"] = bool(mono)
-    return _row(suite, check_id, anchor, p, values[-1], devs[-1], threshold, ok)
-
-
-def _sweep_row(suite: str, check_id: str, anchor: str, params: dict,
-               rep: SweepReport) -> CheckRow:
-    """Flatten a SweepReport into one CheckRow (final row carries verdict)."""
-    p = dict(params)
-    p["deviations"] = [float(r.deviation) for r in rep.rows]
-    p["monotone"] = bool(rep.monotone_deviation)
-    notes = [r.note for r in rep.rows if r.note]
-    if notes:
-        p["errors"] = notes
-    return _row(suite, check_id, anchor, p, rep.rows[-1].value,
-                rep.final_deviation, rep.threshold, rep.verdict == "pass")
+        out = check.run()
+    except QSU11Error as err:  # error row: nan value, fails at any threshold
+        params["error"] = str(err)
+        out = (complex("nan"), math.inf, 0.0)
+    if isinstance(out, SweepReport):
+        params["deviations"] = [float(r.deviation) for r in out.rows]
+        params["monotone"] = bool(out.monotone_deviation)
+        notes = [r.note for r in out.rows if r.note]
+        if notes:
+            params["errors"] = notes
+        value, deviation, threshold = (out.rows[-1].value,
+                                       out.final_deviation, out.threshold)
+        passed = out.verdict == "pass"
+    else:
+        value, deviation, threshold = out
+        passed = deviation <= threshold
+    return CheckRow(suite, check.check_id, check.anchor, params,
+                    complex(value), float(deviation), float(threshold),
+                    "pass" if passed else "fail")
 
 
 # ---------------------------------------------------------------- suites
 
 
-def _suite_identities(cfg: RunConfig, base: QBase) -> list[CheckRow]:
-    rows = []
+def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     st = cfg.series_tol
     for b in THETA_BASES:
         for i, (re, im, k) in enumerate(THETA_GRID):
-            a = complex(re, im)
-            params = {"a_re": re, "a_im": im, "k": k, "base": b}
-
-            def build(a=a, k=k, b=b, i=i, params=params):
+            def run(a=complex(re, im), k=k, b=b):
                 tp = theta_pair(a, k, b, tol=st)
-                return _row("identities", f"theta_b{b}_{i:03d}", "Eq4.1",
-                            params, tp.lhs, tp.residual, cfg.tol)
+                return tp.lhs, tp.residual, cfg.tol
 
-            rows.append(_guarded(build, "identities", f"theta_b{b}_{i:03d}",
-                                 "Eq4.1", params))
+            yield Check(f"theta_b{b}_{i:03d}", "Eq4.1",
+                        {"a_re": re, "a_im": im, "k": k, "base": b}, run)
     for b in THETA_BASES:
-        qb = QBase(b)
-        b2 = b * b
-        prod = (qb.cq ** 2 * b2
-                * qpoch_infinite(b2, b2, st).value.real ** 2
-                * qpoch_infinite(-1.0, b2, st).value.real
-                * qpoch_infinite(-b2, b2, st).value.real)
-        rows.append(_row("identities", f"cq_norm_b{b}", "Eq4.1", {"base": b},
-                         prod, abs(prod - 1.0), cfg.tol / 100.0))
+        def run(b=b):
+            b2 = b * b
+            prod = (QBase(b).cq ** 2 * b2
+                    * qpoch_infinite(b2, b2, st).value.real ** 2
+                    * qpoch_infinite(-1.0, b2, st).value.real
+                    * qpoch_infinite(-b2, b2, st).value.real)
+            return prod, abs(prod - 1.0), cfg.tol / 100.0
+
+        yield Check(f"cq_norm_b{b}", "Eq4.1", {"base": b}, run)
     q = base.q
     q2 = q * q
+    budget = {"tol": st, "max_terms": cfg.max_terms}
     for i, (theta, kap) in enumerate(OVERLAP_GRID):
-        lam = cmath.exp(1j * theta)
-        params = {"theta": theta, "kappa": kap}
-
-        def build(lam=lam, kap=kap, i=i, params=params):
+        def run(lam=cmath.exp(1j * theta), kap=kap):
             direct = phi21_direct(q / lam, lam * q, q2, q2, -q2 / kap,
-                                  tol=st, max_terms=cfg.max_terms)
-            cont = phi21_continued(lam, complex(kap), base,
-                                   tol=st, max_terms=cfg.max_terms)
+                                  **budget)
+            cont = phi21_continued(lam, complex(kap), base, **budget)
             dev = abs(direct.value - cont.value) / abs(direct.value)
-            return _row("identities", f"overlap_{i:02d}", "PropB2.Case2",
-                        params, cont.value, dev, 100.0 * cfg.tol)
+            return cont.value, dev, 100.0 * cfg.tol
 
-        rows.append(_guarded(build, "identities", f"overlap_{i:02d}",
-                             "PropB2.Case2", params))
-    return rows
+        yield Check(f"overlap_{i:02d}", "PropB2.Case2",
+                    {"theta": theta, "kappa": kap}, run)
 
 
-_COAMEN_LAMBDAS = (
-    ("one", lambda base: 1.0 + 0.0j),
-    ("phase04", lambda base: cmath.exp(0.4j)),
-    ("sqrtq", lambda base: complex(math.sqrt(base.q))),
-)
-
-
-def _suite_coamenability(cfg: RunConfig, base: QBase) -> list[CheckRow]:
-    rows = []
+def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     q = base.q
-    st = cfg.series_tol
-    for li, (lname, lfn) in enumerate(_COAMEN_LAMBDAS):
-        lam = lfn(base)
+    budget = {"tol": cfg.series_tol, "max_terms": cfg.max_terms}
+    lams = (("one", 1.0 + 0.0j), ("phase04", cmath.exp(0.4j)),
+            ("sqrtq", complex(math.sqrt(q))))
+    for lname, lam in lams:
         for m in range(-3, 4):
             for j in range(0, 11):
-                params = {"lam": lname, "m": m, "j": j}
-                cid = f"rawsimp_{lname}_m{m}_j{j}"
-
-                def build(lam=lam, m=m, j=j, cid=cid, params=params):
+                def run(lam=lam, m=m, j=j):
                     p1 = IqPoint.positive(-j)
-                    raw = coamen_coeff(base, m, lam, p1, form="raw",
-                                       tol=st, max_terms=cfg.max_terms)
+                    raw = coamen_coeff(base, m, lam, p1, form="raw", **budget)
                     simp = coamen_coeff(base, m, lam, p1, form="simplified",
-                                        tol=st, max_terms=cfg.max_terms)
+                                        **budget)
                     dev = abs(raw.value - simp.value) \
                         / max(abs(raw.value), abs(simp.value))
-                    return _row("coamenability", cid, "Eq5.2", params,
-                                simp.value, dev, 10.0 * cfg.tol)
+                    return simp.value, dev, 10.0 * cfg.tol
 
-                rows.append(_guarded(build, "coamenability", cid, "Eq5.2",
-                                     params))
+                yield Check(f"rawsimp_{lname}_m{m}_j{j}", "Eq5.2",
+                            {"lam": lname, "m": m, "j": j}, run)
     # The j-wise upper bound q^(2j-1) is specific to the m=0, lam=1 cell;
     # for m >= 1 the deviation exceeds it at small j (only the limit is
     # claimed there, checked by the chains below).
     for j in (2, 4, 8):
-        params = {"lam": "one", "m": 0, "j": j}
-        cid = f"coamen_bound_m0_j{j}"
-
-        def build(j=j, cid=cid, params=params):
+        def run(j=j):
             ev = coamen_coeff(base, 0, 1.0 + 0.0j, IqPoint.positive(-j),
-                              tol=st, max_terms=cfg.max_terms)
-            return _row("coamenability", cid, "Thm5.2", params,
-                        ev.value, abs(ev.value - 1.0), q ** (2 * j - 1))
+                              **budget)
+            return ev.value, abs(ev.value - 1.0), q ** (2 * j - 1)
 
-        rows.append(_guarded(build, "coamenability", cid, "Thm5.2", params))
-    for lname, lfn in _COAMEN_LAMBDAS[:2]:
-        lam = lfn(base)
+        yield Check(f"coamen_bound_m0_j{j}", "Thm5.2",
+                    {"lam": "one", "m": 0, "j": j}, run)
+    for lname, lam in lams[:2]:
         for m in range(-2, 3):
-            params = {"lam": lname, "m": m, "js": [2, 4, 8, 16]}
-            cid = f"coamen_limit_{lname}_m{m}"
+            def run(lam=lam, m=m):
+                return limit_sweep("coamen", base,
+                                   {"m": m, "lam": lam, **budget},
+                                   (2, 4, 8, 16), 1.0, 1e-6)
 
-            def build(lam=lam, m=m, cid=cid, params=params):
-                rep = limit_sweep(
-                    "coamen", base,
-                    {"m": m, "lam": lam, "tol": st,
-                     "max_terms": cfg.max_terms},
-                    (2, 4, 8, 16), 1.0, 1e-6)
-                return _sweep_row("coamenability", cid, "Thm5.2", params, rep)
-
-            rows.append(_guarded(build, "coamenability", cid, "Thm5.2",
-                                 params))
+            yield Check(f"coamen_limit_{lname}_m{m}", "Thm5.2",
+                        {"lam": lname, "m": m, "js": [2, 4, 8, 16]}, run)
     for m in (0, 1, 2):
-        params = {"m": m, "chain": [[5, 10], [10, 20], [20, 40]]}
-        cid = f"averaged_m{m}"
+        def run(m=m):
+            return limit_sweep("averaged_coamen", base,
+                               {"m": m, "lam": 1.0 + 0.0j, **budget},
+                               ((5, 10), (10, 20), (20, 40)), 1.0, 0.15)
 
-        def build(m=m, cid=cid, params=params):
-            rep = limit_sweep(
-                "averaged_coamen", base,
-                {"m": m, "lam": 1.0 + 0.0j, "tol": st,
-                 "max_terms": cfg.max_terms},
-                ((5, 10), (10, 20), (20, 40)), 1.0, 0.15)
-            return _sweep_row("coamenability", cid, "Thm5.2", params, rep)
-
-        rows.append(_guarded(build, "coamenability", cid, "Thm5.2", params))
-    return rows
+        yield Check(f"averaged_m{m}", "Thm5.2",
+                    {"m": m, "chain": [[5, 10], [10, 20], [20, 40]]}, run)
 
 
-def _sph(base: QBase, z: complex, sign: int, k: int, tol: float,
-         max_terms: int) -> complex:
+def _sph(cfg: RunConfig, base: QBase, z: complex, p: IqPoint) -> complex:
     zp = SpectralParam.from_z(z, base)
-    return spherical_az(base, zp, IqPoint(sign, k), tol=tol,
-                        max_terms=max_terms).value
+    return spherical_az(base, zp, p, tol=cfg.series_tol,
+                        max_terms=cfg.max_terms).value
 
 
-def _suite_spherical(cfg: RunConfig, base: QBase) -> list[CheckRow]:
-    rows = []
+def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     q = base.q
     st = cfg.series_tol
+    budget = {"tol": st, "max_terms": cfg.max_terms}
     z_chain = (0.9, 0.99, 0.999)
     cases = (("spherical_case1", range(-6, 1), "PropB2.Case1"),
              ("spherical_case2", range(1, 7), "PropB2.Case2"),
              ("spherical_case3", range(1, 7), "PropB2.Case3"))
     for family, ks, anchor in cases:
         for k in ks:
-            params = {"family": family, "k": k, "zs": list(z_chain)}
-            cid = f"{family.removeprefix('spherical_')}_k{k}"
+            def run(family=family, k=k):
+                return limit_sweep(family, base, {"k": k, **budget}, z_chain,
+                                   1.0, 5e-3)
 
-            def build(family=family, k=k, cid=cid, anchor=anchor,
-                      params=params):
-                rep = limit_sweep(
-                    family, base,
-                    {"k": k, "tol": st, "max_terms": cfg.max_terms},
-                    z_chain, 1.0, 5e-3)
-                return _sweep_row("spherical", cid, anchor, params, rep)
+            yield Check(f"{family.removeprefix('spherical_')}_k{k}", anchor,
+                        {"family": family, "k": k, "zs": list(z_chain)}, run)
 
-            rows.append(_guarded(build, "spherical", cid, anchor, params))
-
+    gap_zs = (0.9, 0.95, 0.99, 0.999, 1.0)
     gaps = []
-    for z in (0.9, 0.95, 0.99, 0.999, 1.0):
-        params = {"z": z, "max_exponent": cfg.max_exponent}
-        cid = f"unifgap_z{z}"
-
-        def build(z=z, cid=cid, params=params):
+    for z in gap_zs:
+        def run(z=z):
             g = uniform_sup_gap(base, SpectralParam.from_z(z, base),
                                 cfg.max_exponent, tol=st)
             gaps.append(g)
             thr = cfg.tol if z == 1.0 else (5e-3 if z == 0.999 else 0.05)
-            return _row("spherical", cid, "Thm6.3", params, g, g, thr)
+            return g, g, thr
 
-        rows.append(_guarded(build, "spherical", cid, "Thm6.3", params))
-    if len(gaps) == 5:
-        worst_rise = max(0.0, max(gaps[i + 1] - gaps[i] for i in range(4)))
-        rows.append(_row("spherical", "unifgap_monotone", "Thm6.3",
-                         {"zs": [0.9, 0.95, 0.99, 0.999, 1.0]},
-                         gaps[-1], worst_rise, MONO_SLACK))
+        yield Check(f"unifgap_z{z}", "Thm6.3",
+                    {"z": z, "max_exponent": cfg.max_exponent}, run)
+    # The caller runs each check as it is yielded, so ``gaps`` is filled
+    # by now; the monotone row is left out when any gap check errored.
+    if len(gaps) == len(gap_zs):
+        def run():
+            worst_rise = max(0.0, max(b - a for a, b in zip(gaps, gaps[1:])))
+            return gaps[-1], worst_rise, MONO_SLACK
 
-    def build_window():
+        yield Check("unifgap_monotone", "Thm6.3", {"zs": list(gap_zs)}, run)
+
+    def run():
         zp = SpectralParam.from_z(0.95, base)
         g20 = uniform_sup_gap(base, zp, 20, tol=st)
         g40 = uniform_sup_gap(base, zp, 40, tol=st)
-        return _row("spherical", "unifgap_window", "Thm6.3",
-                    {"z": 0.95, "depths": [20, 40]},
-                    g40, abs(g40 - g20), 1e-14)
+        return g40, abs(g40 - g20), 1e-14
 
-    rows.append(_guarded(build_window, "spherical", "unifgap_window",
-                         "Thm6.3", {"z": 0.95}))
+    yield Check("unifgap_window", "Thm6.3", {"z": 0.95, "depths": [20, 40]},
+                run)
 
     lam_near = q * (1.0 + 1e-3)
     for k in (1, 2, 3, 10, math.inf):
         kname = "inf" if k == math.inf else str(k)
-        params = {"lam_re": lam_near, "lam_im": 0.0, "k": kname}
-        cid = f"ratio_mod_k{kname}"
 
-        def build(k=k, cid=cid, params=params):
+        def run(k=k):
             v = pochhammer_ratio(base, complex(lam_near), k)
-            return _row("spherical", cid, "LemB.1", params, v, abs(v), 1e-2)
+            return v, abs(v), 1e-2
 
-        rows.append(_guarded(build, "spherical", cid, "LemB.1", params))
+        yield Check(f"ratio_mod_k{kname}", "LemB.1",
+                    {"lam_re": lam_near, "lam_im": 0.0, "k": kname}, run)
 
-    def build_ratio_mono():
-        rep = limit_sweep(
-            "b1_ratio", base, {"k": 3},
-            tuple(q * (1.0 + 10.0 ** -j) for j in (1, 2, 3)),
-            0.0, 1e-2)
-        return _sweep_row("spherical", "ratio_monotone", "LemB.1",
-                          {"k": 3, "offsets": [0.1, 0.01, 0.001]}, rep)
+    offsets = (0.1, 0.01, 0.001)
 
-    rows.append(_guarded(build_ratio_mono, "spherical", "ratio_monotone",
-                         "LemB.1", {"k": 3}))
+    def run():
+        return limit_sweep("b1_ratio", base, {"k": 3},
+                           tuple(q * (1.0 + o) for o in offsets), 0.0, 1e-2)
+
+    yield Check("ratio_monotone", "LemB.1",
+                {"k": 3, "offsets": list(offsets)}, run)
 
     for i, (re, im) in enumerate(RATIO_LAMBDA_GRID):
-        lam = complex(re, im)
         for k in (1, 2, 3, 7):
-            params = {"lam_re": re, "lam_im": im, "k": k}
-            cid = f"ratio_agree_{i:02d}_k{k}"
-
-            def build(lam=lam, k=k, cid=cid, params=params):
+            def run(lam=complex(re, im), k=k):
                 a = pochhammer_ratio(base, lam, k)
                 b = pochhammer_ratio_naive(base, lam, k)
                 dev = abs(a - b) / max(abs(a), abs(b))
-                return _row("spherical", cid, "LemB.1", params, a, dev,
-                            cfg.tol / 100.0)
+                return a, dev, cfg.tol / 100.0
 
-            rows.append(_guarded(build, "spherical", cid, "LemB.1", params))
+            yield Check(f"ratio_agree_{i:02d}_k{k}", "LemB.1",
+                        {"lam_re": re, "lam_im": im, "k": k}, run)
 
     period = base.period
     z0 = 0.35
-    for p in (IqPoint.positive(0), IqPoint.positive(3), IqPoint.negative(2)):
-        if p.sign > 0 and p.exponent <= 0:
-            anchor = "PropB2.Case1"
-        elif p.sign > 0:
-            anchor = "PropB2.Case2"
-        else:
-            anchor = "PropB2.Case3"
+    for p, anchor in ((IqPoint.positive(0), "PropB2.Case1"),
+                      (IqPoint.positive(3), "PropB2.Case2"),
+                      (IqPoint.negative(2), "PropB2.Case3")):
         for mult in (1, 2, 4):
-            params = {"z0": z0, "period_multiple": mult,
-                      "sign": p.sign, "k": p.exponent}
-            cid = f"periodic_s{p.sign}_k{p.exponent}_m{mult}"
+            def run(p=p, mult=mult):
+                ref = _sph(cfg, base, complex(z0, 0.0), p)
+                v = _sph(cfg, base, complex(z0, mult * period), p)
+                return v, abs(v - ref), cfg.tol
 
-            def build(p=p, mult=mult, cid=cid, anchor=anchor, params=params):
-                ref = _sph(base, complex(z0, 0.0), p.sign, p.exponent,
-                           st, cfg.max_terms)
-                v = _sph(base, complex(z0, mult * period), p.sign,
-                         p.exponent, st, cfg.max_terms)
-                return _row("spherical", cid, anchor, params, v,
-                            abs(v - ref), cfg.tol)
-
-            rows.append(_guarded(build, "spherical", cid, anchor, params))
+            yield Check(f"periodic_s{p.sign}_k{p.exponent}_m{mult}", anchor,
+                        {"z0": z0, "period_multiple": mult,
+                         "sign": p.sign, "k": p.exponent}, run)
 
     for z in (0.5, 0.9):
         for p in (IqPoint.positive(0), IqPoint.positive(-3),
                   IqPoint.positive(2), IqPoint.negative(1)):
-            params = {"z": z, "sign": p.sign, "k": p.exponent}
-            cid = f"real_z{z}_s{p.sign}_k{p.exponent}"
+            def run(z=z, p=p):
+                v = _sph(cfg, base, complex(z, 0.0), p)
+                return v, abs(v.imag), cfg.tol
 
-            def build(z=z, p=p, cid=cid, params=params):
-                v = _sph(base, complex(z, 0.0), p.sign, p.exponent, st,
-                         cfg.max_terms)
-                return _row("spherical", cid, "PropB2.Case1", params, v,
-                            abs(v.imag), cfg.tol)
-
-            rows.append(_guarded(build, "spherical", cid, "PropB2.Case1",
-                                 params))
+            yield Check(f"real_z{z}_s{p.sign}_k{p.exponent}", "PropB2.Case1",
+                        {"z": z, "sign": p.sign, "k": p.exponent}, run)
 
     half_period = math.pi / abs(base.log_q)
     depth = min(cfg.max_exponent, 12)
     for jmid in range(20):
         t = (jmid + 0.5) / 20.0 * half_period
-        params = {"t": t, "depth": depth}
-        cid = f"contract_{jmid:02d}"
 
-        def build(t=t, cid=cid, params=params):
+        def run(t=t):
             z = complex(0.0, t)
             worst = 0.0
             worst_v = 0.0 + 0.0j
-            for k in range(-depth, depth + 1):
-                v = _sph(base, z, 1, k, st, cfg.max_terms)
+            for sign, k in ([(1, k) for k in range(-depth, depth + 1)]
+                            + [(-1, k) for k in range(1, depth + 1)]):
+                v = _sph(cfg, base, z, IqPoint(sign, k))
                 if abs(v) > worst:
                     worst, worst_v = abs(v), v
-            for k in range(1, depth + 1):
-                v = _sph(base, z, -1, k, st, cfg.max_terms)
-                if abs(v) > worst:
-                    worst, worst_v = abs(v), v
-            return _row("spherical", cid, "Thm6.3", params, worst_v,
-                        max(0.0, worst - 1.0), 1e-8)
+            return worst_v, max(0.0, worst - 1.0), 1e-8
 
-        rows.append(_guarded(build, "spherical", cid, "Thm6.3", params))
-    return rows
+        yield Check(f"contract_{jmid:02d}", "Thm6.3",
+                    {"t": t, "depth": depth}, run)
 
 
-def _suite_smoothing(cfg: RunConfig, base: QBase) -> list[CheckRow]:
-    rows = []
+def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     st = cfg.series_tol
     n_chain = (4.0, 16.0, 64.0, 256.0)
     for k in (2, 5):
         for p0k in (0, -1, -2, -4):
-            p0 = IqPoint.positive(p0k)
-            center = 1.0 - 1.0 / k
-            params = {"k": k, "p0_k": p0k, "ns": list(n_chain)}
-            cid = f"smooth_k{k}_p{p0k}"
-
-            def build(k=k, p0=p0, center=center, cid=cid, params=params):
-                target = _sph(base, complex(center, 0.0), p0.sign,
-                              p0.exponent, st, cfg.max_terms)
-                vals, devs = [], []
+            def run(k=k, p0=IqPoint.positive(p0k), center=1.0 - 1.0 / k):
+                target = _sph(cfg, base, complex(center, 0.0), p0)
+                path = ContourPath("vertical_line", center)
+                rows = []
                 for n in n_chain:
                     quad = QuadratureSpec.for_width(n, base, cfg.tol_quad)
-                    path = ContourPath("vertical_line", center)
                     sm = gaussian_smooth(base, p0, k, n, path, quad, tol=st)
-                    vals.append(sm.value)
-                    devs.append(abs(sm.value - target))
-                return _chain_row("smoothing", cid, "Thm7.4", params,
-                                  vals, devs, 1e-2)
+                    rows.append(SweepRow(n, sm.value, abs(sm.value - target)))
+                return sweep_report("gaussian_smooth", rows, 1e-2)
 
-            rows.append(_guarded(build, "smoothing", cid, "Thm7.4", params))
+            yield Check(f"smooth_k{k}_p{p0k}", "Thm7.4",
+                        {"k": k, "p0_k": p0k, "ns": list(n_chain)}, run)
 
-    def build_mass():
-        quad = QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
-        path = ContourPath("vertical_line", 0.5)
-        sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, path, quad,
+    center = 0.5
+    line = ContourPath("vertical_line", center)
+    quad16 = QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
+
+    def run():
+        sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16,
                              tol=st)
-        return _row("smoothing", "mass_unit", "Eq7.1",
-                    {"k": 2, "n": 16}, sm.mass, abs(sm.mass - 1.0),
-                    cfg.tol_quad)
+        return sm.mass, abs(sm.mass - 1.0), cfg.tol_quad
 
-    rows.append(_guarded(build_mass, "smoothing", "mass_unit", "Eq7.1",
-                         {"k": 2, "n": 16}))
+    yield Check("mass_unit", "Eq7.1", {"k": 2, "n": 16}, run)
 
-    def build_path():
-        quad = QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
-        pa = ContourPath("vertical_line", 0.5)
-        pb = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
-        d = path_independence(base, IqPoint.positive(0), 2, 16.0, pa, pb,
-                              quad, tol=st)
-        return _row("smoothing", "path_independence", "Eq7.1",
-                    {"k": 2, "n": 16, "wiggle": 0.05}, d, d,
-                    100.0 * cfg.tol_quad)
+    def run():
+        wiggly = ContourPath("perturbed", center, wiggle_amplitude=0.05)
+        d = path_independence(base, IqPoint.positive(0), 2, 16.0, line,
+                              wiggly, quad16, tol=st)
+        return d, d, 100.0 * cfg.tol_quad
 
-    rows.append(_guarded(build_path, "smoothing", "path_independence",
-                         "Eq7.1", {"k": 2, "n": 16}))
+    yield Check("path_independence", "Eq7.1",
+                {"k": 2, "n": 16, "wiggle": 0.05}, run)
 
-    def build_doubling():
-        path = ContourPath("vertical_line", 0.5)
-        qa = QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
-                                      nodes_per_unit=32)
-        qb = QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
-                                      nodes_per_unit=64)
-        va = gaussian_smooth(base, IqPoint.positive(0), 2, 256.0, path, qa,
-                             tol=st)
-        vb = gaussian_smooth(base, IqPoint.positive(0), 2, 256.0, path, qb,
-                             tol=st)
-        d = abs(va.value - vb.value)
-        return _row("smoothing", "node_doubling", "Eq7.1",
-                    {"k": 2, "n": 256, "npu": [32, 64]}, vb.value, d,
-                    cfg.tol_quad)
+    def run():
+        va, vb = (gaussian_smooth(
+            base, IqPoint.positive(0), 2, 256.0, line,
+            QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
+                                     nodes_per_unit=npu), tol=st)
+            for npu in (32, 64))
+        return vb.value, abs(va.value - vb.value), cfg.tol_quad
 
-    rows.append(_guarded(build_doubling, "smoothing", "node_doubling",
-                         "Eq7.1", {"k": 2, "n": 256}))
+    yield Check("node_doubling", "Eq7.1",
+                {"k": 2, "n": 256, "npu": [32, 64]}, run)
 
-    def build_affine():
-        c0, c1 = 0.7 - 0.2j, 0.31 + 0.11j
-        center = 0.5
-        quad = QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
-        path = ContourPath("vertical_line", center)
+    c0, c1 = 0.7 - 0.2j, 0.31 + 0.11j
+
+    def run():
         sm = gaussian_smooth(
-            base, IqPoint.positive(0), 2, 16.0, path, quad,
+            base, IqPoint.positive(0), 2, 16.0, line, quad16,
             integrand=lambda z: c0 + c1 * (z - center), tol=st,
         )
-        return _row("smoothing", "affine_mean", "Eq7.1",
-                    {"k": 2, "n": 16, "c0": [c0.real, c0.imag],
-                     "c1": [c1.real, c1.imag]},
-                    sm.value, abs(sm.value - c0), cfg.tol_quad)
+        return sm.value, abs(sm.value - c0), cfg.tol_quad
 
-    rows.append(_guarded(build_affine, "smoothing", "affine_mean", "Eq7.1",
-                         {"k": 2, "n": 16}))
-    return rows
+    yield Check("affine_mean", "Eq7.1",
+                {"k": 2, "n": 16, "c0": [c0.real, c0.imag],
+                 "c1": [c1.real, c1.imag]}, run)
 
 
-def _suite_approxid(cfg: RunConfig, base: QBase) -> list[CheckRow]:
-    rows = []
+def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     st = cfg.series_tol
     depth = min(cfg.max_exponent, 12)
     sym = symbol_clip_abs()
-    params = {"zs": [0.9, 0.99, 0.999], "symbol": sym.name, "depth": depth}
+    zs = (0.9, 0.99, 0.999)
 
-    def build_chain():
-        vals, devs = [], []
-        for z in (0.9, 0.99, 0.999):
+    def run():
+        rows = []
+        for z in zs:
             g = approx_identity_gap(base, SpectralParam.from_z(z, base),
                                     sym, depth, tol=st)
-            vals.append(complex(g.gap))
-            devs.append(g.gap)
-        return _chain_row("approxid", "weighted_gap_chain", "Thm6.3", params,
-                          vals, devs, 0.02)
+            rows.append(SweepRow(z, complex(g.gap), g.gap))
+        return sweep_report("approx_identity_gap", rows, 0.02)
 
-    rows.append(_guarded(build_chain, "approxid", "weighted_gap_chain",
-                         "Thm6.3", params))
+    yield Check("weighted_gap_chain", "Thm6.3",
+                {"zs": list(zs), "symbol": sym.name, "depth": depth}, run)
 
     const = symbol_constant(1.0)
-    cparams = {"z": 0.999, "symbol": const.name, "depth": depth}
 
-    def build_const():
+    def run():
         g = approx_identity_gap(base, SpectralParam.from_z(0.999, base),
                                 const, depth, tol=st)
-        return _row("approxid", "const_symbol_bounded", "Thm6.3", cparams,
-                    g.gap, g.gap, 3.0)
+        return g.gap, g.gap, 3.0
 
-    rows.append(_guarded(build_const, "approxid", "const_symbol_bounded",
-                         "Thm6.3", cparams))
-    return rows
+    yield Check("const_symbol_bounded", "Thm6.3",
+                {"z": 0.999, "symbol": const.name, "depth": depth}, run)
 
 
-_BUILDERS: dict[str, Callable[[RunConfig, QBase], list[CheckRow]]] = {
-    "identities": _suite_identities,
-    "spherical": _suite_spherical,
-    "coamenability": _suite_coamenability,
-    "smoothing": _suite_smoothing,
-    "approxid": _suite_approxid,
+#: Each suite's check generator, by suite name.
+_SUITE_CHECKS: dict[str, Callable[[RunConfig, QBase], Iterator[Check]]] = {
+    "identities": _identities_checks,
+    "spherical": _spherical_checks,
+    "coamenability": _coamenability_checks,
+    "smoothing": _smoothing_checks,
+    "approxid": _approxid_checks,
 }
 
 
@@ -657,16 +551,16 @@ def run_suite(cfg: RunConfig) -> int:
     base = QBase(cfg.q)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seen = []
-    for s in cfg.suites:
-        if s not in seen:
-            seen.append(s)
 
     summary = []
     any_fail = False
-    for suite in seen:
+    for suite in dict.fromkeys(cfg.suites):
         try:
-            rows = _BUILDERS[suite](cfg, base)
+            # Each check runs as soon as it is yielded, before the
+            # generator resumes: unifgap_monotone reads the gaps of the
+            # checks before it.
+            rows = [_run_check(suite, check)
+                    for check in _SUITE_CHECKS[suite](cfg, base)]
         except Exception as err:  # crash inside a builder: partial report
             rows = [CheckRow(suite, "suite_crashed", "Eq4.1",
                              {"error": f"{type(err).__name__}: {err}"},
@@ -704,26 +598,27 @@ def run_suite(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    d = RunConfig()
     p = argparse.ArgumentParser(
         prog="qsu11-verify",
         description="Run the qsu11 verification suites and write reports.",
     )
-    p.add_argument("--q", type=float, default=0.5,
-                   help="deformation parameter in (0, 1) (default 0.5)")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="identity-check tolerance (default 1e-10)")
-    p.add_argument("--tol-quad", type=float, default=1e-8,
-                   help="quadrature tolerance (default 1e-8)")
-    p.add_argument("--max-exponent", type=int, default=24,
-                   help="spectral truncation depth (default 24)")
-    p.add_argument("--max-terms", type=int, default=200,
-                   help="series term budget (default 200)")
+    p.add_argument("--q", type=float, default=d.q,
+                   help="deformation parameter in (0, 1) (default %(default)s)")
+    p.add_argument("--tol", type=float, default=d.tol,
+                   help="identity-check tolerance (default %(default)s)")
+    p.add_argument("--tol-quad", type=float, default=d.tol_quad,
+                   help="quadrature tolerance (default %(default)s)")
+    p.add_argument("--max-exponent", type=int, default=d.max_exponent,
+                   help="spectral truncation depth (default %(default)s)")
+    p.add_argument("--max-terms", type=int, default=d.max_terms,
+                   help="series term budget (default %(default)s)")
     p.add_argument("--suite", action="append", choices=SUITES, default=None,
                    help="suite to run (repeatable; default: all)")
-    p.add_argument("--out", default="reports",
-                   help="output directory (default ./reports)")
-    p.add_argument("--format", choices=_FORMATS, default="csv",
-                   help="report format (default csv)")
+    p.add_argument("--out", default=d.out_dir,
+                   help="output directory (default %(default)s)")
+    p.add_argument("--format", choices=_FORMATS, default=d.format,
+                   help="report format (default %(default)s)")
     return p
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "SWEEP_FAMILIES",
     "SweepRow",
     "SweepReport",
+    "sweep_report",
     "Symbol",
     "symbol_clip_abs",
     "symbol_constant",
@@ -46,7 +47,8 @@ RATIO_TRUNC_K = 60
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One step of a limit sweep: parameter, value, deviation from target."""
+    """One step of a limit sweep: parameter, value, deviation from target,
+    and in ``note`` the error text of a step that raised."""
 
     param: object
     value: complex
@@ -58,9 +60,7 @@ class SweepRow:
 class SweepReport:
     """Outcome of a limit sweep.
 
-    ``verdict`` is "pass" when every row evaluated, the final deviation
-    is within the threshold, and (if required) deviations decrease
-    monotonically along the chain up to :data:`MONO_SLACK`.
+    ``verdict`` follows the rule of :func:`sweep_report`.
     """
 
     label: str
@@ -72,6 +72,24 @@ class SweepReport:
     @property
     def final_deviation(self) -> float:
         return self.rows[-1].deviation if self.rows else math.inf
+
+
+def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,
+                 require_monotone: bool = True) -> SweepReport:
+    """Judge a chain of sweep rows; the one verdict rule for limit chains.
+
+    The verdict is "pass" when the chain is nonempty, no row carries an
+    error note, the final deviation is within ``threshold``, and (if
+    required) the deviations decrease monotonically up to
+    :data:`MONO_SLACK`.
+    """
+    rows = tuple(rows)
+    devs = [r.deviation for r in rows]
+    monotone = all(b <= a + MONO_SLACK for a, b in zip(devs, devs[1:]))
+    ok = bool(rows) and not any(r.note for r in rows) \
+        and devs[-1] <= threshold and (monotone or not require_monotone)
+    return SweepReport(label, rows, "pass" if ok else "fail", monotone,
+                       threshold)
 
 
 #: Evaluator families understood by :func:`limit_sweep`.
@@ -155,12 +173,11 @@ def limit_sweep(family: str, base: QBase, fixed_params: dict | None,
     """Evaluate one family along ``approach`` and compare against ``target``.
 
     Each approach element is evaluated with the family's fixed
-    parameters, and the deviation ``|value - target|`` is recorded.  The
-    verdict is "pass" when every row evaluated, the final deviation is
-    within ``threshold``, and (if required) the deviations decrease
-    monotonically up to :data:`MONO_SLACK`.  Rows where the evaluator
+    parameters, and the deviation ``|value - target|`` is recorded; the
+    verdict follows :func:`sweep_report`.  Rows where the evaluator
     raises a package error are recorded with an infinite deviation and
-    the error text, and fail the sweep.
+    the error text (the class name if the text is empty), and fail the
+    sweep.
     """
     if not approach:
         raise InvalidArgumentError("limit_sweep needs a nonempty approach")
@@ -172,21 +189,14 @@ def limit_sweep(family: str, base: QBase, fixed_params: dict | None,
         raise InvalidArgumentError(
             f"fixed_params keys not understood by {family}: {sorted(fixed)}")
     rows = []
-    failed = False
     for p in approach:
         try:
             v = evaluate(p)
             rows.append(SweepRow(p, v, abs(v - target)))
         except QSU11Error as err:
-            rows.append(SweepRow(p, complex("nan"), math.inf, str(err)))
-            failed = True
-    devs = [r.deviation for r in rows]
-    monotone = all(devs[i + 1] <= devs[i] + MONO_SLACK
-                   for i in range(len(devs) - 1))
-    ok = (not failed) and devs[-1] <= threshold \
-        and (monotone or not require_monotone)
-    return SweepReport(family, tuple(rows), "pass" if ok else "fail",
-                       monotone, threshold)
+            rows.append(SweepRow(p, complex("nan"), math.inf,
+                                 str(err) or type(err).__name__))
+    return sweep_report(family, rows, threshold, require_monotone)
 
 
 def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,

@@ -5,14 +5,21 @@ import json
 
 import pytest
 
+from qsu11 import harness
+from qsu11.errors import PoleGuardError
 from qsu11.harness import (
     _CSV_COLUMNS,
+    _SUITE_CHECKS,
     SUITES,
+    Check,
     RunConfig,
+    _run_check,
     config_from_args,
     main,
     run_suite,
 )
+from qsu11.limitlab import SweepRow, sweep_report
+from qsu11.qcalculus import QBase
 
 
 class TestRunConfig:
@@ -102,6 +109,99 @@ class TestRunSuite:
         assert run_suite(cfg) == 0
         out = capsys.readouterr().out
         assert out.count("identities:") == 1
+
+
+@pytest.fixture(scope="module")
+def default_rows():
+    """Every suite's rows at the default configuration, in process."""
+    cfg = RunConfig()
+    base = QBase(cfg.q)
+    return {suite: [_run_check(suite, check)
+                    for check in _SUITE_CHECKS[suite](cfg, base)]
+            for suite in SUITES}
+
+
+class TestCheckRunner:
+    def test_row_counts_and_unique_ids(self, default_rows):
+        counts = {suite: len(rows) for suite, rows in default_rows.items()}
+        assert counts == {"identities": 323, "spherical": 117,
+                          "coamenability": 247, "smoothing": 12,
+                          "approxid": 2}
+        for rows in default_rows.values():
+            ids = [r.check_id for r in rows]
+            assert len(set(ids)) == len(ids)
+            assert all(r.verdict == "pass" for r in rows)
+
+    def test_sweep_rows_carry_deviations(self, default_rows):
+        by_id = {r.check_id: r for r in default_rows["spherical"]}
+        row = by_id["case1_k0"]
+        assert len(row.params["deviations"]) == len(row.params["zs"]) == 3
+        assert row.params["monotone"] is True
+        assert row.deviation == row.params["deviations"][-1]
+        chain = next(r for r in default_rows["smoothing"]
+                     if r.check_id == "smooth_k2_p0")
+        assert len(chain.params["deviations"]) == 4
+        assert chain.params["monotone"] is True
+
+    def test_tuple_result(self):
+        ok = _run_check("s", Check("c", "Eq4.1", {"x": 1},
+                                   lambda: (2.0, 0.5, 0.5)))
+        assert (ok.value, ok.deviation, ok.threshold) == (2 + 0j, 0.5, 0.5)
+        assert ok.verdict == "pass"
+        assert ok.params == {"x": 1}
+        bad = _run_check("s", Check("c", "Eq4.1", {}, lambda: (1.0, 0.6, 0.5)))
+        assert bad.verdict == "fail"
+
+    def test_sweep_result(self):
+        rows = [SweepRow(1, 3j, 0.2), SweepRow(2, 1j, 0.1, "boom")]
+        check = Check("c", "Thm5.2", {"x": 1},
+                      lambda: sweep_report("t", rows, 1.0))
+        row = _run_check("s", check)
+        assert row.params == {"x": 1, "deviations": [0.2, 0.1],
+                              "monotone": True, "errors": ["boom"]}
+        assert (row.value, row.deviation, row.threshold) == (1j, 0.1, 1.0)
+        assert row.verdict == "fail"
+        assert check.params == {"x": 1}
+
+    def test_error_row_keeps_params_and_later_checks_run(self, tmp_path,
+                                                         monkeypatch):
+        cfg = RunConfig(suites=("smoothing",), out_dir=str(tmp_path),
+                        format="json")
+        declared = {c.check_id: c.params
+                    for c in harness._smoothing_checks(cfg, QBase(cfg.q))}
+
+        def refuse(*args, **kw):
+            raise PoleGuardError("refused for the test")
+
+        monkeypatch.setattr(harness, "path_independence", refuse)
+        assert run_suite(cfg) == 1
+        rows = json.loads((tmp_path / "smoothing.json").read_text())["rows"]
+        assert [r["check_id"] for r in rows] == list(declared)
+        failed = [r for r in rows if r["verdict"] != "pass"]
+        assert [r["check_id"] for r in failed] == ["path_independence"]
+        assert failed[0]["params"] == {**declared["path_independence"],
+                                       "error": "refused for the test"}
+        assert failed[0]["deviation"] == float("inf")
+        assert failed[0]["threshold"] == 0.0
+
+    def test_monotone_gap_row_omitted_after_gap_error(self, monkeypatch):
+        calls = []
+
+        def second_call_refused(*args, **kw):
+            calls.append(args)
+            if len(calls) == 2:  # the unifgap_z0.95 check
+                raise PoleGuardError("refused for the test")
+            return 0.0
+
+        monkeypatch.setattr(harness, "uniform_sup_gap", second_call_refused)
+        cfg = RunConfig()
+        rows = [_run_check("spherical", check)
+                for check in harness._spherical_checks(cfg, QBase(cfg.q))]
+        by_id = {r.check_id: r for r in rows}
+        assert "error" in by_id["unifgap_z0.95"].params
+        assert "unifgap_monotone" not in by_id
+        assert by_id["unifgap_window"].verdict == "pass"
+        assert len(rows) == 116
 
 
 class TestCli:

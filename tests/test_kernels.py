@@ -1,17 +1,9 @@
-"""Backend selection and bit-parity between compiled and fallback paths."""
+"""Kernel values are the same in a fresh interpreter as in this one."""
 
-import os
 import subprocess
 import sys
 
-from qsu11 import HAS_NUMBA, QBase, backend, qpoch_infinite, theta_pair
-
-
-def test_backend_reports_consistently():
-    if os.environ.get("QSU11_NO_NUMBA"):
-        assert backend() == "python"
-    else:
-        assert backend() == ("numba" if HAS_NUMBA else "python")
+from qsu11 import QBase, backend, qpoch_infinite, theta_pair
 
 
 def _probe_script() -> str:
@@ -27,34 +19,20 @@ def _probe_script() -> str:
     )
 
 
-def _run_probe(no_numba: bool) -> list[str]:
-    env = dict(os.environ)
-    if no_numba:
-        env["QSU11_NO_NUMBA"] = "1"
-    else:
-        env.pop("QSU11_NO_NUMBA", None)
+def _run_probe() -> list[str]:
     out = subprocess.run(
         [sys.executable, "-c", _probe_script()],
-        capture_output=True, text=True, env=env, check=True,
+        capture_output=True, text=True, check=True,
     )
     return out.stdout.splitlines()
-
-
-def test_fallback_backend_is_bit_identical():
-    with_numba = _run_probe(no_numba=False)
-    without = _run_probe(no_numba=True)
-    assert without[0] == "python"
-    if HAS_NUMBA:
-        assert with_numba[0] == "numba"
-    # identical reprs = identical doubles, whichever backend compiled
-    assert with_numba[1:] == without[1:]
 
 
 def test_in_process_values_match_fallback_subprocess():
     b = QBase(0.5)
     v = qpoch_infinite(complex(0.3, 0.1), b).value
     t = theta_pair(complex(-1.5, 0.5), 3, b)
-    lines = _run_probe(no_numba=True)
+    lines = _run_probe()
+    assert lines[0] == backend() == "python"
     assert lines[1] == repr(v)
     assert lines[2] == repr(t.lhs)
     assert lines[3] == repr(t.residual)

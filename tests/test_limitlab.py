@@ -21,6 +21,7 @@ from qsu11 import (
     symbol_constant,
     uniform_sup_gap,
 )
+from qsu11.limitlab import MONO_SLACK, SweepRow, sweep_report
 
 B = QBase(0.5)
 
@@ -109,6 +110,36 @@ class TestLimitSweep:
         rep = limit_sweep("spherical_case1", B, {"k": 0},
                           (0.999, 0.9), 1.0, 1.0, require_monotone=True)
         assert rep.verdict == "fail"
+
+
+class TestSweepReport:
+    @staticmethod
+    def _rows(*devs, note=""):
+        return [SweepRow(i, complex(d), d, note if i == 0 else "")
+                for i, d in enumerate(devs)]
+
+    def test_monotone_slack_edge(self):
+        rep = sweep_report("edge", self._rows(0.0, MONO_SLACK), 1.0)
+        assert rep.monotone_deviation
+        assert rep.verdict == "pass"
+        rep = sweep_report("edge", self._rows(0.0, 2 * MONO_SLACK), 1.0)
+        assert not rep.monotone_deviation
+        assert rep.verdict == "fail"
+        rep = sweep_report("edge", self._rows(0.0, 2 * MONO_SLACK), 1.0,
+                           require_monotone=False)
+        assert rep.verdict == "pass"
+
+    def test_final_deviation_against_threshold(self):
+        assert sweep_report("t", self._rows(0.5, 0.25), 0.25).verdict == "pass"
+        assert sweep_report("t", self._rows(0.5, 0.25), 0.2).verdict == "fail"
+
+    def test_error_note_or_empty_chain_fails(self):
+        rep = sweep_report("t", self._rows(0.5, 0.0, note="boom"), 1.0)
+        assert rep.monotone_deviation
+        assert rep.verdict == "fail"
+        rep = sweep_report("t", [], 1.0)
+        assert rep.verdict == "fail"
+        assert math.isinf(rep.final_deviation)
 
 
 class TestUniformSupGap:
