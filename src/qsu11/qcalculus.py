@@ -123,14 +123,81 @@ class SeriesEval:
         (absolute, not relative).  ``math.inf`` signals that the
         evaluator ran out of terms before certifying convergence.
     degenerate : bool
-        True when a product factor vanished exactly, making the value
-        exactly zero with no truncation error.
+        True when the value is exactly zero with no truncation error, as
+        when a product factor vanished exactly.
+
+    Arithmetic
+    ----------
+    ``a * b``, ``a / b``, ``a + b`` (``*`` and ``+`` also with an exact
+    scalar) and ``a.sqrt()`` apply the operation to the values, add up
+    ``terms_used`` and propagate ``tail_bound``, in relative terms
+    ``r = tail_bound / |value|``: ``ra + rb + ra rb`` for a product,
+    ``(ra + rb) / (1 - rb)`` for a quotient (``inf`` once ``rb >= 1``;
+    a zero or degenerate divisor raises :class:`PoleGuardError`) and
+    ``r / (1 + sqrt(1 - r))`` for a root (``inf`` once the error disc
+    reaches the branch cut); sums add the bounds.  An uncertified operand
+    gives ``inf``.  The bound covers truncation, not rounding.
     """
 
     value: complex
     terms_used: int
     tail_bound: float
     degenerate: bool = False
+
+    @property
+    def rel_bound(self) -> float:
+        """``tail_bound / |value|``; ``inf`` when uncertified or inexactly 0."""
+        if self.tail_bound == 0.0:
+            return 0.0
+        return self.tail_bound / abs(self.value) if self.value != 0 else math.inf
+
+    def __mul__(self, other):
+        if not isinstance(other, SeriesEval):  # an exact scalar
+            return _from_rel(self.value * other, self.terms_used, self.rel_bound)
+        return _from_rel(self.value * other.value,
+                         self.terms_used + other.terms_used,
+                         _compound(self.rel_bound, other.rel_bound))
+
+    def __truediv__(self, other):
+        if not isinstance(other, SeriesEval):
+            return NotImplemented
+        if other.degenerate or other.value == 0:
+            raise PoleGuardError("division by a series value that vanished")
+        ra, rb = self.rel_bound, other.rel_bound
+        return _from_rel(self.value / other.value,
+                         self.terms_used + other.terms_used,
+                         (ra + rb) / (1.0 - rb) if rb < 1.0 else math.inf)
+
+    def __add__(self, other):
+        if not isinstance(other, SeriesEval):  # an exact scalar
+            return SeriesEval(self.value + other, self.terms_used, self.tail_bound)
+        return SeriesEval(self.value + other.value,
+                          self.terms_used + other.terms_used,
+                          self.tail_bound + other.tail_bound)
+
+    # Complex * and + commute bit for bit, so ``s * a`` and ``0 + a`` (the
+    # start of ``sum``) round exactly as ``a * s`` and ``a + 0``.
+    __rmul__ = __mul__
+    __radd__ = __add__
+
+    def sqrt(self) -> "SeriesEval":
+        """Principal square root (``cmath.sqrt``) with its propagated bound."""
+        v, r = self.value, self.rel_bound
+        cut = r > 1.0 or (r > 0.0 and v.real < 0.0 and abs(v.imag) <= r * abs(v))
+        rel = math.inf if cut else r / (1.0 + math.sqrt(1.0 - r))
+        return _from_rel(cmath.sqrt(v), self.terms_used, rel)
+
+
+def _compound(ra: float, rb: float) -> float:
+    """Relative bound of a product whose factors have relative bounds ra, rb."""
+    return ra + rb + ra * rb
+
+
+def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
+    """Result with relative bound ``rel``; an exact zero is degenerate."""
+    # ``rel`` is nan when an uncertified factor met an exact one (0 * inf).
+    tail = abs(value) * rel if rel < math.inf else math.inf
+    return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,26 +322,22 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     """Product of ``(a; base)_inf`` over all ``a`` in ``args``.
 
     The tolerance is split evenly across the factors; the combined
-    relative tail is the compounded product of the per-factor bounds.
+    relative tail compounds the per-factor bounds by the product rule of
+    :class:`SeriesEval`.
     """
     b = _base_value(base)
     n = max(len(args), 1)
     value = 1.0 + 0.0j
     used = 0
-    rel = 1.0
+    rel = 0.0
     degen = False
     for a in args:
         ev = qpoch_infinite(a, b, tol / n)
         used += ev.terms_used
-        if ev.degenerate:
-            degen = True
-            value = 0.0 + 0.0j
-            continue
-        rel *= 1.0 + (ev.tail_bound / abs(ev.value) if ev.value != 0 else 0.0)
+        degen = degen or ev.degenerate
+        rel = _compound(rel, ev.rel_bound)
         value *= ev.value
-    if degen:
-        return SeriesEval(0.0 + 0.0j, used, 0.0, degenerate=True)
-    return SeriesEval(value, used, abs(value) * (rel - 1.0))
+    return _from_rel(0j if degen else value, used, rel)
 
 
 def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaPair:
@@ -293,9 +356,8 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
         raise InvalidArgumentError("theta_pair requires a != 0")
     k = int(k)
     lhs = qpoch_multi([a * b ** k, b ** (1 - k) / a], b, tol)
-    rhs_prod = qpoch_multi([a, b / a], b, tol)
-    prefac = (-a) ** (-k) * b ** (-k * (k - 1) // 2)
-    rhs = prefac * rhs_prod.value
+    rhs = ((-a) ** (-k) * b ** (-k * (k - 1) // 2)
+           * qpoch_multi([a, b / a], b, tol)).value
     diff = abs(lhs.value - rhs)
     if _near_power(a, b) is not None:
         return ThetaPair(lhs.value, rhs, diff, absolute=True)
@@ -522,12 +584,6 @@ def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
     return SeriesEvalBatch(value, used, tail)
 
 
-def _series_rel(ev: SeriesEval) -> float:
-    if ev.value == 0:
-        return 0.0
-    return ev.tail_bound / abs(ev.value) if math.isfinite(ev.tail_bound) else math.inf
-
-
 def phi21_continued(lam: complex, kappa: complex, base: QBase,
                     tol: float = 1e-12, max_terms: int = 200) -> SeriesEval:
     """Two-term continuation of the spherical-type series in lambda, kappa.
@@ -563,24 +619,14 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
         )
 
     part_tol = tol / 8.0
-    used = 0
-    total = 0.0 + 0.0j
-    tail = 0.0
+    total = 0
     for u in (lam, 1.0 / lam):
         num = qpoch_multi([u * q, u * q, -q2 * q / (u * kappa), -u * kappa / q],
                           q2, part_tol)
         den = qpoch_multi([q2, u * u, -q2 / kappa, -kappa], q2, part_tol)
-        if den.degenerate or den.value == 0:
-            raise PoleGuardError("continuation prefactor denominator vanished")
-        inner = phi21_direct(q / u, q / u, q2 / (u * u), q2, -kappa,
-                             tol=part_tol, max_terms=max_terms)
-        term = num.value / den.value * inner.value
-        rel = (1.0 + _series_rel(num)) * (1.0 + _series_rel(den)) \
-            * (1.0 + _series_rel(inner)) - 1.0
-        total += term
-        tail += abs(term) * rel
-        used += num.terms_used + den.terms_used + inner.terms_used
-    return SeriesEval(total, used, tail)
+        total += num / den * phi21_direct(q / u, q / u, q2 / (u * u), q2, -kappa,
+                                          tol=part_tol, max_terms=max_terms)
+    return total
 
 
 def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
@@ -619,13 +665,5 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
         raise PoleGuardError(f"z within {EPS_POLE} of base**(-{jz}): continuation pole")
 
     part_tol = tol / 8.0
-    num = qpoch_multi([b, az], bb, part_tol)
-    den = qpoch_multi([c, z], bb, part_tol)
-    if den.degenerate or den.value == 0:
-        raise PoleGuardError("Heine prefactor denominator vanished")
-    inner = phi21_direct(c / b, z, az, bb, b, tol=part_tol, max_terms=max_terms)
-    value = num.value / den.value * inner.value
-    rel = (1.0 + _series_rel(num)) * (1.0 + _series_rel(den)) \
-        * (1.0 + _series_rel(inner)) - 1.0
-    used = num.terms_used + den.terms_used + inner.terms_used
-    return SeriesEval(value, used, abs(value) * rel)
+    return qpoch_multi([b, az], bb, part_tol) / qpoch_multi([c, z], bb, part_tol) \
+        * phi21_direct(c / b, z, az, bb, b, tol=part_tol, max_terms=max_terms)

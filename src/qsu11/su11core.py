@@ -25,7 +25,6 @@ from .qcalculus import (
     _c_quot,
     _complex_array,
     _near_power,
-    _series_rel,
     phi21_continued,
     phi21_direct,
     phi21_direct_batch,
@@ -196,43 +195,22 @@ def _case3(base: QBase, lam: complex, k: int, tol: float,
     part_tol = tol / 16.0
     mk = q ** (2 * k)
 
-    pref_scalar = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2
-    pref_num = qpoch_multi(
+    scalar = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2
+    pref = scalar * qpoch_multi(
         [mk, q2, q2, -lam * q ** (3 - 2 * k), -q ** (2 * k - 1) / lam],
         q2, part_tol,
-    )
-    pref_den = qpoch_multi(
-        [q ** (2 * k - 1) / lam, lam * q ** (3 - 2 * k)], q2, part_tol
-    )
-    if pref_den.degenerate or pref_den.value == 0:
-        raise PoleGuardError("negative-point prefactor denominator vanished")
+    ) / qpoch_multi([q ** (2 * k - 1) / lam, lam * q ** (3 - 2 * k)], q2, part_tol)
 
-    used = pref_num.terms_used + pref_den.terms_used
-    rel_pref = (1.0 + _series_rel(pref_num)) * (1.0 + _series_rel(pref_den)) - 1.0
-    pref = pref_scalar * pref_num.value / pref_den.value
-
-    total = 0.0 + 0.0j
-    tail = 0.0
+    total = 0
     for u, u2 in ((lam, lam2), (1.0 / lam, 1.0 / lam2)):
         num = qpoch_multi(
             [u * q, u * q, q ** (3 - 2 * k) / u, u * q ** (2 * k - 1)],
             q2, part_tol,
         )
         den = qpoch_multi([q2, u2, mk], q2, part_tol)
-        if den.degenerate or den.value == 0:
-            raise PoleGuardError("negative-point bracket denominator vanished")
-        inner = phi21_direct(q / u, q / u, q2 / u2, q2, mk,
-                             tol=part_tol, max_terms=max_terms)
-        term = num.value / den.value * inner.value
-        rel = (1.0 + _series_rel(num)) * (1.0 + _series_rel(den)) \
-            * (1.0 + _series_rel(inner)) - 1.0
-        total += term
-        tail += abs(term) * rel
-        used += num.terms_used + den.terms_used + inner.terms_used
-
-    value = pref * total
-    tail_total = abs(pref) * tail + abs(value) * rel_pref
-    return SeriesEval(value, used, tail_total)
+        total += num / den * phi21_direct(q / u, q / u, q2 / u2, q2, mk,
+                                          tol=part_tol, max_terms=max_terms)
+    return pref * total
 
 
 def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
@@ -320,28 +298,18 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     b = -lam * q ** (1 + 2 * m)
     z = -q ** e
 
-    if e > 0:
-        series = phi21_direct(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
-    else:
-        series = phi21_heine(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
+    route = phi21_direct if e > 0 else phi21_heine
+    series = route(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
 
     if form == "simplified":
-        pref = cmath.sqrt(qpoch_signed(-q ** e, q2, 2 * m))
-        value = pref * series.value
-        return SeriesEval(value, series.terms_used,
-                          abs(pref) * series.tail_bound)
+        return cmath.sqrt(qpoch_signed(-q ** e, q2, 2 * m)) * series
 
     part_tol = tol / 16.0
     scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
         * base.cq ** 2
     root = qpoch_multi([-q ** (2 * L), -q ** (2 * L + 4 * m)], q2, part_tol)
     rest = qpoch_multi([q2, q2, -q ** e], q2, part_tol)
-    pref = scalar * cmath.sqrt(root.value) * rest.value
-    value = pref * series.value
-    rel = (1.0 + 0.5 * _series_rel(root)) * (1.0 + _series_rel(rest)) \
-        * (1.0 + _series_rel(series)) - 1.0
-    used = series.terms_used + root.terms_used + rest.terms_used
-    return SeriesEval(value, used, abs(value) * rel)
+    return scalar * root.sqrt() * rest * series
 
 
 def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
@@ -357,14 +325,7 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
         raise InvalidArgumentError("n must be >= 0")
     if abs(m) > n:
         raise InvalidArgumentError("|m| must not exceed n")
-    total = 0.0 + 0.0j
-    tail = 0.0
-    used = 0
-    for e in range(n - 2 * abs(m), -n - 1, -1):
-        ev = coamen_coeff(base, m, lam, p1.shifted(e), tol=tol,
-                          max_terms=max_terms)
-        total += ev.value
-        tail += ev.tail_bound
-        used += ev.terms_used
-    w = 1.0 / (2 * n + 1)
-    return SeriesEval(total * w, used, tail * w)
+    total = sum(coamen_coeff(base, m, lam, p1.shifted(e), tol=tol,
+                             max_terms=max_terms)
+                for e in range(n - 2 * abs(m), -n - 1, -1))
+    return total * (1.0 / (2 * n + 1))

@@ -41,6 +41,11 @@ class TestRunConfig:
     def test_extreme_q_warns(self):
         assert RunConfig(q=0.05).warnings() != []
         assert RunConfig(q=0.99).warnings() != []
+        # Every suite passes from q = 0.41 to 0.56; 0.40 and 0.57 fail rows.
+        for q in (0.40, 0.57, 0.9):
+            assert "[0.41, 0.56]" in RunConfig(q=q).warnings()[0]
+        for q in (0.41, 0.56):
+            assert RunConfig(q=q).warnings() == []
 
     def test_series_tol_window(self):
         assert RunConfig(tol=1e-10).series_tol == 1e-12

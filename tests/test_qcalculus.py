@@ -1,7 +1,9 @@
 """Unit tests for the q-product and series evaluators."""
 
 import cmath
+import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -14,6 +16,7 @@ from qsu11 import (
     PoleGuardError,
     PoleInCError,
     QBase,
+    SeriesEval,
     phi21_continued,
     phi21_direct,
     phi21_direct_batch,
@@ -356,3 +359,111 @@ class TestPhi21Heine:
 class TestGuardBandConstant:
     def test_value(self):
         assert EPS_POLE == 1e-9
+
+
+def _arith_tools():
+    """hypothesis and mpmath, which the arithmetic property tests need."""
+    hyp = pytest.importorskip("hypothesis")
+    return hyp, hyp.strategies, pytest.importorskip("mpmath")
+
+
+def _series_evals(st, count):
+    """``count`` SeriesEvals: |value| in [1e-3, 1e3], relative error in [1e-20, 0.9]."""
+    one = st.builds(
+        lambda lg, phase, lr, terms: SeriesEval(
+            cmath.rect(10.0 ** lg, phase), terms, 10.0 ** (lg + lr)),
+        st.floats(-3.0, 3.0), st.floats(-math.pi, math.pi),
+        st.floats(-20.0, math.log10(0.9)), st.integers(0, 50))
+    return st.tuples(*[one] * count)
+
+
+def _disc_points(mp, ev):
+    """ev's value and eight points on the edge of its error disc, exactly.
+
+    Four directions are fixed in the plane and four are turned with the
+    value's phase, so relative and absolute worst cases both occur.
+    """
+    v, t = mp.mpc(ev.value), mp.mpf(ev.tail_bound)
+    turns = (1, 1j, -1, -1j)
+    return [v] + [v + t * d for d in turns] + [v + t * v / abs(v) * d for d in turns]
+
+
+def _assert_covers(mp, op, result, *evs):
+    """Moving each operand within its disc moves the exact ``op`` by <= the bound."""
+    with mp.workdps(50):
+        centre = op(*(mp.mpc(ev.value) for ev in evs))
+        worst = max(abs(op(*pts) - centre) for pts in
+                    itertools.product(*(_disc_points(mp, ev) for ev in evs)))
+    # Only the rounding of the bound's own few flops is forgiven.
+    assert worst <= result.tail_bound * (1.0 + 1e-12)
+
+
+class TestSeriesEvalArithmetic:
+    """The one propagation rule that every composite evaluator uses."""
+
+    @pytest.mark.parametrize("op", [operator.mul, operator.truediv, operator.add],
+                             ids=["mul", "truediv", "add"])
+    def test_binary_bound_covers_the_discs(self, op):
+        hyp, st, mp = _arith_tools()
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(_series_evals(st, 2))
+        def check(pair):
+            a, b = pair
+            res = op(a, b)
+            assert res.value == op(a.value, b.value)
+            assert res.terms_used == a.terms_used + b.terms_used
+            _assert_covers(mp, op, res, a, b)
+
+        check()
+
+    def test_scalar_product_and_sqrt_cover_the_disc(self):
+        hyp, st, mp = _arith_tools()
+        scalars = st.builds(cmath.rect, st.floats(1e-3, 1e3), st.floats(-4.0, 4.0))
+
+        @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        @hyp.given(_series_evals(st, 1), st.one_of(st.just(0.0), scalars))
+        def check(single, s):
+            (a,) = single
+            scaled, root = s * a, a.sqrt()
+            assert scaled.value == s * a.value and scaled.terms_used == a.terms_used
+            assert root.value == cmath.sqrt(a.value)
+            _assert_covers(mp, lambda x: mp.mpc(s) * x, scaled, a)
+            _assert_covers(mp, mp.sqrt, root, a)
+
+        check()
+
+    def test_quotient_worst_case(self):
+        # A divisor off by 50% can halve, so the quotient can double.
+        res = SeriesEval(1.0, 1, 0.0) / SeriesEval(2.0, 1, 1.0)
+        assert res.tail_bound == 0.5 and res.tail_bound / res.value == 1.0
+        assert (SeriesEval(1.0, 1, 0.0) / SeriesEval(2.0, 1, 2.0)).tail_bound \
+            == math.inf
+        with pytest.raises(TypeError):
+            SeriesEval(1.0, 1, 0.0) / 2.0
+
+    def test_tiny_relative_errors_survive_compounding(self):
+        a = SeriesEval(1.0, 1, 1e-20)
+        assert (a * a).tail_bound == 2e-20
+        assert (a * a * a).tail_bound == pytest.approx(3e-20, rel=1e-15)
+
+    @pytest.mark.parametrize("divisor", [SeriesEval(0.0, 4, 0.0, degenerate=True),
+                                         SeriesEval(0.0, 4, 1e-3),
+                                         SeriesEval(0j, 4, 0.0)])
+    def test_vanishing_divisor_raises(self, divisor):
+        with pytest.raises(PoleGuardError):
+            SeriesEval(1.0, 1, 0.0) / divisor
+
+    def test_uncertified_operand_gives_inf(self):
+        unc = SeriesEval(2.0 + 1.0j, 200, math.inf)
+        exact_zero = SeriesEval(0j, 3, 0.0, degenerate=True)
+        ok = SeriesEval(0.5, 3, 1e-14)
+        for res in (unc * ok, ok * unc, unc * exact_zero, exact_zero * unc,
+                    0.0 * unc, unc / ok, ok / unc, unc + ok, 1.0 + unc,
+                    unc.sqrt(), sum([ok, unc])):
+            assert res.tail_bound == math.inf
+
+    def test_sqrt_refuses_a_disc_across_the_branch_cut(self):
+        assert SeriesEval(-1.0 + 1e-3j, 1, 1e-2).sqrt().tail_bound == math.inf
+        assert math.isfinite(SeriesEval(-1.0 + 1e-1j, 1, 1e-2).sqrt().tail_bound)
+        assert SeriesEval(4.0, 1, 8.0).sqrt().tail_bound == math.inf
