@@ -9,6 +9,7 @@ and no adaptive stepping, so reports are reproducible byte for byte.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -318,8 +319,8 @@ def pochhammer_ratio(base: QBase, lam: complex, k: int | float,
     documented parameter window.
     """
     q = base.q
-    if lam == 0:
-        raise InvalidArgumentError("lam must be nonzero")
+    if lam == 0 or not cmath.isfinite(lam):
+        raise InvalidArgumentError(f"lam must be finite and nonzero, got {lam!r}")
     is_inf = k == math.inf
     if not is_inf:
         if not isinstance(k, int) or k < 1:

@@ -236,11 +236,14 @@ def _near_power(x: complex, base: float, eps: float = EPS_POLE,
 
     The candidate j is located from log|x| and its two neighbours are
     checked, so the scan is O(1).  ``lo``/``hi`` optionally restrict the
-    admissible exponent range (inclusive).
+    admissible exponent range (inclusive).  A non-finite ``x`` raises
+    :class:`InvalidArgumentError`.
     """
-    if x == 0:
-        return None
     r = abs(x)
+    if not math.isfinite(r):
+        raise InvalidArgumentError(f"parameter {x!r} is not finite")
+    if r == 0:
+        return None
     t = math.log(r) / math.log(base)
     for j in (math.floor(t), math.ceil(t), math.floor(t) - 1, math.ceil(t) + 1):
         if lo is not None and j < lo:
@@ -307,6 +310,8 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
         raise InvalidArgumentError("tol must be positive")
     cutoff = tol * (1.0 - b) / 4.0
     az = abs(a)
+    if not math.isfinite(az):
+        raise InvalidArgumentError(f"qpoch_infinite needs a finite a, got {a!r}")
     if az <= cutoff:
         cap = 1
     else:
@@ -365,14 +370,19 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     return ThetaPair(lhs.value, rhs, diff / scale)
 
 
-def _direct_guards(c: complex, base: BaseLike, tol: float,
+def _direct_guards(c: complex, z: complex, base: BaseLike, tol: float,
                    max_terms: int) -> float:
-    """Argument checks shared by the direct sums; returns the base value."""
+    """Argument checks shared by the direct sums; returns the base value.
+
+    A non-finite ``c`` is refused by the pole check's :func:`_near_power`.
+    """
     bb = _base_value(base)
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
     if max_terms < 1:
         raise InvalidArgumentError("max_terms must be >= 1")
+    if not cmath.isfinite(z):
+        raise InvalidArgumentError(f"z must be finite, got {z!r}")
     jc = _near_inv_power(c, bb)
     if jc is not None:
         raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")
@@ -385,6 +395,8 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
 
     Behaviour
     ---------
+    * A non-finite ``a``, ``b``, ``c`` or ``z`` raises
+      :class:`InvalidArgumentError`.
     * If ``c`` is within ``EPS_POLE`` (relative) of ``base**(-j)`` for
       some integer j >= 0, raises :class:`PoleInCError`.
     * If ``a`` or ``b`` is within ``EPS_POLE`` of ``base**(-n)`` for
@@ -398,7 +410,7 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       ``max_terms`` is exhausted first, the partial sum is returned with
       ``tail_bound = math.inf`` rather than raising.
     """
-    bb = _direct_guards(c, base, tol, max_terms)
+    bb = _direct_guards(c, z, base, tol, max_terms)
     na = _near_inv_power(a, bb)
     nb = _near_inv_power(b, bb)
     if na is not None and nb is not None:
@@ -420,42 +432,6 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     return SeriesEval(value, used, tail if status == 0 else math.inf)
 
 
-# Batched arithmetic works on float64 real/imaginary arrays and repeats
-# CPython's complex formulas operation for operation, so every element
-# rounds exactly as the scalar path does; numpy's own complex ``*`` and
-# ``/`` round differently in the last bit.
-
-def _c_prod(ar, ai, br, bi):
-    """Real and imaginary parts of ``a * b`` as CPython's ``_Py_c_prod``."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _c_quot(ar, ai, br, bi):
-    """Real and imaginary parts of ``a / b`` as CPython's ``_Py_c_quot``.
-
-    Both branches of Smith's method are formed and the one CPython takes
-    is kept per element.  ``b`` must be finite and nonzero.
-    """
-    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = bi / br
-        denom = br + bi * ratio
-        re_r, im_r = (ar + ai * ratio) / denom, (ai - ar * ratio) / denom
-        ratio = br / bi
-        denom = br * ratio + bi
-        re_i, im_i = (ar * ratio + ai) / denom, (ai * ratio - ar) / denom
-    by_real = np.abs(br) >= np.abs(bi)
-    return np.where(by_real, re_r, re_i), np.where(by_real, im_r, im_i)
-
-
-def _complex_array(re, im) -> np.ndarray:
-    """complex128 array with exactly these real and imaginary parts."""
-    out = np.empty(np.shape(re), dtype=np.complex128)
-    out.real = re
-    out.imag = im
-    return out
-
-
 def _near_inv_power_mask(x: np.ndarray, base: float,
                          eps: float = EPS_POLE) -> np.ndarray:
     """Elements that may lie within eps of some base**(-n), n >= 0.
@@ -475,67 +451,53 @@ def _near_inv_power_mask(x: np.ndarray, base: float,
     return hit
 
 
-def _phi21_kernel_batch(ar, ai, br, bi, c: complex, base: float, z: complex,
-                        rel_tol: float, max_terms: int):
+def _phi21_kernel_batch(a: np.ndarray, b: np.ndarray, c: complex, base: float,
+                        z: complex, rel_tol: float, max_terms: int):
     """``phi21_kernel`` over arrays of non-terminating ``a``, ``b``.
 
     Each element runs the scalar recurrence and stopping rule with its
     own convergence mask; finished elements leave the working arrays.
     The parameters shared by all elements (``c``, the base power, ``z``)
-    stay Python scalars and are updated by the scalar operations.
-    Returns ``(value, terms_used, tail_abs)`` arrays, with ``tail_abs``
-    infinite where ``max_terms`` ran out.
+    stay Python scalars.  Returns ``(value, terms_used, tail_abs)``
+    arrays, with ``tail_abs`` infinite where ``max_terms`` ran out.
     """
-    n = ar.size
-    val_re, val_im = np.empty(n), np.empty(n)
+    n = a.size
+    value = np.empty(n, dtype=np.complex128)
     used = np.full(n, max_terms + 1, dtype=np.int64)
     tail = np.full(n, math.inf)
     live = np.arange(n)
-    s_re, s_im = np.ones(n), np.zeros(n)
-    t_re, t_im = np.ones(n), np.zeros(n)
-    fa_re, fa_im, fb_re, fb_im = ar, ai, br, bi
-    fc = c
-    fq = base
-    abs_z = abs(z)
+    s = np.ones(n, dtype=np.complex128)
+    t = np.ones(n, dtype=np.complex128)
+    fa, fb, fc, fq = a, b, c, base
     k = 0
     while k < max_terms and live.size:
-        den = (1.0 - fc) * (1.0 - fq)
-        t_re, t_im = _c_prod(t_re, t_im, 1.0 - fa_re, 0.0 - fa_im)
-        t_re, t_im = _c_prod(t_re, t_im, 1.0 - fb_re, 0.0 - fb_im)
-        t_re, t_im = _c_quot(t_re, t_im, den.real, den.imag)
-        t_re, t_im = _c_prod(t_re, t_im, z.real, z.imag)
+        t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
         k += 1
-        s_re = s_re + t_re
-        s_im = s_im + t_im
-        stop = (t_re == 0.0) & (t_im == 0.0)
+        s = s + t
+        stop = t == 0
         stop_tail = np.zeros(live.size)
-        fa_re, fa_im = _c_prod(fa_re, fa_im, base, 0.0)
-        fb_re, fb_im = _c_prod(fb_re, fb_im, base, 0.0)
+        fa = fa * base
+        fb = fb * base
         fc *= base
         fq *= base
         bc = abs(fc)
         if bc < 1.0:
-            r = abs_z * (1.0 + np.hypot(fa_re, fa_im)) \
-                * (1.0 + np.hypot(fb_re, fb_im)) / ((1.0 - bc) * (1.0 - fq))
-            est = np.hypot(t_re, t_im) * r / (1.0 - r)
+            r = abs(z) * (1.0 + np.abs(fa)) * (1.0 + np.abs(fb)) \
+                / ((1.0 - bc) * (1.0 - fq))
+            est = np.abs(t) * r / (1.0 - r)
             ok = ~stop & (r < 1.0) \
-                & (est <= rel_tol * np.maximum(np.hypot(s_re, s_im), 1e-300))
-            stop_tail = np.where(ok, est, stop_tail)
+                & (est <= rel_tol * np.maximum(np.abs(s), 1e-300))
+            stop_tail = np.where(ok, est, 0.0)
             stop |= ok
         if stop.any():
             done = live[stop]
-            val_re[done] = s_re[stop]
-            val_im[done] = s_im[stop]
+            value[done] = s[stop]
             used[done] = k + 1
             tail[done] = stop_tail[stop]
             keep = ~stop
-            live = live[keep]
-            s_re, s_im, t_re, t_im = s_re[keep], s_im[keep], t_re[keep], t_im[keep]
-            fa_re, fa_im = fa_re[keep], fa_im[keep]
-            fb_re, fb_im = fb_re[keep], fb_im[keep]
-    val_re[live] = s_re
-    val_im[live] = s_im
-    return _complex_array(val_re, val_im), used, tail
+            live, s, t, fa, fb = live[keep], s[keep], t[keep], fa[keep], fb[keep]
+    value[live] = s
+    return value, used, tail
 
 
 def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
@@ -543,18 +505,21 @@ def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
                        max_terms: int = 200) -> SeriesEvalBatch:
     """:func:`phi21_direct` over arrays of ``a`` and ``b`` (same shape).
 
-    Element ``i`` of the result equals
-    ``phi21_direct(a[i], b[i], c, base, z, tol, max_terms)`` bit for bit:
-    value, ``terms_used`` and ``tail_bound``.  Elements that may snap to
-    a terminating sum (``a`` or ``b`` near ``base**(-n)``) or are not
-    finite go through :func:`phi21_direct` itself; the rest are summed
-    together by a batched copy of the scalar kernel.
+    Elements that may snap to a terminating sum (``a`` or ``b`` near
+    ``base**(-n)``) or are not finite go through :func:`phi21_direct`
+    itself.  The rest are summed together with the scalar kernel's
+    recurrence and stopping rule in numpy complex128 arithmetic, whose
+    ``*`` and ``/`` can round differently from Python's in the last
+    bit: element ``i`` agrees with
+    ``phi21_direct(a[i], b[i], c, base, z, tol, max_terms)`` in value and
+    ``tail_bound`` to a few ulp, relative, and in ``terms_used`` unless
+    such a difference moves the stopping test across its threshold.
 
     Raises the errors :func:`phi21_direct` raises (a pole in ``c``, or
     ``|z| >= 1`` with some element not terminating), without saying
     which element failed.
     """
-    bb = _direct_guards(c, base, tol, max_terms)
+    bb = _direct_guards(c, z, base, tol, max_terms)
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if a.ndim != 1 or a.shape != b.shape:
@@ -568,11 +533,9 @@ def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
     value = np.empty(a.shape, dtype=np.complex128)
     used = np.empty(a.shape, dtype=np.int64)
     tail = np.empty(a.shape)
-    a_sum, b_sum = a[batch], b[batch]
     with np.errstate(all="ignore"):
         value[batch], used[batch], tail[batch] = _phi21_kernel_batch(
-            a_sum.real, a_sum.imag, b_sum.real, b_sum.imag, complex(c), bb,
-            complex(z), tol, int(max_terms),
+            a[batch], b[batch], complex(c), bb, complex(z), tol, int(max_terms),
         )
     # Where the scalar kernel could raise (overflow, division by zero)
     # the batched sum is not finite; the scalar call decides those too.

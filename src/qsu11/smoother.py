@@ -189,9 +189,10 @@ def _case1_values(base: QBase, p0: IqPoint, tol: float, s: np.ndarray,
                   zz: np.ndarray) -> np.ndarray | None:
     """Default integrand at every node in one batched pass.
 
-    Bit-identical to the per-node loop.  Returns None when the loop has
-    to decide instead: a node where lam is zero or not finite, or an
-    evaluation error, which the loop attributes to its node.
+    Agrees with the per-node loop to a few ulp (see
+    :func:`qsu11.qcalculus.phi21_direct_batch`).  Returns None when the
+    loop has to decide instead: a node where lam is zero or not finite,
+    or an evaluation error, which the loop attributes to its node.
     """
     lam = _lam_batch(zz, base)
     if not np.all(np.isfinite(lam) & (lam != 0)):
@@ -225,9 +226,10 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         the quadrature against synthetic functions with known means.
 
     The default integrand at ``p0 = +q^k, k <= 0`` is evaluated at all
-    nodes in one batched pass, bit-identical to calling
-    :func:`spherical_az` node by node; the other cases and supplied
-    integrands are called once per node.
+    nodes in one batched pass in numpy complex arithmetic, which agrees
+    with calling :func:`spherical_az` node by node to a few ulp per
+    node; the other cases and supplied integrands are called once per
+    node.
 
     Raises
     ------

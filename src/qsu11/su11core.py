@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,6 @@ from .qcalculus import (
     QBase,
     SeriesEval,
     SeriesEvalBatch,
-    _c_prod,
-    _c_quot,
-    _complex_array,
     _near_power,
     phi21_continued,
     phi21_direct,
@@ -42,6 +40,10 @@ __all__ = [
     "coamen_coeff",
     "averaged_coamen",
 ]
+
+
+#: Largest ``|log |lam||`` for which ``lam`` and ``1/lam`` are finite.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -114,7 +116,10 @@ class SpectralParam:
 
     ``lam = q**z`` computed after reducing ``Im z`` modulo the imaginary
     period ``2 pi / |log q|`` (so equal-by-period parameters produce
-    bit-identical values), and ``x = (lam + 1/lam) / 2``.
+    bit-identical values), and ``x = (lam + 1/lam) / 2``.  ``from_z``
+    raises :class:`InvalidArgumentError` when ``z`` is not finite or
+    ``|lam|`` would overflow or underflow (``|Re z log q|`` past the
+    float exponent range).
     """
 
     z: complex
@@ -124,42 +129,25 @@ class SpectralParam:
     @classmethod
     def from_z(cls, z: complex, base: QBase) -> "SpectralParam":
         zc = complex(z)
+        log_mag = zc.real * base.log_q
+        if not (cmath.isfinite(zc) and abs(log_mag) < _LOG_MAX):
+            raise InvalidArgumentError(f"q**z is not a finite nonzero number "
+                                       f"at z = {zc!r}")
         y = math.remainder(zc.imag, base.period)
-        mag = math.exp(zc.real * base.log_q)
+        mag = math.exp(log_mag)
         theta = y * base.log_q
         lam = complex(mag * math.cos(theta), mag * math.sin(theta))
         return cls(zc, lam, (lam + 1.0 / lam) / 2.0)
 
 
-def _remainder(x: np.ndarray, y: float) -> np.ndarray:
-    """``math.remainder(x, y)`` element-wise, for finite x and y > 0.
-
-    Follows CPython's ``m_remainder`` step for step; every step is
-    exact, so the result matches bit for bit.
-    """
-    absx = np.abs(x)
-    m = np.fmod(absx, y)
-    c = y - m
-    tie = m - 2.0 * np.fmod(0.5 * (absx - m), y)
-    r = np.where(m < c, m, np.where(m > c, -c, tie))
-    return np.copysign(1.0, x) * r
-
-
 def _lam_batch(z: np.ndarray, base: QBase) -> np.ndarray:
-    """``SpectralParam.from_z(z[i], base).lam`` for a 1-d array z, bit for bit.
+    """``SpectralParam.from_z(z[i], base).lam`` for a 1-d array z.
 
-    ``|lam|`` comes from ``math.exp`` (numpy's ``exp`` rounds differently
-    on some inputs), once when every node shares its real part, as on a
-    vertical path, and per node otherwise.
+    Computed as ``exp(z log q)`` without the period reduction, so it
+    agrees with ``from_z`` to about ``eps |Im z log q|``, relative: a few
+    ulp on the smoothing contours, not bit for bit.
     """
-    zr = z.real
-    arg = zr * base.log_q
-    if zr.size and np.all(zr == zr[0]):
-        mag = math.exp(float(arg[0]))
-    else:
-        mag = np.array([math.exp(x) for x in arg.tolist()])
-    theta = _remainder(z.imag, base.period) * base.log_q
-    return _complex_array(mag * np.cos(theta), mag * np.sin(theta))
+    return np.exp(z * base.log_q)
 
 
 def _case3(base: QBase, lam: complex, k: int, tol: float,
@@ -249,17 +237,17 @@ def _case1_batch(base: QBase, lam: np.ndarray, k: int, tol: float = 1e-12,
                  max_terms: int = 200) -> SeriesEvalBatch:
     """:func:`spherical_az` at ``p0 = +q^k, k <= 0`` over a 1-d array of lam.
 
-    Element ``i`` equals ``spherical_az(base, zp, IqPoint.positive(k))``
-    for ``zp.lam == lam[i]`` bit for bit (value, ``terms_used``,
-    ``tail_bound``).  Every ``lam`` must be finite and nonzero.
+    Element ``i`` agrees with ``spherical_az(base, zp,
+    IqPoint.positive(k))`` for ``zp.lam == lam[i]`` as
+    :func:`qsu11.qcalculus.phi21_direct_batch` agrees with
+    :func:`qsu11.qcalculus.phi21_direct`.  Every ``lam`` must be finite
+    and nonzero.
     """
     if k > 0:
         raise InvalidArgumentError("the convergent case needs k <= 0")
     q = base.q
-    a = _complex_array(*_c_quot(q, 0.0, lam.real, lam.imag))
-    b = _complex_array(*_c_prod(lam.real, lam.imag, q, 0.0))
-    return phi21_direct_batch(a, b, q * q, q * q, -q ** (2 - 2 * k),
-                              tol=tol, max_terms=max_terms)
+    return phi21_direct_batch(q / lam, lam * q, q * q, q * q,
+                              -q ** (2 - 2 * k), tol=tol, max_terms=max_terms)
 
 
 def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,

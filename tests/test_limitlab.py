@@ -85,6 +85,18 @@ class TestLimitSweep:
         assert rep.rows[0].note != ""
         assert math.isinf(rep.rows[0].deviation)
 
+    @pytest.mark.parametrize("family, fixed, approach", (
+        ("spherical_case1", {}, (0.9, complex("nan"), 0.99)),
+        ("spherical_case3", {"k": 1}, (0.9, complex("nan"), 0.99)),
+        ("b1_ratio", {"k": 1}, (1.5, complex("nan"), 1.2)),
+    ))
+    def test_non_finite_point_is_a_failing_row(self, family, fixed, approach):
+        rep = limit_sweep(family, B, fixed, approach, 1.0, 10.0)
+        assert rep.verdict == "fail"
+        assert [bool(r.note) for r in rep.rows] == [False, True, False]
+        assert "finite" in rep.rows[1].note
+        assert math.isinf(rep.rows[1].deviation)
+
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             limit_sweep("case1", B, {}, (0.9,), 1.0, 1e-3)

@@ -8,19 +8,24 @@ import random
 
 import numpy as np
 import pytest
+from _batch_parity import assert_batch_close
 
 from qsu11 import (
     EPS_POLE,
     DivergentSeriesError,
     InvalidArgumentError,
+    IqPoint,
     PoleGuardError,
     PoleInCError,
     QBase,
     SeriesEval,
+    SpectralParam,
+    coamen_coeff,
     phi21_continued,
     phi21_direct,
     phi21_direct_batch,
     phi21_heine,
+    pochhammer_ratio,
     qpoch_finite,
     qpoch_infinite,
     qpoch_multi,
@@ -237,16 +242,16 @@ class TestPhi21Direct:
 
 
 class TestPhi21DirectBatch:
-    """Each element equals the scalar :func:`phi21_direct` bit for bit."""
+    """Each element agrees with the scalar :func:`phi21_direct`."""
 
     @staticmethod
     def _assert_matches(a, b, c, base, z, **kw):
         ev = phi21_direct_batch(np.array(a), np.array(b), c, base, z, **kw)
         for i, (ai, bi) in enumerate(zip(a, b)):
             ref = phi21_direct(ai, bi, c, base, z, **kw)
-            assert repr(complex(ev.value[i])) == repr(ref.value)
+            assert_batch_close(complex(ev.value[i]), ref.value)
             assert int(ev.terms_used[i]) == ref.terms_used
-            assert repr(float(ev.tail_bound[i])) == repr(ref.tail_bound)
+            assert_batch_close(float(ev.tail_bound[i]), ref.tail_bound)
 
     def test_random_parameters(self):
         rng = random.Random(3)
@@ -359,6 +364,49 @@ class TestPhi21Heine:
 class TestGuardBandConstant:
     def test_value(self):
         assert EPS_POLE == 1e-9
+
+
+_NON_FINITE_CALLS = {
+    "phi21_direct_a": lambda x: phi21_direct(x, 0.3, 0.7, 0.5, 0.2),
+    "phi21_direct_b": lambda x: phi21_direct(0.2, x, 0.7, 0.5, 0.2),
+    "phi21_direct_c": lambda x: phi21_direct(0.2, 0.3, x, 0.5, 0.2),
+    "phi21_direct_z": lambda x: phi21_direct(0.2, 0.3, 0.7, 0.5, x),
+    "phi21_direct_z_terminating": lambda x: phi21_direct(4.0, 0.3, 0.7, 0.5, x),
+    "phi21_direct_batch_a": lambda x: phi21_direct_batch(
+        np.array([0.2, x]), np.array([0.3, 0.3]), 0.7, 0.5, 0.2),
+    "phi21_direct_batch_z": lambda x: phi21_direct_batch(
+        np.array([0.2]), np.array([0.3]), 0.7, 0.5, x),
+    "qpoch_infinite": lambda x: qpoch_infinite(x, 0.5),
+    "theta_pair": lambda x: theta_pair(x, 2, 0.5),
+    "phi21_continued": lambda x: phi21_continued(x, 0.4, B),
+    "phi21_heine": lambda x: phi21_heine(0.3, 0.2, 0.7, 0.5, x),
+    "pochhammer_ratio_k1": lambda x: pochhammer_ratio(B, x, 1),
+    "pochhammer_ratio_k3": lambda x: pochhammer_ratio(B, x, 3),
+    "coamen_direct": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(-1)),
+    "coamen_heine": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(1)),
+    "coamen_raw": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(-1),
+                                         form="raw"),
+    "from_z": lambda x: SpectralParam.from_z(x, B),
+}
+
+
+class TestNonFiniteRefusal:
+    """Non-finite input is refused with a typed error at every entry."""
+
+    @pytest.mark.parametrize("bad", (complex("nan"), math.inf,
+                                     complex(0.0, -math.inf)),
+                             ids=("nan", "inf", "imag_inf"))
+    @pytest.mark.parametrize("entry", sorted(_NON_FINITE_CALLS))
+    def test_refused(self, entry, bad):
+        with pytest.raises(InvalidArgumentError):
+            _NON_FINITE_CALLS[entry](bad)
+
+    @pytest.mark.parametrize("z", (-2000.0, complex(-2000.0, 1.0), 2000.0))
+    def test_from_z_refuses_lam_past_the_float_range(self, z):
+        # |lam| = q**Re z overflows (Re z = -2000) or underflows to 0
+        with pytest.raises(InvalidArgumentError):
+            SpectralParam.from_z(z, B)
+        assert SpectralParam.from_z(complex(z).real / 2.0, B).lam != 0
 
 
 def _arith_tools():

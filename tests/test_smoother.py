@@ -2,9 +2,11 @@
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
+from _batch_parity import assert_batch_close
 
 from qsu11 import (
     ContourPath,
@@ -175,25 +177,25 @@ class TestPathIndependence:
         assert d < 1e-6
 
 
-def _bits(values) -> list[int]:
-    """Bit patterns of the real (and imaginary) parts, signed zeros kept."""
-    a = np.asarray(values)
-    parts = (a.real, a.imag) if np.iscomplexobj(a) else (a,)
-    return [int(v) for p in parts
-            for v in np.ascontiguousarray(p, dtype=np.float64).view(np.int64)]
-
-
 def _assert_case1_parity(zs: np.ndarray, p0_k: int) -> None:
-    """Batched node lam and case-1 series equal the scalar path bit for bit."""
+    """Batched node lam and case-1 series agree with the scalar path."""
     p0 = IqPoint.positive(p0_k)
     lam = _lam_batch(zs, B)
     zps = [SpectralParam.from_z(complex(z), B) for z in zs]
-    assert _bits(lam) == _bits([zp.lam for zp in zps])
+    assert_batch_close(lam, [zp.lam for zp in zps])
     ev = _case1_batch(B, lam, p0_k)
     ref = [spherical_az(B, zp, p0) for zp in zps]
-    assert _bits(ev.value) == _bits([r.value for r in ref])
+    assert_batch_close(ev.value, [r.value for r in ref])
     assert ev.terms_used.tolist() == [r.terms_used for r in ref]
-    assert _bits(ev.tail_bound) == _bits([r.tail_bound for r in ref])
+    assert_batch_close(ev.tail_bound, [r.tail_bound for r in ref])
+
+
+def _strip_nodes() -> np.ndarray:
+    """2,000 seeded nodes with Re z in [-1.5, 1.5], |Im z| <= period / 2."""
+    rng = random.Random(7)
+    return np.array([complex(rng.uniform(-1.5, 1.5),
+                             rng.uniform(-B.period / 2, B.period / 2))
+                     for _ in range(2000)])
 
 
 class TestBatchedParity:
@@ -217,11 +219,7 @@ class TestBatchedParity:
             _assert_case1_parity(zz, p0_k)
 
     def test_strip(self):
-        # Re z in [-1.5, 1.5], |Im z| <= period / 2
-        rng = random.Random(7)
-        zs = np.array([complex(rng.uniform(-1.5, 1.5),
-                               rng.uniform(-B.period / 2, B.period / 2))
-                       for _ in range(2000)])
+        zs = _strip_nodes()
         for p0_k in (0, -1, -3):
             _assert_case1_parity(zs, p0_k)
 
@@ -250,7 +248,35 @@ class TestBatchedParity:
             f = _default_integrand(B, p0, 1e-12)
             looped = gaussian_smooth(B, p0, 2, 16.0, path, quad,
                                      integrand=lambda z: f(z).value)
-            assert _bits(sm.value) == _bits(looped.value)
+            assert_batch_close(sm.value, looped.value)
+
+
+#: Rounding allowance of the oracle comparison, relative to ``|value|``.
+#: ``tail_bound`` covers truncation only; summing in double precision
+#: cost up to 5.0 eps on these nodes (the scalar path: 4.7 eps).
+ORACLE_RTOL = 16 * sys.float_info.epsilon
+
+
+class TestBatchedOracle:
+    """Batched case-1 values against mpmath's 2phi1 at 40 digits."""
+
+    # At tol = 1e-16 the tail bound falls below the rounding error, so
+    # the allowance is what is tested.
+    @pytest.mark.parametrize("tol", (1e-12, 1e-16))
+    @pytest.mark.parametrize("p0_k", (0, -1, -4))
+    def test_strip_subsample(self, p0_k, tol):
+        mpmath = pytest.importorskip("mpmath")
+        zs = _strip_nodes()[::33]
+        ev = _case1_batch(B, _lam_batch(zs, B), p0_k, tol=tol)
+        assert np.isfinite(ev.tail_bound).all()
+        with mpmath.workdps(40):
+            q = mpmath.mpf(B.q)
+            for z, value, tail in zip(zs, ev.value, ev.tail_bound):
+                lam = q ** mpmath.mpc(z)
+                ref = mpmath.qhyper([q / lam, lam * q], [q * q], q * q,
+                                    -q ** (2 - 2 * p0_k))
+                assert abs(mpmath.mpc(value) - ref) \
+                    <= tail + ORACLE_RTOL * abs(ref)
 
 
 class TestUncertifiedNodes:
