@@ -84,9 +84,9 @@ class RunConfig:
         errs = []
         if not (0.0 < self.q < 1.0):
             errs.append(f"q must lie in (0, 1), got {self.q!r}")
-        if self.tol <= 0:
+        if not (self.tol > 0):
             errs.append("tol must be positive")
-        if self.tol_quad <= 0:
+        if not (self.tol_quad > 0):
             errs.append("tol_quad must be positive")
         if self.max_exponent < 1:
             errs.append("max_exponent must be >= 1")

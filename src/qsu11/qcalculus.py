@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -230,18 +231,29 @@ class ThetaPair:
     absolute: bool = False
 
 
+def _finite_modulus(x: complex) -> float:
+    """``abs(x)``, refusing with :class:`InvalidArgumentError` when it is not
+    a finite float (a non-finite ``x``, or finite parts whose modulus
+    exceeds the float range, where ``abs`` raises ``OverflowError``)."""
+    try:
+        r = abs(x)
+    except OverflowError:
+        r = math.inf
+    if not math.isfinite(r):
+        raise InvalidArgumentError(f"parameter {x!r} has no finite modulus")
+    return r
+
+
 def _near_power(x: complex, base: float, eps: float = EPS_POLE,
                 lo: int | None = None, hi: int | None = None) -> int | None:
     """Return integer j with |x - base**j| <= eps * base**j, else None.
 
     The candidate j is located from log|x| and its two neighbours are
     checked, so the scan is O(1).  ``lo``/``hi`` optionally restrict the
-    admissible exponent range (inclusive).  A non-finite ``x`` raises
-    :class:`InvalidArgumentError`.
+    admissible exponent range (inclusive).  An ``x`` without a finite
+    modulus raises :class:`InvalidArgumentError`.
     """
-    r = abs(x)
-    if not math.isfinite(r):
-        raise InvalidArgumentError(f"parameter {x!r} is not finite")
+    r = _finite_modulus(x)
     if r == 0:
         return None
     t = math.log(r) / math.log(base)
@@ -250,9 +262,12 @@ def _near_power(x: complex, base: float, eps: float = EPS_POLE,
             continue
         if hi is not None and j > hi:
             continue
-        p = base ** j
-        if p > 0 and math.isfinite(p) and abs(x - p) <= eps * p:
-            return j
+        try:
+            p = base ** j
+            if abs(x - p) <= eps * p:
+                return j
+        except OverflowError:  # base**j or x - base**j is past the float range
+            continue
     return None
 
 
@@ -303,21 +318,41 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
     returned modulus, i.e. an absolute bound.
 
     At least one factor is always consumed, so ``terms_used >= 1`` even
-    for ``a = 0``.
+    for ``a = 0``.  An ``a`` without a finite modulus, a ``tol`` that is
+    not positive (NaN included) and a base outside (0, 1) raise
+    :class:`InvalidArgumentError` on every call.
+
+    Results are memoised on the exact inputs ``(complex(a), base value,
+    float(tol))`` in a least-recently-used cache of 1024 entries, so a
+    factor that many callers share (``(q^2; q^2)_inf`` and the other
+    lambda-independent factors of the two-term forms) is computed once.
+    A cached :class:`SeriesEval` is returned to every caller that asks
+    for it, which is safe because it is immutable.
     """
     b = _base_value(base)
-    if tol <= 0:
+    if not (tol > 0):
         raise InvalidArgumentError("tol must be positive")
+    _finite_modulus(a)
+    return _qpoch_infinite(complex(a), b, float(tol))
+
+
+@lru_cache(maxsize=1024)
+def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
+    """:func:`qpoch_infinite` on validated arguments, before memoisation.
+
+    ``complex(x, 0.0)`` and ``complex(x, -0.0)`` are one cache key.  The
+    kernel returns the same result for both: in Python's float-complex
+    arithmetic (up to 3.13) every factor ``1.0 - f`` has imaginary part
+    ``+0.0`` whatever the sign of ``f``'s, and the tests check the results.
+    """
     cutoff = tol * (1.0 - b) / 4.0
     az = abs(a)
-    if not math.isfinite(az):
-        raise InvalidArgumentError(f"qpoch_infinite needs a finite a, got {a!r}")
     if az <= cutoff:
         cap = 1
     else:
         cap = int(math.ceil((math.log(cutoff) - math.log(az)) / math.log(b))) + 2
         cap = min(max(cap, 1), _MAX_FACTORS)
-    value, used, tail_rel, degen = qpoch_infinite_kernel(complex(a), b, cutoff, cap)
+    value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff, cap)
     if degen:
         return SeriesEval(value, used, 0.0, degenerate=True)
     return SeriesEval(value, used, abs(value) * tail_rel)
@@ -377,12 +412,11 @@ def _direct_guards(c: complex, z: complex, base: BaseLike, tol: float,
     A non-finite ``c`` is refused by the pole check's :func:`_near_power`.
     """
     bb = _base_value(base)
-    if tol <= 0:
+    if not (tol > 0):
         raise InvalidArgumentError("tol must be positive")
     if max_terms < 1:
         raise InvalidArgumentError("max_terms must be >= 1")
-    if not cmath.isfinite(z):
-        raise InvalidArgumentError(f"z must be finite, got {z!r}")
+    _finite_modulus(z)
     jc = _near_inv_power(c, bb)
     if jc is not None:
         raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from qsu11 import harness
+from qsu11 import harness, qcalculus
 from qsu11.errors import PoleGuardError
 from qsu11.harness import (
     _CSV_COLUMNS,
@@ -37,6 +37,12 @@ class TestRunConfig:
         assert "bogus" in joined
         assert "format" in joined
         assert RunConfig(suites=()).problems() != []
+
+    def test_nan_tolerances_are_problems(self):
+        nan = float("nan")
+        assert RunConfig(tol=nan).problems() == ["tol must be positive"]
+        assert RunConfig(tol_quad=nan).problems() \
+            == ["tol_quad must be positive"]
 
     def test_extreme_q_warns(self):
         assert RunConfig(q=0.05).warnings() != []
@@ -79,6 +85,21 @@ class TestRunSuite:
         for name in ("identities.csv", "identities.json", "summary.csv",
                      "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_reports_do_not_depend_on_a_warm_product_cache(self, tmp_path):
+        # The first run starts from an empty qpoch_infinite cache, the
+        # second from the entries the first left behind.
+        qcalculus._qpoch_infinite.cache_clear()
+        for out in ("cold", "warm"):
+            cfg = RunConfig(suites=("spherical", "coamenability"),
+                            out_dir=str(tmp_path / out), format="both")
+            assert run_suite(cfg) == 0
+        assert qcalculus._qpoch_infinite.cache_info().hits > 0
+        names = sorted(p.name for p in (tmp_path / "cold").iterdir())
+        assert len(names) == 6
+        for name in names:
+            assert (tmp_path / "cold" / name).read_bytes() \
+                == (tmp_path / "warm" / name).read_bytes()
 
     def test_json_header(self, tmp_path):
         cfg = RunConfig(suites=("identities",), out_dir=str(tmp_path),

@@ -1,6 +1,7 @@
 """Unit tests for the q-product and series evaluators."""
 
 import cmath
+import dataclasses
 import itertools
 import math
 import operator
@@ -32,6 +33,7 @@ from qsu11 import (
     qpoch_signed,
     theta_pair,
 )
+from qsu11 import qcalculus
 
 B = QBase(0.5)
 
@@ -407,6 +409,109 @@ class TestNonFiniteRefusal:
         with pytest.raises(InvalidArgumentError):
             SpectralParam.from_z(z, B)
         assert SpectralParam.from_z(complex(z).real / 2.0, B).lam != 0
+
+    @pytest.mark.parametrize("entry", (
+        "qpoch_infinite", "theta_pair", "phi21_direct_a", "phi21_direct_b",
+        "phi21_direct_c", "phi21_direct_z", "phi21_direct_z_terminating",
+        "phi21_direct_batch_a", "phi21_direct_batch_z", "phi21_heine"))
+    def test_refuses_a_modulus_past_the_float_range(self, entry):
+        # Finite parts, but abs() of the number overflows.
+        with pytest.raises(InvalidArgumentError):
+            _NON_FINITE_CALLS[entry](complex(1.5e308, 1.5e308))
+
+    @pytest.mark.parametrize("call", (
+        lambda: qpoch_infinite(0.5, 0.5, math.nan),
+        lambda: qpoch_multi([0.3], 0.5, math.nan),
+        lambda: phi21_direct(0.2, 0.3, 0.7, 0.5, 0.2, tol=math.nan),
+    ), ids=("qpoch_infinite", "qpoch_multi", "phi21_direct"))
+    def test_nan_tol_refused(self, call):
+        with pytest.raises(InvalidArgumentError):
+            call()
+
+    def test_pole_scan_past_the_float_range_is_no_refusal(self):
+        # |c| is finite, but the pole scan's candidates base**(-1024) and
+        # c - base**(-1023) are not: c is simply far from every pole.
+        ev = phi21_direct(0.2, 0.3, complex(-1e307, 1.5e308), 0.5, 0.2)
+        assert abs(ev.value - 1.0) < 1e-300
+        assert ev.tail_bound == 0.0
+
+
+_UNCACHED = qcalculus._qpoch_infinite.__wrapped__
+
+
+class TestQpochInfiniteCache:
+    """The memoised :func:`qpoch_infinite` returns what a fresh evaluation
+    of its arguments returns, field for field (``repr`` tells signed zeros
+    apart), cold or warm."""
+
+    @staticmethod
+    def _assert_fresh(a, base, tol=1e-12):
+        b = base.q if isinstance(base, QBase) else base
+        fresh = _UNCACHED(complex(a), b, tol)
+        assert repr(qpoch_infinite(a, base, tol)) == repr(fresh)
+
+    def test_seeded_random_inputs(self):
+        rng = random.Random(6)
+        draws = [(complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)),
+                  rng.uniform(0.05, 0.95), 10.0 ** rng.uniform(-15.0, -2.0))
+                 for _ in range(300)]
+        qcalculus._qpoch_infinite.cache_clear()
+        for _ in range(2):  # cold, then warm
+            for a, base, tol in draws:
+                self._assert_fresh(a, base, tol)
+        info = qcalculus._qpoch_infinite.cache_info()
+        assert info.maxsize == 1024
+        assert info.hits == info.misses == len(draws)
+
+    @pytest.mark.parametrize("group", (
+        (complex(0.7, 0.0), complex(0.7, -0.0)),
+        (complex(-2.5, 0.0), complex(-2.5, -0.0)),
+        (complex(0.0, 0.7), complex(-0.0, 0.7)),
+        (complex(0.0, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0),
+         complex(-0.0, -0.0)),
+        (complex(1.0, 0.0), complex(1.0, -0.0)),
+    ), ids=("real", "negative_real", "imaginary", "zero", "degenerate"))
+    def test_signed_zeros_share_an_entry_harmlessly(self, group):
+        # complex(x, 0.0) == complex(x, -0.0), so these are one cache key:
+        # whichever sign fills the entry, the other gets its own result.
+        for fill, ask in itertools.permutations(group, 2):
+            qcalculus._qpoch_infinite.cache_clear()
+            qpoch_infinite(fill, 0.5)
+            self._assert_fresh(ask, 0.5)
+
+    def test_degenerate_entry(self):
+        qcalculus._qpoch_infinite.cache_clear()
+        for _ in range(2):
+            self._assert_fresh(0.5 ** -3, 0.5)
+        assert qpoch_infinite(0.5 ** -3, 0.5).degenerate
+
+    def test_tol_and_base_are_part_of_the_key(self):
+        a = -1.3 + 0.7j
+        qcalculus._qpoch_infinite.cache_clear()
+        for base, tol in ((0.5, 1e-12), (0.5, 1e-4), (0.45, 1e-12),
+                          (B, 1e-4), (0.5, 1e-12)):
+            self._assert_fresh(a, base, tol)
+        assert qpoch_infinite(a, 0.5, 1e-4).terms_used \
+            < qpoch_infinite(a, 0.5, 1e-12).terms_used
+        assert qpoch_infinite(a, 0.45).value != qpoch_infinite(a, 0.5).value
+
+    def test_refusal_is_not_cached(self):
+        qcalculus._qpoch_infinite.cache_clear()
+        for _ in range(2):
+            for bad in ((0.5, 0.5, math.nan), (complex("nan"), 0.5, 1e-12),
+                        (complex(1.5e308, 1.5e308), 0.5, 1e-12),
+                        (0.5, 1.5, 1e-12)):
+                with pytest.raises(InvalidArgumentError):
+                    qpoch_infinite(*bad)
+            self._assert_fresh(0.5, 0.5)
+        info = qcalculus._qpoch_infinite.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def test_shared_result_is_read_only(self):
+        ev = qpoch_infinite(0.3, 0.5)
+        assert qpoch_infinite(0.3, 0.5) is ev
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ev.value = 0j
 
 
 def _arith_tools():
