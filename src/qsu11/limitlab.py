@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -44,6 +45,10 @@ MONO_SLACK = 1e-13
 #: factors change the value by less than 1e-16 relative for the
 #: parameter windows used here (q <= 0.95, |lam| >= q).
 RATIO_TRUNC_K = 60
+
+#: Largest ``|log |lam||`` for which ``lam**2`` and ``lam**-2`` are both
+#: normal floats.
+_LOG_LAM_MAX = -math.log(sys.float_info.min) / 2.0
 
 
 @dataclass(frozen=True)
@@ -317,10 +322,17 @@ def pochhammer_ratio(base: QBase, lam: complex, k: int | float,
     ``k = math.inf`` truncates the products at ``trunc_K`` factors,
     after which the remaining factors are 1 to double precision on the
     documented parameter window.
+
+    A ``lam`` that is zero or not finite, or whose square or reciprocal
+    square leaves the normal float range, raises
+    :class:`InvalidArgumentError` for every k.
     """
     q = base.q
     if lam == 0 or not cmath.isfinite(lam):
         raise InvalidArgumentError(f"lam must be finite and nonzero, got {lam!r}")
+    if abs(cmath.log(lam).real) >= _LOG_LAM_MAX:  # log|lam|, without overflow
+        raise InvalidArgumentError(
+            f"lam**2 or 1/lam**2 leaves the float range at lam = {lam!r}")
     is_inf = k == math.inf
     if not is_inf:
         if not isinstance(k, int) or k < 1:

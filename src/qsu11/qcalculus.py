@@ -355,6 +355,8 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff, cap)
     if degen:
         return SeriesEval(value, used, 0.0, degenerate=True)
+    if not cmath.isfinite(value):  # a factor overflowed
+        return SeriesEval(value, used, math.inf)
     return SeriesEval(value, used, abs(value) * tail_rel)
 
 
@@ -602,25 +604,30 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
       power ``q**(2j)``, j integer: the expression has simple poles
       there (raises :class:`PoleGuardError`).
     """
-    q = base.q
-    q2 = q * q
     if kappa == 0 or abs(kappa) >= 1.0:
         raise InvalidArgumentError("phi21_continued needs 0 < |kappa| < 1")
+    return _two_term_sum(lam, kappa, base.q, tol / 8.0, max_terms)
+
+
+def _two_term_sum(lam: complex, kappa: complex, q: float, part_tol: float,
+                  max_terms: int, cancelled: bool = False) -> SeriesEval:
+    """``T(lam) + T(1/lam)`` of :func:`phi21_continued`, each factor to
+    ``part_tol``.  ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both
+    denominators; it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3)."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
-    lam2 = lam * lam
-    j = _near_power(lam2, q2)
+    q2 = q * q
+    j = _near_power(lam * lam, q2)
     if j is not None:
         raise PoleGuardError(
             f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
         )
-
-    part_tol = tol / 8.0
     total = 0
     for u in (lam, 1.0 / lam):
         num = qpoch_multi([u * q, u * q, -q2 * q / (u * kappa), -u * kappa / q],
                           q2, part_tol)
-        den = qpoch_multi([q2, u * u, -q2 / kappa, -kappa], q2, part_tol)
+        den = qpoch_multi([q2, u * u] + ([] if cancelled else [-q2 / kappa])
+                          + [-kappa], q2, part_tol)
         total += num / den * phi21_direct(q / u, q / u, q2 / (u * u), q2, -kappa,
                                           tol=part_tol, max_terms=max_terms)
     return total

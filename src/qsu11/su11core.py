@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, PoleGuardError
+from .errors import InvalidArgumentError
 from .qcalculus import (
-    EPS_POLE,
     QBase,
     SeriesEval,
     SeriesEvalBatch,
-    _near_power,
+    _two_term_sum,
     phi21_continued,
     phi21_direct,
     phi21_direct_batch,
@@ -155,8 +154,10 @@ def _case3(base: QBase, lam: complex, k: int, tol: float,
     """Coefficient at the negative point -q^k (k >= 1).
 
     The printed closed form is a 0 * inf expression: an overall factor
-    vanishes while the same product sits in both bracket denominators.
-    That common factor is cancelled analytically here, leaving
+    vanishes while the same product sits in both bracket denominators:
+    the bracket is the case-2 continuation (:func:`phi21_continued`) at
+    ``kappa = -q^{2k}``, and that product is its ``(-q^2/kappa; q^2)_inf
+    = (q^{2-2k}; q^2)_inf``.  Cancelling it leaves
 
     value = p0^2 nu^2 cq^2 (q^{2k}; q^2)_inf (q^2; q^2)_inf^2
             * (-lam q^{3-2k}, -q^{2k-1}/lam; q^2)_inf
@@ -174,31 +175,16 @@ def _case3(base: QBase, lam: complex, k: int, tol: float,
     """
     q = base.q
     q2 = q * q
-    lam2 = lam * lam
-    j = _near_power(lam2, q2)
-    if j is not None:
-        raise PoleGuardError(
-            f"lam**2 within {EPS_POLE} of q**({2 * j}); closed form is singular"
-        )
     part_tol = tol / 16.0
     mk = q ** (2 * k)
-
+    # The bracket first: its lam**2 guard also covers the prefactor's poles.
+    bracket = _two_term_sum(lam, -mk, q, part_tol, max_terms, cancelled=True)
     scalar = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2
     pref = scalar * qpoch_multi(
         [mk, q2, q2, -lam * q ** (3 - 2 * k), -q ** (2 * k - 1) / lam],
         q2, part_tol,
     ) / qpoch_multi([q ** (2 * k - 1) / lam, lam * q ** (3 - 2 * k)], q2, part_tol)
-
-    total = 0
-    for u, u2 in ((lam, lam2), (1.0 / lam, 1.0 / lam2)):
-        num = qpoch_multi(
-            [u * q, u * q, q ** (3 - 2 * k) / u, u * q ** (2 * k - 1)],
-            q2, part_tol,
-        )
-        den = qpoch_multi([q2, u2, mk], q2, part_tol)
-        total += num / den * phi21_direct(q / u, q / u, q2 / u2, q2, mk,
-                                          tol=part_tol, max_terms=max_terms)
-    return pref * total
+    return pref * bracket
 
 
 def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
@@ -212,8 +198,9 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     * ``p0 = +q^k, k >= 1``: the same function continued past the
       convergence disc (two-term continuation, see
       :func:`qsu11.qcalculus.phi21_continued`).
-    * ``p0 = -q^k, k >= 1``: the cancelled closed form at negative
-      points (see module source for the exact product expression).
+    * ``p0 = -q^k, k >= 1``: a prefactor times the case-2 continuation at
+      ``kappa = -q^{2k}``, with its vanishing denominator factor
+      ``(q^{2-2k}; q^2)_inf`` cancelled (see :func:`_case3`).
 
     The continued cases are refused (:class:`PoleGuardError`) when
     ``lam**2`` sits within the guard band around ``q**(2 Z)``; the

@@ -97,6 +97,14 @@ class TestLimitSweep:
         assert "finite" in rep.rows[1].note
         assert math.isinf(rep.rows[1].deviation)
 
+    def test_lam_with_an_unrepresentable_square_is_a_failing_row(self):
+        rep = limit_sweep("b1_ratio", B, {"k": math.inf}, (1.5, 1e-200, 1.2),
+                          1.0, 10.0)
+        assert rep.verdict == "fail"
+        assert [bool(r.note) for r in rep.rows] == [False, True, False]
+        assert "float range" in rep.rows[1].note
+        assert math.isinf(rep.rows[1].deviation)
+
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             limit_sweep("case1", B, {}, (0.9,), 1.0, 1e-3)

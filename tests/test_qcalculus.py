@@ -428,6 +428,24 @@ class TestNonFiniteRefusal:
         with pytest.raises(InvalidArgumentError):
             call()
 
+    def test_overflowing_product_is_uncertified(self):
+        # |a| is finite, but the factors 1 - a base**i overflow to nan:
+        # the bound must say inf, which a check for an uncertified result
+        # catches, not nan.
+        a = complex(-1e307, 1.5e308)
+        ev = qpoch_infinite(a, 0.5)
+        assert not cmath.isfinite(ev.value)
+        assert ev.tail_bound == math.inf
+        assert qpoch_multi([0.3, a], 0.5).tail_bound == math.inf
+
+    @pytest.mark.parametrize("k", (1, 2, 3, math.inf))
+    @pytest.mark.parametrize("lam", (complex(1.5e308, 1.5e308), 1e200, 1e-200),
+                             ids=("modulus_overflows", "square_overflows",
+                                  "square_underflows"))
+    def test_pochhammer_ratio_refuses_a_square_past_the_float_range(self, lam, k):
+        with pytest.raises(InvalidArgumentError, match="float range"):
+            pochhammer_ratio(B, lam, k)
+
     def test_pole_scan_past_the_float_range_is_no_refusal(self):
         # |c| is finite, but the pole scan's candidates base**(-1024) and
         # c - base**(-1023) are not: c is simply far from every pole.

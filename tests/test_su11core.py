@@ -2,6 +2,8 @@
 
 import cmath
 import math
+import random
+import sys
 
 import pytest
 
@@ -120,10 +122,13 @@ class TestSphericalCase2:
         ev = spherical_az(B, zp, IqPoint.positive(3))
         assert abs(ev.value - 1.0) < 5e-3
 
-    def test_pole_guard_at_integer_z(self):
-        zp = SpectralParam.from_z(0.0, B)
-        with pytest.raises(PoleGuardError):
-            spherical_az(B, zp, IqPoint.positive(2))
+    # lam**2 = q**(2z) sits on the pole lattice at every integer z.
+    @pytest.mark.parametrize("k", (1, 2, 3, 6))
+    @pytest.mark.parametrize("z", (-2, -1, 0, 1, 2))
+    def test_pole_guard_at_integer_z(self, z, k):
+        zp = SpectralParam.from_z(z, B)
+        with pytest.raises(PoleGuardError, match="continuation is singular"):
+            spherical_az(B, zp, IqPoint.positive(k))
 
 
 class TestSphericalCase3:
@@ -140,10 +145,12 @@ class TestSphericalCase3:
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 5e-3
 
-    def test_pole_guard_at_integer_z(self):
-        zp = SpectralParam.from_z(1.0, B)
-        with pytest.raises(PoleGuardError):
-            spherical_az(B, zp, IqPoint.negative(1))
+    @pytest.mark.parametrize("k", (1, 2, 3, 6))
+    @pytest.mark.parametrize("z", (-2, -1, 0, 1, 2))
+    def test_pole_guard_at_integer_z(self, z, k):
+        zp = SpectralParam.from_z(z, B)
+        with pytest.raises(PoleGuardError, match="continuation is singular"):
+            spherical_az(B, zp, IqPoint.negative(k))
 
 
 class TestSphericalShared:
@@ -164,6 +171,76 @@ class TestSphericalShared:
     def test_real_values_on_real_z(self, p):
         zp = SpectralParam.from_z(0.5, B)
         assert abs(spherical_az(B, zp, p).value.imag) < 1e-10
+
+
+#: ``tail_bound`` covers truncation only; allowance for double-precision
+#: rounding.
+ORACLE_RTOL = 16 * sys.float_info.epsilon
+
+
+def _oracle_points(base, count, seed=7):
+    """Seeded ``(z, k)``: Re z in [-1.5, 1.5], |Im z| <= period / 2, k in
+    1..12, with lam**2 at relative distance >= 1e-2 from every q**(2j)."""
+    rng = random.Random(seed)
+    q2 = base.q * base.q
+    points = []
+    while len(points) < count:
+        z = complex(rng.uniform(-1.5, 1.5),
+                    rng.uniform(-base.period / 2, base.period / 2))
+        lam2 = SpectralParam.from_z(z, base).lam ** 2
+        if min(abs(lam2 / q2 ** j - 1.0) for j in range(-3, 4)) >= 1e-2:
+            points.append((z, rng.randint(1, 12)))
+    return points
+
+
+def _case2_reference(mp, q, lam, k):
+    """T(lam) + T(1/lam) of the two-term continuation at kappa = q^{2k}."""
+    q2, kappa = q * q, q ** (2 * k)
+    total = 0
+    for u in (lam, 1 / lam):
+        num = mp.qp(u * q, q2) ** 2 * mp.qp(-q ** 3 / (u * kappa), q2) \
+            * mp.qp(-u * kappa / q, q2)
+        den = mp.qp(q2, q2) * mp.qp(u * u, q2) * mp.qp(-q2 / kappa, q2) \
+            * mp.qp(-kappa, q2)
+        total += num / den * mp.qhyper([q / u, q / u], [q2 / (u * u)], q2, -kappa)
+    return total
+
+
+def _case3_reference(mp, q, lam, k):
+    """The cancelled closed form at -q^k, as printed in ``_case3``."""
+    q2 = q * q
+    cq = 1 / (mp.sqrt(2) * q * mp.qp(q2, q2) * mp.qp(-q2, q2))
+    pref = q ** (2 * k + 2 * nu_exponent(k)) * cq ** 2 * mp.qp(q ** (2 * k), q2) \
+        * mp.qp(q2, q2) ** 2 * mp.qp(-lam * q ** (3 - 2 * k), q2) \
+        * mp.qp(-q ** (2 * k - 1) / lam, q2) \
+        / (mp.qp(q ** (2 * k - 1) / lam, q2) * mp.qp(lam * q ** (3 - 2 * k), q2))
+    total = 0
+    for u in (lam, 1 / lam):
+        num = mp.qp(u * q, q2) ** 2 * mp.qp(q ** (3 - 2 * k) / u, q2) \
+            * mp.qp(u * q ** (2 * k - 1), q2)
+        den = mp.qp(q2, q2) * mp.qp(u * u, q2) * mp.qp(q ** (2 * k), q2)
+        total += num / den * mp.qhyper([q / u, q / u], [q2 / (u * u)], q2,
+                                       q ** (2 * k))
+    return pref * total
+
+
+class TestContinuedCasesOracle:
+    """Cases 2 and 3 against their closed forms evaluated by mpmath at 40
+    digits, an evaluation that shares no code with the library's."""
+
+    @pytest.mark.parametrize("sign, reference", (
+        (1, _case2_reference), (-1, _case3_reference)), ids=("case2", "case3"))
+    @pytest.mark.parametrize("q", (0.5, 0.41))
+    def test_error_within_the_certificate(self, q, sign, reference):
+        mp = pytest.importorskip("mpmath").mp
+        base = QBase(q)
+        with mp.workdps(40):
+            for z, k in _oracle_points(base, 40):
+                zp = SpectralParam.from_z(z, base)
+                ev = spherical_az(base, zp, IqPoint(sign, k))
+                ref = reference(mp, mp.mpf(q), mp.mpc(zp.lam), k)
+                assert abs(mp.mpc(ev.value) - ref) \
+                    <= ev.tail_bound + ORACLE_RTOL * abs(ev.value), (z, k)
 
 
 class TestCoamenCoeff:
