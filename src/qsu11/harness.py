@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from . import __version__
 from ._kernels import backend
@@ -65,6 +65,12 @@ _CSV_COLUMNS = (
     "suite", "check_id", "paper_anchor", "param_json",
     "value_re", "value_im", "deviation", "threshold", "verdict",
 )
+
+_SUMMARY_COLUMNS = ("suite", "checks", "failures", "verdict")
+
+
+def _compact_json(d: dict) -> str:
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ class CheckRow:
 
     @property
     def param_json(self) -> str:
-        return json.dumps(self.params, sort_keys=True, separators=(",", ":"))
+        return _compact_json(self.params)
 
 
 @dataclass(frozen=True)
@@ -487,55 +493,38 @@ _SUITE_CHECKS: dict[str, Callable[[RunConfig, QBase], Iterator[Check]]] = {
 # ---------------------------------------------------------------- reports
 
 
-def _float_repr(x: float) -> str:
-    return repr(float(x))
+def _write_table(out: Path, name: str, cfg: RunConfig, key: str,
+                 columns: tuple[str, ...], rows: list[dict]) -> None:
+    """Write ``rows`` to ``name.csv`` (header ``columns``, then each row's
+    values in order, a dict as compact JSON) and/or to ``name.json``
+    (``{"header": ..., key: rows}``), as ``cfg.format`` asks."""
+    if cfg.format in ("csv", "both"):
+        with (out / f"{name}.csv").open("w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(columns)
+            w.writerows([_compact_json(v) if isinstance(v, dict) else v
+                         for v in row.values()] for row in rows)
+    if cfg.format in ("json", "both"):
+        header = {
+            "version": __version__,
+            "backend": backend(),
+            "q": cfg.q,
+            "tolerances": {"tol": cfg.tol, "tol_quad": cfg.tol_quad},
+            "max_exponent": cfg.max_exponent,
+            "max_terms": cfg.max_terms,
+            "warnings": cfg.warnings(),
+        }
+        (out / f"{name}.json").write_text(json.dumps(
+            {"header": header, key: rows}, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: Path, rows: Iterable[CheckRow]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_CSV_COLUMNS)
-        for r in rows:
-            w.writerow([
-                r.suite, r.check_id, r.paper_anchor, r.param_json,
-                _float_repr(r.value.real), _float_repr(r.value.imag),
-                _float_repr(r.deviation), _float_repr(r.threshold),
-                r.verdict,
-            ])
-
-
-def _header_dict(cfg: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "backend": backend(),
-        "q": cfg.q,
-        "tolerances": {"tol": cfg.tol, "tol_quad": cfg.tol_quad},
-        "max_exponent": cfg.max_exponent,
-        "max_terms": cfg.max_terms,
-        "warnings": cfg.warnings(),
-    }
-
-
-def _write_json(path: Path, cfg: RunConfig, rows: Iterable[CheckRow]) -> None:
-    doc = {
-        "header": _header_dict(cfg),
-        "rows": [
-            {
-                "suite": r.suite,
-                "check_id": r.check_id,
-                "paper_anchor": r.paper_anchor,
-                "params": json.loads(r.param_json),
-                "value_re": r.value.real,
-                "value_im": r.value.imag,
-                "deviation": r.deviation,
-                "threshold": r.threshold,
-                "verdict": r.verdict,
-            }
-            for r in rows
-        ],
-    }
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2,
-                               allow_nan=True) + "\n")
+def _row_fields(r: CheckRow) -> dict:
+    """A report row's fields, in the order of :data:`_CSV_COLUMNS`."""
+    return {"suite": r.suite, "check_id": r.check_id,
+            "paper_anchor": r.paper_anchor, "params": r.params,
+            "value_re": r.value.real, "value_im": r.value.imag,
+            "deviation": r.deviation, "threshold": r.threshold,
+            "verdict": r.verdict}
 
 
 def run_suite(cfg: RunConfig) -> int:
@@ -553,7 +542,6 @@ def run_suite(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     summary = []
-    any_fail = False
     for suite in dict.fromkeys(cfg.suites):
         try:
             # Each check runs as soon as it is yielded, before the
@@ -565,36 +553,18 @@ def run_suite(cfg: RunConfig) -> int:
             rows = [CheckRow(suite, "suite_crashed", "Eq4.1",
                              {"error": f"{type(err).__name__}: {err}"},
                              complex("nan"), math.inf, 0.0, "fail")]
-        failures = sum(1 for r in rows if r.verdict != "pass")
-        any_fail = any_fail or failures > 0
-        if cfg.format in ("csv", "both"):
-            _write_csv(out / f"{suite}.csv", rows)
-        if cfg.format in ("json", "both"):
-            _write_json(out / f"{suite}.json", cfg, rows)
-        summary.append((suite, len(rows), failures))
+        _write_table(out, suite, cfg, "rows", _CSV_COLUMNS,
+                     [_row_fields(r) for r in rows])
+        failures = sum(r.verdict != "pass" for r in rows)
+        summary.append({"suite": suite, "checks": len(rows),
+                        "failures": failures,
+                        "verdict": "fail" if failures else "pass"})
+    _write_table(out, "summary", cfg, "suites", _SUMMARY_COLUMNS, summary)
 
-    if cfg.format in ("csv", "both"):
-        with (out / "summary.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["suite", "checks", "failures", "verdict"])
-            for suite, n, f in summary:
-                w.writerow([suite, n, f, "pass" if f == 0 else "fail"])
-    if cfg.format in ("json", "both"):
-        doc = {
-            "header": _header_dict(cfg),
-            "suites": [
-                {"suite": s, "checks": n, "failures": f,
-                 "verdict": "pass" if f == 0 else "fail"}
-                for s, n, f in summary
-            ],
-        }
-        (out / "summary.json").write_text(
-            json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-    for suite, n, f in summary:
-        status = "pass" if f == 0 else "fail"
-        print(f"{suite}: {n - f}/{n} checks passed [{status}]")
-    return 1 if any_fail else 0
+    for s in summary:
+        print(f"{s['suite']}: {s['checks'] - s['failures']}/{s['checks']} "
+              f"checks passed [{s['verdict']}]")
+    return 1 if any(s["failures"] for s in summary) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -305,6 +305,16 @@ def _ratio_pole_guard(base: QBase, lam: complex, depth: int) -> None:
         )
 
 
+def _check_lam(lam: complex) -> None:
+    """Refuse a ``lam`` that is zero or not finite, or whose square or
+    reciprocal square leaves the normal float range."""
+    if lam == 0 or not cmath.isfinite(lam):
+        raise InvalidArgumentError(f"lam must be finite and nonzero, got {lam!r}")
+    if abs(cmath.log(lam).real) >= _LOG_LAM_MAX:  # log|lam|, without overflow
+        raise InvalidArgumentError(
+            f"lam**2 or 1/lam**2 leaves the float range at lam = {lam!r}")
+
+
 def pochhammer_ratio(base: QBase, lam: complex, k: int | float,
                      trunc_K: int = RATIO_TRUNC_K) -> complex:
     """Stable evaluation of ``(q/lam; q^2)_k^2 / (1/lam^2; q^2)_k``.
@@ -328,11 +338,7 @@ def pochhammer_ratio(base: QBase, lam: complex, k: int | float,
     :class:`InvalidArgumentError` for every k.
     """
     q = base.q
-    if lam == 0 or not cmath.isfinite(lam):
-        raise InvalidArgumentError(f"lam must be finite and nonzero, got {lam!r}")
-    if abs(cmath.log(lam).real) >= _LOG_LAM_MAX:  # log|lam|, without overflow
-        raise InvalidArgumentError(
-            f"lam**2 or 1/lam**2 leaves the float range at lam = {lam!r}")
+    _check_lam(lam)
     is_inf = k == math.inf
     if not is_inf:
         if not isinstance(k, int) or k < 1:
@@ -355,10 +361,12 @@ def pochhammer_ratio_naive(base: QBase, lam: complex, k: int) -> complex:
     """Reference quotient of plain finite products (finite k only).
 
     Agrees with :func:`pochhammer_ratio` away from the pole set; used
-    to cross-check the stable grouping.
+    to cross-check the stable grouping.  Refuses the ``lam`` that
+    :func:`pochhammer_ratio` refuses.
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidArgumentError("k must be a positive integer")
+    _check_lam(lam)
     q2 = base.q * base.q
     num = qpoch_finite(base.q / lam, q2, k)
     den = qpoch_finite(1.0 / lam ** 2, q2, k)

@@ -95,12 +95,9 @@ class QBase:
             raise InvalidArgumentError(f"q must lie in (0, 1), got {self.q!r}")
         object.__setattr__(self, "log_q", math.log(self.q))
         q2 = self.q * self.q
-        cutoff = 1e-16 * (1.0 - q2) / 4.0
-        p1, _, _, _ = qpoch_infinite_kernel(complex(q2), q2, cutoff, _MAX_FACTORS)
-        p2, _, _, _ = qpoch_infinite_kernel(complex(-q2), q2, cutoff, _MAX_FACTORS)
-        object.__setattr__(
-            self, "cq", 1.0 / (math.sqrt(2.0) * self.q * p1.real * p2.real)
-        )
+        p1, p2 = (_qpoch_infinite(complex(a), q2, 1e-16).value.real
+                  for a in (q2, -q2))
+        object.__setattr__(self, "cq", 1.0 / (math.sqrt(2.0) * self.q * p1 * p2))
 
     @property
     def period(self) -> float:
@@ -244,6 +241,15 @@ def _finite_modulus(x: complex) -> float:
     return r
 
 
+def _power(base: float, n: int) -> float:
+    """``base**n``, refused with :class:`InvalidArgumentError` past the float
+    range (a power that underflows is returned as it rounds)."""
+    try:
+        return base ** n
+    except OverflowError:
+        raise InvalidArgumentError(f"{base!r}**{n} is past the float range") from None
+
+
 def _near_power(x: complex, base: float, eps: float = EPS_POLE,
                 lo: int | None = None, hi: int | None = None) -> int | None:
     """Return integer j with |x - base**j| <= eps * base**j, else None.
@@ -282,13 +288,14 @@ def qpoch_finite(a: complex, base: BaseLike, k: int) -> complex:
 
     Parameters
     ----------
-    a : complex
+    a : complex, with a finite modulus
     base : QBase or float in (0, 1)
     k : int, >= 0
     """
     b = _base_value(base)
     if k < 0:
         raise InvalidArgumentError("qpoch_finite requires k >= 0; use qpoch_signed")
+    _finite_modulus(a)
     return qpoch_finite_kernel(complex(a), b, int(k))
 
 
@@ -296,13 +303,15 @@ def qpoch_signed(a: complex, base: BaseLike, k: int) -> complex:
     """Pochhammer product ``(a; base)_k`` for any integer k.
 
     Negative indices follow the reciprocal convention
-    ``(a; b)_{-n} = 1 / (a b^{-n}; b)_n``.
+    ``(a; b)_{-n} = 1 / (a b^{-n}; b)_n``; a ``base**k`` past the float
+    range raises :class:`InvalidArgumentError`.
     """
-    b = _base_value(base)
     if k >= 0:
-        return qpoch_finite_kernel(complex(a), b, int(k))
+        return qpoch_finite(a, base, k)
+    b = _base_value(base)
+    _finite_modulus(a)
     n = -int(k)
-    denom = qpoch_finite_kernel(complex(a) * b ** (-n), b, n)
+    denom = qpoch_finite_kernel(complex(a) * _power(b, -n), b, n)
     if denom == 0:
         raise PoleGuardError("reciprocal Pochhammer hit a vanishing factor")
     return 1.0 / denom
@@ -319,8 +328,9 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
 
     At least one factor is always consumed, so ``terms_used >= 1`` even
     for ``a = 0``.  An ``a`` without a finite modulus, a ``tol`` that is
-    not positive (NaN included) and a base outside (0, 1) raise
-    :class:`InvalidArgumentError` on every call.
+    not positive (NaN included) or so small that the cutoff
+    ``tol (1 - base) / 4`` underflows to 0, and a base outside (0, 1)
+    raise :class:`InvalidArgumentError` on every call.
 
     Results are memoised on the exact inputs ``(complex(a), base value,
     float(tol))`` in a least-recently-used cache of 1024 entries, so a
@@ -346,13 +356,10 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     ``+0.0`` whatever the sign of ``f``'s, and the tests check the results.
     """
     cutoff = tol * (1.0 - b) / 4.0
-    az = abs(a)
-    if az <= cutoff:
-        cap = 1
-    else:
-        cap = int(math.ceil((math.log(cutoff) - math.log(az)) / math.log(b))) + 2
-        cap = min(max(cap, 1), _MAX_FACTORS)
-    value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff, cap)
+    if cutoff == 0:  # the kernel would run to _MAX_FACTORS
+        raise InvalidArgumentError(f"tol = {tol!r} underflows the product cutoff")
+    value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff,
+                                                         _MAX_FACTORS)
     if degen:
         return SeriesEval(value, used, 0.0, degenerate=True)
     if not cmath.isfinite(value):  # a factor overflowed
@@ -388,6 +395,9 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     lhs = ``(a base^k; base)_inf (base^{1-k}/a; base)_inf`` and
     rhs = ``(-a)^{-k} base^{-k(k-1)/2} (a; base)_inf (base/a; base)_inf``
     agree identically in exact arithmetic for ``a != 0`` and integer k.
+    A ``k`` at which a power of ``base`` or the rhs scale
+    ``(-a)^{-k} base^{-k(k-1)/2}`` leaves the float range raises
+    :class:`InvalidArgumentError`.
 
     When ``a`` lies inside the guard band around some ``base**j`` both
     sides vanish and the relative residual is meaningless; the pair is
@@ -397,9 +407,16 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     if a == 0:
         raise InvalidArgumentError("theta_pair requires a != 0")
     k = int(k)
-    lhs = qpoch_multi([a * b ** k, b ** (1 - k) / a], b, tol)
-    rhs = ((-a) ** (-k) * b ** (-k * (k - 1) // 2)
-           * qpoch_multi([a, b / a], b, tol)).value
+    try:  # the lattice powers and the rhs scale must be finite
+        shifted = [a * b ** k, b ** (1 - k) / a]
+        scale = (-a) ** (-k) * b ** (-k * (k - 1) // 2)
+    except OverflowError:
+        scale = math.inf
+    if not cmath.isfinite(scale):
+        raise InvalidArgumentError(
+            f"a power of base or the rhs scale is past the float range at k = {k}")
+    lhs = qpoch_multi(shifted, b, tol)
+    rhs = (scale * qpoch_multi([a, b / a], b, tol)).value
     diff = abs(lhs.value - rhs)
     if _near_power(a, b) is not None:
         return ThetaPair(lhs.value, rhs, diff, absolute=True)
@@ -604,8 +621,6 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
       power ``q**(2j)``, j integer: the expression has simple poles
       there (raises :class:`PoleGuardError`).
     """
-    if kappa == 0 or abs(kappa) >= 1.0:
-        raise InvalidArgumentError("phi21_continued needs 0 < |kappa| < 1")
     return _two_term_sum(lam, kappa, base.q, tol / 8.0, max_terms)
 
 
@@ -613,7 +628,11 @@ def _two_term_sum(lam: complex, kappa: complex, q: float, part_tol: float,
                   max_terms: int, cancelled: bool = False) -> SeriesEval:
     """``T(lam) + T(1/lam)`` of :func:`phi21_continued`, each factor to
     ``part_tol``.  ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both
-    denominators; it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3)."""
+    denominators; it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).
+    A ``kappa`` outside ``0 < |kappa| < 1`` (one that underflowed to 0
+    included) raises :class:`InvalidArgumentError`."""
+    if kappa == 0 or abs(kappa) >= 1.0:
+        raise InvalidArgumentError("the two-term continuation needs 0 < |kappa| < 1")
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     q2 = q * q

@@ -21,6 +21,7 @@ from .qcalculus import (
     QBase,
     SeriesEval,
     SeriesEvalBatch,
+    _power,
     _two_term_sum,
     phi21_continued,
     phi21_direct,
@@ -71,7 +72,7 @@ class IqPoint:
         return cls(-1, exponent)
 
     def value(self, base: QBase) -> float:
-        return self.sign * base.q ** self.exponent
+        return self.sign * _power(base.q, self.exponent)
 
     def shifted(self, steps: int) -> "IqPoint":
         """The point with exponent increased by ``steps`` (same sign)."""
@@ -98,12 +99,15 @@ def nu_exponent(k: int) -> int:
 
 
 def structural_maps(p: IqPoint, base: QBase) -> StructuralMaps:
-    """Evaluate value, kappa, chi, nu at ``p`` with exact exponent arithmetic."""
+    """Evaluate value, kappa, chi, nu at ``p`` with exact exponent arithmetic.
+
+    A power of q past the float range raises :class:`InvalidArgumentError`.
+    """
     q = base.q
     k = p.exponent
     return StructuralMaps(
-        value=p.sign * q ** k,
-        kappa=p.sign * q ** (2 * k),
+        value=p.sign * _power(q, k),
+        kappa=p.sign * _power(q, 2 * k),
         chi=k,
         nu=q ** nu_exponent(k),
     )
@@ -180,10 +184,10 @@ def _case3(base: QBase, lam: complex, k: int, tol: float,
     # The bracket first: its lam**2 guard also covers the prefactor's poles.
     bracket = _two_term_sum(lam, -mk, q, part_tol, max_terms, cancelled=True)
     scalar = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2
+    up = _power(q, 3 - 2 * k)
     pref = scalar * qpoch_multi(
-        [mk, q2, q2, -lam * q ** (3 - 2 * k), -q ** (2 * k - 1) / lam],
-        q2, part_tol,
-    ) / qpoch_multi([q ** (2 * k - 1) / lam, lam * q ** (3 - 2 * k)], q2, part_tol)
+        [mk, q2, q2, -lam * up, -q ** (2 * k - 1) / lam], q2, part_tol,
+    ) / qpoch_multi([q ** (2 * k - 1) / lam, lam * up], q2, part_tol)
     return pref * bracket
 
 
@@ -204,7 +208,9 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
 
     The continued cases are refused (:class:`PoleGuardError`) when
     ``lam**2`` sits within the guard band around ``q**(2 Z)``; the
-    convergent case has no such restriction.
+    convergent case has no such restriction.  A continued case whose
+    ``kappa = +-q^{2k}`` underflows to 0 raises
+    :class:`InvalidArgumentError`.
     """
     q = base.q
     lam = zp.lam
@@ -259,7 +265,8 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     For ``e <= 0`` the series argument leaves the unit disc and the
     evaluation routes through the small-parameter continuation
     (:func:`qsu11.qcalculus.phi21_heine`), which needs
-    ``|lam| q^{1+2m} < 1``.
+    ``|lam| q^{1+2m} < 1``.  A power of q past the float range (large
+    ``|L|`` or ``|m|``) raises :class:`InvalidArgumentError`.
     """
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
@@ -269,21 +276,24 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     q2 = q * q
     L = p1.exponent
     e = 2 - 2 * L - 4 * m
-    a = -q ** (1 + 2 * m) / lam
-    b = -lam * q ** (1 + 2 * m)
-    z = -q ** e
+    shift = _power(q, 1 + 2 * m)
+    z = -_power(q, e)
 
     route = phi21_direct if e > 0 else phi21_heine
-    series = route(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
+    series = route(-shift / lam, -lam * shift, q2, q2, z, tol=tol,
+                   max_terms=max_terms)
 
     if form == "simplified":
-        return cmath.sqrt(qpoch_signed(-q ** e, q2, 2 * m)) * series
+        return cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series
 
     part_tol = tol / 16.0
+    # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0 (M = L + 2m):
+    # it cannot overflow.
     scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
         * base.cq ** 2
-    root = qpoch_multi([-q ** (2 * L), -q ** (2 * L + 4 * m)], q2, part_tol)
-    rest = qpoch_multi([q2, q2, -q ** e], q2, part_tol)
+    root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
+                       part_tol)
+    rest = qpoch_multi([q2, q2, z], q2, part_tol)
     return scalar * root.sqrt() * rest * series
 
 

@@ -137,6 +137,103 @@ class TestRunSuite:
         assert out.count("identities:") == 1
 
 
+#: ``format="both"`` runs whose reports are compared, by name: passing
+#: rows, failing rows, and error rows with NaN values (only two suites at
+#: q = 0.9, where smoothing alone takes seconds).
+_BOTH_RUNS = {
+    "defaults": {},
+    "max_terms_3": {"max_terms": 3},
+    "q_0.9": {"q": 0.9, "suites": ("identities", "spherical")},
+}
+
+
+@pytest.fixture(scope="module")
+def both_reports(tmp_path_factory):
+    """Report directory of each run in :data:`_BOTH_RUNS`, by name."""
+    dirs = {}
+    for name, kw in _BOTH_RUNS.items():
+        dirs[name] = tmp_path_factory.mktemp(name)
+        run_suite(RunConfig(out_dir=str(dirs[name]), format="both", **kw))
+    return dirs
+
+
+def _csv_dicts(path):
+    with path.open(newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestReportFormats:
+    """CSV and JSON reports are written from one table and agree."""
+
+    @pytest.mark.parametrize("run, suite", [
+        (run, suite) for run, kw in _BOTH_RUNS.items()
+        for suite in kw.get("suites", SUITES)])
+    def test_csv_rows_equal_json_rows(self, both_reports, run, suite):
+        out = both_reports[run]
+        csv_rows = _csv_dicts(out / f"{suite}.csv")
+        json_rows = json.loads((out / f"{suite}.json").read_text())["rows"]
+        assert len(csv_rows) == len(json_rows) > 0
+        for c, j in zip(csv_rows, json_rows):
+            assert list(c) == list(_CSV_COLUMNS)
+            # Compared as JSON text, so a NaN inside params compares equal.
+            assert json.dumps(json.loads(c.pop("param_json")), sort_keys=True) \
+                == json.dumps(j.pop("params"), sort_keys=True)
+            for key in ("value_re", "value_im", "deviation", "threshold"):
+                assert c.pop(key) == repr(j.pop(key))
+            assert c == j
+
+    def test_failing_and_error_rows_are_covered(self, both_reports):
+        for run, value_re in (("max_terms_3", None), ("q_0.9", "nan")):
+            rows = _csv_dicts(both_reports[run] / "identities.csv")
+            failed = [r for r in rows if r["verdict"] == "fail"]
+            assert failed
+            assert value_re is None or any(r["value_re"] == value_re
+                                           for r in failed)
+
+    @pytest.mark.parametrize("run", _BOTH_RUNS)
+    def test_summary_csv_equals_summary_json(self, both_reports, run):
+        out = both_reports[run]
+        doc = json.loads((out / "summary.json").read_text())
+        assert set(doc) == {"header", "suites"}
+        assert [s["suite"] for s in doc["suites"]] \
+            == list(_BOTH_RUNS[run].get("suites", SUITES))
+        assert _csv_dicts(out / "summary.csv") \
+            == [{k: str(v) for k, v in s.items()} for s in doc["suites"]]
+        for s in doc["suites"]:
+            assert s["verdict"] == ("fail" if s["failures"] else "pass")
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_single_format_writes_only_its_files(self, both_reports, tmp_path,
+                                                 fmt):
+        assert run_suite(RunConfig(out_dir=str(tmp_path), format=fmt)) == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(f"{s}.{fmt}" for s in (*SUITES, "summary"))
+        for name in names:
+            assert (tmp_path / name).read_bytes() \
+                == (both_reports["defaults"] / name).read_bytes()
+
+    def test_crashed_suite_is_reported_in_both_formats(self, tmp_path,
+                                                       monkeypatch, capsys):
+        def crash(cfg, base):
+            raise RuntimeError("builder broke")
+            yield
+
+        monkeypatch.setitem(_SUITE_CHECKS, "approxid", crash)
+        cfg = RunConfig(suites=("approxid",), out_dir=str(tmp_path),
+                        format="both")
+        assert run_suite(cfg) == 1
+        row = _csv_dicts(tmp_path / "approxid.csv")[0]
+        assert (row["check_id"], row["param_json"], row["value_re"]) == (
+            "suite_crashed", '{"error":"RuntimeError: builder broke"}', "nan")
+        doc = json.loads((tmp_path / "approxid.json").read_text())
+        assert doc["rows"][0]["params"] == {"error":
+                                            "RuntimeError: builder broke"}
+        assert _csv_dicts(tmp_path / "summary.csv") == [
+            {"suite": "approxid", "checks": "1", "failures": "1",
+             "verdict": "fail"}]
+        assert "approxid: 0/1 checks passed [fail]" in capsys.readouterr().out
+
+
 @pytest.fixture(scope="module")
 def default_rows():
     """Every suite's rows at the default configuration, in process."""

@@ -279,3 +279,10 @@ class TestPochhammerRatio:
             pochhammer_ratio(B, 0.0, 2)
         with pytest.raises(InvalidArgumentError):
             pochhammer_ratio_naive(B, 0.8, 0)
+
+    @pytest.mark.parametrize("lam", (0.0, 1e200, 1e-200))
+    def test_naive_refuses_what_the_stable_form_refuses(self, lam):
+        # Zero, or a square past the float range: the stable form's checks.
+        for ratio in (pochhammer_ratio, pochhammer_ratio_naive):
+            with pytest.raises(InvalidArgumentError):
+                ratio(B, lam, 2)

@@ -27,6 +27,7 @@ from qsu11 import (
     phi21_direct_batch,
     phi21_heine,
     pochhammer_ratio,
+    pochhammer_ratio_naive,
     qpoch_finite,
     qpoch_infinite,
     qpoch_multi,
@@ -379,11 +380,14 @@ _NON_FINITE_CALLS = {
     "phi21_direct_batch_z": lambda x: phi21_direct_batch(
         np.array([0.2]), np.array([0.3]), 0.7, 0.5, x),
     "qpoch_infinite": lambda x: qpoch_infinite(x, 0.5),
+    "qpoch_finite": lambda x: qpoch_finite(x, 0.5, 3),
+    "qpoch_signed": lambda x: qpoch_signed(x, 0.5, 2),
     "theta_pair": lambda x: theta_pair(x, 2, 0.5),
     "phi21_continued": lambda x: phi21_continued(x, 0.4, B),
     "phi21_heine": lambda x: phi21_heine(0.3, 0.2, 0.7, 0.5, x),
     "pochhammer_ratio_k1": lambda x: pochhammer_ratio(B, x, 1),
     "pochhammer_ratio_k3": lambda x: pochhammer_ratio(B, x, 3),
+    "pochhammer_ratio_naive": lambda x: pochhammer_ratio_naive(B, x, 2),
     "coamen_direct": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(-1)),
     "coamen_heine": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(1)),
     "coamen_raw": lambda x: coamen_coeff(B, 0, x, IqPoint.positive(-1),
@@ -427,6 +431,12 @@ class TestNonFiniteRefusal:
     def test_nan_tol_refused(self, call):
         with pytest.raises(InvalidArgumentError):
             call()
+
+    def test_tol_that_underflows_the_cutoff_refused(self):
+        # tol (1 - base) / 4 rounds to 0: no factor could end the product.
+        with pytest.raises(InvalidArgumentError, match="cutoff"):
+            qpoch_infinite(0.3, 0.5, 1e-323)
+        assert qpoch_infinite(0.3, 0.5, 1e-300).tail_bound < 1e-300
 
     def test_overflowing_product_is_uncertified(self):
         # |a| is finite, but the factors 1 - a base**i overflow to nan:

@@ -15,10 +15,13 @@ from qsu11 import (
     SpectralParam,
     averaged_coamen,
     coamen_coeff,
+    limit_sweep,
     phi21_continued,
     phi21_direct,
+    qpoch_signed,
     spherical_az,
     structural_maps,
+    theta_pair,
 )
 from qsu11.su11core import nu_exponent
 
@@ -322,3 +325,60 @@ class TestAveragedCoamen:
         d1 = abs(averaged_coamen(B, 5, IqPoint.positive(-10), 0, 1.0).value - 1.0)
         d2 = abs(averaged_coamen(B, 10, IqPoint.positive(-20), 0, 1.0).value - 1.0)
         assert d2 < d1
+
+
+_ZP = SpectralParam.from_z(0.9, B)
+
+#: Entries whose powers of q (or of the base) leave the float range.
+_PAST_FLOAT_RANGE = {
+    "theta_pair_b0.3_k-34": lambda: theta_pair(0.7 + 0.2j, -34, 0.3),
+    "theta_pair_b0.3_k45": lambda: theta_pair(0.7 + 0.2j, 45, 0.3),
+    "theta_pair_b0.5_k-45": lambda: theta_pair(0.7 + 0.2j, -45, 0.5),
+    "theta_pair_b0.5_k80": lambda: theta_pair(0.7 + 0.2j, 80, 0.5),
+    "theta_pair_b0.8_k-80": lambda: theta_pair(0.7 + 0.2j, -80, 0.8),
+    # The powers are finite; the rhs scale (-a)^-k b^(-k(k-1)/2) is not.
+    "theta_pair_b0.8_k80_scale": lambda: theta_pair(0.7 + 0.2j, 80, 0.8),
+    "coamen_simplified_L600": lambda: coamen_coeff(
+        B, 0, 1.0 + 0j, IqPoint.positive(600)),
+    "coamen_raw_L600": lambda: coamen_coeff(
+        B, 0, 1.0 + 0j, IqPoint.positive(600), form="raw"),
+    "coamen_simplified_m-600": lambda: coamen_coeff(
+        B, -600, 1.0 + 0j, IqPoint.positive(0)),
+    "coamen_raw_m-600": lambda: coamen_coeff(
+        B, -600, 1.0 + 0j, IqPoint.positive(0), form="raw"),
+    "coamen_raw_L-600": lambda: coamen_coeff(
+        B, 0, 1.0 + 0j, IqPoint.positive(-600), form="raw"),
+    "qpoch_signed": lambda: qpoch_signed(0.3, 0.5, -2000),
+    "point_value": lambda: IqPoint.positive(-2000).value(B),
+    "structural_maps": lambda: structural_maps(IqPoint.positive(-2000), B),
+    # kappa = -q^1200 underflows to -0.0.
+    "spherical_case3_k600": lambda: spherical_az(B, _ZP, IqPoint.negative(600)),
+    "spherical_case2_k600": lambda: spherical_az(B, _ZP, IqPoint.positive(600)),
+}
+
+
+class TestPastFloatRange:
+    """A power of q past the float range is refused with a typed error."""
+
+    @pytest.mark.parametrize("entry", sorted(_PAST_FLOAT_RANGE))
+    def test_refused(self, entry):
+        with pytest.raises(InvalidArgumentError):
+            _PAST_FLOAT_RANGE[entry]()
+
+    def test_coamen_still_evaluates_at_large_finite_powers(self):
+        # L = -600 with m = 0: the simplified form needs no power of q
+        # past the float range, and the series is 1 to double precision.
+        ev = coamen_coeff(B, 0, 1.0 + 0j, IqPoint.positive(-600))
+        assert ev.value == 1.0
+
+    @pytest.mark.parametrize("family, fixed, approach", (
+        ("coamen", {"m": 0}, (2, -600)),
+        ("spherical_case3", {"k": 600}, (0.9,)),
+    ), ids=("coamen", "spherical_case3"))
+    def test_sweep_records_a_failing_row(self, family, fixed, approach):
+        rep = limit_sweep(family, B, fixed, approach, 1.0, 1.0)
+        assert rep.verdict == "fail"
+        assert len(rep.rows) == len(approach)
+        last = rep.rows[-1]
+        assert last.deviation == math.inf and last.note
+        assert all(not r.note for r in rep.rows[:-1])
