@@ -45,6 +45,7 @@ from .su11core import (
     averaged_coamen,
     coamen_coeff,
     spherical_az,
+    spherical_window,
     structural_maps,
 )
 from .limitlab import (
@@ -99,6 +100,7 @@ __all__ = [
     "SpectralParam",
     "structural_maps",
     "spherical_az",
+    "spherical_window",
     "coamen_coeff",
     "averaged_coamen",
     "SweepRow",

@@ -30,6 +30,7 @@ from .limitlab import (
     MONO_SLACK,
     SweepReport,
     SweepRow,
+    _spectrum_window,
     approx_identity_gap,
     limit_sweep,
     pochhammer_ratio,
@@ -375,15 +376,10 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         t = (jmid + 0.5) / 20.0 * half_period
 
         def run(t=t):
-            z = complex(0.0, t)
-            worst = 0.0
-            worst_v = 0.0 + 0.0j
-            for sign, k in ([(1, k) for k in range(-depth, depth + 1)]
-                            + [(-1, k) for k in range(1, depth + 1)]):
-                v = _sph(cfg, base, z, IqPoint(sign, k))
-                if abs(v) > worst:
-                    worst, worst_v = abs(v), v
-            return worst_v, max(0.0, worst - 1.0), 1e-8
+            zp = SpectralParam.from_z(complex(0.0, t), base)
+            worst = max((ev.value for _, ev in
+                         _spectrum_window(base, zp, depth, **budget)), key=abs)
+            return worst, max(0.0, abs(worst) - 1.0), 1e-8
 
         yield Check(f"contract_{jmid:02d}", "Thm6.3",
                     {"t": t, "depth": depth}, run)

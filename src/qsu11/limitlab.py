@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import InvalidArgumentError, PoleGuardError, QSU11Error
-from .qcalculus import EPS_POLE, QBase, _near_power, qpoch_finite
+from .qcalculus import (EPS_POLE, QBase, SeriesEval, _modulus, _near_power,
+                        qpoch_finite)
 from .su11core import (IqPoint, SpectralParam, averaged_coamen, coamen_coeff,
-                       spherical_az)
+                       spherical_az, spherical_window)
 
 __all__ = [
     "MONO_SLACK",
@@ -205,9 +206,45 @@ def limit_sweep(family: str, base: QBase, fixed_params: dict | None,
     return sweep_report(family, rows, threshold, require_monotone)
 
 
+def _window(base: QBase, zp: SpectralParam, sign: int, ks: range, tol: float,
+            max_terms: int = 200) -> list[tuple[IqPoint, SeriesEval]]:
+    """:func:`spherical_window` paired with its points; a coefficient that
+    is not finite raises :class:`InvalidArgumentError`, so no sup can
+    silently drop it."""
+    evs = spherical_window(base, zp, sign, ks, tol=tol, max_terms=max_terms)
+    for k, ev in zip(ks, evs):
+        if not math.isfinite(_modulus(ev.value)):
+            raise InvalidArgumentError(
+                f"a_z at {'+' if sign > 0 else '-'}q^{k} is {ev.value!r}, "
+                f"not finite")
+    return [(IqPoint(sign, k), ev) for k, ev in zip(ks, evs)]
+
+
+def _spectrum_window(base: QBase, zp: SpectralParam, depth: int,
+                    tol: float = 1e-12,
+                    max_terms: int = 200) -> list[tuple[IqPoint, SeriesEval]]:
+    """``(p, a_z(p))`` over the truncated spectrum: ``+q^k`` for k in
+    [-depth, depth], then ``-q^k`` for k in [1, depth].
+
+    Each branch is one :func:`qsu11.su11core.spherical_window`.  A
+    coefficient that is not finite raises :class:`InvalidArgumentError`
+    naming its point, as do a negative ``depth`` and the refusals of the
+    evaluator.
+    """
+    if depth < 0:
+        raise InvalidArgumentError("depth must be >= 0")
+    return (_window(base, zp, 1, range(-depth, depth + 1), tol, max_terms)
+            + _window(base, zp, -1, range(1, depth + 1), tol, max_terms))
+
+
 def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
                     tol: float = 1e-12) -> float:
     """Sup of ``|a_z(q^k) - 1|`` over the outward points k = -max_exponent..0.
+
+    The points are one :func:`qsu11.su11core.spherical_window` (case 1:
+    the direct series' guards once, one kernel sum per k).  A coefficient
+    that is not finite raises :class:`InvalidArgumentError` rather than
+    drop out of the sup.
 
     The coefficient deviations decay geometrically in -k on this range,
     so the sup over the truncated window already equals the sup over
@@ -217,11 +254,8 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     """
     if max_exponent < 0:
         raise InvalidArgumentError("max_exponent must be >= 0")
-    gap = 0.0
-    for k in range(-max_exponent, 1):
-        ev = spherical_az(base, zp, IqPoint.positive(k), tol=tol)
-        gap = max(gap, abs(ev.value - 1.0))
-    return gap
+    return max(abs(ev.value - 1.0) for _, ev in
+               _window(base, zp, 1, range(-max_exponent, 1), tol))
 
 
 @dataclass(frozen=True)
@@ -270,23 +304,22 @@ def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
     """Weighted gap ``sup_p |a_z(p) - 1| |sym(p)|`` over the truncated spectrum.
 
     Samples ``+q^k`` for k in [-max_exponent, max_exponent] and
-    ``-q^k`` for k in [1, max_exponent].  For symbols that decay at
+    ``-q^k`` for k in [1, max_exponent] (:func:`_spectrum_window`: one
+    window evaluation per branch, and a coefficient that is not finite
+    raises :class:`InvalidArgumentError`).  For symbols that decay at
     zero the gap vanishes as z -> 1; for non-decaying symbols it stays
     bounded but need not vanish (the deviation at points near zero does
     not go away, only its weight can kill it).
     """
     if max_exponent < 1:
         raise InvalidArgumentError("max_exponent must be >= 1")
-    unit = 0.0
-    for k in range(-max_exponent, 1):
-        p = IqPoint.positive(k)
-        ev = spherical_az(base, zp, p, tol=tol)
-        unit = max(unit, abs(ev.value - 1.0) * abs(sym.eval(p, base)))
-    decay = 0.0
-    for k in range(1, max_exponent + 1):
-        for p in (IqPoint.positive(k), IqPoint.negative(k)):
-            ev = spherical_az(base, zp, p, tol=tol)
-            decay = max(decay, abs(ev.value - 1.0) * abs(sym.eval(p, base)))
+    unit = decay = 0.0
+    for p, ev in _spectrum_window(base, zp, max_exponent, tol=tol):
+        g = abs(ev.value - 1.0) * abs(sym.eval(p, base))
+        if p.sign > 0 and p.exponent <= 0:
+            unit = max(unit, g)
+        else:
+            decay = max(decay, g)
     return ApproxIdentityGap(max(unit, decay), unit, decay)
 
 

@@ -147,7 +147,12 @@ class SeriesEval:
         """``tail_bound / |value|``; ``inf`` when uncertified or inexactly 0."""
         if self.tail_bound == 0.0:
             return 0.0
-        return self.tail_bound / abs(self.value) if self.value != 0 else math.inf
+        if self.value == 0:
+            return math.inf
+        try:
+            return self.tail_bound / abs(self.value)
+        except OverflowError:  # finite parts, modulus past the float range
+            return math.inf
 
     def __mul__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
@@ -194,7 +199,10 @@ def _compound(ra: float, rb: float) -> float:
 def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
     """Result with relative bound ``rel``; an exact zero is degenerate."""
     # ``rel`` is nan when an uncertified factor met an exact one (0 * inf).
-    tail = abs(value) * rel if rel < math.inf else math.inf
+    try:
+        tail = abs(value) * rel if rel < math.inf else math.inf
+    except OverflowError:  # finite parts, modulus past the float range
+        tail = math.inf
     return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
 
 
@@ -226,6 +234,15 @@ class ThetaPair:
     rhs: complex
     residual: float
     absolute: bool = False
+
+
+def _modulus(x: complex) -> float:
+    """``abs(x)``, or ``inf`` where ``x`` has finite parts whose modulus
+    exceeds the float range (``abs`` raises ``OverflowError`` there)."""
+    try:
+        return abs(x)
+    except OverflowError:
+        return math.inf
 
 
 def _finite_modulus(x: complex) -> float:
@@ -346,6 +363,12 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
     return _qpoch_infinite(complex(a), b, float(tol))
 
 
+def _qpoch(a: complex, b: float, tol: float) -> SeriesEval:
+    """:func:`qpoch_infinite` for a base and tolerance already validated."""
+    _finite_modulus(a)
+    return _qpoch_infinite(complex(a), b, tol)
+
+
 @lru_cache(maxsize=1024)
 def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     """:func:`qpoch_infinite` on validated arguments, before memoisation.
@@ -358,13 +381,19 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     cutoff = tol * (1.0 - b) / 4.0
     if cutoff == 0:  # the kernel would run to _MAX_FACTORS
         raise InvalidArgumentError(f"tol = {tol!r} underflows the product cutoff")
+    # The kernel stops at the first K with |a| b^K < cutoff.
+    if abs(a) * b ** _MAX_FACTORS >= cutoff:
+        raise InvalidArgumentError(
+            f"(a; {b!r})_inf at |a| = {abs(a)!r} needs more than {_MAX_FACTORS} "
+            f"factors to reach tol = {tol!r}")
     value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff,
                                                          _MAX_FACTORS)
     if degen:
         return SeriesEval(value, used, 0.0, degenerate=True)
-    if not cmath.isfinite(value):  # a factor overflowed
+    r = _modulus(value)
+    if not math.isfinite(r):  # a factor overflowed
         return SeriesEval(value, used, math.inf)
-    return SeriesEval(value, used, abs(value) * tail_rel)
+    return SeriesEval(value, used, r * tail_rel)
 
 
 def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> SeriesEval:
@@ -375,18 +404,50 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     :class:`SeriesEval`.
     """
     b = _base_value(base)
-    n = max(len(args), 1)
+    part = tol / max(len(args), 1)
+    return _product([qpoch_infinite(a, b, part) for a in args])
+
+
+def _product(evs: Sequence[SeriesEval]) -> SeriesEval:
+    """The product of factors already evaluated: multiplied in order from
+    1, with the product rule of :class:`SeriesEval`, and a degenerate
+    factor giving an exact 0."""
     value = 1.0 + 0.0j
     used = 0
     rel = 0.0
     degen = False
-    for a in args:
-        ev = qpoch_infinite(a, b, tol / n)
+    for ev in evs:
         used += ev.terms_used
         degen = degen or ev.degenerate
         rel = _compound(rel, ev.rel_bound)
         value *= ev.value
     return _from_rel(0j if degen else value, used, rel)
+
+
+def _qpoch_run(args: Sequence[complex], b: float, tol: float) -> list[SeriesEval]:
+    """``(a; b)_inf`` for each ``a`` of a run in which every argument is
+    the previous one times ``b``, or every one is the previous over ``b``.
+
+    Only the product at the end of the run where ``|a|`` is smallest goes
+    through :func:`qpoch_infinite`; each other element prepends one factor
+    to its neighbour's product, ``(a/b; b)_inf = (1 - a/b) (a; b)_inf``
+    (Gasper and Rahman, *Basic Hypergeometric Series*, sec. 1.2).  Such a
+    product discards exactly the tail its base product discarded, so it
+    carries the base's relative bound.  ``b`` and ``tol`` must be valid
+    (see :func:`qpoch_infinite`); an argument without a finite modulus
+    raises :class:`InvalidArgumentError`.
+    """
+    if len(args) > 1 and _finite_modulus(args[-1]) < _finite_modulus(args[0]):
+        return _qpoch_run(args[::-1], b, tol)[::-1]
+    ev = _qpoch(args[0], b, tol)
+    out = [ev]
+    value, used = ev.value, ev.terms_used
+    for a in args[1:]:
+        _finite_modulus(a)
+        value = (1.0 - a) * value
+        used += 1
+        out.append(_from_rel(value, used, ev.rel_bound))
+    return out
 
 
 def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaPair:
@@ -463,9 +524,18 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       ``max_terms`` is exhausted first, the partial sum is returned with
       ``tail_bound = math.inf`` rather than raising.
     """
+    bb, n_exact = _direct_setup(a, b, c, base, z, tol, max_terms)
+    return _direct_sum(a, b, c, bb, z, n_exact, tol, max_terms)
+
+
+def _direct_setup(a: complex, b: complex, c: complex, base: BaseLike,
+                  z: complex, tol: float, max_terms: int) -> tuple[float, int]:
+    """The guards and snaps of :func:`phi21_direct`: returns the base value
+    and the snapped terminating index (-1 when the series does not
+    terminate), or raises as :func:`phi21_direct` does."""
     bb = _direct_guards(c, z, base, tol, max_terms)
     na = _near_inv_power(a, bb)
-    nb = _near_inv_power(b, bb)
+    nb = na if b == a else _near_inv_power(b, bb)
     if na is not None and nb is not None:
         n_exact = min(na, nb)
     elif na is not None:
@@ -478,6 +548,12 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
             raise DivergentSeriesError(
                 f"non-terminating series at |z| = {abs(z)!r} >= 1"
             )
+    return bb, n_exact
+
+
+def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
+                n_exact: int, tol: float, max_terms: int) -> SeriesEval:
+    """The sum of :func:`phi21_direct` once :func:`_direct_setup` passed."""
     value, used, tail, status = phi21_kernel(
         complex(a), complex(b), complex(c), bb, complex(z),
         n_exact, tol, int(max_terms),
@@ -620,19 +696,38 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     * ``lam**2`` at least ``EPS_POLE`` away (relatively) from every even
       power ``q**(2j)``, j integer: the expression has simple poles
       there (raises :class:`PoleGuardError`).
+    * Every q-Pochhammer product of ``T(u)`` within the float range
+      (raises :class:`InvalidArgumentError` before any series term is
+      summed).
     """
-    return _two_term_sum(lam, kappa, base.q, tol / 8.0, max_terms)
+    return _two_term_sum(lam, [kappa], base.q, tol / 8.0, max_terms)[0]
 
 
-def _two_term_sum(lam: complex, kappa: complex, q: float, part_tol: float,
-                  max_terms: int, cancelled: bool = False) -> SeriesEval:
-    """``T(lam) + T(1/lam)`` of :func:`phi21_continued`, each factor to
-    ``part_tol``.  ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both
-    denominators; it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).
-    A ``kappa`` outside ``0 < |kappa| < 1`` (one that underflowed to 0
-    included) raises :class:`InvalidArgumentError`."""
-    if kappa == 0 or abs(kappa) >= 1.0:
-        raise InvalidArgumentError("the two-term continuation needs 0 < |kappa| < 1")
+def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
+                  part_tol: float, max_terms: int,
+                  cancelled: bool = False) -> list[SeriesEval]:
+    """``T(lam) + T(1/lam)`` of :func:`phi21_continued` at each ``kappa`` of
+    a run ``kappas[i + 1] = kappas[i] q^2``, each factor to ``part_tol``.
+
+    ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both denominators;
+    it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).
+
+    Done once per run: the lam**2 pole guard (:class:`PoleGuardError`);
+    the products ``(q^2; q^2)_inf``, ``(u q; q^2)_inf`` and
+    ``(u^2; q^2)_inf``; per u, the guards and snaps of :func:`phi21_direct`
+    for ``2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``, whose a, b and c do not
+    depend on kappa; and one kernel product per kappa-dependent product
+    (:func:`_qpoch_run`).  Each kappa keeps its own series sum; a run of
+    one kappa is one single-point evaluation.  A ``kappa`` outside
+    ``0 < |kappa| < 1`` (underflowed to 0, or with no finite modulus), and
+    a product of ``T(u)`` (numerator, denominator or quotient) past the
+    float range, raise :class:`InvalidArgumentError`, the latter before
+    any series term is summed.
+    """
+    for kappa in kappas:
+        if kappa == 0 or _finite_modulus(kappa) >= 1.0:
+            raise InvalidArgumentError(
+                "the two-term continuation needs 0 < |kappa| < 1")
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     q2 = q * q
@@ -641,15 +736,48 @@ def _two_term_sum(lam: complex, kappa: complex, q: float, part_tol: float,
         raise PoleGuardError(
             f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
         )
-    total = 0
+    if not (part_tol > 0):
+        raise InvalidArgumentError("tol must be positive")
+    nt, dt = part_tol / 4.0, part_tol / (3.0 if cancelled else 4.0)
+    sq = _qpoch(q2, q2, dt)
+    neg = _qpoch_run([-kappa for kappa in kappas], q2, dt)
+    den_runs = list(zip(neg) if cancelled else zip(
+        _qpoch_run([-q2 / kappa for kappa in kappas], q2, dt), neg))
+    parts = []
     for u in (lam, 1.0 / lam):
-        num = qpoch_multi([u * q, u * q, -q2 * q / (u * kappa), -u * kappa / q],
-                          q2, part_tol)
-        den = qpoch_multi([q2, u * u] + ([] if cancelled else [-q2 / kappa])
-                          + [-kappa], q2, part_tol)
-        total += num / den * phi21_direct(q / u, q / u, q2 / (u * u), q2, -kappa,
-                                          tol=part_tol, max_terms=max_terms)
-    return total
+        uq, uu = _qpoch(u * q, q2, nt), _qpoch(u * u, q2, dt)
+        xs = _qpoch_run([-q2 * q / (u * kappa) for kappa in kappas], q2, nt)
+        ys = _qpoch_run([-u * kappa / q for kappa in kappas], q2, nt)
+        ratios = []
+        for kappa, x, y, dk in zip(kappas, xs, ys, den_runs):
+            n, d = _product((uq, uq, x, y)), _product((sq, uu) + dk)
+            r = n / d
+            if not r.tail_bound < math.inf:
+                _refuse_overflow("kappa", kappa, n, d, r)
+            ratios.append(r)
+        a, c = q / u, q2 / (u * u)
+        _, n_exact = _direct_setup(a, a, c, q2, -kappas[0], part_tol, max_terms)
+        parts.append((ratios, a, c, n_exact))
+    totals = [0] * len(kappas)
+    for ratios, a, c, n_exact in parts:
+        for i, (kappa, r) in enumerate(zip(kappas, ratios)):
+            totals[i] += r * _direct_sum(a, a, c, q2, -kappa, n_exact, part_tol,
+                                         max_terms)
+    return totals
+
+
+def _refuse_overflow(name: str, label: object, *evs: SeriesEval) -> None:
+    """Raise :class:`InvalidArgumentError` when one of the products ``evs``
+    at ``name = label`` is past the float range.
+
+    A product past the float range leaves no finite ``tail_bound`` on any
+    result computed from it, so callers test that bound first.
+    """
+    for ev in evs:
+        if not math.isfinite(_modulus(ev.value)):
+            raise InvalidArgumentError(
+                f"a q-Pochhammer product at {name} = {label!r} is past the "
+                f"float range")
 
 
 def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,

@@ -13,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,13 @@ from .qcalculus import (
     QBase,
     SeriesEval,
     SeriesEvalBatch,
+    _direct_setup,
+    _direct_sum,
     _power,
+    _product,
+    _qpoch,
+    _qpoch_run,
+    _refuse_overflow,
     _two_term_sum,
     phi21_continued,
     phi21_direct,
@@ -37,6 +44,7 @@ __all__ = [
     "SpectralParam",
     "structural_maps",
     "spherical_az",
+    "spherical_window",
     "coamen_coeff",
     "averaged_coamen",
 ]
@@ -153,9 +161,10 @@ def _lam_batch(z: np.ndarray, base: QBase) -> np.ndarray:
     return np.exp(z * base.log_q)
 
 
-def _case3(base: QBase, lam: complex, k: int, tol: float,
-           max_terms: int) -> SeriesEval:
-    """Coefficient at the negative point -q^k (k >= 1).
+def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
+           max_terms: int) -> list[SeriesEval]:
+    """Coefficients at the negative points -q^k for a run of consecutive
+    exponents ``ks`` (all >= 1).
 
     The printed closed form is a 0 * inf expression: an overall factor
     vanishes while the same product sits in both bracket denominators:
@@ -176,19 +185,35 @@ def _case3(base: QBase, lam: complex, k: int, tol: float,
 
     and T2 = T1 with lam -> 1/lam.  The overall sign is +: the source
     display carries a minus sign that its own limit value contradicts.
+    The brackets are one two-term sum over the run of kappas, and each
+    k-dependent product of the prefactor comes from one kernel product
+    (:func:`qsu11.qcalculus._qpoch_run`).
     """
     q = base.q
     q2 = q * q
     part_tol = tol / 16.0
-    mk = q ** (2 * k)
-    # The bracket first: its lam**2 guard also covers the prefactor's poles.
-    bracket = _two_term_sum(lam, -mk, q, part_tol, max_terms, cancelled=True)
-    scalar = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2
-    up = _power(q, 3 - 2 * k)
-    pref = scalar * qpoch_multi(
-        [mk, q2, q2, -lam * up, -q ** (2 * k - 1) / lam], q2, part_tol,
-    ) / qpoch_multi([q ** (2 * k - 1) / lam, lam * up], q2, part_tol)
-    return pref * bracket
+    mks = [q ** (2 * k) for k in ks]
+    # The bracket first: its lam**2 guard also covers the prefactor's poles,
+    # and its products overflow no later than the prefactor's.
+    brackets = _two_term_sum(lam, [-mk for mk in mks], q, part_tol, max_terms,
+                             cancelled=True)
+    ups = [_power(q, 3 - 2 * k) for k in ks]
+    downs = [q ** (2 * k - 1) for k in ks]
+    nt, dt = part_tol / 5.0, part_tol / 2.0
+    sq = _qpoch(q2, q2, nt)
+    out = []
+    for k, bracket, m, x, y, d1, d2 in zip(
+            ks, brackets, _qpoch_run(mks, q2, nt),
+            _qpoch_run([-lam * up for up in ups], q2, nt),
+            _qpoch_run([-d / lam for d in downs], q2, nt),
+            _qpoch_run([d / lam for d in downs], q2, dt),
+            _qpoch_run([lam * up for up in ups], q2, dt)):
+        n, d = _product((m, sq, sq, x, y)), _product((d1, d2))
+        pref = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2 * n / d
+        if not pref.tail_bound < math.inf:
+            _refuse_overflow("k", k, n, d, pref)
+        out.append(pref * bracket)
+    return out
 
 
 def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
@@ -209,21 +234,76 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     The continued cases are refused (:class:`PoleGuardError`) when
     ``lam**2`` sits within the guard band around ``q**(2 Z)``; the
     convergent case has no such restriction.  A continued case whose
-    ``kappa = +-q^{2k}`` underflows to 0 raises
-    :class:`InvalidArgumentError`.
+    ``kappa = +-q^{2k}`` underflows to 0, or whose q-Pochhammer products
+    overflow (at q = 0.5 and z = 0.9 from k = 33 on), raises
+    :class:`InvalidArgumentError`.  This is the one-exponent window
+    (:func:`spherical_window`), which evaluates many exponents at one
+    ``zp``.
     """
-    q = base.q
-    lam = zp.lam
+    return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
+                         max_terms)[0]
+
+
+def spherical_window(base: QBase, zp: SpectralParam, sign: int,
+                     ks: Sequence[int], tol: float = 1e-12,
+                     max_terms: int = 200) -> list[SeriesEval]:
+    """``spherical_az(base, zp, IqPoint(sign, k), tol, max_terms)`` for each
+    k of ``ks``, consecutive ascending exponents, in that order.
+
+    Work that does not depend on k is done once.  Case 1 (``sign = +1``,
+    k <= 0) checks its direct series' guards and snaps once, then sums
+    the kernel per k.  Cases 2 and 3 are one two-term sum over the run
+    ``kappa = +-q^{2k}`` (:func:`qsu11.qcalculus._two_term_sum`): one
+    lam**2 pole guard, the lam-dependent products once, and each
+    k-dependent product from one kernel product at the end of the window
+    where its argument is smallest, with one factor prepended per step;
+    each k keeps its own series sum.
+
+    A one-exponent window is :func:`spherical_az`.  In a longer one the
+    prepended products round differently: a value differs from the
+    pointwise one by at most the two tail bounds plus a few ulp, and
+    each ``tail_bound`` still bounds the truncation (not the rounding,
+    as everywhere).  A refusal of :func:`spherical_az` at any k refuses
+    the whole window; an empty ``ks`` gives ``[]``, and exponents that
+    are not consecutive and ascending, or a negative window reaching
+    k < 1, raise :class:`InvalidArgumentError`.
+    """
+    ks = list(ks)
+    if not ks:
+        return []
+    if ks != list(range(ks[0], ks[0] + len(ks))):
+        raise InvalidArgumentError("ks must be consecutive ascending exponents")
+    IqPoint(sign, ks[0])  # validates sign and the negative branch
+    return _coefficients(base, zp.lam, sign, ks, tol, max_terms)
+
+
+def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
+                  tol: float, max_terms: int) -> list[SeriesEval]:
+    """The case dispatch of :func:`spherical_az` over a run of valid
+    consecutive ascending exponents ``ks`` of one sign."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
-    k = p0.exponent
-    if p0.sign > 0 and k <= 0:
-        return phi21_direct(q / lam, lam * q, q * q, q * q,
-                            -q ** (2 - 2 * k), tol=tol, max_terms=max_terms)
-    if p0.sign > 0:
-        return phi21_continued(lam, q ** (2 * k), base,
-                               tol=tol, max_terms=max_terms)
-    return _case3(base, lam, k, tol, max_terms)
+    if sign < 0:
+        return _case3(base, lam, ks, tol, max_terms)
+    q = base.q
+    n1 = max(0, min(len(ks), 1 - ks[0]))  # the exponents k <= 0: case 1
+    out = []
+    if n1:
+        a, b, c = q / lam, lam * q, q * q
+        bb, n_exact = _direct_setup(a, b, c, c, -q ** (2 - 2 * ks[n1 - 1]), tol,
+                                    max_terms)
+        for k in ks[:n1]:
+            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, tol,
+                                   max_terms))
+    # One point goes through the public entry, the same sum at one kappa,
+    # so traced runs count single case-2 points under phi21_continued.
+    if len(ks) == n1 + 1:
+        out.append(phi21_continued(lam, q ** (2 * ks[n1]), base, tol=tol,
+                                   max_terms=max_terms))
+    elif len(ks) > n1:
+        out += _two_term_sum(lam, [q ** (2 * k) for k in ks[n1:]], q, tol / 8.0,
+                             max_terms)
+    return out
 
 
 def _case1_batch(base: QBase, lam: np.ndarray, k: int, tol: float = 1e-12,

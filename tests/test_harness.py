@@ -2,10 +2,12 @@
 
 import csv
 import json
+import math
+import sys
 
 import pytest
 
-from qsu11 import harness, qcalculus
+from qsu11 import harness, limitlab, qcalculus
 from qsu11.errors import PoleGuardError
 from qsu11.harness import (
     _CSV_COLUMNS,
@@ -19,7 +21,8 @@ from qsu11.harness import (
     run_suite,
 )
 from qsu11.limitlab import SweepRow, sweep_report
-from qsu11.qcalculus import QBase
+from qsu11.qcalculus import QBase, SeriesEval
+from qsu11.su11core import SpectralParam, spherical_az
 
 
 class TestRunConfig:
@@ -325,6 +328,53 @@ class TestCheckRunner:
         assert "unifgap_monotone" not in by_id
         assert by_id["unifgap_window"].verdict == "pass"
         assert len(rows) == 116
+
+
+class TestContractRows:
+    """The ``contract_*`` rows take the sup of |a_z| over the truncated
+    spectrum at z = i t from :func:`qsu11.limitlab._spectrum_window`."""
+
+    @staticmethod
+    def _contract_checks(cfg):
+        return [c for c in harness._spherical_checks(cfg, QBase(cfg.q))
+                if c.check_id.startswith("contract_")]
+
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_sup_matches_a_pointwise_loop(self, q):
+        cfg = RunConfig(q=q)
+        base = QBase(q)
+        depth = min(cfg.max_exponent, 12)
+        budget = {"tol": cfg.series_tol, "max_terms": cfg.max_terms}
+        checks = self._contract_checks(cfg)
+        assert len(checks) == 20
+        for check in checks:
+            zp = SpectralParam.from_z(complex(0.0, check.params["t"]), base)
+            value, deviation, threshold = check.run()
+            pairs = [(win, spherical_az(base, zp, p, **budget)) for p, win
+                     in limitlab._spectrum_window(base, zp, depth, **budget)]
+            worst = max(abs(one.value) for _, one in pairs)
+            # Sups of moduli that differ pointwise by at most the two tail
+            # bounds plus 64 eps, relative.
+            slack = max(win.tail_bound + one.tail_bound
+                        + 64 * sys.float_info.epsilon * abs(win.value)
+                        for win, one in pairs)
+            assert abs(abs(value) - worst) <= slack, check.check_id
+            assert deviation == max(0.0, abs(value) - 1.0)
+            assert threshold == 1e-8
+
+    def test_nan_coefficient_fails_the_row_with_a_reason(self, monkeypatch):
+        real = limitlab.spherical_window
+
+        def window(*args, **kw):
+            evs = real(*args, **kw)
+            evs[-1] = SeriesEval(complex("nan"), 1, math.inf)
+            return evs
+
+        monkeypatch.setattr(limitlab, "spherical_window", window)
+        for check in self._contract_checks(RunConfig()):
+            row = _run_check("spherical", check)
+            assert row.verdict == "fail"
+            assert "not finite" in row.params["error"]
 
 
 class TestCli:

@@ -1,12 +1,14 @@
 """Unit tests for sweeps, uniform gaps, symbols, and the stable ratio."""
 
 import math
+import sys
 
 import pytest
 
 from qsu11 import (
     SWEEP_FAMILIES,
     InvalidArgumentError,
+    SeriesEval,
     IqPoint,
     PoleGuardError,
     QBase,
@@ -21,9 +23,31 @@ from qsu11 import (
     symbol_constant,
     uniform_sup_gap,
 )
-from qsu11.limitlab import MONO_SLACK, SweepRow, sweep_report
+from qsu11 import limitlab
+from qsu11.limitlab import MONO_SLACK, SweepRow, _spectrum_window, sweep_report
 
 B = QBase(0.5)
+
+#: Window-versus-point allowance: both tail bounds plus 64 eps relative.
+WINDOW_RTOL = 64 * sys.float_info.epsilon
+
+
+def _spectrum_points(depth):
+    return ([IqPoint.positive(k) for k in range(-depth, depth + 1)]
+            + [IqPoint.negative(k) for k in range(1, depth + 1)])
+
+
+def _nan_at(index):
+    """A ``spherical_window`` whose element ``index`` of every window is NaN."""
+    real = limitlab.spherical_window
+
+    def window(*args, **kw):
+        evs = real(*args, **kw)
+        if len(evs) > index:
+            evs[index] = SeriesEval(complex("nan"), 1, math.inf)
+        return evs
+
+    return window
 
 
 class TestLimitSweep:
@@ -183,6 +207,20 @@ class TestUniformSupGap:
         with pytest.raises(InvalidArgumentError):
             uniform_sup_gap(B, SpectralParam.from_z(0.9, B), -1)
 
+    def test_equals_the_pointwise_sup(self):
+        # Case 1 in a window is one kernel sum per k, as pointwise.
+        for z in (0.9, 0.99, 0.3 + 1.7j):
+            zp = SpectralParam.from_z(z, B)
+            assert uniform_sup_gap(B, zp, 24) == max(
+                abs(spherical_az(B, zp, IqPoint.positive(k)).value - 1.0)
+                for k in range(-24, 1))
+
+    @pytest.mark.parametrize("index", (0, 7, 24))
+    def test_nan_coefficient_fails_the_gap(self, index, monkeypatch):
+        monkeypatch.setattr(limitlab, "spherical_window", _nan_at(index))
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            uniform_sup_gap(B, SpectralParam.from_z(0.9, B), 24)
+
 
 class TestSymbols:
     def test_clip_abs_profile(self):
@@ -235,6 +273,61 @@ class TestApproxIdentityGap:
         with pytest.raises(InvalidArgumentError):
             approx_identity_gap(B, SpectralParam.from_z(0.9, B),
                                 symbol_clip_abs(), 0)
+
+    @pytest.mark.parametrize("sym", (symbol_clip_abs(), symbol_constant(1.0)),
+                             ids=("clip_abs", "constant"))
+    def test_matches_a_pointwise_loop(self, sym):
+        for z in (0.9, 0.99, 0.999, 0.4 + 2.1j):
+            zp = SpectralParam.from_z(z, B)
+            g = approx_identity_gap(B, zp, sym, 24)
+            unit = decay = 0.0
+            unit_tol = decay_tol = 0.0
+            for p, win in _spectrum_window(B, zp, 24):
+                ev = spherical_az(B, zp, p)
+                w = abs(sym.eval(p, B))
+                gap = abs(ev.value - 1.0) * w
+                # the window's value is within this of ev.value
+                tol = (win.tail_bound + ev.tail_bound
+                       + WINDOW_RTOL * abs(ev.value)) * w
+                if p.sign > 0 and p.exponent <= 0:
+                    unit, unit_tol = max(unit, gap), max(unit_tol, tol)
+                else:
+                    decay, decay_tol = max(decay, gap), max(decay_tol, tol)
+            assert g.unit_region == unit
+            assert abs(g.decay_region - decay) <= decay_tol, z
+            assert g.gap == max(g.unit_region, g.decay_region)
+
+    @pytest.mark.parametrize("index", (0, 12, 30))
+    def test_nan_coefficient_fails_the_gap(self, index, monkeypatch):
+        # max(decay, nan) keeps decay: a NaN must not drop out of the sup.
+        monkeypatch.setattr(limitlab, "spherical_window", _nan_at(index))
+        with pytest.raises(InvalidArgumentError, match="not finite"):
+            approx_identity_gap(B, SpectralParam.from_z(0.9, B),
+                                symbol_constant(1.0), 24)
+
+    def test_depth_past_the_float_range_fails(self):
+        # From k = 33 the two-term products overflow at z = 0.9; the gap
+        # used to come back as the depth-32 value.
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            approx_identity_gap(B, SpectralParam.from_z(0.9, B),
+                                symbol_constant(1.0), 40)
+
+
+class TestSpectrumWindow:
+    def test_points_and_values(self):
+        zp = SpectralParam.from_z(0.95 + 0.3j, B)
+        pts = _spectrum_window(B, zp, 6)
+        assert [p for p, _ in pts] == _spectrum_points(6)
+        for p, ev in pts:
+            one = spherical_az(B, zp, p)
+            assert abs(ev.value - one.value) <= ev.tail_bound + one.tail_bound \
+                + WINDOW_RTOL * abs(ev.value)
+
+    def test_depth_zero_and_negative(self):
+        zp = SpectralParam.from_z(0.5, B)
+        assert [p for p, _ in _spectrum_window(B, zp, 0)] == [IqPoint.positive(0)]
+        with pytest.raises(InvalidArgumentError):
+            _spectrum_window(B, zp, -1)
 
 
 class TestPochhammerRatio:

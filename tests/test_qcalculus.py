@@ -143,6 +143,16 @@ class TestQpochInfinite:
         with pytest.raises(InvalidArgumentError):
             qpoch_infinite(0.5, 0.5, 0.0)
 
+    def test_more_factors_than_the_cap_refused_up_front(self):
+        # |a| b^K reaches the cutoff only after about 2.6e7 factors; the
+        # cap is 2e6.  Before, all 2e6 factors ran and math.exp overflowed.
+        with pytest.raises(InvalidArgumentError, match="factors"):
+            qpoch_infinite(1e100, 0.99999)
+        # About 3.8e5 factors: under the cap, so it evaluates.
+        ev = qpoch_infinite(0.5, 0.9999)
+        assert 0 < ev.terms_used <= qcalculus._MAX_FACTORS
+        assert math.isfinite(ev.tail_bound)
+
 
 class TestQpochMulti:
     def test_matches_individual_product(self):
@@ -307,7 +317,7 @@ class TestPhi21Continued:
             with pytest.raises(PoleGuardError):
                 phi21_continued(lam, 0.4, B)
 
-    @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.3])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0, -1.3, complex(1.5e308, 1.5e308)])
     def test_kappa_domain(self, kappa):
         with pytest.raises(InvalidArgumentError):
             phi21_continued(cmath.exp(0.3j), kappa, B)

@@ -18,8 +18,10 @@ from qsu11 import (
     limit_sweep,
     phi21_continued,
     phi21_direct,
+    qcalculus,
     qpoch_signed,
     spherical_az,
+    spherical_window,
     structural_maps,
     theta_pair,
 )
@@ -244,6 +246,103 @@ class TestContinuedCasesOracle:
                 ref = reference(mp, mp.mpf(q), mp.mpc(zp.lam), k)
                 assert abs(mp.mpc(ev.value) - ref) \
                     <= ev.tail_bound + ORACLE_RTOL * abs(ev.value), (z, k)
+
+    @pytest.mark.parametrize("sign, reference", (
+        (1, _case2_reference), (-1, _case3_reference)), ids=("case2", "case3"))
+    @pytest.mark.parametrize("q", (0.5, 0.41))
+    def test_window_error_within_the_certificate(self, q, sign, reference):
+        # Every product but the one at the window's small-|a| end is built
+        # by prepending factors; its certificate must still hold.
+        mp = pytest.importorskip("mpmath").mp
+        base = QBase(q)
+        ks = range(1, 11)
+        with mp.workdps(40):
+            for z, _ in _oracle_points(base, 3, seed=8):
+                zp = SpectralParam.from_z(z, base)
+                for k, ev in zip(ks, spherical_window(base, zp, sign, ks)):
+                    ref = reference(mp, mp.mpf(q), mp.mpc(zp.lam), k)
+                    assert abs(mp.mpc(ev.value) - ref) \
+                        <= ev.tail_bound + ORACLE_RTOL * abs(ev.value), (z, k)
+
+
+#: Parity allowance between a window and single points: the two tail
+#: bounds plus the rounding of the prepended product factors.
+WINDOW_RTOL = 64 * sys.float_info.epsilon
+
+
+class TestSphericalWindow:
+    @pytest.mark.parametrize("sign, ks", ((1, range(1, 25)), (-1, range(1, 25)),
+                                          (1, range(-24, 1))),
+                             ids=("case2", "case3", "case1"))
+    @pytest.mark.parametrize("q", (0.5, 0.41, 0.56))
+    def test_matches_single_points(self, q, sign, ks):
+        base = QBase(q)
+        for z, _ in _oracle_points(base, 8, seed=9):
+            zp = SpectralParam.from_z(z, base)
+            window = spherical_window(base, zp, sign, ks)
+            assert len(window) == len(ks)
+            for k, ev in zip(ks, window):
+                one, = spherical_window(base, zp, sign, [k])
+                assert abs(ev.value - one.value) <= ev.tail_bound \
+                    + one.tail_bound + WINDOW_RTOL * abs(ev.value), (z, k)
+                if sign > 0 and k <= 0:  # one kernel sum per k, as before
+                    assert repr(ev) == repr(one)
+
+    @pytest.mark.parametrize("p", [IqPoint.positive(-4), IqPoint.positive(0),
+                                   IqPoint.positive(5), IqPoint.negative(1),
+                                   IqPoint.negative(7)])
+    def test_one_point_is_spherical_az(self, p):
+        for z in (0.35, 0.9 + 1.3j, -1.2 - 0.4j):
+            zp = SpectralParam.from_z(z, B)
+            one, = spherical_window(B, zp, p.sign, [p.exponent])
+            assert repr(one) == repr(spherical_az(B, zp, p))
+
+    def test_spans_case1_and_case2(self):
+        zp = SpectralParam.from_z(0.7 + 0.2j, B)
+        both = spherical_window(B, zp, 1, range(-3, 4))
+        assert [repr(e) for e in both[:4]] \
+            == [repr(e) for e in spherical_window(B, zp, 1, range(-3, 1))]
+        assert [repr(e) for e in both[4:]] \
+            == [repr(e) for e in spherical_window(B, zp, 1, range(1, 4))]
+
+    def test_empty_window(self):
+        assert spherical_window(B, SpectralParam.from_z(0.5, B), -1, []) == []
+
+    @pytest.mark.parametrize("sign, ks", ((1, [1, 3]), (1, [2, 1]), (-1, [0, 1]),
+                                          (2, [1]), (0, [1])))
+    def test_bad_windows_refused(self, sign, ks):
+        with pytest.raises(InvalidArgumentError):
+            spherical_window(B, SpectralParam.from_z(0.5, B), sign, ks)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_pole_guard_refuses_the_window(self, sign):
+        with pytest.raises(PoleGuardError, match="continuation is singular"):
+            spherical_window(B, SpectralParam.from_z(1.0, B), sign, range(1, 5))
+
+
+class TestOverflowingProducts:
+    """At q = 0.5 and z = 0.9 the products of the two-term form leave the
+    float range from k = 33 on (they returned nan+nanj after 400 to 2,300
+    series terms); such a point is refused before any term is summed."""
+
+    ZP = SpectralParam.from_z(0.9, B)
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_last_finite_exponent(self, sign):
+        ev = spherical_az(B, self.ZP, IqPoint(sign, 32))
+        assert cmath.isfinite(ev.value) and math.isfinite(ev.tail_bound)
+
+    @pytest.mark.parametrize("k", (33, 34, 100, 500))
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_refused_before_any_series_term(self, sign, k, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            spherical_az(B, self.ZP, IqPoint(sign, k))
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            spherical_window(B, self.ZP, sign, range(20, k + 1))
 
 
 class TestCoamenCoeff:
