@@ -166,10 +166,9 @@ class SeriesEval:
             return NotImplemented
         if other.degenerate or other.value == 0:
             raise PoleGuardError("division by a series value that vanished")
-        ra, rb = self.rel_bound, other.rel_bound
         return _from_rel(self.value / other.value,
                          self.terms_used + other.terms_used,
-                         (ra + rb) / (1.0 - rb) if rb < 1.0 else math.inf)
+                         _quotient_rel(self.rel_bound, other.rel_bound))
 
     def __add__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
@@ -194,6 +193,21 @@ class SeriesEval:
 def _compound(ra: float, rb: float) -> float:
     """Relative bound of a product whose factors have relative bounds ra, rb."""
     return ra + rb + ra * rb
+
+
+def _compound_all(rels: Sequence[float]) -> float:
+    """Relative bound of a product of factors with relative bounds ``rels``,
+    compounded in order from 0."""
+    rel = 0.0
+    for r in rels:
+        rel = _compound(rel, r)
+    return rel
+
+
+def _quotient_rel(ra: float, rb: float) -> float:
+    """Relative bound of a quotient whose numerator and denominator have
+    relative bounds ra, rb (``inf`` once ``rb >= 1``)."""
+    return (ra + rb) / (1.0 - rb) if rb < 1.0 else math.inf
 
 
 def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
@@ -405,18 +419,11 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     """
     b = _base_value(base)
     part = tol / max(len(args), 1)
-    return _product([qpoch_infinite(a, b, part) for a in args])
-
-
-def _product(evs: Sequence[SeriesEval]) -> SeriesEval:
-    """The product of factors already evaluated: multiplied in order from
-    1, with the product rule of :class:`SeriesEval`, and a degenerate
-    factor giving an exact 0."""
     value = 1.0 + 0.0j
     used = 0
     rel = 0.0
     degen = False
-    for ev in evs:
+    for ev in [qpoch_infinite(a, b, part) for a in args]:
         used += ev.terms_used
         degen = degen or ev.degenerate
         rel = _compound(rel, ev.rel_bound)
@@ -424,30 +431,70 @@ def _product(evs: Sequence[SeriesEval]) -> SeriesEval:
     return _from_rel(0j if degen else value, used, rel)
 
 
-def _qpoch_run(args: Sequence[complex], b: float, tol: float) -> list[SeriesEval]:
+def _product(values: Sequence[complex]) -> complex:
+    """The product of factor values, multiplied in order from ``1.0+0.0j``;
+    exactly 0 when a factor vanishes (a degenerate factor), whatever the
+    others are."""
+    value = 1.0 + 0.0j
+    for v in values:
+        value *= v
+    return 0j if 0 in values else value
+
+
+def _qpoch_run(args: Sequence[complex], b: float,
+               tol: float) -> tuple[list[complex], list[int], float]:
     """``(a; b)_inf`` for each ``a`` of a run in which every argument is
     the previous one times ``b``, or every one is the previous over ``b``.
 
-    Only the product at the end of the run where ``|a|`` is smallest goes
-    through :func:`qpoch_infinite`; each other element prepends one factor
-    to its neighbour's product, ``(a/b; b)_inf = (1 - a/b) (a; b)_inf``
-    (Gasper and Rahman, *Basic Hypergeometric Series*, sec. 1.2).  Such a
-    product discards exactly the tail its base product discarded, so it
-    carries the base's relative bound.  ``b`` and ``tol`` must be valid
-    (see :func:`qpoch_infinite`); an argument without a finite modulus
-    raises :class:`InvalidArgumentError`.
+    Returns the values, the factor count of each (its ``terms_used``) and
+    one relative bound that holds for every element.  Only the product at
+    the end of the run where ``|a|`` is smallest goes through
+    :func:`qpoch_infinite`; each other element prepends one factor to its
+    neighbour's product, ``(a/b; b)_inf = (1 - a/b) (a; b)_inf`` (Gasper
+    and Rahman, *Basic Hypergeometric Series*, sec. 1.2).  Such a product
+    discards exactly the tail its base product discarded, so the base's
+    relative bound is the run's.  An element with a vanishing factor is
+    0, and so is every element farther from the base.  ``b`` and ``tol``
+    must be valid (see :func:`qpoch_infinite`); an argument without a
+    finite modulus raises :class:`InvalidArgumentError`.
     """
     if len(args) > 1 and _finite_modulus(args[-1]) < _finite_modulus(args[0]):
-        return _qpoch_run(args[::-1], b, tol)[::-1]
+        values, counts, rel = _qpoch_run(args[::-1], b, tol)
+        return values[::-1], counts[::-1], rel
     ev = _qpoch(args[0], b, tol)
-    out = [ev]
     value, used = ev.value, ev.terms_used
+    values, counts = [value], [used]
     for a in args[1:]:
         _finite_modulus(a)
         value = (1.0 - a) * value
         used += 1
-        out.append(_from_rel(value, used, ev.rel_bound))
-    return out
+        values.append(value)
+        counts.append(used)
+    return values, counts, ev.rel_bound
+
+
+def _ratio(n: complex, d: complex, used: int, rel: float, name: str,
+           label: object, scale: float | None = None) -> SeriesEval:
+    """``[scale *] n / d`` for product values n and d (formed by
+    :func:`_product`), with ``terms_used = used`` and relative bound
+    ``rel``.
+
+    A vanishing ``d`` raises :class:`PoleGuardError`, as a
+    :class:`SeriesEval` quotient does; ``n``, ``d`` or the quotient past the
+    float range raises :class:`InvalidArgumentError` naming
+    ``name = label`` (:func:`_refuse_overflow`).
+    """
+    if d == 0:
+        raise PoleGuardError("division by a series value that vanished")
+    r = _from_rel((n if scale is None else scale * n) / d, used, rel)
+    try:  # abs raises OverflowError on finite parts past the float range
+        in_range = r.tail_bound < math.inf and abs(n) < math.inf \
+            and abs(d) < math.inf
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        _refuse_overflow(name, label, n, d, r.value)
+    return r
 
 
 def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaPair:
@@ -471,7 +518,7 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     try:  # the lattice powers and the rhs scale must be finite
         shifted = [a * b ** k, b ** (1 - k) / a]
         scale = (-a) ** (-k) * b ** (-k * (k - 1) // 2)
-    except OverflowError:
+    except (OverflowError, ZeroDivisionError):  # (-a)**(-k) at a tiny a
         scale = math.inf
     if not cmath.isfinite(scale):
         raise InvalidArgumentError(
@@ -716,13 +763,17 @@ def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
     the products ``(q^2; q^2)_inf``, ``(u q; q^2)_inf`` and
     ``(u^2; q^2)_inf``; per u, the guards and snaps of :func:`phi21_direct`
     for ``2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``, whose a, b and c do not
-    depend on kappa; and one kernel product per kappa-dependent product
-    (:func:`_qpoch_run`).  Each kappa keeps its own series sum; a run of
-    one kappa is one single-point evaluation.  A ``kappa`` outside
-    ``0 < |kappa| < 1`` (underflowed to 0, or with no finite modulus), and
-    a product of ``T(u)`` (numerator, denominator or quotient) past the
-    float range, raise :class:`InvalidArgumentError`, the latter before
-    any series term is summed.
+    depend on kappa; one kernel product per kappa-dependent product
+    (:func:`_qpoch_run`); and, per u, the relative bound of the ratio in
+    ``T(u)``, which does not depend on kappa either.  Per kappa and u, the
+    ratio's numerator and denominator are plain complex products and the
+    ratio is one :class:`SeriesEval` (:func:`_ratio`).  Each kappa keeps
+    its own series sum; a run of one kappa is one single-point
+    evaluation.  A ``kappa`` outside ``0 < |kappa| < 1`` (underflowed to
+    0, or with no finite modulus), and a product of ``T(u)`` (numerator,
+    denominator or quotient) past the float range, raise
+    :class:`InvalidArgumentError`, the latter before any series term is
+    summed.
     """
     for kappa in kappas:
         if kappa == 0 or _finite_modulus(kappa) >= 1.0:
@@ -741,20 +792,31 @@ def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
     nt, dt = part_tol / 4.0, part_tol / (3.0 if cancelled else 4.0)
     sq = _qpoch(q2, q2, dt)
     neg = _qpoch_run([-kappa for kappa in kappas], q2, dt)
-    den_runs = list(zip(neg) if cancelled else zip(
-        _qpoch_run([-q2 / kappa for kappa in kappas], q2, dt), neg))
+    den_runs = [neg] if cancelled else [
+        _qpoch_run([-q2 / kappa for kappa in kappas], q2, dt), neg]
+    # The kappa-dependent denominator factors at each kappa, their counts
+    # and their relative bounds.
+    values, counts, den_rels = zip(*den_runs)
+    den_values = list(zip(*values))
+    den_counts = list(map(sum, zip(*counts)))
     parts = []
     for u in (lam, 1.0 / lam):
         uq, uu = _qpoch(u * q, q2, nt), _qpoch(u * u, q2, dt)
-        xs = _qpoch_run([-q2 * q / (u * kappa) for kappa in kappas], q2, nt)
-        ys = _qpoch_run([-u * kappa / q for kappa in kappas], q2, nt)
-        ratios = []
-        for kappa, x, y, dk in zip(kappas, xs, ys, den_runs):
-            n, d = _product((uq, uq, x, y)), _product((sq, uu) + dk)
-            r = n / d
-            if not r.tail_bound < math.inf:
-                _refuse_overflow("kappa", kappa, n, d, r)
-            ratios.append(r)
+        xs, x_counts, x_rel = _qpoch_run(
+            [-q2 * q / (u * kappa) for kappa in kappas], q2, nt)
+        ys, y_counts, y_rel = _qpoch_run([-u * kappa / q for kappa in kappas],
+                                         q2, nt)
+        # The ratio's relative bound does not depend on kappa.
+        rel = _quotient_rel(
+            _compound_all((uq.rel_bound, uq.rel_bound, x_rel, y_rel)),
+            _compound_all((sq.rel_bound, uu.rel_bound, *den_rels)))
+        used = 2 * uq.terms_used + sq.terms_used + uu.terms_used
+        ratios = [
+            _ratio(_product((uq.value, uq.value, x, y)),
+                   _product((sq.value, uu.value, *dk)),
+                   used + xc + yc + dc, rel, "kappa", kappa)
+            for kappa, x, y, dk, xc, yc, dc in zip(
+                kappas, xs, ys, den_values, x_counts, y_counts, den_counts)]
         a, c = q / u, q2 / (u * u)
         _, n_exact = _direct_setup(a, a, c, q2, -kappas[0], part_tol, max_terms)
         parts.append((ratios, a, c, n_exact))
@@ -766,15 +828,12 @@ def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
     return totals
 
 
-def _refuse_overflow(name: str, label: object, *evs: SeriesEval) -> None:
-    """Raise :class:`InvalidArgumentError` when one of the products ``evs``
-    at ``name = label`` is past the float range.
-
-    A product past the float range leaves no finite ``tail_bound`` on any
-    result computed from it, so callers test that bound first.
-    """
-    for ev in evs:
-        if not math.isfinite(_modulus(ev.value)):
+def _refuse_overflow(name: str, label: object, *values: complex) -> None:
+    """Raise :class:`InvalidArgumentError` when one of the product values
+    ``values`` at ``name = label`` is past the float range (its modulus is
+    not a finite float)."""
+    for v in values:
+        if not math.isfinite(_modulus(v)):
             raise InvalidArgumentError(
                 f"a q-Pochhammer product at {name} = {label!r} is past the "
                 f"float range")

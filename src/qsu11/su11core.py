@@ -22,16 +22,17 @@ from .qcalculus import (
     QBase,
     SeriesEval,
     SeriesEvalBatch,
+    _compound_all,
     _direct_setup,
     _direct_sum,
     _power,
     _product,
     _qpoch,
     _qpoch_run,
-    _refuse_overflow,
+    _quotient_rel,
+    _ratio,
     _two_term_sum,
     phi21_continued,
-    phi21_direct,
     phi21_direct_batch,
     phi21_heine,
     qpoch_multi,
@@ -187,7 +188,13 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
     display carries a minus sign that its own limit value contradicts.
     The brackets are one two-term sum over the run of kappas, and each
     k-dependent product of the prefactor comes from one kernel product
-    (:func:`qsu11.qcalculus._qpoch_run`).
+    (:func:`qsu11.qcalculus._qpoch_run`).  Per k, the prefactor is
+    ``q**(2k + 2 nu_exp(k)) * cq**2 * n / d`` (in that order) for the plain
+    complex products n and d above, with one relative bound for the
+    window (:func:`qsu11.qcalculus._ratio`); a vanishing factor of
+    n gives an exact 0, a vanishing d raises :class:`PoleGuardError`, and
+    n, d or the prefactor past the float range raises
+    :class:`InvalidArgumentError`.
     """
     q = base.q
     q2 = q * q
@@ -201,17 +208,22 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
     downs = [q ** (2 * k - 1) for k in ks]
     nt, dt = part_tol / 5.0, part_tol / 2.0
     sq = _qpoch(q2, q2, nt)
+    ms, m_counts, m_rel = _qpoch_run(mks, q2, nt)
+    xs, x_counts, x_rel = _qpoch_run([-lam * up for up in ups], q2, nt)
+    ys, y_counts, y_rel = _qpoch_run([-d / lam for d in downs], q2, nt)
+    d1s, d1_counts, d1_rel = _qpoch_run([d / lam for d in downs], q2, dt)
+    d2s, d2_counts, d2_rel = _qpoch_run([lam * up for up in ups], q2, dt)
+    # The prefactor's relative bound does not depend on k.
+    rel = _quotient_rel(
+        _compound_all((m_rel, sq.rel_bound, sq.rel_bound, x_rel, y_rel)),
+        _compound_all((d1_rel, d2_rel)))
     out = []
-    for k, bracket, m, x, y, d1, d2 in zip(
-            ks, brackets, _qpoch_run(mks, q2, nt),
-            _qpoch_run([-lam * up for up in ups], q2, nt),
-            _qpoch_run([-d / lam for d in downs], q2, nt),
-            _qpoch_run([d / lam for d in downs], q2, dt),
-            _qpoch_run([lam * up for up in ups], q2, dt)):
-        n, d = _product((m, sq, sq, x, y)), _product((d1, d2))
-        pref = q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2 * n / d
-        if not pref.tail_bound < math.inf:
-            _refuse_overflow("k", k, n, d, pref)
+    for k, bracket, m, x, y, d1, d2, used in zip(
+            ks, brackets, ms, xs, ys, d1s, d2s,
+            map(sum, zip(m_counts, x_counts, y_counts, d1_counts, d2_counts))):
+        pref = _ratio(_product((m, sq.value, sq.value, x, y)), _product((d1, d2)),
+                      used + 2 * sq.terms_used, rel, "k", k,
+                      scale=q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2)
         out.append(pref * bracket)
     return out
 
@@ -345,36 +357,64 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     For ``e <= 0`` the series argument leaves the unit disc and the
     evaluation routes through the small-parameter continuation
     (:func:`qsu11.qcalculus.phi21_heine`), which needs
-    ``|lam| q^{1+2m} < 1``.  A power of q past the float range (large
-    ``|L|`` or ``|m|``) raises :class:`InvalidArgumentError`.
+    ``|lam| q^{1+2m} < 1``.  A ``lam`` of 0 and a power of q past the
+    float range (large ``|L|`` or ``|m|``) raise
+    :class:`InvalidArgumentError`.  This is the one-point window
+    (:func:`_coamen_window`), which evaluates many ``L`` at one ``m`` and
+    ``lam``.
     """
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
+    return _coamen_window(base, m, lam, [p1.exponent], form, tol, max_terms)[0]
+
+
+def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
+                   form: str, tol: float, max_terms: int) -> list[SeriesEval]:
+    """``coamen_coeff(base, m, lam, IqPoint.positive(L), form, tol,
+    max_terms)`` for each L of ``Ls``, in that order.
+
+    The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
+    ``c = q^2`` do not depend on L, so the guards and snaps of
+    :func:`qsu11.qcalculus.phi21_direct` run once, at the first point
+    that sums directly (``e > 0``), and each such point sums its own
+    kernel.  Points with ``e <= 0`` go through
+    :func:`qsu11.qcalculus.phi21_heine`.  Every point is evaluated exactly
+    as a one-point window, in order, so a refusal at some L refuses the
+    window with the error :func:`coamen_coeff` raises at the first such L.
+    """
     if form not in ("simplified", "raw"):
         raise InvalidArgumentError(f"unknown form {form!r}")
+    if lam == 0:
+        raise InvalidArgumentError("lam must be nonzero")
     q = base.q
     q2 = q * q
-    L = p1.exponent
-    e = 2 - 2 * L - 4 * m
     shift = _power(q, 1 + 2 * m)
-    z = -_power(q, e)
-
-    route = phi21_direct if e > 0 else phi21_heine
-    series = route(-shift / lam, -lam * shift, q2, q2, z, tol=tol,
-                   max_terms=max_terms)
-
-    if form == "simplified":
-        return cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series
-
-    part_tol = tol / 16.0
-    # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0 (M = L + 2m):
-    # it cannot overflow.
-    scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
-        * base.cq ** 2
-    root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
-                       part_tol)
-    rest = qpoch_multi([q2, q2, z], q2, part_tol)
-    return scalar * root.sqrt() * rest * series
+    a, b = -shift / lam, -lam * shift
+    setup = None
+    out = []
+    for L in Ls:
+        e = 2 - 2 * L - 4 * m
+        z = -_power(q, e)
+        if e <= 0:
+            series = phi21_heine(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
+        else:
+            if setup is None:
+                setup = _direct_setup(a, b, q2, q2, z, tol, max_terms)
+            bb, n_exact = setup
+            series = _direct_sum(a, b, q2, bb, z, n_exact, tol, max_terms)
+        if form == "simplified":
+            out.append(cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series)
+            continue
+        part_tol = tol / 16.0
+        # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0 (M = L + 2m):
+        # it cannot overflow.
+        scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
+            * base.cq ** 2
+        root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
+                           part_tol)
+        rest = qpoch_multi([q2, q2, z], q2, part_tol)
+        out.append(scalar * root.sqrt() * rest * series)
+    return out
 
 
 def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
@@ -383,14 +423,20 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
 
     Sums the coefficient at the points ``p1 q^e`` for e from
     ``n - 2|m|`` down to ``-n`` (``2(n - |m|) + 1`` summands; the
-    remaining ``2|m|`` window slots carry no weight) and divides by
-    ``2n + 1``.
+    remaining ``2|m|`` window slots carry no weight), in that order, and
+    divides by ``2n + 1``.  The summands are one coamen window
+    (:func:`_coamen_window`), so the result equals that sum of
+    :func:`coamen_coeff` values bit for bit, and a refusal at any point
+    (a ``lam`` of 0 included) raises the error :func:`coamen_coeff` raises
+    there.
     """
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
     if abs(m) > n:
         raise InvalidArgumentError("|m| must not exceed n")
-    total = sum(coamen_coeff(base, m, lam, p1.shifted(e), tol=tol,
-                             max_terms=max_terms)
-                for e in range(n - 2 * abs(m), -n - 1, -1))
+    if p1.sign < 0:
+        raise InvalidArgumentError("coamen_coeff is defined at positive points")
+    total = sum(_coamen_window(
+        base, m, lam, [p1.exponent + e for e in range(n - 2 * abs(m), -n - 1, -1)],
+        "simplified", tol, max_terms))
     return total * (1.0 / (2 * n + 1))

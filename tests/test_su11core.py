@@ -11,6 +11,7 @@ from qsu11 import (
     InvalidArgumentError,
     IqPoint,
     PoleGuardError,
+    PoleInCError,
     QBase,
     SpectralParam,
     averaged_coamen,
@@ -25,7 +26,7 @@ from qsu11 import (
     structural_maps,
     theta_pair,
 )
-from qsu11.su11core import nu_exponent
+from qsu11.su11core import _coamen_window, nu_exponent
 
 B = QBase(0.5)
 
@@ -424,6 +425,100 @@ class TestAveragedCoamen:
         d1 = abs(averaged_coamen(B, 5, IqPoint.positive(-10), 0, 1.0).value - 1.0)
         d2 = abs(averaged_coamen(B, 10, IqPoint.positive(-20), 0, 1.0).value - 1.0)
         assert d2 < d1
+
+
+def _fields(ev):
+    return repr(ev.value), ev.terms_used, repr(ev.tail_bound)
+
+
+def _first_error(calls):
+    """Type of the first exception raised by the zero-argument ``calls``."""
+    for call in calls:
+        try:
+            call()
+        except Exception as exc:
+            return type(exc)
+    return None
+
+
+def _coamen_windows(seed, count):
+    """Seeded (q, n, m, L, lam): windows of ``averaged_coamen`` at p1 = q^L."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(0, 10)
+        m = rng.randint(-min(n, 3), min(n, 3))
+        lam = rng.choice((1.0, rng.uniform(0.4, 1.6))) \
+            * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        yield (rng.choice((0.41, 0.5, 0.56)), n, m,
+               rng.randint(-2 * n - 6, 4), lam)
+
+
+class TestCoamenWindow:
+    """``averaged_coamen`` sums one coamen window (``_coamen_window``)."""
+
+    def test_average_is_the_sum_of_its_points(self):
+        routes, refused = set(), 0
+        for q, n, m, L, lam in _coamen_windows(5, 160):
+            base, p1 = QBase(q), IqPoint.positive(L)
+            es = range(n - 2 * abs(m), -n - 1, -1)
+            error = _first_error(
+                [lambda e=e: coamen_coeff(base, m, lam, p1.shifted(e)) for e in es])
+            if error is not None:  # the point refused first refuses the window
+                refused += 1
+                with pytest.raises(error):
+                    averaged_coamen(base, n, p1, m, lam)
+                continue
+            routes.add(tuple(sorted({2 - 2 * (L + e) - 4 * m > 0 for e in es})))
+            want = sum(coamen_coeff(base, m, lam, p1.shifted(e)) for e in es) \
+                * (1.0 / (2 * n + 1))
+            got = averaged_coamen(base, n, p1, m, lam)
+            assert _fields(got) == _fields(want), (q, n, m, L, lam)
+        # windows summed directly, through phi21_heine, and across both
+        assert routes == {(True,), (False,), (False, True)}
+        assert refused
+
+    @pytest.mark.parametrize("form", ("simplified", "raw"))
+    def test_points_are_coamen_coeff(self, form):
+        for q, n, m, L, lam in _coamen_windows(6, 40):
+            base = QBase(q)
+            # |lam| q^{1+2m} < 1: no Heine point is refused
+            lam = cmath.rect(min(abs(lam), 0.5 / q ** (1 + 2 * m)), cmath.phase(lam))
+            Ls = range(L - n, L + n + 1)
+            window = _coamen_window(base, m, lam, Ls, form, 1e-12, 200)
+            assert len(window) == len(Ls)
+            for x, ev in zip(Ls, window):
+                one = coamen_coeff(base, m, lam, IqPoint.positive(x), form=form)
+                assert _fields(ev) == _fields(one), (q, m, x, lam)
+            one, = _coamen_window(base, m, lam, [L], form, 1e-12, 200)
+            assert _fields(one) == _fields(
+                coamen_coeff(base, m, lam, IqPoint.positive(L), form=form))
+
+    @pytest.mark.parametrize("m, L, lam, error", (
+        # az = q/lam = 1 at L = 1 (e = 0): a pole of the Heine route
+        (0, -2, B.q, PoleInCError),
+        # q**e past the float range from L = 514 on
+        (0, 511, 1.0, InvalidArgumentError),
+        # |lam| q^{1+2m} >= 1: no Heine route
+        (1, 0, 9.0, InvalidArgumentError),
+    ), ids=("pole", "power", "heine-domain"))
+    def test_refused_point_refuses_the_window(self, m, L, lam, error):
+        n = 3
+        p1 = IqPoint.positive(L)
+        es = range(n - 2 * abs(m), -n - 1, -1)
+        assert _first_error(
+            [lambda e=e: coamen_coeff(B, m, lam, p1.shifted(e)) for e in es]) \
+            is error
+        with pytest.raises(error):
+            averaged_coamen(B, n, p1, m, lam)
+        for form in ("simplified", "raw"):
+            with pytest.raises(error):
+                _coamen_window(B, m, lam, [L + e for e in es], form, 1e-12, 200)
+
+    def test_zero_lambda_refused(self):
+        with pytest.raises(InvalidArgumentError, match="lam must be nonzero"):
+            coamen_coeff(QBase(0.5), 0, 0j, IqPoint.positive(1))
+        with pytest.raises(InvalidArgumentError, match="lam must be nonzero"):
+            averaged_coamen(QBase(0.5), 2, IqPoint.positive(1), 0, 0j)
 
 
 _ZP = SpectralParam.from_z(0.9, B)
