@@ -308,6 +308,20 @@ def _near_power(x: complex, base: float, eps: float = EPS_POLE,
     return None
 
 
+def _power_distance(x: complex, base: float) -> float:
+    """``min |x - base**j| / base**j`` over integers j, from the exponent
+    nearest ``log|x| / log(base)`` and its neighbours: the relative
+    distance of a finite nonzero ``x`` from the lattice ``base**Z``."""
+    t = round(math.log(abs(x)) / math.log(base))
+    dist = math.inf
+    for j in (t - 1, t, t + 1):
+        try:
+            dist = min(dist, abs(x / base ** j - 1.0))
+        except (OverflowError, ZeroDivisionError):  # base**j past the range
+            continue
+    return dist
+
+
 def _near_inv_power(x: complex, base: float, eps: float = EPS_POLE) -> int | None:
     """Return n >= 0 with x within eps (relative) of base**(-n), else None."""
     j = _near_power(x, base, eps, hi=0)
@@ -608,6 +622,34 @@ def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
     return SeriesEval(value, used, tail if status == 0 else math.inf)
 
 
+def _term_moduli(a: complex, b: complex, c: complex, bb: float, z: complex,
+                 n: int) -> tuple[float, float]:
+    """The scale of the rounding error of the first ``n`` terms of the
+    series of :func:`phi21_kernel`, from the moduli of the kernel's own
+    factors: ``(sum |t_j|, sum (10 j + (n - j)/2) |t_j|)``.
+
+    The kernel forms t_j from t_{j-1} in about 20 roundings of unit
+    roundoff eps/2 (four subtractions, four complex products, a complex
+    quotient), so t_j carries at most ``10 j eps`` relative, and each of
+    the later partial sums adds ``eps/2`` of it: eps times the second sum
+    bounds the rounding to first order (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), as long as no factor ``1 - f`` loses
+    its leading bits (an ``f`` near 1: a parameter near the pole lattice).
+    """
+    t = 1.0
+    total, weighted = 1.0, n / 2.0
+    az, fq = abs(z), bb
+    for j in range(1, n):
+        t *= abs(1.0 - a) * abs(1.0 - b) / (abs(1.0 - c) * (1.0 - fq)) * az
+        total += t
+        weighted += (10.0 * j + (n - j) / 2.0) * t
+        a *= bb
+        b *= bb
+        c *= bb
+        fq *= bb
+    return total, weighted
+
+
 def _near_inv_power_mask(x: np.ndarray, base: float,
                          eps: float = EPS_POLE) -> np.ndarray:
     """Elements that may lie within eps of some base**(-n), n >= 0.
@@ -751,13 +793,17 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
 
 
 def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
-                  part_tol: float, max_terms: int,
-                  cancelled: bool = False) -> list[SeriesEval]:
+                  part_tol: float, max_terms: int, cancelled: bool = False,
+                  with_moduli: bool = False):
     """``T(lam) + T(1/lam)`` of :func:`phi21_continued` at each ``kappa`` of
     a run ``kappas[i + 1] = kappas[i] q^2``, each factor to ``part_tol``.
 
     ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both denominators;
-    it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).
+    it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).  With
+    ``with_moduli`` the result is the pair (values, moduli): per kappa,
+    the sums over u of ``|ratio|`` times each sum of
+    :func:`_term_moduli` for the series summed, the scale of the
+    rounding error.
 
     Done once per run: the lam**2 pole guard (:class:`PoleGuardError`);
     the products ``(q^2; q^2)_inf``, ``(u q; q^2)_inf`` and
@@ -779,14 +825,8 @@ def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
         if kappa == 0 or _finite_modulus(kappa) >= 1.0:
             raise InvalidArgumentError(
                 "the two-term continuation needs 0 < |kappa| < 1")
-    if lam == 0:
-        raise InvalidArgumentError("lam must be nonzero")
+    _pole_guard(lam, q)
     q2 = q * q
-    j = _near_power(lam * lam, q2)
-    if j is not None:
-        raise PoleGuardError(
-            f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
-        )
     if not (part_tol > 0):
         raise InvalidArgumentError("tol must be positive")
     nt, dt = part_tol / 4.0, part_tol / (3.0 if cancelled else 4.0)
@@ -821,11 +861,31 @@ def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
         _, n_exact = _direct_setup(a, a, c, q2, -kappas[0], part_tol, max_terms)
         parts.append((ratios, a, c, n_exact))
     totals = [0] * len(kappas)
+    moduli = [(0.0, 0.0)] * len(kappas)
     for ratios, a, c, n_exact in parts:
         for i, (kappa, r) in enumerate(zip(kappas, ratios)):
-            totals[i] += r * _direct_sum(a, a, c, q2, -kappa, n_exact, part_tol,
-                                         max_terms)
-    return totals
+            s = _direct_sum(a, a, c, q2, -kappa, n_exact, part_tol, max_terms)
+            totals[i] += r * s
+            if with_moduli:
+                mod = abs(r.value)
+                total, weighted = _term_moduli(a, a, c, q2, -kappa, s.terms_used)
+                moduli[i] = (moduli[i][0] + mod * total,
+                             moduli[i][1] + mod * weighted)
+    return (totals, moduli) if with_moduli else totals
+
+
+def _pole_guard(lam: complex, q: float) -> None:
+    """Refuse (:class:`PoleGuardError`) a ``lam`` whose square is within
+    ``EPS_POLE`` (relatively) of some ``q**(2j)``, j integer, where the
+    two-term forms are singular; a ``lam`` of 0 or without a finite
+    modulus raises :class:`InvalidArgumentError`."""
+    if lam == 0:
+        raise InvalidArgumentError("lam must be nonzero")
+    j = _near_power(lam * lam, q * q)
+    if j is not None:
+        raise PoleGuardError(
+            f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
+        )
 
 
 def _refuse_overflow(name: str, label: object, *values: complex) -> None:
@@ -861,6 +921,10 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     PoleGuardError
         If ``z`` sits on ``base**(-j)`` (zero of the denominator
         product, i.e. a genuine pole of the continuation).
+    InvalidArgumentError
+        If a product of the prefactor, or their quotient, is past the
+        float range (``(z; base)_inf`` at a large ``|z|``); this is
+        checked before the series is summed.
     """
     bb = _base_value(base)
     if abs(b) >= 1.0:
@@ -875,5 +939,10 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
         raise PoleGuardError(f"z within {EPS_POLE} of base**(-{jz}): continuation pole")
 
     part_tol = tol / 8.0
-    return qpoch_multi([b, az], bb, part_tol) / qpoch_multi([c, z], bb, part_tol) \
-        * phi21_direct(c / b, z, az, bb, b, tol=part_tol, max_terms=max_terms)
+    num = qpoch_multi([b, az], bb, part_tol)
+    den = qpoch_multi([c, z], bb, part_tol)
+    ratio = num / den
+    if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
+        _refuse_overflow("z", z, num.value, den.value, ratio.value)
+    return ratio * phi21_direct(c / b, z, az, bb, b, tol=part_tol,
+                                max_terms=max_terms)

@@ -25,12 +25,16 @@ from .qcalculus import (
     _compound_all,
     _direct_setup,
     _direct_sum,
+    _modulus,
+    _pole_guard,
     _power,
+    _power_distance,
     _product,
     _qpoch,
     _qpoch_run,
     _quotient_rel,
     _ratio,
+    _term_moduli,
     _two_term_sum,
     phi21_continued,
     phi21_direct_batch,
@@ -163,7 +167,7 @@ def _lam_batch(z: np.ndarray, base: QBase) -> np.ndarray:
 
 
 def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
-           max_terms: int) -> list[SeriesEval]:
+           max_terms: int, with_moduli: bool = False):
     """Coefficients at the negative points -q^k for a run of consecutive
     exponents ``ks`` (all >= 1).
 
@@ -194,7 +198,9 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
     window (:func:`qsu11.qcalculus._ratio`); a vanishing factor of
     n gives an exact 0, a vanishing d raises :class:`PoleGuardError`, and
     n, d or the prefactor past the float range raises
-    :class:`InvalidArgumentError`.
+    :class:`InvalidArgumentError`.  With ``with_moduli`` the result is the
+    pair (values, moduli), as for :func:`qsu11.qcalculus._two_term_sum`,
+    with each modulus times ``|prefactor|``.
     """
     q = base.q
     q2 = q * q
@@ -203,7 +209,9 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
     # The bracket first: its lam**2 guard also covers the prefactor's poles,
     # and its products overflow no later than the prefactor's.
     brackets = _two_term_sum(lam, [-mk for mk in mks], q, part_tol, max_terms,
-                             cancelled=True)
+                             cancelled=True, with_moduli=with_moduli)
+    if with_moduli:
+        brackets, moduli = brackets
     ups = [_power(q, 3 - 2 * k) for k in ks]
     downs = [q ** (2 * k - 1) for k in ks]
     nt, dt = part_tol / 5.0, part_tol / 2.0
@@ -217,7 +225,7 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
     rel = _quotient_rel(
         _compound_all((m_rel, sq.rel_bound, sq.rel_bound, x_rel, y_rel)),
         _compound_all((d1_rel, d2_rel)))
-    out = []
+    out, scales = [], []
     for k, bracket, m, x, y, d1, d2, used in zip(
             ks, brackets, ms, xs, ys, d1s, d2s,
             map(sum, zip(m_counts, x_counts, y_counts, d1_counts, d2_counts))):
@@ -225,6 +233,10 @@ def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
                       used + 2 * sq.terms_used, rel, "k", k,
                       scale=q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2)
         out.append(pref * bracket)
+        scales.append(abs(pref.value))
+    if with_moduli:
+        return out, [(s * total, s * weighted)
+                     for s, (total, weighted) in zip(scales, moduli)]
     return out
 
 
@@ -250,7 +262,7 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     overflow (at q = 0.5 and z = 0.9 from k = 33 on), raises
     :class:`InvalidArgumentError`.  This is the one-exponent window
     (:func:`spherical_window`), which evaluates many exponents at one
-    ``zp``.
+    ``zp`` (there from the recurrence in k, see :func:`_recurrence`).
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -260,25 +272,38 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
                      ks: Sequence[int], tol: float = 1e-12,
                      max_terms: int = 200) -> list[SeriesEval]:
     """``spherical_az(base, zp, IqPoint(sign, k), tol, max_terms)`` for each
-    k of ``ks``, consecutive ascending exponents, in that order.
+    k of ``ks``, consecutive ascending exponents, in that order, each
+    with its own certificate.
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
     k <= 0) checks its direct series' guards and snaps once, then sums
-    the kernel per k.  Cases 2 and 3 are one two-term sum over the run
-    ``kappa = +-q^{2k}`` (:func:`qsu11.qcalculus._two_term_sum`): one
-    lam**2 pole guard, the lam-dependent products once, and each
-    k-dependent product from one kernel product at the end of the window
-    where its argument is smallest, with one factor prepended per step;
-    each k keeps its own series sum.
+    the kernel per k; these values are :func:`spherical_az`'s, bit for
+    bit.  In a window of two or more exponents, one lam**2 pole guard
+    (the refusal of :func:`spherical_az` at k >= 1) is followed by the
+    three-term recurrence in k (:func:`_recurrence`), seeded by the
+    case-1 values a(-1) and a(0) on the positive branch and by the one
+    case-3 value a(-q) on the negative branch.  Each recurrence value
+    carries a running bound that covers the seeds' truncation and the
+    rounding (to first order in the seeds, rigorously in the steps);
+    ``terms_used`` is the seeds' count plus one per step.  From the first
+    k whose bound exceeds ``tol * max(1, |a|)`` (at q = 0.9 often the
+    first one) the rest of the window goes through the closed forms
+    (:func:`_closed_form`): one two-term sum over the run
+    ``kappa = +-q^{2k}`` (:func:`qsu11.qcalculus._two_term_sum`), with
+    each k-dependent product from one kernel product at the end of the
+    run where its argument is smallest, one factor prepended per step,
+    and one series sum per k.  There ``tail_bound`` bounds the truncation
+    only, as in :func:`spherical_az`.
 
-    A one-exponent window is :func:`spherical_az`.  In a longer one the
-    prepended products round differently: a value differs from the
-    pointwise one by at most the two tail bounds plus a few ulp, and
-    each ``tail_bound`` still bounds the truncation (not the rounding,
-    as everywhere).  A refusal of :func:`spherical_az` at any k refuses
-    the whole window; an empty ``ks`` gives ``[]``, and exponents that
-    are not consecutive and ascending, or a negative window reaching
-    k < 1, raise :class:`InvalidArgumentError`.
+    A one-exponent window is :func:`spherical_az`.  Values of a longer
+    window differ from the pointwise ones by at most the two certificates
+    plus the pointwise rounding.  The recurrence has no products, so a
+    window can reach exponents whose closed forms are refused (at q = 0.5
+    and z = 0.9, k >= 33); a refusal of the closed form at an exponent the
+    window evaluates by it refuses the whole window.  An empty ``ks``
+    gives ``[]``, and exponents that are not consecutive and ascending,
+    or a negative window reaching k < 1, raise
+    :class:`InvalidArgumentError`.
     """
     ks = list(ks)
     if not ks:
@@ -292,13 +317,23 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
                   tol: float, max_terms: int) -> list[SeriesEval]:
     """The case dispatch of :func:`spherical_az` over a run of valid
-    consecutive ascending exponents ``ks`` of one sign."""
+    consecutive ascending exponents ``ks`` of one sign.
+
+    Case 1 (``sign = +1``, k <= 0) checks its direct series' guards and
+    snaps once and sums the kernel per k.  In a window of two or more
+    exponents the values at k >= 1 come from the three-term recurrence in
+    k (:func:`_recurrence`) after one lam**2 pole guard: seeded by case 1
+    at k = -1, 0 (positive branch) or by case 3 at k = 1 (negative
+    branch), each value with a running bound on its error, rounding
+    included, and ``terms_used`` equal to its seeds' count plus one per
+    step.  From the first k whose bound exceeds ``tol * max(1, |a|)`` on,
+    the exponents go through the closed forms (:func:`_closed_form`), as
+    does a one-exponent window.
+    """
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
-    if sign < 0:
-        return _case3(base, lam, ks, tol, max_terms)
     q = base.q
-    n1 = max(0, min(len(ks), 1 - ks[0]))  # the exponents k <= 0: case 1
+    n1 = max(0, min(len(ks), 1 - ks[0])) if sign > 0 else 0  # case 1
     out = []
     if n1:
         a, b, c = q / lam, lam * q, q * q
@@ -307,14 +342,184 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
         for k in ks[:n1]:
             out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, tol,
                                    max_terms))
-    # One point goes through the public entry, the same sum at one kappa,
-    # so traced runs count single case-2 points under phi21_continued.
-    if len(ks) == n1 + 1:
-        out.append(phi21_continued(lam, q ** (2 * ks[n1]), base, tol=tol,
-                                   max_terms=max_terms))
-    elif len(ks) > n1:
-        out += _two_term_sum(lam, [q ** (2 * k) for k in ks[n1:]], q, tol / 8.0,
-                             max_terms)
+    rest = ks[n1:]
+    if rest and len(ks) > 1:
+        _pole_guard(lam, q)
+        out += _recurrence(base, lam, sign, rest[0], rest[-1], tol, max_terms)
+        rest = ks[len(out):]
+    if rest:
+        out += _closed_form(base, lam, sign, rest, tol, max_terms)
+    return out
+
+
+def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
+                 tol: float, max_terms: int) -> list[SeriesEval]:
+    """Cases 2 and 3 at the exponents ``ks`` (all >= 1) by PropB2's closed
+    forms: one two-term sum over the run of kappas (:func:`_case3` for
+    the negative branch).  One point goes through the public entry, the
+    same sum at one kappa, so traced runs count single case-2 points under
+    :func:`qsu11.qcalculus.phi21_continued`."""
+    if sign < 0:
+        return _case3(base, lam, ks, tol, max_terms)
+    q = base.q
+    if len(ks) == 1:
+        return [phi21_continued(lam, q ** (2 * ks[0]), base, tol=tol,
+                                max_terms=max_terms)]
+    return _two_term_sum(lam, [q ** (2 * k) for k in ks], q, tol / 8.0,
+                         max_terms)
+
+
+#: The seeds of the recurrence are summed to these fractions of the
+#: window's ``tol``, so that their truncation leaves the budget to the
+#: propagated rounding.
+_SEED_TOL = {1: 1e-3, -1: 1e-2}
+
+_EPS = sys.float_info.epsilon
+
+
+def _seed_error(ev: SeriesEval, moduli: tuple[float, float],
+                pole_distance: float = math.inf) -> float:
+    """``tail_bound`` of a seed plus a first-order bound on its rounding
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
+
+    ``moduli`` is (M, W): the sums over the seed's series of the two sums
+    of :func:`qsu11.qcalculus._term_moduli`, each times the moduli of the
+    factors the series is multiplied by.  The bound is eps W for the
+    series, ``2 eps M`` per factor or term consumed (four roundings of unit
+    roundoff eps/2: a subtraction and a complex product), and
+    ``8 eps M / d`` for the relative distance d of lam**2 from the lattice
+    ``q^{2Z}``: near it a part can hold a pair of factors ``1 - f`` with f
+    within about d of 1, each off by up to 4 eps/d, relative.
+    """
+    total, weighted = moduli
+    return ev.tail_bound + _EPS * (2.0 * ev.terms_used * total + weighted
+                                   + 8.0 * total / pole_distance)
+
+
+def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
+                k_last: int, tol: float, max_terms: int) -> list[SeriesEval]:
+    """``a_z(sign q^k)`` for k = k_first, ..., up to k_last (1 <= k_first),
+    from the three-term recurrence in k, each value certified by a
+    running bound; the list stops before the first k whose bound exceeds
+    ``tol * max(1, |a|)``.
+
+    Case 1 is ``2phi1(a, b; q^2; q^2, z_k)`` with ``a = q/lam``,
+    ``b = lam q`` and ``z_k = -q^{2-2k}``, and a 2phi1 whose c is its base
+    satisfies ``(1 - z_k) a(k) - (2 - q s z_k) a(k-1) + (1 - q^2 z_k) a(k-2)
+    = 0`` with ``s = lam + 1/lam`` (Gasper and Rahman, *Basic
+    Hypergeometric Series*, sec. 1.10).  Cases 2 and 3 continue it: the
+    positive branch satisfies it with ``z_k = -q^{2-2k}`` and the negative
+    branch with ``z_k = +q^{2-2k}``.  In ``w = 1/z_k`` the step is
+    ``a(k) = c1 a(k-1) + c2 a(k-2)``, ``c1 = (q s - 2w)/(1 - w)``,
+    ``c2 = (w - q^2)/(1 - w)``.
+
+    Seeds: on the positive branch the case-1 values a(-1) and a(0), summed
+    to ``tol / 1000``; on the negative branch the one case-3 value a(-q),
+    to ``tol / 100`` (at k = 2 the coefficient of a(0) is
+    ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound`` plus a
+    rounding term (:func:`_seed_error`); near the pole lattice of the
+    two-term form that of a(-q) grows like 1/d, and the negative branch
+    falls back to the closed forms sooner.  A seed that is refused (a
+    seed tolerance that underflows) gives ``[]``: the closed forms
+    decide.
+
+    Certificate (Gautschi, "Computational aspects of three-term
+    recurrence relations", SIAM Rev. 9, 1967).  The error of a(k) is the
+    seeds' errors carried by the recurrence plus the rounding of the steps
+    carried by it.  The first part is ``E0 |u_k| + E1 |v_k|`` for the
+    seeds' error bounds E0, E1 and the fundamental solutions u (seeds 1, 0)
+    and v (seeds 0, 1), run beside a(k): on the negative branch v is
+    ``a(-q^k) / a(-q)``, the one free constant.  The second part is
+    bounded twice.  In the eigenbasis ``T = [[r1, r2], [1, 1]]`` of the
+    limit companion matrix ``[[q s, -q^2], [1, 0]]``, whose roots are
+    ``r1 = q lam`` and ``r2 = q/lam``:
+    ``y <- ||T^-1 A_k T||_inf y + delta_k / |r1 - r2|`` and
+    ``|r_k| <= (|r1| + |r2|) y``, where ``A_k`` is the step's companion
+    matrix and ``delta_k`` bounds the step's rounding, that of its
+    coefficients (and of u and v) included; and step by step,
+    ``r_k <= |c1| r_{k-1} + |c2| r_{k-2} + delta_k``, which is tighter
+    while ``A_k`` is far from its limit.  Each bound is cut to the other
+    after every step, and every bound is computed with margins for its
+    own rounding.  ``terms_used`` of a value is its seeds' count plus one
+    per step; the negative branch returns its seed itself at k = 1.
+    """
+    q = base.q
+    q2 = q * q
+    qs = q * (lam + 1.0 / lam)
+    r1, r2 = q * lam, q / lam
+    rmax, rsum = max(abs(r1), abs(r2)), abs(r1) + abs(r2)
+    dr = abs(r1 - r2) * (1.0 - 4.0 * _EPS)
+    stol = tol * _SEED_TOL[sign]
+    try:
+        if sign > 0:
+            a, b, c = q / lam, lam * q, q * q
+            bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
+            seeds = []
+            for k in (-1, 0):
+                z = -q ** (2 - 2 * k)
+                ev = _direct_sum(a, b, c, bb, z, n_exact, stol, max_terms)
+                seeds.append((ev, _seed_error(
+                    ev, _term_moduli(a, b, c, bb, z, ev.terms_used))))
+            (ev0, err0), (ev1, err1) = seeds
+            k0 = 1
+        else:
+            (ev1,), (moduli,) = _case3(base, lam, [1], stol, max_terms,
+                                       with_moduli=True)
+            err1 = _seed_error(ev1, moduli, _power_distance(lam * lam, q2))
+            ev0, err0 = SeriesEval(0j, 0, 0.0), 0.0  # a(0) is multiplied by 0
+            k0 = 2
+    except InvalidArgumentError:  # e.g. a seed tolerance that underflows:
+        return []                 # the closed forms decide
+    out = []
+    if sign < 0:
+        if not err1 <= tol * max(1.0, _modulus(ev1.value)) < math.inf:
+            return out
+        if k_first == 1:
+            out.append(SeriesEval(ev1.value, ev1.terms_used, err1))
+    if not dr > 0.0:
+        return out
+    used = ev0.terms_used + ev1.terms_used
+    prev, cur, e_prev, e_cur = ev0.value, ev1.value, err0, err1
+    # The fundamental solutions u (seeds 1, 0) and v (seeds 0, 1) carry the
+    # seeds' errors exactly.  The rounding part is bounded twice, in the
+    # eigenbasis (y) and step by step (r_prev, r_cur), and each bound is
+    # cut to the other one's.
+    u_prev, u_cur, v_prev, v_cur = 1.0, 0.0, 0.0, 1.0
+    y = r_prev = r_cur = 0.0
+    aq = abs(qs - 2.0)
+    for k in range(k0, k_last + 1):
+        w = q ** (2 * k - 2) if sign < 0 else -q ** (2 * k - 2)
+        den = 1.0 - w  # real and positive: |w| <= q^2 on the negative branch
+        c1 = (qs - 2.0 * w) / den
+        c2 = (w - q2) / den
+        value = c1 * cur + c2 * prev
+        u_prev, u_cur = u_cur, c1 * u_cur + c2 * u_prev
+        v_prev, v_cur = v_cur, c1 * v_cur + c2 * v_prev
+        aw = abs(w)
+        grow = 1.0 + aw / den
+        ac1, ac2 = abs(c1), abs(c2)
+        # The rounding of c1, c2 and of the step (of u and v too, through
+        # e_cur and e_prev), and the distance of the step's exact companion
+        # matrix from the limit one.
+        rho1 = 8.0 * _EPS * ((rsum + 2.0 * aw) / den + ac1 * grow)
+        rho2 = 8.0 * _EPS * ((q2 + aw) / den + ac2 * grow)
+        delta = (rho1 + 4.0 * _EPS * ac1) * (abs(cur) + e_cur) \
+            + (rho2 + 4.0 * _EPS * ac2) * (abs(prev) + e_prev)
+        m1 = aw * (aq + 4.0 * _EPS * rsum) / den * (1.0 + 8.0 * _EPS) \
+            + 4.0 * _EPS * rsum
+        m2 = aw * (1.0 - q2 + 2.0 * _EPS) / den * (1.0 + 8.0 * _EPS) \
+            + 4.0 * _EPS * q2
+        y = ((rmax + (m1 * rsum + 2.0 * m2) / dr) * y + delta / dr) \
+            * (1.0 + 16.0 * _EPS)
+        r = min(((ac1 + rho1) * r_cur + (ac2 + rho2) * r_prev + delta)
+                * (1.0 + 8.0 * _EPS), rsum * y * (1.0 + 4.0 * _EPS))
+        y = min(y, (r + rmax * r_cur) / dr * (1.0 + 4.0 * _EPS))
+        e = (r + err0 * abs(u_cur) + err1 * abs(v_cur)) * (1.0 + 8.0 * _EPS)
+        if not e <= tol * max(1.0, _modulus(value)) < math.inf:
+            break
+        prev, cur, e_prev, e_cur, r_prev, r_cur = cur, value, e_cur, e, r_cur, r
+        if k >= k_first:
+            out.append(SeriesEval(value, used + k - k0 + 1, e))
     return out
 
 

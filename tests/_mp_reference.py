@@ -1,0 +1,91 @@
+"""mpmath references for the spherical coefficients a_z(+-q^k), k >= 1.
+
+The closed forms of cases 2 and 3 (PropB2), evaluated at mpmath's
+working precision; nothing here calls qsu11.
+"""
+
+import functools
+
+
+def _nu(k):
+    """Exponent of nu at +-q^k: (k - 1)(k - 2)/2."""
+    return (k - 1) * (k - 2) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _q_constants(mp, q, prec):
+    """(q^2; q^2)_inf and cq at ``prec`` bits, computed once per q."""
+    q2 = q * q
+    sq = mp.qp(q2, q2)
+    return sq, 1 / (mp.sqrt(2) * q * sq * mp.qp(-q2, q2))
+
+
+class Reference:
+    """The closed forms of cases 2 and 3 at one (q, lam), evaluated by
+    mpmath at its working precision.  The products that do not depend on
+    k -- cq, (q^2; q^2)_inf, (u q; q^2)_inf and (u^2; q^2)_inf for
+    u = lam, 1/lam -- are computed once; over a run of exponents each
+    k-dependent product is one ``mp.qp`` at the end of the run where its
+    argument is smallest and one prepended factor per other exponent."""
+
+    def __init__(self, mp, q, lam):
+        self.mp = mp
+        self.q = q = mp.mpf(q)
+        self.q2 = q2 = q * q
+        self.lam = lam = mp.mpc(lam)
+        self.sq, self.cq = _q_constants(mp, q, mp.prec)
+        self.us = [(u, mp.qp(u * q, q2), mp.qp(u * u, q2)) for u in (lam, 1 / lam)]
+
+    def __call__(self, sign, k):
+        return self.window(sign, [k])[0]
+
+    def window(self, sign, ks):
+        return self.case2(ks) if sign > 0 else self.case3(ks)
+
+    def _run(self, args):
+        """``(a; q^2)_inf`` for each a of a run ``args[i + 1] = args[i] q^{+-2}``."""
+        rev = abs(args[-1]) > abs(args[0])
+        seq = args[::-1] if rev else list(args)  # |a| decreasing
+        values = [self.mp.qp(seq[-1], self.q2)]
+        for a in reversed(seq[:-1]):
+            values.append((1 - a) * values[-1])
+        return values if rev else values[::-1]
+
+    def _series(self, u, x):
+        q, q2 = self.q, self.q2
+        return self.mp.qhyper([q / u, q / u], [q2 / (u * u)], q2, x)
+
+    def case2(self, ks):
+        """T(lam) + T(1/lam) of the two-term continuation at kappa = q^{2k}."""
+        q, q2 = self.q, self.q2
+        kappas = [q ** (2 * k) for k in ks]
+        dens = [self.sq * a * b for a, b in zip(
+            self._run([-q2 / kappa for kappa in kappas]),
+            self._run([-kappa for kappa in kappas]))]
+        totals = [0] * len(ks)
+        for u, uq, uu in self.us:
+            xs = self._run([-q ** 3 / (u * kappa) for kappa in kappas])
+            ys = self._run([-u * kappa / q for kappa in kappas])
+            for i, kappa in enumerate(kappas):
+                totals[i] += uq ** 2 * xs[i] * ys[i] / (dens[i] * uu) \
+                    * self._series(u, -kappa)
+        return totals
+
+    def case3(self, ks):
+        """The cancelled closed form at -q^k, as printed in
+        :func:`qsu11.su11core._case3`."""
+        q, q2, lam = self.q, self.q2, self.lam
+        mks = self._run([q ** (2 * k) for k in ks])
+        ups = [q ** (3 - 2 * k) for k in ks]
+        downs = [q ** (2 * k - 1) for k in ks]
+        n1, n2 = self._run([-lam * x for x in ups]), self._run([-x / lam for x in downs])
+        d1, d2 = self._run([x / lam for x in downs]), self._run([lam * x for x in ups])
+        totals = [0] * len(ks)
+        for u, uq, uu in self.us:
+            xs, ys = self._run([x / u for x in ups]), self._run([u * x for x in downs])
+            for i, k in enumerate(ks):
+                totals[i] += uq ** 2 * xs[i] * ys[i] / (self.sq * uu * mks[i]) \
+                    * self._series(u, q ** (2 * k))
+        return [q ** (2 * k + 2 * _nu(k)) * self.cq ** 2 * mks[i]
+                * self.sq ** 2 * n1[i] * n2[i] / (d1[i] * d2[i]) * totals[i]
+                for i, k in enumerate(ks)]

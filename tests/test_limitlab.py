@@ -24,6 +24,7 @@ from qsu11 import (
     uniform_sup_gap,
 )
 from qsu11 import limitlab
+from _mp_reference import Reference
 from qsu11.limitlab import MONO_SLACK, SweepRow, _spectrum_window, sweep_report
 
 B = QBase(0.5)
@@ -305,12 +306,23 @@ class TestApproxIdentityGap:
             approx_identity_gap(B, SpectralParam.from_z(0.9, B),
                                 symbol_constant(1.0), 24)
 
-    def test_depth_past_the_float_range_fails(self):
-        # From k = 33 the two-term products overflow at z = 0.9; the gap
-        # used to come back as the depth-32 value.
-        with pytest.raises(InvalidArgumentError, match="past the float range"):
-            approx_identity_gap(B, SpectralParam.from_z(0.9, B),
-                                symbol_constant(1.0), 40)
+    def test_depth_past_the_closed_form_frontier(self):
+        # From k = 33 the two-term products overflow at z = 0.9 (the gap
+        # was refused); the recurrence in k reaches depth 40, and each
+        # added point is within its certificate of mpmath's closed form.
+        mp = pytest.importorskip("mpmath").mp
+        zp = SpectralParam.from_z(0.9, B)
+        g32 = approx_identity_gap(B, zp, symbol_constant(1.0), 32)
+        g40 = approx_identity_gap(B, zp, symbol_constant(1.0), 40)
+        added = [(p, ev) for p, ev in _spectrum_window(B, zp, 40)
+                 if p.exponent > 32]
+        assert g40.gap == max(g32.gap, max(abs(ev.value - 1.0) for _, ev in added))
+        with mp.workdps(40):
+            ref = Reference(mp, 0.5, zp.lam)
+            for sign in (1, -1):
+                evs = [ev for p, ev in added if p.sign == sign]
+                for ev, r in zip(evs, ref.window(sign, range(33, 41))):
+                    assert abs(mp.mpc(ev.value) - r) <= ev.tail_bound
 
 
 class TestSpectrumWindow:

@@ -6,6 +6,7 @@ import random
 import sys
 
 import pytest
+from _mp_reference import Reference
 
 from qsu11 import (
     InvalidArgumentError,
@@ -26,7 +27,7 @@ from qsu11 import (
     structural_maps,
     theta_pair,
 )
-from qsu11.su11core import _coamen_window, nu_exponent
+from qsu11.su11core import _closed_form, _coamen_window, _recurrence, nu_exponent
 
 B = QBase(0.5)
 
@@ -199,71 +200,142 @@ def _oracle_points(base, count, seed=7):
     return points
 
 
-def _case2_reference(mp, q, lam, k):
-    """T(lam) + T(1/lam) of the two-term continuation at kappa = q^{2k}."""
-    q2, kappa = q * q, q ** (2 * k)
-    total = 0
-    for u in (lam, 1 / lam):
-        num = mp.qp(u * q, q2) ** 2 * mp.qp(-q ** 3 / (u * kappa), q2) \
-            * mp.qp(-u * kappa / q, q2)
-        den = mp.qp(q2, q2) * mp.qp(u * u, q2) * mp.qp(-q2 / kappa, q2) \
-            * mp.qp(-kappa, q2)
-        total += num / den * mp.qhyper([q / u, q / u], [q2 / (u * u)], q2, -kappa)
-    return total
-
-
-def _case3_reference(mp, q, lam, k):
-    """The cancelled closed form at -q^k, as printed in ``_case3``."""
-    q2 = q * q
-    cq = 1 / (mp.sqrt(2) * q * mp.qp(q2, q2) * mp.qp(-q2, q2))
-    pref = q ** (2 * k + 2 * nu_exponent(k)) * cq ** 2 * mp.qp(q ** (2 * k), q2) \
-        * mp.qp(q2, q2) ** 2 * mp.qp(-lam * q ** (3 - 2 * k), q2) \
-        * mp.qp(-q ** (2 * k - 1) / lam, q2) \
-        / (mp.qp(q ** (2 * k - 1) / lam, q2) * mp.qp(lam * q ** (3 - 2 * k), q2))
-    total = 0
-    for u in (lam, 1 / lam):
-        num = mp.qp(u * q, q2) ** 2 * mp.qp(q ** (3 - 2 * k) / u, q2) \
-            * mp.qp(u * q ** (2 * k - 1), q2)
-        den = mp.qp(q2, q2) * mp.qp(u * u, q2) * mp.qp(q ** (2 * k), q2)
-        total += num / den * mp.qhyper([q / u, q / u], [q2 / (u * u)], q2,
-                                       q ** (2 * k))
-    return pref * total
-
-
 class TestContinuedCasesOracle:
     """Cases 2 and 3 against their closed forms evaluated by mpmath at 40
     digits, an evaluation that shares no code with the library's."""
 
-    @pytest.mark.parametrize("sign, reference", (
-        (1, _case2_reference), (-1, _case3_reference)), ids=("case2", "case3"))
+    @pytest.mark.parametrize("sign", (1, -1), ids=("case2", "case3"))
     @pytest.mark.parametrize("q", (0.5, 0.41))
-    def test_error_within_the_certificate(self, q, sign, reference):
+    def test_error_within_the_certificate(self, q, sign):
         mp = pytest.importorskip("mpmath").mp
         base = QBase(q)
         with mp.workdps(40):
             for z, k in _oracle_points(base, 40):
                 zp = SpectralParam.from_z(z, base)
                 ev = spherical_az(base, zp, IqPoint(sign, k))
-                ref = reference(mp, mp.mpf(q), mp.mpc(zp.lam), k)
+                ref = Reference(mp, q, zp.lam)(sign, k)
                 assert abs(mp.mpc(ev.value) - ref) \
                     <= ev.tail_bound + ORACLE_RTOL * abs(ev.value), (z, k)
 
-    @pytest.mark.parametrize("sign, reference", (
-        (1, _case2_reference), (-1, _case3_reference)), ids=("case2", "case3"))
+    @pytest.mark.parametrize("sign", (1, -1), ids=("case2", "case3"))
     @pytest.mark.parametrize("q", (0.5, 0.41))
-    def test_window_error_within_the_certificate(self, q, sign, reference):
-        # Every product but the one at the window's small-|a| end is built
-        # by prepending factors; its certificate must still hold.
+    def test_window_error_within_the_certificate(self, q, sign):
+        # Recurrence values, and closed-form values whose products but the
+        # one at the window's small-|a| end are built by prepending
+        # factors: every certificate must still hold.
         mp = pytest.importorskip("mpmath").mp
         base = QBase(q)
         ks = range(1, 11)
         with mp.workdps(40):
             for z, _ in _oracle_points(base, 3, seed=8):
                 zp = SpectralParam.from_z(z, base)
-                for k, ev in zip(ks, spherical_window(base, zp, sign, ks)):
-                    ref = reference(mp, mp.mpf(q), mp.mpc(zp.lam), k)
+                refs = Reference(mp, q, zp.lam).window(sign, ks)
+                for k, ev, ref in zip(ks, spherical_window(base, zp, sign, ks),
+                                      refs):
                     assert abs(mp.mpc(ev.value) - ref) \
                         <= ev.tail_bound + ORACLE_RTOL * abs(ev.value), (z, k)
+
+
+def _recurrence_zs(base, seed):
+    """One z from [0.9, 1), the lattice experiments' domain, and one from
+    the strip of :func:`_oracle_points`."""
+    return [random.Random(seed).uniform(0.9, 1.0),
+            _oracle_points(base, 1, seed=seed)[0][0]]
+
+
+class TestRecurrenceOracle:
+    """Window values filled by the three-term recurrence in k against the
+    closed forms at 40 digits.  Their running bound covers the rounding
+    too, so the error must be within ``tail_bound`` with no slack."""
+
+    @pytest.mark.parametrize("q", (0.41, 0.5, 0.56, 0.9))
+    def test_error_within_the_running_bound(self, q):
+        mp = pytest.importorskip("mpmath").mp
+        base = QBase(q)
+        ks = range(1, 25)
+        filled = 0
+        with mp.workdps(40):
+            for z in _recurrence_zs(base, 12):
+                zp = SpectralParam.from_z(z, base)
+                ref = Reference(mp, q, zp.lam)
+                for sign in (1, -1):
+                    values = _recurrence(base, zp.lam, sign, 1, 24, 1e-12, 200)
+                    window = spherical_window(base, zp, sign, ks)
+                    assert [repr(ev) for ev in window[:len(values)]] \
+                        == [repr(ev) for ev in values]
+                    if not values:
+                        continue
+                    refs = ref.window(sign, ks[:len(values)])
+                    for k, ev, r in zip(ks, values, refs):
+                        assert abs(mp.mpc(ev.value) - r) <= ev.tail_bound, \
+                            (z, sign, k)
+                    filled += len(values)
+        assert filled >= (90 if q < 0.9 else 3)
+
+    def test_fallback_is_the_closed_form_window(self):
+        # contract_00 at q = 0.9: the bound passes tol after three
+        # exponents on the positive branch and at the seed on the negative
+        # one; the rest of each window is the closed-form window.
+        base = QBase(0.9)
+        zp = SpectralParam.from_z(complex(0.0, 0.5 / 20 * math.pi / abs(base.log_q)),
+                                  base)
+        for sign, ks, n1 in ((1, range(-12, 13), 13), (-1, range(1, 13), 0)):
+            window = spherical_window(base, zp, sign, ks)
+            values = _recurrence(base, zp.lam, sign, 1, 12, 1e-12, 200)
+            assert len(values) == (3 if sign > 0 else 0)
+            rest = list(ks)[n1 + len(values):]
+            assert [repr(ev) for ev in window[n1 + len(values):]] == [
+                repr(ev) for ev in _closed_form(base, zp.lam, sign, rest, 1e-12, 200)]
+
+    @pytest.mark.parametrize("tol, max_terms", ((1e-12, 3), (1e-321, 200)),
+                             ids=("uncertified", "refused"))
+    def test_seeds_that_fail_fall_back(self, tol, max_terms):
+        # With 3 terms no seed converges, and at tol = 1e-321 the seeds'
+        # tolerances underflow to 0: the closed forms decide the window.
+        zp = SpectralParam.from_z(0.93 + 0.2j, B)
+        ks = list(range(1, 9))
+        for sign in (1, -1):
+            error = _first_error(
+                [lambda: _closed_form(B, zp.lam, sign, ks, tol, max_terms)])
+            if error is not None:
+                with pytest.raises(error):
+                    spherical_window(B, zp, sign, ks, tol, max_terms)
+                continue
+            assert [repr(ev) for ev in spherical_window(B, zp, sign, ks, tol,
+                                                        max_terms)] \
+                == [repr(ev) for ev in _closed_form(B, zp.lam, sign, ks, tol,
+                                                    max_terms)]
+
+
+class TestCertificateMiss:
+    """At q = 0.5 and z = 0.9980174847492582 the closed form of case 3
+    misses its certificate at -q^2 and -q^3, outside the oracle's
+    16 eps |value| allowance too: ``tail_bound`` counts truncation, not
+    rounding (ROADMAP item 1).  The recurrence value keeps its bound."""
+
+    ZP = SpectralParam.from_z(0.9980174847492582, B)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the closed form's tail_bound "
+                       "does not cover its rounding")
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_closed_form_within_its_certificate(self, k):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(40):
+            ev = spherical_az(B, self.ZP, IqPoint.negative(k))
+            err = abs(mp.mpc(ev.value) - Reference(mp, 0.5, self.ZP.lam)(-1, k))
+            assert err <= ev.tail_bound + ORACLE_RTOL * abs(ev.value)
+
+    @pytest.mark.parametrize("k", (2, 3))
+    def test_recurrence_within_its_bound(self, k):
+        mp = pytest.importorskip("mpmath").mp
+        window = spherical_window(B, self.ZP, -1, range(1, 4))
+        assert [repr(ev) for ev in window] == [  # all by the recurrence
+            repr(ev) for ev in _recurrence(B, self.ZP.lam, -1, 1, 3, 1e-12, 200)]
+        with mp.workdps(40):
+            ev = window[k - 1]
+            err = abs(mp.mpc(ev.value) - Reference(mp, 0.5, self.ZP.lam)(-1, k))
+            assert err <= ev.tail_bound
 
 
 #: Parity allowance between a window and single points: the two tail
@@ -324,7 +396,9 @@ class TestSphericalWindow:
 class TestOverflowingProducts:
     """At q = 0.5 and z = 0.9 the products of the two-term form leave the
     float range from k = 33 on (they returned nan+nanj after 400 to 2,300
-    series terms); such a point is refused before any term is summed."""
+    series terms); such a point is refused before any term is summed.  A
+    window reaches those exponents by the recurrence in k, which has no
+    such products."""
 
     ZP = SpectralParam.from_z(0.9, B)
 
@@ -342,8 +416,22 @@ class TestOverflowingProducts:
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
         with pytest.raises(InvalidArgumentError, match="past the float range"):
             spherical_az(B, self.ZP, IqPoint(sign, k))
-        with pytest.raises(InvalidArgumentError, match="past the float range"):
-            spherical_window(B, self.ZP, sign, range(20, k + 1))
+
+    @pytest.mark.parametrize("sign", (1, -1))
+    def test_window_past_the_frontier_matches_mpmath(self, sign):
+        # These windows were refused like their points up to the
+        # recurrence in k; now every value is certified.
+        mp = pytest.importorskip("mpmath").mp
+        ks = range(20, 35)
+        window = spherical_window(B, self.ZP, sign, ks)
+        assert [repr(ev) for ev in window] == [
+            repr(ev) for ev in _recurrence(B, self.ZP.lam, sign, 20, 34, 1e-12, 200)]
+        with mp.workdps(40):
+            refs = Reference(mp, 0.5, self.ZP.lam).window(sign, ks)
+            for k, ev, ref in zip(ks, window, refs):
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, k
+        far, = spherical_window(B, self.ZP, sign, range(99, 101))[1:]
+        assert cmath.isfinite(far.value) and far.tail_bound <= 1e-12
 
 
 class TestCoamenCoeff:
@@ -519,6 +607,40 @@ class TestCoamenWindow:
             coamen_coeff(QBase(0.5), 0, 0j, IqPoint.positive(1))
         with pytest.raises(InvalidArgumentError, match="lam must be nonzero"):
             averaged_coamen(QBase(0.5), 2, IqPoint.positive(1), 0, 0j)
+
+
+class TestHeineOverflow:
+    """On the Heine route (e <= 0) ``(z; q^2)_inf`` at z = -q^e leaves the
+    float range from L = 33 on (at q = 0.5, m = 0, lam = 1): the point is
+    refused before any series term is summed (it returned nan+nanj after
+    233 to 1,896 terms)."""
+
+    @pytest.mark.parametrize("L", (33, 60, 511))
+    @pytest.mark.parametrize("form", ("simplified", "raw"))
+    def test_refused_before_any_series_term(self, form, L, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            coamen_coeff(B, 0, 1.0, IqPoint.positive(L), form=form)
+
+    def test_window_reaching_it_is_refused(self, monkeypatch):
+        def no_sum(*args):
+            raise AssertionError("a series was summed")
+
+        monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        # Its first point is L = 33.
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            averaged_coamen(B, 3, IqPoint.positive(30), 0, 1.0)
+
+    def test_last_finite_exponent_unchanged(self):
+        assert repr(coamen_coeff(B, 0, 1.0, IqPoint.positive(32))) == (
+            "SeriesEval(value=(-4.386221157354899e-09+0j), terms_used=230, "
+            "tail_bound=4.699350047100129e-22, degenerate=False)")
+        assert repr(coamen_coeff(B, 0, 1.0, IqPoint.positive(32), form="raw")) == (
+            "SeriesEval(value=(-4.386221157354919e-09+0j), terms_used=333, "
+            "tail_bound=5.312930195819392e-22, degenerate=False)")
 
 
 _ZP = SpectralParam.from_z(0.9, B)
