@@ -59,7 +59,7 @@ class PathOutsideDomainError(QSU11Error):
 class QuadratureUnderResolvedError(QSU11Error):
     """A quadrature cannot certify its value within the budget.
 
-    Raised when the truncated Gaussian tail or the node-doubling change
-    exceeds the budget, or when the integrand's series at a node comes
-    back uncertified.
+    Raised when the truncated Gaussian tail, the node-doubling change or
+    the smoothed value's certificate exceeds the budget, or when the
+    integrand's series at a node comes back uncertified.
     """

@@ -160,6 +160,8 @@ def _run_check(suite: str, check: Check) -> CheckRow:
     if isinstance(out, SweepReport):
         params["deviations"] = [float(r.deviation) for r in out.rows]
         params["monotone"] = bool(out.monotone_deviation)
+        if any(r.bound for r in out.rows):
+            params["bounds"] = [float(r.bound) for r in out.rows]
         notes = [r.note for r in out.rows if r.note]
         if notes:
             params["errors"] = notes
@@ -289,7 +291,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     for z in gap_zs:
         def run(z=z):
             g = uniform_sup_gap(base, SpectralParam.from_z(z, base),
-                                cfg.max_exponent, tol=st)
+                                cfg.max_exponent, **budget)
             gaps.append(g)
             thr = cfg.tol if z == 1.0 else (5e-3 if z == 0.999 else 0.05)
             return g, g, thr
@@ -307,8 +309,8 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
     def run():
         zp = SpectralParam.from_z(0.95, base)
-        g20 = uniform_sup_gap(base, zp, 20, tol=st)
-        g40 = uniform_sup_gap(base, zp, 40, tol=st)
+        g20 = uniform_sup_gap(base, zp, 20, **budget)
+        g40 = uniform_sup_gap(base, zp, 40, **budget)
         return g40, abs(g40 - g20), 1e-14
 
     yield Check("unifgap_window", "Thm6.3", {"z": 0.95, "depths": [20, 40]},
@@ -391,13 +393,17 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     for k in (2, 5):
         for p0k in (0, -1, -2, -4):
             def run(k=k, p0=IqPoint.positive(p0k), center=1.0 - 1.0 / k):
-                target = _sph(cfg, base, complex(center, 0.0), p0)
+                target = spherical_az(base, SpectralParam.from_z(center, base),
+                                      p0, tol=st, max_terms=cfg.max_terms)
                 path = ContourPath("vertical_line", center)
                 rows = []
                 for n in n_chain:
                     quad = QuadratureSpec.for_width(n, base, cfg.tol_quad)
                     sm = gaussian_smooth(base, p0, k, n, path, quad, tol=st)
-                    rows.append(SweepRow(n, sm.value, abs(sm.value - target)))
+                    rows.append(SweepRow(n, sm.value,
+                                         abs(sm.value - target.value),
+                                         bound=sm.tail_bound
+                                         + target.tail_bound))
                 return sweep_report("gaussian_smooth", rows, 1e-2)
 
             yield Check(f"smooth_k{k}_p{p0k}", "Thm7.4",
@@ -449,7 +455,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
 
 def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
-    st = cfg.series_tol
+    budget = {"tol": cfg.series_tol, "max_terms": cfg.max_terms}
     depth = min(cfg.max_exponent, 12)
     sym = symbol_clip_abs()
     zs = (0.9, 0.99, 0.999)
@@ -458,7 +464,7 @@ def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         rows = []
         for z in zs:
             g = approx_identity_gap(base, SpectralParam.from_z(z, base),
-                                    sym, depth, tol=st)
+                                    sym, depth, **budget)
             rows.append(SweepRow(z, complex(g.gap), g.gap))
         return sweep_report("approx_identity_gap", rows, 0.02)
 
@@ -469,7 +475,7 @@ def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
     def run():
         g = approx_identity_gap(base, SpectralParam.from_z(0.999, base),
-                                const, depth, tol=st)
+                                const, depth, **budget)
         return g.gap, g.gap, 3.0
 
     yield Check("const_symbol_bounded", "Thm6.3",

@@ -55,12 +55,15 @@ _LOG_LAM_MAX = -math.log(sys.float_info.min) / 2.0
 @dataclass(frozen=True)
 class SweepRow:
     """One step of a limit sweep: parameter, value, deviation from target,
-    and in ``note`` the error text of a step that raised."""
+    in ``note`` the error text of a step that raised, and in ``bound`` a
+    certificate on the deviation (the value's and the target's error
+    bounds; ``inf`` when either is uncertified, 0 when none is kept)."""
 
     param: object
     value: complex
     deviation: float
     note: str = ""
+    bound: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -86,15 +89,17 @@ def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,
     """Judge a chain of sweep rows; the one verdict rule for limit chains.
 
     The verdict is "pass" when the chain is nonempty, no row carries an
-    error note, the final deviation is within ``threshold``, and (if
-    required) the deviations decrease monotonically up to
-    :data:`MONO_SLACK`.
+    error note, every row's ``bound`` is finite, the final deviation
+    plus its bound is within ``threshold``, and (if required) the
+    deviations decrease monotonically up to :data:`MONO_SLACK`.
     """
     rows = tuple(rows)
     devs = [r.deviation for r in rows]
     monotone = all(b <= a + MONO_SLACK for a, b in zip(devs, devs[1:]))
     ok = bool(rows) and not any(r.note for r in rows) \
-        and devs[-1] <= threshold and (monotone or not require_monotone)
+        and all(math.isfinite(r.bound) for r in rows) \
+        and devs[-1] + rows[-1].bound <= threshold \
+        and (monotone or not require_monotone)
     return SweepReport(label, rows, "pass" if ok else "fail", monotone,
                        threshold)
 
@@ -238,13 +243,13 @@ def _spectrum_window(base: QBase, zp: SpectralParam, depth: int,
 
 
 def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
-                    tol: float = 1e-12) -> float:
+                    tol: float = 1e-12, max_terms: int = 200) -> float:
     """Sup of ``|a_z(q^k) - 1|`` over the outward points k = -max_exponent..0.
 
     The points are one :func:`qsu11.su11core.spherical_window` (case 1:
-    the direct series' guards once, one kernel sum per k).  A coefficient
-    that is not finite raises :class:`InvalidArgumentError` rather than
-    drop out of the sup.
+    the direct series' guards once, one kernel sum per k), each summed
+    within ``tol`` and ``max_terms``.  A coefficient that is not finite
+    raises :class:`InvalidArgumentError` rather than drop out of the sup.
 
     The coefficient deviations decay geometrically in -k on this range,
     so the sup over the truncated window already equals the sup over
@@ -255,7 +260,7 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     if max_exponent < 0:
         raise InvalidArgumentError("max_exponent must be >= 0")
     return max(abs(ev.value - 1.0) for _, ev in
-               _window(base, zp, 1, range(-max_exponent, 1), tol))
+               _window(base, zp, 1, range(-max_exponent, 1), tol, max_terms))
 
 
 @dataclass(frozen=True)
@@ -299,14 +304,15 @@ class ApproxIdentityGap:
 
 
 def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
-                        max_exponent: int = 24,
-                        tol: float = 1e-12) -> ApproxIdentityGap:
+                        max_exponent: int = 24, tol: float = 1e-12,
+                        max_terms: int = 200) -> ApproxIdentityGap:
     """Weighted gap ``sup_p |a_z(p) - 1| |sym(p)|`` over the truncated spectrum.
 
     Samples ``+q^k`` for k in [-max_exponent, max_exponent] and
     ``-q^k`` for k in [1, max_exponent] (:func:`_spectrum_window`: one
-    window evaluation per branch, and a coefficient that is not finite
-    raises :class:`InvalidArgumentError`).  For symbols that decay at
+    window evaluation per branch within ``tol`` and ``max_terms``, and a
+    coefficient that is not finite raises :class:`InvalidArgumentError`).
+    For symbols that decay at
     zero the gap vanishes as z -> 1; for non-decaying symbols it stays
     bounded but need not vanish (the deviation at points near zero does
     not go away, only its weight can kill it).
@@ -314,7 +320,7 @@ def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
     if max_exponent < 1:
         raise InvalidArgumentError("max_exponent must be >= 1")
     unit = decay = 0.0
-    for p, ev in _spectrum_window(base, zp, max_exponent, tol=tol):
+    for p, ev in _spectrum_window(base, zp, max_exponent, tol, max_terms):
         g = abs(ev.value - 1.0) * abs(sym.eval(p, base))
         if p.sign > 0 and p.exponent <= 0:
             unit = max(unit, g)

@@ -11,15 +11,47 @@ plain Gaussian average ``sqrt(n/pi) * integral exp(-n s^2) f(z0+is) ds``
 chosen so the kernel decays along vertical-type paths; the opposite
 orientation diverges and is not representable here.
 
-Quadrature is a composite trapezoid rule on a fixed symmetric node set,
-evaluated once on the doubled grid; the coarse-grid value is recovered
-from the even-indexed nodes, and disagreement beyond ``tol_quad``
-raises instead of returning a silently under-resolved number.
+Quadrature is a composite trapezoid rule on ``|s| <= S``, evaluated once
+on the doubled grid; the coarse-grid value is recovered from the
+even-indexed nodes, and disagreement beyond ``tol_quad`` raises instead
+of returning a silently under-resolved number.
+
+The grid comes from a bound, not from a fixed density.  The half-span
+``S = sqrt(log(4/tol_quad)/n)`` puts the kernel at ``tol_quad/4`` of its
+peak at the ends.  The step comes from the trapezoid rule's strip bound
+(Trefethen & Weideman, "The exponentially convergent trapezoidal rule",
+SIAM Rev. 56 (2014), Thm 5.1): on the infinite line the rule with step
+h errs by at most ``2 M / (e^{2 pi a/h} - 1)`` when the integrand is
+analytic on the strip ``|Im s| < a`` with L1 norm at most M along every
+horizontal line there.  On a vertical line ``Re z = x0`` at distance
+``d = x0 - z0`` from the center, the Gaussian weight gives
+``M <= e^{n (|d| + a)^2} F(a)``, where F(a) bounds ``|f|`` on the strip
+``|Re z - x0| <= a``.  The coarse step is the largest whose term is at
+most ``tol_quad/4``; the fine grid then errs by about the square of
+that.
+
+For the default integrand at ``p0 = +q^k, k <= 0`` on a vertical line,
+``f`` is entire in z and the positive-term series :func:`_majorant`
+bounds it on every vertical line, so ``sup |f|`` and F(a) are known and
+the smoothed value carries a certificate
+(:attr:`SmoothedValue.tail_bound`), the sum of
+
+* the node series errors ``h sum |w_i| tail_i``;
+* the truncation ``e^{n d^2} sup|f| (erfc(sqrt(n) S) + h sqrt(n/pi)
+  e^{-n S^2})``: the sum's nodes beyond ``|s| = S``, the two
+  half-weighted end nodes included;
+* the trapezoid term at the fine step;
+* a rounding term (:func:`_certificate`).
+
+Other integrands (the continued cases, supplied callables, perturbed
+paths) report ``tail_bound = inf``; their grid is the one the Gaussian
+weight alone needs (F = 1), and node doubling is their only check.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +63,7 @@ from .errors import (
     QSU11Error,
     QuadratureUnderResolvedError,
 )
-from .qcalculus import QBase, SeriesEval
+from .qcalculus import EPS_POLE, QBase, SeriesEval, SeriesEvalBatch
 from .su11core import IqPoint, SpectralParam, _case1_batch, _lam_batch, spherical_az
 
 __all__ = [
@@ -43,6 +75,16 @@ __all__ = [
 ]
 
 _PATH_KINDS = ("vertical_line", "perturbed")
+
+_EPS = sys.float_info.epsilon
+
+#: Share of ``tol_quad`` given to the coarse grid's trapezoid term, and
+#: again to the node series errors.
+_SHARE = 0.25
+
+#: Term cap of :func:`_majorant`; a line whose majorant has not settled
+#: by then gets no certificate.
+_MAJORANT_TERMS = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,38 +120,43 @@ class ContourPath:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Trapezoid-rule resolution and truncation budget.
+    """Trapezoid-rule truncation, resolution and budget.
 
     ``half_span`` is the truncation half-width S of the parameter
-    interval; ``nodes_per_unit`` the node density of the coarse grid;
-    ``tol_quad`` both the allowed node-doubling discrepancy and the
-    budget against which the Gaussian truncation tail is checked.
+    interval; ``nodes_per_unit`` the node density of the coarse grid,
+    or None to size the step from the trapezoid bound (see the module
+    docstring); ``tol_quad`` the budget of the node-doubling
+    discrepancy, of the Gaussian truncation tail (half of it) and of the
+    smoothed value's certificate.
     """
 
     half_span: float
-    nodes_per_unit: int = 64
+    nodes_per_unit: int | None = None
     tol_quad: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.half_span <= 0:
             raise InvalidArgumentError("half_span must be positive")
-        if self.nodes_per_unit < 1:
+        if self.nodes_per_unit is not None and self.nodes_per_unit < 1:
             raise InvalidArgumentError("nodes_per_unit must be >= 1")
         if self.tol_quad <= 0:
             raise InvalidArgumentError("tol_quad must be positive")
 
     @classmethod
     def for_width(cls, n: float, base: QBase, tol_quad: float = 1e-8,
-                  nodes_per_unit: int = 64) -> "QuadratureSpec":
-        """Half-span wide enough for kernel width n plus one period.
+                  nodes_per_unit: int | None = None) -> "QuadratureSpec":
+        """Half-span for kernel width n: ``S = sqrt(log(4/tol_quad)/n)``.
 
-        ``S = sqrt(log(4/tol_quad)/n) + 2 pi / |log q|`` puts the
-        truncated Gaussian tail below ``tol_quad/2`` with a full
-        imaginary period of margin for the integrand's oscillation.
+        At S the kernel has fallen to ``tol_quad/4`` of its peak, so the
+        truncated tail ``erfc(sqrt(n) S)`` is below ``tol_quad/4``.  The
+        span does not depend on q (``base`` is not used).  With
+        ``nodes_per_unit`` None the step is sized from the trapezoid
+        bound of the integrand at hand when :func:`gaussian_smooth`
+        runs; an explicit density is used as given.
         """
         if n <= 0:
             raise InvalidArgumentError("n must be positive")
-        span = math.sqrt(math.log(4.0 / tol_quad) / n) + base.period
+        span = math.sqrt(math.log(4.0 / tol_quad) / n)
         return cls(half_span=span, nodes_per_unit=nodes_per_unit,
                    tol_quad=tol_quad)
 
@@ -125,22 +172,164 @@ class SmoothedValue:
     ``mass`` is the quadrature of the weight alone and should sit
     within ``tol_quad`` of 1; it is real on symmetric paths (the
     imaginary part cancels exactly on the canonical vertical path).
+    ``tail_bound`` bounds ``|value - I|``, I the exact contour integral
+    (see the module docstring); it is ``inf`` for integrands the
+    majorant does not cover, which only node doubling checks.
     """
 
     value: complex
     mass: float
+    tail_bound: float = math.inf
+
+
+def _majorant(base: QBase, k: int, x: float) -> tuple[float, float, float]:
+    """Bounds of the case-1 coefficient ``a_z(+q^k)``, k <= 0, on the line
+    ``Re z = x``.
+
+    The series ``sum_m (q/lam, lam q; q^2)_m / (q^2; q^2)_m^2
+    (-q^{2-2k})^m`` is bounded term by term (``|1 - u| <= 1 + |u|``) by
+    ``M = sum_m T_m``, ``T_m = (-|q/lam|, -|lam q|; q^2)_m /
+    (q^2; q^2)_m^2 q^{(2-2k) m}`` with ``|lam| = q^x``; it converges for
+    every lam, and ``log M`` is convex in x (each factor is), so on a
+    strip ``|Re z - x0| <= a`` its largest value is at an edge.
+
+    Returns ``(M, sum_m m T_m, sum_m m^2 T_m)``, the last two for the
+    rounding weight of :func:`_certificate`.  The terms are summed until
+    the ratio bound puts the rest below eps of M; the geometric tails are
+    added and the float rounding of a positive sum is allowed for, so all
+    three are upper bounds.  ``inf`` throughout when the terms overflow
+    or do not settle within :data:`_MAJORANT_TERMS`.
+    """
+    log_r = x * base.log_q
+    if abs(log_r) > 700.0:
+        return math.inf, math.inf, math.inf
+    q = base.q
+    q2 = q * q
+    r = math.exp(log_r)
+    A, B, X = q / r, q * r, q ** (2 - 2 * k)
+    t = total = 1.0
+    first = second = 0.0
+    p = 1.0  # q^(2(m-1)) on entry to step m
+    for m in range(1, _MAJORANT_TERMS):
+        t *= (1.0 + A * p) * (1.0 + B * p) * X / (1.0 - p * q2) ** 2
+        total += t
+        first += m * t
+        second += m * m * t
+        p *= q2
+        # T_{m+1}/T_m; the later ratios are smaller
+        rho = (1.0 + A * p) * (1.0 + B * p) * X / (1.0 - p * q2) ** 2
+        if rho < 1.0 and t * rho <= _EPS * (1.0 - rho) * total:
+            grow = 1.0 + 8.0 * (m + 2) * _EPS
+            # (m+i)^e <= (1+i)^2 m^e for e = 1, 2, and
+            # sum_{i>=1} (1+i)^2 rho^i = (1+rho)/(1-rho)^3 - 1
+            tail = t * ((1.0 + rho) / (1.0 - rho) ** 3 - 1.0)
+            return ((total + t * rho / (1.0 - rho)) * grow,
+                    (first + m * tail) * grow, (second + m * m * tail) * grow)
+    return math.inf, math.inf, math.inf
+
+
+class _LineBound:
+    """Majorant bounds of the default case-1 integrand on a vertical line:
+    ``sup`` = sup |f| on the line, ``weighted`` the rounding weight
+    ``sum_m m (m + c1) T_m`` of :func:`_certificate`, ``strip`` = F(a) on
+    the strip of half-width ``a``, and the half-span ``span``.  (A plain
+    class: a dataclass or NamedTuple would add 0.4-3 ms to the package
+    import.)"""
+
+    __slots__ = ("sup", "weighted", "a", "strip", "span")
+
+    def __init__(self, sup: float, weighted: float, a: float, strip: float,
+                 span: float) -> None:
+        self.sup, self.weighted, self.a = sup, weighted, a
+        self.strip, self.span = strip, span
+
+
+def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
+                n: float, quad: QuadratureSpec) -> _LineBound | None:
+    """:class:`_LineBound` of the default integrand on ``path``, or None
+    where the majorant certificate does not apply.
+
+    It applies to case 1 (``p0 = +q^k, k <= 0``) on vertical lines that
+    stay clear of the snap band of :func:`qsu11.qcalculus.phi21_direct`:
+    ``q/lam`` or ``lam q`` within ``EPS_POLE`` of a power ``q^(-2j)``
+    needs ``Re z`` near an odd integer, and a snapped node is not the
+    integrand at that node to rounding accuracy.
+
+    The half-span grows from S to ``sqrt(S^2 + d^2 + log(sup|f|)/n)``
+    (unless the path fixes its own), where ``e^{n d^2} sup|f|`` times the
+    kernel has fallen to ``tol_quad/4``.  The strip half-width
+    ``a = sqrt(d^2 + log(8 sup|f| / tol_quad)/n)`` maximises the step of
+    :func:`_grid` for F(a) constant at ``sup|f|``; the growth of F over
+    the strip moves the maximiser by under 1% on the smoothing suite's
+    cells.
+    """
+    x0 = path.anchor
+    if not (p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"):
+        return None
+    if abs(math.remainder(x0 - 1.0, 2.0)) * abs(base.log_q) <= 10.0 * EPS_POLE:
+        return None
+    sup, first, second = _majorant(base, p0.exponent, x0)
+    if not math.isfinite(sup):
+        return None
+    span = path.half_span if path.half_span is not None \
+        else math.sqrt(quad.half_span ** 2 + d * d + math.log(sup) / n)
+    c1 = 32.0 + 2.0 * abs(base.log_q) * (abs(x0) + 2.0 * span)
+    a = math.sqrt(d * d + math.log(2.0 * sup / (_SHARE * quad.tol_quad)) / n)
+    strip = max(_majorant(base, p0.exponent, x0 - a)[0],
+                _majorant(base, p0.exponent, x0 + a)[0])
+    if not math.isfinite(strip):
+        return None
+    return _LineBound(sup, second + c1 * first, a, strip, span)
+
+
+def _log_trapezoid(n: float, d: float, a: float, strip: float,
+                   h: float) -> float:
+    """Log of the strip bound
+    ``2 e^{n (|d| + a)^2} F(a) / (e^{2 pi a/h} - 1)``."""
+    x = 2.0 * math.pi * a / h
+    return (math.log(2.0 * strip) + n * (abs(d) + a) ** 2
+            - x - math.log1p(-math.exp(-x)))
+
+
+def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
+          quad: QuadratureSpec,
+          integrand: Callable | None) -> tuple[float, int, _LineBound | None]:
+    """Half-span, number of coarse intervals, and the majorant bounds
+    (None: no certificate) of one :func:`gaussian_smooth` call.
+
+    With ``quad.nodes_per_unit`` None, the coarse step is the largest h
+    with ``2 e^{n (|d| + a)^2} F(a) / (e^{2 pi a/h} - 1) <= tol_quad/4``,
+    F from :func:`_line_bound` where the majorant applies and F = 1 (the
+    weight alone) where it does not.
+    """
+    d = path.anchor - (1.0 - 1.0 / k)
+    budget = _SHARE * quad.tol_quad
+    bound = None
+    if integrand is None:
+        bound = _line_bound(base, p0, path, d, n, quad)
+    if bound is not None:
+        span, a, strip = bound.span, bound.a, bound.strip
+    else:
+        span = path.half_span if path.half_span is not None \
+            else math.hypot(quad.half_span, d)
+        a, strip = math.sqrt(d * d + math.log(2.0 / budget) / n), 1.0
+    if quad.nodes_per_unit is not None:
+        return span, math.ceil(2.0 * span * quad.nodes_per_unit), bound
+    # e^{2 pi a/h} - 1 = 2 e^{n(|d|+a)^2} F / budget, solved for h
+    lg = math.log(2.0 * strip / budget) + n * (abs(d) + a) ** 2
+    h = 2.0 * math.pi * a / (lg + math.log1p(math.exp(-lg)))
+    return span, math.ceil(2.0 * span / h), bound
 
 
 def _fine_nodes(path: ContourPath, span: float,
-                nodes_per_unit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                m_coarse: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Parameters s, points z(s) and derivatives z'(s) of the fine grid.
 
-    The fine grid has twice the coarse grid's (even) number of intervals,
-    so the coarse grid is its even-indexed nodes.
+    The fine grid has twice the coarse grid's number of intervals (made
+    even, so s = 0 is a coarse node), so the coarse grid is its
+    even-indexed nodes.
     """
-    m_coarse = int(math.ceil(2.0 * span * nodes_per_unit))
-    if m_coarse % 2:
-        m_coarse += 1
+    m_coarse += m_coarse % 2
     s = np.linspace(-span, span, 2 * m_coarse + 1)
     zz = path.anchor + path.wiggle_amplitude * np.sin(s) + 1j * s
     dz = path.wiggle_amplitude * np.cos(s) + 1j
@@ -163,13 +352,16 @@ def _uncertified(s: float, terms: int) -> QuadratureUnderResolvedError:
 
 
 def _node_values(f: Callable, s: np.ndarray, zz: np.ndarray,
-                 certified: bool) -> np.ndarray:
+                 certified: bool) -> SeriesEvalBatch:
     """Integrand at every node, one call per node.
 
     With ``certified`` set, ``f`` returns a :class:`SeriesEval` whose
-    tail bound must be finite.
+    tail bound must be finite; otherwise ``f`` returns the value, and
+    the result's tail bounds are ``inf``.
     """
     fv = np.empty(len(zz), dtype=np.complex128)
+    terms = np.zeros(len(zz), dtype=np.int64)
+    tails = np.full(len(zz), math.inf)
     for i in range(len(zz)):
         try:
             r = f(complex(zz[i]))
@@ -180,13 +372,13 @@ def _node_values(f: Callable, s: np.ndarray, zz: np.ndarray,
         if certified:
             if r.tail_bound == math.inf:
                 raise _uncertified(float(s[i]), r.terms_used)
-            r = r.value
+            terms[i], tails[i], r = r.terms_used, r.tail_bound, r.value
         fv[i] = r
-    return fv
+    return SeriesEvalBatch(fv, terms, tails)
 
 
 def _case1_values(base: QBase, p0: IqPoint, tol: float, s: np.ndarray,
-                  zz: np.ndarray) -> np.ndarray | None:
+                  zz: np.ndarray) -> SeriesEvalBatch | None:
     """Default integrand at every node in one batched pass.
 
     Agrees with the per-node loop to a few ulp (see
@@ -204,7 +396,36 @@ def _case1_values(base: QBase, p0: IqPoint, tol: float, s: np.ndarray,
     bad = np.flatnonzero(np.isinf(ev.tail_bound))
     if bad.size:
         raise _uncertified(float(s[bad[0]]), int(ev.terms_used[bad[0]]))
-    return ev.value
+    return ev
+
+
+def _certificate(bound: _LineBound, n: float, d: float, span: float,
+                 h: float, aw: np.ndarray, ev: SeriesEvalBatch) -> float:
+    """Bound on ``|value - I|`` of a smoothing on a vertical line.
+
+    ``aw`` holds ``h tw_i |w_i|`` (tw the trapezoid weights).  Rounding,
+    in units u = eps/2 and relative to the majorant: the kernel forms
+    term m from ``a q^(2j)`` and ``b q^(2j)``, each off by at most
+    ``(j + 4 + |z log q|) u`` (lam's own rounding included), and about 20
+    more operations per term, so term m is off by at most
+    ``m (m + 33 + 2 |z log q|) u <= m (m + c1) u`` (c1 of
+    :func:`_line_bound`, whose extra ``2 |log q| S`` covers the rounded
+    node positions), and the partial sums add ``terms M u``.  The
+    weights' exponents (``3 n (d^2 + s^2) u``), the node positions'
+    effect on the weight (``4 n S (|d| + S) u``) and the sum of N
+    products add ``(N + 4 n (|d| + S)^2 + 16) M u``.  All of it is
+    counted in eps = 2u, which leaves a factor 2 spare.
+    """
+    mass = float(np.sum(aw))
+    series = float(np.sum(aw * ev.tail_bound))
+    truncation = math.exp(n * d * d) * bound.sup * (
+        math.erfc(math.sqrt(n) * span)
+        + h * math.sqrt(n / math.pi) * math.exp(-n * span * span))
+    trapezoid = math.exp(_log_trapezoid(n, d, bound.a, bound.strip, h))
+    scale = (len(aw) + int(np.max(ev.terms_used))
+             + 4.0 * n * (abs(d) + span) ** 2 + 16.0)
+    rounding = _EPS * mass * (bound.weighted + scale * bound.sup)
+    return series + truncation + trapezoid + rounding
 
 
 def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
@@ -224,12 +445,17 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     integrand : optional
         Replaces the default ``z -> a_z(p0)``; used by tests to check
         the quadrature against synthetic functions with known means.
+    tol : float
+        Series tolerance at the nodes.  Where the value is certified it
+        is tightened to ``tol_quad / (4 sup|f|)`` when that is smaller,
+        so the node series stay within their share of the budget.
 
     The default integrand at ``p0 = +q^k, k <= 0`` is evaluated at all
     nodes in one batched pass in numpy complex arithmetic, which agrees
     with calling :func:`spherical_az` node by node to a few ulp per
     node; the other cases and supplied integrands are called once per
-    node.
+    node.  The grid, and for case 1 on a vertical line the certificate
+    ``tail_bound``, follow the module docstring.
 
     Raises
     ------
@@ -237,51 +463,62 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         If the integrand is singular (pole-guarded) at some node.
     QuadratureUnderResolvedError
         If the Gaussian truncation tail exceeds ``tol_quad/2``, the
-        node-doubling discrepancy exceeds ``tol_quad``, or the default
-        integrand's series at some node is uncertified
-        (``tail_bound = inf``).
+        node-doubling discrepancy or the certificate exceeds
+        ``tol_quad``, or the default integrand's series at some node is
+        uncertified (``tail_bound = inf``).
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     if n <= 0:
         raise InvalidArgumentError("n must be positive")
-    span = path.half_span if path.half_span is not None else quad.half_span
-    if math.erfc(math.sqrt(n) * span) > quad.tol_quad / 2.0:
+    span, m_coarse, bound = _grid(base, p0, k, n, path, quad, integrand)
+    center = 1.0 - 1.0 / k
+    d = path.anchor - center
+    cut = math.exp(n * d * d) * math.erfc(math.sqrt(n) * span)
+    if cut > quad.tol_quad / 2.0:
         raise QuadratureUnderResolvedError(
             f"half_span {span} truncates more than tol_quad/2 "
             f"of the width-{n} kernel"
         )
-    center = 1.0 - 1.0 / k
 
-    s, zz, dz = _fine_nodes(path, span, quad.nodes_per_unit)
+    s, zz, dz = _fine_nodes(path, span, m_coarse)
     m_fine = len(s) - 1
     w = math.sqrt(n / math.pi) * np.exp(n * (zz - center) ** 2) * dz / 1j
 
     if integrand is not None:
-        fv = _node_values(integrand, s, zz, certified=False)
+        ev = _node_values(integrand, s, zz, certified=False)
     else:
-        fv = None
+        if bound is not None:
+            tol = min(tol, _SHARE * quad.tol_quad / bound.sup)
+        ev = None
         if p0.sign > 0 and p0.exponent <= 0:
-            fv = _case1_values(base, p0, tol, s, zz)
-        if fv is None:
-            fv = _node_values(_default_integrand(base, p0, tol), s, zz,
+            ev = _case1_values(base, p0, tol, s, zz)
+        if ev is None:
+            ev = _node_values(_default_integrand(base, p0, tol), s, zz,
                               certified=True)
+    fv = ev.value
 
-    def trapezoid(values: np.ndarray, h: float) -> complex:
-        tw = np.ones(len(values))
-        tw[0] = tw[-1] = 0.5
-        return complex(h * np.sum(values * tw))
-
+    tw = np.ones(len(s))
+    tw[0] = tw[-1] = 0.5
     h_fine = 2.0 * span / m_fine
-    v_fine = trapezoid(w * fv, h_fine)
-    v_coarse = trapezoid((w * fv)[::2], 2.0 * h_fine)
+    v_fine = complex(h_fine * np.sum(w * fv * tw))
+    v_coarse = complex(2.0 * h_fine * np.sum((w * fv * tw)[::2]))
     if abs(v_fine - v_coarse) > quad.tol_quad:
         raise QuadratureUnderResolvedError(
             f"node doubling moved the value by {abs(v_fine - v_coarse)!r} "
             f"> tol_quad={quad.tol_quad!r}"
         )
-    mass = trapezoid(w, h_fine)
-    return SmoothedValue(v_fine, mass.real)
+    mass = complex(h_fine * np.sum(w * tw))
+    tail = math.inf
+    if bound is not None:
+        tail = _certificate(bound, n, d, span, h_fine,
+                            h_fine * tw * np.abs(w), ev)
+        if tail > quad.tol_quad:
+            raise QuadratureUnderResolvedError(
+                f"certificate {tail!r} of the smoothed value "
+                f"> tol_quad={quad.tol_quad!r}"
+            )
+    return SmoothedValue(v_fine, mass.real, tail)
 
 
 def path_independence(base: QBase, p0: IqPoint, k: int, n: float,

@@ -269,6 +269,49 @@ class TestCheckRunner:
         assert len(chain.params["deviations"]) == 4
         assert chain.params["monotone"] is True
 
+    def test_smoothing_chains_are_certified(self, default_rows):
+        chains = [r for r in default_rows["smoothing"]
+                  if r.check_id.startswith("smooth_k")]
+        assert len(chains) == 8
+        for row in chains:
+            bounds = row.params["bounds"]
+            assert len(bounds) == 4
+            assert all(0.0 < b <= RunConfig().tol_quad for b in bounds)
+            assert row.deviation + bounds[-1] <= row.threshold
+        # rows without certificates write no bounds
+        assert all("bounds" not in r.params for r in default_rows["spherical"])
+
+    def test_uncertified_target_fails_the_chain(self):
+        cfg = RunConfig(max_terms=3)
+        base = QBase(cfg.q)
+        check = next(c for c in harness._smoothing_checks(cfg, base)
+                     if c.check_id == "smooth_k2_p0")
+        row = _run_check("smoothing", check)
+        assert row.verdict == "fail"
+        assert row.deviation <= row.threshold
+        assert all(math.isinf(b) for b in row.params["bounds"])
+
+    def test_term_budget_reaches_the_gap_rows(self):
+        cfg = RunConfig(max_terms=3)
+        base = QBase(cfg.q)
+        rows = {c.check_id: _run_check("approxid", c)
+                for c in harness._approxid_checks(cfg, base)}
+        zp = SpectralParam.from_z(0.999, base)
+        g = limitlab.approx_identity_gap(
+            base, zp, limitlab.symbol_constant(1.0), 12,
+            tol=cfg.series_tol, max_terms=3)
+        assert rows["const_symbol_bounded"].deviation == g.gap
+        assert g.gap != limitlab.approx_identity_gap(
+            base, zp, limitlab.symbol_constant(1.0), 12,
+            tol=cfg.series_tol).gap
+        row = next(_run_check("spherical", c)
+                   for c in harness._spherical_checks(cfg, base)
+                   if c.check_id == "unifgap_z0.9")
+        short, full = (limitlab.uniform_sup_gap(
+            base, SpectralParam.from_z(0.9, base), cfg.max_exponent,
+            tol=cfg.series_tol, max_terms=mt) for mt in (3, 200))
+        assert row.deviation == short != full
+
     def test_tuple_result(self):
         ok = _run_check("s", Check("c", "Eq4.1", {"x": 1},
                                    lambda: (2.0, 0.5, 0.5)))

@@ -186,6 +186,16 @@ class TestSweepReport:
         assert rep.verdict == "fail"
         assert math.isinf(rep.final_deviation)
 
+    def test_bounds_count_against_the_threshold(self):
+        rows = [SweepRow(0, 0j, 0.5, bound=0.01),
+                SweepRow(1, 0j, 0.2, bound=0.05)]
+        assert sweep_report("t", rows, 0.25).verdict == "pass"
+        assert sweep_report("t", rows, 0.24).verdict == "fail"
+        # an uncertified row fails the chain wherever it sits
+        rows[0] = SweepRow(0, 0j, 0.5, bound=math.inf)
+        rep = sweep_report("t", rows, 1.0)
+        assert rep.monotone_deviation and rep.verdict == "fail"
+
 
 class TestUniformSupGap:
     def test_exactly_zero_at_endpoint(self):
@@ -323,6 +333,36 @@ class TestApproxIdentityGap:
                 evs = [ev for p, ev in added if p.sign == sign]
                 for ev, r in zip(evs, ref.window(sign, range(33, 41))):
                     assert abs(mp.mpc(ev.value) - r) <= ev.tail_bound
+
+
+class TestTermBudget:
+    """``max_terms`` reaches the windows of both gap experiments."""
+
+    ZP = SpectralParam.from_z(0.9, B)
+
+    def test_small_budget_leaves_the_seeds_uncertified(self):
+        full = _spectrum_window(B, self.ZP, 12)
+        assert all(math.isfinite(ev.tail_bound) for _, ev in full)
+        short = _spectrum_window(B, self.ZP, 12, max_terms=3)
+        assert any(math.isinf(ev.tail_bound) for _, ev in short)
+
+    def test_approx_identity_gap_uses_the_budget(self):
+        sym = symbol_clip_abs()
+        by_hand = max(abs(ev.value - 1.0) * abs(sym.eval(p, B))
+                      for p, ev in _spectrum_window(B, self.ZP, 12,
+                                                    max_terms=3))
+        short = approx_identity_gap(B, self.ZP, sym, 12, max_terms=3)
+        assert short.gap == by_hand
+        full = approx_identity_gap(B, self.ZP, sym, 12)
+        assert short.gap != full.gap
+        assert repr(full) == repr(approx_identity_gap(B, self.ZP, sym, 12,
+                                                      max_terms=200))
+
+    def test_uniform_sup_gap_uses_the_budget(self):
+        by_hand = max(abs(spherical_az(B, self.ZP, IqPoint.positive(k),
+                                       max_terms=3).value - 1.0)
+                      for k in range(-12, 1))
+        assert uniform_sup_gap(B, self.ZP, 12, max_terms=3) == by_hand
 
 
 class TestSpectrumWindow:

@@ -1,5 +1,6 @@
 """Unit tests for contour paths, quadrature specs, and Gaussian smoothing."""
 
+import functools
 import math
 import random
 import sys
@@ -21,7 +22,8 @@ from qsu11 import (
     path_independence,
     spherical_az,
 )
-from qsu11.smoother import _default_integrand, _fine_nodes, _node_values
+from qsu11.smoother import (_default_integrand, _fine_nodes, _grid,
+                            _log_trapezoid, _node_values)
 from qsu11.su11core import _case1_batch, _lam_batch
 
 B = QBase(0.5)
@@ -57,12 +59,32 @@ class TestQuadratureSpec:
         with pytest.raises(InvalidArgumentError):
             QuadratureSpec(half_span=1.0, tol_quad=0.0)
 
-    def test_for_width_formula(self):
-        q = QuadratureSpec.for_width(16.0, B, tol_quad=1e-8)
-        expected = math.sqrt(math.log(4.0 / 1e-8) / 16.0) + B.period
-        assert q.half_span == expected
+    @pytest.mark.parametrize("tol_quad", (1e-6, 1e-8, 1e-12))
+    @pytest.mark.parametrize("n", (4.0, 16.0, 64.0, 256.0))
+    def test_for_width_span_meets_the_erfc_budget(self, n, tol_quad):
+        q = QuadratureSpec.for_width(n, B, tol_quad=tol_quad)
+        assert math.exp(-n * q.half_span ** 2) == pytest.approx(tol_quad / 4)
+        assert q.gaussian_tail(n) <= tol_quad / 4
+        assert q.nodes_per_unit is None
         with pytest.raises(InvalidArgumentError):
             QuadratureSpec.for_width(0.0, B)
+
+    @pytest.mark.parametrize("tol_quad", (1e-6, 1e-8, 1e-12))
+    @pytest.mark.parametrize("n", (4.0, 16.0, 64.0, 256.0))
+    def test_chosen_step_meets_the_certificate(self, n, tol_quad):
+        # The coarse step is the largest 2S/m whose strip bound is within
+        # tol_quad/4: one interval fewer breaks it.
+        quad = QuadratureSpec.for_width(n, B, tol_quad=tol_quad)
+        for k, p0 in ((2, IqPoint.positive(0)), (5, IqPoint.positive(-4))):
+            path = ContourPath("vertical_line", 1.0 - 1.0 / k)
+            span, m, bound = _grid(B, p0, k, n, path, quad, None)
+            assert bound is not None
+            trap = [math.exp(_log_trapezoid(n, 0.0, bound.a, bound.strip,
+                                            2.0 * span / mm))
+                    for mm in (m, m - 1)]
+            assert trap[0] <= tol_quad / 4 < trap[1]
+            sm = gaussian_smooth(B, p0, k, n, path, quad)
+            assert sm.tail_bound <= tol_quad
 
     def test_gaussian_tail(self):
         q = QuadratureSpec(half_span=2.0)
@@ -153,6 +175,33 @@ class TestGaussianSmooth:
             gaussian_smooth(B, IqPoint.positive(0), 2, 256.0, path, quad,
                             integrand=lambda z: 1.0 + 0.0j)
 
+    def test_certificate_only_where_the_majorant_applies(self):
+        quad = QuadratureSpec.for_width(16.0, B)
+        line = ContourPath("vertical_line", 0.5)
+        sm = gaussian_smooth(B, IqPoint.positive(-1), 2, 16.0, line, quad)
+        assert 0.0 < sm.tail_bound <= quad.tol_quad
+        wiggly = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
+        # Re z = 1 is an odd integer: q/lam = 1 snaps at s = 0
+        snapping = ContourPath("vertical_line", 1.0)
+        uncovered = (
+            (IqPoint.positive(0), line, lambda z: 1.0 + 0.0j),
+            (IqPoint.positive(0), wiggly, None),
+            (IqPoint.positive(1), line, None),
+            (IqPoint.positive(0), snapping, None),
+        )
+        for p0, path, f in uncovered:
+            sm = gaussian_smooth(B, p0, 2, 16.0, path, quad, integrand=f)
+            assert sm.tail_bound == math.inf
+
+    def test_certificate_over_budget_is_rejected(self):
+        # 1.0 off the kernel center the weight is e^16 times larger on
+        # the line, and the value, of modulus 1, is what is left after
+        # cancellation: the rounding term alone is past the budget.
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 1.5)
+        with pytest.raises(QuadratureUnderResolvedError, match="certificate"):
+            gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, path, quad)
+
     def test_node_doubling_stability(self):
         path = ContourPath("vertical_line", 0.5)
         qa = QuadratureSpec.for_width(16.0, B, nodes_per_unit=64)
@@ -206,14 +255,19 @@ class TestBatchedParity:
     def test_smoothing_suite_cells(self, k, n):
         quad = QuadratureSpec.for_width(n, B)
         path = ContourPath("vertical_line", 1.0 - 1.0 / k)
-        _, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
         for p0_k in (0, -1, -2, -4):
+            p0 = IqPoint.positive(p0_k)
+            span, m, _ = _grid(B, p0, k, n, path, quad, None)
+            _, zz, _ = _fine_nodes(path, span, m)
             _assert_case1_parity(zz, p0_k)
 
     def test_perturbed_path(self):
         quad = QuadratureSpec.for_width(16.0, B)
         path = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
-        _, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
+        span, m, bound = _grid(B, IqPoint.positive(0), 2, 16.0, path, quad,
+                               None)
+        assert bound is None  # no certificate off vertical lines
+        _, zz, _ = _fine_nodes(path, span, m)
         assert len(set(zz.real.tolist())) > 1  # per-node |lam|
         for p0_k in (0, -2):
             _assert_case1_parity(zz, p0_k)
@@ -240,9 +294,13 @@ class TestBatchedParity:
         assert ev.terms_used[0] == 1 and ev.tail_bound[0] == 0.0
 
     def test_gaussian_smooth_matches_node_loop(self):
-        quad = QuadratureSpec.for_width(16.0, B)
-        for path in (ContourPath("vertical_line", 0.5),
-                     ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)):
+        # A fixed span and density, so the certified default integrand
+        # and the uncertified closure are summed on one grid.
+        quad = QuadratureSpec.for_width(16.0, B, nodes_per_unit=16)
+        span = quad.half_span
+        for path in (ContourPath("vertical_line", 0.5, half_span=span),
+                     ContourPath("perturbed", 0.5, wiggle_amplitude=0.05,
+                                 half_span=span)):
             p0 = IqPoint.positive(-1)
             sm = gaussian_smooth(B, p0, 2, 16.0, path, quad)
             f = _default_integrand(B, p0, 1e-12)
@@ -294,7 +352,8 @@ class TestUncertifiedNodes:
         quad = QuadratureSpec.for_width(16.0, B)
         path = ContourPath("vertical_line", 0.5)
         p0 = IqPoint.positive(0)
-        s, zz, _ = _fine_nodes(path, quad.half_span, quad.nodes_per_unit)
+        s, zz, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad,
+                                            None)[:2])
         with pytest.raises(QuadratureUnderResolvedError) as batched:
             gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=1e-300)
         with pytest.raises(QuadratureUnderResolvedError) as looped:
@@ -303,3 +362,77 @@ class TestUncertifiedNodes:
         assert str(batched.value) == str(looped.value)
         assert f"s={float(s[0])!r}" in str(batched.value)
         assert "after 201 terms" in str(batched.value)
+
+
+@functools.lru_cache(maxsize=None)
+def _laurent(mp, q, p0_k, prec):
+    """Coefficients ``{j: c_j}`` of case 1 as a Laurent series in lam,
+    ``a_z(+q^k) = sum_j c_j lam^j``, at mpmath's working precision.
+
+    Term m of ``sum_m (q/lam, lam q; q^2)_m / (q^2; q^2)_m^2 x^m``,
+    ``x = -q^(2-2k)``, is expanded exactly: each factor pair
+    ``(1 - c/lam)(1 - c lam)`` is ``1 + c^2 - c (lam + 1/lam)``.  Terms are
+    added until their bound at ``q <= |lam| <= 1/q`` is below 1e-34
+    (``prec``, mpmath's working precision in bits, keys the cache).
+    """
+    q = mp.mpf(q)
+    q2 = q * q
+    x = -q ** (2 - 2 * p0_k)
+    poly = [mp.mpf(1)]  # coefficients of lam^-m .. lam^m
+    coeffs = {0: mp.mpf(1)}
+    scale, envelope = mp.mpf(1), mp.mpf(2)
+    m = 0
+    while abs(scale) * envelope > mp.mpf(10) ** -34 or m < 5:
+        c = q ** (2 * m + 1)
+        new = [mp.mpf(0)] * (len(poly) + 2)
+        for i, p in enumerate(poly):
+            new[i] -= c * p
+            new[i + 1] += (1 + c * c) * p
+            new[i + 2] -= c * p
+        poly = new
+        m += 1
+        scale *= x / (1 - q2 ** m) ** 2
+        envelope *= (1 + c / q) * (1 + c * q)
+        for i, p in enumerate(poly):
+            coeffs[i - m] = coeffs.get(i - m, 0) + scale * p
+    return coeffs
+
+
+def _smoothed_reference(mp, q, p0_k, center, n):
+    """Exact Gaussian mean of case 1 on the vertical line through
+    ``center``: ``E[lam^j] = lam0^j exp(-(j log q)^2 / (4 n))`` for
+    ``lam = q^(center + i s)``, s normal with variance ``1/(2n)``."""
+    log_q = mp.log(mp.mpf(q))
+    return mp.fsum(c * mp.exp(j * log_q * center - (j * log_q) ** 2 / (4 * n))
+                   for j, c in _laurent(mp, q, p0_k, mp.prec).items())
+
+
+class TestSmoothingOracle:
+    """Smoothed case-1 values against an exact reference at 30 digits.
+
+    The reference shares no formula with the quadrature or its bounds:
+    the series is expanded in powers of lam and each power is averaged
+    in closed form.  Every cell of the smoothing suite's chains, at
+    three q and three quadrature budgets, must have its error within
+    ``tail_bound`` and ``tail_bound`` within ``tol_quad``.
+    """
+
+    @pytest.mark.parametrize("tol_quad", (1e-6, 1e-8, 1e-12))
+    @pytest.mark.parametrize("q", (0.41, 0.5, 0.56))
+    def test_error_within_certificate(self, q, tol_quad):
+        mpmath = pytest.importorskip("mpmath")
+        base = QBase(q)
+        with mpmath.workdps(30):
+            for k in (2, 5):
+                center = 1.0 - 1.0 / k
+                path = ContourPath("vertical_line", center)
+                for p0_k in (0, -1, -2, -4):
+                    for n in (4.0, 16.0, 64.0, 256.0):
+                        quad = QuadratureSpec.for_width(n, base, tol_quad)
+                        sm = gaussian_smooth(base, IqPoint.positive(p0_k), k,
+                                             n, path, quad)
+                        ref = _smoothed_reference(mpmath.mp, q, p0_k,
+                                                  center, n)
+                        err = abs(mpmath.mpc(sm.value) - ref)
+                        assert err <= sm.tail_bound <= tol_quad, \
+                            (k, p0_k, n, float(err), sm.tail_bound)
