@@ -26,11 +26,9 @@ from .qcalculus import (
     EPS_POLE,
     QBase,
     SeriesEval,
-    SeriesEvalBatch,
     ThetaPair,
     phi21_continued,
     phi21_direct,
-    phi21_direct_batch,
     phi21_heine,
     qpoch_finite,
     qpoch_infinite,
@@ -84,7 +82,6 @@ __all__ = [
     "EPS_POLE",
     "QBase",
     "SeriesEval",
-    "SeriesEvalBatch",
     "ThetaPair",
     "qpoch_finite",
     "qpoch_signed",
@@ -92,7 +89,6 @@ __all__ = [
     "qpoch_multi",
     "theta_pair",
     "phi21_direct",
-    "phi21_direct_batch",
     "phi21_continued",
     "phi21_heine",
     "IqPoint",

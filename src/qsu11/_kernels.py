@@ -1,6 +1,6 @@
 """Scalar summation kernels: the q-Pochhammer and 2phi1 loops, in plain
-Python (:func:`qsu11.qcalculus.phi21_direct_batch` is the numpy form of
-``phi21_kernel``).
+Python.  Every series and product of the package is summed here, one
+evaluation point per call.
 """
 
 from __future__ import annotations

@@ -388,18 +388,19 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
 
 def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
-    st = cfg.series_tol
+    st, mt = cfg.series_tol, cfg.max_terms
     n_chain = (4.0, 16.0, 64.0, 256.0)
     for k in (2, 5):
         for p0k in (0, -1, -2, -4):
             def run(k=k, p0=IqPoint.positive(p0k), center=1.0 - 1.0 / k):
                 target = spherical_az(base, SpectralParam.from_z(center, base),
-                                      p0, tol=st, max_terms=cfg.max_terms)
+                                      p0, tol=st, max_terms=mt)
                 path = ContourPath("vertical_line", center)
                 rows = []
                 for n in n_chain:
                     quad = QuadratureSpec.for_width(n, base, cfg.tol_quad)
-                    sm = gaussian_smooth(base, p0, k, n, path, quad, tol=st)
+                    sm = gaussian_smooth(base, p0, k, n, path, quad, tol=st,
+                                         max_terms=mt)
                     rows.append(SweepRow(n, sm.value,
                                          abs(sm.value - target.value),
                                          bound=sm.tail_bound
@@ -415,7 +416,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
     def run():
         sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16,
-                             tol=st)
+                             tol=st, max_terms=mt)
         return sm.mass, abs(sm.mass - 1.0), cfg.tol_quad
 
     yield Check("mass_unit", "Eq7.1", {"k": 2, "n": 16}, run)
@@ -423,7 +424,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         wiggly = ContourPath("perturbed", center, wiggle_amplitude=0.05)
         d = path_independence(base, IqPoint.positive(0), 2, 16.0, line,
-                              wiggly, quad16, tol=st)
+                              wiggly, quad16, tol=st, max_terms=mt)
         return d, d, 100.0 * cfg.tol_quad
 
     yield Check("path_independence", "Eq7.1",
@@ -433,7 +434,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         va, vb = (gaussian_smooth(
             base, IqPoint.positive(0), 2, 256.0, line,
             QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
-                                     nodes_per_unit=npu), tol=st)
+                                     nodes_per_unit=npu), tol=st, max_terms=mt)
             for npu in (32, 64))
         return vb.value, abs(va.value - vb.value), cfg.tol_quad
 

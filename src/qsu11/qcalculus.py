@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
-import numpy as np
-
 from ._kernels import phi21_kernel, qpoch_finite_kernel, qpoch_infinite_kernel
 from .errors import (
     DivergentSeriesError,
@@ -36,7 +34,6 @@ __all__ = [
     "EPS_POLE",
     "QBase",
     "SeriesEval",
-    "SeriesEvalBatch",
     "ThetaPair",
     "qpoch_finite",
     "qpoch_signed",
@@ -44,7 +41,6 @@ __all__ = [
     "qpoch_multi",
     "theta_pair",
     "phi21_direct",
-    "phi21_direct_batch",
     "phi21_continued",
     "phi21_heine",
 ]
@@ -218,20 +214,6 @@ def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
     except OverflowError:  # finite parts, modulus past the float range
         tail = math.inf
     return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
-
-
-@dataclass(frozen=True, eq=False)
-class SeriesEvalBatch:
-    """Element-wise :class:`SeriesEval` fields of a batched evaluation.
-
-    ``value`` (complex128), ``terms_used`` (int64) and ``tail_bound``
-    (float64, ``math.inf`` where the term budget ran out) have one entry
-    per input element.
-    """
-
-    value: np.ndarray
-    terms_used: np.ndarray
-    tail_bound: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -648,121 +630,6 @@ def _term_moduli(a: complex, b: complex, c: complex, bb: float, z: complex,
         c *= bb
         fq *= bb
     return total, weighted
-
-
-def _near_inv_power_mask(x: np.ndarray, base: float,
-                         eps: float = EPS_POLE) -> np.ndarray:
-    """Elements that may lie within eps of some base**(-n), n >= 0.
-
-    A superset of the elements :func:`_near_inv_power` snaps: the band
-    is doubled and the nearest exponent and its neighbours are tried, so
-    a last-bit difference between numpy's and libm's ``log`` or ``pow``
-    cannot hide a hit.  Non-finite elements are flagged too.
-    """
-    with np.errstate(all="ignore"):
-        r = np.abs(x)
-        j0 = np.rint(np.log(r) / math.log(base))
-        hit = ~np.isfinite(x)
-        for j in (j0 - 1.0, j0, j0 + 1.0):
-            p = np.power(base, j)
-            hit |= (j <= 0) & (np.abs(x - p) <= 2.0 * eps * p)
-    return hit
-
-
-def _phi21_kernel_batch(a: np.ndarray, b: np.ndarray, c: complex, base: float,
-                        z: complex, rel_tol: float, max_terms: int):
-    """``phi21_kernel`` over arrays of non-terminating ``a``, ``b``.
-
-    Each element runs the scalar recurrence and stopping rule with its
-    own convergence mask; finished elements leave the working arrays.
-    The parameters shared by all elements (``c``, the base power, ``z``)
-    stay Python scalars.  Returns ``(value, terms_used, tail_abs)``
-    arrays, with ``tail_abs`` infinite where ``max_terms`` ran out.
-    """
-    n = a.size
-    value = np.empty(n, dtype=np.complex128)
-    used = np.full(n, max_terms + 1, dtype=np.int64)
-    tail = np.full(n, math.inf)
-    live = np.arange(n)
-    s = np.ones(n, dtype=np.complex128)
-    t = np.ones(n, dtype=np.complex128)
-    fa, fb, fc, fq = a, b, c, base
-    k = 0
-    while k < max_terms and live.size:
-        t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-        k += 1
-        s = s + t
-        stop = t == 0
-        stop_tail = np.zeros(live.size)
-        fa = fa * base
-        fb = fb * base
-        fc *= base
-        fq *= base
-        bc = abs(fc)
-        if bc < 1.0:
-            r = abs(z) * (1.0 + np.abs(fa)) * (1.0 + np.abs(fb)) \
-                / ((1.0 - bc) * (1.0 - fq))
-            est = np.abs(t) * r / (1.0 - r)
-            ok = ~stop & (r < 1.0) \
-                & (est <= rel_tol * np.maximum(np.abs(s), 1e-300))
-            stop_tail = np.where(ok, est, 0.0)
-            stop |= ok
-        if stop.any():
-            done = live[stop]
-            value[done] = s[stop]
-            used[done] = k + 1
-            tail[done] = stop_tail[stop]
-            keep = ~stop
-            live, s, t, fa, fb = live[keep], s[keep], t[keep], fa[keep], fb[keep]
-    value[live] = s
-    return value, used, tail
-
-
-def phi21_direct_batch(a: np.ndarray, b: np.ndarray, c: complex,
-                       base: BaseLike, z: complex, tol: float = 1e-12,
-                       max_terms: int = 200) -> SeriesEvalBatch:
-    """:func:`phi21_direct` over arrays of ``a`` and ``b`` (same shape).
-
-    Elements that may snap to a terminating sum (``a`` or ``b`` near
-    ``base**(-n)``) or are not finite go through :func:`phi21_direct`
-    itself.  The rest are summed together with the scalar kernel's
-    recurrence and stopping rule in numpy complex128 arithmetic, whose
-    ``*`` and ``/`` can round differently from Python's in the last
-    bit: element ``i`` agrees with
-    ``phi21_direct(a[i], b[i], c, base, z, tol, max_terms)`` in value and
-    ``tail_bound`` to a few ulp, relative, and in ``terms_used`` unless
-    such a difference moves the stopping test across its threshold.
-
-    Raises the errors :func:`phi21_direct` raises (a pole in ``c``, or
-    ``|z| >= 1`` with some element not terminating), without saying
-    which element failed.
-    """
-    bb = _direct_guards(c, z, base, tol, max_terms)
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise InvalidArgumentError("a and b must be 1-d arrays of one length")
-    scalar = _near_inv_power_mask(a, bb) | _near_inv_power_mask(b, bb)
-    if not scalar.all() and abs(z) >= 1.0:
-        raise DivergentSeriesError(
-            f"non-terminating series at |z| = {abs(z)!r} >= 1"
-        )
-    batch = ~scalar
-    value = np.empty(a.shape, dtype=np.complex128)
-    used = np.empty(a.shape, dtype=np.int64)
-    tail = np.empty(a.shape)
-    with np.errstate(all="ignore"):
-        value[batch], used[batch], tail[batch] = _phi21_kernel_batch(
-            a[batch], b[batch], complex(c), bb, complex(z), tol, int(max_terms),
-        )
-    # Where the scalar kernel could raise (overflow, division by zero)
-    # the batched sum is not finite; the scalar call decides those too.
-    scalar |= ~np.isfinite(value)
-    for i in np.flatnonzero(scalar):
-        ev = phi21_direct(complex(a[i]), complex(b[i]), c, bb, z,
-                          tol=tol, max_terms=max_terms)
-        value[i], used[i], tail[i] = ev.value, ev.terms_used, ev.tail_bound
-    return SeriesEvalBatch(value, used, tail)
 
 
 def phi21_continued(lam: complex, kappa: complex, base: QBase,

@@ -43,6 +43,9 @@ the smoothed value carries a certificate
 * the trapezoid term at the fine step;
 * a rounding term (:func:`_certificate`).
 
+On such a line (clear of the snap band) ``f(conj z) = conj f(z)``, so
+only the nodes with ``s <= 0`` are summed (:func:`_node_values`).
+
 Other integrands (the continued cases, supplied callables, perturbed
 paths) report ``tail_bound = inf``; their grid is the one the Gaussian
 weight alone needs (F = 1), and node doubling is their only check.
@@ -50,12 +53,11 @@ weight alone needs (F = 1), and node doubling is their only check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .errors import (
     InvalidArgumentError,
@@ -63,8 +65,8 @@ from .errors import (
     QSU11Error,
     QuadratureUnderResolvedError,
 )
-from .qcalculus import EPS_POLE, QBase, SeriesEval, SeriesEvalBatch
-from .su11core import IqPoint, SpectralParam, _case1_batch, _lam_batch, spherical_az
+from .qcalculus import EPS_POLE, QBase, SeriesEval, _direct_guards, _direct_sum
+from .su11core import IqPoint, SpectralParam, spherical_az
 
 __all__ = [
     "ContourPath",
@@ -87,6 +89,13 @@ _SHARE = 0.25
 _MAJORANT_TERMS = 10_000
 
 
+def _real_in(low: float, **values: float) -> None:
+    """Refuse each of ``values`` that is not a real number in (low, inf)."""
+    for name, v in values.items():
+        if not (isinstance(v, (int, float)) and low < v < math.inf):
+            raise InvalidArgumentError(f"{name} must be in ({low}, inf), got {v!r}")
+
+
 @dataclass(frozen=True)
 class ContourPath:
     """A parametrised contour ``s -> anchor + wiggle sin(s) + i s``.
@@ -104,12 +113,13 @@ class ContourPath:
     def __post_init__(self) -> None:
         if self.kind not in _PATH_KINDS:
             raise InvalidArgumentError(
-                f"kind must be one of {_PATH_KINDS}, got {self.kind!r}"
-            )
+                f"kind must be one of {_PATH_KINDS}, got {self.kind!r}")
         if self.kind == "vertical_line" and self.wiggle_amplitude != 0.0:
             raise InvalidArgumentError("vertical_line paths cannot wiggle")
-        if self.half_span is not None and self.half_span <= 0:
-            raise InvalidArgumentError("half_span must be positive")
+        _real_in(-math.inf, anchor=self.anchor,
+                 wiggle_amplitude=self.wiggle_amplitude)
+        if self.half_span is not None:
+            _real_in(0.0, half_span=self.half_span)
 
     def point(self, s: float) -> complex:
         return complex(self.anchor + self.wiggle_amplitude * math.sin(s), s)
@@ -135,12 +145,9 @@ class QuadratureSpec:
     tol_quad: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.half_span <= 0:
-            raise InvalidArgumentError("half_span must be positive")
+        _real_in(0.0, half_span=self.half_span, tol_quad=self.tol_quad)
         if self.nodes_per_unit is not None and self.nodes_per_unit < 1:
             raise InvalidArgumentError("nodes_per_unit must be >= 1")
-        if self.tol_quad <= 0:
-            raise InvalidArgumentError("tol_quad must be positive")
 
     @classmethod
     def for_width(cls, n: float, base: QBase, tol_quad: float = 1e-8,
@@ -154,8 +161,7 @@ class QuadratureSpec:
         bound of the integrand at hand when :func:`gaussian_smooth`
         runs; an explicit density is used as given.
         """
-        if n <= 0:
-            raise InvalidArgumentError("n must be positive")
+        _real_in(0.0, n=n, tol_quad=tol_quad)
         span = math.sqrt(math.log(4.0 / tol_quad) / n)
         return cls(half_span=span, nodes_per_unit=nodes_per_unit,
                    tol_quad=tol_quad)
@@ -244,16 +250,25 @@ class _LineBound:
         self.strip, self.span = strip, span
 
 
+def _case1_line(base: QBase, p0: IqPoint, path: ContourPath) -> bool:
+    """Whether the default integrand is case 1 (``p0 = +q^k, k <= 0``) on
+    a vertical ``path`` where no node snaps.  The snap of
+    :func:`qsu11.qcalculus.phi21_direct` (``q/lam`` or ``lam q`` within
+    ``EPS_POLE`` of some ``q^(-2j)``) needs ``Re z`` within about
+    ``EPS_POLE/|log q|`` of an odd integer; this band is ten times wider.
+    """
+    return (p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"
+            and abs(math.remainder(path.anchor - 1.0, 2.0)) * abs(base.log_q)
+            > 10.0 * EPS_POLE)
+
+
 def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
                 n: float, quad: QuadratureSpec) -> _LineBound | None:
     """:class:`_LineBound` of the default integrand on ``path``, or None
     where the majorant certificate does not apply.
 
-    It applies to case 1 (``p0 = +q^k, k <= 0``) on vertical lines that
-    stay clear of the snap band of :func:`qsu11.qcalculus.phi21_direct`:
-    ``q/lam`` or ``lam q`` within ``EPS_POLE`` of a power ``q^(-2j)``
-    needs ``Re z`` near an odd integer, and a snapped node is not the
-    integrand at that node to rounding accuracy.
+    It applies on the lines of :func:`_case1_line`: a snapped node is not
+    the integrand at that node to rounding accuracy.
 
     The half-span grows from S to ``sqrt(S^2 + d^2 + log(sup|f|)/n)``
     (unless the path fixes its own), where ``e^{n d^2} sup|f|`` times the
@@ -263,11 +278,9 @@ def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
     the strip moves the maximiser by under 1% on the smoothing suite's
     cells.
     """
+    if not _case1_line(base, p0, path):
+        return None
     x0 = path.anchor
-    if not (p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"):
-        return None
-    if abs(math.remainder(x0 - 1.0, 2.0)) * abs(base.log_q) <= 10.0 * EPS_POLE:
-        return None
     sup, first, second = _majorant(base, p0.exponent, x0)
     if not math.isfinite(sup):
         return None
@@ -322,85 +335,90 @@ def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
 
 
 def _fine_nodes(path: ContourPath, span: float,
-                m_coarse: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                m_coarse: int) -> tuple[list[float], list[complex], list[complex]]:
     """Parameters s, points z(s) and derivatives z'(s) of the fine grid.
 
     The fine grid has twice the coarse grid's number of intervals (made
     even, so s = 0 is a coarse node), so the coarse grid is its
-    even-indexed nodes.
+    even-indexed nodes.  ``s[N-1-i] == -s[i]`` exactly, for the
+    conjugate fill of :func:`_node_values`.
     """
-    m_coarse += m_coarse % 2
-    s = np.linspace(-span, span, 2 * m_coarse + 1)
-    zz = path.anchor + path.wiggle_amplitude * np.sin(s) + 1j * s
-    dz = path.wiggle_amplitude * np.cos(s) + 1j
-    return s, zz, dz
+    m = m_coarse + m_coarse % 2
+    left = [-span * (m - i) / m for i in range(m)]
+    s = left + [0.0] + [-v for v in reversed(left)]
+    return s, [path.point(v) for v in s], [path.derivative(v) for v in s]
 
 
-def _default_integrand(base: QBase, p0: IqPoint,
-                       tol: float) -> Callable[[complex], SeriesEval]:
+def _default_integrand(base: QBase, p0: IqPoint, tol: float,
+                       max_terms: int = 200) -> Callable[[complex], SeriesEval]:
     def f(z: complex) -> SeriesEval:
-        return spherical_az(base, SpectralParam.from_z(z, base), p0, tol=tol)
+        return spherical_az(base, SpectralParam.from_z(z, base), p0, tol=tol,
+                            max_terms=max_terms)
 
     return f
 
 
-def _uncertified(s: float, terms: int) -> QuadratureUnderResolvedError:
-    return QuadratureUnderResolvedError(
-        f"integrand series at node s={s!r} is uncertified after {terms} "
-        f"terms (tail_bound = inf)"
-    )
-
-
-def _node_values(f: Callable, s: np.ndarray, zz: np.ndarray,
-                 certified: bool) -> SeriesEvalBatch:
-    """Integrand at every node, one call per node.
-
-    With ``certified`` set, ``f`` returns a :class:`SeriesEval` whose
-    tail bound must be finite; otherwise ``f`` returns the value, and
-    the result's tail bounds are ``inf``.
-    """
-    fv = np.empty(len(zz), dtype=np.complex128)
-    terms = np.zeros(len(zz), dtype=np.int64)
-    tails = np.full(len(zz), math.inf)
-    for i in range(len(zz)):
-        try:
-            r = f(complex(zz[i]))
-        except QSU11Error as err:
-            raise PathOutsideDomainError(
-                f"integrand failed at node s={float(s[i])!r}: {err}"
-            ) from err
-        if certified:
-            if r.tail_bound == math.inf:
-                raise _uncertified(float(s[i]), r.terms_used)
-            terms[i], tails[i], r = r.terms_used, r.tail_bound, r.value
-        fv[i] = r
-    return SeriesEvalBatch(fv, terms, tails)
-
-
-def _case1_values(base: QBase, p0: IqPoint, tol: float, s: np.ndarray,
-                  zz: np.ndarray) -> SeriesEvalBatch | None:
-    """Default integrand at every node in one batched pass.
-
-    Agrees with the per-node loop to a few ulp (see
-    :func:`qsu11.qcalculus.phi21_direct_batch`).  Returns None when the
-    loop has to decide instead: a node where lam is zero or not finite,
-    or an evaluation error, which the loop attributes to its node.
-    """
-    lam = _lam_batch(zz, base)
-    if not np.all(np.isfinite(lam) & (lam != 0)):
-        return None
+def _case1_kernel(base: QBase, p0: IqPoint, tol: float,
+                  max_terms: int) -> Callable[[complex], SeriesEval] | None:
+    """The default integrand on a :func:`_case1_line`, the direct series'
+    guards checked once: each call is the kernel sum of
+    :func:`spherical_az`, bit for bit.  None where the guards refuse (the
+    per-node loop then reports it at its first node)."""
+    q = base.q
+    c = q * q
+    arg = -q ** (2 - 2 * p0.exponent)
     try:
-        ev = _case1_batch(base, lam, p0.exponent, tol)
+        bb = _direct_guards(c, arg, c, tol, max_terms)
     except QSU11Error:
         return None
-    bad = np.flatnonzero(np.isinf(ev.tail_bound))
-    if bad.size:
-        raise _uncertified(float(s[bad[0]]), int(ev.terms_used[bad[0]]))
-    return ev
+
+    def f(z: complex) -> SeriesEval:
+        lam = SpectralParam.from_z(z, base).lam
+        return _direct_sum(q / lam, lam * q, c, bb, arg, -1, tol, max_terms)
+
+    return f
+
+
+def _node_values(f: Callable, s: list[float], zz: list[complex],
+                 certified: bool, mirrored: bool = False) -> list[SeriesEval]:
+    """Integrand at every node, one call per node in ascending s; an
+    error or an uncertified series is reported at its node.
+
+    With ``certified`` set, ``f`` returns a :class:`SeriesEval` whose
+    tail bound must be finite; otherwise ``f`` returns the finite value,
+    wrapped with ``tail_bound = inf``.  With ``mirrored`` set (``f`` of
+    :func:`_case1_kernel`), ``f`` is called at the nodes with ``s <= 0``,
+    and the node at -s gets the conjugate with the same ``terms_used``
+    and ``tail_bound``: case 1 has real coefficients in ``q/lam`` and
+    ``lam q``, and every step from s to the sum (``math.remainder``,
+    ``sin``, ``cos``, complex ``*`` and ``/``) is sign-symmetric in
+    floating point, so that is ``f`` at -s bit for bit.
+    """
+    out = []
+    for si, z in zip(s[:len(s) // 2 + 1] if mirrored else s, zz):
+        try:
+            r = f(z)
+        except QSU11Error as err:
+            raise PathOutsideDomainError(
+                f"integrand failed at node s={si!r}: {err}") from err
+        if not certified:
+            r = SeriesEval(complex(r), 0, math.inf)
+            if not cmath.isfinite(r.value):
+                raise PathOutsideDomainError(
+                    f"integrand at node s={si!r} is {r.value!r}, not finite")
+        elif r.tail_bound == math.inf:
+            raise QuadratureUnderResolvedError(
+                f"integrand series at node s={si!r} is uncertified after "
+                f"{r.terms_used} terms (tail_bound = inf)")
+        out.append(r)
+    if mirrored:
+        out += [SeriesEval(r.value.conjugate(), r.terms_used, r.tail_bound)
+                for r in reversed(out[:-1])]
+    return out
 
 
 def _certificate(bound: _LineBound, n: float, d: float, span: float,
-                 h: float, aw: np.ndarray, ev: SeriesEvalBatch) -> float:
+                 h: float, aw: list[float], ev: list[SeriesEval]) -> float:
     """Bound on ``|value - I|`` of a smoothing on a vertical line.
 
     ``aw`` holds ``h tw_i |w_i|`` (tw the trapezoid weights).  Rounding,
@@ -412,17 +430,17 @@ def _certificate(bound: _LineBound, n: float, d: float, span: float,
     :func:`_line_bound`, whose extra ``2 |log q| S`` covers the rounded
     node positions), and the partial sums add ``terms M u``.  The
     weights' exponents (``3 n (d^2 + s^2) u``), the node positions'
-    effect on the weight (``4 n S (|d| + S) u``) and the sum of N
+    effect on the weight (``4 n S (|d| + S) u``) and the running sum of N
     products add ``(N + 4 n (|d| + S)^2 + 16) M u``.  All of it is
     counted in eps = 2u, which leaves a factor 2 spare.
     """
-    mass = float(np.sum(aw))
-    series = float(np.sum(aw * ev.tail_bound))
+    mass = math.fsum(aw)
+    series = math.fsum(a * e.tail_bound for a, e in zip(aw, ev))
     truncation = math.exp(n * d * d) * bound.sup * (
         math.erfc(math.sqrt(n) * span)
         + h * math.sqrt(n / math.pi) * math.exp(-n * span * span))
     trapezoid = math.exp(_log_trapezoid(n, d, bound.a, bound.strip, h))
-    scale = (len(aw) + int(np.max(ev.terms_used))
+    scale = (len(aw) + max(e.terms_used for e in ev)
              + 4.0 * n * (abs(d) + span) ** 2 + 16.0)
     rounding = _EPS * mass * (bound.weighted + scale * bound.sup)
     return series + truncation + trapezoid + rounding
@@ -431,7 +449,7 @@ def _certificate(bound: _LineBound, n: float, d: float, span: float,
 def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
                     path: ContourPath, quad: QuadratureSpec,
                     integrand: Callable[[complex], complex] | None = None,
-                    tol: float = 1e-12) -> SmoothedValue:
+                    tol: float = 1e-12, max_terms: int = 200) -> SmoothedValue:
     """Gaussian-smoothed coefficient of width parameter n at ``z0 = 1 - 1/k``.
 
     Parameters
@@ -449,28 +467,29 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         Series tolerance at the nodes.  Where the value is certified it
         is tightened to ``tol_quad / (4 sup|f|)`` when that is smaller,
         so the node series stay within their share of the budget.
+    max_terms : int
+        Term budget of each node's series (default integrand only).
 
-    The default integrand at ``p0 = +q^k, k <= 0`` is evaluated at all
-    nodes in one batched pass in numpy complex arithmetic, which agrees
-    with calling :func:`spherical_az` node by node to a few ulp per
-    node; the other cases and supplied integrands are called once per
-    node.  The grid, and for case 1 on a vertical line the certificate
-    ``tail_bound``, follow the module docstring.
+    On a :func:`_case1_line` the series guards are checked once and the
+    kernel is summed at the nodes with ``s <= 0``; their mirrors get the
+    conjugates (:func:`_node_values`), each :func:`spherical_az` at its
+    node, bit for bit.  Other paths, cases and integrands are called once
+    per node.  The grid, and for case 1 on a vertical line the
+    certificate ``tail_bound``, follow the module docstring.
 
     Raises
     ------
     PathOutsideDomainError
-        If the integrand is singular (pole-guarded) at some node.
+        If the integrand is pole-guarded or not finite at some node.
     QuadratureUnderResolvedError
         If the Gaussian truncation tail exceeds ``tol_quad/2``, the
         node-doubling discrepancy or the certificate exceeds
         ``tol_quad``, or the default integrand's series at some node is
-        uncertified (``tail_bound = inf``).
+        uncertified (``tail_bound = inf``; the lowest such s is named).
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    if n <= 0:
-        raise InvalidArgumentError("n must be positive")
+    _real_in(0.0, n=n)
     span, m_coarse, bound = _grid(base, p0, k, n, path, quad, integrand)
     center = 1.0 - 1.0 / k
     d = path.anchor - center
@@ -478,59 +497,57 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     if cut > quad.tol_quad / 2.0:
         raise QuadratureUnderResolvedError(
             f"half_span {span} truncates more than tol_quad/2 "
-            f"of the width-{n} kernel"
-        )
+            f"of the width-{n} kernel")
 
     s, zz, dz = _fine_nodes(path, span, m_coarse)
     m_fine = len(s) - 1
-    w = math.sqrt(n / math.pi) * np.exp(n * (zz - center) ** 2) * dz / 1j
+    root = math.sqrt(n / math.pi)
+    w = [root * cmath.exp(n * (z - center) ** 2) * dzi / 1j
+         for z, dzi in zip(zz, dz)]
+    w[0] *= 0.5  # the trapezoid rule's end weights
+    w[-1] *= 0.5
 
     if integrand is not None:
         ev = _node_values(integrand, s, zz, certified=False)
     else:
         if bound is not None:
             tol = min(tol, _SHARE * quad.tol_quad / bound.sup)
-        ev = None
-        if p0.sign > 0 and p0.exponent <= 0:
-            ev = _case1_values(base, p0, tol, s, zz)
-        if ev is None:
-            ev = _node_values(_default_integrand(base, p0, tol), s, zz,
-                              certified=True)
-    fv = ev.value
+        f = None
+        if _case1_line(base, p0, path):
+            f = _case1_kernel(base, p0, tol, max_terms)
+        ev = _node_values(f or _default_integrand(base, p0, tol, max_terms),
+                          s, zz, certified=True, mirrored=f is not None)
 
-    tw = np.ones(len(s))
-    tw[0] = tw[-1] = 0.5
     h_fine = 2.0 * span / m_fine
-    v_fine = complex(h_fine * np.sum(w * fv * tw))
-    v_coarse = complex(2.0 * h_fine * np.sum((w * fv * tw)[::2]))
+    wf = [wi * e.value for wi, e in zip(w, ev)]
+    v_fine = h_fine * sum(wf)
+    v_coarse = 2.0 * h_fine * sum(wf[::2])
     if abs(v_fine - v_coarse) > quad.tol_quad:
         raise QuadratureUnderResolvedError(
             f"node doubling moved the value by {abs(v_fine - v_coarse)!r} "
-            f"> tol_quad={quad.tol_quad!r}"
-        )
-    mass = complex(h_fine * np.sum(w * tw))
+            f"> tol_quad={quad.tol_quad!r}")
+    mass = (h_fine * sum(w)).real
     tail = math.inf
     if bound is not None:
         tail = _certificate(bound, n, d, span, h_fine,
-                            h_fine * tw * np.abs(w), ev)
+                            [h_fine * abs(wi) for wi in w], ev)
         if tail > quad.tol_quad:
             raise QuadratureUnderResolvedError(
                 f"certificate {tail!r} of the smoothed value "
-                f"> tol_quad={quad.tol_quad!r}"
-            )
-    return SmoothedValue(v_fine, mass.real, tail)
+                f"> tol_quad={quad.tol_quad!r}")
+    return SmoothedValue(v_fine, mass, tail)
 
 
 def path_independence(base: QBase, p0: IqPoint, k: int, n: float,
                       path_a: ContourPath, path_b: ContourPath,
                       quad: QuadratureSpec,
                       integrand: Callable[[complex], complex] | None = None,
-                      tol: float = 1e-12) -> float:
+                      tol: float = 1e-12, max_terms: int = 200) -> float:
     """Modulus of the difference of the smoothed value over two paths.
 
     The integrand is holomorphic between admissible paths, so the two
     values agree up to quadrature error; identical paths give exactly 0.
     """
-    va = gaussian_smooth(base, p0, k, n, path_a, quad, integrand, tol)
-    vb = gaussian_smooth(base, p0, k, n, path_b, quad, integrand, tol)
+    va, vb = (gaussian_smooth(base, p0, k, n, path, quad, integrand, tol,
+                              max_terms) for path in (path_a, path_b))
     return abs(va.value - vb.value)

@@ -15,13 +15,10 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import InvalidArgumentError
 from .qcalculus import (
     QBase,
     SeriesEval,
-    SeriesEvalBatch,
     _compound_all,
     _direct_setup,
     _direct_sum,
@@ -37,7 +34,6 @@ from .qcalculus import (
     _term_moduli,
     _two_term_sum,
     phi21_continued,
-    phi21_direct_batch,
     phi21_heine,
     qpoch_multi,
     qpoch_signed,
@@ -154,16 +150,6 @@ class SpectralParam:
         theta = y * base.log_q
         lam = complex(mag * math.cos(theta), mag * math.sin(theta))
         return cls(zc, lam, (lam + 1.0 / lam) / 2.0)
-
-
-def _lam_batch(z: np.ndarray, base: QBase) -> np.ndarray:
-    """``SpectralParam.from_z(z[i], base).lam`` for a 1-d array z.
-
-    Computed as ``exp(z log q)`` without the period reduction, so it
-    agrees with ``from_z`` to about ``eps |Im z log q|``, relative: a few
-    ulp on the smoothing contours, not bit for bit.
-    """
-    return np.exp(z * base.log_q)
 
 
 def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
@@ -521,23 +507,6 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
         if k >= k_first:
             out.append(SeriesEval(value, used + k - k0 + 1, e))
     return out
-
-
-def _case1_batch(base: QBase, lam: np.ndarray, k: int, tol: float = 1e-12,
-                 max_terms: int = 200) -> SeriesEvalBatch:
-    """:func:`spherical_az` at ``p0 = +q^k, k <= 0`` over a 1-d array of lam.
-
-    Element ``i`` agrees with ``spherical_az(base, zp,
-    IqPoint.positive(k))`` for ``zp.lam == lam[i]`` as
-    :func:`qsu11.qcalculus.phi21_direct_batch` agrees with
-    :func:`qsu11.qcalculus.phi21_direct`.  Every ``lam`` must be finite
-    and nonzero.
-    """
-    if k > 0:
-        raise InvalidArgumentError("the convergent case needs k <= 0")
-    q = base.q
-    return phi21_direct_batch(q / lam, lam * q, q * q, q * q,
-                              -q ** (2 - 2 * k), tol=tol, max_terms=max_terms)
 
 
 def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,

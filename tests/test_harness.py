@@ -281,8 +281,14 @@ class TestCheckRunner:
         # rows without certificates write no bounds
         assert all("bounds" not in r.params for r in default_rows["spherical"])
 
-    def test_uncertified_target_fails_the_chain(self):
-        cfg = RunConfig(max_terms=3)
+    def test_uncertified_target_fails_the_chain(self, monkeypatch):
+        # The target alone uncertified: the cells keep their certificates.
+        def uncertified(*args, **kw):
+            ev = spherical_az(*args, **kw)
+            return SeriesEval(ev.value, ev.terms_used, math.inf)
+
+        monkeypatch.setattr(harness, "spherical_az", uncertified)
+        cfg = RunConfig()
         base = QBase(cfg.q)
         check = next(c for c in harness._smoothing_checks(cfg, base)
                      if c.check_id == "smooth_k2_p0")
@@ -290,6 +296,18 @@ class TestCheckRunner:
         assert row.verdict == "fail"
         assert row.deviation <= row.threshold
         assert all(math.isinf(b) for b in row.params["bounds"])
+
+    def test_term_budget_reaches_the_smoothing_nodes(self):
+        cfg = RunConfig(max_terms=3)
+        rows = {c.check_id: _run_check("smoothing", c)
+                for c in harness._smoothing_checks(cfg, QBase(cfg.q))}
+        assert len(rows) == 12
+        for check_id, row in rows.items():
+            if check_id == "affine_mean":  # a supplied integrand
+                assert row.verdict == "pass"
+                continue
+            assert row.verdict == "fail"
+            assert "uncertified after 4 terms" in row.params["error"]
 
     def test_term_budget_reaches_the_gap_rows(self):
         cfg = RunConfig(max_terms=3)

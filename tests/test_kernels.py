@@ -36,3 +36,13 @@ def test_in_process_values_match_fallback_subprocess():
     assert lines[1] == repr(v)
     assert lines[2] == repr(t.lhs)
     assert lines[3] == repr(t.residual)
+
+
+def test_import_loads_no_numpy():
+    # The package is plain Python: importing it pulls in no numpy.
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsu11; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

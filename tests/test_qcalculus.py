@@ -8,9 +8,7 @@ import operator
 import random
 import sys
 
-import numpy as np
 import pytest
-from _batch_parity import assert_batch_close
 
 from qsu11 import (
     EPS_POLE,
@@ -25,7 +23,6 @@ from qsu11 import (
     coamen_coeff,
     phi21_continued,
     phi21_direct,
-    phi21_direct_batch,
     phi21_heine,
     pochhammer_ratio,
     pochhammer_ratio_naive,
@@ -341,55 +338,6 @@ class TestPhi21Direct:
         assert abs(loose.value - tight.value) <= loose.tail_bound
 
 
-class TestPhi21DirectBatch:
-    """Each element agrees with the scalar :func:`phi21_direct`."""
-
-    @staticmethod
-    def _assert_matches(a, b, c, base, z, **kw):
-        ev = phi21_direct_batch(np.array(a), np.array(b), c, base, z, **kw)
-        for i, (ai, bi) in enumerate(zip(a, b)):
-            ref = phi21_direct(ai, bi, c, base, z, **kw)
-            assert_batch_close(complex(ev.value[i]), ref.value)
-            assert int(ev.terms_used[i]) == ref.terms_used
-            assert_batch_close(float(ev.tail_bound[i]), ref.tail_bound)
-
-    def test_random_parameters(self):
-        rng = random.Random(3)
-
-        def draw():
-            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-
-        a = [draw() for _ in range(300)]
-        b = [draw() for _ in range(300)]
-        self._assert_matches(a, b, 0.3 - 0.2j, 0.5, 0.45 + 0.3j)
-        self._assert_matches(a, b, 0.7, 0.25, -0.6, tol=1e-15)
-        self._assert_matches(a, b, 0.7, 0.25, 0.0)  # t_1 == 0 stops
-
-    def test_snap_and_exhaustion_per_element(self):
-        # terminating elements (8 = 0.5^-3, also jittered inside the
-        # band; 2 = 0.5^-1; 1) and elements that run out of terms mix
-        # in one call
-        a = [8.0, 8.0 * (1.0 + 1e-10), 0.9, 0.3 + 0.1j, 1.0, 0.0]
-        b = [0.3, 0.3, 0.9, 2.0, 0.5j, 0.0]
-        self._assert_matches(a, b, 0.3, 0.5, 0.99, max_terms=5)
-        ev = phi21_direct_batch(np.array(a), np.array(b), 0.3, 0.5, 0.99,
-                                max_terms=5)
-        assert ev.terms_used[0] == 4 and ev.tail_bound[0] == 0.0
-        assert math.isinf(ev.tail_bound[2])
-
-    def test_errors(self):
-        a, b = np.array([0.3, 0.4]), np.array([0.2, 0.1])
-        with pytest.raises(PoleInCError):
-            phi21_direct_batch(a, b, 4.0, 0.5, 0.1)
-        with pytest.raises(DivergentSeriesError):
-            phi21_direct_batch(a, b, 0.7, 0.5, 1.2)
-        with pytest.raises(InvalidArgumentError):
-            phi21_direct_batch(a, b[:1], 0.7, 0.5, 0.1)
-        # every element terminating: no divergence at |z| >= 1
-        ev = phi21_direct_batch(np.array([8.0, 4.0]), b, 0.7, 0.5, 1.5)
-        assert ev.terms_used.tolist() == [4, 3]
-
-
 class TestPhi21Continued:
     def test_overlap_agreement_with_direct(self):
         q, kappa = 0.5, 0.5
@@ -472,10 +420,6 @@ _NON_FINITE_CALLS = {
     "phi21_direct_c": lambda x: phi21_direct(0.2, 0.3, x, 0.5, 0.2),
     "phi21_direct_z": lambda x: phi21_direct(0.2, 0.3, 0.7, 0.5, x),
     "phi21_direct_z_terminating": lambda x: phi21_direct(4.0, 0.3, 0.7, 0.5, x),
-    "phi21_direct_batch_a": lambda x: phi21_direct_batch(
-        np.array([0.2, x]), np.array([0.3, 0.3]), 0.7, 0.5, 0.2),
-    "phi21_direct_batch_z": lambda x: phi21_direct_batch(
-        np.array([0.2]), np.array([0.3]), 0.7, 0.5, x),
     "qpoch_infinite": lambda x: qpoch_infinite(x, 0.5),
     "qpoch_finite": lambda x: qpoch_finite(x, 0.5, 3),
     "qpoch_signed": lambda x: qpoch_signed(x, 0.5, 2),
@@ -514,7 +458,7 @@ class TestNonFiniteRefusal:
     @pytest.mark.parametrize("entry", (
         "qpoch_infinite", "theta_pair", "phi21_direct_a", "phi21_direct_b",
         "phi21_direct_c", "phi21_direct_z", "phi21_direct_z_terminating",
-        "phi21_direct_batch_a", "phi21_direct_batch_z", "phi21_heine"))
+        "phi21_heine"))
     def test_refuses_a_modulus_past_the_float_range(self, entry):
         # Finite parts, but abs() of the number overflows.
         with pytest.raises(InvalidArgumentError):

@@ -5,9 +5,7 @@ import math
 import random
 import sys
 
-import numpy as np
 import pytest
-from _batch_parity import assert_batch_close
 
 from qsu11 import (
     ContourPath,
@@ -22,9 +20,9 @@ from qsu11 import (
     path_independence,
     spherical_az,
 )
-from qsu11.smoother import (_default_integrand, _fine_nodes, _grid,
-                            _log_trapezoid, _node_values)
-from qsu11.su11core import _case1_batch, _lam_batch
+from qsu11 import smoother
+from qsu11.smoother import (_case1_kernel, _case1_line, _default_integrand,
+                            _fine_nodes, _grid, _log_trapezoid, _node_values)
 
 B = QBase(0.5)
 
@@ -226,72 +224,147 @@ class TestPathIndependence:
         assert d < 1e-6
 
 
-def _assert_case1_parity(zs: np.ndarray, p0_k: int) -> None:
-    """Batched node lam and case-1 series agree with the scalar path."""
+def _assert_line_parity(base: QBase, p0_k: int, path: ContourPath,
+                        span: float, m: int, tol: float = 1e-12) -> None:
+    """The line route equals per-node ``spherical_az`` bit for bit, or
+    names the same uncertified node as the per-node loop."""
     p0 = IqPoint.positive(p0_k)
-    lam = _lam_batch(zs, B)
-    zps = [SpectralParam.from_z(complex(z), B) for z in zs]
-    assert_batch_close(lam, [zp.lam for zp in zps])
-    ev = _case1_batch(B, lam, p0_k)
-    ref = [spherical_az(B, zp, p0) for zp in zps]
-    assert_batch_close(ev.value, [r.value for r in ref])
-    assert ev.terms_used.tolist() == [r.terms_used for r in ref]
-    assert_batch_close(ev.tail_bound, [r.tail_bound for r in ref])
+    assert _case1_line(base, p0, path)
+    s, zz, _ = _fine_nodes(path, span, m)
+    assert s == [-v for v in reversed(s)]
+    try:
+        line = _node_values(_case1_kernel(base, p0, tol, 200), s, zz,
+                            certified=True, mirrored=True)
+    except QuadratureUnderResolvedError as err:
+        with pytest.raises(QuadratureUnderResolvedError) as looped:
+            _node_values(_default_integrand(base, p0, tol), s, zz,
+                         certified=True)
+        assert str(err) == str(looped.value)
+        return
+    assert len(line) == len(zz)
+    for z, ev in zip(zz, line):
+        ref = spherical_az(base, SpectralParam.from_z(z, base), p0, tol=tol)
+        assert (ev.value, ev.terms_used, ev.tail_bound) \
+            == (ref.value, ref.terms_used, ref.tail_bound), z
 
 
-def _strip_nodes() -> np.ndarray:
+def _strip_nodes() -> list[complex]:
     """2,000 seeded nodes with Re z in [-1.5, 1.5], |Im z| <= period / 2."""
     rng = random.Random(7)
-    return np.array([complex(rng.uniform(-1.5, 1.5),
-                             rng.uniform(-B.period / 2, B.period / 2))
-                     for _ in range(2000)])
+    return [complex(rng.uniform(-1.5, 1.5),
+                    rng.uniform(-B.period / 2, B.period / 2))
+            for _ in range(2000)]
 
 
-class TestBatchedParity:
-    """The batched case-1 route against per-node ``spherical_az``."""
+class TestLineRoute:
+    """Case-1 lines: the series guards once, half the nodes by the kernel,
+    the other half by conjugation, each equal to ``spherical_az``."""
 
+    @pytest.mark.parametrize("q", (0.41, 0.5, 0.56, 0.9))
     @pytest.mark.parametrize("k", (2, 5))
-    @pytest.mark.parametrize("n", (4.0, 16.0, 64.0, 256.0))
-    def test_smoothing_suite_cells(self, k, n):
-        quad = QuadratureSpec.for_width(n, B)
+    def test_smoothing_suite_cells(self, q, k):
+        base = QBase(q)
         path = ContourPath("vertical_line", 1.0 - 1.0 / k)
-        for p0_k in (0, -1, -2, -4):
-            p0 = IqPoint.positive(p0_k)
-            span, m, _ = _grid(B, p0, k, n, path, quad, None)
-            _, zz, _ = _fine_nodes(path, span, m)
-            _assert_case1_parity(zz, p0_k)
+        for n in (4.0, 16.0, 64.0, 256.0):
+            quad = QuadratureSpec.for_width(n, base)
+            for p0_k in (0, -1, -2, -4):
+                p0 = IqPoint.positive(p0_k)
+                span, m, bound = _grid(base, p0, k, n, path, quad, None)
+                # the series default, and the tolerance gaussian_smooth
+                # uses on the line (at q = 0.9 some nodes run out of terms)
+                for tol in (1e-12, quad.tol_quad / (4.0 * bound.sup)):
+                    _assert_line_parity(base, p0_k, path, span, m, tol)
 
-    def test_perturbed_path(self):
+    def test_strip_lines(self):
+        # lines through some strip nodes, at three densities
+        for x in (z.real for z in _strip_nodes()[::97]):
+            path = ContourPath("vertical_line", x, half_span=B.period / 2)
+            for p0_k, m in ((0, 8), (-1, 9), (-3, 30)):
+                _assert_line_parity(B, p0_k, path, B.period / 2, m)
+
+    def test_other_integrands_take_the_node_loop(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("line route taken")
+
+        monkeypatch.setattr(smoother, "_case1_kernel", refuse)
         quad = QuadratureSpec.for_width(16.0, B)
-        path = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
-        span, m, bound = _grid(B, IqPoint.positive(0), 2, 16.0, path, quad,
-                               None)
-        assert bound is None  # no certificate off vertical lines
-        _, zz, _ = _fine_nodes(path, span, m)
-        assert len(set(zz.real.tolist())) > 1  # per-node |lam|
-        for p0_k in (0, -2):
-            _assert_case1_parity(zz, p0_k)
-
-    def test_strip(self):
-        zs = _strip_nodes()
-        for p0_k in (0, -1, -3):
-            _assert_case1_parity(zs, p0_k)
+        line = ContourPath("vertical_line", 0.5)
+        cases = (
+            (IqPoint.positive(0),
+             ContourPath("perturbed", 0.5, wiggle_amplitude=0.05), None),
+            (IqPoint.positive(0), ContourPath("vertical_line", 1.0), None),
+            (IqPoint.positive(-2),
+             ContourPath("vertical_line", 1.0 + 5e-10 / B.log_q), None),
+            (IqPoint.positive(1), line, None),
+            (IqPoint.negative(1), line, None),
+            (IqPoint.positive(0), line, lambda z: 1.0 + 0.0j),
+        )
+        for p0, path, f in cases:
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, integrand=f)
+        with pytest.raises(AssertionError, match="line route"):
+            gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, line, quad)
 
     def test_terminating_snap(self):
         # lam = q^(2j+1) makes q/lam = (q^2)^(-j) and lam = q^-(2j+1)
         # makes lam q = (q^2)^(-j): the series terminates.  Offsets put
-        # lam inside, near and outside the snap band.
-        zs = []
+        # the line inside, near and outside the snap band; every line in
+        # the tested band takes the per-node loop, which snaps on the
+        # real axis.
         for j in range(6):
             for sign in (1, -1):
                 for d in (0.0, 5e-10, 1.5e-9, 2.5e-9, 1e-6):
-                    zs.append(complex(sign * (2 * j + 1) + d / B.log_q, 0.0))
-                zs.append(complex(sign * (2 * j + 1), 0.3))
-        zs = np.array(zs)
+                    x = sign * (2 * j + 1) + d / B.log_q
+                    path = ContourPath("vertical_line", x)
+                    for p0_k in (0, -2):
+                        p0 = IqPoint.positive(p0_k)
+                        assert _case1_line(B, p0, path) == (d == 1e-6)
+                        ev = spherical_az(B, SpectralParam.from_z(x, B), p0)
+                        if d <= 5e-10:
+                            assert ev.terms_used == j + 1
+                            assert ev.tail_bound == 0.0
+        # a snapping line smooths node by node, s = 0 (z = 1) included,
+        # on the grid a supplied integrand gets
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 1.0)
+        f = _default_integrand(B, IqPoint.positive(0), 1e-12)
+        sm = gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, path, quad)
+        looped = gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, path, quad,
+                                 integrand=lambda z: f(z).value)
+        assert sm.value == looped.value
+
+    def test_perturbed_path(self):
+        # off vertical lines the default integrand is summed node by node
+        # on the grid a supplied integrand gets, with no certificate
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
         for p0_k in (0, -2):
-            _assert_case1_parity(zs, p0_k)
-        ev = _case1_batch(B, _lam_batch(zs[:1], B), 0)
-        assert ev.terms_used[0] == 1 and ev.tail_bound[0] == 0.0
+            p0 = IqPoint.positive(p0_k)
+            assert not _case1_line(B, p0, path)
+            f = _default_integrand(B, p0, 1e-12)
+            sm = gaussian_smooth(B, p0, 2, 16.0, path, quad)
+            looped = gaussian_smooth(B, p0, 2, 16.0, path, quad,
+                                     integrand=lambda z: f(z).value)
+            assert sm.value == looped.value
+            assert sm.tail_bound == math.inf
+
+    @pytest.mark.parametrize("tol, max_terms", ((0.0, 200), (1e-12, 0)),
+                             ids=("tol", "max_terms"))
+    def test_refused_guards_take_the_node_loop(self, tol, max_terms):
+        # the series guards refuse once; the loop names the first node
+        quad = QuadratureSpec.for_width(16.0, B, nodes_per_unit=8)
+        path = ContourPath("vertical_line", 0.5)
+        p0 = IqPoint.positive(0)
+        assert _case1_kernel(B, p0, tol, max_terms) is None
+        s, zz, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad,
+                                            None)[:2])
+        with pytest.raises(PathOutsideDomainError) as line:
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=tol,
+                            max_terms=max_terms)
+        with pytest.raises(PathOutsideDomainError) as looped:
+            _node_values(_default_integrand(B, p0, tol, max_terms), s, zz,
+                         certified=True)
+        assert str(line.value) == str(looped.value)
+        assert f"node s={s[0]!r}" in str(line.value)
 
     def test_gaussian_smooth_matches_node_loop(self):
         # A fixed span and density, so the certified default integrand
@@ -306,7 +379,7 @@ class TestBatchedParity:
             f = _default_integrand(B, p0, 1e-12)
             looped = gaussian_smooth(B, p0, 2, 16.0, path, quad,
                                      integrand=lambda z: f(z).value)
-            assert_batch_close(sm.value, looped.value)
+            assert sm.value == looped.value
 
 
 #: Rounding allowance of the oracle comparison, relative to ``|value|``.
@@ -315,8 +388,9 @@ class TestBatchedParity:
 ORACLE_RTOL = 16 * sys.float_info.epsilon
 
 
-class TestBatchedOracle:
-    """Batched case-1 values against mpmath's 2phi1 at 40 digits."""
+class TestCase1Oracle:
+    """Case-1 values of ``spherical_az`` against mpmath's 2phi1 at 40
+    digits."""
 
     # At tol = 1e-16 the tail bound falls below the rounding error, so
     # the allowance is what is tested.
@@ -325,16 +399,17 @@ class TestBatchedOracle:
     def test_strip_subsample(self, p0_k, tol):
         mpmath = pytest.importorskip("mpmath")
         zs = _strip_nodes()[::33]
-        ev = _case1_batch(B, _lam_batch(zs, B), p0_k, tol=tol)
-        assert np.isfinite(ev.tail_bound).all()
+        evs = [spherical_az(B, SpectralParam.from_z(z, B),
+                            IqPoint.positive(p0_k), tol=tol) for z in zs]
+        assert all(math.isfinite(ev.tail_bound) for ev in evs)
         with mpmath.workdps(40):
             q = mpmath.mpf(B.q)
-            for z, value, tail in zip(zs, ev.value, ev.tail_bound):
+            for z, ev in zip(zs, evs):
                 lam = q ** mpmath.mpc(z)
                 ref = mpmath.qhyper([q / lam, lam * q], [q * q], q * q,
                                     -q ** (2 - 2 * p0_k))
-                assert abs(mpmath.mpc(value) - ref) \
-                    <= tail + ORACLE_RTOL * abs(ref)
+                assert abs(mpmath.mpc(ev.value) - ref) \
+                    <= ev.tail_bound + ORACLE_RTOL * abs(ref)
 
 
 class TestUncertifiedNodes:
@@ -354,14 +429,76 @@ class TestUncertifiedNodes:
         p0 = IqPoint.positive(0)
         s, zz, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad,
                                             None)[:2])
-        with pytest.raises(QuadratureUnderResolvedError) as batched:
+        with pytest.raises(QuadratureUnderResolvedError) as line:
             gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=1e-300)
         with pytest.raises(QuadratureUnderResolvedError) as looped:
             _node_values(_default_integrand(B, p0, 1e-300), s, zz,
                          certified=True)
-        assert str(batched.value) == str(looped.value)
-        assert f"s={float(s[0])!r}" in str(batched.value)
-        assert "after 201 terms" in str(batched.value)
+        assert str(line.value) == str(looped.value)
+        assert f"s={s[0]!r}" in str(line.value)
+        assert "after 201 terms" in str(line.value)
+
+    def test_term_budget_reaches_the_nodes(self):
+        # A chain cell of the smoothing suite: 3 terms leave its first
+        # node uncertified; the default budget is 200.
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 0.5)
+        p0 = IqPoint.positive(-1)
+        s, _, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad,
+                                           None)[:2])
+        with pytest.raises(QuadratureUnderResolvedError,
+                           match=f"node s={s[0]!r} is uncertified after 4 "):
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, max_terms=3)
+        with pytest.raises(QuadratureUnderResolvedError, match="after 4 "):
+            path_independence(B, p0, 2, 16.0, path, path, quad, max_terms=3)
+        assert repr(gaussian_smooth(B, p0, 2, 16.0, path, quad)) \
+            == repr(gaussian_smooth(B, p0, 2, 16.0, path, quad,
+                                    max_terms=200))
+
+
+_NON_FINITE_CALLS = {
+    "path_anchor": lambda x: ContourPath("vertical_line", x),
+    "path_wiggle": lambda x: ContourPath("perturbed", 0.5, wiggle_amplitude=x),
+    "path_half_span": lambda x: ContourPath("vertical_line", 0.5, half_span=x),
+    "quad_half_span": lambda x: QuadratureSpec(half_span=x),
+    "quad_tol_quad": lambda x: QuadratureSpec(half_span=1.0, tol_quad=x),
+    "for_width_n": lambda x: QuadratureSpec.for_width(x, B),
+    "smooth_n": lambda x: gaussian_smooth(
+        B, IqPoint.positive(0), 2, x, ContourPath("vertical_line", 0.5),
+        QuadratureSpec.for_width(16.0, B)),
+}
+
+
+class TestNonFiniteRefusal:
+    """Non-finite or complex input is refused with a typed error at every
+    entry (a line at Re z = inf would otherwise reach ``math.remainder``
+    in :func:`_case1_line` and raise a bare ``ValueError``)."""
+
+    @pytest.mark.parametrize("bad", (complex("nan"), math.inf,
+                                     complex(0.0, -math.inf)),
+                             ids=("nan", "inf", "imag_inf"))
+    @pytest.mark.parametrize("entry", sorted(_NON_FINITE_CALLS))
+    def test_refused(self, entry, bad):
+        with pytest.raises(InvalidArgumentError):
+            _NON_FINITE_CALLS[entry](bad)
+
+    @pytest.mark.parametrize("bad", (complex("nan"), math.inf,
+                                     complex(0.0, -math.inf)),
+                             ids=("nan", "inf", "imag_inf"))
+    def test_supplied_integrand_not_finite_is_named(self, bad):
+        # node doubling compares nan with nan as a pass: the node refuses
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 0.5)
+        p0 = IqPoint.positive(0)
+
+        def f(z):
+            return bad if z.imag > 0.0 else 1.0
+
+        s, _, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad, f)[:2])
+        first = min(v for v in s if v > 0.0)
+        with pytest.raises(PathOutsideDomainError,
+                           match=f"node s={first!r} is .*, not finite"):
+            gaussian_smooth(B, p0, 2, 16.0, path, quad, integrand=f)
 
 
 @functools.lru_cache(maxsize=None)
