@@ -191,15 +191,6 @@ def _compound(ra: float, rb: float) -> float:
     return ra + rb + ra * rb
 
 
-def _compound_all(rels: Sequence[float]) -> float:
-    """Relative bound of a product of factors with relative bounds ``rels``,
-    compounded in order from 0."""
-    rel = 0.0
-    for r in rels:
-        rel = _compound(rel, r)
-    return rel
-
-
 def _quotient_rel(ra: float, rb: float) -> float:
     """Relative bound of a quotient whose numerator and denominator have
     relative bounds ra, rb (``inf`` once ``rb >= 1``)."""
@@ -373,12 +364,6 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
     return _qpoch_infinite(complex(a), b, float(tol))
 
 
-def _qpoch(a: complex, b: float, tol: float) -> SeriesEval:
-    """:func:`qpoch_infinite` for a base and tolerance already validated."""
-    _finite_modulus(a)
-    return _qpoch_infinite(complex(a), b, tol)
-
-
 @lru_cache(maxsize=1024)
 def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     """:func:`qpoch_infinite` on validated arguments, before memoisation.
@@ -425,72 +410,6 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
         rel = _compound(rel, ev.rel_bound)
         value *= ev.value
     return _from_rel(0j if degen else value, used, rel)
-
-
-def _product(values: Sequence[complex]) -> complex:
-    """The product of factor values, multiplied in order from ``1.0+0.0j``;
-    exactly 0 when a factor vanishes (a degenerate factor), whatever the
-    others are."""
-    value = 1.0 + 0.0j
-    for v in values:
-        value *= v
-    return 0j if 0 in values else value
-
-
-def _qpoch_run(args: Sequence[complex], b: float,
-               tol: float) -> tuple[list[complex], list[int], float]:
-    """``(a; b)_inf`` for each ``a`` of a run in which every argument is
-    the previous one times ``b``, or every one is the previous over ``b``.
-
-    Returns the values, the factor count of each (its ``terms_used``) and
-    one relative bound that holds for every element.  Only the product at
-    the end of the run where ``|a|`` is smallest goes through
-    :func:`qpoch_infinite`; each other element prepends one factor to its
-    neighbour's product, ``(a/b; b)_inf = (1 - a/b) (a; b)_inf`` (Gasper
-    and Rahman, *Basic Hypergeometric Series*, sec. 1.2).  Such a product
-    discards exactly the tail its base product discarded, so the base's
-    relative bound is the run's.  An element with a vanishing factor is
-    0, and so is every element farther from the base.  ``b`` and ``tol``
-    must be valid (see :func:`qpoch_infinite`); an argument without a
-    finite modulus raises :class:`InvalidArgumentError`.
-    """
-    if len(args) > 1 and _finite_modulus(args[-1]) < _finite_modulus(args[0]):
-        values, counts, rel = _qpoch_run(args[::-1], b, tol)
-        return values[::-1], counts[::-1], rel
-    ev = _qpoch(args[0], b, tol)
-    value, used = ev.value, ev.terms_used
-    values, counts = [value], [used]
-    for a in args[1:]:
-        _finite_modulus(a)
-        value = (1.0 - a) * value
-        used += 1
-        values.append(value)
-        counts.append(used)
-    return values, counts, ev.rel_bound
-
-
-def _ratio(n: complex, d: complex, used: int, rel: float, name: str,
-           label: object, scale: float | None = None) -> SeriesEval:
-    """``[scale *] n / d`` for product values n and d (formed by
-    :func:`_product`), with ``terms_used = used`` and relative bound
-    ``rel``.
-
-    A vanishing ``d`` raises :class:`PoleGuardError`, as a
-    :class:`SeriesEval` quotient does; ``n``, ``d`` or the quotient past the
-    float range raises :class:`InvalidArgumentError` naming
-    ``name = label`` (:func:`_refuse_overflow`).
-    """
-    if d == 0:
-        raise PoleGuardError("division by a series value that vanished")
-    r = _from_rel((n if scale is None else scale * n) / d, used, rel)
-    try:  # abs raises OverflowError on finite parts past the float range
-        in_range = r.tail_bound < math.inf and abs(n) < math.inf \
-            and abs(d) < math.inf
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        _refuse_overflow(name, label, n, d, r.value)
-    return r
 
 
 def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaPair:
@@ -652,93 +571,36 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     * ``lam**2`` at least ``EPS_POLE`` away (relatively) from every even
       power ``q**(2j)``, j integer: the expression has simple poles
       there (raises :class:`PoleGuardError`).
-    * Every q-Pochhammer product of ``T(u)`` within the float range
-      (raises :class:`InvalidArgumentError` before any series term is
-      summed).
+    * Every q-Pochhammer product of ``T(u)``, and each quotient, within
+      the float range (raises :class:`InvalidArgumentError` before any
+      series term is summed).  The products ``(-q^3/(u kappa); q^2)_inf``
+      and ``(-q^2/kappa; q^2)_inf`` leave it as ``kappa`` shrinks (at
+      q = 0.5 and lam = q^0.9, from kappa = q^66 on).
+
+    Each quotient is one :func:`qpoch_multi` over another, its factors
+    summed to ``tol / 32`` each, times one :func:`phi21_direct` sum to
+    ``tol / 8``, in :class:`SeriesEval` arithmetic.  On the lattice
+    ``kappa = +-q^{2k}`` the spherical coefficients do not use this form:
+    :func:`qsu11.su11core.spherical_az` takes its products out of k.
     """
-    return _two_term_sum(lam, [kappa], base.q, tol / 8.0, max_terms)[0]
-
-
-def _two_term_sum(lam: complex, kappas: Sequence[complex], q: float,
-                  part_tol: float, max_terms: int, cancelled: bool = False,
-                  with_moduli: bool = False):
-    """``T(lam) + T(1/lam)`` of :func:`phi21_continued` at each ``kappa`` of
-    a run ``kappas[i + 1] = kappas[i] q^2``, each factor to ``part_tol``.
-
-    ``cancelled`` drops ``(-q^2/kappa; q^2)_inf`` from both denominators;
-    it vanishes at ``kappa = -q^{2k}``, k >= 1 (case 3).  With
-    ``with_moduli`` the result is the pair (values, moduli): per kappa,
-    the sums over u of ``|ratio|`` times each sum of
-    :func:`_term_moduli` for the series summed, the scale of the
-    rounding error.
-
-    Done once per run: the lam**2 pole guard (:class:`PoleGuardError`);
-    the products ``(q^2; q^2)_inf``, ``(u q; q^2)_inf`` and
-    ``(u^2; q^2)_inf``; per u, the guards and snaps of :func:`phi21_direct`
-    for ``2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``, whose a, b and c do not
-    depend on kappa; one kernel product per kappa-dependent product
-    (:func:`_qpoch_run`); and, per u, the relative bound of the ratio in
-    ``T(u)``, which does not depend on kappa either.  Per kappa and u, the
-    ratio's numerator and denominator are plain complex products and the
-    ratio is one :class:`SeriesEval` (:func:`_ratio`).  Each kappa keeps
-    its own series sum; a run of one kappa is one single-point
-    evaluation.  A ``kappa`` outside ``0 < |kappa| < 1`` (underflowed to
-    0, or with no finite modulus), and a product of ``T(u)`` (numerator,
-    denominator or quotient) past the float range, raise
-    :class:`InvalidArgumentError`, the latter before any series term is
-    summed.
-    """
-    for kappa in kappas:
-        if kappa == 0 or _finite_modulus(kappa) >= 1.0:
-            raise InvalidArgumentError(
-                "the two-term continuation needs 0 < |kappa| < 1")
+    if kappa == 0 or _finite_modulus(kappa) >= 1.0:
+        raise InvalidArgumentError("the two-term continuation needs 0 < |kappa| < 1")
+    q = base.q
     _pole_guard(lam, q)
     q2 = q * q
-    if not (part_tol > 0):
-        raise InvalidArgumentError("tol must be positive")
-    nt, dt = part_tol / 4.0, part_tol / (3.0 if cancelled else 4.0)
-    sq = _qpoch(q2, q2, dt)
-    neg = _qpoch_run([-kappa for kappa in kappas], q2, dt)
-    den_runs = [neg] if cancelled else [
-        _qpoch_run([-q2 / kappa for kappa in kappas], q2, dt), neg]
-    # The kappa-dependent denominator factors at each kappa, their counts
-    # and their relative bounds.
-    values, counts, den_rels = zip(*den_runs)
-    den_values = list(zip(*values))
-    den_counts = list(map(sum, zip(*counts)))
+    part_tol = tol / 8.0
     parts = []
     for u in (lam, 1.0 / lam):
-        uq, uu = _qpoch(u * q, q2, nt), _qpoch(u * u, q2, dt)
-        xs, x_counts, x_rel = _qpoch_run(
-            [-q2 * q / (u * kappa) for kappa in kappas], q2, nt)
-        ys, y_counts, y_rel = _qpoch_run([-u * kappa / q for kappa in kappas],
-                                         q2, nt)
-        # The ratio's relative bound does not depend on kappa.
-        rel = _quotient_rel(
-            _compound_all((uq.rel_bound, uq.rel_bound, x_rel, y_rel)),
-            _compound_all((sq.rel_bound, uu.rel_bound, *den_rels)))
-        used = 2 * uq.terms_used + sq.terms_used + uu.terms_used
-        ratios = [
-            _ratio(_product((uq.value, uq.value, x, y)),
-                   _product((sq.value, uu.value, *dk)),
-                   used + xc + yc + dc, rel, "kappa", kappa)
-            for kappa, x, y, dk, xc, yc, dc in zip(
-                kappas, xs, ys, den_values, x_counts, y_counts, den_counts)]
-        a, c = q / u, q2 / (u * u)
-        _, n_exact = _direct_setup(a, a, c, q2, -kappas[0], part_tol, max_terms)
-        parts.append((ratios, a, c, n_exact))
-    totals = [0] * len(kappas)
-    moduli = [(0.0, 0.0)] * len(kappas)
-    for ratios, a, c, n_exact in parts:
-        for i, (kappa, r) in enumerate(zip(kappas, ratios)):
-            s = _direct_sum(a, a, c, q2, -kappa, n_exact, part_tol, max_terms)
-            totals[i] += r * s
-            if with_moduli:
-                mod = abs(r.value)
-                total, weighted = _term_moduli(a, a, c, q2, -kappa, s.terms_used)
-                moduli[i] = (moduli[i][0] + mod * total,
-                             moduli[i][1] + mod * weighted)
-    return (totals, moduli) if with_moduli else totals
+        num = qpoch_multi([u * q, u * q, -q2 * q / (u * kappa), -u * kappa / q],
+                          q2, part_tol)
+        den = qpoch_multi([q2, u * u, -q2 / kappa, -kappa], q2, part_tol)
+        ratio = num / den
+        if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
+            _refuse_overflow("kappa", kappa, num.value, den.value, ratio.value)
+        parts.append((ratio, q / u, q2 / (u * u)))
+    return sum(ratio * phi21_direct(a, a, c, q2, -kappa, tol=part_tol,
+                                    max_terms=max_terms)
+               for ratio, a, c in parts)
 
 
 def _pole_guard(lam: complex, q: float) -> None:

@@ -479,6 +479,9 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
 
     Raises
     ------
+    InvalidArgumentError
+        Before any node is evaluated, if ``k < 1``, or ``n`` or ``tol`` is
+        not a real number in (0, inf), or ``max_terms < 1``.
     PathOutsideDomainError
         If the integrand is pole-guarded or not finite at some node.
     QuadratureUnderResolvedError
@@ -489,7 +492,9 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     """
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
-    _real_in(0.0, n=n)
+    _real_in(0.0, n=n, tol=tol)
+    if not max_terms >= 1:
+        raise InvalidArgumentError("max_terms must be >= 1")
     span, m_coarse, bound = _grid(base, p0, k, n, path, quad, integrand)
     center = 1.0 - 1.0 / k
     d = path.anchor - center
@@ -547,6 +552,8 @@ def path_independence(base: QBase, p0: IqPoint, k: int, n: float,
 
     The integrand is holomorphic between admissible paths, so the two
     values agree up to quadrature error; identical paths give exactly 0.
+    Arguments are refused as by :func:`gaussian_smooth`, before any node
+    is evaluated.
     """
     va, vb = (gaussian_smooth(base, p0, k, n, path, quad, integrand, tol,
                               max_terms) for path in (path_a, path_b))

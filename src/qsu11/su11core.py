@@ -19,21 +19,14 @@ from .errors import InvalidArgumentError
 from .qcalculus import (
     QBase,
     SeriesEval,
-    _compound_all,
     _direct_setup,
     _direct_sum,
     _modulus,
     _pole_guard,
     _power,
     _power_distance,
-    _product,
-    _qpoch,
-    _qpoch_run,
-    _quotient_rel,
-    _ratio,
+    _refuse_overflow,
     _term_moduli,
-    _two_term_sum,
-    phi21_continued,
     phi21_heine,
     qpoch_multi,
     qpoch_signed,
@@ -53,6 +46,14 @@ __all__ = [
 
 #: Largest ``|log |lam||`` for which ``lam`` and ``1/lam`` are finite.
 _LOG_MAX = math.log(sys.float_info.max)
+
+_EPS = sys.float_info.epsilon
+
+#: Relative rounding of ``(q/u)**n`` per unit of n: n times that of
+#: ``q/u`` (two complex quotients at most), plus that of the power, by
+#: repeated squaring up to n = 100 and by ``hypot``, ``pow`` and ``atan2``
+#: beyond (the phase n atan2 is off by up to n pi eps).
+_POWER_ROUNDING = 16.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -152,80 +153,6 @@ class SpectralParam:
         return cls(zc, lam, (lam + 1.0 / lam) / 2.0)
 
 
-def _case3(base: QBase, lam: complex, ks: Sequence[int], tol: float,
-           max_terms: int, with_moduli: bool = False):
-    """Coefficients at the negative points -q^k for a run of consecutive
-    exponents ``ks`` (all >= 1).
-
-    The printed closed form is a 0 * inf expression: an overall factor
-    vanishes while the same product sits in both bracket denominators:
-    the bracket is the case-2 continuation (:func:`phi21_continued`) at
-    ``kappa = -q^{2k}``, and that product is its ``(-q^2/kappa; q^2)_inf
-    = (q^{2-2k}; q^2)_inf``.  Cancelling it leaves
-
-    value = p0^2 nu^2 cq^2 (q^{2k}; q^2)_inf (q^2; q^2)_inf^2
-            * (-lam q^{3-2k}, -q^{2k-1}/lam; q^2)_inf
-              / (q^{2k-1}/lam, lam q^{3-2k}; q^2)_inf
-            * (T1 + T2)
-
-    with the bracket terms
-
-    T1 = (lam q, lam q, q^{3-2k}/lam, lam q^{2k-1}; q^2)_inf
-         / (q^2, lam^2, q^{2k}; q^2)_inf
-         * 2phi1(q/lam, q/lam; q^2/lam^2; q^2, q^{2k})
-
-    and T2 = T1 with lam -> 1/lam.  The overall sign is +: the source
-    display carries a minus sign that its own limit value contradicts.
-    The brackets are one two-term sum over the run of kappas, and each
-    k-dependent product of the prefactor comes from one kernel product
-    (:func:`qsu11.qcalculus._qpoch_run`).  Per k, the prefactor is
-    ``q**(2k + 2 nu_exp(k)) * cq**2 * n / d`` (in that order) for the plain
-    complex products n and d above, with one relative bound for the
-    window (:func:`qsu11.qcalculus._ratio`); a vanishing factor of
-    n gives an exact 0, a vanishing d raises :class:`PoleGuardError`, and
-    n, d or the prefactor past the float range raises
-    :class:`InvalidArgumentError`.  With ``with_moduli`` the result is the
-    pair (values, moduli), as for :func:`qsu11.qcalculus._two_term_sum`,
-    with each modulus times ``|prefactor|``.
-    """
-    q = base.q
-    q2 = q * q
-    part_tol = tol / 16.0
-    mks = [q ** (2 * k) for k in ks]
-    # The bracket first: its lam**2 guard also covers the prefactor's poles,
-    # and its products overflow no later than the prefactor's.
-    brackets = _two_term_sum(lam, [-mk for mk in mks], q, part_tol, max_terms,
-                             cancelled=True, with_moduli=with_moduli)
-    if with_moduli:
-        brackets, moduli = brackets
-    ups = [_power(q, 3 - 2 * k) for k in ks]
-    downs = [q ** (2 * k - 1) for k in ks]
-    nt, dt = part_tol / 5.0, part_tol / 2.0
-    sq = _qpoch(q2, q2, nt)
-    ms, m_counts, m_rel = _qpoch_run(mks, q2, nt)
-    xs, x_counts, x_rel = _qpoch_run([-lam * up for up in ups], q2, nt)
-    ys, y_counts, y_rel = _qpoch_run([-d / lam for d in downs], q2, nt)
-    d1s, d1_counts, d1_rel = _qpoch_run([d / lam for d in downs], q2, dt)
-    d2s, d2_counts, d2_rel = _qpoch_run([lam * up for up in ups], q2, dt)
-    # The prefactor's relative bound does not depend on k.
-    rel = _quotient_rel(
-        _compound_all((m_rel, sq.rel_bound, sq.rel_bound, x_rel, y_rel)),
-        _compound_all((d1_rel, d2_rel)))
-    out, scales = [], []
-    for k, bracket, m, x, y, d1, d2, used in zip(
-            ks, brackets, ms, xs, ys, d1s, d2s,
-            map(sum, zip(m_counts, x_counts, y_counts, d1_counts, d2_counts))):
-        pref = _ratio(_product((m, sq.value, sq.value, x, y)), _product((d1, d2)),
-                      used + 2 * sq.terms_used, rel, "k", k,
-                      scale=q ** (2 * k + 2 * nu_exponent(k)) * base.cq ** 2)
-        out.append(pref * bracket)
-        scales.append(abs(pref.value))
-    if with_moduli:
-        return out, [(s * total, s * weighted)
-                     for s, (total, weighted) in zip(scales, moduli)]
-    return out
-
-
 def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
                  tol: float = 1e-12, max_terms: int = 200) -> SeriesEval:
     """Spherical coefficient ``a_z(p0)`` of the averaged vector states.
@@ -234,21 +161,26 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
 
     * ``p0 = +q^k, k <= 0``: convergent series
       ``2phi1(q/lam, lam q; q^2; q^2, -q^{2-2k})``.
-    * ``p0 = +q^k, k >= 1``: the same function continued past the
-      convergence disc (two-term continuation, see
-      :func:`qsu11.qcalculus.phi21_continued`).
-    * ``p0 = -q^k, k >= 1``: a prefactor times the case-2 continuation at
-      ``kappa = -q^{2k}``, with its vanishing denominator factor
-      ``(q^{2-2k}; q^2)_inf`` cancelled (see :func:`_case3`).
+    * ``p0 = +-q^k, k >= 1`` (cases 2 and 3): one closed form,
+
+      ``q^{k-1} theta(-q lam) / ((q^2; q^2)_inf theta(-q^2)) * sum over
+      u in {lam, 1/lam} of u^{1-k} (u q; q^2)_inf^2 / (u^2; q^2)_inf
+      * 2phi1(q/u, q/u; q^2/u^2; q^2, -+q^{2k})``
+
+      with ``theta(x) = (x, q^2/x; q^2)_inf``: PropB2's two-term forms with
+      their products taken out of k (:func:`_closed_form`).
 
     The continued cases are refused (:class:`PoleGuardError`) when
     ``lam**2`` sits within the guard band around ``q**(2 Z)``; the
     convergent case has no such restriction.  A continued case whose
-    ``kappa = +-q^{2k}`` underflows to 0, or whose q-Pochhammer products
-    overflow (at q = 0.5 and z = 0.9 from k = 33 on), raises
-    :class:`InvalidArgumentError`.  This is the one-exponent window
-    (:func:`spherical_window`), which evaluates many exponents at one
-    ``zp`` (there from the recurrence in k, see :func:`_recurrence`).
+    ``kappa = +-q^{2k}`` underflows to 0 (at q = 0.5 from k = 538 on), whose
+    products leave the float range (at large ``|Re z|``; they do not
+    depend on k), or whose ``(q/u)^{k-1}`` times them does (at q = 0.5 and
+    z = -3.3 from k = 445 on, where the value does) raises
+    :class:`InvalidArgumentError` before any series term is summed.  This
+    is the one-exponent window (:func:`spherical_window`), which evaluates
+    many exponents at one ``zp`` (there from the recurrence in k, see
+    :func:`_recurrence`).
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -273,22 +205,16 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     rounding (to first order in the seeds, rigorously in the steps);
     ``terms_used`` is the seeds' count plus one per step.  From the first
     k whose bound exceeds ``tol * max(1, |a|)`` (at q = 0.9 often the
-    first one) the rest of the window goes through the closed forms
-    (:func:`_closed_form`): one two-term sum over the run
-    ``kappa = +-q^{2k}`` (:func:`qsu11.qcalculus._two_term_sum`), with
-    each k-dependent product from one kernel product at the end of the
-    run where its argument is smallest, one factor prepended per step,
-    and one series sum per k.  There ``tail_bound`` bounds the truncation
-    only, as in :func:`spherical_az`.
+    first one) the rest of the window goes through the closed form
+    (:func:`_closed_form`), whose products are summed once for the run;
+    each of those values is :func:`spherical_az`'s at its k, bit for bit.
 
-    A one-exponent window is :func:`spherical_az`.  Values of a longer
-    window differ from the pointwise ones by at most the two certificates
-    plus the pointwise rounding.  The recurrence has no products, so a
-    window can reach exponents whose closed forms are refused (at q = 0.5
-    and z = 0.9, k >= 33); a refusal of the closed form at an exponent the
-    window evaluates by it refuses the whole window.  An empty ``ks``
-    gives ``[]``, and exponents that are not consecutive and ascending,
-    or a negative window reaching k < 1, raise
+    A one-exponent window is :func:`spherical_az`.  Recurrence values of
+    a longer window differ from the pointwise ones by at most the two
+    certificates plus the pointwise rounding.  A refusal of the closed
+    form at an exponent the window evaluates by it refuses the whole
+    window.  An empty ``ks`` gives ``[]``, and exponents that are not
+    consecutive and ascending, or a negative window reaching k < 1, raise
     :class:`InvalidArgumentError`.
     """
     ks = list(ks)
@@ -313,7 +239,7 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
     branch), each value with a running bound on its error, rounding
     included, and ``terms_used`` equal to its seeds' count plus one per
     step.  From the first k whose bound exceeds ``tol * max(1, |a|)`` on,
-    the exponents go through the closed forms (:func:`_closed_form`), as
+    the exponents go through the closed form (:func:`_closed_form`), as
     does a one-exponent window.
     """
     if lam == 0:
@@ -339,28 +265,95 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
 
 
 def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
-                 tol: float, max_terms: int) -> list[SeriesEval]:
-    """Cases 2 and 3 at the exponents ``ks`` (all >= 1) by PropB2's closed
-    forms: one two-term sum over the run of kappas (:func:`_case3` for
-    the negative branch).  One point goes through the public entry, the
-    same sum at one kappa, so traced runs count single case-2 points under
-    :func:`qsu11.qcalculus.phi21_continued`."""
-    if sign < 0:
-        return _case3(base, lam, ks, tol, max_terms)
+                 tol: float, max_terms: int, with_moduli: bool = False):
+    """Cases 2 and 3 at the exponents ``ks`` (all >= 1) by one closed form,
+
+    a_z(sign q^k) = q^{k-1} theta(-q lam) / ((q^2; q^2)_inf theta(-q^2))
+        * sum over u in {lam, 1/lam} of u^{1-k} (u q; q^2)_inf^2
+          / (u^2; q^2)_inf * 2phi1(q/u, q/u; q^2/u^2; q^2, -sign q^{2k}),
+
+    with theta(x) = (x, q^2/x; q^2)_inf.  It is PropB2's T(lam) + T(1/lam)
+    (:func:`qsu11.qcalculus.phi21_continued` at kappa = sign q^{2k}) term
+    by term: each k-dependent product there is a theta product at
+    x q^{2(k-1)}, and theta(x q^2) = -theta(x)/x takes k out of it
+    (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1).  Case 3's
+    prefactor and the (q^{2k}; q^2)_inf it cancels fold into the same
+    constant, since cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2 and
+    theta(-q^2) = 2 (-q^2; q^2)_inf^2 (with the overall sign +: the source
+    display of case 3 carries a minus sign that its own limit value
+    contradicts).
+
+    The products are summed once, each quotient's factors to ``tol / 8``
+    in all, and each series' guards and snaps run once per u; per k there
+    remain (q/u)^{k-1} and the two series, each summed to ``tol / 8``.  So
+    a value does not depend on the other exponents of ``ks``, bit for bit.
+    ``tail_bound`` bounds the truncation and the rounding of
+    (q/u)^{k-1} (``_POWER_ROUNDING``), which grows with k; the rest of the
+    rounding is left out, as in :func:`spherical_az`.
+
+    Refused before any series term is summed: a ``q^{2k}`` that underflows
+    to 0 (:class:`InvalidArgumentError`), the lam**2 pole guard
+    (:class:`PoleGuardError`), and a product, a quotient of them (at large
+    ``|Re z|``) or a (q/u)^{k-1} past the float range
+    (:class:`InvalidArgumentError`).  With ``with_moduli`` the result is
+    the pair (values, moduli): per k, the sums over u of the series'
+    factor's modulus times each sum of :func:`qsu11.qcalculus._term_moduli`
+    for the series summed, the scale of the rounding error.
+    """
     q = base.q
-    if len(ks) == 1:
-        return [phi21_continued(lam, q ** (2 * ks[0]), base, tol=tol,
-                                max_terms=max_terms)]
-    return _two_term_sum(lam, [q ** (2 * k) for k in ks], q, tol / 8.0,
-                         max_terms)
+    q2 = q * q
+    zs = [-sign * q ** (2 * k) for k in ks]
+    if zs[-1] == 0:
+        raise InvalidArgumentError(
+            f"kappa = q**{2 * ks[-1]} underflows to 0 at k = {ks[-1]}")
+    _pole_guard(lam, q)
+    part_tol = tol / 8.0
+    theta = qpoch_multi([-q * lam, -q / lam], q2, part_tol)
+    const = theta / (2.0 * qpoch_multi([q2, -q2, -q2], q2, part_tol))
+    parts = []
+    for u in (lam, 1.0 / lam):
+        num, den = qpoch_multi([u * q, u * q], q2, part_tol), \
+            qpoch_multi([u * u], q2, part_tol)
+        factor = const * (num / den)
+        if not factor.tail_bound < math.inf:  # uncertified, or past the range
+            _refuse_overflow("lam", lam, theta.value, const.value, num.value,
+                             den.value, factor.value)
+        a, c = q / u, q2 / (u * u)
+        _, n_exact = _direct_setup(a, a, c, q2, zs[0], part_tol, max_terms)
+        scaled = []
+        for k in ks:
+            try:
+                power = a ** (k - 1)
+            except OverflowError:  # complex ** int past the float range
+                power = complex(math.inf)
+            f = factor * SeriesEval(power, 0, _POWER_ROUNDING * (k - 1)
+                                    * _modulus(power))
+            if not math.isfinite(_modulus(f.value)):
+                raise InvalidArgumentError(
+                    f"the factor (q/u)**{k - 1} of the closed form is past "
+                    f"the float range at k = {k}")
+            scaled.append(f)
+        parts.append((scaled, a, c, n_exact))
+    out, moduli = [], []
+    for i, z in enumerate(zs):
+        value, total, weighted = 0, 0.0, 0.0
+        for scaled, a, c, n_exact in parts:
+            s = _direct_sum(a, a, c, q2, z, n_exact, part_tol, max_terms)
+            value += scaled[i] * s
+            if with_moduli:
+                mod = abs(scaled[i].value)
+                m_total, m_weighted = _term_moduli(a, a, c, q2, z, s.terms_used)
+                total += mod * m_total
+                weighted += mod * m_weighted
+        out.append(value)
+        moduli.append((total, weighted))
+    return (out, moduli) if with_moduli else out
 
 
 #: The seeds of the recurrence are summed to these fractions of the
 #: window's ``tol``, so that their truncation leaves the budget to the
 #: propagated rounding.
 _SEED_TOL = {1: 1e-3, -1: 1e-2}
-
-_EPS = sys.float_info.epsilon
 
 
 def _seed_error(ev: SeriesEval, moduli: tuple[float, float],
@@ -400,14 +393,15 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``c2 = (w - q^2)/(1 - w)``.
 
     Seeds: on the positive branch the case-1 values a(-1) and a(0), summed
-    to ``tol / 1000``; on the negative branch the one case-3 value a(-q),
-    to ``tol / 100`` (at k = 2 the coefficient of a(0) is
+    to ``tol / 1000``; on the negative branch the one closed-form value
+    a(-q) (:func:`_closed_form` at k = 1, where ``(q/u)^{k-1} = 1``), to
+    ``tol / 100`` (at k = 2 the coefficient of a(0) is
     ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound`` plus a
     rounding term (:func:`_seed_error`); near the pole lattice of the
     two-term form that of a(-q) grows like 1/d, and the negative branch
-    falls back to the closed forms sooner.  A seed that is refused (a
-    seed tolerance that underflows) gives ``[]``: the closed forms
-    decide.
+    falls back to the closed form sooner.  A seed that is refused (a
+    seed tolerance that underflows) gives ``[]``: the closed form
+    decides.
 
     Certificate (Gautschi, "Computational aspects of three-term
     recurrence relations", SIAM Rev. 9, 1967).  The error of a(k) is the
@@ -449,13 +443,13 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
             (ev0, err0), (ev1, err1) = seeds
             k0 = 1
         else:
-            (ev1,), (moduli,) = _case3(base, lam, [1], stol, max_terms,
-                                       with_moduli=True)
+            (ev1,), (moduli,) = _closed_form(base, lam, -1, [1], stol,
+                                             max_terms, with_moduli=True)
             err1 = _seed_error(ev1, moduli, _power_distance(lam * lam, q2))
             ev0, err0 = SeriesEval(0j, 0, 0.0), 0.0  # a(0) is multiplied by 0
             k0 = 2
     except InvalidArgumentError:  # e.g. a seed tolerance that underflows:
-        return []                 # the closed forms decide
+        return []                 # the closed form decides
     out = []
     if sign < 0:
         if not err1 <= tol * max(1.0, _modulus(ev1.value)) < math.inf:

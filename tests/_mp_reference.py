@@ -42,6 +42,22 @@ class Reference:
     def window(self, sign, ks):
         return self.case2(ks) if sign > 0 else self.case3(ks)
 
+    def closed(self, sign, k):
+        """a_z(sign q^k), k >= 1, by the closed form whose products do not
+        depend on k:
+
+        q^{k-1} theta(-q lam) / ((q^2; q^2)_inf theta(-q^2))
+            * sum over u in {lam, 1/lam} of u^{1-k} (u q; q^2)_inf^2
+              / (u^2; q^2)_inf * 2phi1(q/u, q/u; q^2/u^2; q^2, -sign q^{2k}),
+
+        with theta(x) = (x, q^2/x; q^2)_inf."""
+        mp, q, q2, lam = self.mp, self.q, self.q2, self.lam
+        theta = mp.qp(-q * lam, q2) * mp.qp(-q / lam, q2)
+        theta_q2 = mp.qp(-q2, q2) * mp.qp(-1, q2)
+        total = sum(u ** (1 - k) * uq ** 2 / uu * self._series(u, -sign * q ** (2 * k))
+                    for u, uq, uu in self.us)
+        return q ** (k - 1) * theta / (self.sq * theta_q2) * total
+
     def _run(self, args):
         """``(a; q^2)_inf`` for each a of a run ``args[i + 1] = args[i] q^{+-2}``."""
         rev = abs(args[-1]) > abs(args[0])
@@ -72,8 +88,22 @@ class Reference:
         return totals
 
     def case3(self, ks):
-        """The cancelled closed form at -q^k, as printed in
-        :func:`qsu11.su11core._case3`."""
+        """PropB2's case 3 at -q^k: an overall factor vanishes while
+        (q^{2-2k}; q^2)_inf sits in both bracket denominators; with it
+        cancelled,
+
+        value = q^{2k + 2 nu(k)} cq^2 (q^{2k}; q^2)_inf (q^2; q^2)_inf^2
+                * (-lam q^{3-2k}, -q^{2k-1}/lam; q^2)_inf
+                  / (q^{2k-1}/lam, lam q^{3-2k}; q^2)_inf
+                * (T1 + T2),
+
+        T1 = (lam q, lam q, q^{3-2k}/lam, lam q^{2k-1}; q^2)_inf
+             / (q^2, lam^2, q^{2k}; q^2)_inf
+             * 2phi1(q/lam, q/lam; q^2/lam^2; q^2, q^{2k})
+
+        and T2 = T1 with lam -> 1/lam.  The overall sign is +: the source
+        display carries a minus sign that its own limit value contradicts.
+        """
         q, q2, lam = self.q, self.q2, self.lam
         mks = self._run([q ** (2 * k) for k in ks])
         ups = [q ** (3 - 2 * k) for k in ks]

@@ -6,7 +6,6 @@ import itertools
 import math
 import operator
 import random
-import sys
 
 import pytest
 
@@ -166,85 +165,15 @@ class TestQpochMulti:
         assert ev.value == 0.0
         assert ev.degenerate
 
-
-class TestQpochRun:
-    """``_qpoch_run``: one kernel product at the small-|a| end of a run,
-    one prepended factor per further element, one relative bound."""
-
-    TOL = 1e-13
-
-    @staticmethod
-    def _run(a0, b, count, growing):
-        return [a0 / b ** i if growing else a0 * b ** i for i in range(count)]
-
-    @pytest.mark.parametrize("growing", (True, False), ids=("up", "down"))
-    @pytest.mark.parametrize("b", (0.25, 0.5, 0.81))
-    @pytest.mark.parametrize("a0", (0.3 + 0.2j, -0.7, 1e-3j, -2.5 + 1.0j))
-    def test_prepends_one_factor_per_element(self, a0, b, growing):
-        args = self._run(a0, b, 20, growing)
-        values, counts, rel = qcalculus._qpoch_run(args, b, self.TOL)
-        assert len(values) == len(counts) == len(args)
-        base = 0 if growing else len(args) - 1  # the smallest |a|
-        ev = qpoch_infinite(args[base], b, self.TOL)
-        assert repr(values[base]) == repr(ev.value)
-        assert counts[base] == ev.terms_used and rel == ev.rel_bound
-        step = 1 if growing else -1
-        for i in range(base + step, len(args) if growing else -1, step):
-            assert repr(values[i]) == repr((1.0 - args[i]) * values[i - step])
-            assert counts[i] == counts[i - step] + 1
-
-    @pytest.mark.parametrize("growing", (True, False), ids=("up", "down"))
-    @pytest.mark.parametrize("b", (0.25, 0.5, 0.81))
-    @pytest.mark.parametrize("a0", (0.3 + 0.2j, -0.7, 1e-3j, -2.5 + 1.0j))
-    def test_within_the_shared_bound(self, a0, b, growing):
-        args = self._run(a0, b, 20, growing)
-        values, _, rel = qcalculus._qpoch_run(args, b, self.TOL)
-        assert 0.0 < rel < math.inf
-        for a, v in zip(args, values):
-            ev = qpoch_infinite(a, b, self.TOL)
-            assert abs(v - ev.value) <= ev.tail_bound \
-                + (rel + 16 * sys.float_info.epsilon) * abs(v), a
-
     @pytest.mark.parametrize("bad", (math.inf, complex(1.5e308, 1.5e308),
                                      complex(math.nan, 0.0)))
     @pytest.mark.parametrize("where", (0, 2, 4))
     def test_argument_without_finite_modulus_refused(self, bad, where):
-        args = self._run(0.3 + 0.2j, 0.5, 5, True)
+        # A degenerate factor elsewhere does not hide the refusal.
+        args = [0.3 + 0.2j, 1.0, -0.7, 1e-3j, -2.5 + 1.0j]
         args[where] = bad
         with pytest.raises(InvalidArgumentError, match="no finite modulus"):
-            qcalculus._qpoch_run(args, 0.5, self.TOL)
-
-
-class TestRatio:
-    """``_ratio``, one quotient of plain products in a window."""
-
-    def test_vanishing_numerator_factor_gives_exact_zero(self):
-        n = qcalculus._product((2.0 + 1.0j, 0j, complex(math.inf, 0.0)))
-        assert repr(n) == "0j"
-        r = qcalculus._ratio(n, 3.0 + 0.0j, 7, 1e-13, "k", 1)
-        assert r.value == 0 and r.tail_bound == 0.0 and r.degenerate
-        assert r.terms_used == 7
-
-    def test_vanishing_denominator_raises(self):
-        d = qcalculus._product((2.0 + 1.0j, 0j))
-        with pytest.raises(PoleGuardError,
-                           match="division by a series value that vanished"):
-            qcalculus._ratio(1.0 + 0.0j, d, 7, 1e-13, "k", 1)
-
-    @pytest.mark.parametrize("n, d", (
-        (complex(1.5e308, 1.5e308), 4.0 + 0.0j),  # only |n| overflows
-        (1.0 + 0.0j, complex(1.5e308, 1.5e308)),  # only |d| overflows
-        (complex(1e308, 0.0), 1e-10 + 0.0j),      # only the quotient
-    ))
-    def test_past_the_float_range_refused(self, n, d):
-        with pytest.raises(InvalidArgumentError, match="at k = 3 is past"):
-            qcalculus._ratio(n, d, 7, 1e-13, "k", 3)
-
-    def test_scale_multiplies_the_numerator_first(self):
-        n, d, s = 0.3 + 0.7j, 1.1 - 0.2j, 0.37
-        r = qcalculus._ratio(n, d, 2, 1e-13, "k", 1, scale=s)
-        assert repr(r.value) == repr(s * n / d)
-        assert r.tail_bound == abs(r.value) * 1e-13
+            qpoch_multi(args, 0.5, 1e-13)
 
 
 class TestThetaPair:
@@ -356,6 +285,19 @@ class TestPhi21Continued:
     def test_kappa_domain(self, kappa):
         with pytest.raises(InvalidArgumentError):
             phi21_continued(cmath.exp(0.3j), kappa, B)
+
+    @pytest.mark.parametrize("phase", (1.0, cmath.exp(0.3j)))
+    def test_products_past_the_float_range_refused_before_any_series_term(
+            self, phase, monkeypatch):
+        # (-q^3/(lam kappa); q^2)_inf leaves the float range at kappa = q^66.
+        def no_sum(*args):
+            raise AssertionError("a series was summed")
+
+        lam = B.q ** 0.9
+        assert math.isfinite(phi21_continued(lam, B.q ** 64, B).tail_bound)
+        monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        with pytest.raises(InvalidArgumentError, match="at kappa = .* past the float"):
+            phi21_continued(lam, phase * B.q ** 66, B)
 
     def test_small_second_term_near_degeneracy(self):
         # With lam just off q, the lam-branch prefactor dominates the sum.

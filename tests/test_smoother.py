@@ -347,24 +347,27 @@ class TestLineRoute:
             assert sm.value == looped.value
             assert sm.tail_bound == math.inf
 
-    @pytest.mark.parametrize("tol, max_terms", ((0.0, 200), (1e-12, 0)),
-                             ids=("tol", "max_terms"))
-    def test_refused_guards_take_the_node_loop(self, tol, max_terms):
-        # the series guards refuse once; the loop names the first node
+    @pytest.mark.parametrize("tol, max_terms", (
+        (0.0, 200), (-1.0, 200), (math.nan, 200), (math.inf, 200),
+        (1e-12j, 200), (1e-12, 0)),
+        ids=("zero", "negative", "nan", "inf", "complex", "max_terms"))
+    def test_bad_budgets_refused_before_any_node(self, tol, max_terms,
+                                                 monkeypatch):
+        # These reached the node loop, which raised PathOutsideDomainError
+        # at the first node (a complex tol: a bare TypeError).
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(smoother, "_node_values", no_nodes)
         quad = QuadratureSpec.for_width(16.0, B, nodes_per_unit=8)
         path = ContourPath("vertical_line", 0.5)
         p0 = IqPoint.positive(0)
-        assert _case1_kernel(B, p0, tol, max_terms) is None
-        s, zz, _ = _fine_nodes(path, *_grid(B, p0, 2, 16.0, path, quad,
-                                            None)[:2])
-        with pytest.raises(PathOutsideDomainError) as line:
+        with pytest.raises(InvalidArgumentError):
             gaussian_smooth(B, p0, 2, 16.0, path, quad, tol=tol,
                             max_terms=max_terms)
-        with pytest.raises(PathOutsideDomainError) as looped:
-            _node_values(_default_integrand(B, p0, tol, max_terms), s, zz,
-                         certified=True)
-        assert str(line.value) == str(looped.value)
-        assert f"node s={s[0]!r}" in str(line.value)
+        with pytest.raises(InvalidArgumentError):
+            path_independence(B, p0, 2, 16.0, path, path, quad, tol=tol,
+                              max_terms=max_terms)
 
     def test_gaussian_smooth_matches_node_loop(self):
         # A fixed span and density, so the certified default integrand

@@ -122,7 +122,9 @@ class TestSphericalCase2:
         zp = SpectralParam.from_z(0.7, B)
         ev = spherical_az(B, zp, IqPoint.positive(3))
         ref = phi21_continued(zp.lam, B.q ** 6, B)
-        assert ev.value == ref.value
+        # Two forms of one function: they agree within both certificates.
+        assert abs(ev.value - ref.value) <= ev.tail_bound + ref.tail_bound \
+            + ORACLE_RTOL * abs(ev.value)
 
     def test_near_limit_value(self):
         zp = SpectralParam.from_z(0.999, B)
@@ -220,9 +222,8 @@ class TestContinuedCasesOracle:
     @pytest.mark.parametrize("sign", (1, -1), ids=("case2", "case3"))
     @pytest.mark.parametrize("q", (0.5, 0.41))
     def test_window_error_within_the_certificate(self, q, sign):
-        # Recurrence values, and closed-form values whose products but the
-        # one at the window's small-|a| end are built by prepending
-        # factors: every certificate must still hold.
+        # Recurrence values and the closed-form values after a fallback:
+        # every certificate must hold.
         mp = pytest.importorskip("mpmath").mp
         base = QBase(q)
         ks = range(1, 11)
@@ -287,6 +288,19 @@ class TestRecurrenceOracle:
             assert [repr(ev) for ev in window[n1 + len(values):]] == [
                 repr(ev) for ev in _closed_form(base, zp.lam, sign, rest, 1e-12, 200)]
 
+    def test_fallback_values_are_spherical_az(self):
+        # The closed form's products do not depend on k, so each value
+        # after the fallback is the pointwise one, bit for bit.
+        base = QBase(0.9)
+        zp = SpectralParam.from_z(complex(0.0, 0.5 / 20 * math.pi / abs(base.log_q)),
+                                  base)
+        for sign, ks, n1 in ((1, range(-12, 13), 13), (-1, range(1, 13), 0)):
+            window = spherical_window(base, zp, sign, ks)
+            filled = n1 + len(_recurrence(base, zp.lam, sign, 1, 12, 1e-12, 200))
+            assert filled < len(ks)
+            for k, ev in list(zip(ks, window))[filled:]:
+                assert repr(ev) == repr(spherical_az(base, zp, IqPoint(sign, k))), k
+
     @pytest.mark.parametrize("tol, max_terms", ((1e-12, 3), (1e-321, 200)),
                              ids=("uncertified", "refused"))
     def test_seeds_that_fail_fall_back(self, tol, max_terms):
@@ -307,17 +321,58 @@ class TestRecurrenceOracle:
                                                     max_terms)]
 
 
+class TestClosedFormIdentity:
+    """The closed form of :func:`spherical_az` at k >= 1 is PropB2's
+    printed forms with their k-dependent products taken out of k by
+    theta(x q^2) = -theta(x)/x, with theta(x) = (x, q^2/x; q^2)_inf.  Both
+    are evaluated here by mpmath at 34 digits, independently of qsu11."""
+
+    LAMS = (0.3 + 0.4j, 1.7, -0.6 + 0.2j, cmath.exp(0.4j), 0.9 - 1.3j)
+
+    @pytest.mark.parametrize("k", (1, 2, 3, 6, 12, 24))
+    @pytest.mark.parametrize("sign", (1, -1), ids=("case2", "case3"))
+    def test_matches_the_printed_forms(self, sign, k):
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(34):
+            for lam in self.LAMS:
+                ref = Reference(mp, 0.5, lam)
+                printed = ref(sign, k)
+                assert abs(ref.closed(sign, k) - printed) \
+                    <= mp.mpf(10) ** -30 * abs(printed), lam
+
+    @pytest.mark.parametrize("q", (0.41, 0.5, 0.9))
+    def test_constants_fold_together(self, q):
+        # theta(-q^2) = 2 (-q^2; q^2)_inf^2 and
+        # cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2: case 3's
+        # prefactor is case 2's constant.
+        mp = pytest.importorskip("mpmath").mp
+        with mp.workdps(34):
+            ref = Reference(mp, q, 0.7)
+            q2 = ref.q2
+            neg = mp.qp(-q2, q2)
+            theta = neg * mp.qp(-1, q2)
+            eps = mp.mpf(10) ** -32
+            assert abs(theta - 2 * neg ** 2) <= eps * theta
+            assert abs(ref.cq ** -2 - 2 * q2 * ref.sq ** 2 * neg ** 2) \
+                <= eps * ref.cq ** -2
+
+
+#: Near lam**2 = q^2 (z near 1), where the two terms of the closed form
+#: cancel.  Evaluated in double precision with their k-dependent
+#: products, PropB2's printed forms missed their certificates at 62 of
+#: these 180 points (by up to 216x).
+NEAR_POLE_QS = (0.41, 0.45, 0.5, 0.53, 0.56)
+NEAR_POLE_ZS = (0.999, 0.9995, 0.9997, 0.9999, 0.99995, 0.9980174847492582)
+
+
 class TestCertificateMiss:
-    """At q = 0.5 and z = 0.9980174847492582 the closed form of case 3
-    misses its certificate at -q^2 and -q^3, outside the oracle's
-    16 eps |value| allowance too: ``tail_bound`` counts truncation, not
-    rounding (ROADMAP item 1).  The recurrence value keeps its bound."""
+    """At q = 0.5 and z = 0.9980174847492582 case 3 as printed in PropB2
+    missed its certificate at -q^2 and -q^3, outside the oracle's
+    16 eps |value| allowance too (ROADMAP item 1).  The closed form with
+    k-independent products keeps it, and so does the recurrence."""
 
     ZP = SpectralParam.from_z(0.9980174847492582, B)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: the closed form's tail_bound "
-                       "does not cover its rounding")
     @pytest.mark.parametrize("k", (2, 3))
     def test_closed_form_within_its_certificate(self, k):
         mp = pytest.importorskip("mpmath").mp
@@ -325,6 +380,20 @@ class TestCertificateMiss:
             ev = spherical_az(B, self.ZP, IqPoint.negative(k))
             err = abs(mp.mpc(ev.value) - Reference(mp, 0.5, self.ZP.lam)(-1, k))
             assert err <= ev.tail_bound + ORACLE_RTOL * abs(ev.value)
+
+    @pytest.mark.parametrize("z", NEAR_POLE_ZS)
+    @pytest.mark.parametrize("q", NEAR_POLE_QS)
+    def test_near_the_pole_within_the_certificate(self, q, z):
+        mp = pytest.importorskip("mpmath").mp
+        base = QBase(q)
+        zp = SpectralParam.from_z(z, base)
+        with mp.workdps(40):
+            ref = Reference(mp, q, zp.lam)
+            for sign in (1, -1):
+                for k in (1, 2, 3):
+                    ev = spherical_az(base, zp, IqPoint(sign, k))
+                    err = abs(mp.mpc(ev.value) - ref(sign, k))
+                    assert err <= ev.tail_bound, (sign, k)
 
     @pytest.mark.parametrize("k", (2, 3))
     def test_recurrence_within_its_bound(self, k):
@@ -339,7 +408,7 @@ class TestCertificateMiss:
 
 
 #: Parity allowance between a window and single points: the two tail
-#: bounds plus the rounding of the prepended product factors.
+#: bounds plus the rounding that a single point's bound leaves out.
 WINDOW_RTOL = 64 * sys.float_info.epsilon
 
 
@@ -393,34 +462,45 @@ class TestSphericalWindow:
             spherical_window(B, SpectralParam.from_z(1.0, B), sign, range(1, 5))
 
 
-class TestOverflowingProducts:
-    """At q = 0.5 and z = 0.9 the products of the two-term form leave the
-    float range from k = 33 on (they returned nan+nanj after 400 to 2,300
-    series terms); such a point is refused before any term is summed.  A
-    window reaches those exponents by the recurrence in k, which has no
-    such products."""
+class TestLargeExponents:
+    """At q = 0.5 and z = 0.9 the k-dependent products of PropB2's printed
+    forms left the float range from k = 33 on, and those points were
+    refused.  The closed form's products do not depend on k, so it
+    evaluates them until kappa = +-q^{2k} underflows (k >= 538), or
+    until (q/u)^{k-1} leaves the float range; a window also reaches them
+    by the recurrence in k."""
 
     ZP = SpectralParam.from_z(0.9, B)
 
+    @pytest.mark.parametrize("k", (32, 33, 34, 100, 500))
     @pytest.mark.parametrize("sign", (1, -1))
-    def test_last_finite_exponent(self, sign):
-        ev = spherical_az(B, self.ZP, IqPoint(sign, 32))
-        assert cmath.isfinite(ev.value) and math.isfinite(ev.tail_bound)
+    def test_within_the_certificate(self, sign, k):
+        mp = pytest.importorskip("mpmath").mp
+        ev = spherical_az(B, self.ZP, IqPoint(sign, k))
+        assert repr(ev) == repr(
+            _closed_form(B, self.ZP.lam, sign, range(k - 2, k + 1), 1e-12, 200)[-1])
+        with mp.workdps(40):
+            err = abs(mp.mpc(ev.value) - Reference(mp, 0.5, self.ZP.lam)(sign, k))
+            assert err <= ev.tail_bound + ORACLE_RTOL * abs(ev.value)
 
-    @pytest.mark.parametrize("k", (33, 34, 100, 500))
     @pytest.mark.parametrize("sign", (1, -1))
-    def test_refused_before_any_series_term(self, sign, k, monkeypatch):
+    def test_power_past_the_float_range_refused_before_any_series_term(
+            self, sign, monkeypatch):
+        # |q/u| = 2^2.3 at z = -3.3: (q/u)^{k-1} times its products, and
+        # the value, leave the float range from k = 445 on.
         def no_sum(*args):
             raise AssertionError("a series was summed")
 
+        zp = SpectralParam.from_z(-3.3, B)
+        assert cmath.isfinite(spherical_az(B, zp, IqPoint(sign, 444)).value)
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
-        with pytest.raises(InvalidArgumentError, match="past the float range"):
-            spherical_az(B, self.ZP, IqPoint(sign, k))
+        with pytest.raises(InvalidArgumentError, match=r"\(q/u\)\*\*444 .* past"):
+            spherical_az(B, zp, IqPoint(sign, 445))
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_window_past_the_frontier_matches_mpmath(self, sign):
-        # These windows were refused like their points up to the
-        # recurrence in k; now every value is certified.
+        # The recurrence fills these windows; every value keeps its
+        # running bound.
         mp = pytest.importorskip("mpmath").mp
         ks = range(20, 35)
         window = spherical_window(B, self.ZP, sign, ks)
@@ -670,11 +750,20 @@ _PAST_FLOAT_RANGE = {
     # kappa = -q^1200 underflows to -0.0.
     "spherical_case3_k600": lambda: spherical_az(B, _ZP, IqPoint.negative(600)),
     "spherical_case2_k600": lambda: spherical_az(B, _ZP, IqPoint.positive(600)),
+    # (q/u)^449 = 2^(2.3 * 449) at z = -3.3.
+    "spherical_case2_power_k450": lambda: spherical_az(
+        B, SpectralParam.from_z(-3.3, B), IqPoint.positive(450)),
+    "spherical_case3_power_k450": lambda: spherical_az(
+        B, SpectralParam.from_z(-3.3, B), IqPoint.negative(450)),
+    # (lam^2; q^2)_inf at |lam| = 2^40: a product that does not depend on k.
+    "spherical_products_z-40": lambda: spherical_az(
+        B, SpectralParam.from_z(-40 + 0.7j, B), IqPoint.positive(1)),
 }
 
 
 class TestPastFloatRange:
-    """A power of q past the float range is refused with a typed error."""
+    """A power of q, or a product, past the float range is refused with a
+    typed error."""
 
     @pytest.mark.parametrize("entry", sorted(_PAST_FLOAT_RANGE))
     def test_refused(self, entry):
