@@ -5,7 +5,9 @@ evaluation point per call.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 
 __all__ = [
     "backend",
@@ -30,30 +32,111 @@ def qpoch_finite_kernel(a: complex, base: float, k: int) -> complex:
     return p
 
 
-def qpoch_infinite_kernel(a: complex, base: float, cutoff: float, max_factors: int):
-    """Infinite product of (1 - a*base**i), truncated by the cutoff rule.
+#: Unit roundoff of IEEE double arithmetic.
+_U = 2.0 ** -53
 
-    Factors are accumulated until the first index K with
-    |a| * base**K < cutoff (at least one factor is always consumed).
-    Returns ``(value, factors_used, tail_rel, degenerate)`` where
-    ``tail_rel = exp(|a| base**K / (1 - base)) - 1`` bounds the relative
-    modulus of the discarded tail and ``degenerate`` is 1 when a factor
-    vanished exactly (product is exactly zero, tail irrelevant).
+#: The smallest normal float, and the spacing of the subnormal ones.
+_TINY = sys.float_info.min
+_SUB = 2.0 ** -1074
+
+#: Roundings per factor ``p *= 1 - f``, in units of ``_U``: one for the
+#: subtraction and sqrt(5) for the complex product (Brent, Percival and
+#: Zimmermann, Math. Comp. 76, 2007), rounded up.
+_C_FACTOR = 4.0
+
+#: Roundings of the closing ``p * exp(-s)``, in units of ``_U``: up to
+#: 2 + 2 for libm's exp and cos or sin, one for their product, sqrt(5)
+#: for the complex product, rounded up.
+_C_CLOSE = 8.0
+
+
+def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
+                          budget: float):
+    """Infinite product of (1 - a*base**i): ``n_fac`` factors, then the
+    log series of the rest.
+
+    The caller predicts from logs the K = ``n_fac`` leading factors to
+    multiply out and the first ``n_big`` of them, whose f_i = a*base**i
+    have |f_i| >= 3.  Those run without a test; the other factors are
+    checked for an exact zero (then the product is 0, ``degenerate``).
+    The rest is exp(-s), with s the log series
+    log (x; base)_inf = -sum_{j>=1} x^j / (j (1 - base^j)) at
+    x = a*base**K, r = |x| < 1, summed to the first J >= 1 whose remainder
+    bound r^{J+1} / ((J+1)(1 - base^{J+1})(1 - r)) is at most ``budget``.
+
+    Returns ``(value, K + J, tail_bound, degenerate)``.  ``tail_bound``
+    bounds |value - exact|: |value| times expm1 of the remainder bound,
+    compounded with a running bound E u / (1 - E u) on the kernel's
+    relative rounding (u = 2**-53; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3).  E counts, per factor,
+    4 + i |f_i| / |1 - f_i| (f_i is i roundings off, and 1 - f_i loses bits
+    as f_i nears 1; 4 + 1.5 i while |f_i| >= 3); for the series, with term
+    moduli t_j = r^j / (j (1 - base^j)) falling by a ratio r at least,
+    (K + 3 + base / (1 - base)) t_1 / (1 - r)^2 (term j is about
+    (K + 3 + base^j / (1 - base^j)) j roundings off) plus
+    (J + 3) t_1 / (1 - r) (the sum); and 8 for the closing exp and
+    product.  Where exp(-s) or the value falls below
+    the normal float range, u bounds no rounding, and the bound is
+    |value| plus a bound on |exact|; a value past the float range has
+    ``tail_bound = inf``.
     """
     p = 1.0 + 0.0j
     f = a
-    n = 0
-    while True:
-        fac = 1.0 - f
-        n += 1
-        if fac == 0:
-            return 0.0 + 0.0j, n, 0.0, 1
-        p *= fac
+    for _ in range(n_big):
+        p *= 1.0 - f
         f *= base
-        if abs(f) < cutoff or n >= max_factors:
+    err = n_fac * _C_FACTOR + 0.75 * n_big * (n_big - 1)
+    m = abs(f)
+    for i in range(n_big, n_fac):
+        fac = 1.0 - f
+        if fac == 0:
+            return 0.0 + 0.0j, i + 1, 0.0, True
+        p *= fac
+        err += i * m / abs(fac)
+        f *= base
+        m *= base
+    r = abs(f)
+    inv = 1.0 / (1.0 - r)
+    s = 0.0j
+    xj, rj, bj, d = f, r, base, 1.0 - base
+    j = 1
+    while True:
+        jd = j * d
+        s += xj / jd
+        j += 1
+        xj *= f
+        rj *= r
+        bj *= base
+        d = 1.0 - bj
+        if rj * inv <= budget * j * d:  # the remainder from term j on
             break
-    tail_rel = math.exp(abs(f) / (1.0 - base)) - 1.0
-    return p, n, tail_rel, 0
+    # The moduli r^j / (j (1 - base^j)) fall by a ratio r at least, from
+    # r / (1 - base), and base^j / (1 - base^j) <= base / (1 - base).
+    j -= 1
+    first = r / (1.0 - base)
+    err = (err + first * inv * ((n_fac + 3.0 + base / (1.0 - base)) * inv + j + 3.0)
+           + _C_CLOSE) * _U
+    rounding = err / (1.0 - err) if err < 1.0 else math.inf
+    trunc = math.expm1(rj * inv / ((j + 1) * d))
+    rel = trunc + rounding + trunc * rounding
+    used = n_fac + j
+    try:
+        e = cmath.exp(-s)
+        value = p * e
+        mod = abs(value)
+    except OverflowError:  # past the float range
+        return complex(math.inf, 0.0), used, math.inf, False
+    if not mod < math.inf or not rel < 1.0:
+        return value, used, math.inf, False
+    if mod >= _TINY and s.real < 708.0:  # exp(-s) >= e^-708, normal too
+        return value, used, mod * rel, False
+    # |exact| <= (|p| (1 + rel) + K 2**-1074) |exp(-s_exact)|, and
+    # |s - s_exact| <= rel; K 2**-1074 covers p's subnormal roundings.
+    if rel - s.real > 709.0:
+        return value, used, math.inf, False
+    exact = ((abs(p.real) + abs(p.imag)) * (1.0 + rel) + n_fac * _SUB) \
+        * math.exp(rel - s.real) * (1.0 + 4.0 * _U)
+    return value, used, mod + max(exact, _SUB), False
 
 
 def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,

@@ -70,8 +70,13 @@ _CSV_COLUMNS = (
 _SUMMARY_COLUMNS = ("suite", "checks", "failures", "verdict")
 
 
+#: One encoder for every compact row: ``json.dumps`` with these keywords
+#: builds a new one per call.
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _compact_json(d: dict) -> str:
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    return _COMPACT.encode(d)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence, Union
 
-from ._kernels import phi21_kernel, qpoch_finite_kernel, qpoch_infinite_kernel
+from ._kernels import _U, phi21_kernel, qpoch_finite_kernel, qpoch_infinite_kernel
 from .errors import (
     DivergentSeriesError,
     InvalidArgumentError,
@@ -53,8 +53,17 @@ EPS_POLE = 1e-9
 #: Floor used when normalising residuals of near-zero quantities.
 _RESIDUAL_FLOOR = 1e-300
 
-#: Hard cap on accumulated product factors, whatever the tolerance.
+#: Hard cap on the factors of a product multiplied out, whatever the
+#: tolerance.
 _MAX_FACTORS = 2_000_000
+
+_LOG4 = math.log(4.0)
+
+#: ``-log`` of the largest split point rho of :func:`qpoch_infinite`:
+#: with ``r <= exp(-1/32)`` its log series stops within 24,000 terms
+#: (``32 (log(4/tol) + log(1/(1 - base)) + log(32.5))``, and
+#: ``tol (1 - base) / 4 >= 2**-1074``).
+_MIN_LOG_RHO = 1.0 / 32.0
 
 BaseLike = Union["QBase", float]
 
@@ -110,12 +119,15 @@ class SeriesEval:
     value : complex
         The computed value.
     terms_used : int
-        Number of series terms / product factors consumed.  At least 1
-        whenever the series is nonempty.
+        Number of series terms, product factors and log-series terms
+        consumed.  At least 1 whenever the series is nonempty.
     tail_bound : float
-        Upper bound on the modulus of the discarded remainder
-        (absolute, not relative).  ``math.inf`` signals that the
-        evaluator ran out of terms before certifying convergence.
+        Upper bound on the modulus of the error (absolute, not
+        relative): the discarded remainder, and for products of
+        :func:`qpoch_infinite` and :func:`qpoch_multi` also their own
+        rounding.  ``math.inf`` signals that the evaluator ran out of
+        terms before certifying convergence, or a value past the float
+        range.
     degenerate : bool
         True when the value is exactly zero with no truncation error, as
         when a product factor vanished exactly.
@@ -129,8 +141,9 @@ class SeriesEval:
     ``(ra + rb) / (1 - rb)`` for a quotient (``inf`` once ``rb >= 1``;
     a zero or degenerate divisor raises :class:`PoleGuardError`) and
     ``r / (1 + sqrt(1 - r))`` for a root (``inf`` once the error disc
-    reaches the branch cut); sums add the bounds.  An uncertified operand
-    gives ``inf``.  The bound covers truncation, not rounding.
+    reaches the branch cut); sums add the bounds.  An uncertified operand,
+    or a value that overflows to nan, gives ``inf``.  The operators add
+    no term for their own rounding.
     """
 
     value: complex
@@ -199,10 +212,13 @@ def _quotient_rel(ra: float, rb: float) -> float:
 
 def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
     """Result with relative bound ``rel``; an exact zero is degenerate."""
-    # ``rel`` is nan when an uncertified factor met an exact one (0 * inf).
+    # ``rel`` is nan when an uncertified factor met an exact one (0 * inf),
+    # and ``value`` when a product overflowed (inf - inf).
     try:
-        tail = abs(value) * rel if rel < math.inf else math.inf
+        tail = abs(value) * rel
     except OverflowError:  # finite parts, modulus past the float range
+        tail = math.inf
+    if not tail < math.inf:  # uncertified: inf or nan
         tail = math.inf
     return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
 
@@ -338,17 +354,29 @@ def qpoch_signed(a: complex, base: BaseLike, k: int) -> complex:
 def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval:
     """Infinite q-Pochhammer product ``(a; base)_inf``.
 
-    Factors are accumulated until the first index K with
-    ``|a| base^K < tol (1 - base) / 4``; the discarded tail then has
-    relative modulus at most ``exp(|a| base^K / (1 - base)) - 1 <= tol``
-    (comfortably, for tol <= 1).  ``tail_bound`` is that bound times the
-    returned modulus, i.e. an absolute bound.
+    The factors ``1 - a base^i`` with ``|a| base^i > rho`` are multiplied
+    out, ``rho = exp(-sqrt(log(4/tol) |log base|))`` (at most
+    ``exp(-1/32)``), which balances their count against the rest's.  The
+    rest, ``(x; base)_inf`` at ``x = a base^K``, is ``exp(-s)`` with s the
+    log series ``sum_{j>=1} x^j / (j (1 - base^j))``, summed to the first J
+    whose remainder bound ``r^{J+1} / ((J+1)(1 - base^{J+1})(1 - r))``,
+    ``r = |x|``, is at most ``tol / 4``.  ``terms_used`` is K + J, factors
+    plus series terms, at least 1 (one term even for ``a = 0``).
 
-    At least one factor is always consumed, so ``terms_used >= 1`` even
-    for ``a = 0``.  An ``a`` without a finite modulus, a ``tol`` that is
-    not positive (NaN included) or so small that the cutoff
-    ``tol (1 - base) / 4`` underflows to 0, and a base outside (0, 1)
-    raise :class:`InvalidArgumentError` on every call.
+    ``tail_bound`` bounds the whole error, absolute: ``|value|`` times
+    ``expm1`` of that remainder bound (at most ``tol / 4``, comfortably
+    for tol <= 1), compounded with a running bound on the kernel's own
+    rounding (:func:`qsu11._kernels.qpoch_infinite_kernel`), which grows as
+    a factor ``1 - a base^i`` loses its leading bits.  So ``tail_bound``
+    is at least a few units of 2**-53 relative, whatever ``tol``.  A value
+    past the float range has ``tail_bound = inf``; one below the normal
+    range, where the relative bound lapses, is bounded absolutely.
+
+    An ``a`` without a finite modulus, a ``tol`` that is not positive (NaN
+    included) or so small that ``tol (1 - base) / 4`` underflows to 0,
+    more than 2,000,000 factors to multiply out
+    (``|a| base^2000000 > rho``), and a base outside (0, 1) raise
+    :class:`InvalidArgumentError` on every call.
 
     Results are memoised on the exact inputs ``(complex(a), base value,
     float(tol))`` in a least-recently-used cache of 1024 entries, so a
@@ -373,22 +401,28 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     arithmetic (up to 3.13) every factor ``1.0 - f`` has imaginary part
     ``+0.0`` whatever the sign of ``f``'s, and the tests check the results.
     """
-    cutoff = tol * (1.0 - b) / 4.0
-    if cutoff == 0:  # the kernel would run to _MAX_FACTORS
+    if tol * (1.0 - b) / 4.0 == 0:  # below every float: nothing could meet it
         raise InvalidArgumentError(f"tol = {tol!r} underflows the product cutoff")
-    # The kernel stops at the first K with |a| b^K < cutoff.
-    if abs(a) * b ** _MAX_FACTORS >= cutoff:
+    # Multiply out the factors with |a| b^i > rho = exp(-ell): ell balances
+    # their count against the log series' (each about
+    # sqrt(log(4/tol) / |log b|)); the first n_big (|a| b^i >= 4) untested.
+    lb = -math.log(b)
+    ell2 = (_LOG4 - math.log(tol)) * lb
+    ell = math.sqrt(ell2) if ell2 > _MIN_LOG_RHO ** 2 else _MIN_LOG_RHO
+    r = abs(a)
+    n_big = n_fac = 0
+    if r > 0:
+        log_r = math.log(r)
+        if log_r + ell > 0:
+            n_fac = math.ceil((log_r + ell) / lb)
+        if r > 4.0:
+            n_big = math.floor((log_r - _LOG4) / lb) + 1
+    if n_fac > _MAX_FACTORS:
         raise InvalidArgumentError(
-            f"(a; {b!r})_inf at |a| = {abs(a)!r} needs more than {_MAX_FACTORS} "
+            f"(a; {b!r})_inf at |a| = {r!r} needs more than {_MAX_FACTORS} "
             f"factors to reach tol = {tol!r}")
-    value, used, tail_rel, degen = qpoch_infinite_kernel(a, b, cutoff,
-                                                         _MAX_FACTORS)
-    if degen:
-        return SeriesEval(value, used, 0.0, degenerate=True)
-    r = _modulus(value)
-    if not math.isfinite(r):  # a factor overflowed
-        return SeriesEval(value, used, math.inf)
-    return SeriesEval(value, used, r * tail_rel)
+    value, used, tail, degen = qpoch_infinite_kernel(a, b, n_big, n_fac, tol / 4.0)
+    return SeriesEval(value, used, tail, degen)
 
 
 def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> SeriesEval:
@@ -396,13 +430,14 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
 
     The tolerance is split evenly across the factors; the combined
     relative tail compounds the per-factor bounds by the product rule of
-    :class:`SeriesEval`.
+    :class:`SeriesEval`, and 3 u (u = 2**-53) for each product of two
+    values.
     """
     b = _base_value(base)
     part = tol / max(len(args), 1)
     value = 1.0 + 0.0j
     used = 0
-    rel = 0.0
+    rel = 3.0 * _U * (len(args) - 1) if len(args) > 1 else 0.0
     degen = False
     for ev in [qpoch_infinite(a, b, part) for a in args]:
         used += ev.terms_used
@@ -571,6 +606,10 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     * ``lam**2`` at least ``EPS_POLE`` away (relatively) from every even
       power ``q**(2j)``, j integer: the expression has simple poles
       there (raises :class:`PoleGuardError`).
+    * ``kappa`` at least ``EPS_POLE`` away (relatively) from every
+      ``-q**(2k)``, k >= 1, where ``(-q^2/kappa; q^2)_inf`` vanishes: the
+      continuation has a pole there (raises :class:`PoleGuardError`
+      naming k, before any product).
     * Every q-Pochhammer product of ``T(u)``, and each quotient, within
       the float range (raises :class:`InvalidArgumentError` before any
       series term is summed).  The products ``(-q^3/(u kappa); q^2)_inf``
@@ -579,7 +618,12 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
 
     Each quotient is one :func:`qpoch_multi` over another, its factors
     summed to ``tol / 32`` each, times one :func:`phi21_direct` sum to
-    ``tol / 8``, in :class:`SeriesEval` arithmetic.  On the lattice
+    ``tol / 8``, in :class:`SeriesEval` arithmetic.  Each quotient also
+    carries ``(6 + k) u / d`` relative (u = 2**-53), d the relative
+    distance of ``-kappa`` from ``q^{2Z}`` and k its nearest exponent: the
+    factor of ``(-q^2/kappa; q^2)_inf`` nearest 0 is about d in size, and
+    the roundings of ``-q^2/kappa`` and of the base ``q^2`` move it by up
+    to (6 + k) u.  On the lattice
     ``kappa = +-q^{2k}`` the spherical coefficients do not use this form:
     :func:`qsu11.su11core.spherical_az` takes its products out of k.
     """
@@ -588,6 +632,13 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     q = base.q
     _pole_guard(lam, q)
     q2 = q * q
+    k = _near_power(-kappa, q2, lo=1)
+    if k is not None:
+        raise PoleGuardError(
+            f"kappa within {EPS_POLE} of -q**{2 * k} (k = {k}); continuation "
+            f"has a pole")
+    k = round(math.log(abs(kappa)) / math.log(q2))
+    near = (6.0 + k) * _U / _power_distance(-kappa, q2)
     part_tol = tol / 8.0
     parts = []
     for u in (lam, 1.0 / lam):
@@ -597,6 +648,8 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
         ratio = num / den
         if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
             _refuse_overflow("kappa", kappa, num.value, den.value, ratio.value)
+        ratio = _from_rel(ratio.value, ratio.terms_used,
+                          _compound(ratio.rel_bound, near))
         parts.append((ratio, q / u, q2 / (u * u)))
     return sum(ratio * phi21_direct(a, a, c, q2, -kappa, tol=part_tol,
                                     max_terms=max_terms)

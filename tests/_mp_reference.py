@@ -1,10 +1,13 @@
-"""mpmath references for the spherical coefficients a_z(+-q^k), k >= 1.
+"""mpmath references: the spherical coefficients a_z(+-q^k), k >= 1, and
+the infinite q-Pochhammer product.
 
 The closed forms of cases 2 and 3 (PropB2), evaluated at mpmath's
-working precision; nothing here calls qsu11.
+working precision, and the explicit product (:func:`explicit_qpoch`);
+nothing here calls qsu11.
 """
 
 import functools
+from fractions import Fraction
 
 
 def _nu(k):
@@ -119,3 +122,42 @@ class Reference:
         return [q ** (2 * k + 2 * _nu(k)) * self.cq ** 2 * mks[i]
                 * self.sq ** 2 * n1[i] * n2[i] / (d1[i] * d2[i]) * totals[i]
                 for i, k in enumerate(ks)]
+
+
+#: Bits of the fixed-point arithmetic of :func:`explicit_qpoch`.
+_PREC = 160
+
+
+def _fixed(x):
+    """The float ``x`` times 2**_PREC, exactly (an integer)."""
+    return round(Fraction(x) * (1 << _PREC))
+
+
+def explicit_qpoch(mp, a, b):
+    """``(a; b)_inf`` for a complex float ``a`` and a float ``b`` in (0, 1),
+    as an mpc at mp's working precision, by the explicit product.
+
+    The factors ``1 - a b^i`` are multiplied out in integer fixed point at
+    2**-160 (a and b are exact there) while ``|a b^i| >= 2**-70``, the
+    product kept to 176 bits by a running exponent; the rest,
+    ``prod_{i >= K} (1 - f_K b^(i-K))``, is ``exp(-f_K / (1 - b))`` to
+    within ``|f_K|^2 / (1 - b^2) < 2**-134`` relative.  ``mp.qp`` is not
+    used: it raises ``NoConvergence`` at large ``|a|``.
+    """
+    a = complex(a)
+    one = 1 << _PREC
+    fr, fi, fb = _fixed(a.real), _fixed(a.imag), _fixed(b)
+    pr, pi, pe = one, 0, 0  # the product is (pr + i pi) 2**(pe - _PREC)
+    stop = 1 << (_PREC - 70)
+    while max(abs(fr), abs(fi)) >= stop:
+        gr, gi = one - fr, -fi
+        pr, pi = (pr * gr - pi * gi) >> _PREC, (pr * gi + pi * gr) >> _PREC
+        if pr == 0 and pi == 0:
+            return mp.mpc(0)
+        n = max(abs(pr), abs(pi)).bit_length() - (_PREC + 16)
+        pr, pi, pe = (pr >> n, pi >> n, pe + n) if n > 0 \
+            else (pr << -n, pi << -n, pe + n)
+        fr, fi = (fr * fb) >> _PREC, (fi * fb) >> _PREC
+    p = mp.mpc(mp.ldexp(pr, pe - _PREC), mp.ldexp(pi, pe - _PREC))
+    f = mp.mpc(mp.ldexp(fr, -_PREC), mp.ldexp(fi, -_PREC))
+    return p * mp.exp(-f / (1 - mp.mpf(b)))

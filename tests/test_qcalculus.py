@@ -8,6 +8,7 @@ import operator
 import random
 
 import pytest
+from _mp_reference import explicit_qpoch
 
 from qsu11 import (
     EPS_POLE,
@@ -316,6 +317,51 @@ class TestPhi21Continued:
         assert abs(total.value - term_a) < 0.1 * abs(term_a)
 
 
+def _two_term_reference(mp, q, lam, kappa):
+    """T(lam) + T(1/lam) of :func:`phi21_continued` at mp's precision."""
+    q, lam, kappa = mp.mpf(q), mp.mpc(lam), mp.mpc(kappa)
+    q2 = q * q
+    total = 0
+    for u in (lam, 1 / lam):
+        num = mp.qp(u * q, q2) ** 2 * mp.qp(-q2 * q / (u * kappa), q2) \
+            * mp.qp(-u * kappa / q, q2)
+        den = mp.qp(q2, q2) * mp.qp(u * u, q2) * mp.qp(-q2 / kappa, q2) \
+            * mp.qp(-kappa, q2)
+        total += num / den * mp.qhyper([q / u, q / u], [q2 / (u * u)], q2, -kappa)
+    return total
+
+
+class TestContinuationPole:
+    """At kappa = -q^{2k}, k >= 1, the factor ``1 + q^{2k}/kappa`` of
+    ``(-q^2/kappa; q^2)_inf`` vanishes: ``phi21_continued`` has a pole.
+    Within EPS_POLE of it the input is refused; just outside, the value
+    carries the rounding of -q^2/kappa amplified by 1/d (it missed its
+    certificate 3.8x at d = 1e-4 and 13,000x at d = 1e-8)."""
+
+    @pytest.mark.parametrize("d", (0.0, 5e-10, -5e-10))
+    @pytest.mark.parametrize("k", (1, 2, 32))
+    def test_refused_before_any_kernel(self, k, d, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("a kernel ran")
+
+        qcalculus._qpoch_infinite.cache_clear()
+        monkeypatch.setattr(qcalculus, "qpoch_infinite_kernel", no_kernel)
+        monkeypatch.setattr(qcalculus, "phi21_kernel", no_kernel)
+        with pytest.raises(PoleGuardError, match=rf"\(k = {k}\)"):
+            phi21_continued(B.q ** 0.9, -B.q ** (2 * k) * (1.0 + d), B)
+
+    @pytest.mark.parametrize("k", (1, 2))
+    def test_within_its_bound_outside_the_guard_band(self, k):
+        mp = pytest.importorskip("mpmath").mp
+        q, lam = B.q, B.q ** 0.9
+        with mp.workdps(40):
+            for d in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, -1e-6):
+                kappa = -q ** (2 * k) * (1.0 + d)
+                ev = phi21_continued(lam, kappa, B)
+                ref = _two_term_reference(mp, q, lam, kappa)
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, d
+
+
 class TestPhi21Heine:
     def test_agrees_with_direct_inside_disc(self):
         args = (-2.0, 0.3, 0.7, 0.5, 0.6)
@@ -416,10 +462,18 @@ class TestNonFiniteRefusal:
             call()
 
     def test_tol_that_underflows_the_cutoff_refused(self):
-        # tol (1 - base) / 4 rounds to 0: no factor could end the product.
+        # tol (1 - base) / 4 rounds to 0: no truncation could meet it.
         with pytest.raises(InvalidArgumentError, match="cutoff"):
             qpoch_infinite(0.3, 0.5, 1e-323)
-        assert qpoch_infinite(0.3, 0.5, 1e-300).tail_bound < 1e-300
+        # At 1e-300 the truncation is below 1e-300 and the bound is the
+        # kernel's rounding bound: 4 u per factor, 8 u to close, and (the
+        # tail starting below |a| b^K < 1e-9) far less than 4 u per term.
+        mp = pytest.importorskip("mpmath").mp
+        ev = qpoch_infinite(0.3, 0.5, 1e-300)
+        with mp.workdps(40):
+            err = abs(mp.mpc(ev.value) - explicit_qpoch(mp, 0.3, 0.5))
+        assert err <= ev.tail_bound \
+            <= (4 * ev.terms_used + 8) * 2.0 ** -53 * abs(ev.value)
 
     def test_overflowing_product_is_uncertified(self):
         # |a| is finite, but the factors 1 - a base**i overflow to nan:

@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from _mp_reference import Reference
+from _mp_reference import Reference, explicit_qpoch
 
 from qsu11 import (
     InvalidArgumentError,
@@ -275,7 +275,7 @@ class TestRecurrenceOracle:
 
     def test_fallback_is_the_closed_form_window(self):
         # contract_00 at q = 0.9: the bound passes tol after three
-        # exponents on the positive branch and at the seed on the negative
+        # exponents on the positive branch and after five on the negative
         # one; the rest of each window is the closed-form window.
         base = QBase(0.9)
         zp = SpectralParam.from_z(complex(0.0, 0.5 / 20 * math.pi / abs(base.log_q)),
@@ -283,7 +283,7 @@ class TestRecurrenceOracle:
         for sign, ks, n1 in ((1, range(-12, 13), 13), (-1, range(1, 13), 0)):
             window = spherical_window(base, zp, sign, ks)
             values = _recurrence(base, zp.lam, sign, 1, 12, 1e-12, 200)
-            assert len(values) == (3 if sign > 0 else 0)
+            assert len(values) == (3 if sign > 0 else 5)
             rest = list(ks)[n1 + len(values):]
             assert [repr(ev) for ev in window[n1 + len(values):]] == [
                 repr(ev) for ev in _closed_form(base, zp.lam, sign, rest, 1e-12, 200)]
@@ -714,13 +714,41 @@ class TestHeineOverflow:
         with pytest.raises(InvalidArgumentError, match="past the float range"):
             averaged_coamen(B, 3, IqPoint.positive(30), 0, 1.0)
 
-    def test_last_finite_exponent_unchanged(self):
-        assert repr(coamen_coeff(B, 0, 1.0, IqPoint.positive(32))) == (
-            "SeriesEval(value=(-4.386221157354899e-09+0j), terms_used=230, "
-            "tail_bound=4.699350047100129e-22, degenerate=False)")
-        assert repr(coamen_coeff(B, 0, 1.0, IqPoint.positive(32), form="raw")) == (
-            "SeriesEval(value=(-4.386221157354919e-09+0j), terms_used=333, "
-            "tail_bound=5.312930195819392e-22, degenerate=False)")
+    @pytest.mark.parametrize("form", ("simplified", "raw"))
+    def test_last_finite_exponent_within_its_bound(self, form):
+        # L = 32 is the last exponent evaluated: within its tail_bound of
+        # the Heine form at 40 digits.  L = 33 is refused.
+        mp = pytest.importorskip("mpmath").mp
+        ev = coamen_coeff(B, 0, 1.0, IqPoint.positive(32), form=form)
+        assert cmath.isfinite(ev.value) and ev.tail_bound < 1e-12 * abs(ev.value)
+        with mp.workdps(40):
+            assert abs(mp.mpc(ev.value) - _coamen_heine_reference(mp, B.q, 32)) \
+                <= ev.tail_bound
+        with pytest.raises(InvalidArgumentError, match="past the float range"):
+            coamen_coeff(B, 0, 1.0, IqPoint.positive(33), form=form)
+
+
+def _coamen_heine_reference(mp, q, L):
+    """coamen_coeff at m = 0, lam = 1, p1 = q^L with e = 2 - 2L <= 0:
+    2phi1(-q, -q; q^2; q^2, z), z = -q^e, by Heine's transformation
+    [(b, a z; q^2)_inf / (q^2, z; q^2)_inf] 2phi1(q^2/b, z; a z; q^2, b)
+    at a = b = -q (it converges, |b| < 1), with explicit products and the
+    series summed until its terms fall below 2^-200 of the first.  At
+    q = 0.5 every parameter is a power of 2, exact in floats."""
+    q2 = q * q
+    a = b = -q
+    z = -q ** (2 - 2 * L)
+    prefactor = (explicit_qpoch(mp, b, q2) * explicit_qpoch(mp, a * z, q2)
+                 / (explicit_qpoch(mp, q2, q2) * explicit_qpoch(mp, z, q2)))
+    qq, c, zz, az, bb = (mp.mpf(x) for x in (q2, q2 / b, z, a * z, b))
+    total = term = mp.mpf(1)
+    n = 0
+    while abs(term) > mp.mpf(2) ** -200:
+        f = qq ** n
+        term *= (1 - c * f) * (1 - zz * f) / ((1 - az * f) * (1 - qq * f)) * bb
+        total += term
+        n += 1
+    return prefactor * total
 
 
 _ZP = SpectralParam.from_z(0.9, B)
