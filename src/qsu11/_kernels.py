@@ -139,48 +139,123 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     return value, used, mod + max(exact, _SUB), False
 
 
+def _same_bits(x: complex, y: complex) -> bool:
+    """``x`` and ``y`` are the same complex number bit for bit: equal, with
+    the same signs of zero (``complex(1, 0.0) == complex(1, -0.0)``)."""
+    return (x == y and math.copysign(1.0, x.real) == math.copysign(1.0, y.real)
+            and math.copysign(1.0, x.imag) == math.copysign(1.0, y.imag))
+
+
 def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                  n_exact: int, rel_tol: float, max_terms: int):
     """Sum the 2phi1 term recurrence.
 
     Terms follow t_0 = 1,
-    t_{k+1} = t_k * (1 - a q^k)(1 - b q^k) / ((1 - c q^k)(1 - q^{k+1})) * z.
+    t_{k+1} = t_k * (1 - a q^k)(1 - b q^k) / ((1 - c q^k)(1 - q^{k+1})) * z,
+    each step rounded in that association order, ``base`` in (0, 1) and
+    ``z`` of finite modulus.
 
     ``n_exact >= 0`` requests a terminating sum of exactly n_exact + 1
-    terms (upper parameter snapped onto base**(-n_exact)); ``n_exact < 0``
-    sums until the geometric tail envelope drops below ``rel_tol`` times
-    the partial sum.  Returns ``(value, terms_used, tail_abs, status)``
-    with status 0 on success and 1 when max_terms was exhausted before
-    the tail bound certified convergence.
+    terms (upper parameter snapped onto base**(-n_exact)), in a loop with
+    no tail test; ``n_exact < 0`` sums until the geometric tail envelope
+    drops below ``rel_tol`` times the partial sum (floored at 1e-300).
+    Both stop early, with zero tail, at a term that is exactly 0.  Returns
+    ``(value, terms_used, tail_abs, status)`` with status 0 on success and
+    1 when max_terms was exhausted before the tail bound certified
+    convergence (or before the last term of a terminating sum).
+
+    The convergent sum takes the first of three loops that its inputs
+    allow, each returning the general step's tuple bit for bit (in CPython's
+    float-complex arithmetic up to 3.13, where a float operand is
+    converted to ``complex(x, 0.0)``):
+
+    * ``c == base`` (case 1, the coamen series, the smoothing nodes): the
+      denominator ``(1 - c q^k)(1 - q^{k+1})`` is ``complex(d * d, 0.0)``
+      with ``d = 1 - q^{k+1}``, so it is carried as the real ``d * d``,
+      and ``|c q^k|`` is ``q^{k+1}``;
+    * ``a`` and ``b`` equal bit for bit (the closed form, the
+      continuation): their factors and moduli are equal bit for bit, and
+      one of each is formed;
+    * otherwise the general step.
     """
     s = 1.0 + 0.0j
     if n_exact == 0:
         return s, 1, 0.0, 0
-    t = 1.0 + 0.0j
-    fa = a
-    fb = b
-    fc = c
-    fq = base
+    t = s
+    fa, fb, fc, fq = a, b, c, base
     k = 0
-    while k < max_terms:
-        t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-        k += 1
-        s += t
-        if n_exact > 0 and k == n_exact:
+    if n_exact > 0:
+        for k in range(1, min(n_exact, max_terms) + 1):
+            t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+            s += t
+            if t == 0:
+                return s, k + 1, 0.0, 0
+            fa *= base
+            fb *= base
+            fc *= base
+            fq *= base
+        if k == n_exact:
             return s, k + 1, 0.0, 0
-        if t == 0:
-            return s, k + 1, 0.0, 0
-        fa *= base
-        fb *= base
-        fc *= base
-        fq *= base
-        if n_exact < 0:
+        return s, k + 1, math.inf, 1
+    az = abs(z)
+    if c == base:
+        d = 1.0 - fq
+        den = d * d
+        while k < max_terms:
+            t = t * (1.0 - fa) * (1.0 - fb) / den * z
+            k += 1
+            s += t
+            if t == 0:
+                return s, k + 1, 0.0, 0
+            fa *= base
+            fb *= base
+            fq *= base
+            d = 1.0 - fq
+            den = d * d
+            r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / den
+            if r < 1.0:
+                tail = abs(t) * r / (1.0 - r)
+                ms = abs(s)
+                if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                    return s, k + 1, tail, 0
+    elif _same_bits(a, b):
+        while k < max_terms:
+            g = 1.0 - fa
+            t = t * g * g / ((1.0 - fc) * (1.0 - fq)) * z
+            k += 1
+            s += t
+            if t == 0:
+                return s, k + 1, 0.0, 0
+            fa *= base
+            fc *= base
+            fq *= base
+            bc = abs(fc)
+            if bc < 1.0:
+                g = 1.0 + abs(fa)
+                r = az * g * g / ((1.0 - bc) * (1.0 - fq))
+                if r < 1.0:
+                    tail = abs(t) * r / (1.0 - r)
+                    ms = abs(s)
+                    if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                        return s, k + 1, tail, 0
+    else:
+        while k < max_terms:
+            t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+            k += 1
+            s += t
+            if t == 0:
+                return s, k + 1, 0.0, 0
+            fa *= base
+            fb *= base
+            fc *= base
+            fq *= base
             # sup over j >= k of |t_{j+1}/t_j|; valid once |c| base^k < 1
             bc = abs(fc)
             if bc < 1.0:
-                r = abs(z) * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
+                r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
                 if r < 1.0:
                     tail = abs(t) * r / (1.0 - r)
-                    if tail <= rel_tol * max(abs(s), 1e-300):
+                    ms = abs(s)
+                    if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                         return s, k + 1, tail, 0
     return s, k + 1, math.inf, 1

@@ -51,6 +51,7 @@ from .smoother import ContourPath, QuadratureSpec, gaussian_smooth, path_indepen
 from .su11core import (
     IqPoint,
     SpectralParam,
+    _coamen_window,
     averaged_coamen,
     coamen_coeff,
     spherical_az,
@@ -228,10 +229,8 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         for m in range(-3, 4):
             for j in range(0, 11):
                 def run(lam=lam, m=m, j=j):
-                    p1 = IqPoint.positive(-j)
-                    raw = coamen_coeff(base, m, lam, p1, form="raw", **budget)
-                    simp = coamen_coeff(base, m, lam, p1, form="simplified",
-                                        **budget)
+                    (raw, simp), = _coamen_window(base, m, lam, [-j], "both",
+                                                  **budget)
                     dev = abs(raw.value - simp.value) \
                         / max(abs(raw.value), abs(simp.value))
                     return simp.value, dev, 10.0 * cfg.tol

@@ -383,7 +383,8 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
     factor that many callers share (``(q^2; q^2)_inf`` and the other
     lambda-independent factors of the two-term forms) is computed once.
     A cached :class:`SeriesEval` is returned to every caller that asks
-    for it, which is safe because it is immutable.
+    for it, which is safe because it is immutable.  The split's constants
+    depend on ``(base, tol)`` only and are computed once per pair.
     """
     b = _base_value(base)
     if not (tol > 0):
@@ -401,14 +402,7 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     arithmetic (up to 3.13) every factor ``1.0 - f`` has imaginary part
     ``+0.0`` whatever the sign of ``f``'s, and the tests check the results.
     """
-    if tol * (1.0 - b) / 4.0 == 0:  # below every float: nothing could meet it
-        raise InvalidArgumentError(f"tol = {tol!r} underflows the product cutoff")
-    # Multiply out the factors with |a| b^i > rho = exp(-ell): ell balances
-    # their count against the log series' (each about
-    # sqrt(log(4/tol) / |log b|)); the first n_big (|a| b^i >= 4) untested.
-    lb = -math.log(b)
-    ell2 = (_LOG4 - math.log(tol)) * lb
-    ell = math.sqrt(ell2) if ell2 > _MIN_LOG_RHO ** 2 else _MIN_LOG_RHO
+    lb, ell = _split(b, tol)
     r = abs(a)
     n_big = n_fac = 0
     if r > 0:
@@ -425,6 +419,21 @@ def _qpoch_infinite(a: complex, b: float, tol: float) -> SeriesEval:
     return SeriesEval(value, used, tail, degen)
 
 
+@lru_cache(maxsize=64)
+def _split(b: float, tol: float) -> tuple[float, float]:
+    """``(-log b, ell)`` for :func:`_qpoch_infinite` at base ``b`` and ``tol``,
+    computed once per pair: the factors with ``|a| b^i > rho = exp(-ell)``
+    are multiplied out, where ell balances their count against the log
+    series' (each about ``sqrt(log(4/tol) / |log b|)``); the first n_big
+    (``|a| b^i >= 4``) untested.  A ``tol`` whose cutoff ``tol (1 - b) / 4``
+    underflows raises :class:`InvalidArgumentError` (not cached)."""
+    if tol * (1.0 - b) / 4.0 == 0:  # below every float: nothing could meet it
+        raise InvalidArgumentError(f"tol = {tol!r} underflows the product cutoff")
+    lb = -math.log(b)
+    ell2 = (_LOG4 - math.log(tol)) * lb
+    return lb, (math.sqrt(ell2) if ell2 > _MIN_LOG_RHO ** 2 else _MIN_LOG_RHO)
+
+
 def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> SeriesEval:
     """Product of ``(a; base)_inf`` over all ``a`` in ``args``.
 
@@ -432,14 +441,27 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     relative tail compounds the per-factor bounds by the product rule of
     :class:`SeriesEval`, and 3 u (u = 2**-53) for each product of two
     values.
+
+    The base and the split tolerance are validated once per list, then
+    each argument's modulus, in order; each factor is
+    :func:`qpoch_infinite`'s memoised result.  Each refusal is the one
+    :func:`qpoch_infinite` raises, in the same order: a base outside
+    (0, 1), a split ``tol`` that is not positive (NaN included, also for
+    an empty list), then per argument a non-finite ``a``, a cutoff that
+    underflows and more than 2,000,000 factors.
     """
     b = _base_value(base)
     part = tol / max(len(args), 1)
+    if not (part > 0):
+        raise InvalidArgumentError("tol must be positive")
+    part = float(part)
     value = 1.0 + 0.0j
     used = 0
     rel = 3.0 * _U * (len(args) - 1) if len(args) > 1 else 0.0
     degen = False
-    for ev in [qpoch_infinite(a, b, part) for a in args]:
+    for a in args:
+        _finite_modulus(a)
+        ev = _qpoch_infinite(complex(a), b, part)
         used += ev.terms_used
         degen = degen or ev.degenerate
         rel = _compound(rel, ev.rel_bound)

@@ -533,13 +533,16 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     """
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
+    if form not in ("simplified", "raw"):
+        raise InvalidArgumentError(f"unknown form {form!r}")
     return _coamen_window(base, m, lam, [p1.exponent], form, tol, max_terms)[0]
 
 
 def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
-                   form: str, tol: float, max_terms: int) -> list[SeriesEval]:
+                   form: str, tol: float, max_terms: int) -> list:
     """``coamen_coeff(base, m, lam, IqPoint.positive(L), form, tol,
-    max_terms)`` for each L of ``Ls``, in that order.
+    max_terms)`` for each L of ``Ls``, in that order; with ``form="both"``
+    the pair ``(raw, simplified)`` for each L, both forms from one series.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the guards and snaps of
@@ -548,9 +551,12 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     kernel.  Points with ``e <= 0`` go through
     :func:`qsu11.qcalculus.phi21_heine`.  Every point is evaluated exactly
     as a one-point window, in order, so a refusal at some L refuses the
-    window with the error :func:`coamen_coeff` raises at the first such L.
+    window with the error :func:`coamen_coeff` raises at the first such L;
+    a pair is refused as the raw call followed by the simplified one would
+    be: by the series first, then by raw's products, then by the
+    simplified prefactor.
     """
-    if form not in ("simplified", "raw"):
+    if form not in ("simplified", "raw", "both"):
         raise InvalidArgumentError(f"unknown form {form!r}")
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
@@ -570,18 +576,21 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
                 setup = _direct_setup(a, b, q2, q2, z, tol, max_terms)
             bb, n_exact = setup
             series = _direct_sum(a, b, q2, bb, z, n_exact, tol, max_terms)
-        if form == "simplified":
-            out.append(cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series)
-            continue
-        part_tol = tol / 16.0
-        # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0 (M = L + 2m):
-        # it cannot overflow.
-        scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
-            * base.cq ** 2
-        root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
-                           part_tol)
-        rest = qpoch_multi([q2, q2, z], q2, part_tol)
-        out.append(scalar * root.sqrt() * rest * series)
+        if form != "simplified":
+            part_tol = tol / 16.0
+            # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
+            # (M = L + 2m): it cannot overflow.
+            scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
+                * base.cq ** 2
+            root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
+                               part_tol)
+            rest = qpoch_multi([q2, q2, z], q2, part_tol)
+            raw = scalar * root.sqrt() * rest * series
+            if form == "raw":
+                out.append(raw)
+                continue
+        simplified = cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series
+        out.append(simplified if form == "simplified" else (raw, simplified))
     return out
 
 

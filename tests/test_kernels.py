@@ -1,9 +1,16 @@
-"""Kernel values are the same in a fresh interpreter as in this one."""
+"""Kernel values are the same in a fresh interpreter as in this one, and
+the 2phi1 kernel's loops are the general step bit for bit."""
 
+import cmath
+import math
+import random
 import subprocess
 import sys
 
-from qsu11 import QBase, backend, qpoch_infinite, theta_pair
+import pytest
+
+from qsu11 import QBase, backend, harness, qcalculus, qpoch_infinite, theta_pair
+from qsu11._kernels import phi21_kernel
 
 
 def _probe_script() -> str:
@@ -46,3 +53,123 @@ def test_import_loads_no_numpy():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
+    """The general 2phi1 step, one loop for every input shape: the kernel
+    before it selected a terminating loop and two special shapes."""
+    s = 1.0 + 0.0j
+    if n_exact == 0:
+        return s, 1, 0.0, 0
+    t = 1.0 + 0.0j
+    fa = a
+    fb = b
+    fc = c
+    fq = base
+    k = 0
+    while k < max_terms:
+        t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+        k += 1
+        s += t
+        if n_exact > 0 and k == n_exact:
+            return s, k + 1, 0.0, 0
+        if t == 0:
+            return s, k + 1, 0.0, 0
+        fa *= base
+        fb *= base
+        fc *= base
+        fq *= base
+        if n_exact < 0:
+            bc = abs(fc)
+            if bc < 1.0:
+                r = abs(z) * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
+                if r < 1.0:
+                    tail = abs(t) * r / (1.0 - r)
+                    if tail <= rel_tol * max(abs(s), 1e-300):
+                        return s, k + 1, tail, 0
+    return s, k + 1, math.inf, 1
+
+
+def _assert_same_bits(args):
+    # repr tells signed zeros apart; == would not.
+    assert repr(phi21_kernel(*args)) == repr(_reference_phi21(*args)), args
+
+
+def _disc(rng, radius):
+    return cmath.rect(radius * rng.random(), rng.uniform(-math.pi, math.pi))
+
+
+def _seeded_calls(seed, count):
+    """Seeded kernel inputs of every shape the kernel selects from."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = rng.uniform(0.05, 0.95)
+        a, b = _disc(rng, 3.0), _disc(rng, 3.0)
+        c = _disc(rng, 3.0)
+        shape = rng.choice(("a=b", "c=base", "both", "neither", "signed"))
+        if shape in ("a=b", "both"):
+            b = complex(a)
+        if shape in ("c=base", "both"):
+            c = complex(base, rng.choice((0.0, -0.0)))
+        if shape == "signed":  # == but not bit for bit: the general step
+            a = complex(rng.uniform(-2.0, 2.0), 0.0)
+            b = complex(a.real, -0.0)
+        n_exact = rng.choice((-1, -1, -1, 0, rng.randint(1, 30)))
+        z = _disc(rng, 1.0 if n_exact < 0 else 4.0)
+        yield (a, b, c, base, z, n_exact, 10.0 ** rng.uniform(-16, -2),
+               rng.choice((1, 3, 10, 200, 2000)))
+
+
+class TestPhi21KernelShapes:
+    """The terminating loop and the shape selections of ``phi21_kernel``
+    return the general step's tuple bit for bit."""
+
+    def test_seeded_inputs_of_every_shape(self):
+        for args in _seeded_calls(16, 3000):
+            _assert_same_bits(args)
+
+    @pytest.mark.parametrize("same", (True, False), ids=("a=b", "a!=b"))
+    @pytest.mark.parametrize("c", (0.5, complex(0.5, -0.0), 0.3 - 0.2j),
+                             ids=("c=base", "c=base-0j", "c"))
+    def test_factor_exactly_zero(self, same, c):
+        # 1 - a 0.5^2 = 0 at a = 4: the third term is 0 and the sum stops.
+        a = complex(4.0)
+        b = a if same else complex(0.3, 0.4)
+        for n_exact in (-1, 2, 3, 5):
+            for max_terms in (1, 2, 3, 4, 200):
+                _assert_same_bits((a, b, c, 0.5, 0.6 - 0.3j, n_exact, 1e-12,
+                                   max_terms))
+        _assert_same_bits((a, b, c, 0.5, 0j, -1, 1e-12, 200))  # z = 0
+
+    @pytest.mark.parametrize("n_exact", (1, 4, 7, 8, 9, 40))
+    def test_terminating_below_and_above_the_budget(self, n_exact):
+        for c in (0.5, 0.1 + 0.2j):
+            for max_terms in (0, 1, 7, 8, 200):
+                _assert_same_bits((0.2 + 0.1j, -1.3, c, 0.5, 2.5 - 1.0j,
+                                   n_exact, 1e-12, max_terms))
+
+    @pytest.mark.parametrize("ab", ((0.9 - 0.1j, 0.9 - 0.1j), (0.9, -0.7j)),
+                             ids=("a=b", "a!=b"))
+    @pytest.mark.parametrize("c", (0.9, -0.4j), ids=("c=base", "c"))
+    def test_budget_exhaustion(self, ab, c):
+        # |z| close to 1 at base 0.9: no certificate within a few terms.
+        for max_terms in (0, 1, 2, 5, 30):
+            args = (*ab, c, 0.9, 0.999j, -1, 1e-14, max_terms)
+            _assert_same_bits(args)
+            assert phi21_kernel(*args)[3] == 1
+
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_calls_of_a_default_run(self, q, tmp_path, monkeypatch, capsys):
+        # Every kernel call that the default verification run makes.
+        calls = []
+
+        def recorded(*args):
+            calls.append(args)
+            return phi21_kernel(*args)
+
+        monkeypatch.setattr(qcalculus, "phi21_kernel", recorded)
+        harness.main(["--q", str(q), "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert len(calls) > 1900
+        for args in calls:
+            _assert_same_bits(args)

@@ -176,6 +176,46 @@ class TestQpochMulti:
         with pytest.raises(InvalidArgumentError, match="no finite modulus"):
             qpoch_multi(args, 0.5, 1e-13)
 
+    @staticmethod
+    def _refusal(call):
+        try:
+            call()
+        except InvalidArgumentError as exc:
+            return type(exc), str(exc)
+        return None
+
+    @pytest.mark.parametrize("args, base, tol", (
+        ([0.3, math.inf, -0.2], 0.5, 1e-12),                   # non-finite a
+        ([complex(math.nan, 0.0), 0.3], 0.5, 0.0),             # tol first
+        ([0.3, 0.2], 0.5, -1.0),
+        ([0.3, 0.2], 0.5, math.nan),
+        ([0.3, 0.2, 0.1], 0.5, 5e-324),                        # tol / 3 is 0
+        ([math.inf, 0.3], 0.5, 2e-323),                        # a, then
+        ([0.3, math.inf], 0.5, 2e-323),                        # the cutoff
+        ([math.inf, 0.3], 1.5, 1e-12),                         # base first
+        ([0.3], 0.0, math.nan),
+        ([0.3], math.nan, 1e-12),
+        ([0.3, 1e100, math.inf], 0.99999, 1e-12),              # factors
+        ([0.3, math.inf, 1e100], 0.99999, 1e-12),
+    ))
+    def test_refusals_are_qpoch_infinites(self, args, base, tol):
+        # The base first, then each argument's refusal by qpoch_infinite at
+        # the split tol, in argument order.
+        def each():
+            qcalculus._base_value(base)
+            for a in args:
+                qpoch_infinite(a, base, tol / len(args))
+
+        want = self._refusal(each)
+        assert want is not None
+        assert self._refusal(lambda: qpoch_multi(args, base, tol)) == want
+
+    @pytest.mark.parametrize("tol", (0.0, -1.0, math.nan))
+    def test_empty_list_refuses_a_tol_that_is_not_positive(self, tol):
+        with pytest.raises(InvalidArgumentError, match="tol must be positive"):
+            qpoch_multi([], 0.5, tol)
+        assert qpoch_multi([], 0.5, 1e-12) == SeriesEval(1 + 0j, 0, 0.0)
+
 
 class TestThetaPair:
     def test_k0_sides_identical(self):

@@ -1,6 +1,7 @@
 """Unit tests for the spectrum points and matrix-coefficient evaluators."""
 
 import cmath
+import itertools
 import math
 import random
 import sys
@@ -20,6 +21,7 @@ from qsu11 import (
     limit_sweep,
     phi21_continued,
     phi21_direct,
+    RunConfig,
     qcalculus,
     qpoch_signed,
     spherical_az,
@@ -27,6 +29,7 @@ from qsu11 import (
     structural_maps,
     theta_pair,
 )
+from qsu11 import su11core
 from qsu11.su11core import _closed_form, _coamen_window, _recurrence, nu_exponent
 
 B = QBase(0.5)
@@ -687,6 +690,90 @@ class TestCoamenWindow:
             coamen_coeff(QBase(0.5), 0, 0j, IqPoint.positive(1))
         with pytest.raises(InvalidArgumentError, match="lam must be nonzero"):
             averaged_coamen(QBase(0.5), 2, IqPoint.positive(1), 0, 0j)
+
+    def test_both_forms_is_form_not_accepted_by_coamen_coeff(self):
+        with pytest.raises(InvalidArgumentError, match="unknown form 'both'"):
+            coamen_coeff(B, 0, 1.0, IqPoint.positive(0), form="both")
+
+
+def _rawsimp_cells(q):
+    """The cells of the coamenability suite's ``rawsimp_*`` rows."""
+    for lam in (1.0 + 0.0j, cmath.exp(0.4j), complex(math.sqrt(q))):
+        for m in range(-3, 4):
+            for j in range(0, 11):
+                yield lam, m, -j
+
+
+class TestRawSimplifiedPair:
+    """``_coamen_window(..., "both", ...)`` sums one series per point for
+    both forms; each is the ``coamen_coeff`` of its form, bit for bit."""
+
+    TOL = RunConfig().series_tol
+
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_rawsimp_cells(self, q):
+        base = QBase(q)
+        routes = set()
+        for lam, m, L in _rawsimp_cells(q):
+            (raw, simp), = _coamen_window(base, m, lam, [L], "both", self.TOL, 200)
+            for form, ev in (("raw", raw), ("simplified", simp)):
+                want = coamen_coeff(base, m, lam, IqPoint.positive(L), form=form,
+                                    tol=self.TOL)
+                assert _fields(ev) == _fields(want), (q, lam, m, L, form)
+            routes.add(2 - 2 * L - 4 * m > 0)
+        assert routes == {True, False}  # summed directly and by Heine
+
+    def test_window_of_pairs(self):
+        lam = cmath.exp(0.4j)
+        pairs = _coamen_window(B, 1, lam, range(-6, 2), "both", self.TOL, 200)
+        raws = _coamen_window(B, 1, lam, range(-6, 2), "raw", self.TOL, 200)
+        simps = _coamen_window(B, 1, lam, range(-6, 2), "simplified", self.TOL, 200)
+        assert [(_fields(r), _fields(s)) for r, s in pairs] \
+            == [(_fields(r), _fields(s)) for r, s in zip(raws, simps)]
+
+    class Series(Exception):
+        pass
+
+    class RawProducts(Exception):
+        pass
+
+    class Prefactor(Exception):
+        pass
+
+    @pytest.mark.parametrize("failing", [
+        set(c) for n in range(1, 4)
+        for c in itertools.combinations(("series", "raw", "prefactor"), n)])
+    @pytest.mark.parametrize("m, L", ((0, -3), (3, 0)), ids=("direct", "heine"))
+    def test_refusal_precedence(self, failing, m, L, monkeypatch):
+        # A refusal is the first of the raw call and the simplified call
+        # made one after the other: the series, then raw's products, then
+        # the simplified prefactor.
+        def raiser(exc):
+            def fail(*args, **kw):
+                raise exc()
+            return fail
+
+        for name, module, attr, exc in (
+                ("series", qcalculus, "phi21_kernel", self.Series),
+                ("raw", su11core, "qpoch_multi", self.RawProducts),
+                ("prefactor", su11core, "qpoch_signed", self.Prefactor)):
+            if name in failing:
+                monkeypatch.setattr(module, attr, raiser(exc))
+        p1 = IqPoint.positive(L)
+        want = _first_error([
+            lambda: coamen_coeff(B, m, 1.0, p1, form="raw"),
+            lambda: coamen_coeff(B, m, 1.0, p1, form="simplified")])
+        assert want is not None
+        with pytest.raises(want):
+            _coamen_window(B, m, 1.0, [L], "both", 1e-12, 200)
+
+    def test_real_refusal_of_the_series(self):
+        # |lam| q^{1+2m} >= 1 on the Heine route (e <= 0): no continuation.
+        for form in ("raw", "simplified"):
+            with pytest.raises(InvalidArgumentError, match="needs .b. < 1"):
+                coamen_coeff(B, 1, 9.0, IqPoint.positive(0), form=form)
+        with pytest.raises(InvalidArgumentError, match="needs .b. < 1"):
+            _coamen_window(B, 1, 9.0, [0], "both", 1e-12, 200)
 
 
 class TestHeineOverflow:
