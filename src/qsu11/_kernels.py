@@ -139,6 +139,46 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     return value, used, mod + max(exact, _SUB), False
 
 
+#: Roundings (in u) of a step of :func:`phi21_kernel`: four subtractions, four
+#: complex products (sqrt(5) u each) and a complex quotient (5 u), rounded up.
+_C_STEP = 20.0
+
+
+def _phi21_rounding(a: complex, b: complex, c: complex, base: float, n: int,
+                    m: float, w: float) -> float:
+    """First-order bound on the rounding error of an n-term sum of
+    :func:`phi21_kernel` with ``m = sum |t_j|``, ``w = sum j |t_j|`` over
+    j >= 1 (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 3): ``u (_C_STEP w + D m + n m - w + n - 1)`` plus 16 (n - 1)
+    subnormal spacings.  Term j is j steps of ``_C_STEP`` u and the drift D
+    off, and takes part in n - j of the n - 1 additions (t_0 = 1 in all).
+    D sums ``i |f_i| / |1 - f_i|`` over the factors the terms use,
+    f_i = x base^i (x = a, b, c, base) off by the i roundings of
+    ``f *= base``: one by one while ``|f_i| > 1/2`` (f_0 is exact), then, as
+    ``|1 - f_i| >= 1/2``, ``2 r (i + base / (1 - base)) / (1 - base)`` at
+    the first ``r = |f_i| <= 1/2``.  0 for n = 1; ``inf`` if not finite.
+    """
+    if n <= 1:
+        return 0.0
+    inv = 1.0 / (1.0 - base)
+    ra, rb, rc, half = abs(a), abs(b), abs(c), 0.5 / base
+    if ra <= half and rb <= half and rc <= half and base <= half:  # |f_i| <= 1/2
+        drift = 2.0 * (ra + rb + rc + base) * base * inv * inv
+    else:
+        drift = 0.0
+        for f in (a, b, c, base):
+            i, r = 0, abs(f)
+            while r > 0.5 and i < n - 1:
+                fac = abs(1.0 - f)
+                drift += i * r / fac if fac else math.inf
+                i, f = i + 1, f * base
+                r = abs(f)
+            if i < n - 1:
+                drift += 2.0 * r * (i + base * inv) * inv
+    bound = _U * (_C_STEP * w + drift * m + n * m - w + n - 1) + 16.0 * (n - 1) * _SUB
+    return bound if bound < math.inf else math.inf
+
+
 def _same_bits(x: complex, y: complex) -> bool:
     """``x`` and ``y`` are the same complex number bit for bit: equal, with
     the same signs of zero (``complex(1, 0.0) == complex(1, -0.0)``)."""
@@ -159,10 +199,16 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     terms (upper parameter snapped onto base**(-n_exact)), in a loop with
     no tail test; ``n_exact < 0`` sums until the geometric tail envelope
     drops below ``rel_tol`` times the partial sum (floored at 1e-300).
-    Both stop early, with zero tail, at a term that is exactly 0.  Returns
-    ``(value, terms_used, tail_abs, status)`` with status 0 on success and
-    1 when max_terms was exhausted before the tail bound certified
-    convergence (or before the last term of a terminating sum).
+    Both stop early at a term that is exactly 0.  Returns
+    ``(value, terms_used, tail_bound, status)`` with status 0 on success and
+    1 (``tail_bound = inf``) when max_terms was exhausted before the tail
+    bound certified convergence (or before the last term of a terminating
+    sum), or ``abs`` of a term or of the sum overflows; a value past the
+    float range has ``tail_bound = inf``.  ``tail_bound`` is the truncated
+    tail (none for a terminating sum) plus the rounding
+    (:func:`_phi21_rounding`, from the running ``sum |t_j|`` and
+    ``sum j |t_j|``); 0 only for ``n_exact = 0`` or z = 0.  The stopping
+    rule counts the truncation only.
 
     The convergent sum takes the first of three loops that its inputs
     allow, each returning the general step's tuple bit for bit (in CPython's
@@ -170,92 +216,103 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     converted to ``complex(x, 0.0)``):
 
     * ``c == base`` (case 1, the coamen series, the smoothing nodes): the
-      denominator ``(1 - c q^k)(1 - q^{k+1})`` is ``complex(d * d, 0.0)``
-      with ``d = 1 - q^{k+1}``, so it is carried as the real ``d * d``,
-      and ``|c q^k|`` is ``q^{k+1}``;
+      denominator is ``complex(d * d, 0.0)``, ``d = 1 - q^{k+1}``, carried
+      as the real ``d * d``, and ``|c q^k|`` is ``q^{k+1}``;
     * ``a`` and ``b`` equal bit for bit (the closed form, the
-      continuation): their factors and moduli are equal bit for bit, and
-      one of each is formed;
+      continuation): one factor and one modulus are formed for both;
     * otherwise the general step.
     """
     s = 1.0 + 0.0j
     if n_exact == 0:
         return s, 1, 0.0, 0
-    t = s
-    fa, fb, fc, fq = a, b, c, base
-    k = 0
-    if n_exact > 0:
-        for k in range(1, min(n_exact, max_terms) + 1):
-            t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-            s += t
-            if t == 0:
-                return s, k + 1, 0.0, 0
-            fa *= base
-            fb *= base
-            fc *= base
-            fq *= base
-        if k == n_exact:
-            return s, k + 1, 0.0, 0
-        return s, k + 1, math.inf, 1
-    az = abs(z)
-    if c == base:
-        d = 1.0 - fq
-        den = d * d
-        while k < max_terms:
-            t = t * (1.0 - fa) * (1.0 - fb) / den * z
-            k += 1
-            s += t
-            if t == 0:
-                return s, k + 1, 0.0, 0
-            fa *= base
-            fb *= base
-            fq *= base
+    t, fa, fb, fc, fq = s, a, b, c, base
+    k, m, w = 0, 0.0, 0.0
+    try:
+        if n_exact > 0:
+            for k in range(1, min(n_exact, max_terms) + 1):
+                t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+                s += t
+                at = abs(t)
+                if at == 0:
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                m, w = m + at, w + k * at
+                fa *= base
+                fb *= base
+                fc *= base
+                fq *= base
+            if k == n_exact:
+                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w), 0
+            return s, k + 1, math.inf, 1
+        az = abs(z)
+        if c == base:
             d = 1.0 - fq
             den = d * d
-            r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / den
-            if r < 1.0:
-                tail = abs(t) * r / (1.0 - r)
-                ms = abs(s)
-                if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
-                    return s, k + 1, tail, 0
-    elif _same_bits(a, b):
-        while k < max_terms:
-            g = 1.0 - fa
-            t = t * g * g / ((1.0 - fc) * (1.0 - fq)) * z
-            k += 1
-            s += t
-            if t == 0:
-                return s, k + 1, 0.0, 0
-            fa *= base
-            fc *= base
-            fq *= base
-            bc = abs(fc)
-            if bc < 1.0:
-                g = 1.0 + abs(fa)
-                r = az * g * g / ((1.0 - bc) * (1.0 - fq))
+            while k < max_terms:
+                t = t * (1.0 - fa) * (1.0 - fb) / den * z
+                k += 1
+                s += t
+                at = abs(t)
+                if at == 0:
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                m, w = m + at, w + k * at
+                fa *= base
+                fb *= base
+                fq *= base
+                d = 1.0 - fq
+                den = d * d
+                r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / den
                 if r < 1.0:
-                    tail = abs(t) * r / (1.0 - r)
+                    tail = at * r / (1.0 - r)
                     ms = abs(s)
                     if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
-                        return s, k + 1, tail, 0
-    else:
-        while k < max_terms:
-            t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-            k += 1
-            s += t
-            if t == 0:
-                return s, k + 1, 0.0, 0
-            fa *= base
-            fb *= base
-            fc *= base
-            fq *= base
-            # sup over j >= k of |t_{j+1}/t_j|; valid once |c| base^k < 1
-            bc = abs(fc)
-            if bc < 1.0:
-                r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
-                if r < 1.0:
-                    tail = abs(t) * r / (1.0 - r)
-                    ms = abs(s)
-                    if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
-                        return s, k + 1, tail, 0
+                        return s, k + 1, tail + _phi21_rounding(
+                            a, b, c, base, k + 1, m, w), 0
+        elif _same_bits(a, b):
+            while k < max_terms:
+                g = 1.0 - fa
+                t = t * g * g / ((1.0 - fc) * (1.0 - fq)) * z
+                k += 1
+                s += t
+                at = abs(t)
+                if at == 0:
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                m, w = m + at, w + k * at
+                fa *= base
+                fc *= base
+                fq *= base
+                bc = abs(fc)
+                if bc < 1.0:
+                    g = 1.0 + abs(fa)
+                    r = az * g * g / ((1.0 - bc) * (1.0 - fq))
+                    if r < 1.0:
+                        tail = at * r / (1.0 - r)
+                        ms = abs(s)
+                        if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                            return s, k + 1, tail + _phi21_rounding(
+                                a, b, c, base, k + 1, m, w), 0
+        else:
+            while k < max_terms:
+                t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+                k += 1
+                s += t
+                at = abs(t)
+                if at == 0:
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                m, w = m + at, w + k * at
+                fa *= base
+                fb *= base
+                fc *= base
+                fq *= base
+                # sup over j >= k of |t_{j+1}/t_j|; valid once |c| base^k < 1
+                bc = abs(fc)
+                if bc < 1.0:
+                    r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
+                    if r < 1.0:
+                        tail = at * r / (1.0 - r)
+                        ms = abs(s)
+                        if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                            return s, k + 1, tail + _phi21_rounding(
+                                a, b, c, base, k + 1, m, w), 0
+    except OverflowError:  # abs of a term or of the sum past the float range
+        pass
     return s, k + 1, math.inf, 1

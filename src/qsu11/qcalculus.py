@@ -123,8 +123,7 @@ class SeriesEval:
         consumed.  At least 1 whenever the series is nonempty.
     tail_bound : float
         Upper bound on the modulus of the error (absolute, not
-        relative): the discarded remainder, and for products of
-        :func:`qpoch_infinite` and :func:`qpoch_multi` also their own
+        relative): the discarded remainder and the evaluator's own
         rounding.  ``math.inf`` signals that the evaluator ran out of
         terms before certifying convergence, or a value past the float
         range.
@@ -141,9 +140,10 @@ class SeriesEval:
     ``(ra + rb) / (1 - rb)`` for a quotient (``inf`` once ``rb >= 1``;
     a zero or degenerate divisor raises :class:`PoleGuardError`) and
     ``r / (1 + sqrt(1 - r))`` for a root (``inf`` once the error disc
-    reaches the branch cut); sums add the bounds.  An uncertified operand,
-    or a value that overflows to nan, gives ``inf``.  The operators add
-    no term for their own rounding.
+    reaches the branch cut); sums add the bounds.  Each adds its own
+    rounding, ``_OP_ROUNDING |result|`` (``u |result|`` for ``+``, u =
+    2**-53).  An uncertified operand, or a value that overflows to nan,
+    gives ``inf``.
     """
 
     value: complex
@@ -163,12 +163,17 @@ class SeriesEval:
         except OverflowError:  # finite parts, modulus past the float range
             return math.inf
 
+    def _scaled(self, x: complex, rel: float = 0.0) -> "SeriesEval":
+        """``self * x`` for a scalar x known to within ``rel``, relative."""
+        return _from_rel(self.value * x, self.terms_used,
+                         _compound(self.rel_bound, rel) + _OP_ROUNDING)
+
     def __mul__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
-            return _from_rel(self.value * other, self.terms_used, self.rel_bound)
+            return self._scaled(other)
         return _from_rel(self.value * other.value,
                          self.terms_used + other.terms_used,
-                         _compound(self.rel_bound, other.rel_bound))
+                         _compound(self.rel_bound, other.rel_bound) + _OP_ROUNDING)
 
     def __truediv__(self, other):
         if not isinstance(other, SeriesEval):
@@ -177,14 +182,17 @@ class SeriesEval:
             raise PoleGuardError("division by a series value that vanished")
         return _from_rel(self.value / other.value,
                          self.terms_used + other.terms_used,
-                         _quotient_rel(self.rel_bound, other.rel_bound))
+                         _quotient_rel(self.rel_bound, other.rel_bound)
+                         + _OP_ROUNDING)
 
     def __add__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
-            return SeriesEval(self.value + other, self.terms_used, self.tail_bound)
-        return SeriesEval(self.value + other.value,
-                          self.terms_used + other.terms_used,
-                          self.tail_bound + other.tail_bound)
+            value, used, tail = self.value + other, self.terms_used, self.tail_bound
+        else:
+            value, used = self.value + other.value, self.terms_used + other.terms_used
+            tail = self.tail_bound + other.tail_bound
+        tail += _U * (abs(value.real) + abs(value.imag))  # >= u |value|
+        return SeriesEval(value, used, tail if tail < math.inf else math.inf)
 
     # Complex * and + commute bit for bit, so ``s * a`` and ``0 + a`` (the
     # start of ``sum``) round exactly as ``a * s`` and ``a + 0``.
@@ -196,7 +204,12 @@ class SeriesEval:
         v, r = self.value, self.rel_bound
         cut = r > 1.0 or (r > 0.0 and v.real < 0.0 and abs(v.imag) <= r * abs(v))
         rel = math.inf if cut else r / (1.0 + math.sqrt(1.0 - r))
-        return _from_rel(cmath.sqrt(v), self.terms_used, rel)
+        return _from_rel(cmath.sqrt(v), self.terms_used, rel + _OP_ROUNDING)
+
+
+#: Relative rounding of a complex product (sqrt(5) u; Brent, Percival and
+#: Zimmermann, 2007), quotient (5 u, Smith's algorithm) or root, rounded up.
+_OP_ROUNDING = 6.0 * _U
 
 
 def _compound(ra: float, rb: float) -> float:
@@ -380,11 +393,10 @@ def qpoch_infinite(a: complex, base: BaseLike, tol: float = 1e-12) -> SeriesEval
 
     Results are memoised on the exact inputs ``(complex(a), base value,
     float(tol))`` in a least-recently-used cache of 1024 entries, so a
-    factor that many callers share (``(q^2; q^2)_inf`` and the other
-    lambda-independent factors of the two-term forms) is computed once.
-    A cached :class:`SeriesEval` is returned to every caller that asks
-    for it, which is safe because it is immutable.  The split's constants
-    depend on ``(base, tol)`` only and are computed once per pair.
+    factor that many callers share (``(q^2; q^2)_inf``, the
+    lambda-independent factors of the two-term forms) is computed once and
+    its immutable :class:`SeriesEval` shared.  The split's constants depend
+    on ``(base, tol)`` only and are computed once per pair.
     """
     b = _base_value(base)
     if not (tol > 0):
@@ -437,10 +449,9 @@ def _split(b: float, tol: float) -> tuple[float, float]:
 def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> SeriesEval:
     """Product of ``(a; base)_inf`` over all ``a`` in ``args``.
 
-    The tolerance is split evenly across the factors; the combined
-    relative tail compounds the per-factor bounds by the product rule of
-    :class:`SeriesEval`, and 3 u (u = 2**-53) for each product of two
-    values.
+    The tolerance is split evenly across the factors; the relative bounds
+    compound by :class:`SeriesEval`'s product rule, with 3 u (u = 2**-53)
+    for each product of two values.
 
     The base and the split tolerance are validated once per list, then
     each argument's modulus, in order; each factor is
@@ -534,14 +545,18 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       some integer j >= 0, raises :class:`PoleInCError`.
     * If ``a`` or ``b`` is within ``EPS_POLE`` of ``base**(-n)`` for
       some n >= 0, the series terminates: the parameter is treated as
-      exactly ``base**(-n)`` and exactly ``n + 1`` terms are summed with
-      zero tail.  This keeps unit cases exact (``a = 1`` gives value 1).
+      exactly ``base**(-n)`` and exactly ``n + 1`` terms are summed, with
+      no truncation tail (the parameter's own offset from ``base**(-n)``
+      is not counted).  This keeps unit cases exact (``a = 1`` gives
+      value 1 with ``tail_bound = 0``).
     * Otherwise the series must satisfy ``|z| < 1``; if not, raises
       :class:`DivergentSeriesError`.
     * Convergent sums stop once a geometric envelope certifies the
       remaining tail below ``tol`` relative to the partial sum.  If
       ``max_terms`` is exhausted first, the partial sum is returned with
       ``tail_bound = math.inf`` rather than raising.
+    * ``tail_bound`` covers the truncated tail and the sum's own rounding
+      (:func:`qsu11._kernels.phi21_kernel`), not that of the arguments.
     """
     bb, n_exact = _direct_setup(a, b, c, base, z, tol, max_terms)
     return _direct_sum(a, b, c, bb, z, n_exact, tol, max_terms)
@@ -580,34 +595,6 @@ def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
     return SeriesEval(value, used, tail if status == 0 else math.inf)
 
 
-def _term_moduli(a: complex, b: complex, c: complex, bb: float, z: complex,
-                 n: int) -> tuple[float, float]:
-    """The scale of the rounding error of the first ``n`` terms of the
-    series of :func:`phi21_kernel`, from the moduli of the kernel's own
-    factors: ``(sum |t_j|, sum (10 j + (n - j)/2) |t_j|)``.
-
-    The kernel forms t_j from t_{j-1} in about 20 roundings of unit
-    roundoff eps/2 (four subtractions, four complex products, a complex
-    quotient), so t_j carries at most ``10 j eps`` relative, and each of
-    the later partial sums adds ``eps/2`` of it: eps times the second sum
-    bounds the rounding to first order (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3), as long as no factor ``1 - f`` loses
-    its leading bits (an ``f`` near 1: a parameter near the pole lattice).
-    """
-    t = 1.0
-    total, weighted = 1.0, n / 2.0
-    az, fq = abs(z), bb
-    for j in range(1, n):
-        t *= abs(1.0 - a) * abs(1.0 - b) / (abs(1.0 - c) * (1.0 - fq)) * az
-        total += t
-        weighted += (10.0 * j + (n - j) / 2.0) * t
-        a *= bb
-        b *= bb
-        c *= bb
-        fq *= bb
-    return total, weighted
-
-
 def phi21_continued(lam: complex, kappa: complex, base: QBase,
                     tol: float = 1e-12, max_terms: int = 200) -> SeriesEval:
     """Two-term continuation of the spherical-type series in lambda, kappa.
@@ -622,21 +609,16 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     (q^2, u^2, -q^2/kappa, -kappa; q^2)_inf]
     * 2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``.
 
-    Preconditions
-    -------------
-    * ``0 < |kappa| < 1`` (raises :class:`InvalidArgumentError`).
-    * ``lam**2`` at least ``EPS_POLE`` away (relatively) from every even
-      power ``q**(2j)``, j integer: the expression has simple poles
-      there (raises :class:`PoleGuardError`).
-    * ``kappa`` at least ``EPS_POLE`` away (relatively) from every
-      ``-q**(2k)``, k >= 1, where ``(-q^2/kappa; q^2)_inf`` vanishes: the
-      continuation has a pole there (raises :class:`PoleGuardError`
-      naming k, before any product).
-    * Every q-Pochhammer product of ``T(u)``, and each quotient, within
-      the float range (raises :class:`InvalidArgumentError` before any
-      series term is summed).  The products ``(-q^3/(u kappa); q^2)_inf``
-      and ``(-q^2/kappa; q^2)_inf`` leave it as ``kappa`` shrinks (at
-      q = 0.5 and lam = q^0.9, from kappa = q^66 on).
+    Preconditions: ``0 < |kappa| < 1`` (else :class:`InvalidArgumentError`);
+    ``lam**2`` at least ``EPS_POLE`` away (relatively) from every
+    ``q**(2j)``, j integer, the expression's simple poles (else
+    :class:`PoleGuardError`); ``kappa`` at least ``EPS_POLE`` away from
+    every ``-q**(2k)``, k >= 1, where ``(-q^2/kappa; q^2)_inf`` vanishes, a
+    pole of the continuation (else :class:`PoleGuardError` naming k, before
+    any product); every product of ``T(u)`` and each quotient within the
+    float range (else :class:`InvalidArgumentError`, before any series
+    term).  ``(-q^3/(u kappa); q^2)_inf`` and ``(-q^2/kappa; q^2)_inf``
+    leave it as ``kappa`` shrinks (at q = 0.5, lam = q^0.9: kappa = q^66).
 
     Each quotient is one :func:`qpoch_multi` over another, its factors
     summed to ``tol / 32`` each, times one :func:`phi21_direct` sum to
@@ -645,9 +627,9 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     distance of ``-kappa`` from ``q^{2Z}`` and k its nearest exponent: the
     factor of ``(-q^2/kappa; q^2)_inf`` nearest 0 is about d in size, and
     the roundings of ``-q^2/kappa`` and of the base ``q^2`` move it by up
-    to (6 + k) u.  On the lattice
-    ``kappa = +-q^{2k}`` the spherical coefficients do not use this form:
-    :func:`qsu11.su11core.spherical_az` takes its products out of k.
+    to (6 + k) u.  On the lattice ``kappa = +-q^{2k}`` the spherical
+    coefficients do not use this form: :func:`qsu11.su11core.spherical_az`
+    takes its products out of k.
     """
     if kappa == 0 or _finite_modulus(kappa) >= 1.0:
         raise InvalidArgumentError("the two-term continuation needs 0 < |kappa| < 1")
@@ -713,22 +695,13 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     ((c; base)_inf (z; base)_inf)] * 2phi1(c/b, z; a z; base, b)``,
 
     which converges whenever ``|b| < 1``, extending the series beyond
-    ``|z| < 1``.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If ``|b| >= 1``.
-    PoleInCError
-        If ``c`` or the transformed lower parameter ``a z`` sits on the
-        pole lattice ``base**(-j)``, j >= 0.
-    PoleGuardError
-        If ``z`` sits on ``base**(-j)`` (zero of the denominator
-        product, i.e. a genuine pole of the continuation).
-    InvalidArgumentError
-        If a product of the prefactor, or their quotient, is past the
-        float range (``(z; base)_inf`` at a large ``|z|``); this is
-        checked before the series is summed.
+    ``|z| < 1``.  Refused: ``|b| >= 1`` (:class:`InvalidArgumentError`),
+    ``c`` or the transformed lower parameter ``a z`` on the pole lattice
+    ``base**(-j)``, j >= 0 (:class:`PoleInCError`), ``z`` there (a zero of
+    the denominator product, a genuine pole: :class:`PoleGuardError`), and,
+    before the series is summed, a product of the prefactor or their
+    quotient past the float range (``(z; base)_inf`` at a large ``|z|``;
+    :class:`InvalidArgumentError`).
     """
     bb = _base_value(base)
     if abs(b) >= 1.0:

@@ -25,8 +25,9 @@ from .qcalculus import (
     _pole_guard,
     _power,
     _power_distance,
+    _qpoch_infinite,
     _refuse_overflow,
-    _term_moduli,
+    _U,
     phi21_heine,
     qpoch_multi,
     qpoch_signed,
@@ -54,6 +55,12 @@ _EPS = sys.float_info.epsilon
 #: repeated squaring up to n = 100 and by ``hypot``, ``pow`` and ``atan2``
 #: beyond (the phase n atan2 is off by up to n pi eps).
 _POWER_ROUNDING = 16.0 * _EPS
+
+#: Relative rounding of a part of :func:`_closed_form` per unit of 1/d, d
+#: the relative distance of lam**2 from q^{2Z}: near it 1/lam, u q and u^2
+#: carry 1 to 6 u, which a factor ``1 - f``, f within d/2 of 1, turns into
+#: 12 u / d at most a part ((u q; q^2)_inf^2 at u = 1/lam).
+_NEAR_LATTICE = 8.0 * _EPS
 
 
 @dataclass(frozen=True)
@@ -170,17 +177,14 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
       with ``theta(x) = (x, q^2/x; q^2)_inf``: PropB2's two-term forms with
       their products taken out of k (:func:`_closed_form`).
 
-    The continued cases are refused (:class:`PoleGuardError`) when
-    ``lam**2`` sits within the guard band around ``q**(2 Z)``; the
-    convergent case has no such restriction.  A continued case whose
-    ``kappa = +-q^{2k}`` underflows to 0 (at q = 0.5 from k = 538 on), whose
-    products leave the float range (at large ``|Re z|``; they do not
-    depend on k), or whose ``(q/u)^{k-1}`` times them does (at q = 0.5 and
-    z = -3.3 from k = 445 on, where the value does) raises
-    :class:`InvalidArgumentError` before any series term is summed.  This
-    is the one-exponent window (:func:`spherical_window`), which evaluates
-    many exponents at one ``zp`` (there from the recurrence in k, see
-    :func:`_recurrence`).
+    The continued cases are refused with :class:`PoleGuardError` when
+    ``lam**2`` sits within the guard band around ``q**(2 Z)`` (case 1 is
+    not), and with :class:`InvalidArgumentError`, before any series term,
+    when ``kappa = +-q^{2k}`` underflows to 0 (q = 0.5: from k = 538), or
+    their products (at large ``|Re z|``), or ``(q/u)^{k-1}`` times them
+    (q = 0.5, z = -3.3: from k = 445, where the value does) leave the float
+    range.  This is the one-exponent window (:func:`spherical_window`),
+    which evaluates many exponents at one ``zp`` by the recurrence in k.
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -195,25 +199,22 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
     k <= 0) checks its direct series' guards and snaps once, then sums
-    the kernel per k; these values are :func:`spherical_az`'s, bit for
-    bit.  In a window of two or more exponents, one lam**2 pole guard
-    (the refusal of :func:`spherical_az` at k >= 1) is followed by the
-    three-term recurrence in k (:func:`_recurrence`), seeded by the
-    case-1 values a(-1) and a(0) on the positive branch and by the one
-    case-3 value a(-q) on the negative branch.  Each recurrence value
-    carries a running bound that covers the seeds' truncation and the
-    rounding (to first order in the seeds, rigorously in the steps);
-    ``terms_used`` is the seeds' count plus one per step.  From the first
-    k whose bound exceeds ``tol * max(1, |a|)`` (at q = 0.9 often the
-    first one) the rest of the window goes through the closed form
-    (:func:`_closed_form`), whose products are summed once for the run;
-    each of those values is :func:`spherical_az`'s at its k, bit for bit.
+    the kernel per k, :func:`spherical_az`'s values bit for bit.  In a
+    window of two or more exponents, one lam**2 pole guard (the refusal
+    of :func:`spherical_az` at k >= 1) is followed by the three-term
+    recurrence in k (:func:`_recurrence`), seeded by the case-1 values
+    a(-1), a(0) (positive branch) or the case-3 value a(-q) (negative).
+    Each recurrence value carries a running bound on its whole error, the
+    seeds' ``tail_bound`` included; ``terms_used`` is the seeds' count
+    plus one per step.  From the first k whose bound exceeds
+    ``tol * max(1, |a|)`` the rest of the window goes through the closed
+    form (:func:`_closed_form`), its products summed once for the run,
+    :func:`spherical_az`'s values bit for bit.
 
-    A one-exponent window is :func:`spherical_az`.  Recurrence values of
-    a longer window differ from the pointwise ones by at most the two
-    certificates plus the pointwise rounding.  A refusal of the closed
-    form at an exponent the window evaluates by it refuses the whole
-    window.  An empty ``ks`` gives ``[]``, and exponents that are not
+    A one-exponent window is :func:`spherical_az`; recurrence values
+    differ from the pointwise ones by at most the two certificates.  A
+    refusal of the closed form at an exponent it evaluates refuses the
+    whole window.  An empty ``ks`` gives ``[]``; exponents that are not
     consecutive and ascending, or a negative window reaching k < 1, raise
     :class:`InvalidArgumentError`.
     """
@@ -229,19 +230,8 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
                   tol: float, max_terms: int) -> list[SeriesEval]:
     """The case dispatch of :func:`spherical_az` over a run of valid
-    consecutive ascending exponents ``ks`` of one sign.
-
-    Case 1 (``sign = +1``, k <= 0) checks its direct series' guards and
-    snaps once and sums the kernel per k.  In a window of two or more
-    exponents the values at k >= 1 come from the three-term recurrence in
-    k (:func:`_recurrence`) after one lam**2 pole guard: seeded by case 1
-    at k = -1, 0 (positive branch) or by case 3 at k = 1 (negative
-    branch), each value with a running bound on its error, rounding
-    included, and ``terms_used`` equal to its seeds' count plus one per
-    step.  From the first k whose bound exceeds ``tol * max(1, |a|)`` on,
-    the exponents go through the closed form (:func:`_closed_form`), as
-    does a one-exponent window.
-    """
+    consecutive ascending exponents ``ks`` of one sign, as
+    :func:`spherical_window` describes it."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     q = base.q
@@ -265,7 +255,7 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
 
 
 def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
-                 tol: float, max_terms: int, with_moduli: bool = False):
+                 tol: float, max_terms: int) -> list[SeriesEval]:
     """Cases 2 and 3 at the exponents ``ks`` (all >= 1) by one closed form,
 
     a_z(sign q^k) = q^{k-1} theta(-q lam) / ((q^2; q^2)_inf theta(-q^2))
@@ -278,27 +268,25 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     x q^{2(k-1)}, and theta(x q^2) = -theta(x)/x takes k out of it
     (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1).  Case 3's
     prefactor and the (q^{2k}; q^2)_inf it cancels fold into the same
-    constant, since cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2 and
-    theta(-q^2) = 2 (-q^2; q^2)_inf^2 (with the overall sign +: the source
-    display of case 3 carries a minus sign that its own limit value
-    contradicts).
+    constant, as cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2 and
+    theta(-q^2) = 2 (-q^2; q^2)_inf^2 (overall sign +: the source's minus
+    sign for case 3 contradicts its own limit value).
 
     The products are summed once, each quotient's factors to ``tol / 8``
     in all, and each series' guards and snaps run once per u; per k there
     remain (q/u)^{k-1} and the two series, each summed to ``tol / 8``.  So
     a value does not depend on the other exponents of ``ks``, bit for bit.
-    ``tail_bound`` bounds the truncation and the rounding of
-    (q/u)^{k-1} (``_POWER_ROUNDING``), which grows with k; the rest of the
-    rounding is left out, as in :func:`spherical_az`.
+    ``tail_bound`` bounds the whole error from the float lam: the products'
+    and the series' truncation and rounding, that of (q/u)^{k-1}
+    (``_POWER_ROUNDING``, growing with k) and of the arithmetic, and
+    ``_NEAR_LATTICE sum |part| / d`` for that of the arguments, d the
+    relative distance of lam**2 from ``q^{2Z}``.
 
     Refused before any series term is summed: a ``q^{2k}`` that underflows
     to 0 (:class:`InvalidArgumentError`), the lam**2 pole guard
     (:class:`PoleGuardError`), and a product, a quotient of them (at large
     ``|Re z|``) or a (q/u)^{k-1} past the float range
-    (:class:`InvalidArgumentError`).  With ``with_moduli`` the result is
-    the pair (values, moduli): per k, the sums over u of the series'
-    factor's modulus times each sum of :func:`qsu11.qcalculus._term_moduli`
-    for the series summed, the scale of the rounding error.
+    (:class:`InvalidArgumentError`).
     """
     q = base.q
     q2 = q * q
@@ -307,6 +295,7 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
         raise InvalidArgumentError(
             f"kappa = q**{2 * ks[-1]} underflows to 0 at k = {ks[-1]}")
     _pole_guard(lam, q)
+    near = _NEAR_LATTICE / _power_distance(lam * lam, q2)
     part_tol = tol / 8.0
     theta = qpoch_multi([-q * lam, -q / lam], q2, part_tol)
     const = theta / (2.0 * qpoch_multi([q2, -q2, -q2], q2, part_tol))
@@ -326,53 +315,30 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
                 power = a ** (k - 1)
             except OverflowError:  # complex ** int past the float range
                 power = complex(math.inf)
-            f = factor * SeriesEval(power, 0, _POWER_ROUNDING * (k - 1)
-                                    * _modulus(power))
+            f = factor._scaled(power, _POWER_ROUNDING * (k - 1))
             if not math.isfinite(_modulus(f.value)):
                 raise InvalidArgumentError(
                     f"the factor (q/u)**{k - 1} of the closed form is past "
                     f"the float range at k = {k}")
             scaled.append(f)
         parts.append((scaled, a, c, n_exact))
-    out, moduli = [], []
+    out = []
     for i, z in enumerate(zs):
-        value, total, weighted = 0, 0.0, 0.0
+        value, size = 0, 0.0
         for scaled, a, c, n_exact in parts:
-            s = _direct_sum(a, a, c, q2, z, n_exact, part_tol, max_terms)
-            value += scaled[i] * s
-            if with_moduli:
-                mod = abs(scaled[i].value)
-                m_total, m_weighted = _term_moduli(a, a, c, q2, z, s.terms_used)
-                total += mod * m_total
-                weighted += mod * m_weighted
-        out.append(value)
-        moduli.append((total, weighted))
-    return (out, moduli) if with_moduli else out
+            part = scaled[i] * _direct_sum(a, a, c, q2, z, n_exact, part_tol,
+                                           max_terms)
+            value += part
+            size += _modulus(part.value)
+        out.append(SeriesEval(value.value, value.terms_used,
+                              value.tail_bound + near * size))
+    return out
 
 
 #: The seeds of the recurrence are summed to these fractions of the
 #: window's ``tol``, so that their truncation leaves the budget to the
 #: propagated rounding.
 _SEED_TOL = {1: 1e-3, -1: 1e-2}
-
-
-def _seed_error(ev: SeriesEval, moduli: tuple[float, float],
-                pole_distance: float = math.inf) -> float:
-    """``tail_bound`` of a seed plus a first-order bound on its rounding
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3).
-
-    ``moduli`` is (M, W): the sums over the seed's series of the two sums
-    of :func:`qsu11.qcalculus._term_moduli`, each times the moduli of the
-    factors the series is multiplied by.  The bound is eps W for the
-    series, ``2 eps M`` per factor or term consumed (four roundings of unit
-    roundoff eps/2: a subtraction and a complex product), and
-    ``8 eps M / d`` for the relative distance d of lam**2 from the lattice
-    ``q^{2Z}``: near it a part can hold a pair of factors ``1 - f`` with f
-    within about d of 1, each off by up to 4 eps/d, relative.
-    """
-    total, weighted = moduli
-    return ev.tail_bound + _EPS * (2.0 * ev.terms_used * total + weighted
-                                   + 8.0 * total / pole_distance)
 
 
 def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
@@ -396,23 +362,20 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     to ``tol / 1000``; on the negative branch the one closed-form value
     a(-q) (:func:`_closed_form` at k = 1, where ``(q/u)^{k-1} = 1``), to
     ``tol / 100`` (at k = 2 the coefficient of a(0) is
-    ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound`` plus a
-    rounding term (:func:`_seed_error`); near the pole lattice of the
-    two-term form that of a(-q) grows like 1/d, and the negative branch
-    falls back to the closed form sooner.  A seed that is refused (a
-    seed tolerance that underflows) gives ``[]``: the closed form
-    decides.
+    ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``; near the
+    pole lattice of the two-term form that of a(-q) grows like 1/d, and the
+    negative branch falls back to the closed form sooner.  A seed that is
+    refused (a seed tolerance that underflows) gives ``[]``.
 
     Certificate (Gautschi, "Computational aspects of three-term
-    recurrence relations", SIAM Rev. 9, 1967).  The error of a(k) is the
-    seeds' errors carried by the recurrence plus the rounding of the steps
-    carried by it.  The first part is ``E0 |u_k| + E1 |v_k|`` for the
-    seeds' error bounds E0, E1 and the fundamental solutions u (seeds 1, 0)
-    and v (seeds 0, 1), run beside a(k): on the negative branch v is
-    ``a(-q^k) / a(-q)``, the one free constant.  The second part is
-    bounded twice.  In the eigenbasis ``T = [[r1, r2], [1, 1]]`` of the
-    limit companion matrix ``[[q s, -q^2], [1, 0]]``, whose roots are
-    ``r1 = q lam`` and ``r2 = q/lam``:
+    recurrence relations", SIAM Rev. 9, 1967): the seeds' errors carried
+    by the recurrence, ``E0 |u_k| + E1 |v_k|`` for their bounds E0, E1 and
+    the fundamental solutions u (seeds 1, 0) and v (seeds 0, 1) run beside
+    a(k) (on the negative branch v is ``a(-q^k) / a(-q)``), plus the
+    steps' rounding carried by it, bounded twice.  In the eigenbasis
+    ``T = [[r1, r2], [1, 1]]`` of the limit companion matrix
+    ``[[q s, -q^2], [1, 0]]``, whose roots are ``r1 = q lam`` and
+    ``r2 = q/lam``:
     ``y <- ||T^-1 A_k T||_inf y + delta_k / |r1 - r2|`` and
     ``|r_k| <= (|r1| + |r2|) y``, where ``A_k`` is the step's companion
     matrix and ``delta_k`` bounds the step's rounding, that of its
@@ -434,28 +397,22 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
         if sign > 0:
             a, b, c = q / lam, lam * q, q * q
             bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
-            seeds = []
-            for k in (-1, 0):
-                z = -q ** (2 - 2 * k)
-                ev = _direct_sum(a, b, c, bb, z, n_exact, stol, max_terms)
-                seeds.append((ev, _seed_error(
-                    ev, _term_moduli(a, b, c, bb, z, ev.terms_used))))
-            (ev0, err0), (ev1, err1) = seeds
+            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, stol,
+                                    max_terms) for k in (-1, 0))
             k0 = 1
         else:
-            (ev1,), (moduli,) = _closed_form(base, lam, -1, [1], stol,
-                                             max_terms, with_moduli=True)
-            err1 = _seed_error(ev1, moduli, _power_distance(lam * lam, q2))
-            ev0, err0 = SeriesEval(0j, 0, 0.0), 0.0  # a(0) is multiplied by 0
+            ev1, = _closed_form(base, lam, -1, [1], stol, max_terms)
+            ev0 = SeriesEval(0j, 0, 0.0)  # a(0) is multiplied by 0
             k0 = 2
     except InvalidArgumentError:  # e.g. a seed tolerance that underflows:
         return []                 # the closed form decides
+    err0, err1 = ev0.tail_bound, ev1.tail_bound
     out = []
     if sign < 0:
         if not err1 <= tol * max(1.0, _modulus(ev1.value)) < math.inf:
             return out
         if k_first == 1:
-            out.append(SeriesEval(ev1.value, ev1.terms_used, err1))
+            out.append(ev1)
     if not dr > 0.0:
         return out
     used = ev0.terms_used + ev1.terms_used
@@ -546,15 +503,15 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the guards and snaps of
-    :func:`qsu11.qcalculus.phi21_direct` run once, at the first point
-    that sums directly (``e > 0``), and each such point sums its own
-    kernel.  Points with ``e <= 0`` go through
+    :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
+    sums directly (``e > 0``); points with ``e <= 0`` go through
     :func:`qsu11.qcalculus.phi21_heine`.  Every point is evaluated exactly
     as a one-point window, in order, so a refusal at some L refuses the
     window with the error :func:`coamen_coeff` raises at the first such L;
     a pair is refused as the raw call followed by the simplified one would
-    be: by the series first, then by raw's products, then by the
-    simplified prefactor.
+    be: by the series, then raw's products, then the simplified prefactor.
+    Each ``tail_bound`` covers the series, the products and the scalars
+    (the finite product, ``q^N cq^2``) with their rounding.
     """
     if form not in ("simplified", "raw", "both"):
         raise InvalidArgumentError(f"unknown form {form!r}")
@@ -565,6 +522,16 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
     setup = None
+    # q^N cq^2: cq = 1 / (sqrt(2) q p1 p2) (QBase) is off by p1's and p2's
+    # bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, x by u.
+    scalar_rel = 15.0 * _U + 2.0 * sum(
+        _qpoch_infinite(complex(a), q2, 1e-16).rel_bound for a in (q2, -q2)
+        if form != "simplified")
+    # (-q^e; q^2)_{2m}: n = 2|m| factors 1 + q^{e + 2i} >= 1, each off by (4 +
+    # i + 3) u (qpoch_infinite_kernel's 4, i + 3 of q^{e + 2i}), 1/x by 6 u;
+    # its root by half that and 6 u.
+    n = 2 * abs(m)
+    root_rel = (3.5 * n + n * (n - 1) / 4.0 + 9.0) * _U
     out = []
     for L in Ls:
         e = 2 - 2 * L - 4 * m
@@ -585,11 +552,12 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
                                part_tol)
             rest = qpoch_multi([q2, q2, z], q2, part_tol)
-            raw = scalar * root.sqrt() * rest * series
+            raw = root.sqrt()._scaled(scalar, scalar_rel) * rest * series
             if form == "raw":
                 out.append(raw)
                 continue
-        simplified = cmath.sqrt(qpoch_signed(z, q2, 2 * m)) * series
+        pre = cmath.sqrt(qpoch_signed(z, q2, 2 * m))
+        simplified = series._scaled(pre, root_rel)
         out.append(simplified if form == "simplified" else (raw, simplified))
     return out
 

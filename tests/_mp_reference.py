@@ -1,9 +1,11 @@
-"""mpmath references: the spherical coefficients a_z(+-q^k), k >= 1, and
-the infinite q-Pochhammer product.
+"""mpmath references: the spherical coefficients a_z(+-q^k), k >= 1, the
+infinite q-Pochhammer product, 2phi1 and the coamen coefficients.
 
 The closed forms of cases 2 and 3 (PropB2), evaluated at mpmath's
-working precision, and the explicit product (:func:`explicit_qpoch`);
-nothing here calls qsu11.
+working precision, the explicit product (:func:`explicit_qpoch`), the
+first n terms of a 2phi1 (:func:`phi21_terms`), the 2phi1 itself
+(:func:`phi21_reference`) and the simplified coamen coefficient
+(:func:`coamen_reference`); nothing here calls qsu11.
 """
 
 import functools
@@ -161,3 +163,88 @@ def explicit_qpoch(mp, a, b):
     p = mp.mpc(mp.ldexp(pr, pe - _PREC), mp.ldexp(pi, pe - _PREC))
     f = mp.mpc(mp.ldexp(fr, -_PREC), mp.ldexp(fi, -_PREC))
     return p * mp.exp(-f / (1 - mp.mpf(b)))
+
+
+def phi21_terms(mp, a, b, c, base, z, n):
+    """The first ``n`` terms of ``2phi1(a, b; c; base, z)`` summed at mp's
+    working precision, the float parameters taken exactly."""
+    a, b, c, z = (mp.mpc(x) for x in (a, b, c, z))
+    q = mp.mpf(base)
+    total = term = mp.mpf(1)
+    f = mp.mpf(1)
+    for _ in range(n - 1):
+        term *= (1 - a * f) * (1 - b * f) / ((1 - c * f) * (1 - q * f)) * z
+        total += term
+        f *= q
+    return total
+
+
+def phi21_reference(mp, a, b, c, base, z):
+    """``2phi1(a, b; c; base, z)`` at mp's working precision, the
+    parameters (floats or mp numbers) taken exactly: for |z| < 1 the
+    series (:func:`_phi21_series`); otherwise Heine's transformation
+    [(b, a z; base)_inf / (c, z; base)_inf] 2phi1(c/b, z; a z; base, b),
+    which converges for |b| < 1, with the products of :func:`_qp`."""
+    a, b, c, z = (mp.mpc(x) for x in (a, b, c, z))
+    q = mp.mpf(base)
+    if abs(z) < 1:
+        return _phi21_series(mp, a, b, c, q, z)
+    prefactor = (_qp(mp, b, q) * _qp(mp, a * z, q)
+                 / (_qp(mp, c, q) * _qp(mp, z, q)))
+    return prefactor * _phi21_series(mp, c / b, z, a * z, q, b)
+
+
+def _phi21_series(mp, a, b, c, q, z):
+    """The 2phi1 series at mp's precision, |z| < 1: summed until the
+    geometric envelope ``|z| (1 + |a| q^n)(1 + |b| q^n) / ((1 - |c| q^n)
+    (1 - q^{n+1}))`` of the remaining term ratios puts the tail below
+    2^-140 of the sum, below the 40 digits (2^-133) the oracles use."""
+    total = term = mp.mpf(1)
+    f = mp.mpf(1)
+    small = mp.mpf(2) ** -140
+    az = abs(z)
+    for _ in range(100000):
+        term *= (1 - a * f) * (1 - b * f) / ((1 - c * f) * (1 - q * f)) * z
+        total += term
+        f *= q
+        fc = abs(c) * f
+        if fc < 1:
+            r = az * (1 + abs(a) * f) * (1 + abs(b) * f) / ((1 - fc) * (1 - q * f))
+            if r < 1 and abs(term) * r / (1 - r) <= small * abs(total):
+                return total
+    raise ArithmeticError("reference series did not converge")
+
+
+def coamen_reference(mp, q, m, lam, L):
+    """The coamen coefficient at m, lam and p1 = q^L by its simplified form
+
+    sqrt((-q^e; q^2)_{2m}) 2phi1(a, b; q^2; q^2, z), e = 2 - 2L - 4m,
+    a = -q^{1+2m}/lam, b = -lam q^{1+2m}, z = -q^e,
+
+    at mp's working precision (:func:`phi21_reference`, by Heine's
+    transformation for e <= 0).  For m < 0 the finite product is
+    ``1 / (-q^e q^{4m}; q^2)_{-2m}``.  ``q`` and ``lam`` are taken
+    exactly, the powers of q computed at mp's precision.
+    """
+    q, lam = mp.mpf(q), mp.mpc(lam)
+    q2 = q * q
+    e = 2 - 2 * L - 4 * m
+    a, b, z = -q ** (1 + 2 * m) / lam, -lam * q ** (1 + 2 * m), -q ** e
+    if m >= 0:
+        finite = mp.fprod(1 - z * q2 ** i for i in range(2 * m))
+    else:
+        finite = 1 / mp.fprod(1 - z * q2 ** (2 * m + i) for i in range(-2 * m))
+    return mp.sqrt(finite) * phi21_reference(mp, a, b, q2, q2, z)
+
+
+def _qp(mp, a, q):
+    """``(a; q)_inf`` at mp's working precision for an mp number ``a``:
+    the factors while ``|a q^i| >= 2^-70``, then ``exp(-f / (1 - q))``, as
+    in :func:`explicit_qpoch` (``mp.qp`` raises ``NoConvergence`` at large
+    ``|a|``)."""
+    p = mp.mpf(1)
+    f = a
+    while abs(f) >= mp.mpf(2) ** -70:
+        p *= 1 - f
+        f *= q
+    return p * mp.exp(-f / (1 - q))

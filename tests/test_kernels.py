@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from qsu11 import QBase, backend, harness, qcalculus, qpoch_infinite, theta_pair
-from qsu11._kernels import phi21_kernel
+from qsu11._kernels import _phi21_rounding, phi21_kernel
 
 
 def _probe_script() -> str:
@@ -57,7 +57,9 @@ def test_import_loads_no_numpy():
 
 def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
     """The general 2phi1 step, one loop for every input shape: the kernel
-    before it selected a terminating loop and two special shapes."""
+    before it selected a terminating loop and two special shapes, with the
+    running sums of ``|t_j|`` and ``j |t_j|`` that its rounding bound
+    (``_phi21_rounding``) is formed from."""
     s = 1.0 + 0.0j
     if n_exact == 0:
         return s, 1, 0.0, 0
@@ -67,26 +69,33 @@ def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
     fc = c
     fq = base
     k = 0
-    while k < max_terms:
-        t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-        k += 1
-        s += t
-        if n_exact > 0 and k == n_exact:
-            return s, k + 1, 0.0, 0
-        if t == 0:
-            return s, k + 1, 0.0, 0
-        fa *= base
-        fb *= base
-        fc *= base
-        fq *= base
-        if n_exact < 0:
-            bc = abs(fc)
-            if bc < 1.0:
-                r = abs(z) * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
-                if r < 1.0:
-                    tail = abs(t) * r / (1.0 - r)
-                    if tail <= rel_tol * max(abs(s), 1e-300):
-                        return s, k + 1, tail, 0
+    m = w = 0.0
+    try:
+        while k < max_terms:
+            t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
+            k += 1
+            s += t
+            if t == 0:
+                return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+            m, w = m + abs(t), w + k * abs(t)
+            if n_exact > 0 and k == n_exact:
+                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w), 0
+            fa *= base
+            fb *= base
+            fc *= base
+            fq *= base
+            if n_exact < 0:
+                bc = abs(fc)
+                if bc < 1.0:
+                    r = abs(z) * (1.0 + abs(fa)) * (1.0 + abs(fb)) \
+                        / ((1.0 - bc) * (1.0 - fq))
+                    if r < 1.0:
+                        tail = abs(t) * r / (1.0 - r)
+                        if tail <= rel_tol * max(abs(s), 1e-300):
+                            return s, k + 1, tail + _phi21_rounding(
+                                a, b, c, base, k + 1, m, w), 0
+    except OverflowError:
+        pass
     return s, k + 1, math.inf, 1
 
 
@@ -157,6 +166,16 @@ class TestPhi21KernelShapes:
             args = (*ab, c, 0.9, 0.999j, -1, 1e-14, max_terms)
             _assert_same_bits(args)
             assert phi21_kernel(*args)[3] == 1
+
+    @pytest.mark.parametrize("c", (0.5, 0j), ids=("c=base", "c"))
+    @pytest.mark.parametrize("n_exact", (-1, 3))
+    def test_term_past_the_float_range(self, c, n_exact):
+        # Without c = base, t_1 = complex(1.4e308, 1.4e308) has finite parts
+        # and a modulus past the float range (abs raises); with it, t_1 is
+        # inf.  Either way the value is uncertified.
+        args = (complex(-0.7e308), 0j, c, 0.5, 1 + 1j, n_exact, 1e-12, 200)
+        _assert_same_bits(args)
+        assert phi21_kernel(*args)[2] == math.inf
 
     @pytest.mark.parametrize("q", (0.5, 0.9))
     def test_calls_of_a_default_run(self, q, tmp_path, monkeypatch, capsys):

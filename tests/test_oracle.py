@@ -10,9 +10,21 @@ import math
 import random
 
 import pytest
-from _mp_reference import explicit_qpoch
+from _mp_reference import Reference, coamen_reference, explicit_qpoch, phi21_reference
 
-from qsu11 import qpoch_infinite, qpoch_multi
+from qsu11 import (
+    IqPoint,
+    QBase,
+    QSU11Error,
+    SpectralParam,
+    coamen_coeff,
+    phi21_direct,
+    phi21_heine,
+    qpoch_infinite,
+    qpoch_multi,
+    spherical_az,
+)
+from qsu11.qcalculus import _near_inv_power
 
 #: The bases of the product sweep: the squares of the q values the suites
 #: use (0.09, 0.25, 0.81), the bases of the theta identities (0.3, 0.5,
@@ -59,3 +71,224 @@ def test_products_within_their_tail_bound(b):
             assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, (args, tol, ev)
             checked += 1
     assert checked >= CALLS // 3  # values past the float range aside
+
+
+#: The q of the series sweep.
+SERIES_QS = (0.3, 0.5, 0.7, 0.9)
+
+
+def _disc(rng, radius):
+    return cmath.rect(radius * rng.random(), rng.uniform(-math.pi, math.pi))
+
+
+def _phase(rng):
+    return cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+
+
+def _near_lattice(rng, q, jmax, lo, hi):
+    """``q^-j (1 + d)``, j in [0, jmax], |d| log-uniform in [10^lo, 10^hi]:
+    the factor ``1 - x q^j`` of a parameter x there is within |d| of 0."""
+    return q ** -rng.randint(0, jmax) * (1.0 + 10.0 ** rng.uniform(lo, hi) * _phase(rng))
+
+
+def _lattice_distance(lam, q):
+    """``min |lam^2 / q^(2j) - 1|`` over integers j."""
+    w, q2 = lam * lam, q * q
+    t = round(math.log(abs(w)) / math.log(q2))
+    return min(abs(w / q2 ** j - 1.0) for j in (t - 1, t, t + 1))
+
+
+def _strip_point(rng, base):
+    """A seeded SpectralParam: Re z in [-1.5, 1.5], |Im z| <= period / 2,
+    with lam^2 at relative distance >= 1e-2 from every q^(2j)."""
+    while True:
+        zp = SpectralParam.from_z(complex(rng.uniform(-1.5, 1.5), rng.uniform(
+            -base.period / 2, base.period / 2)), base)
+        if _lattice_distance(zp.lam, base.q) >= 1e-2:
+            return zp
+
+
+def _band_point(rng, base):
+    """A seeded SpectralParam in the band 1e-9 < |lam^2 - q^(2j)| / q^(2j)
+    < 1e-2 around q^(2j), j = -1, 0, 1 (lam^2 = 1 is z = 0), the distance
+    log-uniform and its phase uniform."""
+    q = base.q
+    while True:
+        w = q ** (2 * rng.randint(-1, 1)) * (1.0 + 10.0 ** rng.uniform(-9.0, -2.0)
+                                             * _phase(rng))
+        zp = SpectralParam.from_z(cmath.log(w) / (2.0 * math.log(q)), base)
+        if 1e-9 < _lattice_distance(zp.lam, q) < 1e-2:
+            return zp
+
+
+def _assert_within(mp, calls, least):
+    """Each certified ``(ev, reference thunk, label)`` of ``calls`` has
+    |ev.value - reference| <= ev.tail_bound, with no allowance; at least
+    ``least`` of them are certified."""
+    checked = 0
+    with mp.workdps(40):
+        for ev, ref, label in calls:
+            if not ev.tail_bound < math.inf:
+                continue
+            assert abs(mp.mpc(ev.value) - ref()) <= ev.tail_bound, (label, ev)
+            checked += 1
+    assert checked >= least
+
+
+def _guarded(call, *args, **kwargs):
+    """``call(*args, **kwargs)``, or None where it is refused."""
+    try:
+        return call(*args, **kwargs)
+    except QSU11Error:
+        return None
+
+
+def _series_calls(mp, q, evaluator, seed, draw):
+    """``evaluator(a, b, c, q, z, tol)`` at 16 seeded ``draw(rng, i)`` with
+    tol log-uniform in [1e-16, 1e-6], beside its reference."""
+    rng = random.Random(f"{seed}-{q}")
+    calls = []
+    for i in range(16):
+        a, b, c, z = draw(rng, i)
+        ev = _guarded(evaluator, a, b, c, q, z, tol=10.0 ** rng.uniform(-16.0, -6.0))
+        if ev is not None:
+            calls.append((ev, lambda a=a, b=b, c=c, z=z: phi21_reference(
+                mp, a, b, c, q, z), (a, b, c, z)))
+    return calls
+
+
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_phi21_direct_within_its_tail_bound(q):
+    """phi21_direct at base q: a and b in the disc of radius 2, every
+    fourth a near ``q^-j`` (a factor ``1 - a q^j`` within 1e-8 to 1e-2 of
+    0), c in the disc of radius 0.9, c = q, or c near ``q^-j`` (a factor
+    ``1 - c q^j`` within 1e-8 to 1e-3 of 0, which the later terms divide
+    by), |z| <= 0.8."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def draw(rng, i):
+        a, b, c, z = _disc(rng, 2.0), _disc(rng, 2.0), _disc(rng, 0.9), _disc(rng, 0.8)
+        if i % 4 == 0:
+            a = _near_lattice(rng, q, 6, -8.0, -2.0)
+        if i % 3 == 0:
+            c = q
+        elif i % 4 == 1:
+            c = _near_lattice(rng, q, 3, -8.0, -3.0) / q
+        return a, b, c, z
+
+    _assert_within(mp, _series_calls(mp, q, phi21_direct, "phi21-direct", draw), 10)
+
+
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_phi21_heine_within_its_tail_bound(q):
+    """phi21_heine at base q past the unit disc: |z| log-uniform in
+    [1, 10^1.5], a in the disc of radius 2, b and c in that of radius 0.7."""
+    mp = pytest.importorskip("mpmath").mp
+
+    def draw(rng, i):
+        a, b, c = _disc(rng, 2.0), _disc(rng, 0.7), _disc(rng, 0.7)
+        return a, b, c, 10.0 ** rng.uniform(0.0, 1.5) * _phase(rng)
+
+    _assert_within(mp, _series_calls(mp, q, phi21_heine, "phi21-heine", draw), 10)
+
+
+@pytest.mark.parametrize("band", (False, True), ids=("strip", "band"))
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_coamen_within_its_tail_bound(q, band):
+    """coamen_coeff in both forms at m in [-2, 2] and L in [-6, 12], both
+    sides of the direct/Heine switch, lam from the strip or the band."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    rng = random.Random(f"coamen-{q}-{band}")
+    calls = []
+    for _ in range(8):
+        lam = (_band_point if band else _strip_point)(rng, base).lam
+        m, L = rng.randint(-2, 2), rng.randint(-6, 12)
+        for form in ("simplified", "raw"):
+            ev = _guarded(coamen_coeff, base, m, lam, IqPoint.positive(L), form=form)
+            if ev is not None:
+                calls.append((ev, lambda lam=lam, m=m, L=L: coamen_reference(
+                    mp, q, m, lam, L), (lam, m, L, form)))
+    _assert_within(mp, calls, 4)  # at q = 0.9 Heine refuses |b| >= 1
+
+
+def _spherical_calls(mp, base, zp, p):
+    """``[(spherical_az, reference thunk, label)]`` at one point, or [] where
+    it is refused: case 1 against its 2phi1 at the float lam, cases 2 and 3
+    against their closed forms (:class:`_mp_reference.Reference`)."""
+    ev = _guarded(spherical_az, base, zp, p)
+    if ev is None:
+        return []
+    if p.sign > 0 and p.exponent <= 0:
+        def ref():
+            q, lam = mp.mpf(base.q), mp.mpc(zp.lam)
+            return phi21_reference(mp, q / lam, lam * q, q * q, q * q,
+                                   -q ** (2 - 2 * p.exponent))
+    else:
+        def ref():
+            return Reference(mp, base.q, zp.lam)(p.sign, p.exponent)
+    return [(ev, ref, (zp.z, p))]
+
+
+def _case_point(rng, case):
+    """A seeded point of case 1 (+q^k, k in [-6, 0]), 2 (+q^k) or 3 (-q^k),
+    k in [1, 12]."""
+    if case == 1:
+        return IqPoint.positive(rng.randint(-6, 0))
+    return IqPoint(1 if case == 2 else -1, rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("case", (1, 2, 3))
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_spherical_within_its_tail_bound(q, case):
+    """spherical_az cases 1-3 on the strip of the spectral parameter."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    rng = random.Random(f"spherical-{q}-{case}")
+    calls = []
+    for _ in range(6):
+        zp = _strip_point(rng, base)
+        calls += _spherical_calls(mp, base, zp, _case_point(rng, case))
+    _assert_within(mp, calls, 6)
+
+
+@pytest.mark.parametrize("case", (1, 2, 3))
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_spherical_band_within_its_tail_bound(q, case):
+    """spherical_az cases 1-3 with lam^2 in the band 1e-9 < d < 1e-2 around
+    the lattice q^(2Z), where the two-term forms' factors 1 - f come within
+    d of 0.  Case-1 points whose series snaps to a terminating one (q/lam
+    or lam q within EPS_POLE of a power of q^-2) are the snap slice
+    below."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    rng = random.Random(f"band-{q}-{case}")
+    calls = []
+    for _ in range(6):
+        zp = _band_point(rng, base)
+        if case == 1 and (_near_inv_power(q / zp.lam, q * q) is not None
+                          or _near_inv_power(zp.lam * q, q * q) is not None):
+            continue
+        calls += _spherical_calls(mp, base, zp, _case_point(rng, case))
+    _assert_within(mp, calls, 4)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: in the band a case-1 series whose q/lam is within "
+    "EPS_POLE of a power of q^-2 is summed as the terminating one, whose "
+    "tail_bound covers its rounding but not the offset"))
+@pytest.mark.parametrize("q", SERIES_QS)
+def test_spherical_band_snap_slice_within_its_tail_bound(q):
+    """Case 1 at lam = q^(2n+1) (1 + d), 5e-10 < |d| < 1e-9: lam^2 is in the
+    band, and q/lam within EPS_POLE of q^(-2n), so the series snaps."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    rng = random.Random(f"snap-{q}")
+    calls = []
+    for _ in range(4):
+        n = rng.randint(0, 2)
+        lam = q ** (2 * n + 1) * (1.0 + 10.0 ** rng.uniform(-9.3, -9.0) * _phase(rng))
+        zp = SpectralParam(0j, lam, (lam + 1.0 / lam) / 2.0)
+        assert _near_inv_power(q / lam, q * q) == n
+        calls += _spherical_calls(mp, base, zp, IqPoint.positive(rng.randint(-4, 0)))
+    _assert_within(mp, calls, 4)

@@ -8,7 +8,7 @@ import operator
 import random
 
 import pytest
-from _mp_reference import explicit_qpoch
+from _mp_reference import explicit_qpoch, phi21_terms
 
 from qsu11 import (
     EPS_POLE,
@@ -275,10 +275,15 @@ class TestPhi21Direct:
         assert abs(e50.value - e100.value) <= e50.tail_bound + e100.tail_bound
 
     def test_terminating_snap_exact_terms(self):
-        # a = base^{-3}: exactly 4 terms, zero tail
+        # a = base^{-3}: exactly 4 terms, no tail; the bound covers their
+        # rounding
+        mp = pytest.importorskip("mpmath").mp
         ev = phi21_direct(8.0, 0.3, 0.7, 0.5, 2.5)
         assert ev.terms_used == 4
-        assert ev.tail_bound == 0.0
+        with mp.workdps(40):
+            exact = phi21_terms(mp, 8.0, 0.3, 0.7, 0.5, 2.5, 4)
+            assert abs(mp.mpc(ev.value) - exact) <= ev.tail_bound \
+                < 1e-13 * abs(ev.value)
 
     def test_snap_tolerates_relative_jitter(self):
         exact = phi21_direct(8.0, 0.3, 0.7, 0.5, 2.5)
@@ -294,9 +299,13 @@ class TestPhi21Direct:
             phi21_direct(0.3, 0.2, 0.7, 0.5, 1.2)
 
     def test_terminating_overrides_divergence(self):
+        mp = pytest.importorskip("mpmath").mp
         ev = phi21_direct(8.0, 0.2, 0.7, 0.5, 1.5)
         assert math.isfinite(abs(ev.value))
-        assert ev.tail_bound == 0.0
+        with mp.workdps(40):
+            exact = phi21_terms(mp, 8.0, 0.2, 0.7, 0.5, 1.5, 4)
+            assert abs(mp.mpc(ev.value) - exact) <= ev.tail_bound \
+                < 1e-13 * abs(ev.value)
 
     def test_exhaustion_reports_infinite_tail(self):
         ev = phi21_direct(0.9, 0.9, 0.3, 0.9, 0.99, max_terms=5)
@@ -536,9 +545,13 @@ class TestNonFiniteRefusal:
     def test_pole_scan_past_the_float_range_is_no_refusal(self):
         # |c| is finite, but the pole scan's candidates base**(-1024) and
         # c - base**(-1023) are not: c is simply far from every pole.
+        mp = pytest.importorskip("mpmath").mp
         ev = phi21_direct(0.2, 0.3, complex(-1e307, 1.5e308), 0.5, 0.2)
         assert abs(ev.value - 1.0) < 1e-300
-        assert ev.tail_bound == 0.0
+        with mp.workdps(40):  # the terms after the first are below 1e-308
+            exact = phi21_terms(mp, 0.2, 0.3, complex(-1e307, 1.5e308), 0.5, 0.2,
+                                ev.terms_used + 5)
+            assert abs(mp.mpc(ev.value) - exact) <= ev.tail_bound < 1e-15
 
 
 _UNCACHED = qcalculus._qpoch_infinite.__wrapped__
@@ -692,18 +705,22 @@ class TestSeriesEvalArithmetic:
         check()
 
     def test_quotient_worst_case(self):
-        # A divisor off by 50% can halve, so the quotient can double.
+        # A divisor off by 50% can halve, so the quotient can double; the
+        # quotient's own rounding comes on top.
         res = SeriesEval(1.0, 1, 0.0) / SeriesEval(2.0, 1, 1.0)
-        assert res.tail_bound == 0.5 and res.tail_bound / res.value == 1.0
+        assert res.tail_bound == 0.5 * (1.0 + qcalculus._OP_ROUNDING)
         assert (SeriesEval(1.0, 1, 0.0) / SeriesEval(2.0, 1, 2.0)).tail_bound \
             == math.inf
         with pytest.raises(TypeError):
             SeriesEval(1.0, 1, 0.0) / 2.0
 
     def test_tiny_relative_errors_survive_compounding(self):
+        # Beside each product's own rounding, relative errors far below it
+        # are not lost.
         a = SeriesEval(1.0, 1, 1e-20)
-        assert (a * a).tail_bound == 2e-20
-        assert (a * a * a).tail_bound == pytest.approx(3e-20, rel=1e-15)
+        op = qcalculus._OP_ROUNDING
+        assert (a * a).tail_bound == 2e-20 + op
+        assert (a * a * a).tail_bound - 2 * op == pytest.approx(3e-20, rel=1e-3)
 
     @pytest.mark.parametrize("divisor", [SeriesEval(0.0, 4, 0.0, degenerate=True),
                                          SeriesEval(0.0, 4, 1e-3),

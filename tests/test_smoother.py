@@ -3,9 +3,9 @@
 import functools
 import math
 import random
-import sys
 
 import pytest
+from _mp_reference import phi21_terms
 
 from qsu11 import (
     ContourPath,
@@ -256,6 +256,17 @@ def _strip_nodes() -> list[complex]:
             for _ in range(2000)]
 
 
+def _assert_covers_terms(base, x, p0_k, ev):
+    """The case-1 value at z = x is within its bound of the first
+    ``ev.terms_used`` terms of its series at 40 digits, at the float lam."""
+    mp = pytest.importorskip("mpmath").mp
+    q, lam = base.q, SpectralParam.from_z(x, base).lam
+    with mp.workdps(40):
+        exact = phi21_terms(mp, q / lam, lam * q, q * q, q * q,
+                            -q ** (2 - 2 * p0_k), ev.terms_used)
+        assert abs(mp.mpc(ev.value) - exact) <= ev.tail_bound, (x, p0_k)
+
+
 class TestLineRoute:
     """Case-1 lines: the series guards once, half the nodes by the kernel,
     the other half by conjugation, each equal to ``spherical_az``."""
@@ -319,9 +330,9 @@ class TestLineRoute:
                         p0 = IqPoint.positive(p0_k)
                         assert _case1_line(B, p0, path) == (d == 1e-6)
                         ev = spherical_az(B, SpectralParam.from_z(x, B), p0)
-                        if d <= 5e-10:
+                        if d <= 5e-10:  # j + 1 terms, with their rounding
                             assert ev.terms_used == j + 1
-                            assert ev.tail_bound == 0.0
+                            _assert_covers_terms(B, x, p0_k, ev)
         # a snapping line smooths node by node, s = 0 (z = 1) included,
         # on the grid a supplied integrand gets
         quad = QuadratureSpec.for_width(16.0, B)
@@ -385,18 +396,12 @@ class TestLineRoute:
             assert sm.value == looped.value
 
 
-#: Rounding allowance of the oracle comparison, relative to ``|value|``.
-#: ``tail_bound`` covers truncation only; summing in double precision
-#: cost up to 5.0 eps on these nodes (the scalar path: 4.7 eps).
-ORACLE_RTOL = 16 * sys.float_info.epsilon
-
-
 class TestCase1Oracle:
     """Case-1 values of ``spherical_az`` against mpmath's 2phi1 at 40
     digits."""
 
-    # At tol = 1e-16 the tail bound falls below the rounding error, so
-    # the allowance is what is tested.
+    # At tol = 1e-16 the truncation tail falls below the rounding error,
+    # so the bound's rounding term is what is tested.
     @pytest.mark.parametrize("tol", (1e-12, 1e-16))
     @pytest.mark.parametrize("p0_k", (0, -1, -4))
     def test_strip_subsample(self, p0_k, tol):
@@ -411,8 +416,7 @@ class TestCase1Oracle:
                 lam = q ** mpmath.mpc(z)
                 ref = mpmath.qhyper([q / lam, lam * q], [q * q], q * q,
                                     -q ** (2 - 2 * p0_k))
-                assert abs(mpmath.mpc(ev.value) - ref) \
-                    <= ev.tail_bound + ORACLE_RTOL * abs(ref)
+                assert abs(mpmath.mpc(ev.value) - ref) <= ev.tail_bound
 
 
 class TestUncertifiedNodes:
