@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
 from typing import Sequence, Union
 
@@ -110,9 +110,37 @@ class QBase:
         return 2.0 * math.pi / abs(self.log_q)
 
 
-@dataclass(frozen=True)
+def _frozen_slots(cls: type) -> tuple:
+    """Make every assignment to and deletion from an instance of the frozen
+    slotted dataclass ``cls`` raise ``FrozenInstanceError``, and return the
+    ``__set__`` of the slot of each of its fields, in field order.
+
+    An ``__init__`` that stores its fields through these skips the frozen
+    ``__setattr__`` (``object.__setattr__`` per field, as a frozen
+    dataclass's own ``__init__`` does): about half the cost of one
+    construction.  Frozen dataclasses without slots refuse every name;
+    with slots, the generated ``__setattr__`` and ``__delattr__`` raise
+    ``TypeError`` for a name that is not a field, so they are replaced.
+    """
+    cls.__setattr__, cls.__delattr__ = _refuse_assignment, _refuse_deletion
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@dataclass(frozen=True, slots=True)
 class SeriesEval:
     """Value of a truncated series or product with accuracy metadata.
+
+    Frozen and slotted (no ``__dict__``); ``__init__`` stores the fields
+    through their slots, as one is built for every coefficient, product
+    and operator result.
 
     Attributes
     ----------
@@ -150,6 +178,13 @@ class SeriesEval:
     terms_used: int
     tail_bound: float
     degenerate: bool = False
+
+    def __init__(self, value: complex, terms_used: int, tail_bound: float,
+                 degenerate: bool = False) -> None:
+        _set_value(self, value)
+        _set_terms_used(self, terms_used)
+        _set_tail_bound(self, tail_bound)
+        _set_degenerate(self, degenerate)
 
     @property
     def rel_bound(self) -> float:
@@ -207,6 +242,9 @@ class SeriesEval:
         return _from_rel(cmath.sqrt(v), self.terms_used, rel + _OP_ROUNDING)
 
 
+_set_value, _set_terms_used, _set_tail_bound, _set_degenerate = \
+    _frozen_slots(SeriesEval)
+
 #: Relative rounding of a complex product (sqrt(5) u; Brent, Percival and
 #: Zimmermann, 2007), quotient (5 u, Smith's algorithm) or root, rounded up.
 _OP_ROUNDING = 6.0 * _U
@@ -236,7 +274,7 @@ def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
     return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThetaPair:
     """Both sides of the theta-product shift identity plus their residual.
 
@@ -244,12 +282,23 @@ class ThetaPair:
     ``absolute`` is set, which happens when the parameter sits inside
     the guard band around a zero of both sides; there the relative
     residual is ill-conditioned and the plain difference is reported.
+    Frozen and slotted, built as :class:`SeriesEval` is.
     """
 
     lhs: complex
     rhs: complex
     residual: float
     absolute: bool = False
+
+    def __init__(self, lhs: complex, rhs: complex, residual: float,
+                 absolute: bool = False) -> None:
+        _set_lhs(self, lhs)
+        _set_rhs(self, rhs)
+        _set_residual(self, residual)
+        _set_absolute(self, absolute)
+
+
+_set_lhs, _set_rhs, _set_residual, _set_absolute = _frozen_slots(ThetaPair)
 
 
 def _modulus(x: complex) -> float:
@@ -287,19 +336,31 @@ def _near_power(x: complex, base: float, eps: float = EPS_POLE,
                 lo: int | None = None, hi: int | None = None) -> int | None:
     """Return integer j with |x - base**j| <= eps * base**j, else None.
 
-    The candidate j is located from log|x| and its two neighbours are
-    checked, so the scan is O(1).  ``lo``/``hi`` optionally restrict the
+    A match puts ``|x| / base**j`` within ``s = eps + 1e-12 + 2e-322/|x|``
+    of 1 (eps, and the rounding of the test, of t below and, the last
+    term, of a subnormal ``base**j``), so j lies within
+    ``s / ((1 - s) |log(base)|)`` of ``t = log|x| / log(base)``.  Unless
+    ``base`` is within about ``2 eps`` of 1 or ``x`` is subnormal, that is
+    below 1/2, and the one exponent that can match, ``round(t)``, is
+    tested.  Otherwise several can, and ``floor(t)``, ``ceil(t)``,
+    ``floor(t) - 1`` and ``ceil(t) + 1`` are tested in that order, the
+    first match returned.  ``lo``/``hi`` optionally restrict the
     admissible exponent range (inclusive).  An ``x`` without a finite
     modulus raises :class:`InvalidArgumentError`.
     """
     r = _finite_modulus(x)
     if r == 0:
         return None
-    t = math.log(r) / math.log(base)
-    for j in (math.floor(t), math.ceil(t), math.floor(t) - 1, math.ceil(t) + 1):
-        if lo is not None and j < lo:
-            continue
-        if hi is not None and j > hi:
+    log_base = math.log(base)
+    t = math.log(r) / log_base
+    s = eps + 1e-12 + 2e-322 / r
+    if 2.0 * s < (1.0 - s) * abs(log_base):
+        candidates = (round(t),)
+    else:
+        f, c = math.floor(t), math.ceil(t)
+        candidates = (f, c, f - 1, c + 1)
+    for j in candidates:
+        if (lo is not None and j < lo) or (hi is not None and j > hi):
             continue
         try:
             p = base ** j
@@ -610,15 +671,16 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     * 2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``.
 
     Preconditions: ``0 < |kappa| < 1`` (else :class:`InvalidArgumentError`);
-    ``lam**2`` at least ``EPS_POLE`` away (relatively) from every
-    ``q**(2j)``, j integer, the expression's simple poles (else
-    :class:`PoleGuardError`); ``kappa`` at least ``EPS_POLE`` away from
-    every ``-q**(2k)``, k >= 1, where ``(-q^2/kappa; q^2)_inf`` vanishes, a
-    pole of the continuation (else :class:`PoleGuardError` naming k, before
-    any product); every product of ``T(u)`` and each quotient within the
-    float range (else :class:`InvalidArgumentError`, before any series
-    term).  ``(-q^3/(u kappa); q^2)_inf`` and ``(-q^2/kappa; q^2)_inf``
-    leave it as ``kappa`` shrinks (at q = 0.5, lam = q^0.9: kappa = q^66).
+    ``lam**2`` nonzero (else :class:`InvalidArgumentError`) and at least
+    ``EPS_POLE`` away (relatively) from every ``q**(2j)``, j integer, the
+    expression's simple poles (else :class:`PoleGuardError`); ``kappa`` at
+    least ``EPS_POLE`` away from every ``-q**(2k)``, k >= 1, where
+    ``(-q^2/kappa; q^2)_inf`` vanishes, a pole of the continuation (else
+    :class:`PoleGuardError` naming k, before any product); every product
+    of ``T(u)`` and each quotient within the float range (else
+    :class:`InvalidArgumentError`, before any series term).
+    ``(-q^3/(u kappa); q^2)_inf`` and ``(-q^2/kappa; q^2)_inf`` leave it
+    as ``kappa`` shrinks (at q = 0.5, lam = q^0.9: kappa = q^66).
 
     Each quotient is one :func:`qpoch_multi` over another, its factors
     summed to ``tol / 32`` each, times one :func:`phi21_direct` sum to
@@ -663,11 +725,15 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
 def _pole_guard(lam: complex, q: float) -> None:
     """Refuse (:class:`PoleGuardError`) a ``lam`` whose square is within
     ``EPS_POLE`` (relatively) of some ``q**(2j)``, j integer, where the
-    two-term forms are singular; a ``lam`` of 0 or without a finite
-    modulus raises :class:`InvalidArgumentError`."""
+    two-term forms are singular; a ``lam`` of 0, without a finite modulus
+    or whose square underflows to 0 (``|lam|`` below about ``2**-537``)
+    raises :class:`InvalidArgumentError`."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
-    j = _near_power(lam * lam, q * q)
+    lam2 = lam * lam
+    if lam2 == 0:
+        raise InvalidArgumentError(f"lam**2 underflows to 0 at lam = {lam!r}")
+    j = _near_power(lam2, q * q)
     if j is not None:
         raise PoleGuardError(
             f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"

@@ -21,6 +21,7 @@ from .qcalculus import (
     SeriesEval,
     _direct_setup,
     _direct_sum,
+    _frozen_slots,
     _modulus,
     _pole_guard,
     _power,
@@ -63,22 +64,25 @@ _POWER_ROUNDING = 16.0 * _EPS
 _NEAR_LATTICE = 8.0 * _EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IqPoint:
     """A classical point ``sign * q**exponent`` of the disc spectrum.
 
     ``sign`` is +1 or -1; negative points require ``exponent >= 1``
-    (the negative branch starts at ``-q``).
+    (the negative branch starts at ``-q``).  Frozen and slotted; the
+    arguments are checked before any field is stored.
     """
 
     sign: int
     exponent: int
 
-    def __post_init__(self) -> None:
-        if self.sign not in (1, -1):
+    def __init__(self, sign: int, exponent: int) -> None:
+        if sign not in (1, -1):
             raise InvalidArgumentError("sign must be +1 or -1")
-        if self.sign < 0 and self.exponent < 1:
+        if sign < 0 and exponent < 1:
             raise InvalidArgumentError("negative points require exponent >= 1")
+        _set_sign(self, sign)
+        _set_exponent(self, exponent)
 
     @classmethod
     def positive(cls, exponent: int) -> "IqPoint":
@@ -94,6 +98,9 @@ class IqPoint:
     def shifted(self, steps: int) -> "IqPoint":
         """The point with exponent increased by ``steps`` (same sign)."""
         return IqPoint(self.sign, self.exponent + steps)
+
+
+_set_sign, _set_exponent = _frozen_slots(IqPoint)
 
 
 @dataclass(frozen=True)
@@ -130,7 +137,7 @@ def structural_maps(p: IqPoint, base: QBase) -> StructuralMaps:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectralParam:
     """Spectral parameter ``z`` with its derived quantities.
 
@@ -139,12 +146,17 @@ class SpectralParam:
     bit-identical values), and ``x = (lam + 1/lam) / 2``.  ``from_z``
     raises :class:`InvalidArgumentError` when ``z`` is not finite or
     ``|lam|`` would overflow or underflow (``|Re z log q|`` past the
-    float exponent range).
+    float exponent range).  Frozen and slotted.
     """
 
     z: complex
     lam: complex
     x: complex
+
+    def __init__(self, z: complex, lam: complex, x: complex) -> None:
+        _set_z(self, z)
+        _set_lam(self, lam)
+        _set_x(self, x)
 
     @classmethod
     def from_z(cls, z: complex, base: QBase) -> "SpectralParam":
@@ -158,6 +170,9 @@ class SpectralParam:
         theta = y * base.log_q
         lam = complex(mag * math.cos(theta), mag * math.sin(theta))
         return cls(zc, lam, (lam + 1.0 / lam) / 2.0)
+
+
+_set_z, _set_lam, _set_x = _frozen_slots(SpectralParam)
 
 
 def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
@@ -180,11 +195,12 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     The continued cases are refused with :class:`PoleGuardError` when
     ``lam**2`` sits within the guard band around ``q**(2 Z)`` (case 1 is
     not), and with :class:`InvalidArgumentError`, before any series term,
-    when ``kappa = +-q^{2k}`` underflows to 0 (q = 0.5: from k = 538), or
-    their products (at large ``|Re z|``), or ``(q/u)^{k-1}`` times them
-    (q = 0.5, z = -3.3: from k = 445, where the value does) leave the float
-    range.  This is the one-exponent window (:func:`spherical_window`),
-    which evaluates many exponents at one ``zp`` by the recurrence in k.
+    when ``kappa = +-q^{2k}`` or ``lam**2`` underflows to 0 (q = 0.5: from
+    k = 538, or Re z above 537.5), or their products (at large
+    ``|Re z|``), or ``(q/u)^{k-1}`` times them (q = 0.5, z = -3.3: from
+    k = 445, where the value does) leave the float range.  This is the
+    one-exponent window (:func:`spherical_window`), which evaluates many
+    exponents at one ``zp`` by the recurrence in k.
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -282,10 +298,10 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     ``_NEAR_LATTICE sum |part| / d`` for that of the arguments, d the
     relative distance of lam**2 from ``q^{2Z}``.
 
-    Refused before any series term is summed: a ``q^{2k}`` that underflows
-    to 0 (:class:`InvalidArgumentError`), the lam**2 pole guard
-    (:class:`PoleGuardError`), and a product, a quotient of them (at large
-    ``|Re z|``) or a (q/u)^{k-1} past the float range
+    Refused before any series term is summed: a ``q^{2k}`` or a lam**2
+    that underflows to 0 (:class:`InvalidArgumentError`), the lam**2 pole
+    guard (:class:`PoleGuardError`), and a product, a quotient of them (at
+    large ``|Re z|``) or a (q/u)^{k-1} past the float range
     (:class:`InvalidArgumentError`).
     """
     q = base.q

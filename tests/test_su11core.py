@@ -15,6 +15,7 @@ from qsu11 import (
     PoleInCError,
     QBase,
     SpectralParam,
+    approx_identity_gap,
     averaged_coamen,
     coamen_coeff,
     limit_sweep,
@@ -26,6 +27,7 @@ from qsu11 import (
     spherical_az,
     spherical_window,
     structural_maps,
+    symbol_clip_abs,
     theta_pair,
 )
 from qsu11 import su11core
@@ -168,6 +170,31 @@ class TestSphericalShared:
         zp = SpectralParam(0.0, 0.0, 0.0)
         with pytest.raises(InvalidArgumentError):
             spherical_az(B, zp, IqPoint.positive(0))
+
+    # |lam| = q**Re z is a float, but lam**2 underflows to 0 from Re z of
+    # about 537.5 at q = 0.5: the lam**2 pole guard refuses it before any
+    # product, where it raised an untyped ValueError from log(0).
+    @pytest.mark.parametrize("z", (540, 1020, complex(700.5, 3.0)))
+    @pytest.mark.parametrize("evaluate", (
+        lambda zp: spherical_az(B, zp, IqPoint.positive(1)),
+        lambda zp: spherical_az(B, zp, IqPoint.negative(2)),
+        lambda zp: spherical_window(B, zp, 1, range(1, 4)),
+        lambda zp: spherical_window(B, zp, -1, range(1, 4)),
+        lambda zp: approx_identity_gap(B, zp, symbol_clip_abs(), 3),
+        lambda zp: phi21_continued(zp.lam, 0.25, B),
+    ), ids=("case2", "case3", "window+", "window-", "approx_identity_gap",
+            "phi21_continued"))
+    def test_lam_squared_underflow_refused(self, z, evaluate, monkeypatch):
+        zp = SpectralParam.from_z(z, B)
+        assert zp.lam != 0 and zp.lam * zp.lam == 0
+
+        def no_product(*args):
+            raise AssertionError("a product was summed")
+
+        monkeypatch.setattr(su11core, "qpoch_multi", no_product)
+        monkeypatch.setattr(qcalculus, "qpoch_multi", no_product)
+        with pytest.raises(InvalidArgumentError, match="underflows to 0"):
+            evaluate(zp)
 
     @pytest.mark.parametrize("p", [IqPoint.positive(0), IqPoint.positive(3),
                                    IqPoint.negative(2)])
