@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
 from typing import Sequence, Union
@@ -726,13 +727,15 @@ def _pole_guard(lam: complex, q: float) -> None:
     """Refuse (:class:`PoleGuardError`) a ``lam`` whose square is within
     ``EPS_POLE`` (relatively) of some ``q**(2j)``, j integer, where the
     two-term forms are singular; a ``lam`` of 0, without a finite modulus
-    or whose square underflows to 0 (``|lam|`` below about ``2**-537``)
-    raises :class:`InvalidArgumentError`."""
+    or whose square underflows below the normal float range (``|lam|``
+    below ``2**-511``, where the relative guard would test a square with
+    fewer than 53 bits) raises :class:`InvalidArgumentError`."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     lam2 = lam * lam
-    if lam2 == 0:
-        raise InvalidArgumentError(f"lam**2 underflows to 0 at lam = {lam!r}")
+    if _modulus(lam2) < sys.float_info.min:
+        raise InvalidArgumentError(
+            f"lam**2 underflows below the normal float range at lam = {lam!r}")
     j = _near_power(lam2, q * q)
     if j is not None:
         raise PoleGuardError(

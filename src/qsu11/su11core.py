@@ -195,12 +195,13 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     The continued cases are refused with :class:`PoleGuardError` when
     ``lam**2`` sits within the guard band around ``q**(2 Z)`` (case 1 is
     not), and with :class:`InvalidArgumentError`, before any series term,
-    when ``kappa = +-q^{2k}`` or ``lam**2`` underflows to 0 (q = 0.5: from
-    k = 538, or Re z above 537.5), or their products (at large
-    ``|Re z|``), or ``(q/u)^{k-1}`` times them (q = 0.5, z = -3.3: from
-    k = 445, where the value does) leave the float range.  This is the
-    one-exponent window (:func:`spherical_window`), which evaluates many
-    exponents at one ``zp`` by the recurrence in k.
+    when ``kappa = +-q^{2k}`` underflows to 0 (q = 0.5: from k = 538) or
+    ``lam**2`` to below the normal float range (Re z above 511), or when
+    their products (at large ``|Re z|``), or ``(q/u)^{k-1}`` times them
+    (q = 0.5, z = -3.3: from k = 445, where the value does) leave the
+    float range.  This is the one-exponent window
+    (:func:`spherical_window`), which evaluates many exponents at one
+    ``zp`` by the recurrence in k.
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -298,10 +299,11 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     ``_NEAR_LATTICE sum |part| / d`` for that of the arguments, d the
     relative distance of lam**2 from ``q^{2Z}``.
 
-    Refused before any series term is summed: a ``q^{2k}`` or a lam**2
-    that underflows to 0 (:class:`InvalidArgumentError`), the lam**2 pole
-    guard (:class:`PoleGuardError`), and a product, a quotient of them (at
-    large ``|Re z|``) or a (q/u)^{k-1} past the float range
+    Refused before any series term is summed: a ``q^{2k}`` that underflows
+    to 0 or a lam**2 below the normal float range
+    (:class:`InvalidArgumentError`), the lam**2 pole guard
+    (:class:`PoleGuardError`), and a product, a quotient of them (at large
+    ``|Re z|``) or a (q/u)^{k-1} past the float range
     (:class:`InvalidArgumentError`).
     """
     q = base.q
@@ -384,30 +386,37 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     refused (a seed tolerance that underflows) gives ``[]``.
 
     Certificate (Gautschi, "Computational aspects of three-term
-    recurrence relations", SIAM Rev. 9, 1967): the seeds' errors carried
-    by the recurrence, ``E0 |u_k| + E1 |v_k|`` for their bounds E0, E1 and
-    the fundamental solutions u (seeds 1, 0) and v (seeds 0, 1) run beside
-    a(k) (on the negative branch v is ``a(-q^k) / a(-q)``), plus the
-    steps' rounding carried by it, bounded twice.  In the eigenbasis
-    ``T = [[r1, r2], [1, 1]]`` of the limit companion matrix
-    ``[[q s, -q^2], [1, 0]]``, whose roots are ``r1 = q lam`` and
-    ``r2 = q/lam``:
-    ``y <- ||T^-1 A_k T||_inf y + delta_k / |r1 - r2|`` and
-    ``|r_k| <= (|r1| + |r2|) y``, where ``A_k`` is the step's companion
-    matrix and ``delta_k`` bounds the step's rounding, that of its
-    coefficients (and of u and v) included; and step by step,
-    ``r_k <= |c1| r_{k-1} + |c2| r_{k-2} + delta_k``, which is tighter
-    while ``A_k`` is far from its limit.  Each bound is cut to the other
-    after every step, and every bound is computed with margins for its
-    own rounding.  ``terms_used`` of a value is its seeds' count plus one
-    per step; the negative branch returns its seed itself at k = 1.
+    recurrence relations", SIAM Rev. 9, 1967; Wimp, *Computation with
+    Recurrence Relations*, 1984): the error is linear in its sources,
+    ``e_k = sum_j G(k, j) delta_j`` with ``G(., j)`` the solution of the
+    recurrence from source j's start.  Each source is one row holding its
+    bound and its two latest values of G: the seed a(k0-2), bounded by its
+    ``tail_bound``, starts at (1, 0); the seed a(k0-1) at (0, 1); and the
+    rounding of step k at (0, 1) when step k runs, bounded by ``delta_k =
+    rho1' (|a(k-1)| + e_{k-1}) + rho2' (|a(k-2)| + e_{k-2})``, ``rho'``
+    the rounding of c1 or c2 (``rho1``, ``rho2``) plus ``4 eps |c|`` for
+    the step's own.  Every row advances with the step's c1 and c2, and
+    the bound of a(k) is ``sum_j |G(k, j)| delta_j``; a double root
+    (lam = 1) is no special case.
+
+    The rows are computed in floats: like a value's step, a row's step is
+    off from the exact one by at most ``rho1'`` and ``rho2'`` times the
+    row's last two values.  So the rows' error is again a Green's sum,
+    with step-k sources of at most ``rho1' sum_j |G(k-1, j)| delta_j +
+    rho2' sum_j |G(k-2, j)| delta_j``, which the ``e_{k-1}`` and
+    ``e_{k-2}`` in ``delta_k`` already hold: by induction over k the
+    computed rows bound the whole error.  Left is the float evaluation of
+    the bound, each of its n terms through at most n + 16 roundings of
+    non-negative numbers; the sum is multiplied by ``1 + (n + 16) eps``
+    to cover them, a margin of second order in the rounding unit.
+
+    ``terms_used`` of a value is its seeds' count plus one per step; the
+    negative branch returns its seed itself at k = 1.
     """
     q = base.q
     q2 = q * q
     qs = q * (lam + 1.0 / lam)
-    r1, r2 = q * lam, q / lam
-    rmax, rsum = max(abs(r1), abs(r2)), abs(r1) + abs(r2)
-    dr = abs(r1 - r2) * (1.0 - 4.0 * _EPS)
+    rsum = abs(q * lam) + abs(q / lam)
     stol = tol * _SEED_TOL[sign]
     try:
         if sign > 0:
@@ -422,55 +431,38 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
             k0 = 2
     except InvalidArgumentError:  # e.g. a seed tolerance that underflows:
         return []                 # the closed form decides
-    err0, err1 = ev0.tail_bound, ev1.tail_bound
     out = []
     if sign < 0:
-        if not err1 <= tol * max(1.0, _modulus(ev1.value)) < math.inf:
+        if not ev1.tail_bound <= tol * max(1.0, _modulus(ev1.value)) < math.inf:
             return out
         if k_first == 1:
             out.append(ev1)
-    if not dr > 0.0:
-        return out
     used = ev0.terms_used + ev1.terms_used
-    prev, cur, e_prev, e_cur = ev0.value, ev1.value, err0, err1
-    # The fundamental solutions u (seeds 1, 0) and v (seeds 0, 1) carry the
-    # seeds' errors exactly.  The rounding part is bounded twice, in the
-    # eigenbasis (y) and step by step (r_prev, r_cur), and each bound is
-    # cut to the other one's.
-    u_prev, u_cur, v_prev, v_cur = 1.0, 0.0, 0.0, 1.0
-    y = r_prev = r_cur = 0.0
-    aq = abs(qs - 2.0)
+    prev, cur, e_prev, e_cur = ev0.value, ev1.value, ev0.tail_bound, ev1.tail_bound
+    # One row per error source: G(k-2, j) in g_prev, G(k-1, j) in g_cur,
+    # its bound delta_j in bounds; the two seeds first.
+    g_prev, g_cur, bounds = [1.0, 0.0], [0.0, 1.0], [e_prev, e_cur]
     for k in range(k0, k_last + 1):
         w = q ** (2 * k - 2) if sign < 0 else -q ** (2 * k - 2)
         den = 1.0 - w  # real and positive: |w| <= q^2 on the negative branch
         c1 = (qs - 2.0 * w) / den
         c2 = (w - q2) / den
         value = c1 * cur + c2 * prev
-        u_prev, u_cur = u_cur, c1 * u_cur + c2 * u_prev
-        v_prev, v_cur = v_cur, c1 * v_cur + c2 * v_prev
         aw = abs(w)
         grow = 1.0 + aw / den
         ac1, ac2 = abs(c1), abs(c2)
-        # The rounding of c1, c2 and of the step (of u and v too, through
-        # e_cur and e_prev), and the distance of the step's exact companion
-        # matrix from the limit one.
+        # The rounding of c1 and c2, and of the step.
         rho1 = 8.0 * _EPS * ((rsum + 2.0 * aw) / den + ac1 * grow)
         rho2 = 8.0 * _EPS * ((q2 + aw) / den + ac2 * grow)
-        delta = (rho1 + 4.0 * _EPS * ac1) * (abs(cur) + e_cur) \
-            + (rho2 + 4.0 * _EPS * ac2) * (abs(prev) + e_prev)
-        m1 = aw * (aq + 4.0 * _EPS * rsum) / den * (1.0 + 8.0 * _EPS) \
-            + 4.0 * _EPS * rsum
-        m2 = aw * (1.0 - q2 + 2.0 * _EPS) / den * (1.0 + 8.0 * _EPS) \
-            + 4.0 * _EPS * q2
-        y = ((rmax + (m1 * rsum + 2.0 * m2) / dr) * y + delta / dr) \
-            * (1.0 + 16.0 * _EPS)
-        r = min(((ac1 + rho1) * r_cur + (ac2 + rho2) * r_prev + delta)
-                * (1.0 + 8.0 * _EPS), rsum * y * (1.0 + 4.0 * _EPS))
-        y = min(y, (r + rmax * r_cur) / dr * (1.0 + 4.0 * _EPS))
-        e = (r + err0 * abs(u_cur) + err1 * abs(v_cur)) * (1.0 + 8.0 * _EPS)
+        bounds.append((rho1 + 4.0 * _EPS * ac1) * (abs(cur) + e_cur)
+                      + (rho2 + 4.0 * _EPS * ac2) * (abs(prev) + e_prev))
+        g_prev, g_cur = (g_cur + [0.0],
+                         [c1 * g + c2 * p for g, p in zip(g_cur, g_prev)] + [1.0])
+        e = sum(abs(g) * d for g, d in zip(g_cur, bounds)) \
+            * (1.0 + (len(bounds) + 16) * _EPS)
         if not e <= tol * max(1.0, _modulus(value)) < math.inf:
             break
-        prev, cur, e_prev, e_cur, r_prev, r_cur = cur, value, e_cur, e, r_cur, r
+        prev, cur, e_prev, e_cur = cur, value, e_cur, e
         if k >= k_first:
             out.append(SeriesEval(value, used + k - k0 + 1, e))
     return out

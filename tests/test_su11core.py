@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from _mp_reference import Reference, coamen_reference
@@ -171,10 +172,11 @@ class TestSphericalShared:
         with pytest.raises(InvalidArgumentError):
             spherical_az(B, zp, IqPoint.positive(0))
 
-    # |lam| = q**Re z is a float, but lam**2 underflows to 0 from Re z of
-    # about 537.5 at q = 0.5: the lam**2 pole guard refuses it before any
-    # product, where it raised an untyped ValueError from log(0).
-    @pytest.mark.parametrize("z", (540, 1020, complex(700.5, 3.0)))
+    # |lam| = q**Re z is a float, but at q = 0.5 lam**2 falls below the
+    # normal float range from Re z = 511, with too few bits for the
+    # guard's relative test (537.4, 520.3), and underflows to 0 from about
+    # 537.5: the lam**2 pole guard refuses it before any product.
+    @pytest.mark.parametrize("z", (540, 1020, complex(700.5, 3.0), 537.4, 520.3))
     @pytest.mark.parametrize("evaluate", (
         lambda zp: spherical_az(B, zp, IqPoint.positive(1)),
         lambda zp: spherical_az(B, zp, IqPoint.negative(2)),
@@ -186,14 +188,15 @@ class TestSphericalShared:
             "phi21_continued"))
     def test_lam_squared_underflow_refused(self, z, evaluate, monkeypatch):
         zp = SpectralParam.from_z(z, B)
-        assert zp.lam != 0 and zp.lam * zp.lam == 0
+        assert zp.lam != 0 and abs(zp.lam * zp.lam) < sys.float_info.min
 
         def no_product(*args):
             raise AssertionError("a product was summed")
 
         monkeypatch.setattr(su11core, "qpoch_multi", no_product)
         monkeypatch.setattr(qcalculus, "qpoch_multi", no_product)
-        with pytest.raises(InvalidArgumentError, match="underflows to 0"):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"lam\*\*2 underflows below the normal"):
             evaluate(zp)
 
     @pytest.mark.parametrize("p", [IqPoint.positive(0), IqPoint.positive(3),
@@ -292,19 +295,21 @@ class TestRecurrenceOracle:
                         assert abs(mp.mpc(ev.value) - r) <= ev.tail_bound, \
                             (z, sign, k)
                     filled += len(values)
-        assert filled >= (90 if q < 0.9 else 3)
+        assert filled >= (90 if q < 0.9 else 52)
+
+    #: (sign, z, exponents, case-1 count, recurrence count) at q = 0.9:
+    #: the bound passes tol after three exponents on the positive branch
+    #: at z = 2i and after two on the negative one at z = 0.99.
+    FALLBACKS = ((1, 2j, range(-12, 13), 13, 3), (-1, 0.99, range(1, 13), 0, 2))
 
     def test_fallback_is_the_closed_form_window(self):
-        # contract_00 at q = 0.9: the bound passes tol after five
-        # exponents on the positive branch and after six on the negative
-        # one; the rest of each window is the closed-form window.
+        # The rest of each window is the closed-form window.
         base = QBase(0.9)
-        zp = SpectralParam.from_z(complex(0.0, 0.5 / 20 * math.pi / abs(base.log_q)),
-                                  base)
-        for sign, ks, n1 in ((1, range(-12, 13), 13), (-1, range(1, 13), 0)):
+        for sign, z, ks, n1, count in self.FALLBACKS:
+            zp = SpectralParam.from_z(z, base)
             window = spherical_window(base, zp, sign, ks)
             values = _recurrence(base, zp.lam, sign, 1, 12, 1e-12, 200)
-            assert len(values) == (5 if sign > 0 else 6)
+            assert len(values) == count
             rest = list(ks)[n1 + len(values):]
             assert [repr(ev) for ev in window[n1 + len(values):]] == [
                 repr(ev) for ev in _closed_form(base, zp.lam, sign, rest, 1e-12, 200)]
@@ -313,14 +318,35 @@ class TestRecurrenceOracle:
         # The closed form's products do not depend on k, so each value
         # after the fallback is the pointwise one, bit for bit.
         base = QBase(0.9)
-        zp = SpectralParam.from_z(complex(0.0, 0.5 / 20 * math.pi / abs(base.log_q)),
-                                  base)
-        for sign, ks, n1 in ((1, range(-12, 13), 13), (-1, range(1, 13), 0)):
+        for sign, z, ks, n1, _ in self.FALLBACKS:
+            zp = SpectralParam.from_z(z, base)
             window = spherical_window(base, zp, sign, ks)
             filled = n1 + len(_recurrence(base, zp.lam, sign, 1, 12, 1e-12, 200))
             assert filled < len(ks)
             for k, ev in list(zip(ks, window))[filled:]:
                 assert repr(ev) == repr(spherical_az(base, zp, IqPoint(sign, k))), k
+
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_double_root(self, q):
+        # At z = 0 (lam = 1) the roots q lam and q/lam of the limit
+        # recurrence coincide; the positive branch still fills k = 1..24,
+        # within its bound of the closed forms at lam = 1 + 1e-30, 80
+        # digits.  At z = 1 every filled a(+q^k) is 1.
+        mp = pytest.importorskip("mpmath").mp
+        base = QBase(q)
+        ks = range(1, 25)
+        lam = SpectralParam.from_z(0.0, base).lam
+        values = _recurrence(base, lam, 1, 1, 24, 1e-12, 200)
+        assert len(values) == len(ks)
+        with mp.workdps(80):
+            refs = Reference(mp, q, 1 + mp.mpf(10) ** -30).window(1, ks)
+            for k, ev, ref in zip(ks, values, refs):
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, k
+        lam = SpectralParam.from_z(1.0, base).lam
+        values = _recurrence(base, lam, 1, 1, 24, 1e-12, 200)
+        assert values
+        for k, ev in zip(ks, values):
+            assert abs(ev.value - 1.0) <= ev.tail_bound, k
 
     @pytest.mark.parametrize("tol, max_terms", ((1e-12, 3), (1e-321, 200)),
                              ids=("uncertified", "refused"))
