@@ -190,26 +190,22 @@ class SeriesEval:
     @property
     def rel_bound(self) -> float:
         """``tail_bound / |value|``; ``inf`` when uncertified or inexactly 0."""
-        if self.tail_bound == 0.0:
-            return 0.0
-        if self.value == 0:
-            return math.inf
-        try:
-            return self.tail_bound / abs(self.value)
-        except OverflowError:  # finite parts, modulus past the float range
-            return math.inf
+        return _rel_bound(self.value, self.tail_bound)
 
     def _scaled(self, x: complex, rel: float = 0.0) -> "SeriesEval":
         """``self * x`` for a scalar x known to within ``rel``, relative."""
         return _from_rel(self.value * x, self.terms_used,
-                         _compound(self.rel_bound, rel) + _OP_ROUNDING)
+                         _compound(_rel_bound(self.value, self.tail_bound), rel)
+                         + _OP_ROUNDING)
 
     def __mul__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
             return self._scaled(other)
         return _from_rel(self.value * other.value,
                          self.terms_used + other.terms_used,
-                         _compound(self.rel_bound, other.rel_bound) + _OP_ROUNDING)
+                         _compound(_rel_bound(self.value, self.tail_bound),
+                                   _rel_bound(other.value, other.tail_bound))
+                         + _OP_ROUNDING)
 
     def __truediv__(self, other):
         if not isinstance(other, SeriesEval):
@@ -218,7 +214,8 @@ class SeriesEval:
             raise PoleGuardError("division by a series value that vanished")
         return _from_rel(self.value / other.value,
                          self.terms_used + other.terms_used,
-                         _quotient_rel(self.rel_bound, other.rel_bound)
+                         _quotient_rel(_rel_bound(self.value, self.tail_bound),
+                                       _rel_bound(other.value, other.tail_bound))
                          + _OP_ROUNDING)
 
     def __add__(self, other):
@@ -237,7 +234,8 @@ class SeriesEval:
 
     def sqrt(self) -> "SeriesEval":
         """Principal square root (``cmath.sqrt``) with its propagated bound."""
-        v, r = self.value, self.rel_bound
+        v = self.value
+        r = _rel_bound(v, self.tail_bound)
         cut = r > 1.0 or (r > 0.0 and v.real < 0.0 and abs(v.imag) <= r * abs(v))
         rel = math.inf if cut else r / (1.0 + math.sqrt(1.0 - r))
         return _from_rel(cmath.sqrt(v), self.terms_used, rel + _OP_ROUNDING)
@@ -249,6 +247,19 @@ _set_value, _set_terms_used, _set_tail_bound, _set_degenerate = \
 #: Relative rounding of a complex product (sqrt(5) u; Brent, Percival and
 #: Zimmermann, 2007), quotient (5 u, Smith's algorithm) or root, rounded up.
 _OP_ROUNDING = 6.0 * _U
+
+
+def _rel_bound(value: complex, tail_bound: float) -> float:
+    """:attr:`SeriesEval.rel_bound` of a value and its bound, also for a
+    pair not (yet) held in a :class:`SeriesEval`."""
+    if tail_bound == 0.0:
+        return 0.0
+    if value == 0:
+        return math.inf
+    try:
+        return tail_bound / abs(value)
+    except OverflowError:  # finite parts, modulus past the float range
+        return math.inf
 
 
 def _compound(ra: float, rb: float) -> float:
@@ -617,6 +628,9 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       remaining tail below ``tol`` relative to the partial sum.  If
       ``max_terms`` is exhausted first, the partial sum is returned with
       ``tail_bound = math.inf`` rather than raising.
+    * A sum whose value is not finite while its bound is infinite (a term
+      left the float range: ``phi21_direct(0.3, 1e100, 0.25, 0.25, 0.1)``)
+      raises :class:`InvalidArgumentError`.
     * ``tail_bound`` covers the truncated tail and the sum's own rounding
       (:func:`qsu11._kernels.phi21_kernel`), not that of the arguments.
     """
@@ -654,7 +668,20 @@ def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
         complex(a), complex(b), complex(c), bb, complex(z),
         n_exact, tol, int(max_terms),
     )
-    return SeriesEval(value, used, tail if status == 0 else math.inf)
+    if status or not tail < math.inf:  # uncertified
+        _refuse_non_finite(value, used)
+        tail = math.inf
+    return SeriesEval(value, used, tail)
+
+
+def _refuse_non_finite(value: complex, terms_used: int) -> None:
+    """Raise :class:`InvalidArgumentError` when the value of an uncertified
+    2phi1 sum is not finite: a term left the float range (the kernel then
+    sums on to ``max_terms`` and returns nan)."""
+    if not cmath.isfinite(value):
+        raise InvalidArgumentError(
+            f"a term of the 2phi1 series left the float range: value "
+            f"{value!r} after {terms_used} terms")
 
 
 def phi21_continued(lam: complex, kappa: complex, base: QBase,

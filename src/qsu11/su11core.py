@@ -11,23 +11,30 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import qcalculus
 from .errors import InvalidArgumentError
 from .qcalculus import (
+    _OP_ROUNDING,
     QBase,
     SeriesEval,
+    _compound,
     _direct_setup,
     _direct_sum,
+    _from_rel,
     _frozen_slots,
     _modulus,
     _pole_guard,
     _power,
     _power_distance,
     _qpoch_infinite,
+    _refuse_non_finite,
     _refuse_overflow,
+    _rel_bound,
     _U,
     phi21_heine,
     qpoch_multi,
@@ -199,7 +206,9 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
     ``lam**2`` to below the normal float range (Re z above 511), or when
     their products (at large ``|Re z|``), or ``(q/u)^{k-1}`` times them
     (q = 0.5, z = -3.3: from k = 445, where the value does) leave the
-    float range.  This is the one-exponent window
+    float range.  A series whose value is not finite, because a term left
+    the float range (case 1 at q = 0.5, z = -100, k = 0), raises
+    :class:`InvalidArgumentError`.  This is the one-exponent window
     (:func:`spherical_window`), which evaluates many exponents at one
     ``zp`` by the recurrence in k.
     """
@@ -216,9 +225,12 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
     k <= 0) checks its direct series' guards and snaps once, then sums
-    the kernel per k, :func:`spherical_az`'s values bit for bit.  In a
-    window of two or more exponents, one lam**2 pole guard (the refusal
-    of :func:`spherical_az` at k >= 1) is followed by the three-term
+    the kernel per k, :func:`spherical_az`'s values bit for bit; a sum
+    whose value is not finite (a term past the float range) raises
+    :class:`InvalidArgumentError`.  In a window of two or more exponents
+    reaching k >= 1, one lam**2 pole guard (the refusal of
+    :func:`spherical_az` at k >= 1), made before any series is summed,
+    is followed by the three-term
     recurrence in k (:func:`_recurrence`), seeded by the case-1 values
     a(-1), a(0) (positive branch) or the case-3 value a(-q) (negative).
     Each recurrence value carries a running bound on its whole error, the
@@ -253,6 +265,9 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
         raise InvalidArgumentError("lam must be nonzero")
     q = base.q
     n1 = max(0, min(len(ks), 1 - ks[0])) if sign > 0 else 0  # case 1
+    recur = len(ks) > max(n1, 1)  # exponents k >= 1 in a longer window
+    if recur:
+        _pole_guard(lam, q)  # before any series term
     out = []
     if n1:
         a, b, c = q / lam, lam * q, q * q
@@ -261,11 +276,9 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
         for k in ks[:n1]:
             out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, tol,
                                    max_terms))
-    rest = ks[n1:]
-    if rest and len(ks) > 1:
-        _pole_guard(lam, q)
-        out += _recurrence(base, lam, sign, rest[0], rest[-1], tol, max_terms)
-        rest = ks[len(out):]
+    if recur:
+        out += _recurrence(base, lam, sign, ks[n1], ks[-1], tol, max_terms)
+    rest = ks[len(out):]
     if rest:
         out += _closed_form(base, lam, sign, rest, tol, max_terms)
     return out
@@ -468,6 +481,15 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     return out
 
 
+def _integer(name: str, x: int) -> int:
+    """``x`` as an ``int`` (``operator.index``); anything else, a float of
+    integral value included, raises :class:`InvalidArgumentError`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, not {x!r}") from None
+
+
 def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
                  form: str = "simplified", tol: float = 1e-12,
                  max_terms: int = 200) -> SeriesEval:
@@ -490,8 +512,9 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     For ``e <= 0`` the series argument leaves the unit disc and the
     evaluation routes through the small-parameter continuation
     (:func:`qsu11.qcalculus.phi21_heine`), which needs
-    ``|lam| q^{1+2m} < 1``.  A ``lam`` of 0 and a power of q past the
-    float range (large ``|L|`` or ``|m|``) raise
+    ``|lam| q^{1+2m} < 1``.  An ``m`` that is not an integer, a ``lam``
+    of 0, a power of q past the float range (large ``|L|`` or ``|m|``)
+    and a series term past it (the sum is then not finite) raise
     :class:`InvalidArgumentError`.  This is the one-point window
     (:func:`_coamen_window`), which evaluates many ``L`` at one ``m`` and
     ``lam``.
@@ -500,26 +523,37 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
     if form not in ("simplified", "raw"):
         raise InvalidArgumentError(f"unknown form {form!r}")
+    m = _integer("m", m)
     return _coamen_window(base, m, lam, [p1.exponent], form, tol, max_terms)[0]
 
 
 def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
                    form: str, tol: float, max_terms: int) -> list:
     """``coamen_coeff(base, m, lam, IqPoint.positive(L), form, tol,
-    max_terms)`` for each L of ``Ls``, in that order; with ``form="both"``
-    the pair ``(raw, simplified)`` for each L, both forms from one series.
+    max_terms)`` for each L of ``Ls``, in that order, at an integer m; with
+    ``form="both"`` the pair ``(raw, simplified)`` for each L, both forms
+    from one series.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the guards and snaps of
     :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
-    sums directly (``e > 0``); points with ``e <= 0`` go through
-    :func:`qsu11.qcalculus.phi21_heine`.  Every point is evaluated exactly
-    as a one-point window, in order, so a refusal at some L refuses the
-    window with the error :func:`coamen_coeff` raises at the first such L;
-    a pair is refused as the raw call followed by the simplified one would
-    be: by the series, then raw's products, then the simplified prefactor.
-    Each ``tail_bound`` covers the series, the products and the scalars
-    (the finite product, ``q^N cq^2``) with their rounding.
+    sums directly (``e > 0``), and each such point calls the kernel
+    itself; points with ``e <= 0`` go through
+    :func:`qsu11.qcalculus.phi21_heine`.  The simplified form is built on
+    plain floats from the series' value, terms and bound and the prefactor
+    ``sqrt((-q^e; q^2)_{2m})``, by the rules of
+    :meth:`SeriesEval._scaled`, into one :class:`SeriesEval` per value:
+    bit for bit the series' ``SeriesEval`` scaled by the prefactor.  The
+    raw form multiplies ``SeriesEval``s, the series' included.
+
+    Every point is evaluated exactly as a one-point window, in order, so a
+    refusal at some L refuses the window with the error
+    :func:`coamen_coeff` raises at the first such L; a pair is refused as
+    the raw call followed by the simplified one would be: by the series
+    (a direct sum whose value is not finite included), then raw's
+    products, then the simplified prefactor.  Each ``tail_bound`` covers
+    the series, the products and the scalars (the finite product,
+    ``q^N cq^2``) with their rounding.
     """
     if form not in ("simplified", "raw", "both"):
         raise InvalidArgumentError(f"unknown form {form!r}")
@@ -529,7 +563,7 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     q2 = q * q
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
-    setup = None
+    n_exact = None
     # q^N cq^2: cq = 1 / (sqrt(2) q p1 p2) (QBase) is off by p1's and p2's
     # bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, x by u.
     scalar_rel = 15.0 * _U + 2.0 * sum(
@@ -546,12 +580,21 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
         z = -_power(q, e)
         if e <= 0:
             series = phi21_heine(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
+            value, used, tail = series.value, series.terms_used, series.tail_bound
         else:
-            if setup is None:
-                setup = _direct_setup(a, b, q2, q2, z, tol, max_terms)
-            bb, n_exact = setup
-            series = _direct_sum(a, b, q2, bb, z, n_exact, tol, max_terms)
+            if n_exact is None:  # phi21_direct's guards and snaps, once
+                bb, n_exact = _direct_setup(a, b, q2, q2, z, tol, max_terms)
+                ca, cb, cq2, terms = complex(a), complex(b), complex(q2), int(max_terms)
+            # As in _direct_sum; the kernel is looked up on qcalculus at
+            # call time, where the tests and the benchmark's tracer wrap it.
+            value, used, tail, status = qcalculus.phi21_kernel(
+                ca, cb, cq2, bb, complex(z), n_exact, tol, terms)
+            if status or not tail < math.inf:  # uncertified
+                _refuse_non_finite(value, used)
+                tail = math.inf
         if form != "simplified":
+            if e > 0:
+                series = SeriesEval(value, used, tail)
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
             # (M = L + 2m): it cannot overflow.
@@ -564,8 +607,11 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             if form == "raw":
                 out.append(raw)
                 continue
+        # series._scaled(pre, root_rel), on floats.
         pre = cmath.sqrt(qpoch_signed(z, q2, 2 * m))
-        simplified = series._scaled(pre, root_rel)
+        simplified = _from_rel(value * pre, used,
+                               _compound(_rel_bound(value, tail), root_rel)
+                               + _OP_ROUNDING)
         out.append(simplified if form == "simplified" else (raw, simplified))
     return out
 
@@ -578,18 +624,33 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
     ``n - 2|m|`` down to ``-n`` (``2(n - |m|) + 1`` summands; the
     remaining ``2|m|`` window slots carry no weight), in that order, and
     divides by ``2n + 1``.  The summands are one coamen window
-    (:func:`_coamen_window`), so the result equals that sum of
-    :func:`coamen_coeff` values bit for bit, and a refusal at any point
-    (a ``lam`` of 0 included) raises the error :func:`coamen_coeff` raises
-    there.
+    (:func:`_coamen_window`); their values, terms and bounds are added up
+    on floats in that order by the rule of :class:`SeriesEval`'s ``+``,
+    and scaled by the rule of its ``*`` by an exact scalar, into one
+    :class:`SeriesEval`.  So the result equals ``sum()`` of those
+    :func:`coamen_coeff` values times ``1 / (2n + 1)`` bit for bit, and a
+    refusal at any point (a ``lam`` of 0 included) raises the error
+    :func:`coamen_coeff` raises there.  An ``n`` or ``m`` that is not an
+    integer raises :class:`InvalidArgumentError`.
     """
+    n = _integer("n", n)
+    m = _integer("m", m)
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
     if abs(m) > n:
         raise InvalidArgumentError("|m| must not exceed n")
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
-    total = sum(_coamen_window(
-        base, m, lam, [p1.exponent + e for e in range(n - 2 * abs(m), -n - 1, -1)],
-        "simplified", tol, max_terms))
-    return total * (1.0 / (2 * n + 1))
+    value, used, tail = 0, 0, 0.0
+    for ev in _coamen_window(
+            base, m, lam, [p1.exponent + e for e in range(n - 2 * abs(m), -n - 1, -1)],
+            "simplified", tol, max_terms):
+        value += ev.value
+        used += ev.terms_used
+        tail += ev.tail_bound
+        tail += _U * (abs(value.real) + abs(value.imag))
+    if not tail < math.inf:
+        tail = math.inf
+    # total * (1 / (2n + 1)), an exact scalar.
+    return _from_rel(value * (1.0 / (2 * n + 1)), used,
+                     _compound(_rel_bound(value, tail), 0.0) + _OP_ROUNDING)

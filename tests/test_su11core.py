@@ -22,8 +22,11 @@ from qsu11 import (
     limit_sweep,
     phi21_continued,
     phi21_direct,
+    phi21_heine,
     RunConfig,
     qcalculus,
+    qpoch_infinite,
+    qpoch_multi,
     qpoch_signed,
     spherical_az,
     spherical_window,
@@ -813,6 +816,137 @@ class TestRawSimplifiedPair:
                 coamen_coeff(B, 1, 9.0, IqPoint.positive(0), form=form)
         with pytest.raises(InvalidArgumentError, match="needs .b. < 1"):
             _coamen_window(B, 1, 9.0, [0], "both", 1e-12, 200)
+
+
+def _reference_point(base, m, lam, L, form, tol, max_terms):
+    """One coamen point composed from the public evaluators and the
+    ``SeriesEval`` operators: the series by ``phi21_direct`` or
+    ``phi21_heine``, scaled by sqrt((-q^e; q^2)_{2m}) for the simplified
+    form, and times the raw form's products; ``(raw, simplified)`` for
+    ``form="both"``."""
+    q = base.q
+    q2 = q * q
+    shift = q ** (1 + 2 * m)
+    a, b = -shift / lam, -lam * shift
+    e = 2 - 2 * L - 4 * m
+    z = -q ** e
+    series = (phi21_direct if e > 0 else phi21_heine)(
+        a, b, q2, q2, z, tol=tol, max_terms=max_terms)
+    u = 2.0 ** -53
+    if form != "simplified":
+        scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
+            * base.cq ** 2
+        scalar_rel = 15.0 * u + 2.0 * sum(
+            qpoch_infinite(x, q2, 1e-16).rel_bound for x in (q2, -q2))
+        root = qpoch_multi([-q ** (2 * L), -q ** (2 * L + 4 * m)], q2, tol / 16.0)
+        rest = qpoch_multi([q2, q2, z], q2, tol / 16.0)
+        raw = root.sqrt()._scaled(scalar, scalar_rel) * rest * series
+        if form == "raw":
+            return raw
+    n = 2 * abs(m)
+    root_rel = (3.5 * n + n * (n - 1) / 4.0 + 9.0) * u
+    simplified = series._scaled(cmath.sqrt(qpoch_signed(z, q2, 2 * m)), root_rel)
+    return simplified if form == "simplified" else (raw, simplified)
+
+
+def _outcome(call):
+    """``repr`` of ``call()``, or of the error it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return repr(exc)
+
+
+def _reference_cases(seed, count):
+    """Seeded (q, m, lam, first L, window length, max_terms)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice((0.5, 0.9))
+        m = rng.randint(-3, 3)
+        phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+        lam = rng.choice((1.0, phase, rng.uniform(0.3, 1.7) * phase))
+        # e = 2 - 2L - 4m > 0 (direct) exactly for L <= -2m
+        yield (q, m, lam, -2 * m + rng.randint(-6, 3), rng.randint(1, 8),
+               rng.choice((200, 3)))
+
+
+class TestCoamenWindowReference:
+    """Every point of ``_coamen_window`` in each form, and
+    ``averaged_coamen``, against the composition of ``_reference_point``,
+    by ``repr``."""
+
+    @pytest.mark.parametrize("form", ("simplified", "raw", "both"))
+    def test_window_points(self, form):
+        routes, refused, uncertified = set(), 0, 0
+        for q, m, lam, L0, width, max_terms in _reference_cases(f"ref-{form}", 150):
+            base = QBase(q)
+            Ls = range(L0, L0 + width)
+            want = [_outcome(lambda L=L: _reference_point(
+                base, m, lam, L, form, 1e-12, max_terms)) for L in Ls]
+            first_error = next((w for w in want if "Error(" in w), None)
+            got = _outcome(lambda: _coamen_window(base, m, lam, Ls, form, 1e-12,
+                                                  max_terms))
+            if first_error is not None:
+                refused += 1
+                assert got == first_error, (q, m, lam, L0, width)
+                continue
+            assert got == "[" + ", ".join(want) + "]", (q, m, lam, L0, width)
+            routes.update(2 - 2 * L - 4 * m > 0 for L in Ls)
+            uncertified += "inf" in got
+        assert routes == {True, False}  # summed directly and by Heine
+        assert refused and uncertified
+
+    def test_average(self):
+        refused = 0
+        for q, m, lam, L0, width, max_terms in _reference_cases("ref-avg", 150):
+            base, n = QBase(q), abs(m) + width
+            p1 = IqPoint.positive(L0 + n)
+            es = range(n - 2 * abs(m), -n - 1, -1)
+            try:
+                points = [_reference_point(base, m, lam, p1.exponent + e,
+                                           "simplified", 1e-12, max_terms)
+                          for e in es]
+            except Exception as exc:
+                refused += 1
+                want = repr(exc)
+            else:
+                want = repr(sum(points) * (1.0 / (2 * n + 1)))
+            assert _outcome(lambda: averaged_coamen(
+                base, n, p1, m, lam, max_terms=max_terms)) == want, (q, n, m, lam)
+        assert refused
+
+
+class TestCoamenArguments:
+    @pytest.mark.parametrize("call", (
+        lambda: coamen_coeff(B, 0.5, 1.0, IqPoint.positive(-4)),
+        lambda: coamen_coeff(B, 2.0, 1.0, IqPoint.positive(-4), form="raw"),
+        lambda: averaged_coamen(B, 2.5, IqPoint.positive(-4), 0, 1.0),
+        lambda: averaged_coamen(B, 2, IqPoint.positive(-4), 0.5, 1.0),
+    ), ids=("coamen-m", "coamen-float-m", "averaged-n", "averaged-m"))
+    def test_non_integer_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            call()
+
+
+class TestNonFiniteSum:
+    """A direct 2phi1 sum whose terms leave the float range came back as
+    nan+nanj with tail_bound = inf after max_terms terms; it is refused."""
+
+    @pytest.mark.parametrize("call", (
+        lambda: phi21_direct(0.3, 1e100, 0.25, 0.25, 0.1),
+        lambda: spherical_az(B, SpectralParam.from_z(-100, B), IqPoint.positive(0)),
+        lambda: coamen_coeff(B, 0, 1e200, IqPoint.positive(-5)),
+        lambda: coamen_coeff(B, 0, 1e200, IqPoint.positive(-5), form="raw"),
+        lambda: averaged_coamen(B, 2, IqPoint.positive(-5), 0, 1e200),
+    ), ids=("phi21_direct", "spherical_az", "coamen", "coamen-raw", "averaged"))
+    def test_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="left the float range"):
+            call()
+
+    def test_finite_uncertified_sum_is_returned(self):
+        # Out of terms with a finite value: returned, tail_bound = inf.
+        ev = phi21_direct(0.3, 0.2, 0.25, 0.9, 0.999, max_terms=3)
+        assert cmath.isfinite(ev.value) and ev.tail_bound == math.inf
 
 
 class TestHeineOverflow:
