@@ -172,7 +172,9 @@ class SeriesEval:
     reaches the branch cut); sums add the bounds.  Each adds its own
     rounding, ``_OP_ROUNDING |result|`` (``u |result|`` for ``+``, u =
     2**-53).  An uncertified operand, or a value that overflows to nan,
-    gives ``inf``.
+    gives ``inf``.  Each rule is one function on plain values and bounds
+    (``_mul``, ``_div``, ``_root``, ``_add``), which the operators call
+    and so do the evaluators that build one ``SeriesEval`` per result.
     """
 
     value: complex
@@ -194,38 +196,28 @@ class SeriesEval:
 
     def _scaled(self, x: complex, rel: float = 0.0) -> "SeriesEval":
         """``self * x`` for a scalar x known to within ``rel``, relative."""
-        return _from_rel(self.value * x, self.terms_used,
-                         _compound(_rel_bound(self.value, self.tail_bound), rel)
-                         + _OP_ROUNDING)
+        value, tail = _mul(self.value, self.tail_bound, x, rel)
+        return _from_tail(value, self.terms_used, tail)
 
     def __mul__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
             return self._scaled(other)
-        return _from_rel(self.value * other.value,
-                         self.terms_used + other.terms_used,
-                         _compound(_rel_bound(self.value, self.tail_bound),
-                                   _rel_bound(other.value, other.tail_bound))
-                         + _OP_ROUNDING)
+        value, tail = _mul(self.value, self.tail_bound, other.value,
+                           _rel_bound(other.value, other.tail_bound))
+        return _from_tail(value, self.terms_used + other.terms_used, tail)
 
     def __truediv__(self, other):
         if not isinstance(other, SeriesEval):
             return NotImplemented
-        if other.degenerate or other.value == 0:
-            raise PoleGuardError("division by a series value that vanished")
-        return _from_rel(self.value / other.value,
-                         self.terms_used + other.terms_used,
-                         _quotient_rel(_rel_bound(self.value, self.tail_bound),
-                                       _rel_bound(other.value, other.tail_bound))
-                         + _OP_ROUNDING)
+        value, tail = _div(self.value, self.tail_bound, other.value, other.tail_bound)
+        return _from_tail(value, self.terms_used + other.terms_used, tail)
 
     def __add__(self, other):
         if not isinstance(other, SeriesEval):  # an exact scalar
-            value, used, tail = self.value + other, self.terms_used, self.tail_bound
-        else:
-            value, used = self.value + other.value, self.terms_used + other.terms_used
-            tail = self.tail_bound + other.tail_bound
-        tail += _U * (abs(value.real) + abs(value.imag))  # >= u |value|
-        return SeriesEval(value, used, tail if tail < math.inf else math.inf)
+            value, tail = _add(self.value, self.tail_bound, other, 0.0)
+            return SeriesEval(value, self.terms_used, tail)
+        value, tail = _add(self.value, self.tail_bound, other.value, other.tail_bound)
+        return SeriesEval(value, self.terms_used + other.terms_used, tail)
 
     # Complex * and + commute bit for bit, so ``s * a`` and ``0 + a`` (the
     # start of ``sum``) round exactly as ``a * s`` and ``a + 0``.
@@ -234,11 +226,8 @@ class SeriesEval:
 
     def sqrt(self) -> "SeriesEval":
         """Principal square root (``cmath.sqrt``) with its propagated bound."""
-        v = self.value
-        r = _rel_bound(v, self.tail_bound)
-        cut = r > 1.0 or (r > 0.0 and v.real < 0.0 and abs(v.imag) <= r * abs(v))
-        rel = math.inf if cut else r / (1.0 + math.sqrt(1.0 - r))
-        return _from_rel(cmath.sqrt(v), self.terms_used, rel + _OP_ROUNDING)
+        value, tail = _root(self.value, self.tail_bound)
+        return _from_tail(value, self.terms_used, tail)
 
 
 _set_value, _set_terms_used, _set_tail_bound, _set_degenerate = \
@@ -273,17 +262,61 @@ def _quotient_rel(ra: float, rb: float) -> float:
     return (ra + rb) / (1.0 - rb) if rb < 1.0 else math.inf
 
 
-def _from_rel(value: complex, terms_used: int, rel: float) -> SeriesEval:
-    """Result with relative bound ``rel``; an exact zero is degenerate."""
+def _tail(value: complex, rel: float) -> float:
+    """The absolute bound ``|value| rel`` of a value known to within ``rel``,
+    relative; ``inf`` (uncertified) where that is not a finite float."""
     # ``rel`` is nan when an uncertified factor met an exact one (0 * inf),
     # and ``value`` when a product overflowed (inf - inf).
     try:
         tail = abs(value) * rel
     except OverflowError:  # finite parts, modulus past the float range
-        tail = math.inf
-    if not tail < math.inf:  # uncertified: inf or nan
-        tail = math.inf
+        return math.inf
+    return tail if tail < math.inf else math.inf
+
+
+def _from_tail(value: complex, terms_used: int, tail: float) -> SeriesEval:
+    """Result with bound ``tail``; an exact zero is degenerate."""
     return SeriesEval(value, terms_used, tail, value == 0 and tail == 0.0)
+
+
+# The rules of SeriesEval's operators on plain floats: each takes and
+# returns values with their absolute bounds, and the operators and the
+# evaluators that build one SeriesEval per result call them alike.
+
+def _mul(value: complex, tail: float, x: complex, rel: float) -> tuple[complex, float]:
+    """``value * x`` and its bound, ``value`` within ``tail`` and ``x`` within
+    ``rel``, relative: the rule of ``*``."""
+    product = value * x
+    return product, _tail(product, _compound(_rel_bound(value, tail), rel)
+                          + _OP_ROUNDING)
+
+
+def _div(value: complex, tail: float, d: complex, d_tail: float) -> tuple[complex, float]:
+    """``value / d`` and its bound: the rule of ``/``.  A ``d`` of 0 raises
+    :class:`PoleGuardError`."""
+    if d == 0:
+        raise PoleGuardError("division by a series value that vanished")
+    quotient = value / d
+    return quotient, _tail(quotient, _quotient_rel(_rel_bound(value, tail),
+                                                   _rel_bound(d, d_tail))
+                           + _OP_ROUNDING)
+
+
+def _root(value: complex, tail: float) -> tuple[complex, float]:
+    """The principal square root of ``value`` and its bound: the rule of
+    :meth:`SeriesEval.sqrt`."""
+    r = _rel_bound(value, tail)
+    cut = r > 1.0 or (r > 0.0 and value.real < 0.0 and abs(value.imag) <= r * abs(value))
+    root = cmath.sqrt(value)
+    return root, _tail(root, (math.inf if cut else r / (1.0 + math.sqrt(1.0 - r)))
+                       + _OP_ROUNDING)
+
+
+def _add(value: complex, tail: float, x: complex, x_tail: float) -> tuple[complex, float]:
+    """``value + x`` and its bound: the rule of ``+``."""
+    total = value + x
+    tail = tail + x_tail + _U * (abs(total.real) + abs(total.imag))  # >= u |total|
+    return total, (tail if tail < math.inf else math.inf)
 
 
 @dataclass(frozen=True, slots=True)
@@ -532,9 +565,18 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     :func:`qpoch_infinite` raises, in the same order: a base outside
     (0, 1), a split ``tol`` that is not positive (NaN included, also for
     an empty list), then per argument a non-finite ``a``, a cutoff that
-    underflows and more than 2,000,000 factors.
+    underflows and more than 2,000,000 factors.  The product is formed on
+    floats by :func:`_qpoch_product`, which the evaluators that build one
+    :class:`SeriesEval` per result call themselves.
     """
-    b = _base_value(base)
+    return _from_tail(*_qpoch_product(args, _base_value(base), tol))
+
+
+def _qpoch_product(args: Sequence[complex], b: float,
+                   tol: float) -> tuple[complex, int, float]:
+    """:func:`qpoch_multi` at a valid base value ``b``, on floats: its value
+    (exactly 0 when a factor vanished exactly), ``terms_used`` and
+    ``tail_bound``, with its refusals after the base's, in its order."""
     part = tol / max(len(args), 1)
     if not (part > 0):
         raise InvalidArgumentError("tol must be positive")
@@ -548,9 +590,11 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
         ev = _qpoch_infinite(complex(a), b, part)
         used += ev.terms_used
         degen = degen or ev.degenerate
-        rel = _compound(rel, ev.rel_bound)
+        rel = _compound(rel, _rel_bound(ev.value, ev.tail_bound))
         value *= ev.value
-    return _from_rel(0j if degen else value, used, rel)
+    if degen:
+        value = 0j
+    return value, used, _tail(value, rel)
 
 
 def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaPair:
@@ -561,7 +605,9 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     agree identically in exact arithmetic for ``a != 0`` and integer k.
     A ``k`` at which a power of ``base`` or the rhs scale
     ``(-a)^{-k} base^{-k(k-1)/2}`` leaves the float range raises
-    :class:`InvalidArgumentError`.
+    :class:`InvalidArgumentError`.  Each product is :func:`qpoch_multi`'s
+    value, formed on floats (:func:`_qpoch_product`, with its refusals),
+    and the rhs is that value times the scale.
 
     When ``a`` lies inside the guard band around some ``base**j`` both
     sides vanish and the relative residual is meaningless; the pair is
@@ -579,13 +625,13 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     if not cmath.isfinite(scale):
         raise InvalidArgumentError(
             f"a power of base or the rhs scale is past the float range at k = {k}")
-    lhs = qpoch_multi(shifted, b, tol)
-    rhs = (scale * qpoch_multi([a, b / a], b, tol)).value
-    diff = abs(lhs.value - rhs)
+    lhs = _qpoch_product(shifted, b, tol)[0]
+    rhs = _qpoch_product([a, b / a], b, tol)[0] * scale
+    diff = abs(lhs - rhs)
     if _near_power(a, b) is not None:
-        return ThetaPair(lhs.value, rhs, diff, absolute=True)
-    scale = max(abs(lhs.value), abs(rhs), _RESIDUAL_FLOOR)
-    return ThetaPair(lhs.value, rhs, diff / scale)
+        return ThetaPair(lhs, rhs, diff, absolute=True)
+    scale = max(abs(lhs), abs(rhs), _RESIDUAL_FLOOR)
+    return ThetaPair(lhs, rhs, diff / scale)
 
 
 def _direct_guards(c: complex, z: complex, base: BaseLike, tol: float,
@@ -664,6 +710,13 @@ def _direct_setup(a: complex, b: complex, c: complex, base: BaseLike,
 def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
                 n_exact: int, tol: float, max_terms: int) -> SeriesEval:
     """The sum of :func:`phi21_direct` once :func:`_direct_setup` passed."""
+    return SeriesEval(*_direct_terms(a, b, c, bb, z, n_exact, tol, max_terms))
+
+
+def _direct_terms(a: complex, b: complex, c: complex, bb: float, z: complex,
+                  n_exact: int, tol: float,
+                  max_terms: int) -> tuple[complex, int, float]:
+    """:func:`_direct_sum` on floats: value, ``terms_used``, ``tail_bound``."""
     value, used, tail, status = phi21_kernel(
         complex(a), complex(b), complex(c), bb, complex(z),
         n_exact, tol, int(max_terms),
@@ -671,7 +724,7 @@ def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
     if status or not tail < math.inf:  # uncertified
         _refuse_non_finite(value, used)
         tail = math.inf
-    return SeriesEval(value, used, tail)
+    return value, used, tail
 
 
 def _refuse_non_finite(value: complex, terms_used: int) -> None:
@@ -742,8 +795,8 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
         ratio = num / den
         if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
             _refuse_overflow("kappa", kappa, num.value, den.value, ratio.value)
-        ratio = _from_rel(ratio.value, ratio.terms_used,
-                          _compound(ratio.rel_bound, near))
+        ratio = _from_tail(ratio.value, ratio.terms_used,
+                           _tail(ratio.value, _compound(ratio.rel_bound, near)))
         parts.append((ratio, q / u, q2 / (u * u)))
     return sum(ratio * phi21_direct(a, a, c, q2, -kappa, tol=part_tol,
                                     max_terms=max_terms)
@@ -753,21 +806,28 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
 def _pole_guard(lam: complex, q: float) -> None:
     """Refuse (:class:`PoleGuardError`) a ``lam`` whose square is within
     ``EPS_POLE`` (relatively) of some ``q**(2j)``, j integer, where the
-    two-term forms are singular; a ``lam`` of 0, without a finite modulus
+    two-term forms are singular, after :func:`_lam_squared_guard`; a
+    ``lam`` without a finite modulus raises :class:`InvalidArgumentError`."""
+    lam2 = _lam_squared_guard(lam)
+    j = _near_power(lam2, q * q)
+    if j is not None:
+        raise PoleGuardError(
+            f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
+        )
+
+
+def _lam_squared_guard(lam: complex) -> complex:
+    """``lam**2``, refused (:class:`InvalidArgumentError`) for a ``lam`` of 0
     or whose square underflows below the normal float range (``|lam|``
-    below ``2**-511``, where the relative guard would test a square with
-    fewer than 53 bits) raises :class:`InvalidArgumentError`."""
+    below ``2**-511``, where the relative pole guard would test a square
+    with fewer than 53 bits)."""
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     lam2 = lam * lam
     if _modulus(lam2) < sys.float_info.min:
         raise InvalidArgumentError(
             f"lam**2 underflows below the normal float range at lam = {lam!r}")
-    j = _near_power(lam2, q * q)
-    if j is not None:
-        raise PoleGuardError(
-            f"lam**2 within {EPS_POLE} of q**({2 * j}); continuation is singular"
-        )
+    return lam2
 
 
 def _refuse_overflow(name: str, label: object, *values: complex) -> None:
@@ -798,6 +858,11 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     before the series is summed, a product of the prefactor or their
     quotient past the float range (``(z; base)_inf`` at a large ``|z|``;
     :class:`InvalidArgumentError`).
+
+    The two products are :func:`qpoch_multi`'s, each to ``tol / 8``, and
+    the series :func:`phi21_direct`'s, to ``tol / 8`` too, all formed on
+    floats; their quotient and product follow :class:`SeriesEval`'s rules
+    there, into the one returned :class:`SeriesEval`.
     """
     bb = _base_value(base)
     if abs(b) >= 1.0:
@@ -812,10 +877,14 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
         raise PoleGuardError(f"z within {EPS_POLE} of base**(-{jz}): continuation pole")
 
     part_tol = tol / 8.0
-    num = qpoch_multi([b, az], bb, part_tol)
-    den = qpoch_multi([c, z], bb, part_tol)
-    ratio = num / den
-    if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
-        _refuse_overflow("z", z, num.value, den.value, ratio.value)
-    return ratio * phi21_direct(c / b, z, az, bb, b, tol=part_tol,
-                                max_terms=max_terms)
+    num, num_used, num_tail = _qpoch_product([b, az], bb, part_tol)
+    den, den_used, den_tail = _qpoch_product([c, z], bb, part_tol)
+    ratio, tail = _div(num, num_tail, den, den_tail)
+    if not tail < math.inf:  # uncertified, or past the float range
+        _refuse_overflow("z", z, num, den, ratio)
+    upper = c / b
+    _, n_exact = _direct_setup(upper, z, az, bb, b, part_tol, max_terms)
+    series, used, s_tail = _direct_terms(upper, z, az, bb, b, n_exact, part_tol,
+                                         max_terms)
+    value, tail = _mul(ratio, tail, series, _rel_bound(series, s_tail))
+    return _from_tail(value, num_used + den_used + used, tail)

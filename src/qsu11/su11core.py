@@ -19,15 +19,18 @@ from typing import Sequence
 from . import qcalculus
 from .errors import InvalidArgumentError
 from .qcalculus import (
-    _OP_ROUNDING,
     QBase,
     SeriesEval,
-    _compound,
+    _add,
     _direct_setup,
     _direct_sum,
-    _from_rel,
+    _direct_terms,
+    _div,
+    _from_tail,
     _frozen_slots,
+    _lam_squared_guard,
     _modulus,
+    _mul,
     _pole_guard,
     _power,
     _power_distance,
@@ -35,9 +38,9 @@ from .qcalculus import (
     _refuse_non_finite,
     _refuse_overflow,
     _rel_bound,
+    _root,
     _U,
     phi21_heine,
-    qpoch_multi,
     qpoch_signed,
 )
 
@@ -228,9 +231,8 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     the kernel per k, :func:`spherical_az`'s values bit for bit; a sum
     whose value is not finite (a term past the float range) raises
     :class:`InvalidArgumentError`.  In a window of two or more exponents
-    reaching k >= 1, one lam**2 pole guard (the refusal of
-    :func:`spherical_az` at k >= 1), made before any series is summed,
-    is followed by the three-term
+    reaching k >= 1, the refusal of a lam**2 below the normal float range,
+    made before any series is summed, is followed by the three-term
     recurrence in k (:func:`_recurrence`), seeded by the case-1 values
     a(-1), a(0) (positive branch) or the case-3 value a(-q) (negative).
     Each recurrence value carries a running bound on its whole error, the
@@ -240,7 +242,13 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     form (:func:`_closed_form`), its products summed once for the run,
     :func:`spherical_az`'s values bit for bit.
 
-    A one-exponent window is :func:`spherical_az`; recurrence values
+    The lam**2 pole guard (the refusal of :func:`spherical_az` at k >= 1)
+    is the closed form's: it refuses the negative seed and the fallback,
+    not the positive branch's recurrence, which has no pole there.  So a
+    positive window at lam**2 on ``q^{2Z}`` (z = 0, z = 1) is evaluated
+    where the recurrence certifies it, unless a case-1 seed would be
+    snapped onto a terminating series from off the lattice.  A
+    one-exponent window is :func:`spherical_az`; recurrence values
     differ from the pointwise ones by at most the two certificates.  A
     refusal of the closed form at an exponent it evaluates refuses the
     whole window.  An empty ``ks`` gives ``[]``; exponents that are not
@@ -266,8 +274,8 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
     q = base.q
     n1 = max(0, min(len(ks), 1 - ks[0])) if sign > 0 else 0  # case 1
     recur = len(ks) > max(n1, 1)  # exponents k >= 1 in a longer window
-    if recur:
-        _pole_guard(lam, q)  # before any series term
+    if recur:  # before any series term; the closed form guards the poles
+        _lam_squared_guard(lam)
     out = []
     if n1:
         a, b, c = q / lam, lam * q, q * q
@@ -306,9 +314,14 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     in all, and each series' guards and snaps run once per u; per k there
     remain (q/u)^{k-1} and the two series, each summed to ``tol / 8``.  So
     a value does not depend on the other exponents of ``ks``, bit for bit.
-    ``tail_bound`` bounds the whole error from the float lam: the products'
-    and the series' truncation and rounding, that of (q/u)^{k-1}
-    (``_POWER_ROUNDING``, growing with k) and of the arithmetic, and
+    The products are :func:`qsu11.qcalculus.qpoch_multi`'s, formed on
+    floats by the routine it wraps; the quotients, the scalings, the
+    products with the series and their sum follow :class:`SeriesEval`'s
+    operator rules on floats, into one :class:`SeriesEval` per value, bit
+    for bit the composition of those operators.  ``tail_bound`` bounds the
+    whole error from the float lam: the products' and the series'
+    truncation and rounding, that of (q/u)^{k-1} (``_POWER_ROUNDING``,
+    growing with k) and of the arithmetic, and
     ``_NEAR_LATTICE sum |part| / d`` for that of the arguments, d the
     relative distance of lam**2 from ``q^{2Z}``.
 
@@ -328,16 +341,21 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     _pole_guard(lam, q)
     near = _NEAR_LATTICE / _power_distance(lam * lam, q2)
     part_tol = tol / 8.0
-    theta = qpoch_multi([-q * lam, -q / lam], q2, part_tol)
-    const = theta / (2.0 * qpoch_multi([q2, -q2, -q2], q2, part_tol))
+    # The products go through the one routine that qpoch_multi wraps,
+    # looked up at call time (the tests replace it); each value is carried
+    # with its bound, by SeriesEval's rules, into one SeriesEval per k.
+    product = qcalculus._qpoch_product
+    theta, theta_used, theta_tail = product([-q * lam, -q / lam], q2, part_tol)
+    norm, norm_used, norm_tail = product([q2, -q2, -q2], q2, part_tol)
+    const, const_tail = _div(theta, theta_tail, *_mul(norm, norm_tail, 2.0, 0.0))
     parts = []
     for u in (lam, 1.0 / lam):
-        num, den = qpoch_multi([u * q, u * q], q2, part_tol), \
-            qpoch_multi([u * u], q2, part_tol)
-        factor = const * (num / den)
-        if not factor.tail_bound < math.inf:  # uncertified, or past the range
-            _refuse_overflow("lam", lam, theta.value, const.value, num.value,
-                             den.value, factor.value)
+        num, num_used, num_tail = product([u * q, u * q], q2, part_tol)
+        den, den_used, den_tail = product([u * u], q2, part_tol)
+        ratio, ratio_tail = _div(num, num_tail, den, den_tail)
+        factor, tail = _mul(const, const_tail, ratio, _rel_bound(ratio, ratio_tail))
+        if not tail < math.inf:  # uncertified, or past the float range
+            _refuse_overflow("lam", lam, theta, const, num, den, factor)
         a, c = q / u, q2 / (u * u)
         _, n_exact = _direct_setup(a, a, c, q2, zs[0], part_tol, max_terms)
         scaled = []
@@ -346,23 +364,25 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
                 power = a ** (k - 1)
             except OverflowError:  # complex ** int past the float range
                 power = complex(math.inf)
-            f = factor._scaled(power, _POWER_ROUNDING * (k - 1))
-            if not math.isfinite(_modulus(f.value)):
+            f = _mul(factor, tail, power, _POWER_ROUNDING * (k - 1))
+            if not math.isfinite(_modulus(f[0])):
                 raise InvalidArgumentError(
                     f"the factor (q/u)**{k - 1} of the closed form is past "
                     f"the float range at k = {k}")
             scaled.append(f)
-        parts.append((scaled, a, c, n_exact))
+        parts.append((scaled, a, c, n_exact,
+                      theta_used + norm_used + num_used + den_used))
     out = []
     for i, z in enumerate(zs):
-        value, size = 0, 0.0
-        for scaled, a, c, n_exact in parts:
-            part = scaled[i] * _direct_sum(a, a, c, q2, z, n_exact, part_tol,
-                                           max_terms)
-            value += part
-            size += _modulus(part.value)
-        out.append(SeriesEval(value.value, value.terms_used,
-                              value.tail_bound + near * size))
+        value, used, tail, size = 0, 0, 0.0, 0.0
+        for scaled, a, c, n_exact, factor_used in parts:
+            series, series_used, series_tail = _direct_terms(
+                a, a, c, q2, z, n_exact, part_tol, max_terms)
+            part, part_tail = _mul(*scaled[i], series, _rel_bound(series, series_tail))
+            value, tail = _add(value, tail, part, part_tail)
+            used += factor_used + series_used
+            size += _modulus(part)
+        out.append(SeriesEval(value, used, tail + near * size))
     return out
 
 
@@ -396,7 +416,11 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``; near the
     pole lattice of the two-term form that of a(-q) grows like 1/d, and the
     negative branch falls back to the closed form sooner.  A seed that is
-    refused (a seed tolerance that underflows) gives ``[]``.
+    refused (a seed tolerance that underflows) gives ``[]``, and so do
+    positive seeds whose ``q/lam`` or ``lam q`` is snapped onto a
+    terminating series (within ``EPS_POLE`` of some ``q^{-2n}``) without
+    being that power exactly: their ``tail_bound`` does not count the
+    parameter's offset.
 
     Certificate (Gautschi, "Computational aspects of three-term
     recurrence relations", SIAM Rev. 9, 1967; Wimp, *Computation with
@@ -435,6 +459,8 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
         if sign > 0:
             a, b, c = q / lam, lam * q, q * q
             bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
+            if n_exact >= 0 and c ** -n_exact not in (a, b):
+                return []  # snapped from off the lattice: the closed form decides
             ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, stol,
                                     max_terms) for k in (-1, 0))
             k0 = 1
@@ -513,9 +539,11 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     evaluation routes through the small-parameter continuation
     (:func:`qsu11.qcalculus.phi21_heine`), which needs
     ``|lam| q^{1+2m} < 1``.  An ``m`` that is not an integer, a ``lam``
-    of 0, a power of q past the float range (large ``|L|`` or ``|m|``)
-    and a series term past it (the sum is then not finite) raise
-    :class:`InvalidArgumentError`.  This is the one-point window
+    of 0, a power of q past the float range (large ``|L|`` or ``|m|``),
+    a series term past it (the sum is then not finite) and, in the raw
+    form, a product past it (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` at
+    q = 0.5, m = 0 from L = -23 on) raise :class:`InvalidArgumentError`.
+    This is the one-point window
     (:func:`_coamen_window`), which evaluates many ``L`` at one ``m`` and
     ``lam``.
     """
@@ -539,19 +567,24 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
     sums directly (``e > 0``), and each such point calls the kernel
     itself; points with ``e <= 0`` go through
-    :func:`qsu11.qcalculus.phi21_heine`.  The simplified form is built on
-    plain floats from the series' value, terms and bound and the prefactor
-    ``sqrt((-q^e; q^2)_{2m})``, by the rules of
-    :meth:`SeriesEval._scaled`, into one :class:`SeriesEval` per value:
-    bit for bit the series' ``SeriesEval`` scaled by the prefactor.  The
-    raw form multiplies ``SeriesEval``s, the series' included.
+    :func:`qsu11.qcalculus.phi21_heine`.  Both forms are built
+    on plain floats from the series' value, terms and bound, by the rules
+    of :class:`SeriesEval`'s operators, into one :class:`SeriesEval` per
+    value: the simplified form scales the series by the prefactor
+    ``sqrt((-q^e; q^2)_{2m})``, and the raw form multiplies the root of
+    its first product (formed as :func:`qsu11.qcalculus.qpoch_multi`
+    forms it), the scalar, its second product and the series, bit for bit
+    the composition of those operators.
 
     Every point is evaluated exactly as a one-point window, in order, so a
     refusal at some L refuses the window with the error
     :func:`coamen_coeff` raises at the first such L; a pair is refused as
     the raw call followed by the simplified one would be: by the series
     (a direct sum whose value is not finite included), then raw's
-    products, then the simplified prefactor.  Each ``tail_bound`` covers
+    products (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` past the float range, at
+    q = 0.5, m = 0 from L = -23 on, raises
+    :class:`InvalidArgumentError` before it meets the other factors),
+    then the simplified prefactor.  Each ``tail_bound`` covers
     the series, the products and the scalars (the finite product,
     ``q^N cq^2``) with their rounding.
     """
@@ -593,25 +626,31 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
                 _refuse_non_finite(value, used)
                 tail = math.inf
         if form != "simplified":
-            if e > 0:
-                series = SeriesEval(value, used, tail)
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
             # (M = L + 2m): it cannot overflow.
             scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
                 * base.cq ** 2
-            root = qpoch_multi([-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2,
-                               part_tol)
-            rest = qpoch_multi([q2, q2, z], q2, part_tol)
-            raw = root.sqrt()._scaled(scalar, scalar_rel) * rest * series
+            # The products go through the one routine that qpoch_multi
+            # wraps, looked up at call time (the tests replace it).
+            product = qcalculus._qpoch_product
+            root, root_used, root_tail = product(
+                [-_power(q, 2 * L), -_power(q, 2 * L + 4 * m)], q2, part_tol)
+            if not root_tail < math.inf:  # uncertified, or past the float range
+                _refuse_overflow("L", L, root)
+            rest, rest_used, rest_tail = product([q2, q2, z], q2, part_tol)
+            # sqrt(root) * scalar * rest * series, by SeriesEval's rules.
+            raw, raw_tail = _mul(*_root(root, root_tail), scalar, scalar_rel)
+            raw, raw_tail = _mul(raw, raw_tail, rest, _rel_bound(rest, rest_tail))
+            raw, raw_tail = _mul(raw, raw_tail, value, _rel_bound(value, tail))
+            raw = _from_tail(raw, root_used + rest_used + used, raw_tail)
             if form == "raw":
                 out.append(raw)
                 continue
-        # series._scaled(pre, root_rel), on floats.
-        pre = cmath.sqrt(qpoch_signed(z, q2, 2 * m))
-        simplified = _from_rel(value * pre, used,
-                               _compound(_rel_bound(value, tail), root_rel)
-                               + _OP_ROUNDING)
+        # series * sqrt((-q^e; q^2)_{2m}), the prefactor within root_rel.
+        value, tail = _mul(value, tail, cmath.sqrt(qpoch_signed(z, q2, 2 * m)),
+                           root_rel)
+        simplified = _from_tail(value, used, tail)
         out.append(simplified if form == "simplified" else (raw, simplified))
     return out
 
@@ -645,12 +684,8 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
     for ev in _coamen_window(
             base, m, lam, [p1.exponent + e for e in range(n - 2 * abs(m), -n - 1, -1)],
             "simplified", tol, max_terms):
-        value += ev.value
+        value, tail = _add(value, tail, ev.value, ev.tail_bound)
         used += ev.terms_used
-        tail += ev.tail_bound
-        tail += _U * (abs(value.real) + abs(value.imag))
-    if not tail < math.inf:
-        tail = math.inf
     # total * (1 / (2n + 1)), an exact scalar.
-    return _from_rel(value * (1.0 / (2 * n + 1)), used,
-                     _compound(_rel_bound(value, tail), 0.0) + _OP_ROUNDING)
+    value, tail = _mul(value, tail, 1.0 / (2 * n + 1), 0.0)
+    return _from_tail(value, used, tail)

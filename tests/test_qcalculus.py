@@ -742,3 +742,106 @@ class TestSeriesEvalArithmetic:
         assert SeriesEval(-1.0 + 1e-3j, 1, 1e-2).sqrt().tail_bound == math.inf
         assert math.isfinite(SeriesEval(-1.0 + 1e-1j, 1, 1e-2).sqrt().tail_bound)
         assert SeriesEval(4.0, 1, 8.0).sqrt().tail_bound == math.inf
+
+
+def _outcome(call):
+    """``repr`` of ``call()``, or of the error it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return repr(exc)
+
+
+def _heine_reference(a, b, c, base, z, tol, max_terms):
+    """``phi21_heine`` composed from its guards, ``qpoch_multi``,
+    ``phi21_direct`` and the ``SeriesEval`` operators."""
+    if abs(b) >= 1.0:
+        raise InvalidArgumentError("phi21_heine needs |b| < 1")
+    for x, pole in ((c, "c on the pole lattice base**(-j)"),
+                    (a * z, "transformed parameter a*z on the pole lattice")):
+        if qcalculus._near_inv_power(x, base) is not None:
+            raise PoleInCError(pole)
+    jz = qcalculus._near_inv_power(z, base)
+    if jz is not None:
+        raise PoleGuardError(f"z within {EPS_POLE} of base**(-{jz}): continuation pole")
+    num = qpoch_multi([b, a * z], base, tol / 8.0)
+    den = qpoch_multi([c, z], base, tol / 8.0)
+    ratio = num / den
+    if not ratio.tail_bound < math.inf and not all(
+            math.isfinite(qcalculus._modulus(v))
+            for v in (num.value, den.value, ratio.value)):
+        raise InvalidArgumentError(
+            f"a q-Pochhammer product at z = {z!r} is past the float range")
+    return ratio * phi21_direct(c / b, z, a * z, base, b, tol=tol / 8.0,
+                                max_terms=max_terms)
+
+
+def _theta_reference(a, k, base, tol):
+    """``theta_pair`` composed from ``qpoch_multi`` and the ``SeriesEval``
+    operators (the refusals of its powers are ``theta_pair``'s own)."""
+    b = base
+    shifted = [a * b ** k, b ** (1 - k) / a]
+    scale = (-a) ** (-k) * b ** (-k * (k - 1) // 2)
+    lhs = qpoch_multi(shifted, b, tol).value
+    rhs = (scale * qpoch_multi([a, b / a], b, tol)).value
+    diff = abs(lhs - rhs)
+    if qcalculus._near_power(a, b) is not None:
+        return qcalculus.ThetaPair(lhs, rhs, diff, absolute=True)
+    return qcalculus.ThetaPair(lhs, rhs, diff / max(abs(lhs), abs(rhs), 1e-300))
+
+
+#: The tolerances and term budgets of the float-built reference tests.
+REF_TOLS = (1e-6, 1e-9, 1e-12, 1e-16, 1e-100, 1e-300)
+REF_TERMS = (3, 200)
+
+
+class TestFloatBuiltReference:
+    """``phi21_heine`` and ``theta_pair`` form their products on floats and
+    apply ``SeriesEval``'s rules there; each equals, by ``repr``, refusals
+    included, its composition from public calls and the operators."""
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+    def test_heine(self, q):
+        rng = random.Random(f"heine-{q}")
+        refused = uncertified = 0
+        for _ in range(300):
+            base = rng.choice((q, q * q))
+            a = cmath.rect(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-math.pi, math.pi))
+            b = rng.choice((cmath.rect(10.0 ** rng.uniform(-6.0, 0.05),
+                                       rng.uniform(-math.pi, math.pi)),
+                            -base ** rng.randint(1, 4) * (1.0 + 1e-10)))
+            c = rng.choice((base, cmath.rect(10.0 ** rng.uniform(-2.0, 2.0), 1.3)))
+            z = rng.choice((-q ** rng.randint(-80, 4),  # the coamen route's -q^e
+                            cmath.rect(10.0 ** rng.uniform(-2.0, 40.0),
+                                       rng.uniform(-math.pi, math.pi)),
+                            base ** -rng.randint(0, 4)
+                            * (1.0 + rng.choice((0.0, 1e-10, 1e-8)))))
+            tol, max_terms = rng.choice(REF_TOLS), rng.choice(REF_TERMS)
+            got = _outcome(lambda: phi21_heine(a, b, c, base, z, tol, max_terms))
+            assert got == _outcome(lambda: _heine_reference(
+                a, b, c, base, z, tol, max_terms)), (a, b, c, base, z, tol, max_terms)
+            refused += "Error(" in got
+            uncertified += "tail_bound=inf" in got
+        assert refused and uncertified
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+    def test_theta_pair(self, q):
+        rng = random.Random(f"theta-{q}")
+        refused = absolute = 0
+        for _ in range(300):
+            base = rng.choice((q, q * q))
+            a = rng.choice((cmath.rect(10.0 ** rng.uniform(-3.0, 3.0),
+                                       rng.uniform(-math.pi, math.pi)),
+                            base ** rng.randint(-5, 5) * (1.0 + rng.choice((0.0, 1e-10))),
+                            -1.5, 2))
+            k = rng.randint(-60, 60)
+            tol = rng.choice(REF_TOLS + (1e-320, -1.0))
+            got = _outcome(lambda: theta_pair(a, k, base, tol))
+            if "past the float range" in got:  # theta_pair's own power refusal
+                refused += 1
+                continue
+            assert got == _outcome(lambda: _theta_reference(a, k, base, tol)), \
+                (a, k, base, tol)
+            refused += "Error(" in got
+            absolute += "absolute=True" in got
+        assert refused and absolute

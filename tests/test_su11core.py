@@ -24,6 +24,7 @@ from qsu11 import (
     phi21_direct,
     phi21_heine,
     RunConfig,
+    SeriesEval,
     qcalculus,
     qpoch_infinite,
     qpoch_multi,
@@ -196,8 +197,8 @@ class TestSphericalShared:
         def no_product(*args):
             raise AssertionError("a product was summed")
 
-        monkeypatch.setattr(su11core, "qpoch_multi", no_product)
-        monkeypatch.setattr(qcalculus, "qpoch_multi", no_product)
+        # Every product, qpoch_multi's included, goes through this routine.
+        monkeypatch.setattr(qcalculus, "_qpoch_product", no_product)
         with pytest.raises(InvalidArgumentError,
                            match=r"lam\*\*2 underflows below the normal"):
             evaluate(zp)
@@ -503,8 +504,51 @@ class TestSphericalWindow:
 
     @pytest.mark.parametrize("sign", (1, -1))
     def test_pole_guard_refuses_the_window(self, sign):
+        # Only the closed form is guarded: on the negative branch it seeds
+        # the recurrence, on the positive one it takes over from k = 17 at
+        # q = 0.9, z = 1, where the recurrence's bound exceeds tol.
+        base, ks = (QBase(0.9), range(1, 25)) if sign > 0 else (B, range(1, 5))
         with pytest.raises(PoleGuardError, match="continuation is singular"):
-            spherical_window(B, SpectralParam.from_z(1.0, B), sign, range(1, 5))
+            spherical_window(base, SpectralParam.from_z(1.0, base), sign, ks)
+
+    @pytest.mark.parametrize("z", (0.0, 1.0))
+    def test_positive_window_on_the_pole_lattice(self, z):
+        # lam**2 = q^0 and q^2: the closed form refuses these, but the
+        # positive window is the recurrence's, seeded by case 1 (at z = 1
+        # q/lam = 1 exactly), within its bound of the closed forms at
+        # lam (1 + 1e-30), 80 digits.
+        mp = pytest.importorskip("mpmath").mp
+        zp = SpectralParam.from_z(z, B)
+        ks = range(1, 25)
+        window = spherical_window(B, zp, 1, ks)
+        assert [repr(ev) for ev in window] == [
+            repr(ev) for ev in _recurrence(B, zp.lam, 1, 1, 24, 1e-12, 200)]
+        with mp.workdps(80):
+            refs = Reference(mp, 0.5, mp.mpc(zp.lam) * (1 + mp.mpf(10) ** -30)
+                             ).window(1, ks)
+            for k, ev, ref in zip(ks, window, refs):
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, k
+
+    @pytest.mark.parametrize("z", (3 + 8e-10, 1 + 1e-12, -1 - 5e-10))
+    def test_seeds_snapped_off_the_lattice_are_not_used(self, z):
+        # q/lam or lam q within EPS_POLE of a power of q^-2 but not on it:
+        # the case-1 seeds would be summed as terminating series whose
+        # bound leaves out the offset (at z = 3 + 8e-10 such a window
+        # missed its bounds by up to 9,660x).  The closed form decides:
+        # refused inside the lam**2 band, within its bounds outside it.
+        mp = pytest.importorskip("mpmath").mp
+        zp = SpectralParam.from_z(z, B)
+        assert _recurrence(B, zp.lam, 1, 1, 8, 1e-12, 200) == []
+        error = _first_error([lambda: _closed_form(B, zp.lam, 1, [1], 1e-12, 200)])
+        if error is not None:
+            with pytest.raises(error):
+                spherical_window(B, zp, 1, range(1, 9))
+            return
+        window = spherical_window(B, zp, 1, range(1, 9))
+        with mp.workdps(80):
+            refs = Reference(mp, 0.5, zp.lam).window(1, range(1, 9))
+            for ev, ref in zip(window, refs):
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound
 
 
 class TestLargeExponents:
@@ -697,6 +741,16 @@ class TestCoamenWindow:
             # |lam| q^{1+2m} < 1: no Heine point is refused
             lam = cmath.rect(min(abs(lam), 0.5 / q ** (1 + 2 * m)), cmath.phase(lam))
             Ls = range(L - n, L + n + 1)
+            # The raw form's product (-q^{2L}, -q^{2L+4m}; q^2)_inf leaves the
+            # float range at the most negative L: refused, the window too.
+            error = _first_error([
+                lambda x=x: coamen_coeff(base, m, lam, IqPoint.positive(x), form=form)
+                for x in Ls])
+            if error is not None:
+                assert form == "raw"
+                with pytest.raises(error, match="product at L = .* past the float"):
+                    _coamen_window(base, m, lam, Ls, form, 1e-12, 200)
+                continue
             window = _coamen_window(base, m, lam, Ls, form, 1e-12, 200)
             assert len(window) == len(Ls)
             for x, ev in zip(Ls, window):
@@ -797,7 +851,7 @@ class TestRawSimplifiedPair:
 
         for name, module, attr, exc in (
                 ("series", qcalculus, "phi21_kernel", self.Series),
-                ("raw", su11core, "qpoch_multi", self.RawProducts),
+                ("raw", qcalculus, "_qpoch_product", self.RawProducts),
                 ("prefactor", su11core, "qpoch_signed", self.Prefactor)):
             if name in failing:
                 monkeypatch.setattr(module, attr, raiser(exc))
@@ -839,6 +893,9 @@ def _reference_point(base, m, lam, L, form, tol, max_terms):
         scalar_rel = 15.0 * u + 2.0 * sum(
             qpoch_infinite(x, q2, 1e-16).rel_bound for x in (q2, -q2))
         root = qpoch_multi([-q ** (2 * L), -q ** (2 * L + 4 * m)], q2, tol / 16.0)
+        if not cmath.isfinite(root.value):
+            raise InvalidArgumentError(
+                f"a q-Pochhammer product at L = {L!r} is past the float range")
         rest = qpoch_multi([q2, q2, z], q2, tol / 16.0)
         raw = root.sqrt()._scaled(scalar, scalar_rel) * rest * series
         if form == "raw":
@@ -914,6 +971,173 @@ class TestCoamenWindowReference:
             assert _outcome(lambda: averaged_coamen(
                 base, n, p1, m, lam, max_terms=max_terms)) == want, (q, n, m, lam)
         assert refused
+
+
+class TestRawPastTheFloatRange:
+    """The raw form's product (-q^{2L}, -q^{2L+4m}; q^2)_inf overflows from
+    L = -23 at q = 0.5 (m = 0, lam = 1), where the point returned
+    nan+nanj with tail_bound = inf; it is refused before it meets the
+    other factors, and a pair refuses as the raw call does."""
+
+    @pytest.mark.parametrize("form", ("raw", "both"))
+    @pytest.mark.parametrize("q, refused", ((0.5, range(-23, -41, -1)),
+                                            (0.9, range(0))))
+    def test_refused_from_where_it_overflows(self, q, refused, form):
+        base = QBase(q)
+        got = set()
+        for L in range(-20, -41, -1):
+            want = _outcome(lambda: _reference_point(base, 0, 1.0, L, form, 1e-12, 200))
+            one = _outcome(lambda: _coamen_window(base, 0, 1.0, [L], form, 1e-12, 200))
+            assert one in (want, f"[{want}]"), L
+            assert "nan" not in one, L
+            if "Error(" in one:
+                assert one == repr(InvalidArgumentError(
+                    f"a q-Pochhammer product at L = {L} is past the float range"))
+                got.add(L)
+        assert got == set(refused)
+
+
+def _closed_form_reference(base, lam, sign, ks, tol, max_terms):
+    """``_closed_form`` composed from ``qpoch_multi``, ``phi21_direct`` and the
+    ``SeriesEval`` operators, in its order of refusals."""
+    q = base.q
+    q2 = q * q
+    zs = [-sign * q ** (2 * k) for k in ks]
+    if zs[-1] == 0:
+        raise InvalidArgumentError(
+            f"kappa = q**{2 * ks[-1]} underflows to 0 at k = {ks[-1]}")
+    qcalculus._pole_guard(lam, q)
+    near = su11core._NEAR_LATTICE / qcalculus._power_distance(lam * lam, q2)
+    part_tol = tol / 8.0
+    theta = qpoch_multi([-q * lam, -q / lam], q2, part_tol)
+    const = theta / (2.0 * qpoch_multi([q2, -q2, -q2], q2, part_tol))
+    parts = []
+    for u in (lam, 1.0 / lam):
+        num, den = qpoch_multi([u * q, u * q], q2, part_tol), qpoch_multi([u * u], q2,
+                                                                           part_tol)
+        factor = const * (num / den)
+        values = (theta.value, const.value, num.value, den.value, factor.value)
+        if not all(math.isfinite(qcalculus._modulus(v)) for v in values):
+            raise InvalidArgumentError(
+                f"a q-Pochhammer product at lam = {lam!r} is past the float range")
+        a, c = q / u, q2 / (u * u)
+        scaled = []
+        for k in ks:
+            try:
+                power = a ** (k - 1)
+            except OverflowError:
+                power = complex(math.inf)
+            f = factor._scaled(power, su11core._POWER_ROUNDING * (k - 1))
+            if not math.isfinite(qcalculus._modulus(f.value)):
+                raise InvalidArgumentError(
+                    f"the factor (q/u)**{k - 1} of the closed form is past "
+                    f"the float range at k = {k}")
+            scaled.append(f)
+        parts.append((scaled, a, c))
+    out = []
+    for i, z in enumerate(zs):
+        terms = [scaled[i] * phi21_direct(a, a, c, q2, z, part_tol, max_terms)
+                 for scaled, a, c in parts]
+        value = sum(terms)
+        out.append(SeriesEval(value.value, value.terms_used, value.tail_bound
+                              + near * sum(qcalculus._modulus(t.value) for t in terms)))
+    return out
+
+
+def _closed_form_cases(q, seed, count):
+    """Seeded (z, sign, ks, tol, max_terms) at q: z on the strip or within
+    1e-12 to 1e-6 of a point of the lambda**2 lattice, windows from k = 1,
+    2, 7, 30 and 440."""
+    rng = random.Random(seed)
+    period = QBase(q).period
+    for _ in range(count):
+        if rng.random() < 0.3:
+            z = complex(rng.randint(-3, 3) + rng.choice((1e-12, -1e-9, 2e-9, 1e-6)),
+                        rng.choice((0.0, period / 2)))
+        else:
+            z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-period / 2, period / 2))
+        k0 = rng.choice((1, 1, 2, 7, 30, 440))
+        yield (z, rng.choice((1, -1)), list(range(k0, k0 + rng.randint(1, 8))),
+               rng.choice(REF_TOLS), rng.choice(REF_TERMS))
+
+
+#: The tolerances and term budgets of the float-built reference tests.
+REF_TOLS = (1e-6, 1e-9, 1e-12, 1e-16, 1e-100, 1e-300)
+REF_TERMS = (3, 200)
+
+
+class TestFloatBuiltReference:
+    """The closed form and the raw coamen form form their products on floats
+    and apply ``SeriesEval``'s rules there; each equals, by ``repr``,
+    refusals included, its composition from public calls and the
+    operators."""
+
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+    def test_closed_form(self, q):
+        base = QBase(q)
+        seen = set()
+        for z, sign, ks, tol, max_terms in _closed_form_cases(q, f"cf-{q}", 120):
+            lam = SpectralParam.from_z(z, base).lam
+            got = _outcome(lambda: _closed_form(base, lam, sign, ks, tol, max_terms))
+            assert got == _outcome(lambda: _closed_form_reference(
+                base, lam, sign, ks, tol, max_terms)), (z, sign, ks, tol, max_terms)
+            seen.add("PoleGuardError" in got)
+            seen.add("tail_bound=inf" in got)
+        assert seen == {True, False}
+
+    def test_windows_across_the_fallback(self):
+        # The recurrence's values, then the closed form's from the first k
+        # it cannot certify: on the strip, at tol 1e-12 (q = 0.9) and
+        # 1e-14 (q = 0.3, 0.5) some windows split.
+        split = 0
+        for q in (0.3, 0.5, 0.9):
+            base = QBase(q)
+            rng = random.Random(f"fb-{q}")
+            for _ in range(40):
+                z = complex(rng.uniform(-2.0, 2.0),
+                            rng.uniform(-base.period / 2, base.period / 2))
+                sign, ks = rng.choice((1, -1)), list(range(1, 25))
+                tol, max_terms = rng.choice((1e-6, 1e-12, 1e-14)), rng.choice(REF_TERMS)
+                zp = SpectralParam.from_z(z, base)
+                n = len(_recurrence(base, zp.lam, sign, 1, 24, tol, max_terms))
+                if n == len(ks):
+                    continue
+                got = _outcome(lambda: spherical_window(base, zp, sign, ks, tol,
+                                                        max_terms))
+                want = _outcome(lambda: _closed_form_reference(
+                    base, zp.lam, sign, ks[n:], tol, max_terms))
+                if "Error(" in want:
+                    assert got == want, (q, z, sign, tol, max_terms)
+                    continue
+                window = spherical_window(base, zp, sign, ks, tol, max_terms)
+                assert repr(window[n:]) == want, (q, z, sign, tol, max_terms)
+                split += n > 0
+        assert split
+
+    @pytest.mark.parametrize("form", ("raw", "both"))
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+    def test_coamen_window(self, q, form):
+        base = QBase(q)
+        rng = random.Random(f"cw-{q}-{form}")
+        routes, refused = set(), 0
+        for _ in range(60):
+            m = rng.randint(-3, 3)
+            phase = cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            lam = rng.choice((1.0, phase, rng.uniform(0.3, 1.7) * phase,
+                              q ** rng.randint(-3, 3) * (1.0 + 1e-10)))
+            Ls = range(-2 * m + rng.randint(-30, 3), -2 * m + 5)
+            tol, max_terms = rng.choice(REF_TOLS), rng.choice(REF_TERMS)
+            want = [_outcome(lambda L=L: _reference_point(
+                base, m, lam, L, form, tol, max_terms)) for L in Ls]
+            first_error = next((w for w in want if "Error(" in w), None)
+            got = _outcome(lambda: _coamen_window(base, m, lam, Ls, form, tol, max_terms))
+            if first_error is not None:
+                refused += 1
+                assert got == first_error, (m, lam, Ls, tol, max_terms)
+                continue
+            assert got == "[" + ", ".join(want) + "]", (m, lam, Ls, tol, max_terms)
+            routes.update(2 - 2 * L - 4 * m > 0 for L in Ls)
+        assert routes == {True, False} and refused
 
 
 class TestCoamenArguments:
