@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from ._kernels import _U, phi21_kernel, qpoch_finite_kernel, qpoch_infinite_kernel
 from .errors import (
@@ -751,56 +751,128 @@ def phi21_continued(lam: complex, kappa: complex, base: QBase,
     (q^2, u^2, -q^2/kappa, -kappa; q^2)_inf]
     * 2phi1(q/u, q/u; q^2/u^2; q^2, -kappa)``.
 
-    Preconditions: ``0 < |kappa| < 1`` (else :class:`InvalidArgumentError`);
-    ``lam**2`` nonzero (else :class:`InvalidArgumentError`) and at least
-    ``EPS_POLE`` away (relatively) from every ``q**(2j)``, j integer, the
-    expression's simple poles (else :class:`PoleGuardError`); ``kappa`` at
-    least ``EPS_POLE`` away from every ``-q**(2k)``, k >= 1, where
-    ``(-q^2/kappa; q^2)_inf`` vanishes, a pole of the continuation (else
-    :class:`PoleGuardError` naming k, before any product); every product
-    of ``T(u)`` and each quotient within the float range (else
-    :class:`InvalidArgumentError`, before any series term).
-    ``(-q^3/(u kappa); q^2)_inf`` and ``(-q^2/kappa; q^2)_inf`` leave it
-    as ``kappa`` shrinks (at q = 0.5, lam = q^0.9: kappa = q^66).
+    Refused, in this order: ``|kappa|`` not in (0, 1)
+    (:class:`InvalidArgumentError`); the lam**2 pole guard of
+    :func:`_two_term`; ``kappa`` within ``EPS_POLE`` of some ``-q**(2k)``,
+    k >= 1, a pole where ``(-q^2/kappa; q^2)_inf`` vanishes
+    (:class:`PoleGuardError` naming k, before any product); the rest as
+    :func:`_two_term` refuses (``(-q^2/kappa; q^2)_inf`` leaves the float
+    range as ``kappa`` shrinks: at q = 0.5, lam = q^0.9, kappa = q^66).
 
-    Each quotient is one :func:`qpoch_multi` over another, its factors
-    summed to ``tol / 32`` each, times one :func:`phi21_direct` sum to
-    ``tol / 8``, in :class:`SeriesEval` arithmetic.  Each quotient also
-    carries ``(6 + k) u / d`` relative (u = 2**-53), d the relative
-    distance of ``-kappa`` from ``q^{2Z}`` and k its nearest exponent: the
-    factor of ``(-q^2/kappa; q^2)_inf`` nearest 0 is about d in size, and
-    the roundings of ``-q^2/kappa`` and of the base ``q^2`` move it by up
-    to (6 + k) u.  On the lattice ``kappa = +-q^{2k}`` the spherical
-    coefficients do not use this form: :func:`qsu11.su11core.spherical_az`
-    takes its products out of k.
+    The sum is :func:`_two_term`'s with ``C_u(kappa) = theta(-u kappa/q) /
+    ((q^2; q^2)_inf theta(-kappa))``, ``theta(x) = (x, q^2/x; q^2)_inf``,
+    one :func:`qpoch_multi` over another, at every kappa (on the lattice
+    too, so a comparison with :func:`qsu11.su11core.spherical_az` checks
+    one route against the other).  ``C_u`` also carries ``(6 + k) u / d``
+    relative (u = 2**-53), d the relative distance of ``-kappa`` from
+    ``q^{2Z}`` and k its nearest exponent: the factor of
+    ``(-q^2/kappa; q^2)_inf`` nearest 0 is about d in size, and the
+    roundings of ``-q^2/kappa`` and of the base ``q^2`` move it by up to
+    (6 + k) u.
     """
     if kappa == 0 or _finite_modulus(kappa) >= 1.0:
         raise InvalidArgumentError("the two-term continuation needs 0 < |kappa| < 1")
     q = base.q
+    q2 = q * q
+
+    def coefficient(part_tol: float) -> list:
+        k = _near_power(-kappa, q2, lo=1)
+        if k is not None:
+            raise PoleGuardError(
+                f"kappa within {EPS_POLE} of -q**{2 * k} (k = {k}); continuation "
+                f"has a pole")
+        k = round(math.log(abs(kappa)) / math.log(q2))
+        near = (6.0 + k) * _U / _power_distance(-kappa, q2)
+        den = qpoch_multi([q2, -q2 / kappa, -kappa], q2, part_tol)
+        out = []
+        for u in (lam, 1.0 / lam):
+            num = qpoch_multi([-q2 * q / (u * kappa), -u * kappa / q], q2, part_tol)
+            c = num / den
+            out.append((c.value, _tail(c.value, _compound(c.rel_bound, near)),
+                        c.terms_used, (num.value, den.value)))
+        return out
+
+    return _two_term(lam, q, [-kappa], [0], coefficient, ("kappa", kappa), tol,
+                     max_terms)[0]
+
+
+#: Relative rounding of ``(q/u)**n`` per unit of n: n times that of
+#: ``q/u`` (two complex quotients at most), plus that of the power, by
+#: repeated squaring up to n = 100 and by ``hypot``, ``pow`` and ``atan2``
+#: beyond (the phase n atan2 is off by up to n pi eps).
+_POWER_ROUNDING = 16.0 * sys.float_info.epsilon
+
+#: Relative rounding of a part of :func:`_two_term` per unit of 1/d, d
+#: the relative distance of lam**2 from q^{2Z}: near it 1/lam, u q and u^2
+#: carry 1 to 6 u, which a factor ``1 - f``, f within d/2 of 1, turns into
+#: 12 u / d at most a part ((u q; q^2)_inf^2 at u = 1/lam).
+_NEAR_LATTICE = 8.0 * sys.float_info.epsilon
+
+
+def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[int],
+              coefficient: Callable[[float], list], label: tuple[str, object],
+              tol: float, max_terms: int) -> list[SeriesEval]:
+    """PropB2's two-term sum at each series argument ``z = -kappa`` of
+    ``zs``, one :class:`SeriesEval` per z:
+
+    sum over u in {lam, 1/lam} of (u q; q^2)_inf^2 / (u^2; q^2)_inf
+        * C_u(kappa) * 2phi1(q/u, q/u; q^2/u^2; q^2, z),
+
+    ``C_u(kappa) = c_u (q/u)^n``, n the z's entry of ``shifts`` (the
+    theta shift k - 1 of cases 2 and 3, 0 in :func:`phi21_continued`).
+    ``coefficient(part_tol)``, called after the lam**2 pole guard, returns
+    c_u for u = lam, 1/lam: value, ``tail_bound``, ``terms_used`` and the
+    product values it is formed from.
+
+    The products of u and the series' guards run once per u, and per z
+    (q/u)^n and two series, all to ``tol / 8``, by :class:`SeriesEval`'s
+    rules on floats; ``tail_bound`` also holds ``_NEAR_LATTICE sum |part|
+    / d`` for the rounding of the arguments, d the relative distance of
+    lam**2 from ``q^{2Z}``.  Refused before any series term: a product,
+    quotient or ``c_u`` times them past the float range
+    (:class:`InvalidArgumentError` naming ``label``), or (q/u)^n times
+    them (naming k = n + 1).
+    """
     _pole_guard(lam, q)
     q2 = q * q
-    k = _near_power(-kappa, q2, lo=1)
-    if k is not None:
-        raise PoleGuardError(
-            f"kappa within {EPS_POLE} of -q**{2 * k} (k = {k}); continuation "
-            f"has a pole")
-    k = round(math.log(abs(kappa)) / math.log(q2))
-    near = (6.0 + k) * _U / _power_distance(-kappa, q2)
+    near = _NEAR_LATTICE / _power_distance(lam * lam, q2)
     part_tol = tol / 8.0
     parts = []
-    for u in (lam, 1.0 / lam):
-        num = qpoch_multi([u * q, u * q, -q2 * q / (u * kappa), -u * kappa / q],
-                          q2, part_tol)
-        den = qpoch_multi([q2, u * u, -q2 / kappa, -kappa], q2, part_tol)
-        ratio = num / den
-        if not ratio.tail_bound < math.inf:  # uncertified, or past the float range
-            _refuse_overflow("kappa", kappa, num.value, den.value, ratio.value)
-        ratio = _from_tail(ratio.value, ratio.terms_used,
-                           _tail(ratio.value, _compound(ratio.rel_bound, near)))
-        parts.append((ratio, q / u, q2 / (u * u)))
-    return sum(ratio * phi21_direct(a, a, c, q2, -kappa, tol=part_tol,
-                                    max_terms=max_terms)
-               for ratio, a, c in parts)
+    for u, (c, c_tail, c_used, c_parts) in zip((lam, 1.0 / lam),
+                                               coefficient(part_tol)):
+        num, num_used, num_tail = _qpoch_product([u * q, u * q], q2, part_tol)
+        den, den_used, den_tail = _qpoch_product([u * u], q2, part_tol)
+        ratio, ratio_tail = _div(num, num_tail, den, den_tail)
+        factor, tail = _mul(c, c_tail, ratio, _rel_bound(ratio, ratio_tail))
+        if not tail < math.inf:  # uncertified, or past the float range
+            _refuse_overflow(*label, *c_parts, c, num, den, factor)
+        a, cu = q / u, q2 / (u * u)
+        _, n_exact = _direct_setup(a, a, cu, q2, zs[0], part_tol, max_terms)
+        scaled = []
+        for n in shifts:
+            try:
+                power = a ** n
+            except OverflowError:  # complex ** int past the float range
+                power = complex(math.inf)
+            f = _mul(factor, tail, power, _POWER_ROUNDING * n)
+            if not math.isfinite(_modulus(f[0])):
+                raise InvalidArgumentError(
+                    f"the factor (q/u)**{n} of the closed form is past "
+                    f"the float range at k = {n + 1}")
+            scaled.append(f)
+        parts.append((scaled, a, cu, n_exact, c_used + num_used + den_used))
+    out = []
+    for i, z in enumerate(zs):
+        value, used, tail, size = 0, 0, 0.0, 0.0
+        for scaled, a, cu, n_exact, factor_used in parts:
+            series, series_used, series_tail = _direct_terms(
+                a, a, cu, q2, z, n_exact, part_tol, max_terms)
+            part, part_tail = _mul(*scaled[i], series, _rel_bound(series, series_tail))
+            value, tail = _add(value, tail, part, part_tail)
+            used += factor_used + series_used
+            size += _modulus(part)
+        out.append(SeriesEval(value, used, tail + near * size))
+    return out
 
 
 def _pole_guard(lam: complex, q: float) -> None:

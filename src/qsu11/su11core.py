@@ -31,14 +31,12 @@ from .qcalculus import (
     _lam_squared_guard,
     _modulus,
     _mul,
-    _pole_guard,
     _power,
-    _power_distance,
     _qpoch_infinite,
-    _refuse_non_finite,
     _refuse_overflow,
     _rel_bound,
     _root,
+    _two_term,
     _U,
     phi21_heine,
     qpoch_signed,
@@ -60,19 +58,6 @@ __all__ = [
 _LOG_MAX = math.log(sys.float_info.max)
 
 _EPS = sys.float_info.epsilon
-
-#: Relative rounding of ``(q/u)**n`` per unit of n: n times that of
-#: ``q/u`` (two complex quotients at most), plus that of the power, by
-#: repeated squaring up to n = 100 and by ``hypot``, ``pow`` and ``atan2``
-#: beyond (the phase n atan2 is off by up to n pi eps).
-_POWER_ROUNDING = 16.0 * _EPS
-
-#: Relative rounding of a part of :func:`_closed_form` per unit of 1/d, d
-#: the relative distance of lam**2 from q^{2Z}: near it 1/lam, u q and u^2
-#: carry 1 to 6 u, which a factor ``1 - f``, f within d/2 of 1, turns into
-#: 12 u / d at most a part ((u q; q^2)_inf^2 at u = 1/lam).
-_NEAR_LATTICE = 8.0 * _EPS
-
 
 @dataclass(frozen=True, slots=True)
 class IqPoint:
@@ -199,21 +184,21 @@ def spherical_az(base: QBase, zp: SpectralParam, p0: IqPoint,
       u in {lam, 1/lam} of u^{1-k} (u q; q^2)_inf^2 / (u^2; q^2)_inf
       * 2phi1(q/u, q/u; q^2/u^2; q^2, -+q^{2k})``
 
-      with ``theta(x) = (x, q^2/x; q^2)_inf``: PropB2's two-term forms with
-      their products taken out of k (:func:`_closed_form`).
+      with ``theta(x) = (x, q^2/x; q^2)_inf``: PropB2's two-term sum, as
+      :func:`qsu11.qcalculus.phi21_continued` evaluates it, with its
+      coefficient formed by the theta shift (:func:`_closed_form`).
 
-    The continued cases are refused with :class:`PoleGuardError` when
-    ``lam**2`` sits within the guard band around ``q**(2 Z)`` (case 1 is
+    The continued cases are refused as that sum refuses (a lam**2 in the
+    guard band around ``q**(2 Z)``: :class:`PoleGuardError`; case 1 is
     not), and with :class:`InvalidArgumentError`, before any series term,
-    when ``kappa = +-q^{2k}`` underflows to 0 (q = 0.5: from k = 538) or
+    when ``kappa = +-q^{2k}`` underflows to 0 (q = 0.5: from k = 538), or
     ``lam**2`` to below the normal float range (Re z above 511), or when
     their products (at large ``|Re z|``), or ``(q/u)^{k-1}`` times them
     (q = 0.5, z = -3.3: from k = 445, where the value does) leave the
     float range.  A series whose value is not finite, because a term left
     the float range (case 1 at q = 0.5, z = -100, k = 0), raises
     :class:`InvalidArgumentError`.  This is the one-exponent window
-    (:func:`spherical_window`), which evaluates many exponents at one
-    ``zp`` by the recurrence in k.
+    (:func:`spherical_window`).
     """
     return _coefficients(base, zp.lam, p0.sign, [p0.exponent], tol,
                          max_terms)[0]
@@ -300,37 +285,21 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
         * sum over u in {lam, 1/lam} of u^{1-k} (u q; q^2)_inf^2
           / (u^2; q^2)_inf * 2phi1(q/u, q/u; q^2/u^2; q^2, -sign q^{2k}),
 
-    with theta(x) = (x, q^2/x; q^2)_inf.  It is PropB2's T(lam) + T(1/lam)
-    (:func:`qsu11.qcalculus.phi21_continued` at kappa = sign q^{2k}) term
-    by term: each k-dependent product there is a theta product at
-    x q^{2(k-1)}, and theta(x q^2) = -theta(x)/x takes k out of it
-    (Gasper and Rahman, *Basic Hypergeometric Series*, ch. 1).  Case 3's
-    prefactor and the (q^{2k}; q^2)_inf it cancels fold into the same
-    constant, as cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2 and
-    theta(-q^2) = 2 (-q^2; q^2)_inf^2 (overall sign +: the source's minus
-    sign for case 3 contradicts its own limit value).
+    with theta(x) = (x, q^2/x; q^2)_inf: PropB2's T(lam) + T(1/lam) at
+    kappa = sign q^{2k}, whose k-dependent products are theta products at
+    x q^{2(k-1)}, where theta(x q^2) = -theta(x)/x takes k out (Gasper and
+    Rahman, *Basic Hypergeometric Series*, ch. 1).  Case 3's prefactor and
+    the (q^{2k}; q^2)_inf it cancels fold into the same constant, as
+    cq^-2 = 2 q^2 (q^2; q^2)_inf^2 (-q^2; q^2)_inf^2 and theta(-q^2) =
+    2 (-q^2; q^2)_inf^2 (overall sign +: the source's minus sign for case
+    3 contradicts its own limit value).
 
-    The products are summed once, each quotient's factors to ``tol / 8``
-    in all, and each series' guards and snaps run once per u; per k there
-    remain (q/u)^{k-1} and the two series, each summed to ``tol / 8``.  So
-    a value does not depend on the other exponents of ``ks``, bit for bit.
-    The products are :func:`qsu11.qcalculus.qpoch_multi`'s, formed on
-    floats by the routine it wraps; the quotients, the scalings, the
-    products with the series and their sum follow :class:`SeriesEval`'s
-    operator rules on floats, into one :class:`SeriesEval` per value, bit
-    for bit the composition of those operators.  ``tail_bound`` bounds the
-    whole error from the float lam: the products' and the series'
-    truncation and rounding, that of (q/u)^{k-1} (``_POWER_ROUNDING``,
-    growing with k) and of the arithmetic, and
-    ``_NEAR_LATTICE sum |part| / d`` for that of the arguments, d the
-    relative distance of lam**2 from ``q^{2Z}``.
-
-    Refused before any series term is summed: a ``q^{2k}`` that underflows
-    to 0 or a lam**2 below the normal float range
-    (:class:`InvalidArgumentError`), the lam**2 pole guard
-    (:class:`PoleGuardError`), and a product, a quotient of them (at large
-    ``|Re z|``) or a (q/u)^{k-1} past the float range
-    (:class:`InvalidArgumentError`).
+    The sum is :func:`qsu11.qcalculus._two_term`'s, with this lattice
+    coefficient, formed first, and the theta shift (q/u)^{k-1}: per k
+    there remain (q/u)^{k-1} and two series, so a value does not depend
+    on the other exponents of ``ks``, bit for bit.  A ``q^{2k}`` that
+    underflows to 0 is refused first (:class:`InvalidArgumentError`),
+    then as that sum refuses.
     """
     q = base.q
     q2 = q * q
@@ -338,52 +307,16 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     if zs[-1] == 0:
         raise InvalidArgumentError(
             f"kappa = q**{2 * ks[-1]} underflows to 0 at k = {ks[-1]}")
-    _pole_guard(lam, q)
-    near = _NEAR_LATTICE / _power_distance(lam * lam, q2)
-    part_tol = tol / 8.0
-    # The products go through the one routine that qpoch_multi wraps,
-    # looked up at call time (the tests replace it); each value is carried
-    # with its bound, by SeriesEval's rules, into one SeriesEval per k.
-    product = qcalculus._qpoch_product
-    theta, theta_used, theta_tail = product([-q * lam, -q / lam], q2, part_tol)
-    norm, norm_used, norm_tail = product([q2, -q2, -q2], q2, part_tol)
-    const, const_tail = _div(theta, theta_tail, *_mul(norm, norm_tail, 2.0, 0.0))
-    parts = []
-    for u in (lam, 1.0 / lam):
-        num, num_used, num_tail = product([u * q, u * q], q2, part_tol)
-        den, den_used, den_tail = product([u * u], q2, part_tol)
-        ratio, ratio_tail = _div(num, num_tail, den, den_tail)
-        factor, tail = _mul(const, const_tail, ratio, _rel_bound(ratio, ratio_tail))
-        if not tail < math.inf:  # uncertified, or past the float range
-            _refuse_overflow("lam", lam, theta, const, num, den, factor)
-        a, c = q / u, q2 / (u * u)
-        _, n_exact = _direct_setup(a, a, c, q2, zs[0], part_tol, max_terms)
-        scaled = []
-        for k in ks:
-            try:
-                power = a ** (k - 1)
-            except OverflowError:  # complex ** int past the float range
-                power = complex(math.inf)
-            f = _mul(factor, tail, power, _POWER_ROUNDING * (k - 1))
-            if not math.isfinite(_modulus(f[0])):
-                raise InvalidArgumentError(
-                    f"the factor (q/u)**{k - 1} of the closed form is past "
-                    f"the float range at k = {k}")
-            scaled.append(f)
-        parts.append((scaled, a, c, n_exact,
-                      theta_used + norm_used + num_used + den_used))
-    out = []
-    for i, z in enumerate(zs):
-        value, used, tail, size = 0, 0, 0.0, 0.0
-        for scaled, a, c, n_exact, factor_used in parts:
-            series, series_used, series_tail = _direct_terms(
-                a, a, c, q2, z, n_exact, part_tol, max_terms)
-            part, part_tail = _mul(*scaled[i], series, _rel_bound(series, series_tail))
-            value, tail = _add(value, tail, part, part_tail)
-            used += factor_used + series_used
-            size += _modulus(part)
-        out.append(SeriesEval(value, used, tail + near * size))
-    return out
+
+    def coefficient(part_tol: float) -> list:
+        product = qcalculus._qpoch_product  # looked up here: tests replace it
+        theta, theta_used, theta_tail = product([-q * lam, -q / lam], q2, part_tol)
+        norm, norm_used, norm_tail = product([q2, -q2, -q2], q2, part_tol)
+        const, const_tail = _div(theta, theta_tail, *_mul(norm, norm_tail, 2.0, 0.0))
+        return [(const, const_tail, theta_used + norm_used, (theta,))] * 2
+
+    return _two_term(lam, q, zs, [k - 1 for k in ks], coefficient, ("lam", lam), tol,
+                     max_terms)
 
 
 #: The seeds of the recurrence are summed to these fractions of the
@@ -617,14 +550,7 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
         else:
             if n_exact is None:  # phi21_direct's guards and snaps, once
                 bb, n_exact = _direct_setup(a, b, q2, q2, z, tol, max_terms)
-                ca, cb, cq2, terms = complex(a), complex(b), complex(q2), int(max_terms)
-            # As in _direct_sum; the kernel is looked up on qcalculus at
-            # call time, where the tests and the benchmark's tracer wrap it.
-            value, used, tail, status = qcalculus.phi21_kernel(
-                ca, cb, cq2, bb, complex(z), n_exact, tol, terms)
-            if status or not tail < math.inf:  # uncertified
-                _refuse_non_finite(value, used)
-                tail = math.inf
+            value, used, tail = _direct_terms(a, b, q2, bb, z, n_exact, tol, max_terms)
         if form != "simplified":
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0

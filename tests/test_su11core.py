@@ -126,12 +126,31 @@ class TestSphericalCase1:
         assert math.isfinite(abs(ev.value))
 
 
+def _case2_zs(seed, count):
+    """Seeded z at q = 0.5: ``count`` on the strip, then ``count`` each with
+    lam**2 = q^{2z} within 1e-4 to 1e-7 (relative) of 1 and of q^2."""
+    rng = random.Random(seed)
+    zs = [pytest.param(complex(rng.uniform(-2.0, 2.0),
+                               rng.uniform(-B.period / 2, B.period / 2)), id=f"strip{i}")
+          for i in range(count)]
+    for j, name in ((0, "near1"), (1, "nearq2")):
+        for i in range(count):
+            d = rng.choice((1, -1)) * 10.0 ** rng.uniform(-7.0, -4.0)
+            z = j + cmath.log(1.0 + d * cmath.exp(1j * rng.uniform(0, math.pi))) \
+                / (2.0 * B.log_q)
+            zs.append(pytest.param(z, id=f"{name}_{i}"))
+    return zs
+
+
 class TestSphericalCase2:
-    def test_matches_continuation(self):
-        zp = SpectralParam.from_z(0.7, B)
-        ev = spherical_az(B, zp, IqPoint.positive(3))
-        ref = phi21_continued(zp.lam, B.q ** 6, B)
-        # Two forms of one function: they agree within both certificates.
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("z", [0.7] + _case2_zs(2201, 4))
+    def test_matches_continuation(self, z, k):
+        zp = SpectralParam.from_z(z, B)
+        ev = spherical_az(B, zp, IqPoint.positive(k))
+        ref = phi21_continued(zp.lam, B.q ** (2 * k), B)
+        # One two-term sum, its coefficient formed by the theta shift and
+        # by the theta quotient: they agree within both certificates.
         assert abs(ev.value - ref.value) <= ev.tail_bound + ref.tail_bound
 
     def test_near_limit_value(self):
@@ -1007,7 +1026,7 @@ def _closed_form_reference(base, lam, sign, ks, tol, max_terms):
         raise InvalidArgumentError(
             f"kappa = q**{2 * ks[-1]} underflows to 0 at k = {ks[-1]}")
     qcalculus._pole_guard(lam, q)
-    near = su11core._NEAR_LATTICE / qcalculus._power_distance(lam * lam, q2)
+    near = qcalculus._NEAR_LATTICE / qcalculus._power_distance(lam * lam, q2)
     part_tol = tol / 8.0
     theta = qpoch_multi([-q * lam, -q / lam], q2, part_tol)
     const = theta / (2.0 * qpoch_multi([q2, -q2, -q2], q2, part_tol))
@@ -1027,7 +1046,7 @@ def _closed_form_reference(base, lam, sign, ks, tol, max_terms):
                 power = a ** (k - 1)
             except OverflowError:
                 power = complex(math.inf)
-            f = factor._scaled(power, su11core._POWER_ROUNDING * (k - 1))
+            f = factor._scaled(power, qcalculus._POWER_ROUNDING * (k - 1))
             if not math.isfinite(qcalculus._modulus(f.value)):
                 raise InvalidArgumentError(
                     f"the factor (q/u)**{k - 1} of the closed form is past "
