@@ -1,9 +1,12 @@
 """Verification harness: fixed check suites with CSV/JSON reports.
 
 Every suite yields a deterministic sequence of checks (:class:`Check`)
-over published parameter grids, and one runner turns each into a report
-row; reports carry no timestamps, hostnames, or random state, so two
-runs with the same configuration produce byte-identical files.
+over published parameter grids.  Each check returns one shape, a
+:class:`~qsu11.limitlab.SweepReport` (a scalar check is a one-row
+chain), judged by one rule, :func:`~qsu11.limitlab.sweep_report`; one
+runner turns each report into a report row.  Reports carry no
+timestamps, hostnames, or random state, so two runs with the same
+configuration produce byte-identical files.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 invalid configuration (no reports written in that case, except that
@@ -147,23 +150,41 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class Check:
-    """One report row, written once; ``run`` returns ``(value, deviation,
-    threshold)`` or a :class:`SweepReport` (see :func:`_run_check`)."""
+    """One report row, written once; ``run`` returns its
+    :class:`SweepReport`: a chain from :func:`limit_sweep` or
+    :func:`sweep_report`, or a scalar check's one row from
+    :func:`_scalar` (see :func:`_run_check`)."""
 
     check_id: str
     anchor: str
     params: dict
-    run: Callable[[], tuple[complex, float, float] | SweepReport]
+    run: Callable[[], SweepReport]
+
+
+def _scalar(value: complex, deviation: float, thr: float) -> SweepReport:
+    """A scalar check's report: one row, judged by :func:`sweep_report`
+    (it passes when ``deviation <= thr``)."""
+    return sweep_report("check", (SweepRow(None, value, deviation),), thr)
+
+
+#: The report of a check that raised: nan value, infinite deviation and
+#: threshold 0, so it fails.
+_REFUSED = _scalar(complex("nan"), math.inf, 0.0)
 
 
 def _run_check(suite: str, check: Check) -> CheckRow:
+    """Run ``check`` into a report row: the value and deviation of its
+    report's last row, the report's threshold and verdict; a chain's
+    steps go into the params (``deviations``, ``monotone``, and any
+    ``bounds`` and ``errors``), and a raised :class:`QSU11Error` into
+    ``error`` with the :data:`_REFUSED` report."""
     params = dict(check.params)
     try:
         out = check.run()
-    except QSU11Error as err:  # error row: nan value, fails at any threshold
+    except QSU11Error as err:
         params["error"] = str(err)
-        out = (complex("nan"), math.inf, 0.0)
-    if isinstance(out, SweepReport):
+        out = _REFUSED
+    if out.rows[1:]:
         params["deviations"] = [float(r.deviation) for r in out.rows]
         params["monotone"] = bool(out.monotone_deviation)
         if any(r.bound for r in out.rows):
@@ -171,15 +192,10 @@ def _run_check(suite: str, check: Check) -> CheckRow:
         notes = [r.note for r in out.rows if r.note]
         if notes:
             params["errors"] = notes
-        value, deviation, threshold = (out.rows[-1].value,
-                                       out.final_deviation, out.threshold)
-        passed = out.verdict == "pass"
-    else:
-        value, deviation, threshold = out
-        passed = deviation <= threshold
+    last = out.rows[-1]
     return CheckRow(suite, check.check_id, check.anchor, params,
-                    complex(value), float(deviation), float(threshold),
-                    "pass" if passed else "fail")
+                    complex(last.value), float(last.deviation),
+                    float(out.threshold), out.verdict)
 
 
 # ---------------------------------------------------------------- suites
@@ -191,7 +207,7 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         for i, (re, im, k) in enumerate(THETA_GRID):
             def run(a=complex(re, im), k=k, b=b):
                 tp = theta_pair(a, k, b, tol=st)
-                return tp.lhs, tp.residual, cfg.tol
+                return _scalar(tp.lhs, tp.residual, cfg.tol)
 
             yield Check(f"theta_b{b}_{i:03d}", "Eq4.1",
                         {"a_re": re, "a_im": im, "k": k, "base": b}, run)
@@ -202,7 +218,7 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                     * qpoch_infinite(b2, b2, st).value.real ** 2
                     * qpoch_infinite(-1.0, b2, st).value.real
                     * qpoch_infinite(-b2, b2, st).value.real)
-            return prod, abs(prod - 1.0), cfg.tol / 100.0
+            return _scalar(prod, abs(prod - 1.0), cfg.tol / 100.0)
 
         yield Check(f"cq_norm_b{b}", "Eq4.1", {"base": b}, run)
     q = base.q
@@ -214,7 +230,7 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                                   **budget)
             cont = phi21_continued(lam, complex(kap), base, **budget)
             dev = abs(direct.value - cont.value) / abs(direct.value)
-            return cont.value, dev, 100.0 * cfg.tol
+            return _scalar(cont.value, dev, 100.0 * cfg.tol)
 
         yield Check(f"overlap_{i:02d}", "PropB2.Case2",
                     {"theta": theta, "kappa": kap}, run)
@@ -233,7 +249,7 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                                                   **budget)
                     dev = abs(raw.value - simp.value) \
                         / max(abs(raw.value), abs(simp.value))
-                    return simp.value, dev, 10.0 * cfg.tol
+                    return _scalar(simp.value, dev, 10.0 * cfg.tol)
 
                 yield Check(f"rawsimp_{lname}_m{m}_j{j}", "Eq5.2",
                             {"lam": lname, "m": m, "j": j}, run)
@@ -244,7 +260,7 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         def run(j=j):
             ev = coamen_coeff(base, 0, 1.0 + 0.0j, IqPoint.positive(-j),
                               **budget)
-            return ev.value, abs(ev.value - 1.0), q ** (2 * j - 1)
+            return _scalar(ev.value, abs(ev.value - 1.0), q ** (2 * j - 1))
 
         yield Check(f"coamen_bound_m0_j{j}", "Thm5.2",
                     {"lam": "one", "m": 0, "j": j}, run)
@@ -298,7 +314,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                                 cfg.max_exponent, **budget)
             gaps.append(g)
             thr = cfg.tol if z == 1.0 else (5e-3 if z == 0.999 else 0.05)
-            return g, g, thr
+            return _scalar(g, g, thr)
 
         yield Check(f"unifgap_z{z}", "Thm6.3",
                     {"z": z, "max_exponent": cfg.max_exponent}, run)
@@ -307,7 +323,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     if len(gaps) == len(gap_zs):
         def run():
             worst_rise = max(0.0, max(b - a for a, b in zip(gaps, gaps[1:])))
-            return gaps[-1], worst_rise, MONO_SLACK
+            return _scalar(gaps[-1], worst_rise, MONO_SLACK)
 
         yield Check("unifgap_monotone", "Thm6.3", {"zs": list(gap_zs)}, run)
 
@@ -315,7 +331,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         zp = SpectralParam.from_z(0.95, base)
         g20 = uniform_sup_gap(base, zp, 20, **budget)
         g40 = uniform_sup_gap(base, zp, 40, **budget)
-        return g40, abs(g40 - g20), 1e-14
+        return _scalar(g40, abs(g40 - g20), 1e-14)
 
     yield Check("unifgap_window", "Thm6.3", {"z": 0.95, "depths": [20, 40]},
                 run)
@@ -326,7 +342,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
         def run(k=k):
             v = pochhammer_ratio(base, complex(lam_near), k)
-            return v, abs(v), 1e-2
+            return _scalar(v, abs(v), 1e-2)
 
         yield Check(f"ratio_mod_k{kname}", "LemB.1",
                     {"lam_re": lam_near, "lam_im": 0.0, "k": kname}, run)
@@ -346,7 +362,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                 a = pochhammer_ratio(base, lam, k)
                 b = pochhammer_ratio_naive(base, lam, k)
                 dev = abs(a - b) / max(abs(a), abs(b))
-                return a, dev, cfg.tol / 100.0
+                return _scalar(a, dev, cfg.tol / 100.0)
 
             yield Check(f"ratio_agree_{i:02d}_k{k}", "LemB.1",
                         {"lam_re": re, "lam_im": im, "k": k}, run)
@@ -360,7 +376,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             def run(p=p, mult=mult):
                 ref = _sph(cfg, base, complex(z0, 0.0), p)
                 v = _sph(cfg, base, complex(z0, mult * period), p)
-                return v, abs(v - ref), cfg.tol
+                return _scalar(v, abs(v - ref), cfg.tol)
 
             yield Check(f"periodic_s{p.sign}_k{p.exponent}_m{mult}", anchor,
                         {"z0": z0, "period_multiple": mult,
@@ -371,7 +387,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                   IqPoint.positive(2), IqPoint.negative(1)):
             def run(z=z, p=p):
                 v = _sph(cfg, base, complex(z, 0.0), p)
-                return v, abs(v.imag), cfg.tol
+                return _scalar(v, abs(v.imag), cfg.tol)
 
             yield Check(f"real_z{z}_s{p.sign}_k{p.exponent}", "PropB2.Case1",
                         {"z": z, "sign": p.sign, "k": p.exponent}, run)
@@ -385,7 +401,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             zp = SpectralParam.from_z(complex(0.0, t), base)
             worst = max((ev.value for _, ev in
                          _spectrum_window(base, zp, depth, **budget)), key=abs)
-            return worst, max(0.0, abs(worst) - 1.0), 1e-8
+            return _scalar(worst, max(0.0, abs(worst) - 1.0), 1e-8)
 
         yield Check(f"contract_{jmid:02d}", "Thm6.3",
                     {"t": t, "depth": depth}, run)
@@ -421,7 +437,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16,
                              tol=st, max_terms=mt)
-        return sm.mass, abs(sm.mass - 1.0), cfg.tol_quad
+        return _scalar(sm.mass, abs(sm.mass - 1.0), cfg.tol_quad)
 
     yield Check("mass_unit", "Eq7.1", {"k": 2, "n": 16}, run)
 
@@ -429,7 +445,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         wiggly = ContourPath("perturbed", center, wiggle_amplitude=0.05)
         d = path_independence(base, IqPoint.positive(0), 2, 16.0, line,
                               wiggly, quad16, tol=st, max_terms=mt)
-        return d, d, 100.0 * cfg.tol_quad
+        return _scalar(d, d, 100.0 * cfg.tol_quad)
 
     yield Check("path_independence", "Eq7.1",
                 {"k": 2, "n": 16, "wiggle": 0.05}, run)
@@ -440,7 +456,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
                                      nodes_per_unit=npu), tol=st, max_terms=mt)
             for npu in (32, 64))
-        return vb.value, abs(va.value - vb.value), cfg.tol_quad
+        return _scalar(vb.value, abs(va.value - vb.value), cfg.tol_quad)
 
     yield Check("node_doubling", "Eq7.1",
                 {"k": 2, "n": 256, "npu": [32, 64]}, run)
@@ -452,7 +468,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             base, IqPoint.positive(0), 2, 16.0, line, quad16,
             integrand=lambda z: c0 + c1 * (z - center), tol=st,
         )
-        return sm.value, abs(sm.value - c0), cfg.tol_quad
+        return _scalar(sm.value, abs(sm.value - c0), cfg.tol_quad)
 
     yield Check("affine_mean", "Eq7.1",
                 {"k": 2, "n": 16, "c0": [c0.real, c0.imag],
@@ -481,7 +497,7 @@ def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         g = approx_identity_gap(base, SpectralParam.from_z(0.999, base),
                                 const, depth, **budget)
-        return g.gap, g.gap, 3.0
+        return _scalar(g.gap, g.gap, 3.0)
 
     yield Check("const_symbol_bounded", "Thm6.3",
                 {"z": 0.999, "symbol": const.name, "depth": depth}, run)
@@ -557,9 +573,9 @@ def run_suite(cfg: RunConfig) -> int:
             rows = [_run_check(suite, check)
                     for check in _SUITE_CHECKS[suite](cfg, base)]
         except Exception as err:  # crash inside a builder: partial report
-            rows = [CheckRow(suite, "suite_crashed", "Eq4.1",
-                             {"error": f"{type(err).__name__}: {err}"},
-                             complex("nan"), math.inf, 0.0, "fail")]
+            rows = [_run_check(suite, Check(
+                "suite_crashed", "Eq4.1",
+                {"error": f"{type(err).__name__}: {err}"}, lambda: _REFUSED))]
         _write_table(out, suite, cfg, "rows", _CSV_COLUMNS,
                      [_row_fields(r) for r in rows])
         failures = sum(r.verdict != "pass" for r in rows)

@@ -68,7 +68,7 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """Outcome of a limit sweep.
+    """Outcome of a limit sweep, or of one scalar check (one row).
 
     ``verdict`` follows the rule of :func:`sweep_report`.
     """
@@ -86,19 +86,25 @@ class SweepReport:
 
 def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,
                  require_monotone: bool = True) -> SweepReport:
-    """Judge a chain of sweep rows; the one verdict rule for limit chains.
+    """Judge a chain of sweep rows: the one verdict rule for every report
+    row of :mod:`qsu11.harness`, where a scalar check is a one-row chain.
 
     The verdict is "pass" when the chain is nonempty, no row carries an
     error note, every row's ``bound`` is finite, the final deviation
     plus its bound is within ``threshold``, and (if required) the
-    deviations decrease monotonically up to :data:`MONO_SLACK`.
+    deviations decrease monotonically up to :data:`MONO_SLACK`.  One
+    row is monotone, so it passes when deviation + bound <= threshold
+    (a nan deviation fails).
     """
     rows = tuple(rows)
-    devs = [r.deviation for r in rows]
-    monotone = all(b <= a + MONO_SLACK for a, b in zip(devs, devs[1:]))
-    ok = bool(rows) and not any(r.note for r in rows) \
-        and all(math.isfinite(r.bound) for r in rows) \
-        and devs[-1] + rows[-1].bound <= threshold \
+    # Plain loops, no generators: every scalar check of the harness runs
+    # this once.
+    monotone, ok = True, bool(rows)
+    for a, b in zip(rows, rows[1:]):
+        monotone = monotone and b.deviation <= a.deviation + MONO_SLACK
+    for r in rows:
+        ok = ok and not r.note and math.isfinite(r.bound)
+    ok = ok and rows[-1].deviation + rows[-1].bound <= threshold \
         and (monotone or not require_monotone)
     return SweepReport(label, rows, "pass" if ok else "fail", monotone,
                        threshold)

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from qsu11 import harness, limitlab, qcalculus
-from qsu11.errors import PoleGuardError
+from qsu11.errors import PoleGuardError, QSU11Error
 from qsu11.harness import (
     _CSV_COLUMNS,
     _SUITE_CHECKS,
@@ -15,11 +15,12 @@ from qsu11.harness import (
     Check,
     RunConfig,
     _run_check,
+    _scalar,
     config_from_args,
     main,
     run_suite,
 )
-from qsu11.limitlab import SweepRow, sweep_report
+from qsu11.limitlab import SweepReport, SweepRow, sweep_report
 from qsu11.qcalculus import QBase, SeriesEval
 from qsu11.su11core import SpectralParam, spherical_az
 
@@ -329,14 +330,34 @@ class TestCheckRunner:
             tol=cfg.series_tol, max_terms=mt) for mt in (3, 200))
         assert row.deviation == short != full
 
-    def test_tuple_result(self):
+    def test_one_row_result(self):
         ok = _run_check("s", Check("c", "Eq4.1", {"x": 1},
-                                   lambda: (2.0, 0.5, 0.5)))
+                                   lambda: _scalar(2.0, 0.5, 0.5)))
         assert (ok.value, ok.deviation, ok.threshold) == (2 + 0j, 0.5, 0.5)
         assert ok.verdict == "pass"
         assert ok.params == {"x": 1}
-        bad = _run_check("s", Check("c", "Eq4.1", {}, lambda: (1.0, 0.6, 0.5)))
+        bad = _run_check("s", Check("c", "Eq4.1", {},
+                                    lambda: _scalar(1.0, 0.6, 0.5)))
         assert bad.verdict == "fail"
+        assert bad.params == {}
+
+    @pytest.mark.parametrize("max_terms, refused", ((200, 0), (3, 11)))
+    def test_every_check_returns_a_report(self, max_terms, refused):
+        cfg = RunConfig(max_terms=max_terms)
+        base = QBase(cfg.q)
+        reports, errors = 0, 0
+        for suite in SUITES:
+            # Run each check as it is yielded, as run_suite does.
+            for check in _SUITE_CHECKS[suite](cfg, base):
+                try:
+                    out = check.run()
+                except QSU11Error:
+                    errors += 1
+                    continue
+                assert isinstance(out, SweepReport), check.check_id
+                assert out.rows, check.check_id
+                reports += 1
+        assert (reports, errors) == (701 - refused, refused)
 
     def test_sweep_result(self):
         rows = [SweepRow(1, 3j, 0.2), SweepRow(2, 1j, 0.1, "boom")]
@@ -409,7 +430,9 @@ class TestContractRows:
         assert len(checks) == 20
         for check in checks:
             zp = SpectralParam.from_z(complex(0.0, check.params["t"]), base)
-            value, deviation, threshold = check.run()
+            report = check.run()
+            value, deviation = report.rows[-1].value, report.rows[-1].deviation
+            threshold = report.threshold
             pairs = [(win, spherical_az(base, zp, p, **budget)) for p, win
                      in limitlab._spectrum_window(base, zp, depth, **budget)]
             worst = max(abs(one.value) for _, one in pairs)

@@ -22,7 +22,7 @@ from qsu11 import (
     symbol_constant,
     uniform_sup_gap,
 )
-from qsu11 import limitlab
+from qsu11 import harness, limitlab
 from _mp_reference import Reference
 from qsu11.limitlab import MONO_SLACK, SweepRow, _spectrum_window, sweep_report
 
@@ -172,6 +172,12 @@ class TestSweepReport:
     def test_final_deviation_against_threshold(self):
         assert sweep_report("t", self._rows(0.5, 0.25), 0.25).verdict == "pass"
         assert sweep_report("t", self._rows(0.5, 0.25), 0.2).verdict == "fail"
+        # One row (a scalar check) keeps the rule deviation <= threshold.
+        for dev in (0.0, 0.25, 0.5, math.nan, math.inf):
+            for thr in (0.0, 0.25, math.inf):
+                rep = sweep_report("t", self._rows(dev), thr)
+                assert rep.monotone_deviation
+                assert rep.verdict == ("pass" if dev <= thr else "fail")
 
     def test_error_note_or_empty_chain_fails(self):
         rep = sweep_report("t", self._rows(0.5, 0.0, note="boom"), 1.0)
@@ -180,6 +186,11 @@ class TestSweepReport:
         rep = sweep_report("t", [], 1.0)
         assert rep.verdict == "fail"
         assert math.isinf(rep.final_deviation)
+        # The one row of a check that raised: nan, inf, threshold 0.0.
+        (row,) = harness._REFUSED.rows
+        assert math.isnan(row.value.real) and row.deviation == math.inf
+        assert (harness._REFUSED.threshold, harness._REFUSED.verdict) \
+            == (0.0, "fail")
 
     def test_bounds_count_against_the_threshold(self):
         rows = [SweepRow(0, 0j, 0.5, bound=0.01),
@@ -190,6 +201,15 @@ class TestSweepReport:
         rows[0] = SweepRow(0, 0j, 0.5, bound=math.inf)
         rep = sweep_report("t", rows, 1.0)
         assert rep.monotone_deviation and rep.verdict == "fail"
+        # One row: judged the same, and the report row gets no chain params.
+        for bound, verdict in ((0.25, "pass"), (0.375, "fail"),
+                               (math.inf, "fail")):
+            row = harness._run_check("s", harness.Check(
+                "c", "Eq4.1", {"x": 1}, lambda b=bound: sweep_report(
+                    "t", [SweepRow(None, 2j, 0.25, bound=b)], 0.5)))
+            assert row.params == {"x": 1}
+            assert (row.value, row.deviation, row.threshold, row.verdict) \
+                == (2j, 0.25, 0.5, verdict)
 
 
 class TestUniformSupGap:
