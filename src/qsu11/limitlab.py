@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import InvalidArgumentError, PoleGuardError, QSU11Error
-from .qcalculus import (EPS_POLE, QBase, SeriesEval, _modulus, _near_power,
-                        qpoch_finite)
+from .qcalculus import (EPS_POLE, QBase, SeriesEval, _frozen_slots, _modulus,
+                        _near_power, qpoch_finite)
 from .su11core import (IqPoint, SpectralParam, averaged_coamen, coamen_coeff,
                        spherical_az, spherical_window)
 
@@ -52,12 +52,16 @@ RATIO_TRUNC_K = 60
 _LOG_LAM_MAX = -math.log(sys.float_info.min) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepRow:
     """One step of a limit sweep: parameter, value, deviation from target,
     in ``note`` the error text of a step that raised, and in ``bound`` a
     certificate on the deviation (the value's and the target's error
-    bounds; ``inf`` when either is uncertified, 0 when none is kept)."""
+    bounds; ``inf`` when either is uncertified, 0 when none is kept).
+
+    Frozen and slotted; ``__init__`` stores the fields through their
+    slots, as every scalar check of the harness builds one.
+    """
 
     param: object
     value: complex
@@ -65,12 +69,25 @@ class SweepRow:
     note: str = ""
     bound: float = 0.0
 
+    def __init__(self, param: object, value: complex, deviation: float,
+                 note: str = "", bound: float = 0.0) -> None:
+        _set_param(self, param)
+        _set_value(self, value)
+        _set_deviation(self, deviation)
+        _set_note(self, note)
+        _set_bound(self, bound)
 
-@dataclass(frozen=True)
+
+_set_param, _set_value, _set_deviation, _set_note, _set_bound = \
+    _frozen_slots(SweepRow)
+
+
+@dataclass(frozen=True, slots=True)
 class SweepReport:
     """Outcome of a limit sweep, or of one scalar check (one row).
 
-    ``verdict`` follows the rule of :func:`sweep_report`.
+    ``verdict`` follows the rule of :func:`sweep_report`.  Frozen and
+    slotted, built as :class:`SweepRow` is.
     """
 
     label: str
@@ -79,9 +96,21 @@ class SweepReport:
     monotone_deviation: bool
     threshold: float
 
+    def __init__(self, label: str, rows: tuple[SweepRow, ...], verdict: str,
+                 monotone_deviation: bool, threshold: float) -> None:
+        _set_label(self, label)
+        _set_rows(self, rows)
+        _set_verdict(self, verdict)
+        _set_monotone_deviation(self, monotone_deviation)
+        _set_threshold(self, threshold)
+
     @property
     def final_deviation(self) -> float:
         return self.rows[-1].deviation if self.rows else math.inf
+
+
+_set_label, _set_rows, _set_verdict, _set_monotone_deviation, _set_threshold = \
+    _frozen_slots(SweepReport)
 
 
 def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,

@@ -14,14 +14,15 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import qcalculus
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, PoleGuardError
 from .qcalculus import (
     QBase,
     SeriesEval,
     _add,
+    _base_value,
     _direct_setup,
     _direct_sum,
     _direct_terms,
@@ -39,7 +40,7 @@ from .qcalculus import (
     _two_term,
     _U,
     phi21_heine,
-    qpoch_signed,
+    qpoch_finite_kernel,
 )
 
 __all__ = [
@@ -380,12 +381,21 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     non-negative numbers; the sum is multiplied by ``1 + (n + 16) eps``
     to cover them, a margin of second order in the rounding unit.
 
+    When ``q s`` has an imaginary part of exactly 0 (a real lam, or a
+    lam on the unit circle where it rounds to 0), it is taken as a real
+    number: c1, c2 and the rows are floats, and each value and bound is
+    bit for bit that of the complex coefficients, whose imaginary parts
+    are zeros (a float operand of complex arithmetic is ``complex(x,
+    0.0)`` up to Python 3.13).
+
     ``terms_used`` of a value is its seeds' count plus one per step; the
     negative branch returns its seed itself at k = 1.
     """
     q = base.q
     q2 = q * q
     qs = q * (lam + 1.0 / lam)
+    if qs.imag == 0:  # c1, c2 and the rows in floats (see above)
+        qs = qs.real
     rsum = abs(q * lam) + abs(q / lam)
     stol = tol * _SEED_TOL[sign]
     try:
@@ -430,7 +440,7 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
                       + (rho2 + 4.0 * _EPS * ac2) * (abs(prev) + e_prev))
         g_prev, g_cur = (g_cur + [0.0],
                          [c1 * g + c2 * p for g, p in zip(g_cur, g_prev)] + [1.0])
-        e = sum(abs(g) * d for g, d in zip(g_cur, bounds)) \
+        e = sum(map(operator.mul, map(abs, g_cur), bounds)) \
             * (1.0 + (len(bounds) + 16) * _EPS)
         if not e <= tol * max(1.0, _modulus(value)) < math.inf:
             break
@@ -477,7 +487,7 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     form, a product past it (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` at
     q = 0.5, m = 0 from L = -23 on) raise :class:`InvalidArgumentError`.
     This is the one-point window
-    (:func:`_coamen_window`), which evaluates many ``L`` at one ``m`` and
+    (:func:`_coamen_points`), which evaluates many ``L`` at one ``m`` and
     ``lam``.
     """
     if p1.sign < 0:
@@ -485,7 +495,9 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     if form not in ("simplified", "raw"):
         raise InvalidArgumentError(f"unknown form {form!r}")
     m = _integer("m", m)
-    return _coamen_window(base, m, lam, [p1.exponent], form, tol, max_terms)[0]
+    value, used, tail = _coamen_points(base, m, lam, [p1.exponent], form, tol,
+                                       max_terms)[0]
+    return _from_tail(value, used, tail)
 
 
 def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
@@ -493,21 +505,40 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     """``coamen_coeff(base, m, lam, IqPoint.positive(L), form, tol,
     max_terms)`` for each L of ``Ls``, in that order, at an integer m; with
     ``form="both"`` the pair ``(raw, simplified)`` for each L, both forms
-    from one series.
+    from one series.  Each value is one :class:`SeriesEval` built from the
+    floats of :func:`_coamen_points`, which describes the evaluation and
+    its refusals.
+    """
+    points = _coamen_points(base, m, lam, Ls, form, tol, max_terms)
+    if form == "both":
+        return [(_from_tail(*raw), _from_tail(*simplified))
+                for raw, simplified in points]
+    return [_from_tail(*point) for point in points]
+
+
+def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
+                   form: str, tol: float, max_terms: int) -> list[tuple]:
+    """The point loop of the coamen windows, on floats: for each L of
+    ``Ls``, in that order, the value, ``terms_used`` and ``tail_bound`` of
+    the coamen coefficient in ``form``, or with ``form="both"`` the pair
+    of such triples ``(raw, simplified)``.  :func:`coamen_coeff` and
+    :func:`_coamen_window` build one :class:`SeriesEval` per value from
+    them; :func:`averaged_coamen` adds them up.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the guards and snaps of
     :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
     sums directly (``e > 0``), and each such point calls the kernel
     itself; points with ``e <= 0`` go through
-    :func:`qsu11.qcalculus.phi21_heine`.  Both forms are built
-    on plain floats from the series' value, terms and bound, by the rules
-    of :class:`SeriesEval`'s operators, into one :class:`SeriesEval` per
-    value: the simplified form scales the series by the prefactor
-    ``sqrt((-q^e; q^2)_{2m})``, and the raw form multiplies the root of
-    its first product (formed as :func:`qsu11.qcalculus.qpoch_multi`
-    forms it), the scalar, its second product and the series, bit for bit
-    the composition of those operators.
+    :func:`qsu11.qcalculus.phi21_heine`.  Both forms are built on plain
+    floats from the series' value, terms and bound, by the rules of
+    :class:`SeriesEval`'s operators: the simplified form scales the
+    series by the prefactor ``sqrt((-q^e; q^2)_{2m})``, its product formed
+    by :func:`_prefactor` as :func:`qsu11.qcalculus.qpoch_signed` forms
+    it, and the raw form multiplies the root of its first product (formed
+    as :func:`qsu11.qcalculus.qpoch_multi` forms it), the scalar, its
+    second product and the series, bit for bit the composition of those
+    operators.
 
     Every point is evaluated exactly as a one-point window, in order, so a
     refusal at some L refuses the window with the error
@@ -517,8 +548,9 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     products (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` past the float range, at
     q = 0.5, m = 0 from L = -23 on, raises
     :class:`InvalidArgumentError` before it meets the other factors),
-    then the simplified prefactor.  Each ``tail_bound`` covers
-    the series, the products and the scalars (the finite product,
+    then the simplified prefactor (whose checks, made once per window,
+    are made where the first point reaches it).  Each ``tail_bound``
+    covers the series, the products and the scalars (the finite product,
     ``q^N cq^2``) with their rounding.
     """
     if form not in ("simplified", "raw", "both"):
@@ -530,6 +562,7 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
     n_exact = None
+    prefactor = None
     # q^N cq^2: cq = 1 / (sqrt(2) q p1 p2) (QBase) is off by p1's and p2's
     # bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, x by u.
     scalar_rel = 15.0 * _U + 2.0 * sum(
@@ -569,16 +602,41 @@ def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             raw, raw_tail = _mul(*_root(root, root_tail), scalar, scalar_rel)
             raw, raw_tail = _mul(raw, raw_tail, rest, _rel_bound(rest, rest_tail))
             raw, raw_tail = _mul(raw, raw_tail, value, _rel_bound(value, tail))
-            raw = _from_tail(raw, root_used + rest_used + used, raw_tail)
+            raw = (raw, root_used + rest_used + used, raw_tail)
             if form == "raw":
                 out.append(raw)
                 continue
+        if prefactor is None:  # qpoch_signed's checks, once
+            prefactor = _prefactor(q2, m)
         # series * sqrt((-q^e; q^2)_{2m}), the prefactor within root_rel.
-        value, tail = _mul(value, tail, cmath.sqrt(qpoch_signed(z, q2, 2 * m)),
-                           root_rel)
-        simplified = _from_tail(value, used, tail)
-        out.append(simplified if form == "simplified" else (raw, simplified))
+        value, tail = _mul(value, tail, cmath.sqrt(prefactor(z)), root_rel)
+        out.append((value, used, tail) if form == "simplified"
+                   else (raw, (value, used, tail)))
     return out
+
+
+def _prefactor(q2: float, m: int) -> Callable[[float], complex]:
+    """``z -> qpoch_signed(z, q2, 2 m)`` for a finite real z, bit for bit,
+    by :func:`qsu11._kernels.qpoch_finite_kernel` (looked up at call time:
+    the tests replace it).  The checks of ``qpoch_signed`` that do not
+    depend on z run here, once, in its order: the base, then for m < 0 the
+    power ``q2**(-2|m|)`` of its reciprocal convention
+    (:class:`InvalidArgumentError` past the float range); a vanishing
+    denominator is refused per z with :class:`PoleGuardError`, as there.
+    """
+    _base_value(q2)
+    n = 2 * abs(m)
+    if m >= 0:
+        return lambda z: qpoch_finite_kernel(complex(z), q2, n)
+    scale = _power(q2, -n)
+
+    def reciprocal(z: float) -> complex:
+        denom = qpoch_finite_kernel(complex(z) * scale, q2, n)
+        if denom == 0:
+            raise PoleGuardError("reciprocal Pochhammer hit a vanishing factor")
+        return 1.0 / denom
+
+    return reciprocal
 
 
 def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
@@ -588,11 +646,12 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
     Sums the coefficient at the points ``p1 q^e`` for e from
     ``n - 2|m|`` down to ``-n`` (``2(n - |m|) + 1`` summands; the
     remaining ``2|m|`` window slots carry no weight), in that order, and
-    divides by ``2n + 1``.  The summands are one coamen window
-    (:func:`_coamen_window`); their values, terms and bounds are added up
-    on floats in that order by the rule of :class:`SeriesEval`'s ``+``,
-    and scaled by the rule of its ``*`` by an exact scalar, into one
-    :class:`SeriesEval`.  So the result equals ``sum()`` of those
+    divides by ``2n + 1``.  The summands are one coamen window's points
+    (:func:`_coamen_points`), whose values, terms and bounds are added up
+    on floats as the point loop returns them, with no :class:`SeriesEval`
+    per point, in that order by the rule of :class:`SeriesEval`'s ``+``,
+    and scaled by the rule of its ``*`` by an exact scalar, into the one
+    :class:`SeriesEval` returned.  So the result equals ``sum()`` of those
     :func:`coamen_coeff` values times ``1 / (2n + 1)`` bit for bit, and a
     refusal at any point (a ``lam`` of 0 included) raises the error
     :func:`coamen_coeff` raises there.  An ``n`` or ``m`` that is not an
@@ -607,11 +666,11 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
     value, used, tail = 0, 0, 0.0
-    for ev in _coamen_window(
+    for point_value, point_used, point_tail in _coamen_points(
             base, m, lam, [p1.exponent + e for e in range(n - 2 * abs(m), -n - 1, -1)],
             "simplified", tol, max_terms):
-        value, tail = _add(value, tail, ev.value, ev.tail_bound)
-        used += ev.terms_used
+        value, tail = _add(value, tail, point_value, point_tail)
+        used += point_used
     # total * (1 / (2n + 1)), an exact scalar.
     value, tail = _mul(value, tail, 1.0 / (2 * n + 1), 0.0)
     return _from_tail(value, used, tail)

@@ -359,6 +359,33 @@ class TestCheckRunner:
                 reports += 1
         assert (reports, errors) == (701 - refused, refused)
 
+    @pytest.mark.parametrize("refused", (False, True))
+    def test_periodic_rows_share_their_references(self, refused, monkeypatch):
+        # Three points, each at three period multiples: one reference per
+        # point and one shifted value per row.  A refused reference is not
+        # kept, so each of its rows is refused by it, as before.
+        cfg = RunConfig()
+        base = QBase(cfg.q)
+        calls = []
+
+        def counted(base, zp, p0, **kw):
+            calls.append(zp.z)
+            if refused and zp.z == 0.35:
+                raise PoleGuardError("refused reference")
+            return spherical_az(base, zp, p0, **kw)
+
+        monkeypatch.setattr(harness, "spherical_az", counted)
+        checks = [c for c in harness._spherical_checks(cfg, base)
+                  if c.check_id.startswith("periodic_")]
+        assert len(checks) == 9
+        for check in checks:
+            if refused:
+                with pytest.raises(PoleGuardError):
+                    check.run()
+            else:
+                assert check.run().verdict == "pass"
+        assert (calls.count(0.35), len(calls)) == ((9, 9) if refused else (3, 12))
+
     def test_sweep_result(self):
         rows = [SweepRow(1, 3j, 0.2), SweepRow(2, 1j, 0.1, "boom")]
         check = Check("c", "Thm5.2", {"x": 1},

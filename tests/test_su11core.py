@@ -753,6 +753,21 @@ class TestCoamenWindow:
         assert routes == {(True,), (False,), (False, True)}
         assert refused
 
+    def test_lattice_sized_average_is_the_sum_of_its_points(self):
+        # The lattice experiments' windows: n in [20, 40] at p1 = q^(-2n),
+        # |m| <= 2 and |lam| = 1 (every point sums directly: e >= 2n + 2),
+        # beside the n <= 10 of _coamen_windows.
+        rng = random.Random(51)
+        for _ in range(12):
+            q, n = rng.choice((0.41, 0.5, 0.56)), rng.randint(20, 40)
+            m, lam = rng.randint(-2, 2), cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            base, p1 = QBase(q), IqPoint.positive(-2 * n)
+            es = range(n - 2 * abs(m), -n - 1, -1)
+            want = sum(coamen_coeff(base, m, lam, p1.shifted(e)) for e in es) \
+                * (1.0 / (2 * n + 1))
+            got = averaged_coamen(base, n, p1, m, lam)
+            assert _fields(got) == _fields(want), (q, n, m, lam)
+
     @pytest.mark.parametrize("form", ("simplified", "raw"))
     def test_points_are_coamen_coeff(self, form):
         for q, n, m, L, lam in _coamen_windows(6, 40):
@@ -871,7 +886,7 @@ class TestRawSimplifiedPair:
         for name, module, attr, exc in (
                 ("series", qcalculus, "phi21_kernel", self.Series),
                 ("raw", qcalculus, "_qpoch_product", self.RawProducts),
-                ("prefactor", su11core, "qpoch_signed", self.Prefactor)):
+                ("prefactor", su11core, "qpoch_finite_kernel", self.Prefactor)):
             if name in failing:
                 monkeypatch.setattr(module, attr, raiser(exc))
         p1 = IqPoint.positive(L)

@@ -1,5 +1,6 @@
 """The contracts of the per-point value types ``SeriesEval``, ``IqPoint``,
-``SpectralParam`` and ``ThetaPair``: frozen, slotted, with their fields,
+``SpectralParam`` and ``ThetaPair``, and of the report rows ``SweepRow``
+and ``SweepReport``: frozen, slotted, with their fields,
 defaults, equality, hash and repr as dataclasses define them, and a
 round trip through pickle, deepcopy and ``dataclasses.replace``."""
 
@@ -15,9 +16,12 @@ from qsu11 import (
     QBase,
     SeriesEval,
     SpectralParam,
+    SweepReport,
+    SweepRow,
     ThetaPair,
     theta_pair,
 )
+from qsu11.limitlab import sweep_report
 
 MISSING = dataclasses.MISSING
 
@@ -49,6 +53,23 @@ CASES = {
          ("absolute", False)),
         "ThetaPair(lhs=1j, rhs=1.5, residual=1e-16, absolute=False)",
         {"lhs": 2.0, "rhs": 0.5j, "residual": 0.0, "absolute": True},
+    ),
+    "SweepRow": (
+        SweepRow(0.9, 1 + 2j, 0.25),
+        (("param", MISSING), ("value", MISSING), ("deviation", MISSING),
+         ("note", ""), ("bound", 0.0)),
+        "SweepRow(param=0.9, value=(1+2j), deviation=0.25, note='', bound=0.0)",
+        {"param": 0.99, "value": 1j, "deviation": 0.5, "note": "boom", "bound": 0.125},
+    ),
+    "SweepReport": (
+        SweepReport("chain", (SweepRow(None, 1j, 0.5),), "pass", True, 0.5),
+        (("label", MISSING), ("rows", MISSING), ("verdict", MISSING),
+         ("monotone_deviation", MISSING), ("threshold", MISSING)),
+        "SweepReport(label='chain', rows=(SweepRow(param=None, value=1j, "
+        "deviation=0.5, note='', bound=0.0),), verdict='pass', "
+        "monotone_deviation=True, threshold=0.5)",
+        {"label": "check", "rows": (), "verdict": "fail",
+         "monotone_deviation": False, "threshold": 0.25},
     ),
 }
 
@@ -126,7 +147,10 @@ def test_results_are_these_types(name):
     obj = {"SeriesEval": lambda: SeriesEval(1.0, 1, 0.0) * SeriesEval(2.0, 1, 0.0),
            "IqPoint": lambda: IqPoint.negative(2).shifted(1),
            "SpectralParam": lambda: SpectralParam.from_z(0.3, base),
-           "ThetaPair": lambda: theta_pair(0.3, 2, base)}[name]()
+           "ThetaPair": lambda: theta_pair(0.3, 2, base),
+           "SweepRow": lambda: SweepRow(1, 2j, 0.5),
+           "SweepReport": lambda: sweep_report("check", (SweepRow(1, 2j, 0.5),),
+                                               1.0)}[name]()
     assert type(obj).__name__ == name
     assert dataclasses.replace(obj) == obj
 
