@@ -1,6 +1,8 @@
 """Scalar summation kernels: the q-Pochhammer and 2phi1 loops, in plain
 Python.  Every series and product of the package is summed here, one
-evaluation point per call.
+evaluation point per call, except in :func:`phi21_window_kernel`, which
+sums one 2phi1 at a list of arguments that share its parameters and base
+(a lattice window) and forms what they share once.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ __all__ = [
     "qpoch_finite_kernel",
     "qpoch_infinite_kernel",
     "phi21_kernel",
+    "phi21_window_kernel",
 ]
 
 
@@ -145,38 +148,48 @@ _C_STEP = 20.0
 
 
 def _phi21_rounding(a: complex, b: complex, c: complex, base: float, n: int,
-                    m: float, w: float) -> float:
+                    m: float, w: float, drift: float | None = None) -> float:
     """First-order bound on the rounding error of an n-term sum of
     :func:`phi21_kernel` with ``m = sum |t_j|``, ``w = sum j |t_j|`` over
     j >= 1 (Higham, *Accuracy and Stability of Numerical Algorithms*,
     ch. 3): ``u (_C_STEP w + D m + n m - w + n - 1)`` plus 16 (n - 1)
-    subnormal spacings.  Term j is j steps of ``_C_STEP`` u and the drift D
-    off, and takes part in n - j of the n - 1 additions (t_0 = 1 in all).
-    D sums ``i |f_i| / |1 - f_i|`` over the factors the terms use,
-    f_i = x base^i (x = a, b, c, base) off by the i roundings of
-    ``f *= base``: one by one while ``|f_i| > 1/2`` (f_0 is exact), then, as
-    ``|1 - f_i| >= 1/2``, ``2 r (i + base / (1 - base)) / (1 - base)`` at
-    the first ``r = |f_i| <= 1/2``.  0 for n = 1; ``inf`` if not finite.
+    subnormal spacings, D the drift of :func:`_phi21_drift` (``drift``,
+    when the caller has it).  Term j is j steps of ``_C_STEP`` u and the
+    drift D off, and takes part in n - j of the n - 1 additions (t_0 = 1
+    in all).  0 for n = 1; ``inf`` if not finite.
     """
     if n <= 1:
         return 0.0
+    if drift is None:
+        drift = _phi21_drift(a, b, c, base, n)
+    bound = _U * (_C_STEP * w + drift * m + n * m - w + n - 1) + 16.0 * (n - 1) * _SUB
+    return bound if bound < math.inf else math.inf
+
+
+def _phi21_drift(a: complex, b: complex, c: complex, base: float, n: int) -> float:
+    """The drift D of :func:`_phi21_rounding` for an n-term sum: the sum
+    of ``i |f_i| / |1 - f_i|`` over the factors the terms use,
+    f_i = x base^i (x = a, b, c, base) off by the i roundings of
+    ``f *= base``: one by one while ``|f_i| > 1/2`` (f_0 is exact), then, as
+    ``|1 - f_i| >= 1/2``, ``2 r (i + base / (1 - base)) / (1 - base)`` at
+    the first ``r = |f_i| <= 1/2``.  It depends on the parameters and n
+    only, so :func:`phi21_window_kernel` forms it once per n.
+    """
     inv = 1.0 / (1.0 - base)
     ra, rb, rc, half = abs(a), abs(b), abs(c), 0.5 / base
     if ra <= half and rb <= half and rc <= half and base <= half:  # |f_i| <= 1/2
-        drift = 2.0 * (ra + rb + rc + base) * base * inv * inv
-    else:
-        drift = 0.0
-        for f in (a, b, c, base):
-            i, r = 0, abs(f)
-            while r > 0.5 and i < n - 1:
-                fac = abs(1.0 - f)
-                drift += i * r / fac if fac else math.inf
-                i, f = i + 1, f * base
-                r = abs(f)
-            if i < n - 1:
-                drift += 2.0 * r * (i + base * inv) * inv
-    bound = _U * (_C_STEP * w + drift * m + n * m - w + n - 1) + 16.0 * (n - 1) * _SUB
-    return bound if bound < math.inf else math.inf
+        return 2.0 * (ra + rb + rc + base) * base * inv * inv
+    drift = 0.0
+    for f in (a, b, c, base):
+        i, r = 0, abs(f)
+        while r > 0.5 and i < n - 1:
+            fac = abs(1.0 - f)
+            drift += i * r / fac if fac else math.inf
+            i, f = i + 1, f * base
+            r = abs(f)
+        if i < n - 1:
+            drift += 2.0 * r * (i + base * inv) * inv
+    return drift
 
 
 def _same_bits(x: complex, y: complex) -> bool:
@@ -316,3 +329,97 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     except OverflowError:  # abs of a term or of the sum past the float range
         pass
     return s, k + 1, math.inf, 1
+
+
+def phi21_window_kernel(a: complex, b: complex, c: complex, base: float,
+                        zs: list, rel_tol: float, max_terms: int) -> list:
+    """:func:`phi21_kernel`'s convergent sum (``n_exact < 0``) at each
+    argument z of ``zs``, in that order: one ``(value, terms_used,
+    tail_bound, status)`` per z, that of ``phi21_kernel(a, b, c, base, z,
+    -1, rel_tol, max_terms)`` bit for bit.
+
+    What depends on a, b, c and base alone is formed once for the window:
+    per step i the factors ``1 - a q^i``, ``1 - b q^i`` and the
+    denominator, and the pieces of the tail test after step i - 1, in a
+    table filled as far as the longest sum reaches; and the drift of
+    :func:`_phi21_rounding`, once per term count.  Each sum then steps
+    ``t = t * A * B / D * z`` and tests ``r = |z| * P * Q / E``: the
+    kernel's operations on the kernel's values in the kernel's order (in
+    CPython's float-complex arithmetic up to 3.13, as there).  The rows
+    take the form of the loop :func:`phi21_kernel` selects: with
+    ``c == base`` the real denominator ``d * d``, ``d = 1 - q^{i+1}``,
+    otherwise the general step, which also holds the values of the loop
+    for ``a`` and ``b`` equal bit for bit (their factors and moduli are
+    then equal bit for bit too).  An ``abs`` that overflows in a row ends
+    every sum that reaches the row, as it ends the kernel's.
+    """
+    real = c == base
+    # rows[i]: (A, B, D) of step i, from fa = a q^i and fq = q^(i+1), then
+    # (P, Q, E) of the tail test after step i - 1 (E None where
+    # |c q^i| >= 1 leaves the test out).  Row 0's test is never made.
+    fa, fb, fc, fq = a, b, c, base
+    if real:
+        d = 1.0 - fq
+        first = 1.0 - fa, 1.0 - fb, d * d
+    else:
+        first = 1.0 - fa, 1.0 - fb, (1.0 - fc) * (1.0 - fq)
+    rows = [(*first, None, None, None)]
+    top = 1
+    drifts = {}
+    out = []
+    for z in zs:
+        s = t = 1.0 + 0.0j
+        k = n = 0
+        m = w = tail = 0.0
+        A, B, D = first
+        try:
+            az = abs(z)
+            while k < max_terms:
+                t = t * A * B / D * z
+                k += 1
+                s += t
+                at = abs(t)
+                if at == 0:  # k terms, no tail
+                    n, tail = k, 0.0
+                    break
+                m, w = m + at, w + k * at
+                if k < top:
+                    A, B, D, P, Q, E = rows[k]
+                else:  # a new row; none is stored if an abs overflows
+                    na, nb, nq = fa * base, fb * base, fq * base
+                    A, B = 1.0 - na, 1.0 - nb
+                    if real:
+                        d = 1.0 - nq
+                        D = E = d * d
+                        P, Q = 1.0 + abs(na), 1.0 + abs(nb)
+                    else:
+                        nc = fc * base
+                        D = (1.0 - nc) * (1.0 - nq)
+                        bc = abs(nc)
+                        if bc < 1.0:
+                            P, Q = 1.0 + abs(na), 1.0 + abs(nb)
+                            E = (1.0 - bc) * (1.0 - nq)
+                        else:
+                            P = Q = E = None
+                        fc = nc
+                    rows.append((A, B, D, P, Q, E))
+                    fa, fb, fq, top = na, nb, nq, top + 1
+                if E is not None:
+                    r = az * P * Q / E
+                    if r < 1.0:
+                        tail = at * r / (1.0 - r)
+                        ms = abs(s)
+                        if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                            n = k + 1
+                            break
+            if n:  # certified: the tail and the rounding of n terms
+                drift = drifts.get(n)
+                if drift is None and n > 1:  # none for one term, as there
+                    drift = drifts[n] = _phi21_drift(a, b, c, base, n)
+                out.append((s, k + 1, tail + _phi21_rounding(a, b, c, base, n, m, w,
+                                                             drift), 0))
+                continue
+        except OverflowError:  # abs of a term, of the sum or of a factor
+            pass
+        out.append((s, k + 1, math.inf, 1))
+    return out

@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 from .errors import InvalidArgumentError, PoleGuardError, QSU11Error
 from .qcalculus import (EPS_POLE, QBase, SeriesEval, _frozen_slots, _modulus,
                         _near_power, qpoch_finite)
-from .su11core import (IqPoint, SpectralParam, averaged_coamen, coamen_coeff,
-                       spherical_az, spherical_window)
+from .su11core import (IqPoint, SpectralParam, _integer, averaged_coamen,
+                       coamen_coeff, spherical_az, spherical_window)
 
 __all__ = [
     "MONO_SLACK",
@@ -157,11 +157,16 @@ def _sweep_evaluator(family: str, base: QBase,
       ``lam``, optional ``form``).
     * ``averaged_coamen`` — a pair (n, j) (fixed keys ``m``, ``lam``).
     * ``b1_ratio`` — a value of lam (fixed key ``k``: int or math.inf).
+
+    The exponents and counts (``k``, ``m``, ``max_terms``, ``trunc_K``, and
+    the elements' j and n) must be integers, as
+    :func:`qsu11.su11core._integer` takes them: a fixed one that is not raises
+    :class:`InvalidArgumentError` here, an element in its own row.
     """
     tol = float(fixed.pop("tol", 1e-12))
-    max_terms = int(fixed.pop("max_terms", 200))
+    max_terms = _integer("max_terms", fixed.pop("max_terms", 200))
     if family in ("spherical_case1", "spherical_case2", "spherical_case3"):
-        k = int(fixed.pop("k", 0 if family == "spherical_case1" else 1))
+        k = _integer("k", fixed.pop("k", 0 if family == "spherical_case1" else 1))
         if family == "spherical_case1":
             if k > 0:
                 raise InvalidArgumentError("case-1 points need exponent <= 0")
@@ -181,30 +186,32 @@ def _sweep_evaluator(family: str, base: QBase,
 
         return evaluate
     if family == "coamen":
-        m = int(fixed.pop("m", 0))
+        m = _integer("m", fixed.pop("m", 0))
         lam = complex(fixed.pop("lam", 1.0))
         form = str(fixed.pop("form", "simplified"))
 
         def evaluate(j: object) -> complex:
-            p1 = IqPoint.positive(-int(j))
+            p1 = IqPoint.positive(-_integer("j", j))
             return coamen_coeff(base, m, lam, p1, form=form, tol=tol,
                                 max_terms=max_terms).value
 
         return evaluate
     if family == "averaged_coamen":
-        m = int(fixed.pop("m", 0))
+        m = _integer("m", fixed.pop("m", 0))
         lam = complex(fixed.pop("lam", 1.0))
 
         def evaluate(nj: object) -> complex:
             n, j = nj
-            return averaged_coamen(base, int(n), IqPoint.positive(-int(j)),
+            return averaged_coamen(base, n, IqPoint.positive(-_integer("j", j)),
                                    m, lam, tol=tol,
                                    max_terms=max_terms).value
 
         return evaluate
     if family == "b1_ratio":
         k = fixed.pop("k", 1)
-        trunc = int(fixed.pop("trunc_K", RATIO_TRUNC_K))
+        if k != math.inf:
+            k = _integer("k", k)
+        trunc = _integer("trunc_K", fixed.pop("trunc_K", RATIO_TRUNC_K))
 
         def evaluate(lam: object) -> complex:
             return pochhammer_ratio(base, complex(lam), k, trunc_K=trunc)
@@ -282,9 +289,10 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     """Sup of ``|a_z(q^k) - 1|`` over the outward points k = -max_exponent..0.
 
     The points are one :func:`qsu11.su11core.spherical_window` (case 1:
-    the direct series' guards once, one kernel sum per k), each summed
-    within ``tol`` and ``max_terms``.  A coefficient that is not finite
-    raises :class:`InvalidArgumentError` rather than drop out of the sup.
+    the direct series' guards once, the series at every k in one kernel
+    pass), each summed within ``tol`` and ``max_terms``.  A coefficient
+    that is not finite raises :class:`InvalidArgumentError` rather than
+    drop out of the sup.
 
     The coefficient deviations decay geometrically in -k on this range,
     so the sup over the truncated window already equals the sup over

@@ -23,9 +23,11 @@ from .qcalculus import (
     SeriesEval,
     _add,
     _base_value,
+    _certified,
     _direct_setup,
     _direct_sum,
     _direct_terms,
+    _direct_window,
     _div,
     _from_tail,
     _frozen_slots,
@@ -64,9 +66,11 @@ _EPS = sys.float_info.epsilon
 class IqPoint:
     """A classical point ``sign * q**exponent`` of the disc spectrum.
 
-    ``sign`` is +1 or -1; negative points require ``exponent >= 1``
-    (the negative branch starts at ``-q``).  Frozen and slotted; the
-    arguments are checked before any field is stored.
+    ``sign`` is +1 or -1 and ``exponent`` an integer (anything else, a
+    float of integral value included, raises
+    :class:`InvalidArgumentError`); negative points require
+    ``exponent >= 1`` (the negative branch starts at ``-q``).  Frozen and
+    slotted; the arguments are checked before any field is stored.
     """
 
     sign: int
@@ -75,6 +79,8 @@ class IqPoint:
     def __init__(self, sign: int, exponent: int) -> None:
         if sign not in (1, -1):
             raise InvalidArgumentError("sign must be +1 or -1")
+        if type(exponent) is not int:  # checked; an int passes as it is
+            exponent = _integer("exponent", exponent)
         if sign < 0 and exponent < 1:
             raise InvalidArgumentError("negative points require exponent >= 1")
         _set_sign(self, sign)
@@ -214,9 +220,11 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
     k <= 0) checks its direct series' guards and snaps once, then sums
-    the kernel per k, :func:`spherical_az`'s values bit for bit; a sum
-    whose value is not finite (a term past the float range) raises
-    :class:`InvalidArgumentError`.  In a window of two or more exponents
+    its series at every k in one kernel pass
+    (:func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
+    values bit for bit; a sum whose value is not finite (a term past the
+    float range) raises :class:`InvalidArgumentError`, the first such k's
+    error.  In a window of two or more exponents
     reaching k >= 1, the refusal of a lam**2 below the normal float range,
     made before any series is summed, is followed by the three-term
     recurrence in k (:func:`_recurrence`), seeded by the case-1 values
@@ -267,9 +275,13 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
         a, b, c = q / lam, lam * q, q * q
         bb, n_exact = _direct_setup(a, b, c, c, -q ** (2 - 2 * ks[n1 - 1]), tol,
                                     max_terms)
-        for k in ks[:n1]:
-            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, tol,
+        if n1 == 1:  # one point: phi21_kernel itself
+            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * ks[0]), n_exact, tol,
                                    max_terms))
+        else:
+            zs = [-q ** (2 - 2 * k) for k in ks[:n1]]
+            for terms in _direct_window(a, b, c, bb, zs, n_exact, tol, max_terms):
+                out.append(SeriesEval(*_certified(terms)))
     if recur:
         out += _recurrence(base, lam, sign, ks[n1], ks[-1], tol, max_terms)
     rest = ks[len(out):]
@@ -344,15 +356,15 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``c2 = (w - q^2)/(1 - w)``.
 
     Seeds: on the positive branch the case-1 values a(-1) and a(0), summed
-    to ``tol / 1000``; on the negative branch the one closed-form value
-    a(-q) (:func:`_closed_form` at k = 1, where ``(q/u)^{k-1} = 1``), to
-    ``tol / 100`` (at k = 2 the coefficient of a(0) is
-    ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``; near the
-    pole lattice of the two-term form that of a(-q) grows like 1/d, and the
-    negative branch falls back to the closed form sooner.  A seed that is
-    refused (a seed tolerance that underflows) gives ``[]``, and so do
-    positive seeds whose ``q/lam`` or ``lam q`` is snapped onto a
-    terminating series (within ``EPS_POLE`` of some ``q^{-2n}``) without
+    to ``tol / 1000`` in one kernel pass; on the negative branch the one
+    closed-form value a(-q) (:func:`_closed_form` at k = 1, where
+    ``(q/u)^{k-1} = 1``), to ``tol / 100`` (at k = 2 the coefficient of
+    a(0) is ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``;
+    near the pole lattice of the two-term form that of a(-q) grows like
+    1/d, and the negative branch falls back to the closed form sooner.  A
+    seed that is refused (a seed tolerance that underflows) gives ``[]``,
+    and so do positive seeds whose ``q/lam`` or ``lam q`` is snapped onto
+    a terminating series (within ``EPS_POLE`` of some ``q^{-2n}``) without
     being that power exactly: their ``tail_bound`` does not count the
     parameter's offset.
 
@@ -404,8 +416,9 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
             bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
             if n_exact >= 0 and c ** -n_exact not in (a, b):
                 return []  # snapped from off the lattice: the closed form decides
-            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, stol,
-                                    max_terms) for k in (-1, 0))
+            ev0, ev1 = (SeriesEval(*_certified(terms)) for terms in _direct_window(
+                a, b, c, bb, [-q ** (2 - 2 * k) for k in (-1, 0)], n_exact, stol,
+                max_terms))
             k0 = 1
         else:
             ev1, = _closed_form(base, lam, -1, [1], stol, max_terms)
@@ -528,8 +541,10 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the guards and snaps of
     :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
-    sums directly (``e > 0``), and each such point calls the kernel
-    itself; points with ``e <= 0`` go through
+    sums directly (``e > 0``); when points follow it, the series of that
+    point and of every later direct point are summed there in one kernel
+    pass (:func:`qsu11.qcalculus._direct_window`), each point's sum taken,
+    and refused, when the loop reaches it; points with ``e <= 0`` go through
     :func:`qsu11.qcalculus.phi21_heine`.  Both forms are built on plain
     floats from the series' value, terms and bound, by the rules of
     :class:`SeriesEval`'s operators: the simplified form scales the
@@ -561,7 +576,7 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     q2 = q * q
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
-    n_exact = None
+    n_exact = direct = None
     prefactor = None
     # q^N cq^2: cq = 1 / (sqrt(2) q p1 p2) (QBase) is off by p1's and p2's
     # bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, x by u.
@@ -574,7 +589,7 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     n = 2 * abs(m)
     root_rel = (3.5 * n + n * (n - 1) / 4.0 + 9.0) * _U
     out = []
-    for L in Ls:
+    for i, L in enumerate(Ls):
         e = 2 - 2 * L - 4 * m
         z = -_power(q, e)
         if e <= 0:
@@ -583,7 +598,13 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
         else:
             if n_exact is None:  # phi21_direct's guards and snaps, once
                 bb, n_exact = _direct_setup(a, b, q2, q2, z, tol, max_terms)
-            value, used, tail = _direct_terms(a, b, q2, bb, z, n_exact, tol, max_terms)
+                if i + 1 < len(Ls):  # this and the later direct points' series
+                    direct = iter(_direct_window(a, b, q2, bb,
+                                                 [z, *_direct_zs(q, m, Ls[i + 1:])],
+                                                 n_exact, tol, max_terms))
+            value, used, tail = (
+                _certified(next(direct)) if direct
+                else _direct_terms(a, b, q2, bb, z, n_exact, tol, max_terms))
         if form != "simplified":
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
@@ -613,6 +634,21 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
         out.append((value, used, tail) if form == "simplified"
                    else (raw, (value, used, tail)))
     return out
+
+
+def _direct_zs(q: float, m: int, Ls: Sequence[int]) -> list[float]:
+    """The series arguments ``-q^e`` of the direct points (``e = 2 - 2L -
+    4m > 0``) of ``Ls``, in order, up to the first whose power is past the
+    float range (:func:`_coamen_points` refuses it when it gets there)."""
+    zs = []
+    for L in Ls:
+        e = 2 - 2 * L - 4 * m
+        if e > 0:
+            try:
+                zs.append(-q ** e)
+            except OverflowError:  # as in _power
+                break
+    return zs
 
 
 def _prefactor(q2: float, m: int) -> Callable[[float], complex]:
@@ -647,7 +683,8 @@ def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,
     ``n - 2|m|`` down to ``-n`` (``2(n - |m|) + 1`` summands; the
     remaining ``2|m|`` window slots carry no weight), in that order, and
     divides by ``2n + 1``.  The summands are one coamen window's points
-    (:func:`_coamen_points`), whose values, terms and bounds are added up
+    (:func:`_coamen_points`: the direct series of the window in one kernel
+    pass), whose values, terms and bounds are added up
     on floats as the point loop returns them, with no :class:`SeriesEval`
     per point, in that order by the rule of :class:`SeriesEval`'s ``+``,
     and scaled by the rule of its ``*`` by an exact scalar, into the one

@@ -10,7 +10,7 @@ import sys
 import pytest
 
 from qsu11 import QBase, backend, harness, qcalculus, qpoch_infinite, theta_pair
-from qsu11._kernels import _phi21_rounding, phi21_kernel
+from qsu11._kernels import _phi21_rounding, phi21_kernel, phi21_window_kernel
 
 
 def _probe_script() -> str:
@@ -179,16 +179,99 @@ class TestPhi21KernelShapes:
 
     @pytest.mark.parametrize("q", (0.5, 0.9))
     def test_calls_of_a_default_run(self, q, tmp_path, monkeypatch, capsys):
-        # Every kernel call that the default verification run makes.
-        calls = []
+        # Every series that the default verification run sums, by a kernel
+        # call or as a point of a window, with the tuple it got.
+        sums = []
 
         def recorded(*args):
-            calls.append(args)
-            return phi21_kernel(*args)
+            result = phi21_kernel(*args)
+            sums.append((args, result))
+            return result
+
+        def recorded_window(a, b, c, base, zs, rel_tol, max_terms):
+            results = phi21_window_kernel(a, b, c, base, zs, rel_tol, max_terms)
+            sums.extend(((a, b, c, base, z, -1, rel_tol, max_terms), result)
+                        for z, result in zip(zs, results))
+            return results
 
         monkeypatch.setattr(qcalculus, "phi21_kernel", recorded)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", recorded_window)
         harness.main(["--q", str(q), "--out", str(tmp_path)])
         capsys.readouterr()
-        assert len(calls) > 1900
-        for args in calls:
-            _assert_same_bits(args)
+        assert len(sums) > 1900
+        for args, result in sums:
+            assert repr(result) == repr(_reference_phi21(*args)), args
+
+
+class TestPhi21WindowKernel:
+    """``phi21_window_kernel`` returns, at each point of a window, the
+    tuple of ``phi21_kernel`` at that point bit for bit."""
+
+    @staticmethod
+    def _assert_window(a, b, c, base, zs, rel_tol, max_terms):
+        got = phi21_window_kernel(a, b, c, base, zs, rel_tol, max_terms)
+        assert len(got) == len(zs)
+        for z, result in zip(zs, got):
+            want = phi21_kernel(a, b, c, base, z, -1, rel_tol, max_terms)
+            # repr tells signed zeros apart; == would not.
+            assert repr(result) == repr(want), (a, b, c, base, z, rel_tol, max_terms)
+
+    def test_seeded_windows_of_every_shape(self):
+        rng = random.Random(25)
+        for a, b, c, base, z, n_exact, rel_tol, max_terms in _seeded_calls(16, 3000):
+            if n_exact >= 0:
+                continue
+            zs = [z] + [_disc(rng, 1.0) for _ in range(rng.randint(1, 38))]
+            zs.append(rng.choice(zs))  # a repeated point
+            if rng.random() < 0.25:
+                zs.append(rng.choice((0j, -0j)))
+            rng.shuffle(zs)
+            self._assert_window(a, b, c, base, zs, rel_tol, max_terms)
+
+    @pytest.mark.parametrize("order", (1, -1), ids=("ascending", "descending"))
+    def test_lattice_window_either_way(self, order):
+        # A window of case-1 arguments -q^{2-2k}: the longest sum first or last.
+        q = 0.5
+        lam = complex(q ** 0.3, 0.2)
+        zs = [-q ** (2 - 2 * k) for k in range(-24, 1)][::order]
+        self._assert_window(q / lam, lam * q, q * q, q * q, zs, 1e-12, 200)
+
+    @pytest.mark.parametrize("same", (True, False), ids=("a=b", "a!=b"))
+    @pytest.mark.parametrize("c", (0.5, complex(0.5, -0.0), 0.3 - 0.2j),
+                             ids=("c=base", "c=base-0j", "c"))
+    def test_factor_exactly_zero(self, same, c):
+        # 1 - a 0.5^2 = 0 at a = 4: every sum stops at its third term.
+        a = complex(4.0)
+        b = a if same else complex(0.3, 0.4)
+        zs = [0.6 - 0.3j, 0j, 0.1, -0.9j, 0.6 - 0.3j]
+        for max_terms in (1, 2, 3, 4, 200):
+            self._assert_window(a, b, c, 0.5, zs, 1e-12, max_terms)
+
+    @pytest.mark.parametrize("ab", ((0.9 - 0.1j, 0.9 - 0.1j), (0.9, -0.7j)),
+                             ids=("a=b", "a!=b"))
+    @pytest.mark.parametrize("c", (0.9, -0.4j), ids=("c=base", "c"))
+    def test_budget_exhaustion(self, ab, c):
+        # |z| close to 1 at base 0.9: no certificate within a few terms,
+        # beside points that certify within them.
+        zs = [0.999j, 1e-3, -0.5, 0.999j, 0j]
+        for max_terms in range(6):
+            self._assert_window(*ab, c, 0.9, zs, 1e-14, max_terms)
+
+    @pytest.mark.parametrize("c", (0.5, 0j), ids=("c=base", "c"))
+    def test_term_past_the_float_range(self, c):
+        # At z = 1 + 1j the first term leaves the float range; at the small
+        # z of the other points it does not.
+        a = complex(-0.7e308)
+        zs = [1e-300, 1 + 1j, 0j, 1e-300j, 1 + 1j]
+        got = phi21_window_kernel(a, 0j, c, 0.5, zs, 1e-12, 200)
+        assert got[1][2] == math.inf
+        self._assert_window(a, 0j, c, 0.5, zs, 1e-12, 200)
+
+    def test_parameter_modulus_past_the_float_range(self):
+        # |a| overflows abs: a one-term sum (z = 0) needs no rounding bound
+        # and is certified, the others end uncertified.
+        a = complex(1.5e308, 1.5e308)
+        zs = [0j, 1e-300, 0j, 1e-300j]
+        got = phi21_window_kernel(a, 0j, -10j, 0.5, zs, 1e-12, 200)
+        assert got[0] == (1, 2, 0.0, 0)
+        self._assert_window(a, 0j, -10j, 0.5, zs, 1e-12, 200)

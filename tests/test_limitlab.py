@@ -125,6 +125,41 @@ class TestLimitSweep:
         assert "float range" in rep.rows[1].note
         assert math.isinf(rep.rows[1].deviation)
 
+    @pytest.mark.parametrize("family, fixed, approach", (
+        ("spherical_case1", {"k": -0.5}, (0.9,)),
+        ("spherical_case2", {"k": 2.5}, (0.9,)),
+        ("spherical_case3", {"k": 2.0}, (0.9,)),
+        ("spherical_case1", {"max_terms": 50.7}, (0.9,)),
+        ("coamen", {"m": 0.5}, (2,)),
+        ("averaged_coamen", {"m": 0.5}, ((3, 2),)),
+        ("b1_ratio", {"k": 2.5}, (0.8,)),
+        ("b1_ratio", {"k": math.inf, "trunc_K": 60.5}, (0.8,)),
+    ))
+    def test_non_integer_fixed_param_refused_at_set_up(self, family, fixed,
+                                                       approach):
+        # It was int()-truncated: {"m": 0.5} evaluated m = 0.
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            limit_sweep(family, B, fixed, approach, 1.0, 10.0)
+
+    @pytest.mark.parametrize("family, approach", (
+        ("coamen", (2, 2.7, 3)),
+        ("averaged_coamen", ((3, 2), (3, 2.7), (3, 3))),
+        ("averaged_coamen", ((3, 2), (3.5, 2), (3, 3))),
+    ))
+    def test_non_integer_approach_element_is_an_error_row(self, family, approach):
+        # 2.7 reported the j = 2 value under param 2.7.
+        rep = limit_sweep(family, B, {"m": 0, "lam": 1.0}, approach, 1.0, 10.0,
+                          require_monotone=False)
+        assert rep.verdict == "fail"
+        assert [bool(r.note) for r in rep.rows] == [False, True, False]
+        assert "must be an integer" in rep.rows[1].note
+        assert math.isinf(rep.rows[1].deviation)
+
+    def test_b1_ratio_takes_an_infinite_k(self):
+        rep = limit_sweep("b1_ratio", B, {"k": math.inf, "trunc_K": 60}, (1.5,),
+                          0.0, 10.0)
+        assert rep.rows[0].note == ""
+
     def test_unknown_family(self):
         with pytest.raises(InvalidArgumentError):
             limit_sweep("case1", B, {}, (0.9,), 1.0, 1e-3)

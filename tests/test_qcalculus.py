@@ -346,6 +346,7 @@ class TestPhi21Continued:
         lam = B.q ** 0.9
         assert math.isfinite(phi21_continued(lam, B.q ** 64, B).tail_bound)
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", no_sum)
         with pytest.raises(InvalidArgumentError, match="at kappa = .* past the float"):
             phi21_continued(lam, phase * B.q ** 66, B)
 
@@ -396,6 +397,7 @@ class TestContinuationPole:
         qcalculus._qpoch_infinite.cache_clear()
         monkeypatch.setattr(qcalculus, "qpoch_infinite_kernel", no_kernel)
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_kernel)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", no_kernel)
         with pytest.raises(PoleGuardError, match=rf"\(k = {k}\)"):
             phi21_continued(B.q ** 0.9, -B.q ** (2 * k) * (1.0 + d), B)
 

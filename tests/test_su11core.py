@@ -57,6 +57,14 @@ class TestIqPoint:
         with pytest.raises(InvalidArgumentError):
             IqPoint(2, 0)
 
+    @pytest.mark.parametrize("sign", (1, -1))
+    @pytest.mark.parametrize("exponent", (2.5, 2.0, "2", None))
+    def test_non_integer_exponent_refused(self, sign, exponent):
+        # IqPoint(1, 2.5) was a point off the lattice: structural_maps gave
+        # chi = 2.5 and spherical_az a value at +q^2.5.
+        with pytest.raises(InvalidArgumentError, match="exponent must be an integer"):
+            IqPoint(sign, exponent)
+
     def test_value_and_shift(self):
         p = IqPoint.positive(-2)
         assert p.value(B) == 4.0
@@ -602,6 +610,7 @@ class TestLargeExponents:
         zp = SpectralParam.from_z(-3.3, B)
         assert cmath.isfinite(spherical_az(B, zp, IqPoint(sign, 444)).value)
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", no_sum)
         with pytest.raises(InvalidArgumentError, match=r"\(q/u\)\*\*444 .* past"):
             spherical_az(B, zp, IqPoint(sign, 445))
 
@@ -1201,6 +1210,16 @@ class TestNonFiniteSum:
         with pytest.raises(InvalidArgumentError, match="left the float range"):
             call()
 
+    def test_window_refuses_as_its_first_point(self):
+        # A case-1 window of four points, summed in one kernel pass, refuses
+        # with the error of its first point, k = -3.
+        zp = SpectralParam.from_z(-100, B)
+        with pytest.raises(InvalidArgumentError, match="left the float range") as win:
+            spherical_window(B, zp, 1, range(-3, 1))
+        with pytest.raises(InvalidArgumentError) as point:
+            spherical_az(B, zp, IqPoint.positive(-3))
+        assert str(win.value) == str(point.value)
+
     def test_finite_uncertified_sum_is_returned(self):
         # Out of terms with a finite value: returned, tail_bound = inf.
         ev = phi21_direct(0.3, 0.2, 0.25, 0.9, 0.999, max_terms=3)
@@ -1220,6 +1239,7 @@ class TestHeineOverflow:
             raise AssertionError("a series was summed")
 
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", no_sum)
         with pytest.raises(InvalidArgumentError, match="past the float range"):
             coamen_coeff(B, 0, 1.0, IqPoint.positive(L), form=form)
 
@@ -1228,6 +1248,7 @@ class TestHeineOverflow:
             raise AssertionError("a series was summed")
 
         monkeypatch.setattr(qcalculus, "phi21_kernel", no_sum)
+        monkeypatch.setattr(qcalculus, "phi21_window_kernel", no_sum)
         # Its first point is L = 33.
         with pytest.raises(InvalidArgumentError, match="past the float range"):
             averaged_coamen(B, 3, IqPoint.positive(30), 0, 1.0)
