@@ -2,7 +2,10 @@
 Python.  Every series and product of the package is summed here, one
 evaluation point per call, except in :func:`phi21_window_kernel`, which
 sums one 2phi1 at a list of arguments that share its parameters and base
-(a lattice window) and forms what they share once.
+(a lattice window) and forms what they share once.  An infinite product
+multiplies out its leading factors and sums the rest as Euler's series,
+from coefficients formed once per base and tolerance
+(:func:`euler_table`), or, towards base 1, as the log series.
 """
 
 from __future__ import annotations
@@ -10,10 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left
 
 __all__ = [
     "backend",
     "qpoch_finite_kernel",
+    "euler_table",
     "qpoch_infinite_kernel",
     "phi21_kernel",
     "phi21_window_kernel",
@@ -52,36 +57,150 @@ _C_FACTOR = 4.0
 #: for the complex product, rounded up.
 _C_CLOSE = 8.0
 
+#: Roundings per Horner step ``s = s * y + e_n`` of the Euler tail, in units
+#: of ``_U``: sqrt(5) for the complex product, one for the addition, and two
+#: for reading ``|y|`` as ``abs(y)`` (libm's hypot, within an ulp), whose
+#: powers the bound uses, rounded up.
+_C_HORNER = 5.25
+
+#: Roundings of the Euler tail's closing product ``p * S``: sqrt(5), rounded up.
+_C_PRODUCT = 3.0
+
+#: Relative margin on the Euler tail's largest argument: the factor loop
+#: stops at ``|a| base^K <= rho`` predicted from logs, within far less.
+_TOP = 1.0 + 2.0 ** -20
+
+#: Coefficients of the Euler tail below this are left out; the bound on
+#: what they add stays below every rounding bound.
+_FLOOR = 2.0 ** -900
+
+
+def euler_table(base: float, budget: float) -> tuple:
+    """The per-(base, budget) tables of the Euler tail of
+    :func:`qpoch_infinite_kernel`, for arguments ``|y| <= rho``,
+    ``rho = min(1/2, 0.7 (1 - base))``: ``(rho, table)``.
+
+    Euler's identity (Gasper and Rahman, *Basic Hypergeometric Series*,
+    2nd ed., (1.3.16)) gives ``(y; base)_inf = sum_n e_n y^n`` with
+    ``e_n = (-1)^n base^(n(n-1)/2) / (base; base)_n``, formed here in
+    floats by ``e_n = e_{n-1} (-base^(n-1)) / (1 - base^n)``, each with a
+    count ``c_n`` of the roundings it carries (``base^n`` is n - 1
+    roundings off, ``1 - base^n`` loses ``(n - 1) base^n / (1 - base^n)``
+    more, and the product and quotient two; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3) and a bound
+    ``U_n = |e_n| (1 + 2 c_n u)`` on both the exact and the formed
+    modulus.  ``table`` holds, indexed by the last term N >= 1 summed:
+
+    * ``th``: ``th[N - 1] < r <= th[N]`` selects N, the first whose
+      remainder bound at r is at most ``budget`` times the lower bound
+      ``exp(-rho / ((1 - base)(1 - rho)))`` on ``|(y; base)_inf|`` (up to
+      ``_TOP``; ``th[0] = -1`` and the last is ``inf``);
+    * ``rev``: the coefficients from the last to ``e_0 = 1``, so that
+      ``rev[-1 - N:]`` is ``e_N, ..., e_0``;
+    * ``tr``: the remainder bound after term N is ``tr[N] r^(N+1)``:
+      ``U_{N+1} / (1 - rho g)``, the ratios ``|e_{n+1} / e_n| =
+      base^n / (1 - base^(n+1))`` falling from ``g`` at ``n = N + 1``;
+    * ``wt``: with ``v_n = (_C_HORNER n + 1 + c_n) U_n``, the roundings of
+      term n in the Horner pass and in its coefficient times its modulus
+      bound, ``sum_{n=1..N} v_n r^n <= r (v_1 + r wt[N])`` for r up to
+      ``th[N]`` (or rho): ``wt[N] = sum_{n=2..N} v_n th[N]^(n-2)``;
+    * ``den``: ``2 (_C_HORNER N + 1 + c_N) + 4 N + 16``, the units in the
+      denominator of the gamma bound over terms 0..N (twice the most any
+      term carries, with room for the bound's own arithmetic);
+    * ``v1``, and ``kappa``: ``max n U_n / v_n`` over ``n >= 1``, so that
+      ``sum n U_n r^n <= kappa sum v_n r^n``.
+
+    The table stops at the first N whose remainder meets the budget at
+    ``rho`` (with ``_TOP``), or whose next coefficient bound is below
+    ``_FLOOR``, which then stands in for it.  Its length depends on the
+    budget: about 7 terms at base 0.25 and ``budget = 2.5e-13``.
+    """
+    rho = min(0.5, 0.7 * (1.0 - base))
+    top = rho * _TOP
+    cut = budget * math.exp(-top / ((1.0 - base) * (1.0 - top))) * (1.0 - 2.0 ** -40)
+    th, coef, v, tr, den = [-1.0], [1.0], [1.0], [0.0], [0.0]
+    e, c, bn, kappa = 1.0, 0.0, 1.0, 0.0
+    n = 0
+    while True:
+        n += 1
+        bn1 = bn * base  # base^n
+        d = 1.0 - bn1
+        e = -e * bn / d
+        c += max(n - 2, 0) + (n - 1) * bn1 / d + 3.0
+        big = abs(e) * (1.0 + 2.0 * c * _U)
+        if n > 1:  # the remainder after N = n - 1
+            low = big < _FLOOR
+            g = bn1 / (1.0 - bn1 * base) * _TOP
+            t = (_FLOOR if low else big) * _TOP / (1.0 - top * g)
+            tr.append(t)
+            if low or t * top ** n <= cut:
+                th.append(math.inf)
+                break
+            th.append((cut / t) ** (1.0 / n) * (1.0 - 2.0 ** -40))
+        weight = _C_HORNER * n + 1.0 + c
+        coef.append(e)
+        v.append(weight * big)
+        den.append(2.0 * weight + 4.0 * n + 16.0)
+        kappa = max(kappa, n / weight)
+        bn = bn1
+    wt = [0.0] * len(coef)
+    for k in range(2, len(coef)):
+        x = min(th[k], top)
+        for j in range(k, 1, -1):
+            wt[k] = wt[k] * x + v[j]
+    return rho, (th, coef[::-1], tr, wt, den, v[1], kappa)
+
 
 def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
-                          budget: float):
+                          budget: float, euler: tuple | None = None):
     """Infinite product of (1 - a*base**i): ``n_fac`` factors, then the
-    log series of the rest.
+    product of the rest, ``(x; base)_inf`` at x = a*base**K, as Euler's
+    series (``euler``, the table of :func:`euler_table`) or as the log
+    series (``euler`` None).
 
     The caller predicts from logs the K = ``n_fac`` leading factors to
     multiply out and the first ``n_big`` of them, whose f_i = a*base**i
-    have |f_i| >= 3.  Those run without a test; the other factors are
-    checked for an exact zero (then the product is 0, ``degenerate``).
-    The rest is exp(-s), with s the log series
-    log (x; base)_inf = -sum_{j>=1} x^j / (j (1 - base^j)) at
-    x = a*base**K, r = |x| < 1, summed to the first J >= 1 whose remainder
-    bound r^{J+1} / ((J+1)(1 - base^{J+1})(1 - r)) is at most ``budget``.
-
-    Returns ``(value, K + J, tail_bound, degenerate)``.  ``tail_bound``
-    bounds |value - exact|: |value| times expm1 of the remainder bound,
-    compounded with a running bound E u / (1 - E u) on the kernel's
-    relative rounding (u = 2**-53; Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3).  E counts, per factor,
+    have |f_i| >= 3.  Those run without a test; the others while
+    |f_i| > 1/2 are checked for an exact zero (then the product is 0,
+    ``degenerate``), and those after them cannot vanish.  Their relative
+    rounding is counted in units of u = 2**-53 (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3): per factor
     4 + i |f_i| / |1 - f_i| (f_i is i roundings off, and 1 - f_i loses bits
-    as f_i nears 1; 4 + 1.5 i while |f_i| >= 3); for the series, with term
-    moduli t_j = r^j / (j (1 - base^j)) falling by a ratio r at least,
+    as f_i nears 1; 4 + 1.5 i while |f_i| >= 3, and |1 - f_i| read as
+    1 - |f_i| once |f_i| <= 1/2).
+
+    Euler's tail (r = |x| at most the table's rho) takes the first N >= 1
+    whose remainder bound ``tr[N] r^(N+1)`` meets the budget, found in
+    ``th``, and sums ``e_N, ..., e_0`` in one Horner pass
+    ``s = s * x + e_n`` (Higham, section 5.1).  The absolute error of S is
+    at most ``u (1 + w (1 + K kappa))``, ``w = r (v_1 + r wt[N]) >=
+    sum_{n>=1} v_n r^n``, for the Horner pass, the coefficients and, through
+    ``sum n U_n r^n <= kappa w``, x's K roundings, plus the remainder
+    bound, all over ``1 - (den[N] + 2 N K) u``; relative, over ``|S|``
+    less it.  The factors' units and ``_C_PRODUCT`` for ``p * S`` (none
+    without factors, where p = 1 exactly) make a gamma bound E u / (1 - E u), compounded with S's into a bound ``rel``
+    relative to the exact product; ``tail_bound`` is
+    ``|value| rel / (1 - rel)``.  ``terms_used`` is K + N.
+
+    The log tail is exp(-s), with s the log series
+    log (x; base)_inf = -sum_{j>=1} x^j / (j (1 - base^j)), r = |x| < 1,
+    summed to the first J >= 1 whose remainder bound
+    r^{J+1} / ((J+1)(1 - base^{J+1})(1 - r)) is at most ``budget``.
+    Its ``tail_bound`` is |value| times expm1 of the remainder bound,
+    compounded with a running bound E u / (1 - E u) on the rounding: the
+    factors', and for the series, with term moduli
+    t_j = r^j / (j (1 - base^j)) falling by a ratio r at least,
     (K + 3 + base / (1 - base)) t_1 / (1 - r)^2 (term j is about
     (K + 3 + base^j / (1 - base^j)) j roundings off) plus
     (J + 3) t_1 / (1 - r) (the sum); and 8 for the closing exp and
-    product.  Where exp(-s) or the value falls below
-    the normal float range, u bounds no rounding, and the bound is
-    |value| plus a bound on |exact|; a value past the float range has
-    ``tail_bound = inf``.
+    product; also where exp(-s) falls below the normal float range, the
+    bound is |value| plus a bound on |exact|.  ``terms_used`` is K + J.
+
+    Where the value falls below the normal float range (a factor
+    ``1 - f_i`` that keeps only a subnormal imaginary part), either tail's
+    bound is |value| plus a bound on |exact| (:func:`_below_normal`).
+    Returns ``(value, terms_used, tail_bound, degenerate)``; a value past
+    the float range has ``tail_bound = inf``.
     """
     p = 1.0 + 0.0j
     f = a
@@ -92,13 +211,41 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     m = abs(f)
     for i in range(n_big, n_fac):
         fac = 1.0 - f
-        if fac == 0:
-            return 0.0 + 0.0j, i + 1, 0.0, True
+        if m > 0.5:
+            if fac == 0:
+                return 0.0 + 0.0j, i + 1, 0.0, True
+            err += i * m / abs(fac)
+        else:  # |1 - f_i| >= 1 - |f_i| >= 1/2
+            err += i * m / (1.0 - m * _TOP)
         p *= fac
-        err += i * m / abs(fac)
         f *= base
         m *= base
     r = abs(f)
+    if euler is not None:
+        th, rev, tr, wt, den, v1, kappa = euler
+        n = bisect_left(th, r)
+        s = rev[-1 - n]
+        for e in rev[-n:]:
+            s = s * f + e
+        err = (err + _C_PRODUCT if n_fac else 0.0) * _U  # p = 1 exactly if no factor
+        rp = err / (1.0 - err)
+        w = r * (v1 + r * wt[n])
+        big = ((1.0 + w * (1.0 + n_fac * kappa)) * _U + tr[n] * r ** (n + 1)) \
+            / (1.0 - (den[n] + 2.0 * n * n_fac) * _U)
+        ms = abs(s)
+        rs = big / (ms - big)
+        rel = rp + rs + rp * rs
+        used = n_fac + n
+        try:
+            value = p * s
+            mod = abs(value)
+        except OverflowError:  # past the float range
+            return complex(math.inf, 0.0), used, math.inf, False
+        if not (mod < math.inf and 0.0 <= rel < 1.0):
+            return value, used, math.inf, False
+        if mod >= _TINY:
+            return value, used, mod * rel / (1.0 - rel), False
+        return value, used, _below_normal(mod, p, rp, n_fac, ms + big), False
     inv = 1.0 / (1.0 - r)
     s = 0.0j
     xj, rj, bj, d = f, r, base, 1.0 - base
@@ -133,13 +280,22 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
         return value, used, math.inf, False
     if mod >= _TINY and s.real < 708.0:  # exp(-s) >= e^-708, normal too
         return value, used, mod * rel, False
-    # |exact| <= (|p| (1 + rel) + K 2**-1074) |exp(-s_exact)|, and
-    # |s - s_exact| <= rel; K 2**-1074 covers p's subnormal roundings.
+    # |exp(-s_exact)| <= exp(rel - s.real), as |s - s_exact| <= rel.
     if rel - s.real > 709.0:
         return value, used, math.inf, False
+    return value, used, _below_normal(mod, p, rel, n_fac, math.exp(rel - s.real)), False
+
+
+def _below_normal(mod: float, p: complex, rel: float, n_fac: int, rest: float) -> float:
+    """The bound of :func:`qpoch_infinite_kernel` on a value of modulus
+    ``mod`` below the normal float range, where u bounds no rounding:
+    ``mod`` plus a bound on |exact|, which is at most
+    ``(|p| (1 + rel) + K 2**-1074) rest`` for ``rest`` a bound on the
+    modulus of the exact tail product; K 2**-1074 covers the subnormal
+    roundings of the K factors' product p."""
     exact = ((abs(p.real) + abs(p.imag)) * (1.0 + rel) + n_fac * _SUB) \
-        * math.exp(rel - s.real) * (1.0 + 4.0 * _U)
-    return value, used, mod + max(exact, _SUB), False
+        * rest * (1.0 + 4.0 * _U)
+    return mod + max(exact, _SUB)
 
 
 #: Roundings (in u) of a step of :func:`phi21_kernel`: four subtractions, four

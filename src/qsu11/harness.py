@@ -143,10 +143,6 @@ class CheckRow:
     threshold: float
     verdict: str
 
-    @property
-    def param_json(self) -> str:
-        return _compact_json(self.params)
-
 
 @dataclass(frozen=True)
 class Check:
@@ -212,12 +208,14 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             yield Check(f"theta_b{b}_{i:03d}", "Eq4.1",
                         {"a_re": re, "a_im": im, "k": k, "base": b}, run)
     for b in THETA_BASES:
+        # The products at 1e-16, as QBase sums cq's: at series_tol their
+        # truncation alone could reach the row's threshold.
         def run(b=b):
             b2 = b * b
             prod = (QBase(b).cq ** 2 * b2
-                    * qpoch_infinite(b2, b2, st).value.real ** 2
-                    * qpoch_infinite(-1.0, b2, st).value.real
-                    * qpoch_infinite(-b2, b2, st).value.real)
+                    * qpoch_infinite(b2, b2, 1e-16).value.real ** 2
+                    * qpoch_infinite(-1.0, b2, 1e-16).value.real
+                    * qpoch_infinite(-b2, b2, 1e-16).value.real)
             return _scalar(prod, abs(prod - 1.0), cfg.tol / 100.0)
 
         yield Check(f"cq_norm_b{b}", "Eq4.1", {"base": b}, run)

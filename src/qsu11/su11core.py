@@ -14,6 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import qcalculus
@@ -578,11 +579,6 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     a, b = -shift / lam, -lam * shift
     n_exact = direct = None
     prefactor = None
-    # q^N cq^2: cq = 1 / (sqrt(2) q p1 p2) (QBase) is off by p1's and p2's
-    # bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, x by u.
-    scalar_rel = 15.0 * _U + 2.0 * sum(
-        _qpoch_infinite(complex(a), q2, 1e-16).rel_bound for a in (q2, -q2)
-        if form != "simplified")
     # (-q^e; q^2)_{2m}: n = 2|m| factors 1 + q^{e + 2i} >= 1, each off by (4 +
     # i + 3) u (qpoch_infinite_kernel's 4, i + 3 of q^{e + 2i}), 1/x by 6 u;
     # its root by half that and 6 u.
@@ -620,7 +616,7 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
                 _refuse_overflow("L", L, root)
             rest, rest_used, rest_tail = product([q2, q2, z], q2, part_tol)
             # sqrt(root) * scalar * rest * series, by SeriesEval's rules.
-            raw, raw_tail = _mul(*_root(root, root_tail), scalar, scalar_rel)
+            raw, raw_tail = _mul(*_root(root, root_tail), scalar, _scalar_rel(q2))
             raw, raw_tail = _mul(raw, raw_tail, rest, _rel_bound(rest, rest_tail))
             raw, raw_tail = _mul(raw, raw_tail, value, _rel_bound(value, tail))
             raw = (raw, root_used + rest_used + used, raw_tail)
@@ -649,6 +645,17 @@ def _direct_zs(q: float, m: int, Ls: Sequence[int]) -> list[float]:
             except OverflowError:  # as in _power
                 break
     return zs
+
+
+@lru_cache(maxsize=16)
+def _scalar_rel(q2: float) -> float:
+    """The relative bound on the raw coamen form's scalar ``q^N cq^2`` at
+    base q2: cq = 1 / (sqrt(2) q p1 p2) (:class:`QBase`) is off by p1's and
+    p2's bounds and 5 u, its square by twice that and 2 u, q^N by 2 u, and
+    their product by u.  It depends on q2 alone, so it is formed once per
+    q2."""
+    return 15.0 * _U + 2.0 * (_qpoch_infinite(complex(q2), q2, 1e-16).rel_bound
+                              + _qpoch_infinite(complex(-q2), q2, 1e-16).rel_bound)
 
 
 def _prefactor(q2: float, m: int) -> Callable[[float], complex]:

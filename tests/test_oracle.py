@@ -28,8 +28,9 @@ from qsu11.qcalculus import _near_inv_power
 
 #: The bases of the product sweep: the squares of the q values the suites
 #: use (0.09, 0.25, 0.81), the bases of the theta identities (0.3, 0.5,
-#: 0.8), and bases towards 1.
-BASES = (0.09, 0.25, 0.3, 0.5, 0.64, 0.8, 0.81, 0.9, 0.99)
+#: 0.8), and bases towards 1, 0.9025 and 0.98 on either side of the switch
+#: from Euler's tail to the log series' (``qcalculus._EULER_BELOW``).
+BASES = (0.09, 0.25, 0.3, 0.5, 0.64, 0.8, 0.81, 0.9, 0.9025, 0.98, 0.99)
 
 #: Calls per base; every fourth is a qpoch_multi of three parameters.
 CALLS = 170
@@ -47,21 +48,37 @@ def _parameter(rng, b, near_pole):
     return 10.0 ** rng.uniform(-6.0, 8.0) * cmath.exp(1j * phase)
 
 
+def _zero_parameter(rng, b):
+    """A seeded parameter near a zero of the product: ``b**-j (1 + d)``,
+    j = 0..3, |d| log-uniform in [1e-9, 1e-3], so that the factor
+    ``1 - a b^j`` is within |d| of 0; every third one instead |a|
+    log-uniform in [1e-3, 1e3].  Phases are uniform."""
+    if rng.random() < 1.0 / 3.0:
+        return 10.0 ** rng.uniform(-3.0, 3.0) * _phase(rng)
+    return b ** -rng.randint(0, 3) * (1.0 + 10.0 ** rng.uniform(-9.0, -3.0) * _phase(rng))
+
+
 @pytest.mark.parametrize("b", BASES)
 def test_products_within_their_tail_bound(b):
     """qpoch_infinite and qpoch_multi at tol log-uniform in [1e-16, 1e-3]:
     |value - explicit product| <= tail_bound, or, for a value past the float
-    range, tail_bound = inf."""
+    range, tail_bound = inf.  Then 60 qpoch_infinite calls at the
+    parameters of :func:`_zero_parameter`, from a stream of their own."""
     mp = pytest.importorskip("mpmath").mp
     rng = random.Random(f"qpoch-{b}")
+    zeros = random.Random(f"qpoch-zeros-{b}")
     drawn = checked = 0
     with mp.workdps(40):
-        for i in range(CALLS):
-            tol = 10.0 ** rng.uniform(-16.0, -3.0)
-            args = []
-            for _ in range(3 if i % 4 == 0 else 1):
-                args.append(_parameter(rng, b, drawn % 5 == 0))
-                drawn += 1
+        for i in range(CALLS + 60):
+            if i < CALLS:
+                tol = 10.0 ** rng.uniform(-16.0, -3.0)
+                args = []
+                for _ in range(3 if i % 4 == 0 else 1):
+                    args.append(_parameter(rng, b, drawn % 5 == 0))
+                    drawn += 1
+            else:
+                tol = 10.0 ** zeros.uniform(-16.0, -3.0)
+                args = [_zero_parameter(zeros, b)]
             ev = qpoch_infinite(args[0], b, tol) if len(args) == 1 \
                 else qpoch_multi(args, b, tol)
             if not math.isfinite(math.hypot(ev.value.real, ev.value.imag)):

@@ -614,11 +614,13 @@ class TestQpochInfiniteCache:
     ), ids=("real", "negative_real", "imaginary", "zero", "degenerate"))
     def test_signed_zeros_share_an_entry_harmlessly(self, group):
         # complex(x, 0.0) == complex(x, -0.0), so these are one cache key:
-        # whichever sign fills the entry, the other gets its own result.
-        for fill, ask in itertools.permutations(group, 2):
-            qcalculus._qpoch_infinite.cache_clear()
-            qpoch_infinite(fill, 0.5)
-            self._assert_fresh(ask, 0.5)
+        # whichever sign fills the entry, the other gets its own result, at
+        # a base on either side of the switch between the two tails.
+        for base in (0.5, 0.99):
+            for fill, ask in itertools.permutations(group, 2):
+                qcalculus._qpoch_infinite.cache_clear()
+                qpoch_infinite(fill, base)
+                self._assert_fresh(ask, base)
 
     def test_degenerate_entry(self):
         qcalculus._qpoch_infinite.cache_clear()
