@@ -148,7 +148,9 @@ def euler_table(base: float, budget: float) -> tuple:
         x = min(th[k], top)
         for j in range(k, 1, -1):
             wt[k] = wt[k] * x + v[j]
-    return rho, (th, coef[::-1], tr, wt, den, v[1], kappa)
+    # Tuples: the table is cached and shared by every caller.
+    return rho, (tuple(th), tuple(coef[::-1]), tuple(tr), tuple(wt), tuple(den),
+                 v[1], kappa)
 
 
 def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
@@ -178,9 +180,10 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     ``sum n U_n r^n <= kappa w``, x's K roundings, plus the remainder
     bound, all over ``1 - (den[N] + 2 N K) u``; relative, over ``|S|``
     less it.  The factors' units and ``_C_PRODUCT`` for ``p * S`` (none
-    without factors, where p = 1 exactly) make a gamma bound E u / (1 - E u), compounded with S's into a bound ``rel``
-    relative to the exact product; ``tail_bound`` is
-    ``|value| rel / (1 - rel)``.  ``terms_used`` is K + N.
+    without factors, where p = 1 exactly) make a gamma bound
+    E u / (1 - E u), compounded with S's into a bound ``rel`` relative to
+    the exact product; ``tail_bound`` is ``|value| rel / (1 - rel)``.
+    ``terms_used`` is K + N.
 
     The log tail is exp(-s), with s the log series
     log (x; base)_inf = -sum_{j>=1} x^j / (j (1 - base^j)), r = |x| < 1,
