@@ -1,10 +1,10 @@
 """Scalar summation kernels: the q-Pochhammer and 2phi1 loops, in plain
 Python.  Every series and product of the package is summed here, one
 evaluation point per call, except in :func:`phi21_window_kernel`, which
-sums one 2phi1 at a list of arguments that share its parameters and base
-(a lattice window) and forms what they share once.  An infinite product
-multiplies out its leading factors and sums the rest as Euler's series,
-from coefficients formed once per base and tolerance
+sums one 2phi1 whose c is its base (case 1, the coamen series) at a list
+of arguments (a lattice window) and forms what they share once.  An
+infinite product multiplies out its leading factors and sums the rest as
+Euler's series, from coefficients formed once per base and tolerance
 (:func:`euler_table`), or, towards base 1, as the log series.
 """
 
@@ -391,7 +391,9 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
       denominator is ``complex(d * d, 0.0)``, ``d = 1 - q^{k+1}``, carried
       as the real ``d * d``, and ``|c q^k|`` is ``q^{k+1}``;
     * ``a`` and ``b`` equal bit for bit (the closed form, the
-      continuation): one factor and one modulus are formed for both;
+      continuation): one factor and one modulus are formed for both
+      (kept for speed: without it the slowest scalar evaluations, these
+      sums among them, ran about 2% slower);
     * otherwise the general step.
     """
     s = 1.0 + 0.0j
@@ -490,39 +492,32 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     return s, k + 1, math.inf, 1
 
 
-def phi21_window_kernel(a: complex, b: complex, c: complex, base: float,
-                        zs: list, rel_tol: float, max_terms: int) -> list:
-    """:func:`phi21_kernel`'s convergent sum (``n_exact < 0``) at each
-    argument z of ``zs``, in that order: one ``(value, terms_used,
-    tail_bound, status)`` per z, that of ``phi21_kernel(a, b, c, base, z,
-    -1, rel_tol, max_terms)`` bit for bit.
+def phi21_window_kernel(a: complex, b: complex, base: float, zs: list,
+                        rel_tol: float, max_terms: int) -> list:
+    """:func:`phi21_kernel`'s convergent sum (``n_exact < 0``) with ``c``
+    equal to the base, at each argument z of ``zs``, in that order: one
+    ``(value, terms_used, tail_bound, status)`` per z, that of
+    ``phi21_kernel(a, b, base, base, z, -1, rel_tol, max_terms)`` bit for
+    bit.
 
-    What depends on a, b, c and base alone is formed once for the window:
-    per step i the factors ``1 - a q^i``, ``1 - b q^i`` and the
-    denominator, and the pieces of the tail test after step i - 1, in a
-    table filled as far as the longest sum reaches; and the drift of
+    What depends on a, b and base alone is formed once for the window: per
+    step i the factors ``1 - a q^i``, ``1 - b q^i`` and the real denominator
+    ``d * d``, ``d = 1 - q^{i+1}``, and the moduli ``1 + |a q^i|``,
+    ``1 + |b q^i|`` of the tail test after step i - 1, in a table filled as
+    far as the longest sum reaches; and the drift of
     :func:`_phi21_rounding`, once per term count.  Each sum then steps
-    ``t = t * A * B / D * z`` and tests ``r = |z| * P * Q / E``: the
-    kernel's operations on the kernel's values in the kernel's order (in
-    CPython's float-complex arithmetic up to 3.13, as there).  The rows
-    take the form of the loop :func:`phi21_kernel` selects: with
-    ``c == base`` the real denominator ``d * d``, ``d = 1 - q^{i+1}``,
-    otherwise the general step, which also holds the values of the loop
-    for ``a`` and ``b`` equal bit for bit (their factors and moduli are
-    then equal bit for bit too).  An ``abs`` that overflows in a row ends
-    every sum that reaches the row, as it ends the kernel's.
+    ``t = t * A * B / D * z`` and tests ``r = |z| * P * Q / D``: the
+    kernel's ``c == base`` loop, on the kernel's values in the kernel's
+    order.  An ``abs`` that overflows in a row ends every sum that reaches
+    the row, as it ends the kernel's.
     """
-    real = c == base
     # rows[i]: (A, B, D) of step i, from fa = a q^i and fq = q^(i+1), then
-    # (P, Q, E) of the tail test after step i - 1 (E None where
-    # |c q^i| >= 1 leaves the test out).  Row 0's test is never made.
-    fa, fb, fc, fq = a, b, c, base
-    if real:
-        d = 1.0 - fq
-        first = 1.0 - fa, 1.0 - fb, d * d
-    else:
-        first = 1.0 - fa, 1.0 - fb, (1.0 - fc) * (1.0 - fq)
-    rows = [(*first, None, None, None)]
+    # (P, Q) of the tail test after step i - 1, whose denominator is D.
+    # Row 0's test is never made.
+    fa, fb, fq = a, b, base
+    d = 1.0 - fq
+    first = 1.0 - fa, 1.0 - fb, d * d
+    rows = [(*first, None, None)]
     top = 1
     drifts = {}
     out = []
@@ -543,39 +538,26 @@ def phi21_window_kernel(a: complex, b: complex, c: complex, base: float,
                     break
                 m, w = m + at, w + k * at
                 if k < top:
-                    A, B, D, P, Q, E = rows[k]
+                    A, B, D, P, Q = rows[k]
                 else:  # a new row; none is stored if an abs overflows
                     na, nb, nq = fa * base, fb * base, fq * base
-                    A, B = 1.0 - na, 1.0 - nb
-                    if real:
-                        d = 1.0 - nq
-                        D = E = d * d
-                        P, Q = 1.0 + abs(na), 1.0 + abs(nb)
-                    else:
-                        nc = fc * base
-                        D = (1.0 - nc) * (1.0 - nq)
-                        bc = abs(nc)
-                        if bc < 1.0:
-                            P, Q = 1.0 + abs(na), 1.0 + abs(nb)
-                            E = (1.0 - bc) * (1.0 - nq)
-                        else:
-                            P = Q = E = None
-                        fc = nc
-                    rows.append((A, B, D, P, Q, E))
+                    d = 1.0 - nq
+                    A, B, D = 1.0 - na, 1.0 - nb, d * d
+                    P, Q = 1.0 + abs(na), 1.0 + abs(nb)
+                    rows.append((A, B, D, P, Q))
                     fa, fb, fq, top = na, nb, nq, top + 1
-                if E is not None:
-                    r = az * P * Q / E
-                    if r < 1.0:
-                        tail = at * r / (1.0 - r)
-                        ms = abs(s)
-                        if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
-                            n = k + 1
-                            break
+                r = az * P * Q / D
+                if r < 1.0:
+                    tail = at * r / (1.0 - r)
+                    ms = abs(s)
+                    if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
+                        n = k + 1
+                        break
             if n:  # certified: the tail and the rounding of n terms
                 drift = drifts.get(n)
                 if drift is None and n > 1:  # none for one term, as there
-                    drift = drifts[n] = _phi21_drift(a, b, c, base, n)
-                out.append((s, k + 1, tail + _phi21_rounding(a, b, c, base, n, m, w,
+                    drift = drifts[n] = _phi21_drift(a, b, base, base, n)
+                out.append((s, k + 1, tail + _phi21_rounding(a, b, base, base, n, m, w,
                                                              drift), 0))
                 continue
         except OverflowError:  # abs of a term, of the sum or of a factor

@@ -759,27 +759,23 @@ def _direct_terms(a: complex, b: complex, c: complex, bb: float, z: complex,
                                    complex(z), n_exact, tol, int(max_terms)))
 
 
-def _direct_window(a: complex, b: complex, c: complex, bb: float,
-                   zs: Sequence[complex], n_exact: int, tol: float,
-                   max_terms: int) -> list[tuple]:
-    """The sums of :func:`_direct_terms` at each z of ``zs``, in that
-    order, as the kernel's ``(value, terms_used, tail_bound, status)``
-    tuples, which :func:`_certified` makes into ``_direct_terms``'s
-    floats, or its refusal, where the caller takes each: a caller taking
-    from several windows, or doing other work in between, refuses in the
-    per-point order.  Two or more convergent sums (``n_exact < 0``) are
-    one :func:`qsu11._kernels.phi21_window_kernel` call, the same tuples
-    bit for bit; one sum, or terminating ones, call :func:`phi21_kernel`
-    per point.
+def _direct_window(a: complex, b: complex, bb: float, zs: Sequence[complex],
+                   n_exact: int, tol: float, max_terms: int) -> list[tuple]:
+    """The sums of :func:`_direct_terms` whose c is the base ``bb`` (case 1,
+    the coamen series) at each z of ``zs``, in that order, as the kernel's
+    ``(value, terms_used, tail_bound, status)`` tuples, which
+    :func:`_certified` makes into ``_direct_terms``'s floats, or its
+    refusal, where the caller takes each: a caller doing other work in
+    between refuses in the per-point order.  Two or more convergent sums
+    (``n_exact < 0``) are one :func:`qsu11._kernels.phi21_window_kernel`
+    call, the same tuples bit for bit; one sum, or terminating ones, call
+    :func:`phi21_kernel` per point.
     """
-    a, b, c, max_terms = complex(a), complex(b), complex(c), int(max_terms)
+    a, b, max_terms = complex(a), complex(b), int(max_terms)
     if n_exact < 0 and len(zs) > 1:
-        return phi21_window_kernel(a, b, c, bb, [complex(z) for z in zs], tol,
-                                   max_terms)
-    sums = []
-    for z in zs:
-        sums.append(phi21_kernel(a, b, c, bb, complex(z), n_exact, tol, max_terms))
-    return sums
+        return phi21_window_kernel(a, b, bb, [complex(z) for z in zs], tol, max_terms)
+    c = complex(bb)
+    return [phi21_kernel(a, b, c, bb, complex(z), n_exact, tol, max_terms) for z in zs]
 
 
 def _certified(terms: tuple) -> tuple[complex, int, float]:
@@ -886,10 +882,9 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
     product values it is formed from.
 
     The products of u and the series' guards run once per u, and per z
-    (q/u)^n and two series, all to ``tol / 8``, by :class:`SeriesEval`'s
-    rules on floats; with two or more z, each u's series at every z are one
-    :func:`_direct_window`, summed once both u's factors passed, a series
-    refused at the z and u where the per-z loop takes it.
+    (q/u)^n and two one-point series (:func:`_direct_terms`), all to
+    ``tol / 8``, by :class:`SeriesEval`'s rules on floats, once both u's
+    factors passed.
     ``tail_bound`` also holds ``_NEAR_LATTICE sum |part| / d`` for the
     rounding of the arguments, d the relative distance of lam**2 from
     ``q^{2Z}``.  Refused before any series term: a product,
@@ -925,17 +920,12 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
                     f"the float range at k = {n + 1}")
             scaled.append(f)
         parts.append((scaled, a, cu, n_exact, c_used + num_used + den_used))
-    # Both u's factors passed: with two or more z, each u's series at every z
-    # in one window.
-    windows = [_direct_window(a, a, cu, q2, zs, n_exact, part_tol, max_terms)
-               for _, a, cu, n_exact, _ in parts] if len(zs) > 1 else None
     out = []
     for i, z in enumerate(zs):
         value, used, tail, size = 0, 0, 0.0, 0.0
-        for j, (scaled, a, cu, n_exact, factor_used) in enumerate(parts):
-            series, series_used, series_tail = (
-                _certified(windows[j][i]) if windows
-                else _direct_terms(a, a, cu, q2, z, n_exact, part_tol, max_terms))
+        for scaled, a, cu, n_exact, factor_used in parts:
+            series, series_used, series_tail = _direct_terms(
+                a, a, cu, q2, z, n_exact, part_tol, max_terms)
             part, part_tail = _mul(*scaled[i], series, _rel_bound(series, series_tail))
             value, tail = _add(value, tail, part, part_tail)
             used += factor_used + series_used

@@ -221,8 +221,8 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
     k <= 0) checks its direct series' guards and snaps once, then sums
-    its series at every k in one kernel pass
-    (:func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
+    its series at every k in one kernel pass (its c is the base:
+    :func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
     values bit for bit; a sum whose value is not finite (a term past the
     float range) raises :class:`InvalidArgumentError`, the first such k's
     error.  In a window of two or more exponents
@@ -281,7 +281,7 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
                                    max_terms))
         else:
             zs = [-q ** (2 - 2 * k) for k in ks[:n1]]
-            for terms in _direct_window(a, b, c, bb, zs, n_exact, tol, max_terms):
+            for terms in _direct_window(a, b, bb, zs, n_exact, tol, max_terms):
                 out.append(SeriesEval(*_certified(terms)))
     if recur:
         out += _recurrence(base, lam, sign, ks[n1], ks[-1], tol, max_terms)
@@ -356,11 +356,12 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``a(k) = c1 a(k-1) + c2 a(k-2)``, ``c1 = (q s - 2w)/(1 - w)``,
     ``c2 = (w - q^2)/(1 - w)``.
 
-    Seeds: on the positive branch the case-1 values a(-1) and a(0), summed
-    to ``tol / 1000`` in one kernel pass; on the negative branch the one
-    closed-form value a(-q) (:func:`_closed_form` at k = 1, where
-    ``(q/u)^{k-1} = 1``), to ``tol / 100`` (at k = 2 the coefficient of
-    a(0) is ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``;
+    Seeds: on the positive branch the case-1 values a(-1) and a(0), two
+    one-point sums (:func:`qsu11.qcalculus._direct_sum`) to
+    ``tol / 1000``; on the negative branch the one closed-form value
+    a(-q) (:func:`_closed_form` at k = 1, where ``(q/u)^{k-1} = 1``), to
+    ``tol / 100`` (at k = 2 the coefficient of a(0) is
+    ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``;
     near the pole lattice of the two-term form that of a(-q) grows like
     1/d, and the negative branch falls back to the closed form sooner.  A
     seed that is refused (a seed tolerance that underflows) gives ``[]``,
@@ -417,9 +418,8 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
             bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
             if n_exact >= 0 and c ** -n_exact not in (a, b):
                 return []  # snapped from off the lattice: the closed form decides
-            ev0, ev1 = (SeriesEval(*_certified(terms)) for terms in _direct_window(
-                a, b, c, bb, [-q ** (2 - 2 * k) for k in (-1, 0)], n_exact, stol,
-                max_terms))
+            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, stol,
+                                    max_terms) for k in (-1, 0))
             k0 = 1
         else:
             ev1, = _closed_form(base, lam, -1, [1], stol, max_terms)
@@ -595,7 +595,7 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             if n_exact is None:  # phi21_direct's guards and snaps, once
                 bb, n_exact = _direct_setup(a, b, q2, q2, z, tol, max_terms)
                 if i + 1 < len(Ls):  # this and the later direct points' series
-                    direct = iter(_direct_window(a, b, q2, bb,
+                    direct = iter(_direct_window(a, b, bb,
                                                  [z, *_direct_zs(q, m, Ls[i + 1:])],
                                                  n_exact, tol, max_terms))
             value, used, tail = (

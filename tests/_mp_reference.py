@@ -126,13 +126,9 @@ class Reference:
                 for i, k in enumerate(ks)]
 
 
-#: Bits of the fixed-point arithmetic of :func:`explicit_qpoch`.
+#: Bits of the fixed-point arithmetic of :func:`explicit_qpoch` below the
+#: lowest bit of its arguments.
 _PREC = 160
-
-
-def _fixed(x):
-    """The float ``x`` times 2**_PREC, exactly (an integer)."""
-    return round(Fraction(x) * (1 << _PREC))
 
 
 def explicit_qpoch(mp, a, b):
@@ -140,28 +136,34 @@ def explicit_qpoch(mp, a, b):
     as an mpc at mp's working precision, by the explicit product.
 
     The factors ``1 - a b^i`` are multiplied out in integer fixed point at
-    2**-160 (a and b are exact there) while ``|a b^i| >= 2**-70``, the
-    product kept to 176 bits by a running exponent; the rest,
+    2**-P, P = 160 plus the most fractional bits of a's parts and of b: a
+    and b are exact there, and ``a b^i``, rounded down to 2**-P per step,
+    is within ``2**-P / (1 - b)`` of exact, far below the lowest bit of a
+    (an offset of a from a zero ``b^-j`` is resolved, however small).
+    They are multiplied out while ``|a b^i| >= 2**-70``, the product kept
+    to P + 16 bits by a running exponent; the rest,
     ``prod_{i >= K} (1 - f_K b^(i-K))``, is ``exp(-f_K / (1 - b))`` to
     within ``|f_K|^2 / (1 - b^2) < 2**-134`` relative.  ``mp.qp`` is not
     used: it raises ``NoConvergence`` at large ``|a|``.
     """
     a = complex(a)
-    one = 1 << _PREC
-    fr, fi, fb = _fixed(a.real), _fixed(a.imag), _fixed(b)
-    pr, pi, pe = one, 0, 0  # the product is (pr + i pi) 2**(pe - _PREC)
-    stop = 1 << (_PREC - 70)
+    fracs = [Fraction(x) for x in (a.real, a.imag, b)]
+    prec = _PREC + max(x.denominator.bit_length() - 1 for x in fracs)
+    one = 1 << prec
+    fr, fi, fb = (x.numerator * (one // x.denominator) for x in fracs)
+    pr, pi, pe = one, 0, 0  # the product is (pr + i pi) 2**(pe - prec)
+    stop = 1 << (prec - 70)
     while max(abs(fr), abs(fi)) >= stop:
         gr, gi = one - fr, -fi
-        pr, pi = (pr * gr - pi * gi) >> _PREC, (pr * gi + pi * gr) >> _PREC
+        pr, pi = (pr * gr - pi * gi) >> prec, (pr * gi + pi * gr) >> prec
         if pr == 0 and pi == 0:
             return mp.mpc(0)
-        n = max(abs(pr), abs(pi)).bit_length() - (_PREC + 16)
+        n = max(abs(pr), abs(pi)).bit_length() - (prec + 16)
         pr, pi, pe = (pr >> n, pi >> n, pe + n) if n > 0 \
             else (pr << -n, pi << -n, pe + n)
-        fr, fi = (fr * fb) >> _PREC, (fi * fb) >> _PREC
-    p = mp.mpc(mp.ldexp(pr, pe - _PREC), mp.ldexp(pi, pe - _PREC))
-    f = mp.mpc(mp.ldexp(fr, -_PREC), mp.ldexp(fi, -_PREC))
+        fr, fi = (fr * fb) >> prec, (fi * fb) >> prec
+    p = mp.mpc(mp.ldexp(pr, pe - prec), mp.ldexp(pi, pe - prec))
+    f = mp.mpc(mp.ldexp(fr, -prec), mp.ldexp(fi, -prec))
     return p * mp.exp(-f / (1 - mp.mpf(b)))
 
 

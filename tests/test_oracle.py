@@ -90,6 +90,27 @@ def test_products_within_their_tail_bound(b):
     assert checked >= CALLS // 3  # values past the float range aside
 
 
+#: Arguments within less than 2**-160 of the zero b**0 = 1 of (a; b)_inf,
+#: one per branch: Euler's tail with a normal value, Euler's and the log
+#: series' with a value below the normal range.
+NEAR_ZEROS = ((0.9, complex(1.0, 1e-300)), (0.9025, complex(1.0, 1e-310)),
+              (0.99, complex(1.0, -1e-300)))
+
+
+@pytest.mark.parametrize("b, a", NEAR_ZEROS, ids=("0.9", "0.9025", "0.99"))
+def test_products_near_a_zero_within_their_tail_bound(b, a):
+    """qpoch_infinite at an offset from a zero that only an exact reference
+    resolves: |value - explicit product| <= tail_bound at tol 1e-16 to
+    1e-3, and the reference is not 0."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        ref = explicit_qpoch(mp, a, b)
+        assert ref != 0
+        for tol in (1e-16, 1e-12, 1e-6, 1e-3):
+            ev = qpoch_infinite(a, b, tol)
+            assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, (tol, ev)
+
+
 #: The q of the series sweep.
 SERIES_QS = (0.3, 0.5, 0.7, 0.9)
 
