@@ -163,10 +163,10 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     The caller predicts from logs the K = ``n_fac`` leading factors to
     multiply out and the first ``n_big`` of them, whose f_i = a*base**i
     have |f_i| >= 3.  Those run without a test; the others while
-    |f_i| > 1/2 are checked for an exact zero (then the product is 0,
-    ``degenerate``), and those after them cannot vanish.  Their relative
-    rounding is counted in units of u = 2**-53 (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, ch. 3): per factor
+    |f_i| > 1/2 are checked for a factor that is exactly 0 (then the value
+    is 0: :func:`_zero_factor`), and those after them cannot vanish.
+    Their relative rounding is counted in units of u = 2**-53 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3): per factor
     4 + i |f_i| / |1 - f_i| (f_i is i roundings off, and 1 - f_i loses bits
     as f_i nears 1; 4 + 1.5 i while |f_i| >= 3, and |1 - f_i| read as
     1 - |f_i| once |f_i| <= 1/2).
@@ -216,7 +216,7 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
         fac = 1.0 - f
         if m > 0.5:
             if fac == 0:
-                return 0.0 + 0.0j, i + 1, 0.0, True
+                return 0.0 + 0.0j, i + 1, *_zero_factor(a, p, err, i, base)
             err += i * m / abs(fac)
         else:  # |1 - f_i| >= 1 - |f_i| >= 1/2
             err += i * m / (1.0 - m * _TOP)
@@ -287,6 +287,28 @@ def qpoch_infinite_kernel(a: complex, base: float, n_big: int, n_fac: int,
     if rel - s.real > 709.0:
         return value, used, math.inf, False
     return value, used, _below_normal(mod, p, rel, n_fac, math.exp(rel - s.real)), False
+
+
+def _zero_factor(a: complex, p: complex, err: float, i: int,
+                 base: float) -> tuple[float, bool]:
+    """``(tail_bound, degenerate)`` of :func:`qpoch_infinite_kernel` where
+    its factor ``1 - f_i`` is computed as exactly 0: ``(0.0, True)`` only
+    where ``a base^i`` is exactly 1 (by the floats' integer ratios).  Else
+    f_i = 1 is i roundings (u, or 2**-1075 per part below the normal range)
+    off, so ``|1 - a base^i| <= z = g / (1 - g) + 2 i 2**-1074``, g = i u /
+    (1 - i u); the factors after it are at most ``exp((1 + z) base /
+    (1 - base))`` together, and :func:`_below_normal` bounds the product
+    from those and p, ``err`` units off."""
+    (n, d), (nb, db) = a.real.as_integer_ratio(), base.as_integer_ratio()
+    if a.imag == 0 and n * nb ** i == d * db ** i:
+        return 0.0, True
+    g = i * _U / (1.0 - i * _U)
+    z = g / (1.0 - g) + 2.0 * i * _SUB
+    e = err * _U
+    rest = (1.0 + z) * base / (1.0 - base)
+    if not (2.0 * e < 1.0 and rest < 700.0):
+        return math.inf, False
+    return _below_normal(0.0, p, e / (1.0 - 2.0 * e), i, z * math.exp(rest)), False
 
 
 def _below_normal(mod: float, p: complex, rel: float, n_fac: int, rest: float) -> float:
@@ -372,15 +394,14 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     no tail test; ``n_exact < 0`` sums until the geometric tail envelope
     drops below ``rel_tol`` times the partial sum (floored at 1e-300).
     Both stop early at a term that is exactly 0.  Returns
-    ``(value, terms_used, tail_bound, status)`` with status 0 on success and
-    1 (``tail_bound = inf``) when max_terms was exhausted before the tail
-    bound certified convergence (or before the last term of a terminating
-    sum), or ``abs`` of a term or of the sum overflows; a value past the
-    float range has ``tail_bound = inf``.  ``tail_bound`` is the truncated
-    tail (none for a terminating sum) plus the rounding
-    (:func:`_phi21_rounding`, from the running ``sum |t_j|`` and
-    ``sum j |t_j|``); 0 only for ``n_exact = 0`` or z = 0.  The stopping
-    rule counts the truncation only.
+    ``(value, terms_used, tail_bound)``, with ``tail_bound = inf`` when
+    max_terms was exhausted before the tail bound certified convergence
+    (or before the last term of a terminating sum), or ``abs`` of a term or
+    of the sum overflows, and for a value past the float range.
+    ``tail_bound`` is the truncated tail (none for a terminating sum) plus
+    the rounding (:func:`_phi21_rounding`, from the running ``sum |t_j|``
+    and ``sum j |t_j|``); 0 only for ``n_exact = 0`` or z = 0.  The
+    stopping rule counts the truncation only.
 
     The convergent sum takes the first of three loops that its inputs
     allow, each returning the general step's tuple bit for bit (in CPython's
@@ -397,26 +418,24 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     * otherwise the general step.
     """
     s = 1.0 + 0.0j
-    if n_exact == 0:
-        return s, 1, 0.0, 0
     t, fa, fb, fc, fq = s, a, b, c, base
     k, m, w = 0, 0.0, 0.0
     try:
-        if n_exact > 0:
+        if n_exact >= 0:
             for k in range(1, min(n_exact, max_terms) + 1):
                 t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
                 s += t
                 at = abs(t)
                 if at == 0:
-                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
                 m, w = m + at, w + k * at
                 fa *= base
                 fb *= base
                 fc *= base
                 fq *= base
             if k == n_exact:
-                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w), 0
-            return s, k + 1, math.inf, 1
+                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w)
+            return s, k + 1, math.inf
         az = abs(z)
         if c == base:
             d = 1.0 - fq
@@ -427,7 +446,7 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 s += t
                 at = abs(t)
                 if at == 0:
-                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
                 m, w = m + at, w + k * at
                 fa *= base
                 fb *= base
@@ -440,7 +459,7 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                     ms = abs(s)
                     if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                         return s, k + 1, tail + _phi21_rounding(
-                            a, b, c, base, k + 1, m, w), 0
+                            a, b, c, base, k + 1, m, w)
         elif _same_bits(a, b):
             while k < max_terms:
                 g = 1.0 - fa
@@ -449,7 +468,7 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 s += t
                 at = abs(t)
                 if at == 0:
-                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
                 m, w = m + at, w + k * at
                 fa *= base
                 fc *= base
@@ -463,7 +482,7 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                         ms = abs(s)
                         if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                             return s, k + 1, tail + _phi21_rounding(
-                                a, b, c, base, k + 1, m, w), 0
+                                a, b, c, base, k + 1, m, w)
         else:
             while k < max_terms:
                 t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
@@ -471,7 +490,7 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 s += t
                 at = abs(t)
                 if at == 0:
-                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
                 m, w = m + at, w + k * at
                 fa *= base
                 fb *= base
@@ -486,17 +505,17 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                         ms = abs(s)
                         if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                             return s, k + 1, tail + _phi21_rounding(
-                                a, b, c, base, k + 1, m, w), 0
+                                a, b, c, base, k + 1, m, w)
     except OverflowError:  # abs of a term or of the sum past the float range
         pass
-    return s, k + 1, math.inf, 1
+    return s, k + 1, math.inf
 
 
 def phi21_window_kernel(a: complex, b: complex, base: float, zs: list,
                         rel_tol: float, max_terms: int) -> list:
     """:func:`phi21_kernel`'s convergent sum (``n_exact < 0``) with ``c``
     equal to the base, at each argument z of ``zs``, in that order: one
-    ``(value, terms_used, tail_bound, status)`` per z, that of
+    ``(value, terms_used, tail_bound)`` per z, that of
     ``phi21_kernel(a, b, base, base, z, -1, rel_tol, max_terms)`` bit for
     bit.
 
@@ -558,9 +577,9 @@ def phi21_window_kernel(a: complex, b: complex, base: float, zs: list,
                 if drift is None and n > 1:  # none for one term, as there
                     drift = drifts[n] = _phi21_drift(a, b, base, base, n)
                 out.append((s, k + 1, tail + _phi21_rounding(a, b, base, base, n, m, w,
-                                                             drift), 0))
+                                                             drift)))
                 continue
         except OverflowError:  # abs of a term, of the sum or of a factor
             pass
-        out.append((s, k + 1, math.inf, 1))
+        out.append((s, k + 1, math.inf))
     return out

@@ -47,9 +47,9 @@ __all__ = [
     "phi21_heine",
 ]
 
-#: Relative half-width of the guard band around pole sets.  Parameters
-#: within this relative distance of a pole (or of a terminating value)
-#: are snapped onto it or refused, never evaluated "nearby".
+#: Relative half-width of the guard band around pole sets: parameters this
+#: close to a pole are refused, never evaluated "nearby".  Only
+#: :func:`phi21_direct` and its compositions snap onto a terminating value.
 EPS_POLE = 1e-9
 
 #: Floor used when normalising residuals of near-zero quantities.
@@ -730,24 +730,17 @@ def _direct_setup(a: complex, b: complex, c: complex, base: BaseLike,
     bb = _direct_guards(c, z, base, tol, max_terms)
     na = _near_inv_power(a, bb)
     nb = na if b == a else _near_inv_power(b, bb)
-    if na is not None and nb is not None:
-        n_exact = min(na, nb)
-    elif na is not None:
-        n_exact = na
-    elif nb is not None:
-        n_exact = nb
-    else:
-        n_exact = -1
-        if abs(z) >= 1.0:
-            raise DivergentSeriesError(
-                f"non-terminating series at |z| = {abs(z)!r} >= 1"
-            )
-    return bb, n_exact
+    snapped = [n for n in (na, nb) if n is not None]
+    if snapped:
+        return bb, min(snapped)
+    if abs(z) >= 1.0:
+        raise DivergentSeriesError(f"non-terminating series at |z| = {abs(z)!r} >= 1")
+    return bb, -1
 
 
 def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
                 n_exact: int, tol: float, max_terms: int) -> SeriesEval:
-    """The sum of :func:`phi21_direct` once :func:`_direct_setup` passed."""
+    """:func:`phi21_direct`'s sum once its guards (and any snap) passed."""
     return SeriesEval(*_direct_terms(a, b, c, bb, z, n_exact, tol, max_terms))
 
 
@@ -760,38 +753,31 @@ def _direct_terms(a: complex, b: complex, c: complex, bb: float, z: complex,
 
 
 def _direct_window(a: complex, b: complex, bb: float, zs: Sequence[complex],
-                   n_exact: int, tol: float, max_terms: int) -> list[tuple]:
-    """The sums of :func:`_direct_terms` whose c is the base ``bb`` (case 1,
-    the coamen series) at each z of ``zs``, in that order, as the kernel's
-    ``(value, terms_used, tail_bound, status)`` tuples, which
-    :func:`_certified` makes into ``_direct_terms``'s floats, or its
-    refusal, where the caller takes each: a caller doing other work in
-    between refuses in the per-point order.  Two or more convergent sums
-    (``n_exact < 0``) are one :func:`qsu11._kernels.phi21_window_kernel`
-    call, the same tuples bit for bit; one sum, or terminating ones, call
-    :func:`phi21_kernel` per point.
+                   tol: float, max_terms: int) -> list[tuple]:
+    """The series whose c is the base ``bb`` (case 1, the coamen series),
+    summed in full (never snapped) at each z of ``zs``, all in the unit
+    disc, in that order, by one :func:`qsu11._kernels.phi21_window_kernel`
+    call after the caller's :func:`_direct_guards`: ``phi21_kernel(a, b,
+    bb, bb, z, -1, tol, max_terms)``'s tuples bit for bit, which
+    :func:`_certified` makes into :func:`_direct_terms`'s floats, or its
+    refusal, where the caller takes each (so in the per-point order).
     """
-    a, b, max_terms = complex(a), complex(b), int(max_terms)
-    if n_exact < 0 and len(zs) > 1:
-        return phi21_window_kernel(a, b, bb, [complex(z) for z in zs], tol, max_terms)
-    c = complex(bb)
-    return [phi21_kernel(a, b, c, bb, complex(z), n_exact, tol, max_terms) for z in zs]
+    return phi21_window_kernel(complex(a), complex(b), bb, [complex(z) for z in zs],
+                               tol, int(max_terms))
 
 
 def _certified(terms: tuple) -> tuple[complex, int, float]:
-    """A 2phi1 kernel's ``(value, terms_used, tail_bound, status)`` as
+    """A 2phi1 kernel's ``(value, terms_used, tail_bound)`` as
     :func:`_direct_terms` returns it: ``tail_bound = inf`` when uncertified,
     and then a value that is not finite, because a term left the float
     range (the kernel then sums on to ``max_terms`` and returns nan),
     raises :class:`InvalidArgumentError`."""
-    value, used, tail, status = terms
-    if status or not tail < math.inf:
-        if not cmath.isfinite(value):
-            raise InvalidArgumentError(
-                f"a term of the 2phi1 series left the float range: value "
-                f"{value!r} after {used} terms")
-        tail = math.inf
-    return value, used, tail
+    value, used, tail = terms
+    if tail == math.inf and not cmath.isfinite(value):
+        raise InvalidArgumentError(
+            f"a term of the 2phi1 series left the float range: value "
+            f"{value!r} after {used} terms")
+    return terms
 
 
 def phi21_continued(lam: complex, kappa: complex, base: QBase,

@@ -43,8 +43,8 @@ the smoothed value carries a certificate
 * the trapezoid term at the fine step;
 * a rounding term (:func:`_certificate`).
 
-On such a line (clear of the snap band) ``f(conj z) = conj f(z)``, so
-only the nodes with ``s <= 0`` are summed (:func:`_node_values`).
+On such a line ``f(conj z) = conj f(z)``, so only the nodes with
+``s <= 0`` are summed (:func:`_node_values`).
 
 Other integrands (the continued cases, supplied callables, perturbed
 paths) report ``tail_bound = inf``; their grid is the one the Gaussian
@@ -65,7 +65,7 @@ from .errors import (
     QSU11Error,
     QuadratureUnderResolvedError,
 )
-from .qcalculus import EPS_POLE, QBase, SeriesEval, _direct_guards, _direct_sum
+from .qcalculus import QBase, SeriesEval, _direct_guards, _direct_sum
 from .su11core import IqPoint, SpectralParam, spherical_az
 
 __all__ = [
@@ -79,6 +79,10 @@ __all__ = [
 _PATH_KINDS = ("vertical_line", "perturbed")
 
 _EPS = sys.float_info.epsilon
+
+#: Bound on the exponent ``n Re (z - z0)^2`` of the kernel weights: e^700
+#: (1e304) leaves their other factors and sums room below the float range.
+_LOG_WEIGHT = 700.0
 
 #: Share of ``tol_quad`` given to the coarse grid's trapezoid term, and
 #: again to the node series errors.
@@ -250,25 +254,17 @@ class _LineBound:
         self.strip, self.span = strip, span
 
 
-def _case1_line(base: QBase, p0: IqPoint, path: ContourPath) -> bool:
+def _case1_line(p0: IqPoint, path: ContourPath) -> bool:
     """Whether the default integrand is case 1 (``p0 = +q^k, k <= 0``) on
-    a vertical ``path`` where no node snaps.  The snap of
-    :func:`qsu11.qcalculus.phi21_direct` (``q/lam`` or ``lam q`` within
-    ``EPS_POLE`` of some ``q^(-2j)``) needs ``Re z`` within about
-    ``EPS_POLE/|log q|`` of an odd integer; this band is ten times wider.
-    """
-    return (p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"
-            and abs(math.remainder(path.anchor - 1.0, 2.0)) * abs(base.log_q)
-            > 10.0 * EPS_POLE)
+    a vertical ``path``."""
+    return p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"
 
 
 def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
                 n: float, quad: QuadratureSpec) -> _LineBound | None:
     """:class:`_LineBound` of the default integrand on ``path``, or None
-    where the majorant certificate does not apply.
-
-    It applies on the lines of :func:`_case1_line`: a snapped node is not
-    the integrand at that node to rounding accuracy.
+    where the majorant certificate does not apply: off the lines of
+    :func:`_case1_line`, or where the majorant is not finite.
 
     The half-span grows from S to ``sqrt(S^2 + d^2 + log(sup|f|)/n)``
     (unless the path fixes its own), where ``e^{n d^2} sup|f|`` times the
@@ -278,7 +274,7 @@ def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
     the strip moves the maximiser by under 1% on the smoothing suite's
     cells.
     """
-    if not _case1_line(base, p0, path):
+    if not _case1_line(p0, path):
         return None
     x0 = path.anchor
     sup, first, second = _majorant(base, p0.exponent, x0)
@@ -485,9 +481,11 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     PathOutsideDomainError
         If the integrand is pole-guarded or not finite at some node.
     QuadratureUnderResolvedError
-        If the Gaussian truncation tail exceeds ``tol_quad/2``, the
-        node-doubling discrepancy or the certificate exceeds
-        ``tol_quad``, or the default integrand's series at some node is
+        If a kernel weight on the path can pass ``e^700`` (from the
+        anchor's distance to z0 and the wiggle, before any node), the
+        Gaussian truncation tail exceeds ``tol_quad/2``, the node-doubling
+        discrepancy or the certificate exceeds ``tol_quad`` (or is not a
+        finite float), or the default integrand's series at some node is
         uncertified (``tail_bound = inf``; the lowest such s is named).
     """
     if k < 1:
@@ -495,9 +493,13 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     _real_in(0.0, n=n, tol=tol)
     if not max_terms >= 1:
         raise InvalidArgumentError("max_terms must be >= 1")
-    span, m_coarse, bound = _grid(base, p0, k, n, path, quad, integrand)
     center = 1.0 - 1.0 / k
     d = path.anchor - center
+    peak = n * (abs(d) + abs(path.wiggle_amplitude)) ** 2  # >= n Re (z - center)^2
+    if peak > _LOG_WEIGHT:
+        raise QuadratureUnderResolvedError(
+            f"a kernel weight on the path can reach e^{peak!r} > e^700 (float range)")
+    span, m_coarse, bound = _grid(base, p0, k, n, path, quad, integrand)
     cut = math.exp(n * d * d) * math.erfc(math.sqrt(n) * span)
     if cut > quad.tol_quad / 2.0:
         raise QuadratureUnderResolvedError(
@@ -518,7 +520,7 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         if bound is not None:
             tol = min(tol, _SHARE * quad.tol_quad / bound.sup)
         f = None
-        if _case1_line(base, p0, path):
+        if _case1_line(p0, path):
             f = _case1_kernel(base, p0, tol, max_terms)
         ev = _node_values(f or _default_integrand(base, p0, tol, max_terms),
                           s, zz, certified=True, mirrored=f is not None)
@@ -527,16 +529,17 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     wf = [wi * e.value for wi, e in zip(w, ev)]
     v_fine = h_fine * sum(wf)
     v_coarse = 2.0 * h_fine * sum(wf[::2])
-    if abs(v_fine - v_coarse) > quad.tol_quad:
+    moved = abs(v_fine - v_coarse)
+    if not moved <= quad.tol_quad:  # nan too: a sum past the float range
         raise QuadratureUnderResolvedError(
-            f"node doubling moved the value by {abs(v_fine - v_coarse)!r} "
+            f"node doubling moved the value by {moved!r} "
             f"> tol_quad={quad.tol_quad!r}")
     mass = (h_fine * sum(w)).real
     tail = math.inf
     if bound is not None:
         tail = _certificate(bound, n, d, span, h_fine,
                             [h_fine * abs(wi) for wi in w], ev)
-        if tail > quad.tol_quad:
+        if not tail <= quad.tol_quad:
             raise QuadratureUnderResolvedError(
                 f"certificate {tail!r} of the smoothed value "
                 f"> tol_quad={quad.tol_quad!r}")

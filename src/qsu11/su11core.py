@@ -25,7 +25,7 @@ from .qcalculus import (
     _add,
     _base_value,
     _certified,
-    _direct_setup,
+    _direct_guards,
     _direct_sum,
     _direct_terms,
     _direct_window,
@@ -220,8 +220,8 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     with its own certificate.
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
-    k <= 0) checks its direct series' guards and snaps once, then sums
-    its series at every k in one kernel pass (its c is the base:
+    k <= 0) checks its direct series' guards once, then sums its series
+    in full, never snapped, at every k in one kernel pass (its c is the base:
     :func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
     values bit for bit; a sum whose value is not finite (a term past the
     float range) raises :class:`InvalidArgumentError`, the first such k's
@@ -240,15 +240,13 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     The lam**2 pole guard (the refusal of :func:`spherical_az` at k >= 1)
     is the closed form's: it refuses the negative seed and the fallback,
     not the positive branch's recurrence, which has no pole there.  So a
-    positive window at lam**2 on ``q^{2Z}`` (z = 0, z = 1) is evaluated
-    where the recurrence certifies it, unless a case-1 seed would be
-    snapped onto a terminating series from off the lattice.  A
-    one-exponent window is :func:`spherical_az`; recurrence values
-    differ from the pointwise ones by at most the two certificates.  A
-    refusal of the closed form at an exponent it evaluates refuses the
-    whole window.  An empty ``ks`` gives ``[]``; exponents that are not
-    consecutive and ascending, or a negative window reaching k < 1, raise
-    :class:`InvalidArgumentError`.
+    positive window at or near lam**2 on ``q^{2Z}`` (z = 0, z = 1) is
+    evaluated where the recurrence certifies it.  A one-exponent window
+    is :func:`spherical_az`; recurrence values differ from the pointwise
+    ones by at most the two certificates.  A refusal of the closed form at
+    an exponent it evaluates refuses the whole window.  An empty ``ks``
+    gives ``[]``; exponents that are not consecutive and ascending, or a
+    negative window reaching k < 1, raise :class:`InvalidArgumentError`.
     """
     ks = list(ks)
     if not ks:
@@ -274,15 +272,14 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
     out = []
     if n1:
         a, b, c = q / lam, lam * q, q * q
-        bb, n_exact = _direct_setup(a, b, c, c, -q ** (2 - 2 * ks[n1 - 1]), tol,
-                                    max_terms)
+        bb = _direct_guards(c, -q ** (2 - 2 * ks[n1 - 1]), c, tol, max_terms)
         if n1 == 1:  # one point: phi21_kernel itself
-            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * ks[0]), n_exact, tol,
+            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * ks[0]), -1, tol,
                                    max_terms))
         else:
             zs = [-q ** (2 - 2 * k) for k in ks[:n1]]
-            for terms in _direct_window(a, b, bb, zs, n_exact, tol, max_terms):
-                out.append(SeriesEval(*_certified(terms)))
+            out += [SeriesEval(*_certified(t)) for t in _direct_window(
+                a, b, bb, zs, tol, max_terms)]
     if recur:
         out += _recurrence(base, lam, sign, ks[n1], ks[-1], tol, max_terms)
     rest = ks[len(out):]
@@ -357,18 +354,14 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``c2 = (w - q^2)/(1 - w)``.
 
     Seeds: on the positive branch the case-1 values a(-1) and a(0), two
-    one-point sums (:func:`qsu11.qcalculus._direct_sum`) to
+    one-point sums in full (:func:`qsu11.qcalculus._direct_sum`) to
     ``tol / 1000``; on the negative branch the one closed-form value
     a(-q) (:func:`_closed_form` at k = 1, where ``(q/u)^{k-1} = 1``), to
     ``tol / 100`` (at k = 2 the coefficient of a(0) is
     ``1 - q^2 z_2 = 0``).  A seed's error is its ``tail_bound``;
     near the pole lattice of the two-term form that of a(-q) grows like
     1/d, and the negative branch falls back to the closed form sooner.  A
-    seed that is refused (a seed tolerance that underflows) gives ``[]``,
-    and so do positive seeds whose ``q/lam`` or ``lam q`` is snapped onto
-    a terminating series (within ``EPS_POLE`` of some ``q^{-2n}``) without
-    being that power exactly: their ``tail_bound`` does not count the
-    parameter's offset.
+    seed that is refused (a seed tolerance that underflows) gives ``[]``.
 
     Certificate (Gautschi, "Computational aspects of three-term
     recurrence relations", SIAM Rev. 9, 1967; Wimp, *Computation with
@@ -415,10 +408,8 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     try:
         if sign > 0:
             a, b, c = q / lam, lam * q, q * q
-            bb, n_exact = _direct_setup(a, b, c, c, -q ** 2, stol, max_terms)
-            if n_exact >= 0 and c ** -n_exact not in (a, b):
-                return []  # snapped from off the lattice: the closed form decides
-            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), n_exact, stol,
+            bb = _direct_guards(c, -q ** 2, c, stol, max_terms)
+            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), -1, stol,
                                     max_terms) for k in (-1, 0))
             k0 = 1
         else:
@@ -540,12 +531,13 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     them; :func:`averaged_coamen` adds them up.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
-    ``c = q^2`` do not depend on L, so the guards and snaps of
-    :func:`qsu11.qcalculus.phi21_direct` run once, at the first point that
-    sums directly (``e > 0``); when points follow it, the series of that
-    point and of every later direct point are summed there in one kernel
-    pass (:func:`qsu11.qcalculus._direct_window`), each point's sum taken,
-    and refused, when the loop reaches it; points with ``e <= 0`` go through
+    ``c = q^2`` do not depend on L, so the series' guards run once, at the
+    first point that sums directly (``e > 0``: ``-q^e`` is in the unit
+    disc; the series is summed in full, never snapped); when points follow
+    it, the series of that point and of every later direct point are
+    summed there in one kernel pass
+    (:func:`qsu11.qcalculus._direct_window`), each point's sum taken, and
+    refused, when the loop reaches it; points with ``e <= 0`` go through
     :func:`qsu11.qcalculus.phi21_heine`.  Both forms are built on plain
     floats from the series' value, terms and bound, by the rules of
     :class:`SeriesEval`'s operators: the simplified form scales the
@@ -577,7 +569,7 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     q2 = q * q
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
-    n_exact = direct = None
+    bb = direct = None
     prefactor = None
     # (-q^e; q^2)_{2m}: n = 2|m| factors 1 + q^{e + 2i} >= 1, each off by (4 +
     # i + 3) u (qpoch_infinite_kernel's 4, i + 3 of q^{e + 2i}), 1/x by 6 u;
@@ -592,15 +584,14 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             series = phi21_heine(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
             value, used, tail = series.value, series.terms_used, series.tail_bound
         else:
-            if n_exact is None:  # phi21_direct's guards and snaps, once
-                bb, n_exact = _direct_setup(a, b, q2, q2, z, tol, max_terms)
+            if bb is None:  # the direct series' guards, once
+                bb = _direct_guards(q2, z, q2, tol, max_terms)
                 if i + 1 < len(Ls):  # this and the later direct points' series
-                    direct = iter(_direct_window(a, b, bb,
-                                                 [z, *_direct_zs(q, m, Ls[i + 1:])],
-                                                 n_exact, tol, max_terms))
+                    direct = iter(_direct_window(
+                        a, b, bb, [z, *_direct_zs(q, m, Ls[i + 1:])], tol, max_terms))
             value, used, tail = (
                 _certified(next(direct)) if direct
-                else _direct_terms(a, b, q2, bb, z, n_exact, tol, max_terms))
+                else _direct_terms(a, b, q2, bb, z, -1, tol, max_terms))
         if form != "simplified":
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0

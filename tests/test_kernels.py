@@ -6,11 +6,14 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qsu11 import QBase, backend, harness, qcalculus, qpoch_infinite, theta_pair
-from qsu11._kernels import _phi21_rounding, phi21_kernel, phi21_window_kernel
+from qsu11 import (QBase, _kernels, backend, harness, qcalculus, qpoch_infinite,
+                   theta_pair)
+from qsu11._kernels import (_U, _phi21_rounding, euler_table, phi21_kernel,
+                            phi21_window_kernel, qpoch_infinite_kernel)
 
 
 def _probe_script() -> str:
@@ -55,6 +58,36 @@ def test_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("base", (0.25, 0.5, 0.81))
+def test_euler_horner_pass_within_its_allowance(base):
+    """The Horner pass of the Euler tail (``qpoch_infinite_kernel``), at
+    real y = +-rho (1 - 2**-20) and for every N of the table, against the
+    exact value of the same float coefficients e_0..e_N (Fractions), so
+    that only the pass's own rounding is measured: the error is within
+    the kernel's allowance ``u (1 + _C_HORNER sum_n n |e_n| r^n)`` (one
+    rounding for e_0's addition, ``_C_HORNER`` n for term n).  The pass
+    is the kernel's: at the N the kernel selects, its value is the
+    kernel's, bit for bit."""
+    for budget in (2.5e-17, 2.5e-13, 2.5e-7):
+        rho, table = euler_table(base, budget)
+        th, rev = table[0], table[1]
+        r = rho * (1.0 - 2.0 ** -20)
+        for y in (r, -r):
+            x = complex(y, 0.0)
+            for n_last in range(1, len(rev)):
+                s = rev[-1 - n_last]
+                for e in rev[-n_last:]:
+                    s = s * x + e
+                coef = rev[::-1][:n_last + 1]  # e_0, ..., e_N
+                exact = sum(Fraction(e) * Fraction(y) ** n for n, e in enumerate(coef))
+                allowance = _U * (1.0 + _kernels._C_HORNER * sum(
+                    n * abs(e) * r ** n for n, e in enumerate(coef)))
+                assert s.imag == 0.0
+                assert abs(Fraction(s.real) - exact) <= allowance, (y, n_last)
+                if th[n_last - 1] < r <= th[n_last]:  # the kernel's N
+                    assert qpoch_infinite_kernel(x, base, 0, 0, budget, table)[0] == s
+
+
 def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
     """The general 2phi1 step, one loop for every input shape: the kernel
     before it selected a terminating loop and two special shapes, with the
@@ -62,7 +95,7 @@ def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
     (``_phi21_rounding``) is formed from."""
     s = 1.0 + 0.0j
     if n_exact == 0:
-        return s, 1, 0.0, 0
+        return s, 1, 0.0
     t = 1.0 + 0.0j
     fa = a
     fb = b
@@ -76,10 +109,10 @@ def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
             k += 1
             s += t
             if t == 0:
-                return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w), 0
+                return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
             m, w = m + abs(t), w + k * abs(t)
             if n_exact > 0 and k == n_exact:
-                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w), 0
+                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w)
             fa *= base
             fb *= base
             fc *= base
@@ -93,10 +126,10 @@ def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
                         tail = abs(t) * r / (1.0 - r)
                         if tail <= rel_tol * max(abs(s), 1e-300):
                             return s, k + 1, tail + _phi21_rounding(
-                                a, b, c, base, k + 1, m, w), 0
+                                a, b, c, base, k + 1, m, w)
     except OverflowError:
         pass
-    return s, k + 1, math.inf, 1
+    return s, k + 1, math.inf
 
 
 def _assert_same_bits(args):
@@ -165,7 +198,7 @@ class TestPhi21KernelShapes:
         for max_terms in (0, 1, 2, 5, 30):
             args = (*ab, c, 0.9, 0.999j, -1, 1e-14, max_terms)
             _assert_same_bits(args)
-            assert phi21_kernel(*args)[3] == 1
+            assert phi21_kernel(*args)[2] == math.inf
 
     @pytest.mark.parametrize("c", (0.5, 0j), ids=("c=base", "c"))
     @pytest.mark.parametrize("n_exact", (-1, 3))
@@ -278,6 +311,6 @@ class TestPhi21WindowKernel:
         a = complex(1.3e308, 1.3e308)
         zs = [0j, 1e-300, 0j, 1e-300j]
         got = phi21_window_kernel(a, 0j, 0.05, zs, 1e-12, 200)
-        assert got[0] == (1, 2, 0.0, 0)
-        assert [result[3] for result in got] == [0, 1, 0, 1]
+        assert got[0] == (1, 2, 0.0)
+        assert [result[2] for result in got] == [0.0, math.inf, 0.0, math.inf]
         self._assert_window(a, 0j, 0.05, zs, 1e-12, 200)

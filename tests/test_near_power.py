@@ -1,7 +1,9 @@
 """The pole-guard scan ``qcalculus._near_power`` against the four-candidate
 scan it replaced, kept here as the reference: the same return (or the
-same error type) on every call of default runs and on seeded points at,
-near and between the powers of bases from 1e-3 to 1 - 1e-12."""
+same error type) on every call of default runs (with one call of
+``phi21_direct``'s terminating snap for the matching verdict) and on
+seeded points at, near and between the powers of bases from 1e-3 to
+1 - 1e-12."""
 
 import math
 import random
@@ -60,8 +62,12 @@ def test_every_call_of_a_default_run(q, tmp_path, monkeypatch):
     monkeypatch.setattr(qcalculus, "_near_power", recorded)
     monkeypatch.setattr(limitlab, "_near_power", recorded)
     harness.main(["--q", q, "--out", str(tmp_path)])
-    monkeypatch.undo()
     assert len(calls) > 1000
+    # No call of a default run matches (the series of case 1 and of the
+    # coamen windows are summed in full, unsnapped).  The matching verdict
+    # comes from phi21_direct's terminating snap, a = 1 = q**0.
+    qcalculus.phi21_direct(1.0, 0.3, 0.7, float(q), 0.4)
+    monkeypatch.undo()
     found = {_assert_same(*args, **kwargs) is not None
              for args, kwargs in calls}
     assert found == {True, False}  # both verdicts are exercised

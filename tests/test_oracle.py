@@ -23,8 +23,10 @@ from qsu11 import (
     qpoch_infinite,
     qpoch_multi,
     spherical_az,
+    spherical_window,
 )
 from qsu11.qcalculus import _near_inv_power
+from qsu11.su11core import _recurrence
 
 #: The bases of the product sweep: the squares of the q values the suites
 #: use (0.09, 0.25, 0.81), the bases of the theta identities (0.3, 0.5,
@@ -109,6 +111,29 @@ def test_products_near_a_zero_within_their_tail_bound(b, a):
         for tol in (1e-16, 1e-12, 1e-6, 1e-3):
             ev = qpoch_infinite(a, b, tol)
             assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, (tol, ev)
+
+
+#: Arguments a at which a factor ``1 - a b^i``, i >= 1, is computed exactly
+#: 0 although ``a b^i`` carries i roundings, so the product is not 0: i = 1
+#: at b = 0.9, 0.81 and 0.3 (a = 1/b), and at b = 0.25, i = 2 for
+#: a = 16 + 5e-324j, whose offset underflows in ``a b^2``.
+COMPUTED_ZEROS = ((0.9, 1 / 0.9), (0.81, 1 / 0.81), (0.3, 1 / 0.3),
+                  (0.25, complex(16.0, 5e-324)))
+
+
+@pytest.mark.parametrize("b, a", COMPUTED_ZEROS, ids=("0.9", "0.81", "0.3", "0.25"))
+def test_computed_zero_factors_within_their_tail_bound(b, a):
+    """qpoch_infinite where a factor is computed as exactly 0: the value 0
+    is returned as an inexact zero (not ``degenerate``) with a finite
+    ``tail_bound`` that bounds |explicit product|, at tol 1e-16 to 1e-3."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        ref = explicit_qpoch(mp, a, b)
+        assert ref != 0
+        for tol in (1e-16, 1e-12, 1e-6, 1e-3):
+            ev = qpoch_infinite(a, b, tol)
+            assert ev.value == 0 and not ev.degenerate, (tol, ev)
+            assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound < math.inf, (tol, ev)
 
 
 #: The q of the series sweep.
@@ -295,30 +320,24 @@ def test_spherical_within_its_tail_bound(q, case):
 def test_spherical_band_within_its_tail_bound(q, case):
     """spherical_az cases 1-3 with lam^2 in the band 1e-9 < d < 1e-2 around
     the lattice q^(2Z), where the two-term forms' factors 1 - f come within
-    d of 0.  Case-1 points whose series snaps to a terminating one (q/lam
-    or lam q within EPS_POLE of a power of q^-2) are the snap slice
-    below."""
+    d of 0.  Case 1 is summed in full there, also where q/lam or lam q is
+    within EPS_POLE of a power of q^-2 (the slice below)."""
     mp = pytest.importorskip("mpmath").mp
     base = QBase(q)
     rng = random.Random(f"band-{q}-{case}")
     calls = []
     for _ in range(6):
         zp = _band_point(rng, base)
-        if case == 1 and (_near_inv_power(q / zp.lam, q * q) is not None
-                          or _near_inv_power(zp.lam * q, q * q) is not None):
-            continue
         calls += _spherical_calls(mp, base, zp, _case_point(rng, case))
     _assert_within(mp, calls, 4)
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "ROADMAP item 5: in the band a case-1 series whose q/lam is within "
-    "EPS_POLE of a power of q^-2 is summed as the terminating one, whose "
-    "tail_bound covers its rounding but not the offset"))
 @pytest.mark.parametrize("q", SERIES_QS)
 def test_spherical_band_snap_slice_within_its_tail_bound(q):
     """Case 1 at lam = q^(2n+1) (1 + d), 5e-10 < |d| < 1e-9: lam^2 is in the
-    band, and q/lam within EPS_POLE of q^(-2n), so the series snaps."""
+    band, and q/lam within EPS_POLE of q^(-2n), where phi21_direct would
+    snap the series onto the terminating one.  Case 1 sums it in full: the
+    value is within its bound of the full series at the float lam."""
     mp = pytest.importorskip("mpmath").mp
     base = QBase(q)
     rng = random.Random(f"snap-{q}")
@@ -330,3 +349,28 @@ def test_spherical_band_snap_slice_within_its_tail_bound(q):
         assert _near_inv_power(q / lam, q * q) == n
         calls += _spherical_calls(mp, base, zp, IqPoint.positive(rng.randint(-4, 0)))
     _assert_within(mp, calls, 4)
+
+
+#: Spectral parameters within 1e-12 to 7e-10 of z = 0, +-1 and 2: lam^2 is
+#: within EPS_POLE of q^(2Z), where the closed form refuses, and near
+#: z = +-1 q/lam or lam q is within EPS_POLE of q^0.
+NEAR_LATTICE_ZS = (1 + 1e-12, 1 - 7e-10, -1 + 5e-10, -1 - 1e-12, 1e-10, 2 + 1e-10)
+
+
+@pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
+def test_positive_windows_near_the_lattice_within_their_tail_bound(q):
+    """spherical_window on the positive branch, k = 1..8, at each z of
+    ``NEAR_LATTICE_ZS``: the recurrence in k, seeded by case 1 summed in
+    full, fills every window, and each value is within its bound of the
+    closed forms (:class:`_mp_reference.Reference`) at 60 digits, whose
+    two terms cancel near the lattice."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    with mp.workdps(60):
+        for z in NEAR_LATTICE_ZS:
+            zp = SpectralParam.from_z(z, base)
+            window = spherical_window(base, zp, 1, range(1, 9))
+            assert len(_recurrence(base, zp.lam, 1, 1, 8, 1e-12, 200)) == 8, z
+            refs = Reference(mp, q, zp.lam).window(1, range(1, 9))
+            for k, ev, ref in zip(range(1, 9), window, refs):
+                assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, (z, k, ev)

@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from _mp_reference import phi21_terms
+from _mp_reference import phi21_reference
 
 from qsu11 import (
     ContourPath,
@@ -179,13 +179,10 @@ class TestGaussianSmooth:
         sm = gaussian_smooth(B, IqPoint.positive(-1), 2, 16.0, line, quad)
         assert 0.0 < sm.tail_bound <= quad.tol_quad
         wiggly = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
-        # Re z = 1 is an odd integer: q/lam = 1 snaps at s = 0
-        snapping = ContourPath("vertical_line", 1.0)
         uncovered = (
             (IqPoint.positive(0), line, lambda z: 1.0 + 0.0j),
             (IqPoint.positive(0), wiggly, None),
             (IqPoint.positive(1), line, None),
-            (IqPoint.positive(0), snapping, None),
         )
         for p0, path, f in uncovered:
             sm = gaussian_smooth(B, p0, 2, 16.0, path, quad, integrand=f)
@@ -229,7 +226,7 @@ def _assert_line_parity(base: QBase, p0_k: int, path: ContourPath,
     """The line route equals per-node ``spherical_az`` bit for bit, or
     names the same uncertified node as the per-node loop."""
     p0 = IqPoint.positive(p0_k)
-    assert _case1_line(base, p0, path)
+    assert _case1_line(p0, path)
     s, zz, _ = _fine_nodes(path, span, m)
     assert s == [-v for v in reversed(s)]
     try:
@@ -256,14 +253,14 @@ def _strip_nodes() -> list[complex]:
             for _ in range(2000)]
 
 
-def _assert_covers_terms(base, x, p0_k, ev):
-    """The case-1 value at z = x is within its bound of the first
-    ``ev.terms_used`` terms of its series at 40 digits, at the float lam."""
+def _assert_within_series(base, x, p0_k, ev):
+    """The case-1 value at z = x is within its bound of its whole series
+    at 40 digits, at the float lam."""
     mp = pytest.importorskip("mpmath").mp
     q, lam = base.q, SpectralParam.from_z(x, base).lam
     with mp.workdps(40):
-        exact = phi21_terms(mp, q / lam, lam * q, q * q, q * q,
-                            -q ** (2 - 2 * p0_k), ev.terms_used)
+        exact = phi21_reference(mp, q / lam, lam * q, q * q, q * q,
+                                -q ** (2 - 2 * p0_k))
         assert abs(mp.mpc(ev.value) - exact) <= ev.tail_bound, (x, p0_k)
 
 
@@ -303,9 +300,6 @@ class TestLineRoute:
         cases = (
             (IqPoint.positive(0),
              ContourPath("perturbed", 0.5, wiggle_amplitude=0.05), None),
-            (IqPoint.positive(0), ContourPath("vertical_line", 1.0), None),
-            (IqPoint.positive(-2),
-             ContourPath("vertical_line", 1.0 + 5e-10 / B.log_q), None),
             (IqPoint.positive(1), line, None),
             (IqPoint.negative(1), line, None),
             (IqPoint.positive(0), line, lambda z: 1.0 + 0.0j),
@@ -317,10 +311,11 @@ class TestLineRoute:
 
     def test_terminating_snap(self):
         # lam = q^(2j+1) makes q/lam = (q^2)^(-j) and lam = q^-(2j+1)
-        # makes lam q = (q^2)^(-j): the series terminates.  Offsets put
-        # the line inside, near and outside the snap band; every line in
-        # the tested band takes the per-node loop, which snaps on the
-        # real axis.
+        # makes lam q = (q^2)^(-j), where phi21_direct would snap the series
+        # onto a terminating one.  Case 1 sums it in full: on the real axis
+        # inside, near and outside the former snap band (d up to 2.5e-9)
+        # the value is within its bound of the whole series, and every
+        # such line takes the line route.
         for j in range(6):
             for sign in (1, -1):
                 for d in (0.0, 5e-10, 1.5e-9, 2.5e-9, 1e-6):
@@ -328,20 +323,16 @@ class TestLineRoute:
                     path = ContourPath("vertical_line", x)
                     for p0_k in (0, -2):
                         p0 = IqPoint.positive(p0_k)
-                        assert _case1_line(B, p0, path) == (d == 1e-6)
+                        assert _case1_line(p0, path)
                         ev = spherical_az(B, SpectralParam.from_z(x, B), p0)
-                        if d <= 5e-10:  # j + 1 terms, with their rounding
-                            assert ev.terms_used == j + 1
-                            _assert_covers_terms(B, x, p0_k, ev)
-        # a snapping line smooths node by node, s = 0 (z = 1) included,
-        # on the grid a supplied integrand gets
+                        _assert_within_series(B, x, p0_k, ev)
+        # the line through z = 1 (q/lam = 1 at s = 0): kernel sums and
+        # conjugates equal spherical_az node by node on its own grid
         quad = QuadratureSpec.for_width(16.0, B)
-        path = ContourPath("vertical_line", 1.0)
-        f = _default_integrand(B, IqPoint.positive(0), 1e-12)
-        sm = gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, path, quad)
-        looped = gaussian_smooth(B, IqPoint.positive(0), 2, 16.0, path, quad,
-                                 integrand=lambda z: f(z).value)
-        assert sm.value == looped.value
+        for p0_k in (0, -2):
+            path = ContourPath("vertical_line", 1.0)
+            span, m, _ = _grid(B, IqPoint.positive(p0_k), 2, 16.0, path, quad, None)
+            _assert_line_parity(B, p0_k, path, span, m)
 
     def test_perturbed_path(self):
         # off vertical lines the default integrand is summed node by node
@@ -350,7 +341,7 @@ class TestLineRoute:
         path = ContourPath("perturbed", 0.5, wiggle_amplitude=0.05)
         for p0_k in (0, -2):
             p0 = IqPoint.positive(p0_k)
-            assert not _case1_line(B, p0, path)
+            assert not _case1_line(p0, path)
             f = _default_integrand(B, p0, 1e-12)
             sm = gaussian_smooth(B, p0, 2, 16.0, path, quad)
             looped = gaussian_smooth(B, p0, 2, 16.0, path, quad,
@@ -478,8 +469,7 @@ _NON_FINITE_CALLS = {
 
 class TestNonFiniteRefusal:
     """Non-finite or complex input is refused with a typed error at every
-    entry (a line at Re z = inf would otherwise reach ``math.remainder``
-    in :func:`_case1_line` and raise a bare ``ValueError``)."""
+    entry."""
 
     @pytest.mark.parametrize("bad", (complex("nan"), math.inf,
                                      complex(0.0, -math.inf)),
@@ -580,3 +570,67 @@ class TestSmoothingOracle:
                         err = abs(mpmath.mpc(sm.value) - ref)
                         assert err <= sm.tail_bound <= tol_quad, \
                             (k, p0_k, n, float(err), sm.tail_bound)
+
+    @pytest.mark.parametrize("anchor", (1.0, 1.0 + 5e-10 / B.log_q, -1.0),
+                             ids=("1", "1-band", "-1"))
+    def test_odd_integer_lines_within_certificate(self, anchor):
+        """Lines through Re z = +-1 at q = 0.5, where q/lam or lam q meets
+        q^0 on the real axis, off the kernel center: certified, with the
+        error against the Gaussian mean about the center within
+        ``tail_bound`` and ``tail_bound`` within ``tol_quad``.  (At Re z =
+        -1 only n = 4 resolves: 1.5 from the center the weights reach
+        e^{n 2.25}.)"""
+        mpmath = pytest.importorskip("mpmath")
+        cells = [(2, 4.0)] if anchor < 0 else [(2, 4.0), (2, 16.0), (5, 64.0)]
+        path = ContourPath("vertical_line", anchor)
+        checked = 0
+        with mpmath.workdps(30):
+            for k, n in cells:
+                center = 1.0 - 1.0 / k
+                quad = QuadratureSpec.for_width(n, B)
+                for p0_k in (0, -2):
+                    sm = gaussian_smooth(B, IqPoint.positive(p0_k), k, n, path,
+                                         quad)
+                    ref = _smoothed_reference(mpmath.mp, B.q, p0_k, center, n)
+                    err = abs(mpmath.mpc(sm.value) - ref)
+                    assert err <= sm.tail_bound <= quad.tol_quad, \
+                        (k, p0_k, n, float(err), sm.tail_bound)
+                    checked += 1
+        assert checked == 2 * len(cells)
+
+
+class TestWeightsPastTheFloatRange:
+    """A path far from the kernel center, where the weights e^{n (z - z0)^2}
+    leave the float range, is refused before any node, through
+    :func:`gaussian_smooth` and :func:`path_independence`."""
+
+    @pytest.mark.parametrize("anchor", (-3.0, -3.5, -3.0 - 2e-10))
+    @pytest.mark.parametrize("q", (0.5, 0.9))
+    def test_refused(self, q, anchor, monkeypatch):
+        def no_nodes(*args, **kwargs):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(smoother, "_node_values", no_nodes)
+        base = QBase(q)
+        quad = QuadratureSpec.for_width(64.0, base)
+        far = ContourPath("vertical_line", anchor)
+        near = ContourPath("vertical_line", 0.8)
+        p0 = IqPoint.positive(0)
+        with pytest.raises(QuadratureUnderResolvedError, match="float range"):
+            gaussian_smooth(base, p0, 5, 64.0, far, quad)
+        with pytest.raises(QuadratureUnderResolvedError, match="float range"):
+            path_independence(base, p0, 5, 64.0, far, near, quad)
+        with pytest.raises(QuadratureUnderResolvedError, match="float range"):
+            gaussian_smooth(base, p0, 5, 64.0, far, quad,
+                            integrand=lambda z: 1.0 + 0.0j)
+
+    def test_wiggle_counts_towards_the_weights(self):
+        # d = 3.2 from the center, n d^2 = 655 < 700, but the wiggle moves
+        # Re z out to d + 0.5 sin s: near s = 1 the weight is about
+        # e^{64 (3.62^2 - 1)} = e^775, past the float range.
+        quad = QuadratureSpec.for_width(64.0, B)
+        p0 = IqPoint.positive(0)
+        path = ContourPath("perturbed", 4.0, wiggle_amplitude=0.5)
+        with pytest.raises(QuadratureUnderResolvedError, match="float range"):
+            gaussian_smooth(B, p0, 5, 64.0, path, quad,
+                            integrand=lambda z: 1.0 + 0.0j)
