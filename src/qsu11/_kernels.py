@@ -330,20 +330,27 @@ _C_STEP = 20.0
 
 def _phi21_rounding(a: complex, b: complex, c: complex, base: float, n: int,
                     m: float, w: float, drift: float | None = None) -> float:
-    """First-order bound on the rounding error of an n-term sum of
-    :func:`phi21_kernel` with ``m = sum |t_j|``, ``w = sum j |t_j|`` over
-    j >= 1 (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 3): ``u (_C_STEP w + D m + n m - w + n - 1)`` plus 16 (n - 1)
+    """Bound on the rounding error of an n-term sum of :func:`phi21_kernel`
+    with ``m = sum |t_j|``, ``w = sum j |t_j|`` over j >= 1 (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    ``u (_C_STEP w + D m + n m - w + n - 1) / (1 - K u)`` plus 16 (n - 1)
     subnormal spacings, D the drift of :func:`_phi21_drift` (``drift``,
     when the caller has it).  Term j is j steps of ``_C_STEP`` u and the
     drift D off, and takes part in n - j of the n - 1 additions (t_0 = 1
-    in all).  0 for n = 1; ``inf`` if not finite.
+    in all): k_j <= K = (``_C_STEP`` + 1) n + D units, and
+    ``k_j u / (1 - K u)`` is at least gamma_{k_j} = ``k_j u / (1 - k_j u)``,
+    which bounds the term's error (Higham, Lemma 3.1).  0 for n = 1;
+    ``inf`` if not finite or once ``K u >= 1``.
     """
     if n <= 1:
         return 0.0
     if drift is None:
         drift = _phi21_drift(a, b, c, base, n)
-    bound = _U * (_C_STEP * w + drift * m + n * m - w + n - 1) + 16.0 * (n - 1) * _SUB
+    ku = ((_C_STEP + 1.0) * n + drift) * _U
+    if not ku < 1.0:
+        return math.inf
+    bound = _U * (_C_STEP * w + drift * m + n * m - w + n - 1) / (1.0 - ku) \
+        + 16.0 * (n - 1) * _SUB
     return bound if bound < math.inf else math.inf
 
 

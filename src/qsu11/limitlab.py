@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import InvalidArgumentError, PoleGuardError, QSU11Error
-from .qcalculus import (EPS_POLE, QBase, SeriesEval, _frozen_slots, _modulus,
-                        _near_power, qpoch_finite)
-from .su11core import (IqPoint, SpectralParam, _integer, averaged_coamen,
+from .qcalculus import (EPS_POLE, QBase, SeriesEval, _frozen_slots, _integer,
+                        _modulus, _near_power, qpoch_finite)
+from .su11core import (IqPoint, SpectralParam, averaged_coamen,
                        coamen_coeff, spherical_az, spherical_window)
 
 __all__ = [
@@ -160,8 +160,8 @@ def _sweep_evaluator(family: str, base: QBase,
 
     The exponents and counts (``k``, ``m``, ``max_terms``, ``trunc_K``, and
     the elements' j and n) must be integers, as
-    :func:`qsu11.su11core._integer` takes them: a fixed one that is not raises
-    :class:`InvalidArgumentError` here, an element in its own row.
+    :func:`qsu11.qcalculus._integer` takes them: a fixed one that is not
+    raises :class:`InvalidArgumentError` here, an element in its own row.
     """
     tol = float(fixed.pop("tol", 1e-12))
     max_terms = _integer("max_terms", fixed.pop("max_terms", 200))
@@ -292,7 +292,8 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     the direct series' guards once, the series at every k in one kernel
     pass), each summed within ``tol`` and ``max_terms``.  A coefficient
     that is not finite raises :class:`InvalidArgumentError` rather than
-    drop out of the sup.
+    drop out of the sup, and so does a ``max_exponent`` that is not an
+    integer (a float of integral value included) or is negative.
 
     The coefficient deviations decay geometrically in -k on this range,
     so the sup over the truncated window already equals the sup over
@@ -300,6 +301,7 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     (deepening the window leaves the value unchanged at 1e-14 level;
     the suites check that directly).
     """
+    max_exponent = _integer("max_exponent", max_exponent)
     if max_exponent < 0:
         raise InvalidArgumentError("max_exponent must be >= 0")
     return max(abs(ev.value - 1.0) for _, ev in
@@ -354,12 +356,14 @@ def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
     Samples ``+q^k`` for k in [-max_exponent, max_exponent] and
     ``-q^k`` for k in [1, max_exponent] (:func:`_spectrum_window`: one
     window evaluation per branch within ``tol`` and ``max_terms``, and a
-    coefficient that is not finite raises :class:`InvalidArgumentError`).
+    coefficient that is not finite raises :class:`InvalidArgumentError`,
+    as does a ``max_exponent`` that is not an integer or is below 1).
     For symbols that decay at
     zero the gap vanishes as z -> 1; for non-decaying symbols it stays
     bounded but need not vanish (the deviation at points near zero does
     not go away, only its weight can kill it).
     """
+    max_exponent = _integer("max_exponent", max_exponent)
     if max_exponent < 1:
         raise InvalidArgumentError("max_exponent must be >= 1")
     unit = decay = 0.0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import sys
 from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import lru_cache
@@ -385,6 +386,15 @@ def _power(base: float, n: int) -> float:
         raise InvalidArgumentError(f"{base!r}**{n} is past the float range") from None
 
 
+def _integer(name: str, x: int) -> int:
+    """``x`` as an ``int`` (``operator.index``); anything else, a float of
+    integral value included, raises :class:`InvalidArgumentError`."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, not {x!r}") from None
+
+
 def _near_power(x: complex, base: float, eps: float = EPS_POLE,
                 lo: int | None = None, hi: int | None = None) -> int | None:
     """Return integer j with |x - base**j| <= eps * base**j, else None.
@@ -407,12 +417,17 @@ def _near_power(x: complex, base: float, eps: float = EPS_POLE,
     log_base = math.log(base)
     t = math.log(r) / log_base
     s = eps + 1e-12 + 2e-322 / r
-    if 2.0 * s < (1.0 - s) * abs(log_base):
-        candidates = (round(t),)
-    else:
-        f, c = math.floor(t), math.ceil(t)
-        candidates = (f, c, f - 1, c + 1)
-    for j in candidates:
+    if 2.0 * s < (1.0 - s) * abs(log_base):  # one candidate: no loop
+        j = round(t)
+        if (lo is not None and j < lo) or (hi is not None and j > hi):
+            return None
+        try:
+            p = base ** j
+            return j if abs(x - p) <= eps * p else None
+        except OverflowError:  # base**j or x - base**j is past the float range
+            return None
+    f, c = math.floor(t), math.ceil(t)
+    for j in (f, c, f - 1, c + 1):
         if (lo is not None and j < lo) or (hi is not None and j > hi):
             continue
         try:
@@ -451,27 +466,31 @@ def qpoch_finite(a: complex, base: BaseLike, k: int) -> complex:
     ----------
     a : complex, with a finite modulus
     base : QBase or float in (0, 1)
-    k : int, >= 0
+    k : int, >= 0 (anything that is not an integer, a float of integral
+        value included, raises :class:`InvalidArgumentError`)
     """
     b = _base_value(base)
+    k = _integer("k", k)
     if k < 0:
         raise InvalidArgumentError("qpoch_finite requires k >= 0; use qpoch_signed")
     _finite_modulus(a)
-    return qpoch_finite_kernel(complex(a), b, int(k))
+    return qpoch_finite_kernel(complex(a), b, k)
 
 
 def qpoch_signed(a: complex, base: BaseLike, k: int) -> complex:
     """Pochhammer product ``(a; base)_k`` for any integer k.
 
     Negative indices follow the reciprocal convention
-    ``(a; b)_{-n} = 1 / (a b^{-n}; b)_n``; a ``base**k`` past the float
-    range raises :class:`InvalidArgumentError`.
+    ``(a; b)_{-n} = 1 / (a b^{-n}; b)_n``; a ``k`` that is not an integer
+    and a ``base**k`` past the float range raise
+    :class:`InvalidArgumentError`.
     """
+    k = _integer("k", k)
     if k >= 0:
         return qpoch_finite(a, base, k)
     b = _base_value(base)
     _finite_modulus(a)
-    n = -int(k)
+    n = -k
     denom = qpoch_finite_kernel(complex(a) * _power(b, -n), b, n)
     if denom == 0:
         raise PoleGuardError("reciprocal Pochhammer hit a vanishing factor")
@@ -610,11 +629,22 @@ def qpoch_multi(args: Sequence[complex], base: BaseLike, tol: float = 1e-12) -> 
     return _from_tail(*_qpoch_product(args, _base_value(base), tol))
 
 
+#: The previous argument of :func:`_qpoch_product` before its first: an
+#: object no argument is.
+_NO_ARG = object()
+
+
 def _qpoch_product(args: Sequence[complex], b: float,
                    tol: float) -> tuple[complex, int, float]:
     """:func:`qpoch_multi` at a valid base value ``b``, on floats: its value
     (exactly 0 when a factor vanished exactly), ``terms_used`` and
-    ``tail_bound``, with its refusals after the base's, in its order."""
+    ``tail_bound``, with its refusals after the base's, in its order.
+
+    An argument that *is* the previous argument object (a square passed
+    as ``[x, x]``) is checked and looked up once: its factor is the
+    previous one again, the same floats.  Equal but distinct objects are
+    looked up each (most lists repeat nothing, and an ``==`` test costs
+    them more than it saves)."""
     part = tol / max(len(args), 1)
     if not (part > 0):
         raise InvalidArgumentError("tol must be positive")
@@ -623,9 +653,12 @@ def _qpoch_product(args: Sequence[complex], b: float,
     used = 0
     rel = 3.0 * _U * (len(args) - 1) if len(args) > 1 else 0.0
     degen = False
+    prev = _NO_ARG
     for a in args:
-        _finite_modulus(a)
-        ev = _qpoch_infinite(complex(a), b, part)
+        if a is not prev:
+            _finite_modulus(a)
+            ev = _qpoch_infinite(complex(a), b, part)
+            prev = a
         used += ev.terms_used
         degen = degen or ev.degenerate
         rel = _compound(rel, _rel_bound(ev.value, ev.tail_bound))
@@ -641,11 +674,11 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     lhs = ``(a base^k; base)_inf (base^{1-k}/a; base)_inf`` and
     rhs = ``(-a)^{-k} base^{-k(k-1)/2} (a; base)_inf (base/a; base)_inf``
     agree identically in exact arithmetic for ``a != 0`` and integer k.
-    A ``k`` at which a power of ``base`` or the rhs scale
-    ``(-a)^{-k} base^{-k(k-1)/2}`` leaves the float range raises
-    :class:`InvalidArgumentError`.  Each product is :func:`qpoch_multi`'s
-    value, formed on floats (:func:`_qpoch_product`, with its refusals),
-    and the rhs is that value times the scale.
+    A ``k`` that is not an integer, and one at which a power of ``base``
+    or the rhs scale ``(-a)^{-k} base^{-k(k-1)/2}`` leaves the float
+    range, raise :class:`InvalidArgumentError`.  Each product is
+    :func:`qpoch_multi`'s value, formed on floats (:func:`_qpoch_product`,
+    with its refusals), and the rhs is that value times the scale.
 
     When ``a`` lies inside the guard band around some ``base**j`` both
     sides vanish and the relative residual is meaningless; the pair is
@@ -654,7 +687,7 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     b = _base_value(base)
     if a == 0:
         raise InvalidArgumentError("theta_pair requires a != 0")
-    k = int(k)
+    k = _integer("k", k)
     try:  # the lattice powers and the rhs scale must be finite
         shifted = [a * b ** k, b ** (1 - k) / a]
         scale = (-a) ** (-k) * b ** (-k * (k - 1) // 2)
@@ -870,7 +903,9 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
     The products of u and the series' guards run once per u, and per z
     (q/u)^n and two one-point series (:func:`_direct_terms`), all to
     ``tol / 8``, by :class:`SeriesEval`'s rules on floats, once both u's
-    factors passed.
+    factors passed.  Per u, ``(u q; q^2)_inf^2`` is one ``u q`` passed
+    twice, one lookup (:func:`_qpoch_product`), and ``(u^2; q^2)_inf``
+    another.
     ``tail_bound`` also holds ``_NEAR_LATTICE sum |part| / d`` for the
     rounding of the arguments, d the relative distance of lam**2 from
     ``q^{2Z}``.  Refused before any series term: a product,
@@ -885,7 +920,8 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
     parts = []
     for u, (c, c_tail, c_used, c_parts) in zip((lam, 1.0 / lam),
                                                coefficient(part_tol)):
-        num, num_used, num_tail = _qpoch_product([u * q, u * q], q2, part_tol)
+        uq = u * q  # one object twice: (uq; q^2)_inf is looked up once
+        num, num_used, num_tail = _qpoch_product([uq, uq], q2, part_tol)
         den, den_used, den_tail = _qpoch_product([u * u], q2, part_tol)
         ratio, ratio_tail = _div(num, num_tail, den, den_tail)
         factor, tail = _mul(c, c_tail, ratio, _rel_bound(ratio, ratio_tail))
@@ -979,7 +1015,11 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     The two products are :func:`qpoch_multi`'s, each to ``tol / 8``, and
     the series :func:`phi21_direct`'s, to ``tol / 8`` too, all formed on
     floats; their quotient and product follow :class:`SeriesEval`'s rules
-    there, into the one returned :class:`SeriesEval`.
+    there, into the one returned :class:`SeriesEval`.  Each parameter is
+    scanned against the pole lattice once: c, ``a z`` and z by the
+    refusals above, which the series' own guards would repeat (its c is
+    ``a z`` and its b is z), then its upper parameter ``c / b`` for the
+    terminating snap, four :func:`_near_power` scans in all.
     """
     bb = _base_value(base)
     if abs(b) >= 1.0:
@@ -1000,8 +1040,14 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     if not tail < math.inf:  # uncertified, or past the float range
         _refuse_overflow("z", z, num, den, ratio)
     upper = c / b
-    _, n_exact = _direct_setup(upper, z, az, bb, b, part_tol, max_terms)
-    series, used, s_tail = _direct_terms(upper, z, az, bb, b, n_exact, part_tol,
-                                         max_terms)
+    # phi21_direct(upper, z, az, bb, b)'s guards, less those run above:
+    # its c (az), the snap of its b (z) and |b| < 1; its tol passed the
+    # products' check of tol / 16.
+    if max_terms < 1:
+        raise InvalidArgumentError("max_terms must be >= 1")
+    n_exact = _near_inv_power(upper, bb)
+    series, used, s_tail = _direct_terms(upper, z, az, bb, b,
+                                         -1 if n_exact is None else n_exact,
+                                         part_tol, max_terms)
     value, tail = _mul(ratio, tail, series, _rel_bound(series, s_tail))
     return _from_tail(value, num_used + den_used + used, tail)

@@ -488,7 +488,7 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
         finite float), or the default integrand's series at some node is
         uncertified (``tail_bound = inf``; the lowest such s is named).
     """
-    if k < 1:
+    if not k >= 1:  # nan included
         raise InvalidArgumentError("k must be >= 1")
     _real_in(0.0, n=n, tol=tol)
     if not max_terms >= 1:

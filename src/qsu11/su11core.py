@@ -32,6 +32,7 @@ from .qcalculus import (
     _div,
     _from_tail,
     _frozen_slots,
+    _integer,
     _lam_squared_guard,
     _modulus,
     _mul,
@@ -308,9 +309,13 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     The sum is :func:`qsu11.qcalculus._two_term`'s, with this lattice
     coefficient, formed first, and the theta shift (q/u)^{k-1}: per k
     there remain (q/u)^{k-1} and two series, so a value does not depend
-    on the other exponents of ``ks``, bit for bit.  A ``q^{2k}`` that
-    underflows to 0 is refused first (:class:`InvalidArgumentError`),
-    then as that sum refuses.
+    on the other exponents of ``ks``, bit for bit.  Of the coefficient's
+    products, the lam-free ``2 (q^2, -q^2, -q^2; q^2)_inf`` is formed
+    once per ``(q^2, tol)`` (:func:`_normaliser`), after the theta
+    product, so an evaluation looks up the theta product's two factors
+    and, in the sum, each u's ``u q`` and ``u^2``: each distinct
+    lam-factor once.  A ``q^{2k}`` that underflows to 0 is refused first
+    (:class:`InvalidArgumentError`), then as that sum refuses.
     """
     q = base.q
     q2 = q * q
@@ -322,12 +327,26 @@ def _closed_form(base: QBase, lam: complex, sign: int, ks: list[int],
     def coefficient(part_tol: float) -> list:
         product = qcalculus._qpoch_product  # looked up here: tests replace it
         theta, theta_used, theta_tail = product([-q * lam, -q / lam], q2, part_tol)
-        norm, norm_used, norm_tail = product([q2, -q2, -q2], q2, part_tol)
-        const, const_tail = _div(theta, theta_tail, *_mul(norm, norm_tail, 2.0, 0.0))
+        norm, norm_used, norm_tail = _normaliser(q2, part_tol)
+        const, const_tail = _div(theta, theta_tail, norm, norm_tail)
         return [(const, const_tail, theta_used + norm_used, (theta,))] * 2
 
     return _two_term(lam, q, zs, [k - 1 for k in ks], coefficient, ("lam", lam), tol,
                      max_terms)
+
+
+@lru_cache(maxsize=16)
+def _normaliser(q2: float, part_tol: float) -> tuple[complex, int, float]:
+    """``2 (q^2, -q^2, -q^2; q^2)_inf`` of :func:`_closed_form`'s
+    coefficient, each product to ``part_tol``: value, ``terms_used`` and
+    ``tail_bound``, as :func:`qsu11.qcalculus._qpoch_product` returns
+    them.  It does not depend on lam, so it is formed once per ``(q^2,
+    part_tol)``, bit for bit as :class:`SeriesEval`'s rules form it; a
+    refusal is not cached, and is raised again at every call."""
+    mq2 = -q2  # one object twice: (-q^2; q^2)_inf is looked up once
+    norm, used, tail = qcalculus._qpoch_product([q2, mq2, mq2], q2, part_tol)
+    norm, tail = _mul(norm, tail, 2.0, 0.0)
+    return norm, used, tail
 
 
 #: The seeds of the recurrence are summed to these fractions of the
@@ -453,15 +472,6 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
         if k >= k_first:
             out.append(SeriesEval(value, used + k - k0 + 1, e))
     return out
-
-
-def _integer(name: str, x: int) -> int:
-    """``x`` as an ``int`` (``operator.index``); anything else, a float of
-    integral value included, raises :class:`InvalidArgumentError`."""
-    try:
-        return operator.index(x)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, not {x!r}") from None
 
 
 def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,

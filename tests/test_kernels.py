@@ -88,6 +88,35 @@ def test_euler_horner_pass_within_its_allowance(base):
                     assert qpoch_infinite_kernel(x, base, 0, 0, budget, table)[0] == s
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_phi21_rounding_at_least_the_gamma_form(seed):
+    """``_phi21_rounding`` of n-term sums with seeded term moduli |t_j|
+    (j = 1..n-1, t_0 = 1; m and w their sums, correctly rounded) and
+    drift D is at least ``sum_j gamma_{k_j} |t_j|`` (Higham, Lemma 3.1),
+    exact in Fractions, with k_j the units term j carries: ``_C_STEP`` j
+    + D + n - j, and n - 1 for t_0.  The first-order sum of ``k_j u
+    |t_j|`` falls short of it."""
+    rng = random.Random(f"gamma-form-{seed}")
+    u = Fraction(_U)
+    c_step = Fraction(_kernels._C_STEP)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    for _ in range(40):
+        n = rng.randint(2, 300)
+        r = rng.uniform(0.1, 0.999)
+        terms = [Fraction(rng.uniform(0.01, 1.0) * r ** j) for j in range(1, n)]
+        m = sum(terms)
+        w = sum(j * t for j, t in enumerate(terms, 1))
+        drift = rng.choice((0.0, rng.uniform(0.0, 50.0), rng.uniform(50.0, 1e4)))
+        d = Fraction(drift)
+        want = gamma(n - 1) + sum(gamma(c_step * j + d + n - j) * t
+                                  for j, t in enumerate(terms, 1))
+        got = _phi21_rounding(0j, 0j, 0j, 0.5, n, float(m), float(w), drift)
+        assert Fraction(got) >= want, (n, r, drift)
+
+
 def _reference_phi21(a, b, c, base, z, n_exact, rel_tol, max_terms):
     """The general 2phi1 step, one loop for every input shape: the kernel
     before it selected a terminating loop and two special shapes, with the

@@ -268,6 +268,12 @@ class TestUniformSupGap:
         with pytest.raises(InvalidArgumentError):
             uniform_sup_gap(B, SpectralParam.from_z(0.9, B), -1)
 
+    @pytest.mark.parametrize("depth", (2.0, 2.5))
+    def test_depth_that_is_not_an_integer_rejected(self, depth):
+        # It leaked TypeError from range.
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            uniform_sup_gap(B, SpectralParam.from_z(0.9, B), depth)
+
     def test_equals_the_pointwise_sup(self):
         # Case 1 in a window is one kernel sum per k, as pointwise.
         for z in (0.9, 0.99, 0.3 + 1.7j):
@@ -334,6 +340,13 @@ class TestApproxIdentityGap:
         with pytest.raises(InvalidArgumentError):
             approx_identity_gap(B, SpectralParam.from_z(0.9, B),
                                 symbol_clip_abs(), 0)
+
+    @pytest.mark.parametrize("depth", (2.0, 2.5))
+    def test_depth_that_is_not_an_integer_rejected(self, depth):
+        # It leaked TypeError from range.
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            approx_identity_gap(B, SpectralParam.from_z(0.9, B),
+                                symbol_clip_abs(), depth)
 
     @pytest.mark.parametrize("sym", (symbol_clip_abs(), symbol_constant(1.0)),
                              ids=("clip_abs", "constant"))

@@ -89,6 +89,23 @@ class TestQpochFinite:
             assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-300)
 
 
+# Integer arguments that are not integers: before, k = 2.5 (and 2.0) was
+# truncated to 2, "2" taken as 2 by theta_pair, and "2" and nan leaked
+# TypeError, ValueError or OverflowError.
+_NOT_INTEGERS = (2.5, 2.0, -2.5, "2", math.nan, math.inf)
+
+
+@pytest.mark.parametrize("k", _NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("call", (
+    lambda k: qpoch_finite(0.3, 0.5, k),
+    lambda k: qpoch_signed(0.3, 0.5, k),
+    lambda k: theta_pair(0.7 + 0.2j, k, 0.5),
+), ids=("qpoch_finite", "qpoch_signed", "theta_pair"))
+def test_integer_argument_that_is_not_an_integer_refused(call, k):
+    with pytest.raises(InvalidArgumentError, match="k must be an integer"):
+        call(k)
+
+
 class TestQpochSigned:
     def test_matches_finite_for_nonnegative(self):
         for k in range(5):

@@ -142,6 +142,13 @@ class TestGaussianSmooth:
         with pytest.raises(InvalidArgumentError):
             gaussian_smooth(B, IqPoint.positive(0), 2, 0.0, path, quad)
 
+    def test_nan_k_refused(self):
+        # nan passed k < 1 and leaked ValueError from math.ceil.
+        quad = QuadratureSpec.for_width(16.0, B)
+        path = ContourPath("vertical_line", 0.5)
+        with pytest.raises(InvalidArgumentError, match="k must be >= 1"):
+            gaussian_smooth(B, IqPoint.positive(0), math.nan, 16.0, path, quad)
+
     def test_pole_on_path_is_reported(self):
         # The coefficient at +q^3 is pole-guarded where lam^2 hits an
         # even power of q; the node s = 0 of a path anchored at 1.0
