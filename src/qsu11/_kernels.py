@@ -394,13 +394,13 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     Terms follow t_0 = 1,
     t_{k+1} = t_k * (1 - a q^k)(1 - b q^k) / ((1 - c q^k)(1 - q^{k+1})) * z,
     each step rounded in that association order, ``base`` in (0, 1) and
-    ``z`` of finite modulus.
+    ``a``, ``b``, ``c`` and ``z`` of finite modulus.
 
     ``n_exact >= 0`` requests a terminating sum of exactly n_exact + 1
-    terms (upper parameter snapped onto base**(-n_exact)), in a loop with
-    no tail test; ``n_exact < 0`` sums until the geometric tail envelope
-    drops below ``rel_tol`` times the partial sum (floored at 1e-300).
-    Both stop early at a term that is exactly 0.  Returns
+    terms (upper parameter snapped onto base**(-n_exact)); ``n_exact < 0``
+    sums until the geometric tail envelope drops below ``rel_tol`` times
+    the partial sum (floored at 1e-300).  Both stop early at a term that
+    is exactly 0.  Returns
     ``(value, terms_used, tail_bound)``, with ``tail_bound = inf`` when
     max_terms was exhausted before the tail bound certified convergence
     (or before the last term of a terminating sum), or ``abs`` of a term or
@@ -410,10 +410,12 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     and ``sum j |t_j|``); 0 only for ``n_exact = 0`` or z = 0.  The
     stopping rule counts the truncation only.
 
-    The convergent sum takes the first of three loops that its inputs
-    allow, each returning the general step's tuple bit for bit (in CPython's
+    Either sum takes the first of three loops that its inputs allow, each
+    returning the general step's tuple bit for bit (in CPython's
     float-complex arithmetic up to 3.13, where a float operand is
-    converted to ``complex(x, 0.0)``):
+    converted to ``complex(x, 0.0)``); a terminating sum runs its loop to
+    its last term with the tail test disabled (its cap on the tail ratio
+    is 0, not 1):
 
     * ``c == base`` (case 1, the coamen series, the smoothing nodes): the
       denominator is ``complex(d * d, 0.0)``, ``d = 1 - q^{k+1}``, carried
@@ -427,27 +429,14 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
     s = 1.0 + 0.0j
     t, fa, fb, fc, fq = s, a, b, c, base
     k, m, w = 0, 0.0, 0.0
+    # A terminating sum stops at its last term; no tail ratio is below 0.
+    stop, cap = (min(n_exact, max_terms), 0.0) if n_exact >= 0 else (max_terms, 1.0)
     try:
-        if n_exact >= 0:
-            for k in range(1, min(n_exact, max_terms) + 1):
-                t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
-                s += t
-                at = abs(t)
-                if at == 0:
-                    return s, k + 1, _phi21_rounding(a, b, c, base, k, m, w)
-                m, w = m + at, w + k * at
-                fa *= base
-                fb *= base
-                fc *= base
-                fq *= base
-            if k == n_exact:
-                return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w)
-            return s, k + 1, math.inf
         az = abs(z)
         if c == base:
             d = 1.0 - fq
             den = d * d
-            while k < max_terms:
+            while k < stop:
                 t = t * (1.0 - fa) * (1.0 - fb) / den * z
                 k += 1
                 s += t
@@ -461,14 +450,14 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 d = 1.0 - fq
                 den = d * d
                 r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / den
-                if r < 1.0:
+                if r < cap:
                     tail = at * r / (1.0 - r)
                     ms = abs(s)
                     if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                         return s, k + 1, tail + _phi21_rounding(
                             a, b, c, base, k + 1, m, w)
         elif _same_bits(a, b):
-            while k < max_terms:
+            while k < stop:
                 g = 1.0 - fa
                 t = t * g * g / ((1.0 - fc) * (1.0 - fq)) * z
                 k += 1
@@ -484,14 +473,14 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 if bc < 1.0:
                     g = 1.0 + abs(fa)
                     r = az * g * g / ((1.0 - bc) * (1.0 - fq))
-                    if r < 1.0:
+                    if r < cap:
                         tail = at * r / (1.0 - r)
                         ms = abs(s)
                         if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                             return s, k + 1, tail + _phi21_rounding(
                                 a, b, c, base, k + 1, m, w)
         else:
-            while k < max_terms:
+            while k < stop:
                 t = t * (1.0 - fa) * (1.0 - fb) / ((1.0 - fc) * (1.0 - fq)) * z
                 k += 1
                 s += t
@@ -507,14 +496,16 @@ def phi21_kernel(a: complex, b: complex, c: complex, base: float, z: complex,
                 bc = abs(fc)
                 if bc < 1.0:
                     r = az * (1.0 + abs(fa)) * (1.0 + abs(fb)) / ((1.0 - bc) * (1.0 - fq))
-                    if r < 1.0:
+                    if r < cap:
                         tail = at * r / (1.0 - r)
                         ms = abs(s)
                         if tail <= rel_tol * (1e-300 if ms < 1e-300 else ms):
                             return s, k + 1, tail + _phi21_rounding(
                                 a, b, c, base, k + 1, m, w)
     except OverflowError:  # abs of a term or of the sum past the float range
-        pass
+        return s, k + 1, math.inf
+    if k == n_exact:  # the last term of a terminating sum
+        return s, k + 1, _phi21_rounding(a, b, c, base, k + 1, m, w)
     return s, k + 1, math.inf
 
 

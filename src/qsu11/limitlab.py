@@ -289,7 +289,7 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     """Sup of ``|a_z(q^k) - 1|`` over the outward points k = -max_exponent..0.
 
     The points are one :func:`qsu11.su11core.spherical_window` (case 1:
-    the direct series' guards once, the series at every k in one kernel
+    the series' budget checked once, the series at every k in one kernel
     pass), each summed within ``tol`` and ``max_terms``.  A coefficient
     that is not finite raises :class:`InvalidArgumentError` rather than
     drop out of the sup, and so does a ``max_exponent`` that is not an

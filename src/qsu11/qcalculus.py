@@ -50,7 +50,7 @@ __all__ = [
 
 #: Relative half-width of the guard band around pole sets: parameters this
 #: close to a pole are refused, never evaluated "nearby".  Only
-#: :func:`phi21_direct` and its compositions snap onto a terminating value.
+#: :func:`phi21_direct` and :func:`phi21_heine` snap onto a terminating value.
 EPS_POLE = 1e-9
 
 #: Floor used when normalising residuals of near-zero quantities.
@@ -705,22 +705,14 @@ def theta_pair(a: complex, k: int, base: BaseLike, tol: float = 1e-12) -> ThetaP
     return ThetaPair(lhs, rhs, diff / scale)
 
 
-def _direct_guards(c: complex, z: complex, base: BaseLike, tol: float,
-                   max_terms: int) -> float:
-    """Argument checks shared by the direct sums; returns the base value.
-
-    A non-finite ``c`` is refused by the pole check's :func:`_near_power`.
-    """
-    bb = _base_value(base)
+def _budget(tol: float, max_terms: int) -> None:
+    """The two checks of :func:`phi21_direct` that the package's own series
+    (valid base, c and z) can fail: a ``tol`` that is not positive and a
+    ``max_terms`` below 1 raise :class:`InvalidArgumentError`."""
     if not (tol > 0):
         raise InvalidArgumentError("tol must be positive")
     if max_terms < 1:
         raise InvalidArgumentError("max_terms must be >= 1")
-    _finite_modulus(z)
-    jc = _near_inv_power(c, bb)
-    if jc is not None:
-        raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")
-    return bb
 
 
 def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
@@ -750,25 +742,23 @@ def phi21_direct(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
       raises :class:`InvalidArgumentError`.
     * ``tail_bound`` covers the truncated tail and the sum's own rounding
       (:func:`qsu11._kernels.phi21_kernel`), not that of the arguments.
+
+    The package's own series (case 1, the coamen and closed-form series)
+    have a valid c and z and converge: they make :func:`_budget`'s checks
+    only, and are never snapped.
     """
-    bb, n_exact = _direct_setup(a, b, c, base, z, tol, max_terms)
-    return _direct_sum(a, b, c, bb, z, n_exact, tol, max_terms)
-
-
-def _direct_setup(a: complex, b: complex, c: complex, base: BaseLike,
-                  z: complex, tol: float, max_terms: int) -> tuple[float, int]:
-    """The guards and snaps of :func:`phi21_direct`: returns the base value
-    and the snapped terminating index (-1 when the series does not
-    terminate), or raises as :func:`phi21_direct` does."""
-    bb = _direct_guards(c, z, base, tol, max_terms)
+    bb = _base_value(base)
+    _budget(tol, max_terms)
+    _finite_modulus(z)
+    jc = _near_inv_power(c, bb)
+    if jc is not None:
+        raise PoleInCError(f"c is within {EPS_POLE} of base**(-{jc})")
     na = _near_inv_power(a, bb)
     nb = na if b == a else _near_inv_power(b, bb)
-    snapped = [n for n in (na, nb) if n is not None]
-    if snapped:
-        return bb, min(snapped)
-    if abs(z) >= 1.0:
+    n_exact = min((n for n in (na, nb) if n is not None), default=-1)
+    if n_exact < 0 and abs(z) >= 1.0:
         raise DivergentSeriesError(f"non-terminating series at |z| = {abs(z)!r} >= 1")
-    return bb, -1
+    return _direct_sum(a, b, c, bb, z, n_exact, tol, max_terms)
 
 
 def _direct_sum(a: complex, b: complex, c: complex, bb: float, z: complex,
@@ -788,15 +778,18 @@ def _direct_terms(a: complex, b: complex, c: complex, bb: float, z: complex,
 def _direct_window(a: complex, b: complex, bb: float, zs: Sequence[complex],
                    tol: float, max_terms: int) -> list[tuple]:
     """The series whose c is the base ``bb`` (case 1, the coamen series),
-    summed in full (never snapped) at each z of ``zs``, all in the unit
-    disc, in that order, by one :func:`qsu11._kernels.phi21_window_kernel`
-    call after the caller's :func:`_direct_guards`: ``phi21_kernel(a, b,
-    bb, bb, z, -1, tol, max_terms)``'s tuples bit for bit, which
-    :func:`_certified` makes into :func:`_direct_terms`'s floats, or its
-    refusal, where the caller takes each (so in the per-point order).
+    summed in full at each z of ``zs``, all in the unit disc, in that
+    order, after the caller's :func:`_budget`: ``phi21_kernel(a, b, bb,
+    bb, z, -1, tol, max_terms)``'s tuples, by that call itself for one z
+    and by one :func:`qsu11._kernels.phi21_window_kernel` call, bit for
+    bit, for more.  :func:`_certified` makes each into
+    :func:`_direct_terms`'s floats, or its refusal, where the caller takes
+    it (so in the per-point order).
     """
-    return phi21_window_kernel(complex(a), complex(b), bb, [complex(z) for z in zs],
-                               tol, int(max_terms))
+    a, b, max_terms = complex(a), complex(b), int(max_terms)
+    if len(zs) == 1:
+        return [phi21_kernel(a, b, bb, bb, complex(zs[0]), -1, tol, max_terms)]
+    return phi21_window_kernel(a, b, bb, [complex(z) for z in zs], tol, max_terms)
 
 
 def _certified(terms: tuple) -> tuple[complex, int, float]:
@@ -900,18 +893,21 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
     c_u for u = lam, 1/lam: value, ``tail_bound``, ``terms_used`` and the
     product values it is formed from.
 
-    The products of u and the series' guards run once per u, and per z
-    (q/u)^n and two one-point series (:func:`_direct_terms`), all to
-    ``tol / 8``, by :class:`SeriesEval`'s rules on floats, once both u's
-    factors passed.  Per u, ``(u q; q^2)_inf^2`` is one ``u q`` passed
-    twice, one lookup (:func:`_qpoch_product`), and ``(u^2; q^2)_inf``
-    another.
+    The products of u run once per u, and per z (q/u)^n and two series
+    (:func:`_direct_terms`), all to ``tol / 8``, by :class:`SeriesEval`'s
+    rules on floats, once both u's factors passed.  The series converge
+    (``|z| < 1``) and are summed in full, never snapped: a ``q/u`` near
+    ``q^{-2n}`` puts lam**2 within 2 ``EPS_POLE`` of the lattice, where a
+    snap would drop its offset.  Per u, ``(u q; q^2)_inf^2`` is one
+    ``u q`` passed twice, one lookup (:func:`_qpoch_product`), and
+    ``(u^2; q^2)_inf`` another.
     ``tail_bound`` also holds ``_NEAR_LATTICE sum |part| / d`` for the
     rounding of the arguments, d the relative distance of lam**2 from
     ``q^{2Z}``.  Refused before any series term: a product,
     quotient or ``c_u`` times them past the float range
-    (:class:`InvalidArgumentError` naming ``label``), or (q/u)^n times
-    them (naming k = n + 1).
+    (:class:`InvalidArgumentError` naming ``label``), then a
+    ``max_terms`` below 1 (:func:`_budget`), or (q/u)^n times them
+    (naming k = n + 1).
     """
     _pole_guard(lam, q)
     q2 = q * q
@@ -927,8 +923,8 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
         factor, tail = _mul(c, c_tail, ratio, _rel_bound(ratio, ratio_tail))
         if not tail < math.inf:  # uncertified, or past the float range
             _refuse_overflow(*label, *c_parts, c, num, den, factor)
-        a, cu = q / u, q2 / (u * u)
-        _, n_exact = _direct_setup(a, a, cu, q2, zs[0], part_tol, max_terms)
+        _budget(part_tol, max_terms)
+        a = q / u
         scaled = []
         for n in shifts:
             try:
@@ -941,13 +937,13 @@ def _two_term(lam: complex, q: float, zs: Sequence[complex], shifts: Sequence[in
                     f"the factor (q/u)**{n} of the closed form is past "
                     f"the float range at k = {n + 1}")
             scaled.append(f)
-        parts.append((scaled, a, cu, n_exact, c_used + num_used + den_used))
+        parts.append((scaled, a, q2 / (u * u), c_used + num_used + den_used))
     out = []
     for i, z in enumerate(zs):
         value, used, tail, size = 0, 0, 0.0, 0.0
-        for scaled, a, cu, n_exact, factor_used in parts:
+        for scaled, a, cu, factor_used in parts:
             series, series_used, series_tail = _direct_terms(
-                a, a, cu, q2, z, n_exact, part_tol, max_terms)
+                a, a, cu, q2, z, -1, part_tol, max_terms)
             part, part_tail = _mul(*scaled[i], series, _rel_bound(series, series_tail))
             value, tail = _add(value, tail, part, part_tail)
             used += factor_used + series_used
@@ -1041,10 +1037,8 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
         _refuse_overflow("z", z, num, den, ratio)
     upper = c / b
     # phi21_direct(upper, z, az, bb, b)'s guards, less those run above:
-    # its c (az), the snap of its b (z) and |b| < 1; its tol passed the
-    # products' check of tol / 16.
-    if max_terms < 1:
-        raise InvalidArgumentError("max_terms must be >= 1")
+    # its c (az), the snap of its b (z) and |b| < 1.
+    _budget(part_tol, max_terms)
     n_exact = _near_inv_power(upper, bb)
     series, used, s_tail = _direct_terms(upper, z, az, bb, b,
                                          -1 if n_exact is None else n_exact,

@@ -65,7 +65,7 @@ from .errors import (
     QSU11Error,
     QuadratureUnderResolvedError,
 )
-from .qcalculus import QBase, SeriesEval, _direct_guards, _direct_sum
+from .qcalculus import QBase, SeriesEval, _budget, _direct_sum
 from .su11core import IqPoint, SpectralParam, spherical_az
 
 __all__ = [
@@ -356,21 +356,22 @@ def _default_integrand(base: QBase, p0: IqPoint, tol: float,
 
 def _case1_kernel(base: QBase, p0: IqPoint, tol: float,
                   max_terms: int) -> Callable[[complex], SeriesEval] | None:
-    """The default integrand on a :func:`_case1_line`, the direct series'
-    guards checked once: each call is the kernel sum of
-    :func:`spherical_az`, bit for bit.  None where the guards refuse (the
-    per-node loop then reports it at its first node)."""
+    """The default integrand on a :func:`_case1_line`, the series' ``tol``
+    and ``max_terms`` checked once (:func:`qsu11.qcalculus._budget`): each
+    call is the kernel sum of :func:`spherical_az`, bit for bit.  None
+    where they are refused (the per-node loop then reports it at its
+    first node)."""
     q = base.q
     c = q * q
     arg = -q ** (2 - 2 * p0.exponent)
     try:
-        bb = _direct_guards(c, arg, c, tol, max_terms)
+        _budget(tol, max_terms)
     except QSU11Error:
         return None
 
     def f(z: complex) -> SeriesEval:
         lam = SpectralParam.from_z(z, base).lam
-        return _direct_sum(q / lam, lam * q, c, bb, arg, -1, tol, max_terms)
+        return _direct_sum(q / lam, lam * q, c, c, arg, -1, tol, max_terms)
 
     return f
 
@@ -466,7 +467,7 @@ def gaussian_smooth(base: QBase, p0: IqPoint, k: int, n: float,
     max_terms : int
         Term budget of each node's series (default integrand only).
 
-    On a :func:`_case1_line` the series guards are checked once and the
+    On a :func:`_case1_line` the series' budget is checked once and the
     kernel is summed at the nodes with ``s <= 0``; their mirrors get the
     conjugates (:func:`_node_values`), each :func:`spherical_az` at its
     node, bit for bit.  Other paths, cases and integrands are called once

@@ -24,10 +24,9 @@ from .qcalculus import (
     SeriesEval,
     _add,
     _base_value,
+    _budget,
     _certified,
-    _direct_guards,
     _direct_sum,
-    _direct_terms,
     _direct_window,
     _div,
     _from_tail,
@@ -221,9 +220,10 @@ def spherical_window(base: QBase, zp: SpectralParam, sign: int,
     with its own certificate.
 
     Work that does not depend on k is done once.  Case 1 (``sign = +1``,
-    k <= 0) checks its direct series' guards once, then sums its series
-    in full, never snapped, at every k in one kernel pass (its c is the base:
-    :func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
+    k <= 0) checks ``tol`` and ``max_terms`` once
+    (:func:`qsu11.qcalculus._budget`: its c is the base, no pole), then sums
+    its series in full, never snapped, at every k
+    (:func:`qsu11.qcalculus._direct_window`), :func:`spherical_az`'s
     values bit for bit; a sum whose value is not finite (a term past the
     float range) raises :class:`InvalidArgumentError`, the first such k's
     error.  In a window of two or more exponents
@@ -272,15 +272,10 @@ def _coefficients(base: QBase, lam: complex, sign: int, ks: list[int],
         _lam_squared_guard(lam)
     out = []
     if n1:
-        a, b, c = q / lam, lam * q, q * q
-        bb = _direct_guards(c, -q ** (2 - 2 * ks[n1 - 1]), c, tol, max_terms)
-        if n1 == 1:  # one point: phi21_kernel itself
-            out.append(_direct_sum(a, b, c, bb, -q ** (2 - 2 * ks[0]), -1, tol,
-                                   max_terms))
-        else:
-            zs = [-q ** (2 - 2 * k) for k in ks[:n1]]
-            out += [SeriesEval(*_certified(t)) for t in _direct_window(
-                a, b, bb, zs, tol, max_terms)]
+        _budget(tol, max_terms)
+        zs = [-q ** (2 - 2 * k) for k in ks[:n1]]
+        out += [SeriesEval(*_certified(t)) for t in _direct_window(
+            q / lam, lam * q, q * q, zs, tol, max_terms)]
     if recur:
         out += _recurrence(base, lam, sign, ks[n1], ks[-1], tol, max_terms)
     rest = ks[len(out):]
@@ -404,8 +399,8 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     ``e_{k-2}`` in ``delta_k`` already hold: by induction over k the
     computed rows bound the whole error.  Left is the float evaluation of
     the bound, each of its n terms through at most n + 16 roundings of
-    non-negative numbers; the sum is multiplied by ``1 + (n + 16) eps``
-    to cover them, a margin of second order in the rounding unit.
+    non-negative numbers; the sum is divided by ``1 - (n + 16) eps`` to
+    cover them, which bounds gamma_{n+16} (Higham, Lemma 3.1; eps = 2 u).
 
     When ``q s`` has an imaginary part of exactly 0 (a real lam, or a
     lam on the unit circle where it rounds to 0), it is taken as a real
@@ -427,8 +422,8 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
     try:
         if sign > 0:
             a, b, c = q / lam, lam * q, q * q
-            bb = _direct_guards(c, -q ** 2, c, stol, max_terms)
-            ev0, ev1 = (_direct_sum(a, b, c, bb, -q ** (2 - 2 * k), -1, stol,
+            _budget(stol, max_terms)
+            ev0, ev1 = (_direct_sum(a, b, c, c, -q ** (2 - 2 * k), -1, stol,
                                     max_terms) for k in (-1, 0))
             k0 = 1
         else:
@@ -465,7 +460,7 @@ def _recurrence(base: QBase, lam: complex, sign: int, k_first: int,
         g_prev, g_cur = (g_cur + [0.0],
                          [c1 * g + c2 * p for g, p in zip(g_cur, g_prev)] + [1.0])
         e = sum(map(operator.mul, map(abs, g_cur), bounds)) \
-            * (1.0 + (len(bounds) + 16) * _EPS)
+            / (1.0 - (len(bounds) + 16) * _EPS)
         if not e <= tol * max(1.0, _modulus(value)) < math.inf:
             break
         prev, cur, e_prev, e_cur = cur, value, e_cur, e
@@ -541,7 +536,8 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     them; :func:`averaged_coamen` adds them up.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
-    ``c = q^2`` do not depend on L, so the series' guards run once, at the
+    ``c = q^2`` do not depend on L, so the series' checks of ``tol`` and
+    ``max_terms`` (:func:`qsu11.qcalculus._budget`) run once, at the
     first point that sums directly (``e > 0``: ``-q^e`` is in the unit
     disc; the series is summed in full, never snapped); when points follow
     it, the series of that point and of every later direct point are
@@ -579,13 +575,15 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     q2 = q * q
     shift = _power(q, 1 + 2 * m)
     a, b = -shift / lam, -lam * shift
-    bb = direct = None
+    direct = None
     prefactor = None
     # (-q^e; q^2)_{2m}: n = 2|m| factors 1 + q^{e + 2i} >= 1, each off by (4 +
     # i + 3) u (qpoch_infinite_kernel's 4, i + 3 of q^{e + 2i}), 1/x by 6 u;
-    # its root by half that and 6 u.
+    # its root by half that and 6 u: k u in all, within the gamma bound
+    # k u / (1 - k u) (Higham, Lemma 3.1).
     n = 2 * abs(m)
     root_rel = (3.5 * n + n * (n - 1) / 4.0 + 9.0) * _U
+    root_rel /= 1.0 - root_rel
     out = []
     for i, L in enumerate(Ls):
         e = 2 - 2 * L - 4 * m
@@ -594,14 +592,11 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             series = phi21_heine(a, b, q2, q2, z, tol=tol, max_terms=max_terms)
             value, used, tail = series.value, series.terms_used, series.tail_bound
         else:
-            if bb is None:  # the direct series' guards, once
-                bb = _direct_guards(q2, z, q2, tol, max_terms)
-                if i + 1 < len(Ls):  # this and the later direct points' series
-                    direct = iter(_direct_window(
-                        a, b, bb, [z, *_direct_zs(q, m, Ls[i + 1:])], tol, max_terms))
-            value, used, tail = (
-                _certified(next(direct)) if direct
-                else _direct_terms(a, b, q2, bb, z, -1, tol, max_terms))
+            if direct is None:  # this and the later direct points' series, once
+                _budget(tol, max_terms)
+                direct = iter(_direct_window(
+                    a, b, q2, [z, *_direct_zs(q, m, Ls[i + 1:])], tol, max_terms))
+            value, used, tail = _certified(next(direct))
         if form != "simplified":
             part_tol = tol / 16.0
             # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0

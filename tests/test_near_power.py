@@ -62,7 +62,9 @@ def test_every_call_of_a_default_run(q, tmp_path, monkeypatch):
     monkeypatch.setattr(qcalculus, "_near_power", recorded)
     monkeypatch.setattr(limitlab, "_near_power", recorded)
     harness.main(["--q", q, "--out", str(tmp_path)])
-    assert len(calls) > 1000
+    # 663 to 669 scans: the package's own series make none (case 1 and
+    # the coamen series have c = q^2, the closed form guards lam**2).
+    assert len(calls) > 600
     # No call of a default run matches (the series of case 1 and of the
     # coamen windows are summed in full, unsnapped).  The matching verdict
     # comes from phi21_direct's terminating snap, a = 1 = q**0.

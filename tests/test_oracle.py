@@ -13,6 +13,7 @@ import pytest
 from _mp_reference import Reference, coamen_reference, explicit_qpoch, phi21_reference
 
 from qsu11 import (
+    EPS_POLE,
     IqPoint,
     QBase,
     QSU11Error,
@@ -349,6 +350,39 @@ def test_spherical_band_snap_slice_within_its_tail_bound(q):
         assert _near_inv_power(q / lam, q * q) == n
         calls += _spherical_calls(mp, base, zp, IqPoint.positive(rng.randint(-4, 0)))
     _assert_within(mp, calls, 4)
+
+
+@pytest.mark.parametrize("q", (0.5, 0.9))
+def test_closed_form_sliver_summed_in_full(q):
+    """Cases 2 and 3 at lam = q^j (1 + d), j = -3, -1, 1, 3, 0.55 EPS_POLE
+    < |d| < 0.95 EPS_POLE: lam^2 is between EPS_POLE and 2 EPS_POLE from
+    q^(2Z), so the pole guard passes, and q/u (u = lam or 1/lam) within
+    EPS_POLE of a power of q^-2, where phi21_direct would snap the closed
+    form's series onto the terminating one.  Summed in full, each value
+    is within its bound and within 1e-11 of the closed forms at 60 digits
+    (snapped, the errors were 1e-10 to 3.5e-9 relative)."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    rng = random.Random(f"sliver-{q}")
+    checked = 0
+    with mp.workdps(60):
+        for j in (-3, -1, 1, 3):
+            for _ in range(2):
+                lam = q ** j * (1.0 + rng.uniform(0.55, 0.95) * EPS_POLE * _phase(rng))
+                assert EPS_POLE < _lattice_distance(lam, q) <= 2.0 * EPS_POLE
+                u = lam if j > 0 else 1.0 / lam
+                assert _near_inv_power(q / u, q * q) == (abs(j) - 1) // 2
+                zp = SpectralParam(0j, lam, (lam + 1.0 / lam) / 2.0)
+                closed = Reference(mp, q, lam)
+                for sign in (1, -1):
+                    k = rng.randint(1, 8)
+                    ev = spherical_az(base, zp, IqPoint(sign, k))
+                    ref = closed(sign, k)
+                    err = abs(mp.mpc(ev.value) - ref)
+                    assert err <= ev.tail_bound, (lam, sign, k, ev)
+                    assert err <= 1e-11 * abs(ref), (lam, sign, k, ev)
+                    checked += 1
+    assert checked == 16
 
 
 #: Spectral parameters within 1e-12 to 7e-10 of z = 0, +-1 and 2: lam^2 is

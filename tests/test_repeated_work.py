@@ -1,5 +1,6 @@
 """Work that one evaluation would repeat is done once: the pole-guard scans
-of ``phi21_heine``, and the product lookups (``qcalculus._qpoch_infinite``,
+of ``phi21_heine`` and of the series the package sums itself (none, as
+their c is the base or their lam**2 is guarded), and the product lookups (``qcalculus._qpoch_infinite``,
 memoised or not) of the closed form of cases 2 and 3 and of the raw coamen
 form.  Recorders count the calls; the values are checked against the
 evaluations composed from the public evaluators."""
@@ -12,7 +13,10 @@ import pytest
 
 from qsu11 import (EPS_POLE, InvalidArgumentError, IqPoint, PoleGuardError,
                    PoleInCError, QBase, SpectralParam, coamen_coeff, phi21_direct,
-                   phi21_heine, qcalculus, qpoch_multi, spherical_az, su11core)
+                   phi21_heine, qcalculus, qpoch_multi, spherical_az,
+                   spherical_window, su11core)
+from qsu11.smoother import _case1_kernel
+from qsu11.su11core import _coamen_window
 
 B = QBase(0.5)
 
@@ -56,6 +60,30 @@ def test_heine_scans_each_parameter_once(args, scans):
     phi21_heine(*args)
     # c, a z and z for the refusals, then c / b for the snap.
     assert [x for x, *_ in scans] == [c, a * z, z, c / b]
+
+
+def test_internal_series_scan_nothing(scans):
+    q = B.q
+    zp = SpectralParam.from_z(complex(0.3, 0.4), B)
+    lam = zp.lam
+    for p in (IqPoint.positive(2), IqPoint.negative(3)):  # cases 2 and 3
+        scans.clear()
+        spherical_az(B, zp, p)
+        assert [x for x, *_ in scans] == [lam * lam]  # the lam**2 pole guard
+    scans.clear()
+    qcalculus.phi21_continued(lam, 0.3 + 0.1j, B)
+    # lam**2's pole guard and kappa's; neither series scans its c or snaps.
+    assert [x for x, *_ in scans] == [lam * lam, -(0.3 + 0.1j)]
+    scans.clear()
+    spherical_az(B, zp, IqPoint.positive(-1))  # a case-1 point
+    spherical_window(B, zp, 1, range(-6, 1))  # and window
+    f = _case1_kernel(B, IqPoint.positive(-2), 1e-12, 200)  # a smoothing line
+    f(complex(0.0, 0.7))
+    f(complex(0.0, -1.3))
+    # A coamen window of direct points (e > 0), then one of a single point.
+    _coamen_window(B, 1, cmath.exp(0.4j), range(-8, -2), "both", 1e-12, 200)
+    coamen_coeff(B, 0, cmath.exp(0.4j), IqPoint.positive(-1))
+    assert scans == []
 
 
 def test_closed_form_looks_up_each_lambda_factor_once(lookups):

@@ -947,7 +947,8 @@ def _reference_point(base, m, lam, L, form, tol, max_terms):
         if form == "raw":
             return raw
     n = 2 * abs(m)
-    root_rel = (3.5 * n + n * (n - 1) / 4.0 + 9.0) * u
+    k = 3.5 * n + n * (n - 1) / 4.0 + 9.0
+    root_rel = k * u / (1.0 - k * u)
     simplified = series._scaled(cmath.sqrt(qpoch_signed(z, q2, 2 * m)), root_rel)
     return simplified if form == "simplified" else (raw, simplified)
 
@@ -1044,7 +1045,9 @@ class TestRawPastTheFloatRange:
 
 
 def _closed_form_reference(base, lam, sign, ks, tol, max_terms):
-    """``_closed_form`` composed from ``qpoch_multi``, ``phi21_direct`` and the
+    """``_closed_form`` composed from ``qpoch_multi``, the series summed in
+    full (``phi21_direct``'s sum without its snap: the series converge, and
+    a snap would drop the offset of a ``q/u`` near ``q^{-2n}``) and the
     ``SeriesEval`` operators, in its order of refusals."""
     q = base.q
     q2 = q * q
@@ -1082,7 +1085,8 @@ def _closed_form_reference(base, lam, sign, ks, tol, max_terms):
         parts.append((scaled, a, c))
     out = []
     for i, z in enumerate(zs):
-        terms = [scaled[i] * phi21_direct(a, a, c, q2, z, part_tol, max_terms)
+        terms = [scaled[i] * qcalculus._direct_sum(a, a, c, q2, z, -1, part_tol,
+                                                   max_terms)
                  for scaled, a, c in parts]
         value = sum(terms)
         out.append(SeriesEval(value.value, value.terms_used, value.tail_bound
