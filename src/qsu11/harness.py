@@ -41,10 +41,12 @@ from .limitlab import (
     symbol_clip_abs,
     symbol_constant,
     sweep_report,
+    sweep_row,
     uniform_sup_gap,
 )
 from .qcalculus import (
     QBase,
+    SeriesEval,
     phi21_continued,
     phi21_direct,
     qpoch_infinite,
@@ -149,7 +151,7 @@ class Check:
     """One report row, written once; ``run`` returns its
     :class:`SweepReport`: a chain from :func:`limit_sweep` or
     :func:`sweep_report`, or a scalar check's one row from
-    :func:`_scalar` (see :func:`_run_check`)."""
+    :func:`_versus` or :func:`_scalar` (see :func:`_run_check`)."""
 
     check_id: str
     anchor: str
@@ -157,10 +159,19 @@ class Check:
     run: Callable[[], SweepReport]
 
 
-def _scalar(value: complex, deviation: float, thr: float) -> SweepReport:
+def _scalar(value: complex, deviation: float, thr: float,
+            bound: float = 0.0) -> SweepReport:
     """A scalar check's report: one row, judged by :func:`sweep_report`
-    (it passes when ``deviation <= thr``)."""
-    return sweep_report("check", (SweepRow(None, value, deviation),), thr)
+    (it passes when ``deviation + bound <= thr`` and the bound is
+    finite).  ``bound`` certifies the deviation; a row whose computation
+    keeps no certificate leaves it 0."""
+    return sweep_report("check", (SweepRow(None, value, deviation, bound=bound),), thr)
+
+
+def _versus(value: object, target: object, thr: float) -> SweepReport:
+    """A scalar check of a certified value against a target, a number or
+    a certified value: :func:`sweep_row`'s one row, judged as above."""
+    return sweep_report("check", (sweep_row(None, value, target),), thr)
 
 
 #: The report of a check that raised: nan value, infinite deviation and
@@ -212,11 +223,9 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         # truncation alone could reach the row's threshold.
         def run(b=b):
             b2 = b * b
-            prod = (QBase(b).cq ** 2 * b2
-                    * qpoch_infinite(b2, b2, 1e-16).value.real ** 2
-                    * qpoch_infinite(-1.0, b2, 1e-16).value.real
-                    * qpoch_infinite(-b2, b2, 1e-16).value.real)
-            return _scalar(prod, abs(prod - 1.0), cfg.tol / 100.0)
+            p1, p2, p3 = (qpoch_infinite(a, b2, 1e-16) for a in (b2, -1.0, -b2))
+            return _versus(QBase(b).cq ** 2 * b2 * (p1 * p1) * p2 * p3, 1.0,
+                           cfg.tol / 100.0)
 
         yield Check(f"cq_norm_b{b}", "Eq4.1", {"base": b}, run)
     q = base.q
@@ -228,7 +237,8 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                                   **budget)
             cont = phi21_continued(lam, complex(kap), base, **budget)
             dev = abs(direct.value - cont.value) / abs(direct.value)
-            return _scalar(cont.value, dev, 100.0 * cfg.tol)
+            bound = (direct.tail_bound + cont.tail_bound) / abs(direct.value)
+            return _scalar(cont.value, dev, 100.0 * cfg.tol, bound)
 
         yield Check(f"overlap_{i:02d}", "PropB2.Case2",
                     {"theta": theta, "kappa": kap}, run)
@@ -258,7 +268,7 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         def run(j=j):
             ev = coamen_coeff(base, 0, 1.0 + 0.0j, IqPoint.positive(-j),
                               **budget)
-            return _scalar(ev.value, abs(ev.value - 1.0), q ** (2 * j - 1))
+            return _versus(ev, 1.0, q ** (2 * j - 1))
 
         yield Check(f"coamen_bound_m0_j{j}", "Thm5.2",
                     {"lam": "one", "m": 0, "j": j}, run)
@@ -281,10 +291,10 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                     {"m": m, "chain": [[5, 10], [10, 20], [20, 40]]}, run)
 
 
-def _sph(cfg: RunConfig, base: QBase, z: complex, p: IqPoint) -> complex:
+def _sph(cfg: RunConfig, base: QBase, z: complex, p: IqPoint) -> SeriesEval:
     zp = SpectralParam.from_z(z, base)
     return spherical_az(base, zp, p, tol=cfg.series_tol,
-                        max_terms=cfg.max_terms).value
+                        max_terms=cfg.max_terms)
 
 
 def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
@@ -320,7 +330,9 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     # by now; the monotone row is left out when any gap check errored.
     if len(gaps) == len(gap_zs):
         def run():
-            worst_rise = max(0.0, max(b - a for a, b in zip(gaps, gaps[1:])))
+            # An infinite gap fails the row: max() would drop inf - inf = nan.
+            worst_rise = (max(0.0, max(b - a for a, b in zip(gaps, gaps[1:])))
+                          if math.isfinite(sum(gaps)) else math.inf)
             return _scalar(gaps[-1], worst_rise, MONO_SLACK)
 
         yield Check("unifgap_monotone", "Thm6.3", {"zs": list(gap_zs)}, run)
@@ -375,9 +387,8 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             def run(p=p, mult=mult):
                 if p not in refs:  # a refused reference is tried again
                     refs[p] = _sph(cfg, base, complex(z0, 0.0), p)
-                ref = refs[p]
-                v = _sph(cfg, base, complex(z0, mult * period), p)
-                return _scalar(v, abs(v - ref), cfg.tol)
+                return _versus(_sph(cfg, base, complex(z0, mult * period), p),
+                               refs[p], cfg.tol)
 
             yield Check(f"periodic_s{p.sign}_k{p.exponent}_m{mult}", anchor,
                         {"z0": z0, "period_multiple": mult,
@@ -388,7 +399,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                   IqPoint.positive(2), IqPoint.negative(1)):
             def run(z=z, p=p):
                 v = _sph(cfg, base, complex(z, 0.0), p)
-                return _scalar(v, abs(v.imag), cfg.tol)
+                return _scalar(v.value, abs(v.value.imag), cfg.tol, v.tail_bound)
 
             yield Check(f"real_z{z}_s{p.sign}_k{p.exponent}", "PropB2.Case1",
                         {"z": z, "sign": p.sign, "k": p.exponent}, run)
@@ -400,9 +411,10 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
         def run(t=t):
             zp = SpectralParam.from_z(complex(0.0, t), base)
-            worst = max((ev.value for _, ev in
-                         _spectrum_window(base, zp, depth, **budget)), key=abs)
-            return _scalar(worst, max(0.0, abs(worst) - 1.0), 1e-8)
+            worst = max((ev for _, ev in _spectrum_window(base, zp, depth, **budget)),
+                        key=lambda ev: abs(ev.value) + ev.tail_bound)
+            return _scalar(worst.value, max(0.0, abs(worst.value) - 1.0), 1e-8,
+                           worst.tail_bound)
 
         yield Check(f"contract_{jmid:02d}", "Thm6.3",
                     {"t": t, "depth": depth}, run)
@@ -422,10 +434,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                     quad = QuadratureSpec.for_width(n, base, cfg.tol_quad)
                     sm = gaussian_smooth(base, p0, k, n, path, quad, tol=st,
                                          max_terms=mt)
-                    rows.append(SweepRow(n, sm.value,
-                                         abs(sm.value - target.value),
-                                         bound=sm.tail_bound
-                                         + target.tail_bound))
+                    rows.append(sweep_row(n, sm, target))
                 return sweep_report("gaussian_smooth", rows, 1e-2)
 
             yield Check(f"smooth_k{k}_p{p0k}", "Thm7.4",
@@ -457,7 +466,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             QuadratureSpec.for_width(256.0, base, cfg.tol_quad,
                                      nodes_per_unit=npu), tol=st, max_terms=mt)
             for npu in (32, 64))
-        return _scalar(vb.value, abs(va.value - vb.value), cfg.tol_quad)
+        return _versus(vb, va, cfg.tol_quad)
 
     yield Check("node_doubling", "Eq7.1",
                 {"k": 2, "n": 256, "npu": [32, 64]}, run)

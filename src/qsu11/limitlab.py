@@ -27,6 +27,7 @@ __all__ = [
     "SweepRow",
     "SweepReport",
     "sweep_report",
+    "sweep_row",
     "Symbol",
     "symbol_clip_abs",
     "symbol_constant",
@@ -57,7 +58,8 @@ class SweepRow:
     """One step of a limit sweep: parameter, value, deviation from target,
     in ``note`` the error text of a step that raised, and in ``bound`` a
     certificate on the deviation (the value's and the target's error
-    bounds; ``inf`` when either is uncertified, 0 when none is kept).
+    bounds, as :func:`sweep_row` adds them; ``inf`` when either is
+    uncertified, 0 for a row whose computation keeps no certificate).
 
     Frozen and slotted; ``__init__`` stores the fields through their
     slots, as every scalar check of the harness builds one.
@@ -123,7 +125,8 @@ def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,
     plus its bound is within ``threshold``, and (if required) the
     deviations decrease monotonically up to :data:`MONO_SLACK`.  One
     row is monotone, so it passes when deviation + bound <= threshold
-    (a nan deviation fails).
+    (a nan deviation fails).  So a row built by :func:`sweep_row` from
+    an uncertified value fails whatever its deviation.
     """
     rows = tuple(rows)
     # Plain loops, no generators: every scalar check of the harness runs
@@ -139,14 +142,27 @@ def sweep_report(label: str, rows: Sequence[SweepRow], threshold: float,
                        threshold)
 
 
+def sweep_row(param: object, value: object, target: object) -> SweepRow:
+    """The row of ``value`` against ``target``, each a certified value
+    (anything with ``value`` and ``tail_bound``: a
+    :class:`~qsu11.qcalculus.SeriesEval`, a smoothed value) or a bare
+    number (its own value, bound 0): deviation ``|v - t|`` and bound the
+    two ``tail_bound``s."""
+    # getattr, not a helper per operand: every limit-sweep step builds one.
+    v, t = getattr(value, "value", value), getattr(target, "value", target)
+    return SweepRow(param, v, abs(v - t), "", getattr(value, "tail_bound", 0.0)
+                    + getattr(target, "tail_bound", 0.0))
+
+
 #: Evaluator families understood by :func:`limit_sweep`.
 SWEEP_FAMILIES = ("spherical_case1", "spherical_case2", "spherical_case3",
                   "coamen", "averaged_coamen", "b1_ratio")
 
 
 def _sweep_evaluator(family: str, base: QBase,
-                     fixed: dict) -> Callable[[object], complex]:
-    """Build the per-step evaluator for one sweep family.
+                     fixed: dict) -> Callable[[object], SeriesEval | complex]:
+    """Build the per-step evaluator for one sweep family: the evaluator's
+    :class:`~qsu11.qcalculus.SeriesEval`, or ``b1_ratio``'s bare complex.
 
     Consumes the keys it understands from ``fixed`` (leftovers are the
     caller's error).  The meaning of one approach-sequence element:
@@ -178,11 +194,10 @@ def _sweep_evaluator(family: str, base: QBase,
         else:
             p0 = IqPoint.negative(k)
 
-        def evaluate(z: object) -> complex:
+        def evaluate(z: object) -> SeriesEval:
             zp = z if isinstance(z, SpectralParam) \
                 else SpectralParam.from_z(z, base)
-            return spherical_az(base, zp, p0, tol=tol,
-                                max_terms=max_terms).value
+            return spherical_az(base, zp, p0, tol=tol, max_terms=max_terms)
 
         return evaluate
     if family == "coamen":
@@ -190,21 +205,20 @@ def _sweep_evaluator(family: str, base: QBase,
         lam = complex(fixed.pop("lam", 1.0))
         form = str(fixed.pop("form", "simplified"))
 
-        def evaluate(j: object) -> complex:
+        def evaluate(j: object) -> SeriesEval:
             p1 = IqPoint.positive(-_integer("j", j))
             return coamen_coeff(base, m, lam, p1, form=form, tol=tol,
-                                max_terms=max_terms).value
+                                max_terms=max_terms)
 
         return evaluate
     if family == "averaged_coamen":
         m = _integer("m", fixed.pop("m", 0))
         lam = complex(fixed.pop("lam", 1.0))
 
-        def evaluate(nj: object) -> complex:
+        def evaluate(nj: object) -> SeriesEval:
             n, j = nj
             return averaged_coamen(base, n, IqPoint.positive(-_integer("j", j)),
-                                   m, lam, tol=tol,
-                                   max_terms=max_terms).value
+                                   m, lam, tol=tol, max_terms=max_terms)
 
         return evaluate
     if family == "b1_ratio":
@@ -227,11 +241,13 @@ def limit_sweep(family: str, base: QBase, fixed_params: dict | None,
     """Evaluate one family along ``approach`` and compare against ``target``.
 
     Each approach element is evaluated with the family's fixed
-    parameters, and the deviation ``|value - target|`` is recorded; the
-    verdict follows :func:`sweep_report`.  Rows where the evaluator
-    raises a package error are recorded with an infinite deviation and
-    the error text (the class name if the text is empty), and fail the
-    sweep.
+    parameters into a :func:`sweep_row`: the deviation ``|value -
+    target|`` and, as its bound, the value's ``tail_bound`` (0 for
+    ``b1_ratio``, whose bare complex keeps none); the verdict follows
+    :func:`sweep_report`, so an uncertified step fails the sweep.  Rows
+    where the evaluator raises a package error are recorded with an
+    infinite deviation and the error text (the class name if the text
+    is empty), and fail the sweep.
     """
     if not approach:
         raise InvalidArgumentError("limit_sweep needs a nonempty approach")
@@ -245,8 +261,7 @@ def limit_sweep(family: str, base: QBase, fixed_params: dict | None,
     rows = []
     for p in approach:
         try:
-            v = evaluate(p)
-            rows.append(SweepRow(p, v, abs(v - target)))
+            rows.append(sweep_row(p, evaluate(p), target))
         except QSU11Error as err:
             rows.append(SweepRow(p, complex("nan"), math.inf,
                                  str(err) or type(err).__name__))
@@ -286,7 +301,10 @@ def _spectrum_window(base: QBase, zp: SpectralParam, depth: int,
 
 def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
                     tol: float = 1e-12, max_terms: int = 200) -> float:
-    """Sup of ``|a_z(q^k) - 1|`` over the outward points k = -max_exponent..0.
+    """Certified sup of ``|a_z(q^k) - 1|`` over the outward points
+    k = -max_exponent..0: the largest ``|a - 1| + tail_bound`` of the
+    computed coefficients, an upper bound on the exact sup over the
+    window, and ``inf`` when any point is uncertified.
 
     The points are one :func:`qsu11.su11core.spherical_window` (case 1:
     the series' budget checked once, the series at every k in one kernel
@@ -304,7 +322,7 @@ def uniform_sup_gap(base: QBase, zp: SpectralParam, max_exponent: int = 24,
     max_exponent = _integer("max_exponent", max_exponent)
     if max_exponent < 0:
         raise InvalidArgumentError("max_exponent must be >= 0")
-    return max(abs(ev.value - 1.0) for _, ev in
+    return max(abs(ev.value - 1.0) + ev.tail_bound for _, ev in
                _window(base, zp, 1, range(-max_exponent, 1), tol, max_terms))
 
 
@@ -336,7 +354,8 @@ def symbol_constant(c: complex = 1.0) -> Symbol:
 
 @dataclass(frozen=True)
 class ApproxIdentityGap:
-    """Weighted sup gaps split by region.
+    """Weighted sup gaps split by region, each a certified upper bound
+    (see :func:`approx_identity_gap`).
 
     ``unit_region`` covers the outward points ``+q^k, k <= 0`` and
     ``decay_region`` the points near zero ``+-q^k, k >= 1``; ``gap`` is
@@ -351,7 +370,12 @@ class ApproxIdentityGap:
 def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
                         max_exponent: int = 24, tol: float = 1e-12,
                         max_terms: int = 200) -> ApproxIdentityGap:
-    """Weighted gap ``sup_p |a_z(p) - 1| |sym(p)|`` over the truncated spectrum.
+    """Certified weighted gap ``sup_p |a_z(p) - 1| |sym(p)|`` over the
+    truncated spectrum: the largest ``(|a - 1| + tail_bound) |sym(p)|``
+    of the computed coefficients, an upper bound on the exact weighted
+    sup over the window, and ``inf`` when a point of nonzero weight is
+    uncertified (a point of weight 0 adds nothing: its ``inf * 0`` is
+    nan, which ``max(gap, nan)`` drops).
 
     Samples ``+q^k`` for k in [-max_exponent, max_exponent] and
     ``-q^k`` for k in [1, max_exponent] (:func:`_spectrum_window`: one
@@ -368,7 +392,7 @@ def approx_identity_gap(base: QBase, zp: SpectralParam, sym: Symbol,
         raise InvalidArgumentError("max_exponent must be >= 1")
     unit = decay = 0.0
     for p, ev in _spectrum_window(base, zp, max_exponent, tol, max_terms):
-        g = abs(ev.value - 1.0) * abs(sym.eval(p, base))
+        g = (abs(ev.value - 1.0) + ev.tail_bound) * abs(sym.eval(p, base))
         if p.sign > 0 and p.exponent <= 0:
             unit = max(unit, g)
         else:

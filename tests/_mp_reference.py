@@ -1,11 +1,12 @@
-"""mpmath references: the spherical coefficients a_z(+-q^k), k >= 1, the
+"""mpmath references: the spherical coefficients a_z(+-q^k), the
 infinite q-Pochhammer product, 2phi1 and the coamen coefficients.
 
-The closed forms of cases 2 and 3 (PropB2), evaluated at mpmath's
-working precision, the explicit product (:func:`explicit_qpoch`), the
-first n terms of a 2phi1 (:func:`phi21_terms`), the 2phi1 itself
-(:func:`phi21_reference`) and the simplified coamen coefficient
-(:func:`coamen_reference`); nothing here calls qsu11.
+The closed forms of cases 2 and 3 (PropB2) and case 1's 2phi1
+(:func:`case1_reference`), evaluated at mpmath's working precision, the
+explicit product (:func:`explicit_qpoch`), the first n terms of a 2phi1
+(:func:`phi21_terms`), the 2phi1 itself (:func:`phi21_reference`) and
+the simplified coamen coefficient (:func:`coamen_reference`); nothing
+here calls qsu11.
 """
 
 import functools
@@ -215,6 +216,14 @@ def _phi21_series(mp, a, b, c, q, z):
             if r < 1 and abs(term) * r / (1 - r) <= small * abs(total):
                 return total
     raise ArithmeticError("reference series did not converge")
+
+
+def case1_reference(mp, q, lam, k):
+    """a_z(+q^k), k <= 0 (PropB2's case 1), at mp's working precision:
+    ``2phi1(q/lam, lam q; q^2; q^2, -q^{2-2k})`` (:func:`phi21_reference`),
+    ``q`` and ``lam`` taken exactly."""
+    q, lam = mp.mpf(q), mp.mpc(lam)
+    return phi21_reference(mp, q / lam, lam * q, q * q, q * q, -q ** (2 - 2 * k))
 
 
 def coamen_reference(mp, q, m, lam, L):

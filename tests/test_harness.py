@@ -278,8 +278,13 @@ class TestCheckRunner:
             assert len(bounds) == 4
             assert all(0.0 < b <= RunConfig().tol_quad for b in bounds)
             assert row.deviation + bounds[-1] <= row.threshold
-        # rows without certificates write no bounds
-        assert all("bounds" not in r.params for r in default_rows["spherical"])
+        # the spherical chains write their values' certificates too
+        cases = [r for r in default_rows["spherical"]
+                 if r.check_id.startswith("case")]
+        assert len(cases) == 19
+        for row in cases:
+            assert len(row.params["bounds"]) == 3
+            assert all(math.isfinite(b) for b in row.params["bounds"])
 
     def test_uncertified_target_fails_the_chain(self, monkeypatch):
         # The target alone uncertified: the cells keep their certificates.
@@ -436,6 +441,55 @@ class TestCheckRunner:
         assert "unifgap_monotone" not in by_id
         assert by_id["unifgap_window"].verdict == "pass"
         assert len(rows) == 116
+
+
+class TestUncertifiedValuesFail:
+    """At ``max_terms=3`` most series end uncertified (``tail_bound =
+    inf``): every row built on such a value fails on its bound, whatever
+    its deviation, and the rows that keep no certificate keep their
+    verdicts."""
+
+    @pytest.fixture(scope="class")
+    def verdicts(self):
+        cfg = RunConfig(max_terms=3)
+        base = QBase(cfg.q)
+        return {check.check_id: _run_check(suite, check).verdict
+                for suite in SUITES
+                for check in _SUITE_CHECKS[suite](cfg, base)}
+
+    def test_rows_on_uncertified_values_fail(self, verdicts):
+        must_fail = (
+            [f"case1_k{k}" for k in range(-3, 1)]
+            + [f"case{c}_k{k}" for c in (2, 3) for k in range(1, 6)]
+            + [f"unifgap_z{z}" for z in (0.9, 0.95, 0.99, 0.999)]
+            + ["unifgap_monotone", "unifgap_window"]
+            + [i for i in verdicts if i.startswith(("periodic_", "real_z", "contract_"))]
+            + ["coamen_bound_m0_j2", "coamen_bound_m0_j4"]
+            + [f"coamen_limit_{lam}_m{m}" for lam in ("one", "phase04")
+               for m in range(-1, 3)]
+            + ["weighted_gap_chain", "const_symbol_bounded"])
+        assert len(must_fail) == 57 + 10 + 2
+        assert {i: verdicts[i] for i in must_fail} == dict.fromkeys(must_fail, "fail")
+        # Series that three terms certify: far out on case 1 (k <= -4), the
+        # sixth exponent of cases 2 and 3, z = 1, the coamen series at
+        # j = 8 and m = -2, and the averaged chains.
+        certified = (
+            [f"case1_k{k}" for k in range(-6, -3)] + ["case2_k6", "case3_k6"]
+            + ["unifgap_z1.0", "coamen_bound_m0_j8", "coamen_limit_one_m-2",
+               "coamen_limit_phase04_m-2", "averaged_m0", "averaged_m1", "averaged_m2"])
+        assert {i: verdicts[i] for i in certified} == dict.fromkeys(certified, "pass")
+
+    def test_rows_without_a_certificate_keep_their_verdicts(self, verdicts):
+        # theta_*: ThetaPair keeps no bound; ratio_*: pochhammer_ratio
+        # returns a bare complex; rawsimp_*: both forms share one series;
+        # mass_unit, path_independence (refused at three terms) and
+        # affine_mean: no quadrature certificate on these rows.
+        for prefix, count in (("theta_", 300), ("ratio_", 54), ("rawsimp_", 231)):
+            ids = [i for i in verdicts if i.startswith(prefix)]
+            assert len(ids) == count
+            assert all(verdicts[i] == "pass" for i in ids), prefix
+        assert (verdicts["mass_unit"], verdicts["path_independence"],
+                verdicts["affine_mean"]) == ("fail", "fail", "pass")
 
 
 class TestContractRows:

@@ -275,12 +275,14 @@ class TestUniformSupGap:
             uniform_sup_gap(B, SpectralParam.from_z(0.9, B), depth)
 
     def test_equals_the_pointwise_sup(self):
-        # Case 1 in a window is one kernel sum per k, as pointwise.
+        # Case 1 in a window is one kernel sum per k, as pointwise; the
+        # gap is the sup of |a - 1| + tail_bound, a certified upper bound.
         for z in (0.9, 0.99, 0.3 + 1.7j):
             zp = SpectralParam.from_z(z, B)
+            evs = [spherical_az(B, zp, IqPoint.positive(k))
+                   for k in range(-24, 1)]
             assert uniform_sup_gap(B, zp, 24) == max(
-                abs(spherical_az(B, zp, IqPoint.positive(k)).value - 1.0)
-                for k in range(-24, 1))
+                abs(ev.value - 1.0) + ev.tail_bound for ev in evs)
 
     @pytest.mark.parametrize("index", (0, 7, 24))
     def test_nan_coefficient_fails_the_gap(self, index, monkeypatch):
@@ -359,7 +361,7 @@ class TestApproxIdentityGap:
             for p, win in _spectrum_window(B, zp, 24):
                 ev = spherical_az(B, zp, p)
                 w = abs(sym.eval(p, B))
-                gap = abs(ev.value - 1.0) * w
+                gap = (abs(ev.value - 1.0) + ev.tail_bound) * w
                 # the window's value is within this of ev.value
                 tol = (win.tail_bound + ev.tail_bound) * w
                 if p.sign > 0 and p.exponent <= 0:
@@ -388,7 +390,8 @@ class TestApproxIdentityGap:
         g40 = approx_identity_gap(B, zp, symbol_constant(1.0), 40)
         added = [(p, ev) for p, ev in _spectrum_window(B, zp, 40)
                  if p.exponent > 32]
-        assert g40.gap == max(g32.gap, max(abs(ev.value - 1.0) for _, ev in added))
+        assert g40.gap == max(g32.gap, max(abs(ev.value - 1.0) + ev.tail_bound
+                                           for _, ev in added))
         with mp.workdps(40):
             ref = Reference(mp, 0.5, zp.lam)
             for sign in (1, -1):
@@ -410,7 +413,7 @@ class TestTermBudget:
 
     def test_approx_identity_gap_uses_the_budget(self):
         sym = symbol_clip_abs()
-        by_hand = max(abs(ev.value - 1.0) * abs(sym.eval(p, B))
+        by_hand = max((abs(ev.value - 1.0) + ev.tail_bound) * abs(sym.eval(p, B))
                       for p, ev in _spectrum_window(B, self.ZP, 12,
                                                     max_terms=3))
         short = approx_identity_gap(B, self.ZP, sym, 12, max_terms=3)
@@ -421,9 +424,9 @@ class TestTermBudget:
                                                       max_terms=200))
 
     def test_uniform_sup_gap_uses_the_budget(self):
-        by_hand = max(abs(spherical_az(B, self.ZP, IqPoint.positive(k),
-                                       max_terms=3).value - 1.0)
-                      for k in range(-12, 1))
+        evs = [spherical_az(B, self.ZP, IqPoint.positive(k), max_terms=3)
+               for k in range(-12, 1)]
+        by_hand = max(abs(ev.value - 1.0) + ev.tail_bound for ev in evs)
         assert uniform_sup_gap(B, self.ZP, 12, max_terms=3) == by_hand
 
 

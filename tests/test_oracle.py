@@ -10,7 +10,8 @@ import math
 import random
 
 import pytest
-from _mp_reference import Reference, coamen_reference, explicit_qpoch, phi21_reference
+from _mp_reference import (Reference, case1_reference, coamen_reference, explicit_qpoch,
+                           phi21_reference)
 
 from qsu11 import (
     EPS_POLE,
@@ -18,6 +19,7 @@ from qsu11 import (
     QBase,
     QSU11Error,
     SpectralParam,
+    approx_identity_gap,
     coamen_coeff,
     phi21_direct,
     phi21_heine,
@@ -25,7 +27,10 @@ from qsu11 import (
     qpoch_multi,
     spherical_az,
     spherical_window,
+    symbol_clip_abs,
+    uniform_sup_gap,
 )
+from qsu11.limitlab import _spectrum_window
 from qsu11.qcalculus import _near_inv_power
 from qsu11.su11core import _recurrence
 
@@ -285,9 +290,7 @@ def _spherical_calls(mp, base, zp, p):
         return []
     if p.sign > 0 and p.exponent <= 0:
         def ref():
-            q, lam = mp.mpf(base.q), mp.mpc(zp.lam)
-            return phi21_reference(mp, q / lam, lam * q, q * q, q * q,
-                                   -q ** (2 - 2 * p.exponent))
+            return case1_reference(mp, base.q, zp.lam, p.exponent)
     else:
         def ref():
             return Reference(mp, base.q, zp.lam)(p.sign, p.exponent)
@@ -408,3 +411,34 @@ def test_positive_windows_near_the_lattice_within_their_tail_bound(q):
             refs = Reference(mp, q, zp.lam).window(1, range(1, 9))
             for k, ev, ref in zip(range(1, 9), window, refs):
                 assert abs(mp.mpc(ev.value) - ref) <= ev.tail_bound, (z, k, ev)
+
+
+@pytest.mark.parametrize("q, weighted", ((0.5, False), (0.9, False), (0.5, True)),
+                         ids=("uniform-0.5", "uniform-0.9", "clip_abs-0.5"))
+def test_certified_gaps_bound_the_exact_sup(q, weighted):
+    """uniform_sup_gap, and approx_identity_gap with the clip_abs symbol,
+    at z = 0.9 and 0.99, depth 6: each gap is at least the exact sup of
+    |a_z(p) - 1| |sym(p)| over its window (40 digits: case 1 by its
+    2phi1, cases 2 and 3 by their closed forms), and above it by at most
+    twice the window's largest tail_bound (the weights are at most 1)."""
+    mp = pytest.importorskip("mpmath").mp
+    base = QBase(q)
+    sym = symbol_clip_abs()
+    for z in (0.9, 0.99):
+        zp = SpectralParam.from_z(z, base)
+        window = [(p, ev) for p, ev in _spectrum_window(base, zp, 6)
+                  if weighted or (p.sign > 0 and p.exponent <= 0)]
+        if weighted:
+            gap = approx_identity_gap(base, zp, sym, 6).gap
+        else:
+            gap = uniform_sup_gap(base, zp, 6)
+        with mp.workdps(40):
+            closed = Reference(mp, q, zp.lam)
+            exact = max(
+                abs((case1_reference(mp, q, zp.lam, p.exponent)
+                     if p.sign > 0 and p.exponent <= 0
+                     else closed(p.sign, p.exponent)) - 1)
+                * (abs(sym.eval(p, base)) if weighted else 1)
+                for p, _ in window)
+            slack = max(ev.tail_bound for _, ev in window)
+            assert exact <= gap <= exact + 2 * slack, (z, gap, exact, slack)
