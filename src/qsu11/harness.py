@@ -62,7 +62,7 @@ from .su11core import (
     spherical_az,
 )
 
-__all__ = ["SUITES", "RunConfig", "CheckRow", "run_suite", "main"]
+__all__ = ["SUITES", "RunConfig", "run_suite", "main"]
 
 SUITES = ("identities", "spherical", "coamenability", "smoothing", "approxid")
 
@@ -100,12 +100,13 @@ class RunConfig:
 
     def problems(self) -> list[str]:
         errs = []
-        if not (0.0 < self.q < 1.0):
-            errs.append(f"q must lie in (0, 1), got {self.q!r}")
-        if not (self.tol > 0):
-            errs.append("tol must be positive")
-        if not (self.tol_quad > 0):
-            errs.append("tol_quad must be positive")
+        try:
+            QBase(self.q)  # q in (0, 1), with a square that does not underflow
+        except QSU11Error as err:
+            errs.append(str(err))
+        for name in ("tol", "tol_quad"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                errs.append(f"{name} must be positive and finite")
         if self.max_exponent < 1:
             errs.append("max_exponent must be >= 1")
         if self.max_terms < 1:
@@ -134,24 +135,15 @@ class RunConfig:
         return max(min(self.tol / 100.0, 1e-12), 1e-15)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckRow:
-    suite: str
-    check_id: str
-    paper_anchor: str
-    params: dict
-    value: complex
-    deviation: float
-    threshold: float
-    verdict: str
-
-
 @dataclass(frozen=True)
 class Check:
     """One report row, written once; ``run`` returns its
-    :class:`SweepReport`: a chain from :func:`limit_sweep` or
-    :func:`sweep_report`, or a scalar check's one row from
-    :func:`_versus` or :func:`_scalar` (see :func:`_run_check`)."""
+    :class:`SweepReport`: a chain from :func:`limit_sweep`, or from
+    :func:`sweep_report` over :func:`sweep_row`'s rows, or a scalar
+    check's one row from a row builder: :func:`_versus` (a value against
+    a target), :func:`_relative` (two routes to one value) or, where the
+    deviation is no distance between two values, :func:`_scalar` (see
+    :func:`_run_check`)."""
 
     check_id: str
     anchor: str
@@ -164,7 +156,9 @@ def _scalar(value: complex, deviation: float, thr: float,
     """A scalar check's report: one row, judged by :func:`sweep_report`
     (it passes when ``deviation + bound <= thr`` and the bound is
     finite).  ``bound`` certifies the deviation; a row whose computation
-    keeps no certificate leaves it 0."""
+    keeps no certificate leaves it 0.  Only for a deviation that is no
+    distance between two values: :func:`_versus` and :func:`_relative`
+    form those."""
     return sweep_report("check", (SweepRow(None, value, deviation, bound=bound),), thr)
 
 
@@ -174,17 +168,28 @@ def _versus(value: object, target: object, thr: float) -> SweepReport:
     return sweep_report("check", (sweep_row(None, value, target),), thr)
 
 
+def _relative(value: object, other: object, thr: float) -> SweepReport:
+    """A scalar check of two routes to one value, each taken as by
+    :func:`sweep_row`: deviation ``|v - o| / max(|v|, |o|)``, bound the
+    two ``tail_bound``s over the same modulus; the row's value is v."""
+    r = sweep_row(None, value, other)
+    m = max(abs(r.value), abs(getattr(other, "value", other)))
+    return _scalar(r.value, r.deviation / m, thr, r.bound / m)
+
+
 #: The report of a check that raised: nan value, infinite deviation and
 #: threshold 0, so it fails.
 _REFUSED = _scalar(complex("nan"), math.inf, 0.0)
 
 
-def _run_check(suite: str, check: Check) -> CheckRow:
-    """Run ``check`` into a report row: the value and deviation of its
-    report's last row, the report's threshold and verdict; a chain's
-    steps go into the params (``deviations``, ``monotone``, and any
-    ``bounds`` and ``errors``), and a raised :class:`QSU11Error` into
-    ``error`` with the :data:`_REFUSED` report."""
+def _run_check(suite: str, check: Check) -> dict:
+    """Run ``check`` into its report row, a dict in the order of
+    :data:`_CSV_COLUMNS` (key ``params`` for ``param_json``): the value
+    and deviation of its report's last row, the report's threshold and
+    verdict; a chain's steps go into the params (``deviations``,
+    ``monotone``, and any ``bounds`` and ``errors``), and a raised
+    :class:`QSU11Error` into ``error`` with the :data:`_REFUSED`
+    report."""
     params = dict(check.params)
     try:
         out = check.run()
@@ -199,10 +204,12 @@ def _run_check(suite: str, check: Check) -> CheckRow:
         notes = [r.note for r in out.rows if r.note]
         if notes:
             params["errors"] = notes
-    last = out.rows[-1]
-    return CheckRow(suite, check.check_id, check.anchor, params,
-                    complex(last.value), float(last.deviation),
-                    float(out.threshold), out.verdict)
+    value = complex(out.rows[-1].value)
+    return {"suite": suite, "check_id": check.check_id,
+            "paper_anchor": check.anchor, "params": params,
+            "value_re": value.real, "value_im": value.imag,
+            "deviation": float(out.final_deviation),
+            "threshold": float(out.threshold), "verdict": out.verdict}
 
 
 # ---------------------------------------------------------------- suites
@@ -236,9 +243,7 @@ def _identities_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             direct = phi21_direct(q / lam, lam * q, q2, q2, -q2 / kap,
                                   **budget)
             cont = phi21_continued(lam, complex(kap), base, **budget)
-            dev = abs(direct.value - cont.value) / abs(direct.value)
-            bound = (direct.tail_bound + cont.tail_bound) / abs(direct.value)
-            return _scalar(cont.value, dev, 100.0 * cfg.tol, bound)
+            return _relative(cont, direct, 100.0 * cfg.tol)
 
         yield Check(f"overlap_{i:02d}", "PropB2.Case2",
                     {"theta": theta, "kappa": kap}, run)
@@ -255,9 +260,9 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                 def run(lam=lam, m=m, j=j):
                     (raw, simp), = _coamen_window(base, m, lam, [-j], "both",
                                                   **budget)
-                    dev = abs(raw.value - simp.value) \
-                        / max(abs(raw.value), abs(simp.value))
-                    return _scalar(simp.value, dev, 10.0 * cfg.tol)
+                    # Bare values, bound 0: both forms share one series,
+                    # whose certificate adding both would count twice.
+                    return _relative(simp.value, raw.value, 10.0 * cfg.tol)
 
                 yield Check(f"rawsimp_{lname}_m{m}_j{j}", "Eq5.2",
                             {"lam": lname, "m": m, "j": j}, run)
@@ -322,7 +327,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                                 cfg.max_exponent, **budget)
             gaps.append(g)
             thr = cfg.tol if z == 1.0 else (5e-3 if z == 0.999 else 0.05)
-            return _scalar(g, g, thr)
+            return _versus(g, 0.0, thr)
 
         yield Check(f"unifgap_z{z}", "Thm6.3",
                     {"z": z, "max_exponent": cfg.max_exponent}, run)
@@ -341,7 +346,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         zp = SpectralParam.from_z(0.95, base)
         g20 = uniform_sup_gap(base, zp, 20, **budget)
         g40 = uniform_sup_gap(base, zp, 40, **budget)
-        return _scalar(g40, abs(g40 - g20), 1e-14)
+        return _versus(g40, g20, 1e-14)
 
     yield Check("unifgap_window", "Thm6.3", {"z": 0.95, "depths": [20, 40]},
                 run)
@@ -352,7 +357,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
         def run(k=k):
             v = pochhammer_ratio(base, complex(lam_near), k)
-            return _scalar(v, abs(v), 1e-2)
+            return _versus(v, 0.0, 1e-2)
 
         yield Check(f"ratio_mod_k{kname}", "LemB.1",
                     {"lam_re": lam_near, "lam_im": 0.0, "k": kname}, run)
@@ -369,10 +374,9 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     for i, (re, im) in enumerate(RATIO_LAMBDA_GRID):
         for k in (1, 2, 3, 7):
             def run(lam=complex(re, im), k=k):
-                a = pochhammer_ratio(base, lam, k)
-                b = pochhammer_ratio_naive(base, lam, k)
-                dev = abs(a - b) / max(abs(a), abs(b))
-                return _scalar(a, dev, cfg.tol / 100.0)
+                return _relative(pochhammer_ratio(base, lam, k),
+                                 pochhammer_ratio_naive(base, lam, k),
+                                 cfg.tol / 100.0)
 
             yield Check(f"ratio_agree_{i:02d}_k{k}", "LemB.1",
                         {"lam_re": re, "lam_im": im, "k": k}, run)
@@ -399,7 +403,7 @@ def _spherical_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
                   IqPoint.positive(2), IqPoint.negative(1)):
             def run(z=z, p=p):
                 v = _sph(cfg, base, complex(z, 0.0), p)
-                return _scalar(v.value, abs(v.value.imag), cfg.tol, v.tail_bound)
+                return _versus(v, v.value.real, cfg.tol)
 
             yield Check(f"real_z{z}_s{p.sign}_k{p.exponent}", "PropB2.Case1",
                         {"z": z, "sign": p.sign, "k": p.exponent}, run)
@@ -447,7 +451,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16,
                              tol=st, max_terms=mt)
-        return _scalar(sm.mass, abs(sm.mass - 1.0), cfg.tol_quad)
+        return _versus(sm.mass, 1.0, cfg.tol_quad)
 
     yield Check("mass_unit", "Eq7.1", {"k": 2, "n": 16}, run)
 
@@ -455,7 +459,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         wiggly = ContourPath("perturbed", center, wiggle_amplitude=0.05)
         d = path_independence(base, IqPoint.positive(0), 2, 16.0, line,
                               wiggly, quad16, tol=st, max_terms=mt)
-        return _scalar(d, d, 100.0 * cfg.tol_quad)
+        return _versus(d, 0.0, 100.0 * cfg.tol_quad)
 
     yield Check("path_independence", "Eq7.1",
                 {"k": 2, "n": 16, "wiggle": 0.05}, run)
@@ -478,7 +482,9 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
             base, IqPoint.positive(0), 2, 16.0, line, quad16,
             integrand=lambda z: c0 + c1 * (z - center), tol=st,
         )
-        return _scalar(sm.value, abs(sm.value - c0), cfg.tol_quad)
+        # The bare value: the smoother's majorant does not cover a
+        # supplied integrand, so its tail_bound is inf.
+        return _versus(sm.value, c0, cfg.tol_quad)
 
     yield Check("affine_mean", "Eq7.1",
                 {"k": 2, "n": 16, "c0": [c0.real, c0.imag],
@@ -496,7 +502,7 @@ def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         for z in zs:
             g = approx_identity_gap(base, SpectralParam.from_z(z, base),
                                     sym, depth, **budget)
-            rows.append(SweepRow(z, complex(g.gap), g.gap))
+            rows.append(sweep_row(z, g.gap, 0.0))
         return sweep_report("approx_identity_gap", rows, 0.02)
 
     yield Check("weighted_gap_chain", "Thm6.3",
@@ -507,7 +513,7 @@ def _approxid_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         g = approx_identity_gap(base, SpectralParam.from_z(0.999, base),
                                 const, depth, **budget)
-        return _scalar(g.gap, g.gap, 3.0)
+        return _versus(g.gap, 0.0, 3.0)
 
     yield Check("const_symbol_bounded", "Thm6.3",
                 {"z": 0.999, "symbol": const.name, "depth": depth}, run)
@@ -551,15 +557,6 @@ def _write_table(out: Path, name: str, cfg: RunConfig, key: str,
             {"header": header, key: rows}, sort_keys=True, indent=2) + "\n")
 
 
-def _row_fields(r: CheckRow) -> dict:
-    """A report row's fields, in the order of :data:`_CSV_COLUMNS`."""
-    return {"suite": r.suite, "check_id": r.check_id,
-            "paper_anchor": r.paper_anchor, "params": r.params,
-            "value_re": r.value.real, "value_im": r.value.imag,
-            "deviation": r.deviation, "threshold": r.threshold,
-            "verdict": r.verdict}
-
-
 def run_suite(cfg: RunConfig) -> int:
     """Run the configured suites, write reports, return the exit code."""
     errs = cfg.problems()
@@ -586,9 +583,8 @@ def run_suite(cfg: RunConfig) -> int:
             rows = [_run_check(suite, Check(
                 "suite_crashed", "Eq4.1",
                 {"error": f"{type(err).__name__}: {err}"}, lambda: _REFUSED))]
-        _write_table(out, suite, cfg, "rows", _CSV_COLUMNS,
-                     [_row_fields(r) for r in rows])
-        failures = sum(r.verdict != "pass" for r in rows)
+        _write_table(out, suite, cfg, "rows", _CSV_COLUMNS, rows)
+        failures = sum(r["verdict"] != "pass" for r in rows)
         summary.append({"suite": suite, "checks": len(rows),
                         "failures": failures,
                         "verdict": "fail" if failures else "pass"})

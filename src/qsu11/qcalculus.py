@@ -92,7 +92,8 @@ class QBase:
     Attributes
     ----------
     q : float
-        The deformation parameter, strictly between 0 and 1.
+        The deformation parameter, strictly between 0 and 1, and large
+        enough that ``q * q`` does not underflow to 0.
     log_q : float
         Natural logarithm of ``q`` (negative).
     cq : float
@@ -106,10 +107,11 @@ class QBase:
     cq: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise InvalidArgumentError(f"q must lie in (0, 1), got {self.q!r}")
-        object.__setattr__(self, "log_q", math.log(self.q))
         q2 = self.q * self.q
+        if not (0.0 < self.q < 1.0 and q2 > 0.0):
+            raise InvalidArgumentError(
+                f"q must lie in (0, 1), its square above 0, got {self.q!r}")
+        object.__setattr__(self, "log_q", math.log(self.q))
         p1, p2 = (_qpoch_infinite(complex(a), q2, 1e-16).value.real
                   for a in (q2, -q2))
         object.__setattr__(self, "cq", 1.0 / (math.sqrt(2.0) * self.q * p1 * p2))

@@ -14,6 +14,7 @@ from qsu11.harness import (
     SUITES,
     Check,
     RunConfig,
+    _relative,
     _run_check,
     _scalar,
     config_from_args,
@@ -42,10 +43,11 @@ class TestRunConfig:
         assert RunConfig(suites=()).problems() != []
 
     def test_nan_tolerances_are_problems(self):
-        nan = float("nan")
-        assert RunConfig(tol=nan).problems() == ["tol must be positive"]
-        assert RunConfig(tol_quad=nan).problems() \
-            == ["tol_quad must be positive"]
+        for bad in (float("nan"), math.inf):
+            assert RunConfig(tol=bad).problems() \
+                == ["tol must be positive and finite"]
+            assert RunConfig(tol_quad=bad).problems() \
+                == ["tol_quad must be positive and finite"]
 
     def test_extreme_q_warns(self):
         assert RunConfig(q=0.05).warnings() != []
@@ -126,11 +128,13 @@ class TestRunSuite:
         assert any(r[-1] == "fail" for r in rows)
 
     def test_invalid_config_exits_2_without_reports(self, tmp_path, capsys):
-        out = tmp_path / "nothing"
-        cfg = RunConfig(q=2.0, out_dir=str(out))
-        assert run_suite(cfg) == 2
-        assert not out.exists()
-        assert "config error" in capsys.readouterr().err
+        # 1e-300 lies in (0, 1), but its square underflows to 0.
+        for q in (2.0, 1e-300):
+            out = tmp_path / "nothing"
+            cfg = RunConfig(q=q, out_dir=str(out))
+            assert run_suite(cfg) == 2
+            assert not out.exists()
+            assert "config error" in capsys.readouterr().err
 
     def test_duplicate_suites_run_once(self, tmp_path, capsys):
         cfg = RunConfig(suites=("identities", "identities"),
@@ -254,37 +258,37 @@ class TestCheckRunner:
                           "coamenability": 247, "smoothing": 12,
                           "approxid": 2}
         for rows in default_rows.values():
-            ids = [r.check_id for r in rows]
+            ids = [r["check_id"] for r in rows]
             assert len(set(ids)) == len(ids)
-            assert all(r.verdict == "pass" for r in rows)
+            assert all(r["verdict"] == "pass" for r in rows)
 
     def test_sweep_rows_carry_deviations(self, default_rows):
-        by_id = {r.check_id: r for r in default_rows["spherical"]}
+        by_id = {r["check_id"]: r for r in default_rows["spherical"]}
         row = by_id["case1_k0"]
-        assert len(row.params["deviations"]) == len(row.params["zs"]) == 3
-        assert row.params["monotone"] is True
-        assert row.deviation == row.params["deviations"][-1]
+        assert len(row["params"]["deviations"]) == len(row["params"]["zs"]) == 3
+        assert row["params"]["monotone"] is True
+        assert row["deviation"] == row["params"]["deviations"][-1]
         chain = next(r for r in default_rows["smoothing"]
-                     if r.check_id == "smooth_k2_p0")
-        assert len(chain.params["deviations"]) == 4
-        assert chain.params["monotone"] is True
+                     if r["check_id"] == "smooth_k2_p0")
+        assert len(chain["params"]["deviations"]) == 4
+        assert chain["params"]["monotone"] is True
 
     def test_smoothing_chains_are_certified(self, default_rows):
         chains = [r for r in default_rows["smoothing"]
-                  if r.check_id.startswith("smooth_k")]
+                  if r["check_id"].startswith("smooth_k")]
         assert len(chains) == 8
         for row in chains:
-            bounds = row.params["bounds"]
+            bounds = row["params"]["bounds"]
             assert len(bounds) == 4
             assert all(0.0 < b <= RunConfig().tol_quad for b in bounds)
-            assert row.deviation + bounds[-1] <= row.threshold
+            assert row["deviation"] + bounds[-1] <= row["threshold"]
         # the spherical chains write their values' certificates too
         cases = [r for r in default_rows["spherical"]
-                 if r.check_id.startswith("case")]
+                 if r["check_id"].startswith("case")]
         assert len(cases) == 19
         for row in cases:
-            assert len(row.params["bounds"]) == 3
-            assert all(math.isfinite(b) for b in row.params["bounds"])
+            assert len(row["params"]["bounds"]) == 3
+            assert all(math.isfinite(b) for b in row["params"]["bounds"])
 
     def test_uncertified_target_fails_the_chain(self, monkeypatch):
         # The target alone uncertified: the cells keep their certificates.
@@ -298,9 +302,9 @@ class TestCheckRunner:
         check = next(c for c in harness._smoothing_checks(cfg, base)
                      if c.check_id == "smooth_k2_p0")
         row = _run_check("smoothing", check)
-        assert row.verdict == "fail"
-        assert row.deviation <= row.threshold
-        assert all(math.isinf(b) for b in row.params["bounds"])
+        assert row["verdict"] == "fail"
+        assert row["deviation"] <= row["threshold"]
+        assert all(math.isinf(b) for b in row["params"]["bounds"])
 
     def test_term_budget_reaches_the_smoothing_nodes(self):
         cfg = RunConfig(max_terms=3)
@@ -309,10 +313,10 @@ class TestCheckRunner:
         assert len(rows) == 12
         for check_id, row in rows.items():
             if check_id == "affine_mean":  # a supplied integrand
-                assert row.verdict == "pass"
+                assert row["verdict"] == "pass"
                 continue
-            assert row.verdict == "fail"
-            assert "uncertified after 4 terms" in row.params["error"]
+            assert row["verdict"] == "fail"
+            assert "uncertified after 4 terms" in row["params"]["error"]
 
     def test_term_budget_reaches_the_gap_rows(self):
         cfg = RunConfig(max_terms=3)
@@ -323,7 +327,7 @@ class TestCheckRunner:
         g = limitlab.approx_identity_gap(
             base, zp, limitlab.symbol_constant(1.0), 12,
             tol=cfg.series_tol, max_terms=3)
-        assert rows["const_symbol_bounded"].deviation == g.gap
+        assert rows["const_symbol_bounded"]["deviation"] == g.gap
         assert g.gap != limitlab.approx_identity_gap(
             base, zp, limitlab.symbol_constant(1.0), 12,
             tol=cfg.series_tol).gap
@@ -333,18 +337,37 @@ class TestCheckRunner:
         short, full = (limitlab.uniform_sup_gap(
             base, SpectralParam.from_z(0.9, base), cfg.max_exponent,
             tol=cfg.series_tol, max_terms=mt) for mt in (3, 200))
-        assert row.deviation == short != full
+        assert row["deviation"] == short != full
 
     def test_one_row_result(self):
         ok = _run_check("s", Check("c", "Eq4.1", {"x": 1},
                                    lambda: _scalar(2.0, 0.5, 0.5)))
-        assert (ok.value, ok.deviation, ok.threshold) == (2 + 0j, 0.5, 0.5)
-        assert ok.verdict == "pass"
-        assert ok.params == {"x": 1}
+        assert (ok["value_re"], ok["value_im"], ok["deviation"], ok["threshold"]) \
+            == (2.0, 0.0, 0.5, 0.5)
+        assert ok["verdict"] == "pass"
+        assert ok["params"] == {"x": 1}
         bad = _run_check("s", Check("c", "Eq4.1", {},
                                     lambda: _scalar(1.0, 0.6, 0.5)))
-        assert bad.verdict == "fail"
-        assert bad.params == {}
+        assert bad["verdict"] == "fail"
+        assert bad["params"] == {}
+
+    def test_relative_row(self):
+        a = SeriesEval(3.0 + 4.0j, 1, 1e-3)  # |a| = 5
+        b = SeriesEval(3.0, 1, 2e-3)
+        ab, ba = _relative(a, b, 1.0), _relative(b, a, 1.0)
+        # Symmetric: the same deviation, bound and verdict either way.
+        (r,), (s,) = ab.rows, ba.rows
+        assert (r.deviation, r.bound, ab.verdict) \
+            == (s.deviation, s.bound, ba.verdict)
+        # Over the larger modulus, 5 = |a|, whichever operand is first.
+        assert (r.value, r.deviation) == (a.value, 4.0 / 5.0)
+        assert r.bound == pytest.approx(3e-3 / 5.0, rel=1e-15)
+        assert _relative(a, b, 0.8).verdict == "fail"
+        # Bare numbers carry bound 0; an uncertified operand fails the row.
+        assert _relative(3.0 + 4.0j, 3.0, 0.8).verdict == "pass"
+        for rep in (_relative(a, SeriesEval(3.0, 1, math.inf), 1.0),
+                    _relative(SeriesEval(3.0, 1, math.inf), a, 1.0)):
+            assert rep.verdict == "fail" and math.isinf(rep.rows[0].bound)
 
     @pytest.mark.parametrize("max_terms, refused", ((200, 0), (3, 11)))
     def test_every_check_returns_a_report(self, max_terms, refused):
@@ -396,10 +419,11 @@ class TestCheckRunner:
         check = Check("c", "Thm5.2", {"x": 1},
                       lambda: sweep_report("t", rows, 1.0))
         row = _run_check("s", check)
-        assert row.params == {"x": 1, "deviations": [0.2, 0.1],
-                              "monotone": True, "errors": ["boom"]}
-        assert (row.value, row.deviation, row.threshold) == (1j, 0.1, 1.0)
-        assert row.verdict == "fail"
+        assert row["params"] == {"x": 1, "deviations": [0.2, 0.1],
+                                 "monotone": True, "errors": ["boom"]}
+        assert (row["value_re"], row["value_im"], row["deviation"],
+                row["threshold"]) == (0.0, 1.0, 0.1, 1.0)
+        assert row["verdict"] == "fail"
         assert check.params == {"x": 1}
 
     def test_error_row_keeps_params_and_later_checks_run(self, tmp_path,
@@ -436,10 +460,10 @@ class TestCheckRunner:
         cfg = RunConfig()
         rows = [_run_check("spherical", check)
                 for check in harness._spherical_checks(cfg, QBase(cfg.q))]
-        by_id = {r.check_id: r for r in rows}
-        assert "error" in by_id["unifgap_z0.95"].params
+        by_id = {r["check_id"]: r for r in rows}
+        assert "error" in by_id["unifgap_z0.95"]["params"]
         assert "unifgap_monotone" not in by_id
-        assert by_id["unifgap_window"].verdict == "pass"
+        assert by_id["unifgap_window"]["verdict"] == "pass"
         assert len(rows) == 116
 
 
@@ -453,7 +477,7 @@ class TestUncertifiedValuesFail:
     def verdicts(self):
         cfg = RunConfig(max_terms=3)
         base = QBase(cfg.q)
-        return {check.check_id: _run_check(suite, check).verdict
+        return {check.check_id: _run_check(suite, check)["verdict"]
                 for suite in SUITES
                 for check in _SUITE_CHECKS[suite](cfg, base)}
 
@@ -535,8 +559,8 @@ class TestContractRows:
         monkeypatch.setattr(limitlab, "spherical_window", window)
         for check in self._contract_checks(RunConfig()):
             row = _run_check("spherical", check)
-            assert row.verdict == "fail"
-            assert "not finite" in row.params["error"]
+            assert row["verdict"] == "fail"
+            assert "not finite" in row["params"]["error"]
 
 
 class TestCli:

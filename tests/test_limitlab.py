@@ -242,9 +242,10 @@ class TestSweepReport:
             row = harness._run_check("s", harness.Check(
                 "c", "Eq4.1", {"x": 1}, lambda b=bound: sweep_report(
                     "t", [SweepRow(None, 2j, 0.25, bound=b)], 0.5)))
-            assert row.params == {"x": 1}
-            assert (row.value, row.deviation, row.threshold, row.verdict) \
-                == (2j, 0.25, 0.5, verdict)
+            assert row["params"] == {"x": 1}
+            assert (row["value_re"], row["value_im"], row["deviation"],
+                    row["threshold"], row["verdict"]) \
+                == (0.0, 2.0, 0.25, 0.5, verdict)
 
 
 class TestUniformSupGap:

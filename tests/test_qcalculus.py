@@ -43,6 +43,12 @@ class TestQBase:
         with pytest.raises(InvalidArgumentError):
             QBase(q)
 
+    def test_rejects_q_whose_square_underflows(self):
+        with pytest.raises(InvalidArgumentError, match="square"):
+            QBase(1e-300)  # q * q == 0.0
+        qb = QBase(1e-160)  # q * q is subnormal, not 0
+        assert math.isfinite(qb.cq) and qb.log_q < 0
+
     def test_log_q_negative(self):
         assert B.log_q == math.log(0.5) < 0
 
