@@ -56,7 +56,7 @@ from .smoother import ContourPath, QuadratureSpec, gaussian_smooth, path_indepen
 from .su11core import (
     IqPoint,
     SpectralParam,
-    _coamen_window,
+    _coamen_points,
     averaged_coamen,
     coamen_coeff,
     spherical_az,
@@ -171,9 +171,13 @@ def _versus(value: object, target: object, thr: float) -> SweepReport:
 def _relative(value: object, other: object, thr: float) -> SweepReport:
     """A scalar check of two routes to one value, each taken as by
     :func:`sweep_row`: deviation ``|v - o| / max(|v|, |o|)``, bound the
-    two ``tail_bound``s over the same modulus; the row's value is v."""
+    two ``tail_bound``s over the same modulus; the row's value is v.  Two
+    exact zeros agree (deviation 0), with bound 0 when both bounds are 0
+    and inf otherwise (a bound has no scale there)."""
     r = sweep_row(None, value, other)
     m = max(abs(r.value), abs(getattr(other, "value", other)))
+    if not m:
+        return _scalar(r.value, 0.0, thr, math.inf if r.bound else 0.0)
     return _scalar(r.value, r.deviation / m, thr, r.bound / m)
 
 
@@ -258,11 +262,12 @@ def _coamenability_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
         for m in range(-3, 4):
             for j in range(0, 11):
                 def run(lam=lam, m=m, j=j):
-                    (raw, simp), = _coamen_window(base, m, lam, [-j], "both",
-                                                  **budget)
+                    # The values of the pair's (value, terms, bound) triples.
+                    (raw, _, _), (simp, _, _) = _coamen_points(
+                        base, m, lam, [-j], "both", **budget)[0]
                     # Bare values, bound 0: both forms share one series,
                     # whose certificate adding both would count twice.
-                    return _relative(simp.value, raw.value, 10.0 * cfg.tol)
+                    return _relative(simp, raw, 10.0 * cfg.tol)
 
                 yield Check(f"rawsimp_{lname}_m{m}_j{j}", "Eq5.2",
                             {"lam": lname, "m": m, "j": j}, run)
@@ -446,10 +451,12 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
     center = 0.5
     line = ContourPath("vertical_line", center)
-    quad16 = QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
+
+    def quad16():  # formed per row: a tol_quad it refuses refuses the row
+        return QuadratureSpec.for_width(16.0, base, cfg.tol_quad)
 
     def run():
-        sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16,
+        sm = gaussian_smooth(base, IqPoint.positive(0), 2, 16.0, line, quad16(),
                              tol=st, max_terms=mt)
         return _versus(sm.mass, 1.0, cfg.tol_quad)
 
@@ -458,7 +465,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
     def run():
         wiggly = ContourPath("perturbed", center, wiggle_amplitude=0.05)
         d = path_independence(base, IqPoint.positive(0), 2, 16.0, line,
-                              wiggly, quad16, tol=st, max_terms=mt)
+                              wiggly, quad16(), tol=st, max_terms=mt)
         return _versus(d, 0.0, 100.0 * cfg.tol_quad)
 
     yield Check("path_independence", "Eq7.1",
@@ -479,7 +486,7 @@ def _smoothing_checks(cfg: RunConfig, base: QBase) -> Iterator[Check]:
 
     def run():
         sm = gaussian_smooth(
-            base, IqPoint.positive(0), 2, 16.0, line, quad16,
+            base, IqPoint.positive(0), 2, 16.0, line, quad16(),
             integrand=lambda z: c0 + c1 * (z - center), tol=st,
         )
         # The bare value: the smoother's majorant does not cover a

@@ -1002,7 +1002,9 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     ((c; base)_inf (z; base)_inf)] * 2phi1(c/b, z; a z; base, b)``,
 
     which converges whenever ``|b| < 1``, extending the series beyond
-    ``|z| < 1``.  Refused: ``|b| >= 1`` (:class:`InvalidArgumentError`),
+    ``|z| < 1``.  Refused: ``|b| >= 1`` and ``b = 0`` (the transformed
+    upper parameter ``c / b`` is then undefined; a b that underflows to 0
+    included) (:class:`InvalidArgumentError`),
     ``c`` or the transformed lower parameter ``a z`` on the pole lattice
     ``base**(-j)``, j >= 0 (:class:`PoleInCError`), ``z`` there (a zero of
     the denominator product, a genuine pole: :class:`PoleGuardError`), and,
@@ -1022,6 +1024,8 @@ def phi21_heine(a: complex, b: complex, c: complex, base: BaseLike, z: complex,
     bb = _base_value(base)
     if abs(b) >= 1.0:
         raise InvalidArgumentError("phi21_heine needs |b| < 1")
+    if b == 0:
+        raise InvalidArgumentError("phi21_heine needs b != 0")
     if _near_inv_power(c, bb) is not None:
         raise PoleInCError("c on the pole lattice base**(-j)")
     az = a * z

@@ -309,7 +309,10 @@ def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
     With ``quad.nodes_per_unit`` None, the coarse step is the largest h
     with ``2 e^{n (|d| + a)^2} F(a) / (e^{2 pi a/h} - 1) <= tol_quad/4``,
     F from :func:`_line_bound` where the majorant applies and F = 1 (the
-    weight alone) where it does not.
+    weight alone) where it does not.  A budget so small that a log in the
+    bound leaves the float range (h is then 0 or nan: the smoothing suite's
+    line at ``tol_quad = 1e-300``) raises
+    :class:`QuadratureUnderResolvedError`.
     """
     d = path.anchor - (1.0 - 1.0 / k)
     budget = _SHARE * quad.tol_quad
@@ -327,6 +330,10 @@ def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
     # e^{2 pi a/h} - 1 = 2 e^{n(|d|+a)^2} F / budget, solved for h
     lg = math.log(2.0 * strip / budget) + n * (abs(d) + a) ** 2
     h = 2.0 * math.pi * a / (lg + math.log1p(math.exp(-lg)))
+    if not h > 0.0:  # 0 or nan: a log above is past the float range
+        raise QuadratureUnderResolvedError(
+            f"no step h > 0 meets tol_quad={quad.tol_quad!r}: the trapezoid "
+            f"bound is past the float range")
     return span, math.ceil(2.0 * span / h), bound
 
 

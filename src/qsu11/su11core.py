@@ -18,12 +18,11 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import qcalculus
-from .errors import InvalidArgumentError, PoleGuardError
+from .errors import InvalidArgumentError
 from .qcalculus import (
     QBase,
     SeriesEval,
     _add,
-    _base_value,
     _budget,
     _certified,
     _direct_sum,
@@ -494,11 +493,11 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     ``|lam| q^{1+2m} < 1``.  An ``m`` that is not an integer, a ``lam``
     of 0, a power of q past the float range (large ``|L|`` or ``|m|``),
     a series term past it (the sum is then not finite) and, in the raw
-    form, a product past it (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` at
-    q = 0.5, m = 0 from L = -23 on) raise :class:`InvalidArgumentError`.
-    This is the one-point window
-    (:func:`_coamen_points`), which evaluates many ``L`` at one ``m`` and
-    ``lam``.
+    form, the square ``cq^2`` past it (at a tiny q: ``q = 1e-160``) or a
+    product past it (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` at q = 0.5, m = 0
+    from L = -23 on) raise :class:`InvalidArgumentError`.  This is the
+    one-point window of :func:`_coamen_points`, which evaluates many ``L``
+    at one ``m`` and ``lam``.
     """
     if p1.sign < 0:
         raise InvalidArgumentError("coamen_coeff is defined at positive points")
@@ -510,30 +509,15 @@ def coamen_coeff(base: QBase, m: int, lam: complex, p1: IqPoint,
     return _from_tail(value, used, tail)
 
 
-def _coamen_window(base: QBase, m: int, lam: complex, Ls: Sequence[int],
-                   form: str, tol: float, max_terms: int) -> list:
-    """``coamen_coeff(base, m, lam, IqPoint.positive(L), form, tol,
-    max_terms)`` for each L of ``Ls``, in that order, at an integer m; with
-    ``form="both"`` the pair ``(raw, simplified)`` for each L, both forms
-    from one series.  Each value is one :class:`SeriesEval` built from the
-    floats of :func:`_coamen_points`, which describes the evaluation and
-    its refusals.
-    """
-    points = _coamen_points(base, m, lam, Ls, form, tol, max_terms)
-    if form == "both":
-        return [(_from_tail(*raw), _from_tail(*simplified))
-                for raw, simplified in points]
-    return [_from_tail(*point) for point in points]
-
-
 def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
                    form: str, tol: float, max_terms: int) -> list[tuple]:
     """The point loop of the coamen windows, on floats: for each L of
     ``Ls``, in that order, the value, ``terms_used`` and ``tail_bound`` of
     the coamen coefficient in ``form``, or with ``form="both"`` the pair
-    of such triples ``(raw, simplified)``.  :func:`coamen_coeff` and
-    :func:`_coamen_window` build one :class:`SeriesEval` per value from
-    them; :func:`averaged_coamen` adds them up.
+    of such triples ``(raw, simplified)``.  :func:`coamen_coeff` builds a
+    :class:`SeriesEval` from its one point, :func:`averaged_coamen` adds
+    the points up, and the verification suites' ``rawsimp_*`` rows compare
+    the values of a one-point pair.  The callers check ``form`` and ``m``.
 
     The series parameters ``a = -q^{1+2m}/lam``, ``b = -lam q^{1+2m}`` and
     ``c = q^2`` do not depend on L, so the series' checks of ``tol`` and
@@ -558,17 +542,16 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
     refusal at some L refuses the window with the error
     :func:`coamen_coeff` raises at the first such L; a pair is refused as
     the raw call followed by the simplified one would be: by the series
-    (a direct sum whose value is not finite included), then raw's
-    products (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` past the float range, at
-    q = 0.5, m = 0 from L = -23 on, raises
-    :class:`InvalidArgumentError` before it meets the other factors),
-    then the simplified prefactor (whose checks, made once per window,
-    are made where the first point reaches it).  Each ``tail_bound``
+    (a direct sum whose value is not finite included), then raw's scalar
+    (``cq^2`` past the float range), then raw's products
+    (``(-q^{2L}, -q^{2L+4m}; q^2)_inf`` past the float range, at q = 0.5,
+    m = 0 from L = -23 on, raises :class:`InvalidArgumentError` before it
+    meets the other factors), then the simplified prefactor (whose one
+    check, the power ``q^{-4|m|}`` for m < 0, made once per window, is
+    made where the first point reaches it).  Each ``tail_bound``
     covers the series, the products and the scalars (the finite product,
     ``q^N cq^2``) with their rounding.
     """
-    if form not in ("simplified", "raw", "both"):
-        raise InvalidArgumentError(f"unknown form {form!r}")
     if lam == 0:
         raise InvalidArgumentError("lam must be nonzero")
     q = base.q
@@ -594,15 +577,18 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
         else:
             if direct is None:  # this and the later direct points' series, once
                 _budget(tol, max_terms)
+                # -q^f of each later direct point (f > 0: it may underflow,
+                # never overflow).
+                fs = (2 - 2 * x - 4 * m for x in Ls[i + 1:])
                 direct = iter(_direct_window(
-                    a, b, q2, [z, *_direct_zs(q, m, Ls[i + 1:])], tol, max_terms))
+                    a, b, q2, [z, *(-q ** f for f in fs if f > 0)], tol, max_terms))
             value, used, tail = _certified(next(direct))
         if form != "simplified":
             part_tol = tol / 16.0
-            # Its exponent is (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
-            # (M = L + 2m): it cannot overflow.
+            # q^N cannot overflow: N = (L^2 - L + 2)/2 + (M^2 - M + 2)/2 > 0
+            # (M = L + 2m); cq^2 does at tiny q (cq ~ 1/(sqrt(2) q)), refused.
             scalar = q ** (2 * L + 2 * m + nu_exponent(L) + nu_exponent(L + 2 * m)) \
-                * base.cq ** 2
+                * _power(base.cq, 2)
             # The products go through the one routine that qpoch_multi
             # wraps, looked up at call time (the tests replace it).
             product = qcalculus._qpoch_product
@@ -619,28 +605,13 @@ def _coamen_points(base: QBase, m: int, lam: complex, Ls: Sequence[int],
             if form == "raw":
                 out.append(raw)
                 continue
-        if prefactor is None:  # qpoch_signed's checks, once
+        if prefactor is None:  # qpoch_signed's check, once
             prefactor = _prefactor(q2, m)
         # series * sqrt((-q^e; q^2)_{2m}), the prefactor within root_rel.
         value, tail = _mul(value, tail, cmath.sqrt(prefactor(z)), root_rel)
         out.append((value, used, tail) if form == "simplified"
                    else (raw, (value, used, tail)))
     return out
-
-
-def _direct_zs(q: float, m: int, Ls: Sequence[int]) -> list[float]:
-    """The series arguments ``-q^e`` of the direct points (``e = 2 - 2L -
-    4m > 0``) of ``Ls``, in order, up to the first whose power is past the
-    float range (:func:`_coamen_points` refuses it when it gets there)."""
-    zs = []
-    for L in Ls:
-        e = 2 - 2 * L - 4 * m
-        if e > 0:
-            try:
-                zs.append(-q ** e)
-            except OverflowError:  # as in _power
-                break
-    return zs
 
 
 @lru_cache(maxsize=16)
@@ -655,27 +626,21 @@ def _scalar_rel(q2: float) -> float:
 
 
 def _prefactor(q2: float, m: int) -> Callable[[float], complex]:
-    """``z -> qpoch_signed(z, q2, 2 m)`` for a finite real z, bit for bit,
-    by :func:`qsu11._kernels.qpoch_finite_kernel` (looked up at call time:
-    the tests replace it).  The checks of ``qpoch_signed`` that do not
-    depend on z run here, once, in its order: the base, then for m < 0 the
-    power ``q2**(-2|m|)`` of its reciprocal convention
-    (:class:`InvalidArgumentError` past the float range); a vanishing
-    denominator is refused per z with :class:`PoleGuardError`, as there.
+    """``z -> qpoch_signed(z, q2, 2 m)`` for a real ``z <= 0`` (the coamen
+    points' ``-q^e``), bit for bit, by
+    :func:`qsu11._kernels.qpoch_finite_kernel` (looked up at call time: the
+    tests replace it).  q2 is a :class:`QBase`'s square, so the one check of
+    ``qpoch_signed`` left runs here, once: for m < 0 the power
+    ``q2**(-2|m|)`` of its reciprocal convention
+    (:class:`InvalidArgumentError` past the float range).  Every factor
+    ``1 - z q2^j`` (j an integer) is at least 1, so no denominator
+    vanishes.
     """
-    _base_value(q2)
     n = 2 * abs(m)
     if m >= 0:
         return lambda z: qpoch_finite_kernel(complex(z), q2, n)
     scale = _power(q2, -n)
-
-    def reciprocal(z: float) -> complex:
-        denom = qpoch_finite_kernel(complex(z) * scale, q2, n)
-        if denom == 0:
-            raise PoleGuardError("reciprocal Pochhammer hit a vanishing factor")
-        return 1.0 / denom
-
-    return reciprocal
+    return lambda z: 1.0 / qpoch_finite_kernel(complex(z) * scale, q2, n)
 
 
 def averaged_coamen(base: QBase, n: int, p1: IqPoint, m: int, lam: complex,

@@ -49,6 +49,14 @@ class TestRunConfig:
             assert RunConfig(tol_quad=bad).problems() \
                 == ["tol_quad must be positive and finite"]
 
+    def test_depth_and_budget_below_one_are_problems(self, tmp_path):
+        assert RunConfig(max_exponent=0).problems() == ["max_exponent must be >= 1"]
+        assert RunConfig(max_terms=0).problems() == ["max_terms must be >= 1"]
+        for flag in ("--max-exponent", "--max-terms"):
+            out = tmp_path / flag
+            assert main([flag, "0", "--out", str(out)]) == 2
+            assert not out.exists()
+
     def test_extreme_q_warns(self):
         assert RunConfig(q=0.05).warnings() != []
         assert RunConfig(q=0.99).warnings() != []
@@ -219,6 +227,20 @@ class TestReportFormats:
             assert (tmp_path / name).read_bytes() \
                 == (both_reports["defaults"] / name).read_bytes()
 
+    @pytest.mark.parametrize("suite, args, rows", (
+        # cq^2 past the float range; Heine's b = -lam q^{1+2m} underflows
+        ("coamenability", ["--q", "1e-160"], 247),
+        # no quadrature step h > 0; a half-span past the float range
+        ("smoothing", ["--tol-quad", "1e-300"], 12),
+        ("smoothing", ["--tol-quad", "1e-310"], 12),
+    ), ids=("q-1e-160", "tol-quad-1e-300", "tol-quad-1e-310"))
+    def test_extreme_settings_refuse_rows_not_the_suite(self, suite, args,
+                                                        rows, tmp_path):
+        assert main([*args, "--suite", suite, "--out", str(tmp_path)]) == 1
+        got = _csv_dicts(tmp_path / f"{suite}.csv")
+        assert len(got) == rows
+        assert "suite_crashed" not in {r["check_id"] for r in got}
+
     def test_crashed_suite_is_reported_in_both_formats(self, tmp_path,
                                                        monkeypatch, capsys):
         def crash(cfg, base):
@@ -368,6 +390,15 @@ class TestCheckRunner:
         for rep in (_relative(a, SeriesEval(3.0, 1, math.inf), 1.0),
                     _relative(SeriesEval(3.0, 1, math.inf), a, 1.0)):
             assert rep.verdict == "fail" and math.isinf(rep.rows[0].bound)
+        # Two exact zeros agree: deviation 0; bound 0 when both bounds are
+        # 0, and inf (no scale to divide by) otherwise.
+        (r,) = _relative(0.0, 0j, 0.0).rows
+        assert (r.deviation, r.bound, _relative(0.0, 0j, 0.0).verdict) \
+            == (0.0, 0.0, "pass")
+        for rep in (_relative(SeriesEval(0.0, 1, 1e-3), 0.0, 1.0),
+                    _relative(0.0, SeriesEval(0j, 1, 1e-3), 1.0)):
+            assert rep.rows[0].deviation == 0.0 and math.isinf(rep.rows[0].bound)
+            assert rep.verdict == "fail"
 
     @pytest.mark.parametrize("max_terms, refused", ((200, 0), (3, 11)))
     def test_every_check_returns_a_report(self, max_terms, refused):

@@ -332,6 +332,14 @@ class TestPhi21WindowKernel:
         assert got[1][2] == math.inf
         self._assert_window(a, 0j, 0.5, zs, 1e-12, 200, c)
 
+    def test_term_modulus_past_the_float_range(self):
+        # At z = 4 + 4j the first term is 1.6e308 (1 + 1j): finite parts
+        # whose abs overflows, which ends that sum (only).
+        zs = [4 + 4j, 1e-300, 4 + 4j]
+        got = phi21_window_kernel(-1e154, -1e153, 0.5, zs, 1e-12, 200)
+        assert got[0] == (complex(1.6e308, 1.6e308), 2, math.inf)
+        self._assert_window(-1e154, -1e153, 0.5, zs, 1e-12, 200)
+
     def test_parameter_modulus_past_the_float_range(self):
         # |a| overflows abs while its parts and the first step do not (at
         # base 0.05 the denominator 0.95^2 is near 1): a one-term sum

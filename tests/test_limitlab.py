@@ -475,6 +475,8 @@ class TestPochhammerRatio:
             pochhammer_ratio(B, -B.q, 2)         # head factor 1 + q/lam = 0
         with pytest.raises(PoleGuardError):
             pochhammer_ratio(B, B.q ** 2, 3)     # lam^2 = q^4 tail factor
+        with pytest.raises(PoleGuardError, match="naive denominator vanished"):
+            pochhammer_ratio_naive(B, 1.0, 2)    # (1/lam^2; q^2)_2 = 0
 
     def test_k2_off_pole_window_evaluates(self):
         # lam^2 = q^4 is outside the k = 2 denominator window

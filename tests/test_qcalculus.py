@@ -174,6 +174,41 @@ class TestQpochInfinite:
         assert 0 < ev.terms_used <= qcalculus._MAX_FACTORS
         assert math.isfinite(ev.tail_bound)
 
+    @pytest.mark.parametrize("a, base", (
+        # Euler's tail: finite parts whose modulus abs cannot return.
+        (complex(-11976007705743.62, 26168054239776.934), 0.5),
+        # The log series' tail: exp(-s) past the float range.
+        (-0.5, 0.9999),
+    ), ids=("euler", "log-series"))
+    def test_value_past_the_float_range_uncertified(self, a, base):
+        ev = qpoch_infinite(a, base)
+        assert not cmath.isfinite(ev.value)
+        assert ev.tail_bound == math.inf and not ev.degenerate
+
+    def test_zero_factor_before_an_unbounded_rest(self):
+        # 1 - a 0.9986 is computed as 0 at a = 1/0.9986, which is not exactly
+        # 0.9986**-1; the factors after it are bounded only by
+        # e^{0.9986/0.0014} > e^700: the value 0, uncertified.
+        ev = qpoch_infinite(1 / 0.9986, 0.9986)
+        assert ev.value == 0 and ev.tail_bound == math.inf
+        assert not ev.degenerate
+
+
+class TestModulusPastTheFloatRange:
+    """``abs`` of finite parts whose modulus is past the float range raises
+    ``OverflowError``; the helpers read it as inf."""
+
+    BIG = complex(1.5e308, 1.5e308)
+
+    def test_helpers_read_inf(self):
+        assert qcalculus._modulus(self.BIG) == math.inf
+        assert qcalculus._rel_bound(self.BIG, 1.0) == math.inf
+        assert qcalculus._tail(self.BIG, 1e-16) == math.inf
+
+    def test_power_distance_skips_a_power_that_underflows(self):
+        # 0.5**1075 is 0 (x / 0 raises): the neighbour 0.5**1074 matches.
+        assert qcalculus._power_distance(5e-324, 0.5) == 0.0
+
 
 class TestQpochMulti:
     def test_matches_individual_product(self):
@@ -341,6 +376,10 @@ class TestPhi21Direct:
 
 
 class TestPhi21Continued:
+    def test_zero_lambda_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="lam must be nonzero"):
+            phi21_continued(0j, 0.5, B)
+
     def test_overlap_agreement_with_direct(self):
         q, kappa = 0.5, 0.5
         lam = cmath.exp(0.3j)
@@ -477,6 +516,13 @@ class TestPhi21Heine:
     def test_large_b_rejected(self):
         with pytest.raises(InvalidArgumentError):
             phi21_heine(0.3, 1.1, 0.7, 0.5, 0.2)
+
+    @pytest.mark.parametrize("b", (0.0, 0j, 1e-200 * 1e-200))
+    def test_zero_b_rejected(self, b):
+        # The transformed upper parameter c / b is undefined; a b that
+        # underflowed to 0 included.
+        with pytest.raises(InvalidArgumentError, match="needs b != 0"):
+            phi21_heine(0.3, b, 0.25, 0.5, 3.0)
 
     def test_pole_in_c(self):
         with pytest.raises(PoleInCError):

@@ -16,7 +16,7 @@ from qsu11 import (EPS_POLE, InvalidArgumentError, IqPoint, PoleGuardError,
                    phi21_heine, qcalculus, qpoch_multi, spherical_az,
                    spherical_window, su11core)
 from qsu11.smoother import _case1_kernel
-from qsu11.su11core import _coamen_window
+from qsu11.su11core import _coamen_points
 
 B = QBase(0.5)
 
@@ -81,7 +81,7 @@ def test_internal_series_scan_nothing(scans):
     f(complex(0.0, 0.7))
     f(complex(0.0, -1.3))
     # A coamen window of direct points (e > 0), then one of a single point.
-    _coamen_window(B, 1, cmath.exp(0.4j), range(-8, -2), "both", 1e-12, 200)
+    _coamen_points(B, 1, cmath.exp(0.4j), range(-8, -2), "both", 1e-12, 200)
     coamen_coeff(B, 0, cmath.exp(0.4j), IqPoint.positive(-1))
     assert scans == []
 

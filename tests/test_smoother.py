@@ -606,6 +606,39 @@ class TestSmoothingOracle:
         assert checked == 2 * len(cells)
 
 
+class TestMajorantPastTheFloatRange:
+    """The case-1 majorant is inf where ``|lam| = q^x`` or its terms leave
+    the float range; the line then gets no certificate."""
+
+    def test_lambda_past_the_float_range(self):
+        assert smoother._majorant(B, 0, 2000.0) == (math.inf,) * 3
+
+    @pytest.mark.parametrize("x0", (40.0, 100.0), ids=("strip-edge", "line"))
+    def test_no_line_bound(self, x0):
+        # Re z = 40: finite on the line, past the float range at the strip's
+        # edges; Re z = 100: past it on the line too.
+        quad = QuadratureSpec.for_width(0.5, B, 1e-8)
+        path = ContourPath("vertical_line", x0)
+        assert smoother._line_bound(B, IqPoint.positive(0), path, x0 - 0.5,
+                                    0.5, quad) is None
+
+
+class TestBudgetPastTheFloatRange:
+    """A tol_quad so small that the strip bound's log overflows leaves no
+    coarse step h > 0 (h = 0 on the majorant's line at 1e-300, nan at
+    3e-308 with or without it): refused."""
+
+    @pytest.mark.parametrize("tol_quad, integrand", (
+        (1e-300, None), (3e-308, None), (3e-308, lambda z: 1.0 + 0.0j),
+    ), ids=("majorant-1e-300", "majorant-3e-308", "supplied-3e-308"))
+    def test_refused(self, tol_quad, integrand):
+        quad = QuadratureSpec.for_width(4.0, B, tol_quad)
+        with pytest.raises(QuadratureUnderResolvedError, match="no step h > 0"):
+            gaussian_smooth(B, IqPoint.positive(0), 2, 4.0,
+                            ContourPath("vertical_line", 0.5), quad,
+                            integrand=integrand)
+
+
 class TestWeightsPastTheFloatRange:
     """A path far from the kernel center, where the weights e^{n (z - z0)^2}
     leave the float range, is refused before any node, through

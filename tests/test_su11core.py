@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -36,10 +37,20 @@ from qsu11 import (
     theta_pair,
 )
 from qsu11 import su11core
-from qsu11.qcalculus import _near_inv_power
-from qsu11.su11core import _closed_form, _coamen_window, _recurrence, nu_exponent
+from qsu11.qcalculus import _from_tail, _near_inv_power
+from qsu11.su11core import _closed_form, _coamen_points, _recurrence, nu_exponent
 
 B = QBase(0.5)
+
+
+def _coamen_window(base, m, lam, Ls, form, tol, max_terms):
+    """``_coamen_points`` with each (value, terms, bound) triple as a
+    ``SeriesEval``: one per L, or a ``(raw, simplified)`` pair of them with
+    ``form="both"``."""
+    points = _coamen_points(base, m, lam, Ls, form, tol, max_terms)
+    if form == "both":
+        return [(_from_tail(*raw), _from_tail(*simp)) for raw, simp in points]
+    return [_from_tail(*point) for point in points]
 
 
 class TestIqPoint:
@@ -742,7 +753,7 @@ def _coamen_windows(seed, count):
 
 
 class TestCoamenWindow:
-    """``averaged_coamen`` sums one coamen window (``_coamen_window``)."""
+    """``averaged_coamen`` sums one coamen window (``_coamen_points``)."""
 
     def test_average_is_the_sum_of_its_points(self):
         routes, refused = set(), 0
@@ -847,7 +858,7 @@ def _rawsimp_cells(q):
 
 
 class TestRawSimplifiedPair:
-    """``_coamen_window(..., "both", ...)`` sums one series per point for
+    """``_coamen_points(..., "both", ...)`` sums one series per point for
     both forms; each is the ``coamen_coeff`` of its form, bit for bit."""
 
     TOL = RunConfig().series_tol
@@ -975,7 +986,7 @@ def _reference_cases(seed, count):
 
 
 class TestCoamenWindowReference:
-    """Every point of ``_coamen_window`` in each form, and
+    """Every point of ``_coamen_points`` in each form, and
     ``averaged_coamen``, against the composition of ``_reference_point``,
     by ``repr``."""
 
@@ -1200,6 +1211,39 @@ class TestCoamenArguments:
     def test_non_integer_refused(self, call):
         with pytest.raises(InvalidArgumentError, match="must be an integer"):
             call()
+
+    @pytest.mark.parametrize("call", (
+        lambda: coamen_coeff(B, 0, 1.0, IqPoint.negative(1)),
+        lambda: averaged_coamen(B, 2, IqPoint.negative(1), 0, 1.0),
+    ), ids=("coamen", "averaged"))
+    def test_negative_point_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="defined at positive points"):
+            call()
+
+
+class TestTinyQ:
+    """At q = 1e-160, a q that QBase takes (its square is subnormal), the raw
+    form's scalar cq^2 and the Heine route's b = -lam q^{1+2m} leave the
+    float range; each is refused, not raised as an untyped error."""
+
+    TINY = QBase(1e-160)
+
+    def test_raw_scalar_past_the_float_range(self):
+        # e = 2 > 0: the series sums directly, then cq^2 ~ 1/(2 q^2) overflows.
+        cq = self.TINY.cq
+        with pytest.raises(InvalidArgumentError,
+                           match=re.escape(f"{cq!r}**2 is past the float range")):
+            coamen_coeff(self.TINY, 0, 1.0, IqPoint.positive(0), form="raw")
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{cq!r}**2")):
+            _coamen_points(self.TINY, 0, 1.0, [0], "both", 1e-12, 200)
+        # The simplified form has no scalar.
+        assert coamen_coeff(self.TINY, 0, 1.0, IqPoint.positive(0)).value == 1.0
+
+    @pytest.mark.parametrize("form", ("raw", "simplified"))
+    def test_heine_parameter_that_underflows(self, form):
+        # m = 1, L = -1: e = 0 takes the Heine route, where b = -q^3 is 0.
+        with pytest.raises(InvalidArgumentError, match="needs b != 0"):
+            coamen_coeff(self.TINY, 1, 1.0, IqPoint.positive(-1), form=form)
 
 
 class TestNonFiniteSum:
