@@ -8,6 +8,14 @@ runner turns each report into a report row.  Reports carry no
 timestamps, hostnames, or random state, so two runs with the same
 configuration produce byte-identical files.
 
+The suites share no mutable state.  :func:`run_suite` deals them
+round-robin to up to min(suites, usable CPUs) processes: itself and
+workers it forks, each writing its own suites' reports; it writes the
+summary and prints the per-suite lines itself, in the configured
+order, so the reports, output and exit code do not depend on how many
+processes ran.  Where ``os.sched_getaffinity`` is missing, or one CPU
+is usable, every suite runs in this process and nothing is forked.
+
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 invalid configuration (no reports written in that case, except that
 suites computed before a mid-run crash are still flushed).
@@ -20,6 +28,7 @@ import cmath
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,7 +110,7 @@ class RunConfig:
     def problems(self) -> list[str]:
         errs = []
         try:
-            QBase(self.q)  # q in (0, 1), with a square that does not underflow
+            QBase(self.q)  # q in (0, 1), its square above 0 and cq finite
         except QSU11Error as err:
             errs.append(str(err))
         for name in ("tol", "tol_quad"):
@@ -564,8 +573,88 @@ def _write_table(out: Path, name: str, cfg: RunConfig, key: str,
             {"header": header, key: rows}, sort_keys=True, indent=2) + "\n")
 
 
+def _workers() -> int:
+    """The CPUs this process may use, or 1 where the platform cannot
+    tell: the most processes :func:`run_suite` runs suites in."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _run_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
+               out: Path) -> list[tuple[str, int, int]]:
+    """Run each suite of ``share`` and write its report; return one
+    ``(suite, checks, failures)`` triple per suite."""
+    done = []
+    for suite in share:
+        try:
+            # Each check runs as soon as it is yielded, before the
+            # generator resumes: unifgap_monotone reads the gaps of the
+            # checks before it.
+            rows = [_run_check(suite, check)
+                    for check in _SUITE_CHECKS[suite](cfg, base)]
+        except Exception as err:  # crash inside a builder: partial report
+            rows = [_run_check(suite, Check(
+                "suite_crashed", "Eq4.1",
+                {"error": f"{type(err).__name__}: {err}"}, lambda: _REFUSED))]
+        _write_table(out, suite, cfg, "rows", _CSV_COLUMNS, rows)
+        done.append((suite, len(rows),
+                     sum(r["verdict"] != "pass" for r in rows)))
+    return done
+
+
+def _fork_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
+                out: Path):
+    """Fork a worker that runs :func:`_run_share` on ``share`` and sends
+    back, pickled through a pipe, its triples or the exception that
+    escaped it; return the worker's pid and the pipe's read end."""
+    import pickle
+
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_end)
+        return pid, os.fdopen(read_end, "rb")
+    # The worker leaves by os._exit whatever happens, so none of the
+    # caller's handlers, exit hooks or buffered output runs twice.
+    try:
+        os.close(read_end)
+        try:
+            reply = _run_share(share, cfg, base, out)
+        except BaseException as err:  # re-raised by the caller
+            reply = err
+        try:
+            data = pickle.dumps(reply)
+        except Exception:  # an exception that does not pickle
+            data = pickle.dumps(RuntimeError(f"{type(reply).__name__}: {reply}"))
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+    finally:
+        os._exit(0)
+
+
+def _reply(data: bytes, status: int, share: tuple[str, ...]):
+    """The triples a worker sent; raises the exception it sent instead,
+    or an error naming its suites when it ended without a reply."""
+    import pickle
+
+    code = os.waitstatus_to_exitcode(status)
+    if code or not data:
+        raise RuntimeError(f"the worker running {', '.join(share)} ended "
+                           f"with exit code {code} and no result")
+    reply = pickle.loads(data)
+    if isinstance(reply, BaseException):
+        raise reply
+    return reply
+
+
 def run_suite(cfg: RunConfig) -> int:
-    """Run the configured suites, write reports, return the exit code."""
+    """Run the configured suites, write reports, return the exit code.
+
+    The suites are dealt round-robin into :func:`_workers` shares (at
+    most one per suite); this process runs the first, a forked worker
+    each other.  Every worker is reaped before this returns or raises:
+    on an error, killed first.  An exception that escaped a worker is
+    raised here."""
     errs = cfg.problems()
     if errs:
         for e in errs:
@@ -578,23 +667,34 @@ def run_suite(cfg: RunConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    summary = []
-    for suite in dict.fromkeys(cfg.suites):
-        try:
-            # Each check runs as soon as it is yielded, before the
-            # generator resumes: unifgap_monotone reads the gaps of the
-            # checks before it.
-            rows = [_run_check(suite, check)
-                    for check in _SUITE_CHECKS[suite](cfg, base)]
-        except Exception as err:  # crash inside a builder: partial report
-            rows = [_run_check(suite, Check(
-                "suite_crashed", "Eq4.1",
-                {"error": f"{type(err).__name__}: {err}"}, lambda: _REFUSED))]
-        _write_table(out, suite, cfg, "rows", _CSV_COLUMNS, rows)
-        failures = sum(r["verdict"] != "pass" for r in rows)
-        summary.append({"suite": suite, "checks": len(rows),
-                        "failures": failures,
-                        "verdict": "fail" if failures else "pass"})
+    suites = tuple(dict.fromkeys(cfg.suites))
+    n = min(len(suites), _workers())
+    shares = [suites[i::n] for i in range(n)]
+    workers = {}  # pid: (pipe read end, share) of each worker not yet reaped
+    try:
+        for share in shares[1:]:
+            pid, reader = _fork_share(share, cfg, base, out)
+            workers[pid] = (reader, share)
+        done = _run_share(shares[0], cfg, base, out)
+        for pid, (reader, share) in list(workers.items()):
+            with reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[pid]
+            done += _reply(data, status, share)
+    finally:
+        if workers:
+            import signal
+
+            for pid, (reader, _) in workers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                reader.close()
+
+    done.sort(key=lambda triple: suites.index(triple[0]))  # configured order
+    summary = [{"suite": suite, "checks": checks, "failures": failures,
+                "verdict": "fail" if failures else "pass"}
+               for suite, checks, failures in done]
     _write_table(out, "summary", cfg, "suites", _SUMMARY_COLUMNS, summary)
 
     for s in summary:

@@ -92,8 +92,9 @@ class QBase:
     Attributes
     ----------
     q : float
-        The deformation parameter, strictly between 0 and 1, and large
-        enough that ``q * q`` does not underflow to 0.
+        The deformation parameter, strictly between 0 and 1, large
+        enough that ``q * q`` does not underflow to 0 and far enough
+        from 1 (below about 0.9989) that ``cq`` is a finite float.
     log_q : float
         Natural logarithm of ``q`` (negative).
     cq : float
@@ -114,7 +115,15 @@ class QBase:
         object.__setattr__(self, "log_q", math.log(self.q))
         p1, p2 = (_qpoch_infinite(complex(a), q2, 1e-16).value.real
                   for a in (q2, -q2))
-        object.__setattr__(self, "cq", 1.0 / (math.sqrt(2.0) * self.q * p1 * p2))
+        # Near q = 1 the products leave the float range: (q^2; q^2)_inf
+        # underflows to 0, then (-q^2; q^2)_inf overflows (0 * inf = nan).
+        denominator = math.sqrt(2.0) * self.q * p1 * p2
+        cq = 1.0 / denominator if denominator else math.inf
+        if not (0.0 < cq < math.inf):
+            raise InvalidArgumentError(
+                f"q={self.q!r} is too close to 1: the normalisation constant "
+                f"cq is {cq!r}, not a finite positive float")
+        object.__setattr__(self, "cq", cq)
 
     @property
     def period(self) -> float:

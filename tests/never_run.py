@@ -5,7 +5,10 @@ Runs the tier-1 tests (``pytest``, in this process) and then the
 ``python -m qsu11`` configurations of the CI workflow (also in this
 process, warnings as errors), all under a ``sys.settrace`` line tracer that looks
 only at the package's own files, and prints each statement that none of
-them ran, as ``file:line  function  text``.  Standard library only (no
+them ran, as ``file:line  function  text``.  The verification runs are
+pinned to one process (``harness._workers``), so every suite runs under
+the tracer here; a worker that a test forks sends its line events back
+through a file as it leaves by ``os._exit``.  Standard library only (no
 ``coverage`` package).  It prints and exits 0 whatever it finds: a list,
 not a gate.  Run from anywhere:
 
@@ -22,6 +25,7 @@ import contextlib
 import io
 import os
 import runpy
+import shutil
 import sys
 import tempfile
 import threading
@@ -45,6 +49,28 @@ RUNS = (
 
 #: (file, line) of every line event in the package.
 SEEN: set[tuple[str, int]] = set()
+
+
+def _child_seen_writer(folder: str):
+    """An ``os._exit`` for forked workers: it first writes the line events
+    the worker saw since the fork (``SEEN`` is cleared in the child) to a
+    file named by its pid in ``folder``."""
+    real_exit = os._exit
+
+    def exit_reporting(code):
+        with open(os.path.join(folder, str(os.getpid())), "w") as f:
+            f.writelines(f"{file}\t{line}\n" for file, line in SEEN)
+        real_exit(code)
+
+    return exit_reporting
+
+
+def _read_child_seen(folder: str) -> None:
+    for name in os.listdir(folder):
+        with open(os.path.join(folder, name)) as f:
+            for row in f:
+                file, line = row.rstrip("\n").split("\t")
+                SEEN.add((file, int(line)))
 
 
 def _trace_lines(frame, event, arg):
@@ -138,6 +164,10 @@ def main() -> int:
     os.environ["PYTHONPATH"] = os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     os.chdir(ROOT)
+    real_exit = os._exit
+    child_seen = tempfile.mkdtemp(prefix="never_run_")
+    os.register_at_fork(after_in_child=SEEN.clear)
+    os._exit = _child_seen_writer(child_seen)
     threading.settrace(_trace_calls)
     sys.settrace(_trace_calls)
     try:
@@ -146,6 +176,9 @@ def main() -> int:
         rc = pytest.main(["-q", "--continue-on-collection-errors",
                           "-W", "error::RuntimeWarning", "-p", "no:cacheprovider"])
         print(f"tier-1 tests: pytest exit code {int(rc)}")
+        from qsu11 import harness
+
+        harness._workers = lambda: 1  # every suite in this process
         with tempfile.TemporaryDirectory() as out:
             for i, args in enumerate(RUNS):
                 with warnings.catch_warnings(), \
@@ -157,6 +190,9 @@ def main() -> int:
     finally:
         sys.settrace(None)
         threading.settrace(None)
+        os._exit = real_exit
+        _read_child_seen(child_seen)
+        shutil.rmtree(child_seen)
     lines = never_run()
     print(f"{len(lines)} statements of src/qsu11/ that no test and no "
           f"verification run executes:")

@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import signal
+import time
 
 import pytest
 
@@ -99,9 +102,12 @@ class TestRunSuite:
                      "summary.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_reports_do_not_depend_on_a_warm_product_cache(self, tmp_path):
+    def test_reports_do_not_depend_on_a_warm_product_cache(self, tmp_path,
+                                                           monkeypatch):
         # The first run starts from an empty qpoch_infinite cache, the
-        # second from the entries the first left behind.
+        # second from the entries the first left behind; both in this
+        # process, which a forked worker's cache would not warm.
+        monkeypatch.setattr(harness, "_workers", lambda: 1)
         qcalculus._qpoch_infinite.cache_clear()
         for out in ("cold", "warm"):
             cfg = RunConfig(suites=("spherical", "coamenability"),
@@ -136,8 +142,9 @@ class TestRunSuite:
         assert any(r[-1] == "fail" for r in rows)
 
     def test_invalid_config_exits_2_without_reports(self, tmp_path, capsys):
-        # 1e-300 lies in (0, 1), but its square underflows to 0.
-        for q in (2.0, 1e-300):
+        # 1e-300 lies in (0, 1), but its square underflows to 0; at 0.999
+        # and 0.9995 QBase's cq is inf and nan.
+        for q in (2.0, 1e-300, 0.999, 0.9995):
             out = tmp_path / "nothing"
             cfg = RunConfig(q=q, out_dir=str(out))
             assert run_suite(cfg) == 2
@@ -150,6 +157,138 @@ class TestRunSuite:
         assert run_suite(cfg) == 0
         out = capsys.readouterr().out
         assert out.count("identities:") == 1
+
+
+def _no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _crash(cfg, base):
+    raise RuntimeError("builder broke")
+    yield
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+class TestWorkers:
+    """run_suite runs the suites in up to ``_workers()`` processes, forked
+    from this one; the reports, stdout and exit code do not depend on
+    how many, and no worker outlives the call."""
+
+    @pytest.mark.parametrize("case", ("defaults", "max_terms_3",
+                                      "builder_crash_in_a_worker"))
+    def test_one_process_and_one_per_suite_agree(self, case, tmp_path,
+                                                 monkeypatch, capsys):
+        kw = {"max_terms": 3} if case == "max_terms_3" else {}
+        if case == "builder_crash_in_a_worker":  # approxid: the last share
+            monkeypatch.setitem(_SUITE_CHECKS, "approxid", _crash)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = {}
+        for n in (1, len(SUITES)):
+            forks.clear()
+            monkeypatch.setattr(harness, "_workers", lambda n=n: n)
+            out = tmp_path / str(n)
+            rc = run_suite(RunConfig(out_dir=str(out), format="both", **kw))
+            assert len(forks) == n - 1
+            assert _no_child_left()
+            runs[n] = (rc, capsys.readouterr().out,
+                       {p.name: p.read_bytes() for p in out.iterdir()})
+        assert runs[1] == runs[len(SUITES)]
+        rc, stdout, files = runs[1]
+        assert rc == (0 if case == "defaults" else 1)
+        assert sorted(files) == sorted(f"{s}.{fmt}" for s in (*SUITES, "summary")
+                                       for fmt in ("csv", "json"))
+        assert stdout.count("checks passed") == len(SUITES)
+        if case == "builder_crash_in_a_worker":
+            row = _csv_dicts(tmp_path / "5" / "approxid.csv")[0]
+            assert (row["check_id"], row["param_json"]) == (
+                "suite_crashed", '{"error":"RuntimeError: builder broke"}')
+            assert b"suite_crashed" in files["approxid.json"]
+
+    @pytest.mark.parametrize("n", (1, 2, len(SUITES)))
+    def test_a_report_error_in_a_worker_is_raised_here(self, n, tmp_path,
+                                                       monkeypatch):
+        # A directory where spherical.csv goes: spherical, the second
+        # suite, is in a worker's share whenever n > 1 (root included).
+        monkeypatch.setattr(harness, "_workers", lambda: n)
+        (tmp_path / "spherical.csv").mkdir()
+        with pytest.raises(IsADirectoryError) as raised:
+            run_suite(RunConfig(out_dir=str(tmp_path)))
+        assert str(raised.value) == f"[Errno 21] Is a directory: " \
+            f"'{tmp_path / 'spherical.csv'}'"
+        assert _no_child_left()
+
+    def test_an_error_that_does_not_pickle_is_raised_by_its_text(
+            self, tmp_path, monkeypatch):
+        class Local(Exception):  # pickle finds no class by this name
+            pass
+
+        write_table = harness._write_table
+
+        def write(out, name, *args):
+            if name == "smoothing":
+                raise Local("disk gone")
+            write_table(out, name, *args)
+
+        monkeypatch.setattr(harness, "_write_table", write)
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        with pytest.raises(RuntimeError, match="^Local: disk gone$"):
+            run_suite(RunConfig(suites=("approxid", "smoothing"),
+                                out_dir=str(tmp_path)))
+        assert _no_child_left()
+
+    def test_a_worker_killed_by_a_signal_is_named(self, tmp_path, monkeypatch):
+        def killed(cfg, base):
+            os.kill(os.getpid(), signal.SIGKILL)
+            yield
+
+        monkeypatch.setitem(_SUITE_CHECKS, "smoothing", killed)
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        # Shares: identities, coamenability, approxid here; spherical and
+        # smoothing in the worker.
+        with pytest.raises(RuntimeError, match="spherical, smoothing ended "
+                                               "with exit code -9"):
+            run_suite(RunConfig(out_dir=str(tmp_path)))
+        assert _no_child_left()
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_an_interrupt_while_waiting_kills_every_worker(self, tmp_path,
+                                                           monkeypatch):
+        def stuck(cfg, base):
+            time.sleep(60)
+            yield
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(_SUITE_CHECKS, "spherical", stuck)
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            # A forked worker inherits no timer: the interrupt reaches this
+            # process, reading the stuck worker's pipe.
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                run_suite(RunConfig(suites=("approxid", "spherical"),
+                                    out_dir=str(tmp_path)))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert _no_child_left()
+
+    def test_workers_are_the_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert harness._workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert harness._workers() == 1
 
 
 #: ``format="both"`` runs whose reports are compared, by name: passing

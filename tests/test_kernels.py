@@ -258,6 +258,8 @@ class TestPhi21KernelShapes:
 
         monkeypatch.setattr(qcalculus, "phi21_kernel", recorded)
         monkeypatch.setattr(qcalculus, "phi21_window_kernel", recorded_window)
+        # One process: a forked worker's calls would not be recorded here.
+        monkeypatch.setattr(harness, "_workers", lambda: 1)
         harness.main(["--q", str(q), "--out", str(tmp_path)])
         capsys.readouterr()
         assert len(sums) > 1900

@@ -61,6 +61,8 @@ def test_every_call_of_a_default_run(q, tmp_path, monkeypatch):
     # limitlab imports the scan by name; qcalculus calls its own global.
     monkeypatch.setattr(qcalculus, "_near_power", recorded)
     monkeypatch.setattr(limitlab, "_near_power", recorded)
+    # One process: a forked worker's calls would not be recorded here.
+    monkeypatch.setattr(harness, "_workers", lambda: 1)
     harness.main(["--q", q, "--out", str(tmp_path)])
     # 663 to 669 scans: the package's own series make none (case 1 and
     # the coamen series have c = q^2, the closed form guards lam**2).

@@ -49,6 +49,14 @@ class TestQBase:
         qb = QBase(1e-160)  # q * q is subnormal, not 0
         assert math.isfinite(qb.cq) and qb.log_q < 0
 
+    @pytest.mark.parametrize("q, cq", [(0.999, "inf"), (0.9995, "nan")])
+    def test_rejects_q_whose_cq_leaves_the_float_range(self, q, cq):
+        # (q^2; q^2)_inf underflows to 0 from about 0.99890268108, and
+        # from about 0.999421 (-q^2; q^2)_inf overflows too (0 * inf).
+        with pytest.raises(InvalidArgumentError, match=f"cq is {cq}, not a finite"):
+            QBase(q)
+        assert math.isfinite(QBase(0.9989).cq)
+
     def test_log_q_negative(self):
         assert B.log_q == math.log(0.5) < 0
 
