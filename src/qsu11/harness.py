@@ -8,13 +8,15 @@ runner turns each report into a report row.  Reports carry no
 timestamps, hostnames, or random state, so two runs with the same
 configuration produce byte-identical files.
 
-The suites share no mutable state.  :func:`run_suite` deals them
-round-robin to up to min(suites, usable CPUs) processes: itself and
-workers it forks, each writing its own suites' reports; it writes the
-summary and prints the per-suite lines itself, in the configured
-order, so the reports, output and exit code do not depend on how many
-processes ran.  Where ``os.sched_getaffinity`` is missing, or one CPU
-is usable, every suite runs in this process and nothing is forked.
+The suites share no mutable state.  :func:`run_suite` runs them in up
+to min(suites, usable CPUs) processes, itself and workers it forks,
+each pulling the next suite in the configured order off one shared
+queue as soon as it is free, so no process idles while a suite waits,
+and writing that suite's report; it writes the summary and prints the
+per-suite lines itself, in the configured order, so the reports,
+output and exit code do not depend on how many processes ran or which
+ran what.  Where ``os.sched_getaffinity`` is missing, or one CPU is
+usable, every suite runs in this process and nothing is forked.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 invalid configuration (no reports written in that case, except that
@@ -32,7 +34,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from ._kernels import backend
@@ -56,6 +58,8 @@ from .limitlab import (
 from .qcalculus import (
     QBase,
     SeriesEval,
+    _plan,
+    _qpoch_infinite,
     phi21_continued,
     phi21_direct,
     qpoch_infinite,
@@ -66,6 +70,8 @@ from .su11core import (
     IqPoint,
     SpectralParam,
     _coamen_points,
+    _normaliser,
+    _scalar_rel,
     averaged_coamen,
     coamen_coeff,
     spherical_az,
@@ -83,6 +89,10 @@ _CSV_COLUMNS = (
 )
 
 _SUMMARY_COLUMNS = ("suite", "checks", "failures", "verdict")
+
+#: The evaluators' memo caches (``functools.lru_cache``), emptied in this
+#: process after it ran the suites it pulled (:func:`_run_queued`).
+_MEMOS = (_qpoch_infinite, _plan, _normaliser, _scalar_rel)
 
 
 #: One encoder for every compact row: ``json.dumps`` with these keywords
@@ -580,12 +590,12 @@ def _workers() -> int:
     return len(affinity(0)) if affinity else 1
 
 
-def _run_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
-               out: Path) -> list[tuple[str, int, int]]:
-    """Run each suite of ``share`` and write its report; return one
+def _run_suites(suites: Iterable[str], cfg: RunConfig, base: QBase,
+                out: Path) -> list[tuple[str, int, int]]:
+    """Run each suite of ``suites`` and write its report; return one
     ``(suite, checks, failures)`` triple per suite."""
     done = []
-    for suite in share:
+    for suite in suites:
         try:
             # Each check runs as soon as it is yielded, before the
             # generator resumes: unifgap_monotone reads the gaps of the
@@ -602,11 +612,19 @@ def _run_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
     return done
 
 
-def _fork_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
-                out: Path):
-    """Fork a worker that runs :func:`_run_share` on ``share`` and sends
-    back, pickled through a pipe, its triples or the exception that
-    escaped it; return the worker's pid and the pipe's read end."""
+def _pulled(queue: int, suites: tuple[str, ...]) -> Iterator[str]:
+    """The suites whose indices this process reads off ``queue``, one
+    byte at a time, until it is empty."""
+    while index := os.read(queue, 1):
+        yield suites[index[0]]
+
+
+def _fork(queue: int, suites: tuple[str, ...], cfg: RunConfig, base: QBase,
+          out: Path):
+    """Fork a worker that runs the suites it pulls off ``queue`` through
+    :func:`_run_suites` and sends back, pickled through a pipe, its
+    triples or the exception that escaped it; return the worker's pid
+    and the pipe's read end."""
     import pickle
 
     read_end, write_end = os.pipe()
@@ -619,7 +637,7 @@ def _fork_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
     try:
         os.close(read_end)
         try:
-            reply = _run_share(share, cfg, base, out)
+            reply = _run_suites(_pulled(queue, suites), cfg, base, out)
         except BaseException as err:  # re-raised by the caller
             reply = err
         try:
@@ -632,29 +650,73 @@ def _fork_share(share: tuple[str, ...], cfg: RunConfig, base: QBase,
         os._exit(0)
 
 
-def _reply(data: bytes, status: int, share: tuple[str, ...]):
-    """The triples a worker sent; raises the exception it sent instead,
-    or an error naming its suites when it ended without a reply."""
+def _run_queued(suites: tuple[str, ...], n: int, cfg: RunConfig, base: QBase,
+                out: Path) -> list[tuple[str, int, int]]:
+    """Run ``suites`` in this process and ``n - 1`` forked workers, each
+    pulling the next suite off one queue until it is empty; return
+    every suite's triple, in no set order.
+
+    The queue is a pipe that holds one byte per suite index and is
+    closed for writing before the first fork, so no read blocks and
+    each 1-byte read is atomic: every suite is pulled by one process.
+    Which suites this process pulls is a race, so it then empties
+    :data:`_MEMOS`: what those suites left there would decide the work
+    (not the values) of its next evaluations.  Every worker is reaped
+    before this returns or raises: on an error, killed first.  An
+    exception that escaped a worker is raised here; a worker that ended
+    without a result raises a :class:`RuntimeError` naming the suites no
+    process returned a result for."""
     import pickle
 
-    code = os.waitstatus_to_exitcode(status)
-    if code or not data:
-        raise RuntimeError(f"the worker running {', '.join(share)} ended "
-                           f"with exit code {code} and no result")
-    reply = pickle.loads(data)
-    if isinstance(reply, BaseException):
-        raise reply
-    return reply
+    queue, fill = os.pipe()
+    workers = {}  # pid: result pipe read end of each worker not yet reaped
+    lost = []  # the exit code of each worker that sent no result
+    try:
+        with os.fdopen(fill, "wb") as fh:
+            fh.write(bytes(range(len(suites))))
+        for _ in range(n - 1):
+            pid, reader = _fork(queue, suites, cfg, base, out)
+            workers[pid] = reader
+        done = _run_suites(_pulled(queue, suites), cfg, base, out)
+        for memo in _MEMOS:
+            memo.cache_clear()
+        for pid, reader in list(workers.items()):
+            with reader:
+                data = reader.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[pid]
+            if code or not data:
+                lost.append(str(code))
+                continue
+            reply = pickle.loads(data)
+            if isinstance(reply, BaseException):
+                raise reply
+            done += reply
+    finally:
+        os.close(queue)
+        if workers:
+            import signal
+
+            for pid, reader in workers.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                reader.close()
+    if lost:
+        returned = {suite for suite, _, _ in done}
+        missing = [suite for suite in suites if suite not in returned]
+        raise RuntimeError(
+            f"no process returned a result for {', '.join(missing) or 'no suite'}"
+            f": a worker ended with exit code {', '.join(lost)}")
+    return done
 
 
 def run_suite(cfg: RunConfig) -> int:
     """Run the configured suites, write reports, return the exit code.
 
-    The suites are dealt round-robin into :func:`_workers` shares (at
-    most one per suite); this process runs the first, a forked worker
-    each other.  Every worker is reaped before this returns or raises:
-    on an error, killed first.  An exception that escaped a worker is
-    raised here."""
+    Up to :func:`_workers` processes run the suites, this one and
+    workers it forks (:func:`_run_queued`), each pulling the next suite
+    in the configured order off one queue; with one, this process runs
+    them all in order and forks nothing."""
     errs = cfg.problems()
     if errs:
         for e in errs:
@@ -669,27 +731,8 @@ def run_suite(cfg: RunConfig) -> int:
 
     suites = tuple(dict.fromkeys(cfg.suites))
     n = min(len(suites), _workers())
-    shares = [suites[i::n] for i in range(n)]
-    workers = {}  # pid: (pipe read end, share) of each worker not yet reaped
-    try:
-        for share in shares[1:]:
-            pid, reader = _fork_share(share, cfg, base, out)
-            workers[pid] = (reader, share)
-        done = _run_share(shares[0], cfg, base, out)
-        for pid, (reader, share) in list(workers.items()):
-            with reader:
-                data = reader.read()
-            status = os.waitpid(pid, 0)[1]
-            del workers[pid]
-            done += _reply(data, status, share)
-    finally:
-        if workers:
-            import signal
-
-            for pid, (reader, _) in workers.items():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                reader.close()
+    done = (_run_queued(suites, n, cfg, base, out) if n > 1
+            else _run_suites(suites, cfg, base, out))
 
     done.sort(key=lambda triple: suites.index(triple[0]))  # configured order
     summary = [{"suite": suite, "checks": checks, "failures": failures,

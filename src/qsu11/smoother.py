@@ -260,6 +260,13 @@ def _case1_line(p0: IqPoint, path: ContourPath) -> bool:
     return p0.sign > 0 and p0.exponent <= 0 and path.kind == "vertical_line"
 
 
+def _log_budget(quad: QuadratureSpec) -> float:
+    """``log(_SHARE * tol_quad)``, the log of the trapezoid term's share
+    of the budget, as a sum of logs: the product underflows to 0 for
+    the smallest ``tol_quad``."""
+    return math.log(_SHARE) + math.log(quad.tol_quad)
+
+
 def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
                 n: float, quad: QuadratureSpec) -> _LineBound | None:
     """:class:`_LineBound` of the default integrand on ``path``, or None
@@ -283,7 +290,8 @@ def _line_bound(base: QBase, p0: IqPoint, path: ContourPath, d: float,
     span = path.half_span if path.half_span is not None \
         else math.sqrt(quad.half_span ** 2 + d * d + math.log(sup) / n)
     c1 = 32.0 + 2.0 * abs(base.log_q) * (abs(x0) + 2.0 * span)
-    a = math.sqrt(d * d + math.log(2.0 * sup / (_SHARE * quad.tol_quad)) / n)
+    # Differences of logs: the quotients overflow long before their logs.
+    a = math.sqrt(d * d + (math.log(2.0 * sup) - _log_budget(quad)) / n)
     strip = max(_majorant(base, p0.exponent, x0 - a)[0],
                 _majorant(base, p0.exponent, x0 + a)[0])
     if not math.isfinite(strip):
@@ -309,13 +317,14 @@ def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
     With ``quad.nodes_per_unit`` None, the coarse step is the largest h
     with ``2 e^{n (|d| + a)^2} F(a) / (e^{2 pi a/h} - 1) <= tol_quad/4``,
     F from :func:`_line_bound` where the majorant applies and F = 1 (the
-    weight alone) where it does not.  A budget so small that a log in the
-    bound leaves the float range (h is then 0 or nan: the smoothing suite's
-    line at ``tol_quad = 1e-300``) raises
+    weight alone) where it does not.  The bound is solved as a sum of
+    logs, so a tiny budget (the smoothing suite's lines at ``tol_quad =
+    1e-300``) still gets a step; a bound whose log leaves the float range
+    (h is then 0 or nan: ``n (|d| + a)^2`` past it) raises
     :class:`QuadratureUnderResolvedError`.
     """
     d = path.anchor - (1.0 - 1.0 / k)
-    budget = _SHARE * quad.tol_quad
+    log_budget = _log_budget(quad)
     bound = None
     if integrand is None:
         bound = _line_bound(base, p0, path, d, n, quad)
@@ -324,11 +333,11 @@ def _grid(base: QBase, p0: IqPoint, k: int, n: float, path: ContourPath,
     else:
         span = path.half_span if path.half_span is not None \
             else math.hypot(quad.half_span, d)
-        a, strip = math.sqrt(d * d + math.log(2.0 / budget) / n), 1.0
+        a, strip = math.sqrt(d * d + (math.log(2.0) - log_budget) / n), 1.0
     if quad.nodes_per_unit is not None:
         return span, math.ceil(2.0 * span * quad.nodes_per_unit), bound
     # e^{2 pi a/h} - 1 = 2 e^{n(|d|+a)^2} F / budget, solved for h
-    lg = math.log(2.0 * strip / budget) + n * (abs(d) + a) ** 2
+    lg = math.log(2.0 * strip) - log_budget + n * (abs(d) + a) ** 2
     h = 2.0 * math.pi * a / (lg + math.log1p(math.exp(-lg)))
     if not h > 0.0:  # 0 or nan: a log above is past the float range
         raise QuadratureUnderResolvedError(

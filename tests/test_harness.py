@@ -1,14 +1,17 @@
 """End-to-end tests of the verification harness and its CLI surface."""
 
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import signal
 import time
 
 import pytest
 
+import qsu11
 from qsu11 import harness, limitlab, qcalculus
 from qsu11.errors import PoleGuardError, QSU11Error
 from qsu11.harness import (
@@ -173,25 +176,93 @@ def _crash(cfg, base):
     yield
 
 
+def _killed(checks):
+    """A builder that runs ``checks`` in this process and is killed by
+    SIGKILL in a worker."""
+    parent = os.getpid()
+
+    def run(cfg, base):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        yield from checks(cfg, base)
+
+    return run
+
+
+def _wait_until(done, timeout=30.0):
+    """Poll ``done`` until it holds or ``timeout`` seconds have passed."""
+    end = time.monotonic() + timeout
+    while not done() and time.monotonic() < end:
+        time.sleep(0.001)
+
+
+def _record_pulls(monkeypatch, pids, suites=SUITES, held=False):
+    """Wrap the builder of each of ``suites`` to append the pid of the
+    process that pulls it to the file ``pids / suite``.
+
+    With ``held``, the first suite is pulled by a worker, not by this
+    process: after each fork this process waits for that pull.  The
+    worker holds it until every other suite is pulled, so the other
+    processes run all the rest, and they finish first."""
+    pids.mkdir()
+
+    def pulled_all():
+        return len(list(pids.iterdir())) == len(suites)
+
+    for suite in suites:
+        def pull(cfg, base, suite=suite, checks=_SUITE_CHECKS[suite]):
+            with (pids / suite).open("a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            if held and suite == suites[0]:
+                _wait_until(pulled_all)
+            yield from checks(cfg, base)
+
+        monkeypatch.setitem(_SUITE_CHECKS, suite, pull)
+    if held:
+        fork = os.fork
+
+        def forked():
+            pid = fork()
+            if pid:
+                _wait_until(lambda: any(pids.iterdir()))
+            return pid
+
+        monkeypatch.setattr(os, "fork", forked)
+
+
+def _pulled_by(pids):
+    """The pids that pulled each suite, by suite, from :func:`_record_pulls`'
+    files."""
+    return {p.name: [int(pid) for pid in p.read_text().split()]
+            for p in pids.iterdir()}
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 class TestWorkers:
     """run_suite runs the suites in up to ``_workers()`` processes, forked
-    from this one; the reports, stdout and exit code do not depend on
-    how many, and no worker outlives the call."""
+    from this one, each pulling the next suite off one queue; the
+    reports, stdout and exit code do not depend on how many ran or which
+    ran what, and no worker outlives the call."""
 
     @pytest.mark.parametrize("case", ("defaults", "max_terms_3",
                                       "builder_crash_in_a_worker"))
     def test_one_process_and_one_per_suite_agree(self, case, tmp_path,
                                                  monkeypatch, capsys):
         kw = {"max_terms": 3} if case == "max_terms_3" else {}
-        if case == "builder_crash_in_a_worker":  # approxid: the last share
-            monkeypatch.setitem(_SUITE_CHECKS, "approxid", _crash)
+        if case == "builder_crash_in_a_worker":  # identities: held by a worker
+            monkeypatch.setitem(_SUITE_CHECKS, "identities", _crash)
         forks = []
         fork = os.fork
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
         runs = {}
         for n in (1, len(SUITES)):
             forks.clear()
+            if n > 1:
+                _record_pulls(monkeypatch, tmp_path / "pids", held=True)
             monkeypatch.setattr(harness, "_workers", lambda n=n: n)
             out = tmp_path / str(n)
             rc = run_suite(RunConfig(out_dir=str(out), format="both", **kw))
@@ -200,29 +271,106 @@ class TestWorkers:
             runs[n] = (rc, capsys.readouterr().out,
                        {p.name: p.read_bytes() for p in out.iterdir()})
         assert runs[1] == runs[len(SUITES)]
+        [worker] = _pulled_by(tmp_path / "pids")["identities"]
+        assert worker != os.getpid()
         rc, stdout, files = runs[1]
         assert rc == (0 if case == "defaults" else 1)
         assert sorted(files) == sorted(f"{s}.{fmt}" for s in (*SUITES, "summary")
                                        for fmt in ("csv", "json"))
         assert stdout.count("checks passed") == len(SUITES)
         if case == "builder_crash_in_a_worker":
-            row = _csv_dicts(tmp_path / "5" / "approxid.csv")[0]
+            row = _csv_dicts(tmp_path / "5" / "identities.csv")[0]
             assert (row["check_id"], row["param_json"]) == (
                 "suite_crashed", '{"error":"RuntimeError: builder broke"}')
-            assert b"suite_crashed" in files["approxid.json"]
+            assert b"suite_crashed" in files["identities.json"]
+
+    @pytest.mark.parametrize("n", (2, len(SUITES)))
+    def test_every_suite_runs_once(self, n, tmp_path, monkeypatch):
+        forked = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(harness, "_workers", lambda: n)
+        # At W = 2 the worker holds the first suite, so both processes
+        # run one; at W = 5 the processes pull as they come.
+        _record_pulls(monkeypatch, tmp_path / "pids", held=n == 2)
+        assert run_suite(RunConfig(out_dir=str(tmp_path / "out"))) == 0
+        assert _no_child_left()
+        pulled = _pulled_by(tmp_path / "pids")
+        assert sorted(pulled) == sorted(SUITES)
+        assert all(len(pids) == 1 for pids in pulled.values())
+        ran = {pid for (pid,) in pulled.values()}
+        assert ran <= {os.getpid(), *forked} and len(forked) == n - 1
+        if n == 2:
+            assert ran == {os.getpid(), *forked}
+
+    def test_configured_order_when_a_later_suite_finishes_first(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "_workers", lambda: 1)
+        assert run_suite(RunConfig(out_dir=str(tmp_path / "1"))) == 0
+        in_order = capsys.readouterr().out
+        # A worker holds identities until this process has pulled every
+        # other suite; they finish first, and this process has their
+        # triples before the worker's.
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        _record_pulls(monkeypatch, tmp_path / "pids", held=True)
+        out = tmp_path / "2"
+        assert run_suite(RunConfig(out_dir=str(out))) == 0
+        assert _no_child_left()
+        assert (out / "spherical.csv").stat().st_mtime_ns \
+            < (out / "identities.csv").stat().st_mtime_ns
+        assert _pulled_by(tmp_path / "pids")["spherical"] == [os.getpid()]
+        assert capsys.readouterr().out == in_order
+        assert [line.split(":")[0] for line in in_order.splitlines()] \
+            == list(SUITES)
+        assert [r["suite"] for r in _csv_dicts(out / "summary.csv")] \
+            == list(SUITES)
+        assert (out / "summary.csv").read_bytes() \
+            == (tmp_path / "1" / "summary.csv").read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd")
+    @pytest.mark.parametrize("outcome", ("returns", "worker_killed",
+                                         "error_here"))
+    def test_no_descriptor_is_left_open(self, outcome, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        if outcome == "worker_killed":
+            monkeypatch.setitem(_SUITE_CHECKS, "identities", _killed(
+                _SUITE_CHECKS["identities"]))
+        if outcome == "error_here":  # spherical runs in this process
+            (tmp_path / "spherical.csv").mkdir()
+        _record_pulls(monkeypatch, tmp_path / "pids", held=True)
+        before = _open_fds()
+        if outcome == "returns":
+            assert run_suite(RunConfig(out_dir=str(tmp_path))) == 0
+        else:
+            with pytest.raises((RuntimeError, IsADirectoryError)):
+                run_suite(RunConfig(out_dir=str(tmp_path)))
+        assert _open_fds() == before
+        assert _no_child_left()
 
     @pytest.mark.parametrize("n", (1, 2, len(SUITES)))
     def test_a_report_error_in_a_worker_is_raised_here(self, n, tmp_path,
                                                        monkeypatch):
-        # A directory where spherical.csv goes: spherical, the second
-        # suite, is in a worker's share whenever n > 1 (root included).
+        # A directory where identities.csv goes: whenever n > 1 a worker
+        # pulls identities (root included) and this process runs the rest.
         monkeypatch.setattr(harness, "_workers", lambda: n)
-        (tmp_path / "spherical.csv").mkdir()
+        if n > 1:
+            _record_pulls(monkeypatch, tmp_path / "pids", held=True)
+        (tmp_path / "identities.csv").mkdir()
         with pytest.raises(IsADirectoryError) as raised:
             run_suite(RunConfig(out_dir=str(tmp_path)))
         assert str(raised.value) == f"[Errno 21] Is a directory: " \
-            f"'{tmp_path / 'spherical.csv'}'"
+            f"'{tmp_path / 'identities.csv'}'"
         assert _no_child_left()
+        if n > 1:
+            [worker] = _pulled_by(tmp_path / "pids")["identities"]
+            assert worker != os.getpid()
 
     def test_an_error_that_does_not_pickle_is_raised_by_its_text(
             self, tmp_path, monkeypatch):
@@ -238,25 +386,25 @@ class TestWorkers:
 
         monkeypatch.setattr(harness, "_write_table", write)
         monkeypatch.setattr(harness, "_workers", lambda: 2)
+        suites = ("smoothing", "approxid")  # smoothing: held by the worker
+        _record_pulls(monkeypatch, tmp_path / "pids", suites, held=True)
         with pytest.raises(RuntimeError, match="^Local: disk gone$"):
-            run_suite(RunConfig(suites=("approxid", "smoothing"),
-                                out_dir=str(tmp_path)))
+            run_suite(RunConfig(suites=suites, out_dir=str(tmp_path)))
         assert _no_child_left()
 
     def test_a_worker_killed_by_a_signal_is_named(self, tmp_path, monkeypatch):
-        def killed(cfg, base):
-            os.kill(os.getpid(), signal.SIGKILL)
-            yield
-
-        monkeypatch.setitem(_SUITE_CHECKS, "smoothing", killed)
+        monkeypatch.setitem(_SUITE_CHECKS, "identities", _killed(
+            _SUITE_CHECKS["identities"]))
         monkeypatch.setattr(harness, "_workers", lambda: 2)
-        # Shares: identities, coamenability, approxid here; spherical and
-        # smoothing in the worker.
-        with pytest.raises(RuntimeError, match="spherical, smoothing ended "
-                                               "with exit code -9"):
+        # The worker holds identities while this process runs the rest.
+        _record_pulls(monkeypatch, tmp_path / "pids", held=True)
+        with pytest.raises(RuntimeError, match="^no process returned a result "
+                                               "for identities: a worker ended "
+                                               "with exit code -9$"):
             run_suite(RunConfig(out_dir=str(tmp_path)))
         assert _no_child_left()
         assert not (tmp_path / "summary.csv").exists()
+        assert (tmp_path / "approxid.csv").exists()
 
     def test_an_interrupt_while_waiting_kills_every_worker(self, tmp_path,
                                                            monkeypatch):
@@ -269,6 +417,8 @@ class TestWorkers:
 
         monkeypatch.setitem(_SUITE_CHECKS, "spherical", stuck)
         monkeypatch.setattr(harness, "_workers", lambda: 2)
+        suites = ("spherical", "approxid")  # spherical: held by the worker
+        _record_pulls(monkeypatch, tmp_path / "pids", suites, held=True)
         previous = signal.signal(signal.SIGALRM, interrupt)
         start = time.monotonic()
         try:
@@ -276,13 +426,29 @@ class TestWorkers:
             # process, reading the stuck worker's pipe.
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(KeyboardInterrupt):
-                run_suite(RunConfig(suites=("approxid", "spherical"),
-                                    out_dir=str(tmp_path)))
+                run_suite(RunConfig(suites=suites, out_dir=str(tmp_path)))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert time.monotonic() - start < 30
         assert _no_child_left()
+
+    def test_this_process_keeps_no_memo_of_the_suites_it_pulled(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_workers", lambda: 2)
+        assert run_suite(RunConfig(out_dir=str(tmp_path))) == 0
+        assert _no_child_left()
+        assert [m.cache_info().currsize for m in harness._MEMOS] \
+            == [0] * len(harness._MEMOS)
+
+    def test_every_memo_cache_is_listed(self):
+        modules = [importlib.import_module(f"qsu11.{m.name}")
+                   for m in pkgutil.iter_modules(qsu11.__path__)
+                   if not m.name.startswith("__")]
+        memos = {id(f): f for module in modules for f in vars(module).values()
+                 if hasattr(f, "cache_clear")}
+        assert sorted(memos) == sorted(map(id, harness._MEMOS)), \
+            [f.__qualname__ for f in memos.values()]
 
     def test_workers_are_the_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
@@ -369,7 +535,8 @@ class TestReportFormats:
     @pytest.mark.parametrize("suite, args, rows", (
         # cq^2 past the float range; Heine's b = -lam q^{1+2m} underflows
         ("coamenability", ["--q", "1e-160"], 247),
-        # no quadrature step h > 0; a half-span past the float range
+        # nodes uncertified or node doubling over budget; a half-span past
+        # the float range
         ("smoothing", ["--tol-quad", "1e-300"], 12),
         ("smoothing", ["--tol-quad", "1e-310"], 12),
     ), ids=("q-1e-160", "tol-quad-1e-300", "tol-quad-1e-310"))

@@ -624,19 +624,40 @@ class TestMajorantPastTheFloatRange:
 
 
 class TestBudgetPastTheFloatRange:
-    """A tol_quad so small that the strip bound's log overflows leaves no
-    coarse step h > 0 (h = 0 on the majorant's line at 1e-300, nan at
-    3e-308 with or without it): refused."""
+    """A tol_quad far below what the nodes' float values can meet is
+    refused, typed.  The coarse step exists (the strip bound is solved
+    as a difference of logs, so no quotient leaves the float range): the
+    refusal comes from the nodes or the node doubling.  Where the bound's
+    log itself overflows, no step h > 0 exists and :func:`_grid` refuses."""
 
-    @pytest.mark.parametrize("tol_quad, integrand", (
-        (1e-300, None), (3e-308, None), (3e-308, lambda z: 1.0 + 0.0j),
+    @pytest.mark.parametrize("tol_quad, integrand, match", (
+        (1e-300, None, "node s=-13.16.* uncertified after 201 terms"),
+        (3e-308, None, "node s=-13.32.* uncertified after 201 terms"),
+        (3e-308, lambda z: 1.0 + 0.0j, "node doubling moved the value"),
     ), ids=("majorant-1e-300", "majorant-3e-308", "supplied-3e-308"))
-    def test_refused(self, tol_quad, integrand):
+    def test_refused(self, tol_quad, integrand, match):
         quad = QuadratureSpec.for_width(4.0, B, tol_quad)
-        with pytest.raises(QuadratureUnderResolvedError, match="no step h > 0"):
+        with pytest.raises(QuadratureUnderResolvedError, match=match):
             gaussian_smooth(B, IqPoint.positive(0), 2, 4.0,
                             ContourPath("vertical_line", 0.5), quad,
                             integrand=integrand)
+
+    def test_tiny_budget_gets_a_step(self):
+        # 1e-200 / 4 times 1/(2 F(a)) at Re z = 10 was past the float
+        # range as one quotient; its log, about 745, is not.
+        quad = QuadratureSpec.for_width(0.5, B, 1e-200)
+        span, m, bound = _grid(B, IqPoint.positive(0), 2, 0.5,
+                               ContourPath("vertical_line", 10.0), quad, None)
+        assert bound is not None and math.isfinite(span) and 0 < m < 10 ** 6
+
+    @pytest.mark.parametrize("tol_quad", (1e-8, 5e-324))
+    def test_no_step_h(self, tol_quad):
+        # n (|d| + a)^2 = 1e308 * 4 overflows the log of the strip bound.
+        quad = QuadratureSpec(half_span=1.0, tol_quad=tol_quad)
+        with pytest.raises(QuadratureUnderResolvedError, match="no step h > 0"):
+            _grid(B, IqPoint.positive(0), 2, 1e308,
+                  ContourPath("vertical_line", 1.5), quad,
+                  lambda z: 1.0 + 0.0j)
 
 
 class TestWeightsPastTheFloatRange:
